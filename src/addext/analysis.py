@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import numtheory as nt
-from .canonical import digest
 from .errors import BudgetError, InputError
 from .gf import poly_mul
 from .sources import Source
@@ -123,34 +122,44 @@ def additive_charsum(X: Source, a) -> float:
     raise InputError("additive characters over Z_p, Z_p^n or Z_N only")
 
 
-def encoded_charsum(values: Sequence[int], xi: int, modulus: int) -> float:
-    """|sum_y e_modulus(xi * y)| / |values| for an encoded multiset."""
-    if not values:
-        raise InputError("empty multiset")
-    vals = (xi * y % modulus for y in values)
-    return abs(_phases(vals, modulus).sum()) / len(values)
-
-
 def charsum_table(values: Sequence[int], modulus: int,
                   frequencies: Sequence[int]) -> np.ndarray:
-    """Normalized |sum e(xi y / modulus)| for each requested frequency xi."""
-    v = np.asarray(values, dtype=np.int64)
+    """|sum_y e(xi y / modulus)| / |values| for each requested frequency xi,
+    over an encoded multiset of residues mod modulus.
+
+    The products xi y mod modulus are exact: int64 vectors while
+    (modulus - 1)^2 < 2^63, Python integers above that.
+    """
+    if len(values) == 0:
+        raise InputError("empty multiset")
+    v = [int(y) % modulus for y in values]
+    vec = np.array(v, dtype=np.int64) if (modulus - 1) ** 2 < 1 << 63 else None
     out = np.empty(len(frequencies))
     for i, xi in enumerate(frequencies):
-        out[i] = abs(np.exp(2j * np.pi * ((int(xi) * v) % modulus) / modulus).sum())
-    return out / len(values)
+        xi = int(xi) % modulus
+        if vec is not None:
+            r = (xi * vec) % modulus
+        else:
+            r = np.array([xi * y % modulus for y in v], dtype=np.int64)
+        out[i] = abs(np.exp(2j * np.pi * r / modulus).sum())
+    return out / len(v)
 
 
 # ---------------------------------------------------------------------------
 # polynomial sums over F_p
 # ---------------------------------------------------------------------------
 
-def poly_eval_all(coeffs: Sequence[int], p: int) -> np.ndarray:
-    """f(t) for all t in F_p (vectorized Horner); coeffs low degree first."""
+def poly_eval_all(coeffs, p: int) -> np.ndarray:
+    """f(t) for all t in F_p (vectorized Horner); coefficients low degree first.
+
+    A coefficient vector gives the p values of one polynomial; a (rows, d+1)
+    coefficient matrix gives a (rows, p) matrix, one polynomial per row.
+    """
+    c = (np.asarray(coeffs) % p).astype(np.int64)
     t = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed([c % p for c in coeffs]):
-        acc = (acc * t + c) % p
+    acc = np.zeros(c.shape[:-1] + (p,), dtype=np.int64)
+    for j in range(c.shape[-1] - 1, -1, -1):
+        acc = (acc * t + c[..., j, None]) % p
     return acc
 
 
@@ -280,20 +289,31 @@ def partial_ap_sum_prefix_max(p: int, coeffs: Sequence[int], a: int) -> float:
     return float(np.abs(np.cumsum(phases)).max())
 
 
-def fourier_l1_interval(p: int, s: int) -> float:
+L1_BLOCK_ENTRIES = 1 << 20
+
+
+def fourier_l1_interval(p: int, s):
     """L1 Fourier norm of the indicator of {0..s-1} in Z_p: sum_j |A^(j)|.
 
     j = 0 term is s/p; for j != 0 the geometric sum gives
     |A^(j)| = sin(pi (j s mod p) / p) / (p sin(pi j / p)), an exact identity.
+    An int s gives a float; an array of s gives an array of norms, computed
+    in blocks of at most L1_BLOCK_ENTRIES (s, j) terms, or one s at a time
+    once p - 1 exceeds that.
     """
-    if not 0 < s <= p:
+    s_arr = np.asarray(s, dtype=np.int64)
+    if ((s_arr < 1) | (s_arr > p)).any():
         raise InputError("need 0 < s <= p")
-    if p == 1 or s == p:
-        return 1.0
+    flat = s_arr.reshape(-1)
+    out = np.empty(flat.size)
     j = np.arange(1, p, dtype=np.int64)
-    num = np.sin(np.pi * ((j * s) % p) / p)
     den = p * np.sin(np.pi * j / p)
-    return float(s / p + (num / den).sum())
+    rows = max(1, L1_BLOCK_ENTRIES // max(1, p - 1))
+    for lo in range(0, flat.size, rows):
+        blk = flat[lo:lo + rows]
+        num = np.sin(np.pi * ((blk[:, None] * j) % p) / p)
+        out[lo:lo + rows] = np.where(blk == p, 1.0, blk / p + (num / den).sum(axis=1))
+    return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
 
 
 def xor_residual_check(N: int, M: int) -> tuple[Fraction, Fraction, bool]:
@@ -419,14 +439,3 @@ class EvalReport:
         if self.per_character is not None:
             out["per_character"] = self.per_character
         return out
-
-
-def report_digest(obj) -> str:
-    return digest(obj)
-
-
-def sweep(grid_rows: list[dict], threads: int | None = None):
-    """Batch driver: one report per grid row (source points or families),
-    merged in grid order; per-row errors are recorded and the sweep continues."""
-    from . import suites
-    return suites.suite_sweep(grid_rows, threads=threads)

@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=1,
                         help="master seed recorded in the run manifest (default 1)")
     common.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker threads for sweeps "
+                        help="recorded in the run manifest; sweeps run their "
+                             "rows in grid order on one thread "
                              "(default: available parallelism)")
 
     ap = argparse.ArgumentParser(

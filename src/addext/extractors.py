@@ -222,7 +222,7 @@ def line_poly_eval(x: Sequence[int], cfg: LineExtractorConfig) -> int:
 def line_extract(x: Sequence[int], cfg: LineExtractorConfig) -> int:
     v = line_poly_eval(x, cfg)
     if cfg.variant == "additive_trace":
-        return gf.trace_to_f2(cfg.field.el(v))
+        return gf.trace_to_f2(cfg.field, v)
     return 1 if gf.fq_quadratic_character(cfg.field, v) == -1 else 0
 
 
@@ -231,9 +231,7 @@ class ApExtractorConfig:
     """Block-polynomial extractor for APs and GAPs in F_p^n.
 
     Blocks have size >= 2 and size not divisible by p, so the restriction to
-    any line with nonzero direction has degree in (1, p). ``poly_eval`` is an
-    optional override: a user-supplied polynomial F_p^n -> F_p meeting the same
-    restricted-degree contract (hook for subspace dimensions >= 2; none ships).
+    any line with nonzero direction has degree in (1, p).
     """
 
     field: gf.FieldSpec       # F_p, prime
@@ -241,7 +239,6 @@ class ApExtractorConfig:
     padded_n: int
     blocks: tuple[Block, ...]
     m: int
-    poly_eval: Callable[[Sequence[int]], int] | None = None
 
     @property
     def M(self) -> int:
@@ -259,7 +256,8 @@ class ApExtractorConfig:
         return {"variant": "ap", "p": self.field.p, "n": self.n,
                 "padded_n": self.padded_n,
                 "blocks": [[b.start, b.size] for b in self.blocks], "m": self.m,
-                "custom_poly": self.poly_eval is not None}
+                # constant key, kept so that config digests stay stable
+                "custom_poly": False}
 
 
 def build_ap_extractor(p: int, n: int, m: int) -> ApExtractorConfig:
@@ -293,8 +291,6 @@ def ap_config_with_blocks(p: int, n: int, m: int,
 
 
 def ap_poly_eval(x: Sequence[int], cfg: ApExtractorConfig) -> int:
-    if cfg.poly_eval is not None:
-        return cfg.poly_eval(x) % cfg.p
     if len(x) != cfg.n:
         raise InputError(f"expected a point of F_p^{cfg.n}")
     acc = 0
@@ -377,7 +373,7 @@ def _config_from_json(obj: dict) -> ExtractorConfig:
                                    blocks, obj["output"])
     if v == "ap":
         if obj.get("custom_poly"):
-            raise InputError("configs with custom polynomials are not serializable")
+            raise InputError("ap configs with custom polynomials are not supported")
         field = gf.FieldSpec.make(int(obj["p"]), 1)
         blocks = tuple(Block(s, z) for s, z in obj["blocks"])
         return ApExtractorConfig(field, int(obj["n"]), int(obj["padded_n"]),

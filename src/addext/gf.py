@@ -231,75 +231,14 @@ class FieldSpec:
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
 
-    def scalar(self, c: int) -> int:
-        """Image of the integer c under Z -> F_p -> F_{p^k} (a constant)."""
-        return c % self.p
 
-    def el(self, v: int | Sequence[int]) -> "FieldElement":
-        if isinstance(v, int):
-            return FieldElement(self, self.decode(v))
-        return FieldElement(self, tuple(x % self.p for x in v) + (0,) * (self.k - len(v)))
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of a FieldSpec field, held as k coefficients over F_p."""
-
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.spec.k:
-            raise InputError("coefficient vector has wrong length")
-        if any(not 0 <= c < self.spec.p for c in self.coeffs):
-            raise InputError("coefficients not reduced mod p")
-
-    @property
-    def value(self) -> int:
-        return self.spec.encode(self.coeffs)
-
-    def _wrap(self, v: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.decode(v))
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise InputError("field mismatch")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self._wrap(self.spec.add(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self._wrap(self.spec.sub(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return self._wrap(self.spec.neg(self.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self._wrap(self.spec.mul(self.value, other.value))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return self._wrap(self.spec.pow(self.value, e))
-
-    def inv(self) -> "FieldElement":
-        return self._wrap(self.spec.inv(self.value))
-
-    def frobenius(self) -> "FieldElement":
-        return self._wrap(self.spec.frobenius(self.value))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-
-def trace_to_f2(x: FieldElement) -> int:
-    """Absolute trace of F_{2^k}: Tr(x) = x + x^2 + ... + x^(2^(k-1)) in {0, 1}."""
-    spec = x.spec
+def trace_to_f2(spec: FieldSpec, a: int) -> int:
+    """Absolute trace of F_{2^k} at the element encoded by a:
+    Tr(a) = a + a^2 + ... + a^(2^(k-1)) in {0, 1}."""
     if spec.p != 2:
         raise InputError("trace_to_f2 requires characteristic 2")
     acc = 0
-    cur = x.value
+    cur = a
     for _ in range(spec.k):
         acc ^= cur
         cur = spec.mul(cur, cur)

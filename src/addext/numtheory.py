@@ -60,11 +60,6 @@ class Residue:
         if not 0 <= self.value < self.modulus:
             raise InputError(f"value {self.value} not reduced mod {self.modulus}")
 
-    def __mul__(self, other: "Residue") -> "Residue":
-        if self.modulus != other.modulus:
-            raise InputError("modulus mismatch")
-        return Residue(self.value * other.value % self.modulus, self.modulus)
-
 
 @dataclass(frozen=True)
 class CrtSystem:

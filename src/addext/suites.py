@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,15 +56,6 @@ def _random_poly_batch(rng: np.random.Generator, count: int, p: int,
     return coeffs, degs
 
 
-def _horner_all(coeffs: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate each row polynomial on all of F_p: (rows, p) value matrix."""
-    t = np.arange(p, dtype=np.int64)
-    acc = np.zeros((coeffs.shape[0], p), dtype=np.int64)
-    for j in range(coeffs.shape[1] - 1, -1, -1):
-        acc = (acc * t + coeffs[:, j:j + 1]) % p
-    return acc
-
-
 def suite_weil(primes=None, polys_per_p: int = 500, dmin: int = 2, dmax: int = 10,
                seed: int = 101) -> SuiteResult:
     """|sum_t e_p(f(t))| <= deg(f) sqrt(p) for seeded random polynomials."""
@@ -76,7 +66,7 @@ def suite_weil(primes=None, polys_per_p: int = 500, dmin: int = 2, dmax: int = 1
     res = SuiteResult("weil", True)
     for p in primes:
         coeffs, degs = _random_poly_batch(rng, polys_per_p, p, dmin, dmax)
-        vals = _horner_all(coeffs, p)
+        vals = analysis.poly_eval_all(coeffs, p)
         sums = np.abs(np.exp(2j * np.pi * vals / p).sum(axis=1))
         bounds = degs * math.sqrt(p)
         bad = np.nonzero(sums > bounds + TOL)[0]
@@ -99,7 +89,7 @@ def suite_partial_ap(primes=(101, 199, 499), polys_per_p: int = 100, dmin: int =
     res = SuiteResult("partial-ap", True)
     for p in primes:
         coeffs, degs = _random_poly_batch(rng, polys_per_p, p, dmin, dmax)
-        vals = _horner_all(coeffs, p)
+        vals = analysis.poly_eval_all(coeffs, p)
         worst = 0.0
         for i in range(polys_per_p):
             a_vals = 1 + rng.choice(p - 1, size=min(a_per_poly, p - 1), replace=False)
@@ -121,19 +111,12 @@ def suite_l1(pmax: int = 499) -> SuiteResult:
     elapsed = _timer()
     res = SuiteResult("l1", True)
     for p in nt.primes_upto(pmax):
-        j = np.arange(1, p, dtype=np.int64)
-        den = p * np.sin(np.pi * j / p)
-        worst = 0.0
+        vals = analysis.fourier_l1_interval(p, np.arange(1, p + 1))
         bound = 4 * math.log2(p)
-        for s in range(1, p + 1):
-            if s == p:
-                val = 1.0
-            else:
-                val = s / p + (np.sin(np.pi * ((j * s) % p) / p) / den).sum()
-            worst = max(worst, val)
-            if val > bound + TOL:
-                res.failures.append({"p": p, "s": s, "l1": float(val), "bound": bound})
-        res.rows.append({"p": p, "max_l1": worst, "bound": bound})
+        for i in np.nonzero(vals > bound + TOL)[0]:
+            res.failures.append({"p": p, "s": int(i) + 1, "l1": float(vals[i]),
+                                 "bound": bound})
+        res.rows.append({"p": p, "max_l1": float(vals.max()), "bound": bound})
     res.ok = not res.failures
     res.seconds = elapsed()
     return res
@@ -193,7 +176,7 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
     t = np.arange(q, dtype=np.int64)
     even = cfg.variant == "additive_trace"
     if even:
-        tr = np.array([gf.trace_to_f2(f.el(u)) for u in range(q)], dtype=np.int64)
+        tr = np.array([gf.trace_to_f2(f, u) for u in range(q)], dtype=np.int64)
         # psi_beta(u) = (-1)^Tr(beta u) for every nontrivial beta
         psi = (-1.0) ** tr[mul[1:, :]]
     else:
@@ -266,17 +249,6 @@ def suite_lines(qs=(9, 16, 25, 49, 64)) -> SuiteResult:
 # GAP and Bohr structure
 # ---------------------------------------------------------------------------
 
-def _sumset_size_zp(elements, p: int) -> int:
-    mask = 0
-    for x in elements:
-        mask |= 1 << x
-    acc = 0
-    for x in elements:
-        acc |= mask << x
-    folded = (acc & ((1 << p) - 1)) | (acc >> p)
-    return folded.bit_count()
-
-
 def suite_gap_profile(primes=(101, 499, 1009), dims=(1, 2), sides=(8, 16, 32),
                       gaps_per_case: int = 25, seed: int = 106) -> SuiteResult:
     """Proper GAPs: |X+X| <= 2^r |X|; the homogeneous sub-GAP of side
@@ -301,7 +273,7 @@ def suite_gap_profile(primes=(101, 499, 1009), dims=(1, 2), sides=(8, 16, 32),
                         continue
                     built += 1
                     size = len(X)
-                    dbl = _sumset_size_zp(X.elements, p)
+                    dbl = src.doubling(X)
                     side = math.ceil(s**0.1)
                     sub = src.sub_gap(spec, grp, side)
                     rep_min = min(src.rep_count(X, x) for x in sub)
@@ -407,11 +379,14 @@ def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
     elapsed = _timer()
     res = SuiteResult("cauchy-davenport", True)
     for p in primes:
+        grp = src.Group.zp(p)
         rng = random.Random(seed * 1_000_003 + p)
         for _ in range(trials):
             size = rng.randint(1, p)
             A = rng.sample(range(p), size)
-            if _sumset_size_zp(A, p) < min(2 * size - 1, p):
+            # elements of range(p) by construction: no build_source validation
+            X = src.Source(grp, src.ExplicitSpec(tuple(A)), frozenset(A))
+            if src.doubling(X) < min(2 * size - 1, p):
                 res.failures.append({"p": p, "A": sorted(A)})
         res.rows.append({"p": p, "trials": trials})
     res.ok = not res.failures
@@ -725,25 +700,20 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
 
 
 def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResult:
-    """Run every grid point; per-point errors are recorded and the sweep
-    continues. Reports are merged in grid order."""
+    """Run every grid point in grid order on the calling thread; per-point
+    errors are recorded in grid order and the sweep continues.
+
+    ``threads`` is accepted and ignored: the CLI records it in the run
+    manifest. Rows run Python code under the interpreter lock, so threads
+    would not evaluate them in parallel.
+    """
     elapsed = _timer()
     res = SuiteResult("sweep", True)
-    reports: list[EvalReport | None] = [None] * len(grid_rows)
-
-    def run(i: int):
+    for i, row in enumerate(grid_rows):
         try:
-            reports[i] = _sweep_point(grid_rows[i])
+            res.rows.append(_sweep_point(row))
         except Exception as exc:  # per-point errors recorded, sweep continues
             res.failures.append({"grid_index": i, "error": f"{type(exc).__name__}: {exc}"})
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(grid_rows))))
-    else:
-        for i in range(len(grid_rows)):
-            run(i)
-    res.rows = [r for r in reports if r is not None]
     res.ok = not res.failures and all(r.ok for r in res.rows if r.asserted)
     res.seconds = elapsed()
     return res

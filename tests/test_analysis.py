@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from addext import analysis as an
 from addext import numtheory as nt
 from addext.errors import InputError
-from addext.extractors import build_zp_extractor, extract_fn, zp_encode
+from addext.extractors import (build_zp_extractor, build_zpn_extractor, extract_fn,
+                               zp_encode, zpn_encode)
 from addext.sources import ExplicitSpec, GapSpec, Group, build_source
 
 
@@ -75,11 +77,30 @@ def test_encoded_charsum_trivial_cases():
     cfg = build_zp_extractor(5, 1)
     X = build_source(ExplicitSpec(tuple(range(5))), Group.zp(5))
     values = [zp_encode(x, cfg) for x in X.sorted_elements]
-    assert an.encoded_charsum(values, 0, cfg.q) == 1.0
+    assert an.charsum_table(values, cfg.q, [0])[0] == 1.0
     # the image is the order-5 subgroup of Z_11*; its charsums are Gauss-like
-    v = an.encoded_charsum(values, 1, cfg.q)
+    v = an.charsum_table(values, cfg.q, [1])[0]
     direct = abs(sum(np.exp(2j * np.pi * y / 11) for y in values)) / 5
     assert abs(v - direct) < 1e-12
+    with pytest.raises(InputError):
+        an.charsum_table([], cfg.q, [1])
+
+
+def test_charsum_table_exact_above_int64_products():
+    # zpn encodings at (p, n) = (101, 4) live in Z_q with (q - 1)^2 >= 2^63,
+    # where xi * y no longer fits in int64
+    cfg = build_zpn_extractor(101, 4, 1)
+    q = cfg.q
+    assert (q - 1) ** 2 >= 1 << 63
+    rng = random.Random(41)
+    values = [zpn_encode(tuple(rng.randrange(101) for _ in range(4)), cfg)
+              for _ in range(200)]
+    freqs = [1] + rng.sample(range(1, q), 15)
+    got = an.charsum_table(values, q, freqs)
+    for xi, value in zip(freqs, got):
+        want = abs(sum(cmath.exp(2j * cmath.pi * (xi * y % q) / q)
+                       for y in values)) / len(values)
+        assert abs(value - want) < 1e-9
 
 
 def test_parseval_identity_random_functions():
@@ -119,6 +140,19 @@ def test_displacement_transport_exhaustive_p101():
 # ---------------------------------------------------------------------------
 # polynomial sums
 # ---------------------------------------------------------------------------
+
+def test_poly_eval_all_vector_and_matrix():
+    coeffs = [3, 1, 4, 1, 5]
+    want = [sum(c * t**i for i, c in enumerate(coeffs)) % 31 for t in range(31)]
+    assert an.poly_eval_all(coeffs, 31).tolist() == want
+    rng = np.random.default_rng(5)
+    for p in (11, 101):
+        mat = rng.integers(0, p, size=(30, 7))
+        got = an.poly_eval_all(mat, p)
+        assert got.shape == (30, p)
+        for row, c in zip(got, mat):
+            assert (row == an.poly_eval_all(c.tolist(), p)).all()
+
 
 def test_weil_additive_gauss_sum():
     r = an.weil_additive_check(7, [0, 0, 1])
@@ -218,6 +252,15 @@ def test_fourier_l1_against_dft_oracle():
         return np.abs(np.fft.fft(x) / p).sum()
     for (p, s) in [(2, 1), (3, 2), (13, 5), (13, 7), (101, 30), (499, 123)]:
         assert abs(an.fourier_l1_interval(p, s) - l1_direct(p, s)) < 1e-9
+    # every s at once; at p = 1031 the (s, j) terms span more than one block
+    assert 1031 * 1030 > an.L1_BLOCK_ENTRIES
+    for p in (2, 3, 13, 101, 1031):
+        got = an.fourier_l1_interval(p, np.arange(1, p + 1))
+        assert got.shape == (p,)
+        want = [l1_direct(p, s) for s in range(1, p + 1)]
+        assert np.abs(got - want).max() < 1e-9
+    with pytest.raises(InputError):
+        an.fourier_l1_interval(13, np.array([1, 14]))
 
 
 def test_fourier_l1_bound_example():

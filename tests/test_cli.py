@@ -112,6 +112,31 @@ def test_verify_sweep_and_failure_exit(tmp_path):
     assert not summary["ok"] and summary["failures"][0]["grid_index"] == 1
 
 
+def test_sweep_failures_in_grid_order_for_any_threads(tmp_path, capsys):
+    bad = {"group": {"kind": "zp", "p": 4},
+           "source": {"variant": "explicit", "elements": [0]},
+           "extractor": {"build": "zp", "m": 1}}
+    good = [{"group": {"kind": "zp", "p": 11},
+             "source": {"variant": "random", "size": 6, "seed": s},
+             "extractor": {"build": "zp", "m": 1}} for s in range(3)]
+    grid = write(tmp_path / "grid.json", {"rows": [bad, good[0], bad, good[1], good[2]]})
+    tables = []
+    for threads in (1, 4):
+        out = str(tmp_path / f"sw{threads}.csv")
+        assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out,
+                     "--threads", str(threads)]) == 1
+        rows = list(csv.reader(open(out)))
+        assert rows[0][-1] == "seconds"
+        tables.append([row[:-1] for row in rows])
+        summary = json.load(open(out + ".summary.json"))
+        assert [f["grid_index"] for f in summary["failures"]] == [0, 2]
+        fails = [line.split(": ", 1)[1] for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL sweep: ")]
+        assert [json.loads(f)["grid_index"] for f in fails] == [0, 2]
+        assert json.load(open(out + ".manifest.json"))["threads"] == threads
+    assert len(tables[0]) == 4 and tables[0] == tables[1]
+
+
 def test_input_errors_exit_two_without_partial_output(tmp_path):
     bad = write(tmp_path / "bad.json", {"group": {"kind": "zp"},
                                         "spec": {"variant": "gap"}})

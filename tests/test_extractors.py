@@ -4,8 +4,9 @@ import random
 import pytest
 
 from addext import gf
+from addext.canonical import digest
 from addext.errors import CapacityError, InputError
-from addext.extractors import (ApExtractorConfig, Block, LineExtractorConfig,
+from addext.extractors import (Block, LineExtractorConfig,
                                PgcExtractorConfig, ZpExtractorConfig,
                                ZpnExtractorConfig, ap_config_with_blocks,
                                ap_extract, ap_poly_eval, build_ap_extractor,
@@ -297,14 +298,6 @@ def test_ap_restriction_degree_at_least_two():
         assert poly_degree_fe(coeffs) >= 2
 
 
-def test_ap_custom_polynomial_hook():
-    cfg = build_ap_extractor(13, 3, 1)
-    custom = ApExtractorConfig(cfg.field, 3, cfg.padded_n, cfg.blocks, 1,
-                               poly_eval=lambda x: (x[0] * x[0] + x[1] * x[2]) % 13)
-    assert ap_poly_eval((2, 3, 4), custom) == (4 + 12) % 13
-    assert ap_extract((2, 3, 4), custom) == 16 % 13 % 2
-
-
 # ---------------------------------------------------------------------------
 # index-map extractor
 # ---------------------------------------------------------------------------
@@ -355,3 +348,27 @@ def test_config_from_json_validates():
         config_from_json({"variant": "nope"})
     with pytest.raises(InputError):
         config_from_json({"variant": "zp", "p": 5})
+
+
+def test_config_digests_golden():
+    # extract reports and sweep CSVs carry these digests, so they must not move
+    golden = [
+        (build_zp_extractor(4001, 1),
+         "90e7c5eb61fe086bff45f555aecbfc49bcaef4f809a05953235b684a8ba9977a"),
+        (build_zpn_extractor(11, 3, 1),
+         "f0c03770f9bcf694c5e4b4af4305135b51107dedd1c874ad393531b32553d15e"),
+        (build_line_extractor(49, 6),
+         "2417411efed193fd516c46271a2bc3b0e6c0f9867798a5f9e1b83d2107eb9e64"),
+        (build_line_extractor(32, 6),
+         "5e7f6c159e73b6f8d3dc2785fb81df6c624a6a4d086de4c1f9e3451498c9357c"),
+        (build_ap_extractor(101, 10, 2),
+         "843c8928e94368936491412bdd24b2c14ec5307766a252c3aa0a8ce90fd05fc3"),
+        (build_pgc_extractor(10007, 3),
+         "59131708204f139c1e212f73e8fef00d906215d163952c22479b3ec7bf9dd6de"),
+    ]
+    for cfg, want in golden:
+        assert digest(cfg.to_json()) == want
+    ap = build_ap_extractor(13, 3, 1).to_json()
+    assert ap["custom_poly"] is False
+    with pytest.raises(InputError):
+        config_from_json(dict(ap, custom_poly=True))

@@ -61,12 +61,12 @@ def test_irreducible_certificate_no_roots():
 
 def test_field_arith_examples():
     F9 = gf.FieldSpec.make(3, 2)
-    theta = F9.el([0, 1])
-    assert (theta * theta).coeffs == (2, 0)
-    assert theta.frobenius().coeffs == (0, 2)
-    assert F9.el(1).inv().value == 1
+    theta = F9.encode([0, 1])
+    assert F9.decode(F9.mul(theta, theta)) == (2, 0)
+    assert F9.decode(F9.frobenius(theta)) == (0, 2)
+    assert F9.inv(1) == 1
     with pytest.raises(ZeroDivisionError):
-        F9.el(0).inv()
+        F9.inv(0)
 
 
 def test_field_axioms_exhaustive_small():
@@ -95,27 +95,27 @@ def test_frobenius_is_additive_homomorphism():
 
 def test_trace_examples():
     F4 = gf.FieldSpec.make(2, 2)
-    assert gf.trace_to_f2(F4.el([0, 1])) == 1
-    assert gf.trace_to_f2(F4.el(0)) == 0
+    assert gf.trace_to_f2(F4, F4.encode([0, 1])) == 1
+    assert gf.trace_to_f2(F4, 0) == 0
     F2 = gf.FieldSpec.make(2, 1)
-    assert gf.trace_to_f2(F2.el(1)) == 1
+    assert gf.trace_to_f2(F2, 1) == 1
 
 
 def test_trace_linear_and_surjective():
     for k in (1, 2, 3, 4, 6):
         F = gf.FieldSpec.make(2, k)
-        traces = [gf.trace_to_f2(F.el(v)) for v in F.elements()]
+        traces = [gf.trace_to_f2(F, v) for v in F.elements()]
         assert set(traces) == {0, 1}
         assert traces.count(0) == traces.count(1)  # kernel is a hyperplane
         for a in range(F.order):
             for b in range(0, F.order, max(1, F.order // 5)):
-                s = gf.trace_to_f2(F.el(F.add(a, b)))
+                s = gf.trace_to_f2(F, F.add(a, b))
                 assert s == traces[a] ^ traces[b]
 
 
 def test_trace_rejects_odd_characteristic():
     with pytest.raises(InputError):
-        gf.trace_to_f2(gf.FieldSpec.make(3, 2).el(1))
+        gf.trace_to_f2(gf.FieldSpec.make(3, 2), 1)
 
 
 def test_fq_quadratic_character():
