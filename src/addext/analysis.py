@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,12 +65,12 @@ def statistical_distance(d1: OutputDistribution, d2: OutputDistribution) -> floa
     return float(statistical_distance_exact(d1, d2))
 
 
-def extractor_distribution(X: Source, fn: Callable, support: int) -> OutputDistribution:
-    """Exact histogram of fn over the source's elements (uniform weights)."""
+def extractor_distribution(outputs: Sequence[int], support: int) -> OutputDistribution:
+    """Exact histogram of an extractor's outputs over a source (uniform weights)."""
     counts = [0] * support
-    for x in X.sorted_elements:
-        counts[fn(x)] += 1
-    return OutputDistribution(support, tuple(counts), len(X))
+    for y in outputs:
+        counts[y] += 1
+    return OutputDistribution(support, tuple(counts), len(outputs))
 
 
 def distance_to_uniform(d: OutputDistribution) -> float:

@@ -109,32 +109,15 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _config_for(args, X: src.Source):
-    grp = X.group
-    kind = args.extractor
-    if kind == "zp":
-        return ex.build_zp_extractor(grp.p, args.m)
-    if kind == "zpn":
-        return ex.build_zpn_extractor(grp.p, grp.n, args.m)
-    if kind == "line":
-        if grp.kind == "fq_vec":
-            return ex.build_line_extractor(grp.field, grp.n)
-        return ex.build_line_extractor(grp.p, grp.n)
-    if kind == "ap":
-        return ex.build_ap_extractor(grp.p, grp.n, args.m)
-    if kind == "pgc":
-        return ex.build_pgc_extractor(grp.p, args.m)
-    raise InputError(f"unknown extractor {kind!r}")
-
-
 def cmd_extract(args) -> int:
     started = _utcnow()
     t0 = time.perf_counter()
     X = _load_source(args.source)
-    cfg = _config_for(args, X)
-    fn = ex.extract_fn(cfg)
-    rows = [[canonical_json(src._elem_json(x)), fn(x)] for x in X.sorted_elements]
-    dist = analysis.extractor_distribution(X, fn, ex.output_size(cfg))
+    cfg = ex.build_for_group(args.extractor, X.group, args.m)
+    outputs = ex.extract_many(cfg, X.sorted_elements)
+    rows = [[canonical_json(src._elem_json(x)), y]
+            for x, y in zip(X.sorted_elements, outputs)]
+    dist = analysis.extractor_distribution(outputs, ex.output_size(cfg))
     report = analysis.EvalReport(
         config_digest=digest(cfg.to_json()), source_digest=X.digest, size=len(X),
         distance=analysis.distance_to_uniform(dist),
@@ -231,11 +214,17 @@ def _utcnow() -> str:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=1,
                         help="master seed recorded in the run manifest (default 1)")
-    common.add_argument("--threads", type=int, default=os.cpu_count(),
+    common.add_argument("--threads", type=_positive_int, default=os.cpu_count(),
                         help="recorded in the run manifest; sweeps run their "
                              "rows in grid order on one thread "
                              "(default: available parallelism)")
@@ -263,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run an extractor over a source")
     e.add_argument("--source", required=True)
     e.add_argument("--extractor", required=True,
-                   choices=["zp", "zpn", "line", "ap", "pgc"])
+                   choices=list(ex.GROUP_KINDS))
     e.add_argument("--m", type=int, default=1, help="output bits (default 1)")
     e.add_argument("--out", required=True)
     e.set_defaults(fn=cmd_extract)

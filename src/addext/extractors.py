@@ -18,13 +18,16 @@ constant, so that identical inputs rebuild bit-identical configs:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 from . import gf, numtheory as nt
+from .canonical import canonical_json
 from .errors import InputError
 from .numtheory import CrtSystem, Residue
+from .sources import Group
 
 # ---------------------------------------------------------------------------
 # Z_p
@@ -45,8 +48,8 @@ class ZpExtractorConfig:
         return {"variant": "zp", "p": self.p, "q": self.q, "g": self.g, "m": self.m}
 
 
-def build_zp_extractor(p: int, m: int, budget: int = 10**9) -> ZpExtractorConfig:
-    q = nt.smallest_prime_congruent_one(p, budget)
+def build_zp_extractor(p: int, m: int) -> ZpExtractorConfig:
+    q = nt.smallest_prime_congruent_one(p)
     if (1 << m) >= q:
         raise InputError(f"2^{m} >= q = {q}: too many output bits")
     g = nt.order_p_element(q, p).value
@@ -88,8 +91,8 @@ class ZpnExtractorConfig:
                 "gs": list(self.gs), "q": self.q, "m": self.m}
 
 
-def build_zpn_extractor(p: int, n: int, m: int, budget: int = 10**9) -> ZpnExtractorConfig:
-    qs = tuple(nt.linnik_primes(p, n, budget))
+def build_zpn_extractor(p: int, n: int, m: int) -> ZpnExtractorConfig:
+    qs = tuple(nt.linnik_primes(p, n))
     crt = CrtSystem.make(qs)  # enforces the 2^63 cap
     gs = tuple(nt.order_p_element(qi, p).value for qi in qs)
     if math.gcd(1 << m, crt.combined_modulus) != 1:
@@ -133,21 +136,6 @@ def ascending_blocks(n: int, allowed_sizes) -> tuple[tuple[Block, ...], int]:
     return tuple(blocks), total
 
 
-def _odd_sizes():
-    s = 1
-    while True:
-        yield s
-        s += 2
-
-
-def _ap_sizes(p: int):
-    s = 2
-    while True:
-        if s % p != 0:
-            yield s
-        s += 1
-
-
 @dataclass(frozen=True)
 class LineExtractorConfig:
     field: gf.FieldSpec       # F_q, the coordinate field
@@ -186,7 +174,7 @@ def build_line_extractor(q: int | gf.FieldSpec, n: int) -> LineExtractorConfig:
     field = q if isinstance(q, gf.FieldSpec) else prime_power_field(q)
     if n < 1:
         raise InputError("n must be >= 1")
-    blocks, padded_n = ascending_blocks(n, _odd_sizes())
+    blocks, padded_n = ascending_blocks(n, itertools.count(1, 2))
     variant = "additive_trace" if field.p == 2 else "quadratic_char"
     assert blocks[-1].size <= 4 * math.isqrt(n) + 4
     return LineExtractorConfig(field, n, padded_n, blocks, variant)
@@ -230,8 +218,8 @@ def line_extract(x: Sequence[int], cfg: LineExtractorConfig) -> int:
 class ApExtractorConfig:
     """Block-polynomial extractor for APs and GAPs in F_p^n.
 
-    Blocks have size >= 2 and size not divisible by p, so the restriction to
-    any line with nonzero direction has degree in (1, p).
+    Block sizes lie in (1, p), so the restriction to any line with nonzero
+    direction has degree in (1, p).
     """
 
     field: gf.FieldSpec       # F_p, prime
@@ -261,23 +249,19 @@ class ApExtractorConfig:
 
 
 def build_ap_extractor(p: int, n: int, m: int) -> ApExtractorConfig:
-    if p == 2 or not nt.is_prime(p):
-        raise InputError("the AP extractor requires an odd prime p")
-    if (1 << m) >= p:
-        raise InputError(f"2^{m} >= p = {p}: too many output bits")
-    field = gf.FieldSpec.make(p, 1)
-    blocks, padded_n = ascending_blocks(n, _ap_sizes(p))
-    if blocks[-1].size >= p:
-        raise InputError("block degree reached p; n too large for this p")
-    return ApExtractorConfig(field, n, padded_n, blocks, m)
+    blocks, _ = ascending_blocks(n, range(2, p))
+    return ap_config_with_blocks(p, n, m, [b.size for b in blocks])
 
 
 def ap_config_with_blocks(p: int, n: int, m: int,
                           sizes: Sequence[int]) -> ApExtractorConfig:
     """Explicit-blocks constructor (sizes must be ascending, each in (1, p))."""
-    field = gf.FieldSpec.make(p, 1)
-    if any(s < 2 or s % p == 0 for s in sizes):
-        raise InputError("block sizes must be >= 2 and not multiples of p")
+    if p == 2 or not nt.is_prime(p):
+        raise InputError("the AP extractor requires an odd prime p")
+    if (1 << m) >= p:
+        raise InputError(f"2^{m} >= p = {p}: too many output bits")
+    if any(not 1 < s < p for s in sizes):
+        raise InputError(f"block sizes must lie in (1, p = {p})")
     if list(sizes) != sorted(set(sizes)):
         raise InputError("block sizes must be strictly ascending")
     blocks = []
@@ -287,7 +271,7 @@ def ap_config_with_blocks(p: int, n: int, m: int,
         total += s
     if total < n:
         raise InputError("blocks do not cover the n coordinates")
-    return ApExtractorConfig(field, n, total, tuple(blocks), m)
+    return ApExtractorConfig(gf.FieldSpec.make(p, 1), n, total, tuple(blocks), m)
 
 
 def ap_poly_eval(x: Sequence[int], cfg: ApExtractorConfig) -> int:
@@ -339,62 +323,81 @@ def pgc_extract(x: int, cfg: PgcExtractorConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# config (de)serialization
+# one config per family and group: building, loading, evaluating
 # ---------------------------------------------------------------------------
 
 ExtractorConfig = (ZpExtractorConfig | ZpnExtractorConfig | LineExtractorConfig
                    | ApExtractorConfig | PgcExtractorConfig)
 
+# The group kinds each family runs on. A serialized config is rebuilt on the
+# last kind listed, whose parameters it carries (p, n; k and modulus for line).
+GROUP_KINDS = {"zp": ("zp",), "pgc": ("zp",), "zpn": ("zp_vec",),
+               "ap": ("zp_vec",), "line": ("zp_vec", "fq_vec")}
 
-def config_from_json(obj: dict) -> ExtractorConfig:
+
+def build_for_group(family: str, group: Group, m: int = 1) -> ExtractorConfig:
+    """The canonical ``family`` config for ``group`` with m output bits (the
+    1-bit ``line`` extractor ignores m). InputError if the family does not
+    run on the group's kind."""
+    kinds = GROUP_KINDS.get(family)
+    if kinds is None:
+        raise InputError(f"unknown extractor {family!r}")
+    if group.kind not in kinds:
+        raise InputError(f"the {family} extractor runs on {' or '.join(kinds)} "
+                         f"groups, not on {group.kind}")
+    if m < 0:
+        raise InputError("m must be >= 0")
+    if family == "zp":
+        return build_zp_extractor(group.p, m)
+    if family == "pgc":
+        return build_pgc_extractor(group.p, m)
+    if family == "zpn":
+        return build_zpn_extractor(group.p, group.n, m)
+    if family == "ap":
+        return build_ap_extractor(group.p, group.n, m)
+    return build_line_extractor(group.field if group.kind == "fq_vec" else group.p,
+                                group.n)
+
+
+def config_for_group(obj: dict, group: Group) -> ExtractorConfig:
+    """The serialized config ``obj``, rebuilt for ``group``.
+
+    Every construction is canonical, so ``obj`` is valid exactly when the
+    rebuild serializes to the same JSON; anything else is an InputError.
+    """
     try:
-        return _config_from_json(obj)
+        cfg = build_for_group(obj["variant"], group, int(obj.get("m", 1)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed extractor config: {exc}") from exc
+    if canonical_json(cfg.to_json()) != canonical_json(obj):
+        raise InputError(f"not the canonical {obj['variant']} config for its group")
+    return cfg
 
 
-def _config_from_json(obj: dict) -> ExtractorConfig:
-    v = obj.get("variant")
-    if v == "zp":
-        cfg = ZpExtractorConfig(int(obj["p"]), int(obj["q"]), int(obj["g"]), int(obj["m"]))
-        if cfg.q % cfg.p != 1 or pow(cfg.g, cfg.p, cfg.q) != 1 or cfg.g == 1:
-            raise InputError("inconsistent zp config")
-        return cfg
-    if v == "zpn":
-        cfg = ZpnExtractorConfig(int(obj["p"]), int(obj["n"]), tuple(obj["qs"]),
-                                 tuple(obj["gs"]), int(obj["q"]), int(obj["m"]))
-        if math.prod(cfg.qs) != cfg.q or any(qi % cfg.p != 1 for qi in cfg.qs):
-            raise InputError("inconsistent zpn config")
-        return cfg
-    if v == "line":
-        field = gf.FieldSpec(int(obj["p"]), int(obj["k"]), tuple(obj["modulus"]))
-        blocks = tuple(Block(s, z) for s, z in obj["blocks"])
-        return LineExtractorConfig(field, int(obj["n"]), int(obj["padded_n"]),
-                                   blocks, obj["output"])
-    if v == "ap":
-        if obj.get("custom_poly"):
-            raise InputError("ap configs with custom polynomials are not supported")
-        field = gf.FieldSpec.make(int(obj["p"]), 1)
-        blocks = tuple(Block(s, z) for s, z in obj["blocks"])
-        return ApExtractorConfig(field, int(obj["n"]), int(obj["padded_n"]),
-                                 blocks, int(obj["m"]))
-    if v == "pgc":
-        return PgcExtractorConfig(int(obj["p"]), int(obj["g"]), int(obj["m"]))
-    raise InputError(f"unknown extractor variant {v!r}")
+def config_from_json(obj: dict) -> ExtractorConfig:
+    """Load a serialized config by rebuilding it on the group it names."""
+    kinds = GROUP_KINDS.get(obj.get("variant"))
+    if kinds is None:
+        raise InputError(f"unknown extractor variant {obj.get('variant')!r}")
+    return config_for_group(obj, Group.from_json(dict(obj, kind=kinds[-1])))
 
 
-def extract_fn(cfg: ExtractorConfig) -> Callable:
-    """The point-evaluation function of a config."""
+def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
+    """The extractor's output at each point, in order, one evaluation each.
+
+    The module-level ``*_extract`` functions are looked up by name, so that
+    a patched module attribute (as in ``benchmarks/tracer.py``) sees every call.
+    """
     if isinstance(cfg, ZpExtractorConfig):
-        return lambda x: zp_extract(x, cfg)
+        return [zp_extract(x, cfg) for x in points]
     if isinstance(cfg, ZpnExtractorConfig):
-        return lambda x: zpn_extract(x, cfg)
+        return [zpn_extract(x, cfg) for x in points]
     if isinstance(cfg, LineExtractorConfig):
-        return lambda x: line_extract(x, cfg)
+        return [line_extract(x, cfg) for x in points]
     if isinstance(cfg, ApExtractorConfig):
-        return lambda x: ap_extract(x, cfg)
+        return [ap_extract(x, cfg) for x in points]
     if isinstance(cfg, PgcExtractorConfig):
-        return lambda x: pgc_extract(x, cfg)
+        return [pgc_extract(x, cfg) for x in points]
     raise InputError(f"unknown config {cfg!r}")
 
 

@@ -23,14 +23,18 @@ import numpy as np
 from . import gf
 from .canonical import digest
 from .errors import BudgetError, InputError
-from .numtheory import CrtSystem
+from .numtheory import CrtSystem, is_prime
 
 DEFAULT_ELEMENT_BUDGET = 1 << 26
 DEFAULT_PAIR_BUDGET = 1 << 26
 
 
 def element_budget() -> int:
-    return int(os.environ.get("ADDEXT_BUDGET", DEFAULT_ELEMENT_BUDGET))
+    raw = os.environ.get("ADDEXT_BUDGET", DEFAULT_ELEMENT_BUDGET)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"ADDEXT_BUDGET must be an integer, not {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +50,11 @@ class Group:
     n: int | None = None
     field: gf.FieldSpec | None = None
     crt: CrtSystem | None = None
+
+    def __post_init__(self):
+        if self.kind != "zn" and not is_prime(self.p):
+            raise InputError(f"p = {self.p} is not prime; composite moduli "
+                             f"belong to a zn group")
 
     @classmethod
     def zp(cls, p: int) -> "Group":
@@ -499,12 +508,12 @@ def sym_set(X: Source, alpha: float) -> set:
     if not 0 < alpha <= 1:
         raise InputError("alpha must lie in (0, 1]")
     thresh = (1 - Fraction(alpha)) * len(X)
+    if len(X) ** 2 > DEFAULT_PAIR_BUDGET:
+        raise BudgetError("pairwise difference scan exceeds budget")
     if X.group.kind in ("zp", "zn"):
         counts = _diff_counts_zp(X)
         # only g in X - X are candidates; all other g have rep 0
         return {int(g) for g in np.nonzero((counts >= thresh) & (counts > 0))[0]}
-    if len(X) ** 2 > DEFAULT_PAIR_BUDGET:
-        raise BudgetError("pairwise difference scan exceeds budget")
     counts = Counter(X.group.sub(x, y) for x in X.elements for y in X.elements)
     return {g for g, c in counts.items() if c >= thresh}
 

@@ -574,27 +574,16 @@ def suite_norms(qs=(2, 3, 4, 5), kmax: int = 4) -> SuiteResult:
 CHARSUM_SCAN_CAP = 1 << 16
 
 
-def _build_config(grid_row: dict, group: src.Group | None):
-    e = grid_row["extractor"]
+def _row_config(row: dict, group: src.Group):
+    """A row's extractor: ``{"build": family, "m": m}``, or a full config that
+    must be the one that family builds for the row's group."""
+    e = row["extractor"]
     if "variant" in e:
-        return ex.config_from_json(e)
-    build = e["build"]
-    m = int(e.get("m", 1))
-    if build == "zp":
-        return ex.build_zp_extractor(int(e.get("p", group.p)), m)
-    if build == "zpn":
-        return ex.build_zpn_extractor(int(e.get("p", group.p)),
-                                      int(e.get("n", group.n)), m)
-    if build == "line":
-        q = int(e["q"]) if "q" in e else group.field.order
-        n = int(e.get("n", group.n))
-        return ex.build_line_extractor(q, n)
-    if build == "ap":
-        return ex.build_ap_extractor(int(e.get("p", group.p)),
-                                     int(e.get("n", group.n)), m)
-    if build == "pgc":
-        return ex.build_pgc_extractor(int(e.get("p", group.p)), m)
-    raise InputError(f"unknown extractor build {build!r}")
+        return ex.config_for_group(e, group)
+    unknown = set(e) - {"build", "m"}
+    if unknown:
+        raise InputError(f"unknown extractor keys {sorted(unknown)}")
+    return ex.build_for_group(e["build"], group, int(e.get("m", 1)))
 
 
 def _encoded_values(cfg, X: src.Source) -> tuple[list[int], int] | None:
@@ -616,9 +605,9 @@ def _sweep_point(row: dict) -> EvalReport:
     group = src.Group.from_json(row["group"])
     spec = src.spec_from_json(row["source"])
     X = src.build_source(spec, group)
-    cfg = _build_config(row, group)
-    support = ex.output_size(cfg)
-    dist = analysis.extractor_distribution(X, ex.extract_fn(cfg), support)
+    cfg = _row_config(row, group)
+    dist = analysis.extractor_distribution(ex.extract_many(cfg, X.sorted_elements),
+                                           ex.output_size(cfg))
     distance = analysis.distance_to_uniform(dist)
     enc = _encoded_values(cfg, X)
     max_charsum = None

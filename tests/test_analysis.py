@@ -9,7 +9,7 @@ import pytest
 from addext import analysis as an
 from addext import numtheory as nt
 from addext.errors import InputError
-from addext.extractors import (build_zp_extractor, build_zpn_extractor, extract_fn,
+from addext.extractors import (build_zp_extractor, build_zpn_extractor, extract_many,
                                zp_encode, zpn_encode)
 from addext.sources import ExplicitSpec, GapSpec, Group, build_source
 
@@ -35,7 +35,7 @@ def test_distribution_counts_validated():
 def test_zp_extractor_distribution_example():
     cfg = build_zp_extractor(5, 1)
     X = build_source(ExplicitSpec(tuple(range(5))), Group.zp(5))
-    dist = an.extractor_distribution(X, extract_fn(cfg), 2)
+    dist = an.extractor_distribution(extract_many(cfg, X.sorted_elements), 2)
     assert dist.counts == (1, 4)
     assert abs(an.distance_to_uniform(dist) - 0.3) < 1e-15
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from addext import extractors as ex, suites
 from addext.canonical import canonical_json
 from addext.cli import main
 
@@ -166,6 +167,93 @@ def test_budget_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("ADDEXT_BUDGET", "50")
     assert main(["build-source", "--spec", spec,
                  "--out", str(tmp_path / "b.json")]) == 2
+    monkeypatch.setenv("ADDEXT_BUDGET", "lots")
+    assert main(["build-source", "--spec", spec,
+                 "--out", str(tmp_path / "b.json")]) == 2
     monkeypatch.delenv("ADDEXT_BUDGET")
     assert main(["build-source", "--spec", spec,
                  "--out", str(tmp_path / "b.json")]) == 0
+
+
+def test_profile_over_pair_budget_exits_two(tmp_path, capsys):
+    # 8193^2 difference pairs exceed 2^26: refused before the matrix is built
+    spec = write(tmp_path / "big.json", {
+        "group": {"kind": "zp", "p": 10007},
+        "spec": {"variant": "explicit", "elements": list(range(8193))}})
+    assert main(["profile", "--source", spec, "--alpha", "0.25"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_threads_must_be_positive(tmp_path, gap_spec):
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["build-source", "--spec", gap_spec, "--out", str(tmp_path / "x.json"),
+                  "--threads", bad])
+        assert exc.value.code == 2
+
+
+GROUPS = {"zp": {"kind": "zp", "p": 11},
+          "zp_vec": {"kind": "zp_vec", "p": 11, "n": 2},
+          "fq_vec": {"kind": "fq_vec", "p": 3, "k": 2, "n": 2},
+          "zn": {"kind": "zn", "moduli": [3, 5]}}
+ELEMENTS = {"zp": list(range(11)), "zp_vec": [[0, 1], [4, 9], [10, 2], [3, 3]],
+            "fq_vec": [[0, 1], [4, 8], [2, 5], [7, 7]], "zn": [1, 4, 14]}
+FITS = {("zp", "zp"), ("zp", "pgc"), ("zp_vec", "zpn"), ("zp_vec", "ap"),
+        ("zp_vec", "line"), ("fq_vec", "line")}
+
+
+def _source(tmp_path, group, elements):
+    return write(tmp_path / "src.json", {
+        "group": group, "spec": {"variant": "explicit", "elements": elements}})
+
+
+def test_extract_exit_code_for_every_group_and_family(tmp_path, capsys):
+    for kind, group in GROUPS.items():
+        spec = _source(tmp_path, group, ELEMENTS[kind])
+        for family in ex.GROUP_KINDS:
+            out = tmp_path / f"{kind}-{family}.csv"
+            code = main(["extract", "--source", spec, "--extractor", family,
+                         "--out", str(out)])
+            err = capsys.readouterr().err
+            if (kind, family) in FITS:
+                assert code == 0, (kind, family, err)
+            else:
+                assert code == 2 and not out.exists(), (kind, family)
+                assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_extract_evaluates_each_point_once(tmp_path, monkeypatch):
+    for kind, family in sorted(FITS):
+        calls = []
+        real = getattr(ex, f"{family}_extract")
+
+        def counted(x, cfg, real=real, calls=calls):
+            calls.append(x)
+            return real(x, cfg)
+
+        monkeypatch.setattr(ex, f"{family}_extract", counted)
+        spec = _source(tmp_path, GROUPS[kind], ELEMENTS[kind])
+        assert main(["extract", "--source", spec, "--extractor", family,
+                     "--out", str(tmp_path / "once.csv")]) == 0
+        assert len(calls) == len(ELEMENTS[kind]), (kind, family, len(calls))
+
+
+def test_sweep_and_extract_agree_on_config_and_outputs(tmp_path):
+    cases = [(GROUPS[kind], family, ELEMENTS[kind]) for kind, family in sorted(FITS)]
+    # an explicit, non-canonical modulus for F_9 (canonical: x^2 + 1)
+    cases.append(({"kind": "fq_vec", "p": 3, "k": 2, "modulus": [2, 1, 1], "n": 2},
+                  "line", ELEMENTS["fq_vec"]))
+    for group, family, elements in cases:
+        spec = _source(tmp_path, group, elements)
+        out = str(tmp_path / "ext.csv")
+        assert main(["extract", "--source", spec, "--extractor", family,
+                     "--out", out]) == 0
+        report = json.load(open(out + ".report.json"))
+        source = {"variant": "explicit", "elements": elements}
+        rows = [{"group": group, "source": source, "extractor": e}
+                for e in ({"build": family, "m": 1}, report["config"])]
+        sweep = suites.suite_sweep(rows)
+        assert not sweep.failures and len(sweep.rows) == 2, (group, family, sweep.failures)
+        for r in sweep.rows:
+            assert r.config_digest == report["config_digest"], (group, family)
+            assert list(r.extra["outputs"]) == report["outputs"]

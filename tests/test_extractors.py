@@ -262,6 +262,10 @@ def test_build_ap_blocks():
         build_ap_extractor(13, 3, 4)  # 2^4 >= 13
     with pytest.raises(InputError):
         build_ap_extractor(3, 7, 1)  # degrees must stay below p
+    with pytest.raises(InputError):
+        ap_config_with_blocks(5, 6, 1, [6])  # degree >= p
+    with pytest.raises(InputError):
+        ap_config_with_blocks(5, 2, 3, [2])  # 2^3 >= p
 
 
 def test_ap_explicit_blocks_against_direct_norm():
@@ -337,6 +341,10 @@ def test_configs_deterministic_and_serializable():
                build_line_extractor(9, 4), build_ap_extractor(13, 3, 1),
                build_pgc_extractor(11, 1)]
     assert configs == rebuilt
+    configs += [build_zp_extractor(2, 0), build_zpn_extractor(11, 3, 2),
+                build_line_extractor(8, 5), build_line_extractor(7, 1),
+                build_line_extractor(gf.FieldSpec(3, 2, (2, 1, 1)), 4),
+                build_ap_extractor(101, 10, 2), build_pgc_extractor(10007, 3)]
     for c in configs:
         assert config_from_json(c.to_json()) == c
 
@@ -348,6 +356,20 @@ def test_config_from_json_validates():
         config_from_json({"variant": "nope"})
     with pytest.raises(InputError):
         config_from_json({"variant": "zp", "p": 5})
+    line = build_line_extractor(9, 4).to_json()
+    holes = [
+        {"variant": "pgc", "p": 11, "g": 3, "m": 1},  # 3 is not a primitive root
+        dict(line, output="bogus"),
+        dict(line, blocks=[[0, 2], [2, 2]]),           # even blocks
+        {"variant": "ap", "p": 5, "n": 6, "padded_n": 6, "blocks": [[0, 6]],
+         "m": 1, "custom_poly": False},                # degree 6 >= p
+        dict(build_ap_extractor(5, 3, 1).to_json(), custom_poly=True),
+        dict(build_zp_extractor(5, 1).to_json(), m=1.0),
+        {"variant": "zp", "p": 4, "q": 5, "g": 2, "m": 1},  # composite p
+    ]
+    for obj in holes:
+        with pytest.raises(InputError):
+            config_from_json(obj)
 
 
 def test_config_digests_golden():

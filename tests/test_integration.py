@@ -16,7 +16,7 @@ def test_gap_source_through_subgroup_encoding():
     X = build_source(GapSpec(11, (1, 20), 16), grp)  # proper by construction
     assert X.notes["proper"]
     cfg = ex.build_zp_extractor(p, 1)
-    dist = an.extractor_distribution(X, ex.extract_fn(cfg), 2)
+    dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements), 2)
     d = an.distance_to_uniform(dist)
     assert d < 0.15, d  # 256 points; bias stays far from degenerate
 
@@ -26,7 +26,7 @@ def test_bohr_source_through_subgroup_encoding():
     X = build_source(BohrSpec((1, 7), 0.3), Group.zp(p))
     assert len(X) >= 0.09 * p  # rho^2 p lower bound with headroom
     cfg = ex.build_zp_extractor(p, 2)
-    dist = an.extractor_distribution(X, ex.extract_fn(cfg), 4)
+    dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements), 4)
     assert an.distance_to_uniform(dist) < 0.25
 
 
@@ -41,7 +41,7 @@ def test_affine_source_through_crt_pipeline():
     vals = [ex.zpn_encode(x, cfg) for x in X.sorted_elements]
     assert len(set(vals)) == len(X)  # encoding stays injective on the source
     assert all(math.gcd(v, cfg.q) == 1 for v in vals)
-    dist = an.extractor_distribution(X, ex.extract_fn(cfg), 2)
+    dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements), 2)
     assert an.distance_to_uniform(dist) < 0.1
 
 
@@ -50,7 +50,7 @@ def test_ap_source_in_vector_group_through_block_polynomial():
     grp = Group.zp_vec(p, n)
     X = build_source(ApSpec((1, 2, 3), (2, 5, 7), 13), grp)
     cfg = ex.build_ap_extractor(p, n, 1)
-    dist = an.extractor_distribution(X, ex.extract_fn(cfg), 2)
+    dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements), 2)
     d = an.distance_to_uniform(dist)
     bound = 16 * math.log2(p) ** 2 * math.sqrt(n * p) * 2 ** 0.5 / 13
     assert d <= bound  # the stated error budget (loose at this scale)
@@ -60,7 +60,7 @@ def test_random_source_through_index_map():
     p = 499
     X = build_source(RandomSpec(200, 7), Group.zp(p))
     cfg = ex.build_pgc_extractor(p, 1)
-    dist = an.extractor_distribution(X, ex.extract_fn(cfg), 2)
+    dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements), 2)
     assert an.distance_to_uniform(dist) < 0.2
     # companion probe: normalized double character sum over the source
     probe = an.paley_double_sum(p, X.sorted_elements, X.sorted_elements)
@@ -71,7 +71,8 @@ def test_m0_distance_zero_convention():
     cfg = ex.ap_config_with_blocks(13, 3, 0, [3])
     grp = Group.zp_vec(13, 3)
     X = build_source(RandomSpec(50, 1), grp)
-    dist = an.extractor_distribution(X, ex.extract_fn(cfg), ex.output_size(cfg))
+    dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements),
+                                     ex.output_size(cfg))
     assert an.distance_to_uniform(dist) == 0.0
 
 

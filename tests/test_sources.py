@@ -88,6 +88,9 @@ def test_budget_errors():
         build_source(BohrSpec((1,), 0.1), Group.zp(101), budget=50)
     with pytest.raises(BudgetError):
         build_source(GapSpec(0, (1, 2, 3), 100), Group.zp(10007), budget=10**4)
+    big = build_source(ExplicitSpec(tuple(range(8193))), Group.zp(10007))
+    with pytest.raises(BudgetError):
+        sym_set(big, 0.25)  # 8193^2 difference pairs exceed 2^26
 
 
 def test_bohr_membership_boundary_is_exact():
@@ -310,6 +313,14 @@ def test_group_json_round_trips():
     for g in groups:
         g2 = Group.from_json(g.to_json())
         assert g2.kind == g.kind and g2.order == g.order
+
+
+def test_group_rejects_composite_p():
+    for obj in ({"kind": "zp", "p": 4}, {"kind": "zp_vec", "p": 4, "n": 1},
+                {"kind": "fq_vec", "p": 4, "k": 1, "n": 2}):
+        with pytest.raises(InputError):
+            Group.from_json(obj)
+    assert Group.from_json({"kind": "zn", "moduli": [4, 9]}).order == 36
 
 
 def test_source_digest_is_content_addressed():

@@ -165,6 +165,19 @@ def test_sweep_records_point_errors_and_continues():
     assert len(r.rows) == 1
 
 
+def test_sweep_extractor_must_fit_the_group():
+    row = {"group": {"kind": "zp", "p": 11},
+           "source": {"variant": "explicit", "elements": [1, 2]}}
+    grid = [dict(row, extractor={"build": "zp", "m": 1, "p": 13}),
+            dict(row, extractor=ex.build_zp_extractor(13, 1).to_json()),
+            dict(row, extractor={"build": "zpn"}),
+            dict(row, extractor=ex.build_zp_extractor(11, 1).to_json())]
+    r = suites.suite_sweep(grid)
+    assert [f["grid_index"] for f in r.failures] == [0, 1, 2]
+    assert all(f["error"].startswith("InputError") for f in r.failures)
+    assert len(r.rows) == 1
+
+
 def test_sweep_empty_and_threaded_determinism():
     assert suites.suite_sweep([]).ok
     grid = [{"group": {"kind": "zp", "p": 11},
