@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import numtheory as nt
 from .errors import BudgetError, InputError
 from .gf import poly_mul
-from .sources import Source
+from .sources import Source, cyclic_convolve, element_budget
 
 TOL = 1e-6
 
@@ -101,38 +101,35 @@ def _frequency(a) -> object:
     return a.a if isinstance(a, CharacterId) else a
 
 
-def _phases(values: Iterable[int], modulus: int) -> np.ndarray:
-    v = np.fromiter(values, dtype=np.int64)
-    return np.exp(2j * np.pi * v / modulus)
-
-
 def additive_charsum(X: Source, a) -> float:
     """|sum_x e(<a, x> / modulus)| / |X| over the source, a the frequency
     (an int, a coordinate tuple, or an additive CharacterId)."""
     a = _frequency(a)
     grp = X.group
     if grp.kind in ("zp", "zn"):
-        mod = grp.order
-        vals = (int(a) * x % mod for x in X.elements)
-        return abs(_phases(vals, mod).sum()) / len(X)
+        return float(charsum_table(list(X.elements), grp.order, [int(a)])[0])
     if grp.kind == "zp_vec":
-        p = grp.p
-        vals = (sum(ai * xi for ai, xi in zip(a, x)) % p for x in X.elements)
-        return abs(_phases(vals, p).sum()) / len(X)
+        dots = [sum(ai * xi for ai, xi in zip(a, x)) % grp.p for x in X.elements]
+        return float(charsum_table(dots, grp.p, [1])[0])
     raise InputError("additive characters over Z_p, Z_p^n or Z_N only")
 
 
 def charsum_table(values: Sequence[int], modulus: int,
                   frequencies: Sequence[int]) -> np.ndarray:
     """|sum_y e(xi y / modulus)| / |values| for each requested frequency xi,
-    over an encoded multiset of residues mod modulus.
+    over a multiset of residues mod modulus.
 
-    The products xi y mod modulus are exact: int64 vectors while
-    (modulus - 1)^2 < 2^63, Python integers above that.
+    When modulus <= min(|frequencies| |values|, element_budget()) one FFT of
+    the multiset's histogram gives every frequency at once. Otherwise each
+    frequency is summed directly, with exact products xi y mod modulus:
+    int64 vectors while (modulus - 1)^2 < 2^63, Python integers above that.
     """
     if len(values) == 0:
         raise InputError("empty multiset")
     v = [int(y) % modulus for y in values]
+    if modulus <= min(len(frequencies) * len(v), element_budget()):
+        spectrum = np.abs(np.fft.fft(np.bincount(v, minlength=modulus)))
+        return spectrum[[int(xi) % modulus for xi in frequencies]] / len(v)
     vec = np.array(v, dtype=np.int64) if (modulus - 1) ** 2 < 1 << 63 else None
     out = np.empty(len(frequencies))
     for i, xi in enumerate(frequencies):
@@ -350,14 +347,12 @@ def moment_sum(Y: Sequence[int], q: int, t: int | MomentSumQuery) -> int:
     ys = sorted(set(int(y) % q for y in Y))
     if len(ys) ** (2 * t) >= 2**62:
         raise BudgetError("|Y|^(2t) exceeds the exact integer budget")
-    r = np.zeros(q, dtype=np.int64)
-    r[ys] = 1
-    conv = r
+    base = np.asarray(ys, dtype=np.int64)
+    ones = np.ones(len(ys), dtype=np.int64)
+    values, counts = base, ones
     for _ in range(t - 1):
-        full = np.convolve(conv, r)
-        conv = full[:q].copy()
-        conv[:q - 1] += full[q:]
-    return int((conv * conv).sum())
+        values, counts = cyclic_convolve(values, counts, base, ones, q)
+    return int((counts * counts).sum())
 
 
 def moment_reference_bound(size: int, q: int, t: int, Q: float, c_q: float) -> float:
@@ -387,13 +382,12 @@ def paley_double_sum(p: int, S: Sequence[int], T: Sequence[int],
     if index is None:
         index = (p - 1) // 2
     ind = np.asarray(nt.index_table(p), dtype=np.int64)
-    s = np.asarray(sorted(set(S)), dtype=np.int64)
-    tt = np.asarray(sorted(set(T)), dtype=np.int64)
-    sums = (s[:, None] + tt[None, :]) % p
-    counts = np.bincount(sums.ravel(), minlength=p)
-    u = np.arange(p)
-    chi = np.where(u == 0, 0,
-                   np.exp(2j * np.pi * (index * ind % (p - 1)) / (p - 1)))
+    s = np.asarray(sorted(set(S)), dtype=np.int64) % p
+    tt = np.asarray(sorted(set(T)), dtype=np.int64) % p
+    sums, counts = cyclic_convolve(s, np.ones(len(s), dtype=np.int64),
+                                   tt, np.ones(len(tt), dtype=np.int64), p)
+    chi = np.where(sums == 0, 0,
+                   np.exp(2j * np.pi * (index * ind[sums] % (p - 1)) / (p - 1)))
     return abs((counts * chi).sum()) / (len(s) * len(tt))
 
 

@@ -24,7 +24,7 @@ import jsonschema
 
 from . import __version__, analysis, extractors as ex, sources as src, suites
 from .canonical import canonical_json, digest
-from .errors import AddextError, InputError
+from .errors import AddextError, BudgetError, InputError
 
 
 def _schema(name: str) -> dict:
@@ -148,12 +148,17 @@ def cmd_charsum(args) -> int:
             raise InputError("--characters expects 'all' or 'lo:hi'") from exc
         if not 0 <= lo < hi <= order:
             raise InputError("character range out of bounds")
-        freq_idx = range(max(lo, 0), hi)
-    rows = []
-    for i in freq_idx:
-        a = grp.element_from_index(i)
-        rows.append([canonical_json(src._elem_json(a)),
-                     analysis.fmt17(analysis.additive_charsum(X, a))])
+        budget = src.element_budget()
+        if hi - lo > budget:
+            raise BudgetError(f"character range of {hi - lo} frequencies exceeds "
+                              f"the element budget {budget}")
+        freq_idx = range(lo, hi)
+    if grp.kind in ("zp", "zn"):
+        mags = analysis.charsum_table(list(X.elements), order, freq_idx)
+    else:
+        mags = [analysis.additive_charsum(X, grp.element_from_index(i)) for i in freq_idx]
+    rows = [[canonical_json(src._elem_json(grp.element_from_index(i))), analysis.fmt17(v)]
+            for i, v in zip(freq_idx, mags)]
     _write_csv(args.out, ["frequency", "magnitude"], rows)
     _manifest(args, [args.source], [args.out], started, time.perf_counter() - t0)
     return 0

@@ -337,8 +337,8 @@ GROUP_KINDS = {"zp": ("zp",), "pgc": ("zp",), "zpn": ("zp_vec",),
 
 def build_for_group(family: str, group: Group, m: int = 1) -> ExtractorConfig:
     """The canonical ``family`` config for ``group`` with m output bits (the
-    1-bit ``line`` extractor ignores m). InputError if the family does not
-    run on the group's kind."""
+    ``line`` extractor is 1-bit and takes only m = 1). InputError if the
+    family does not run on the group's kind."""
     kinds = GROUP_KINDS.get(family)
     if kinds is None:
         raise InputError(f"unknown extractor {family!r}")
@@ -347,6 +347,8 @@ def build_for_group(family: str, group: Group, m: int = 1) -> ExtractorConfig:
                          f"groups, not on {group.kind}")
     if m < 0:
         raise InputError("m must be >= 0")
+    if family == "line" and m != 1:
+        raise InputError(f"the line extractor is 1-bit; m = {m} is not 1")
     if family == "zp":
         return build_zp_extractor(group.p, m)
     if family == "pgc":

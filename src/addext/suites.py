@@ -418,9 +418,12 @@ def suite_transport(primes=(101, 499), sources_per_p: int = 200, alpha: float = 
             size = rng.randint(2, p)
             X = np.array(sorted(rng.sample(range(p), size)), dtype=np.int64)
             Y = gx[X]
-            sum_size = np.unique((X[:, None] + X[None, :]) % p).size
+            ones = np.ones(size, dtype=np.int64)
+            sum_size = src.cyclic_convolve(X, ones, X, ones, p)[0].size
             prod_size = np.unique((Y[:, None] * Y[None, :]) % q).size
-            rep_add = np.bincount(((X[:, None] - X[None, :]) % p).ravel(), minlength=p)
+            diffs, counts = src.cyclic_convolve(X, ones, (p - X) % p, ones, p)
+            rep_add = np.zeros(p, dtype=np.int64)
+            rep_add[diffs] = counts
             Yinv = gx[(p - X) % p]
             rep_mult = np.bincount(((Y[:, None] * Yinv[None, :]) % q).ravel(),
                                    minlength=q)
@@ -577,7 +580,9 @@ CHARSUM_SCAN_CAP = 1 << 16
 def _row_config(row: dict, group: src.Group):
     """A row's extractor: ``{"build": family, "m": m}``, or a full config that
     must be the one that family builds for the row's group."""
-    e = row["extractor"]
+    e = row.get("extractor")
+    if e is None:
+        raise InputError("the row names no extractor")
     if "variant" in e:
         return ex.config_for_group(e, group)
     unknown = set(e) - {"build", "m"}
@@ -658,13 +663,14 @@ def _sweep_bound(row: dict, cfg, group, spec) -> tuple[float | None, bool]:
 
 
 def _sweep_family(row: dict, fam: dict) -> EvalReport:
+    """An exhaustive family scan. The row's extractor must be the one the scan
+    runs: the 1-bit ``zp`` extractor for ``all_aps``, ``line`` for ``all_lines``."""
     kind = fam["kind"]
     if kind == "all_aps":
         p, s = int(fam["p"]), int(fam["s"])
-        m = int(row.get("extractor", {}).get("m", 1))
-        if m != 1:
-            raise InputError("the all_aps family scan is 1-bit")
-        cfg = ex.build_zp_extractor(p, 1)
+        cfg = _row_config(row, src.Group.zp(p))
+        if not isinstance(cfg, ex.ZpExtractorConfig) or cfg.m != 1:
+            raise InputError("the all_aps family scan runs the 1-bit zp extractor")
         hist = ap_distance_histogram(p, s, cfg)
         dists = np.abs(np.arange(s + 1) / s - 0.5)
         worst = float(dists[np.nonzero(hist)[0]].max())
@@ -675,8 +681,8 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
             extra={"median_distance": _median_distance_from_hist(hist, s),
                    "family": fam})
     if kind == "all_lines":
-        q = int(fam["q"])
-        cfg = ex.build_line_extractor(q, int(fam.get("n", 2)))
+        group = src.Group.fq_vec(ex.prime_power_field(int(fam["q"])), int(fam.get("n", 2)))
+        cfg = _row_config(row, group)
         row_scan = scan_all_lines(cfg)
         bound = row_scan["charsum_bound"]
         worst = max(row_scan["max_charsum"], row_scan["max_distance"])

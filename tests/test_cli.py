@@ -176,12 +176,57 @@ def test_budget_env_override(tmp_path, monkeypatch):
 
 
 def test_profile_over_pair_budget_exits_two(tmp_path, capsys):
-    # 8193^2 difference pairs exceed 2^26: refused before the matrix is built
+    # 8193^2 difference pairs exceed 2^26 and the group order exceeds the
+    # element budget: neither the pairs nor the FFT route fits
     spec = write(tmp_path / "big.json", {
-        "group": {"kind": "zp", "p": 10007},
+        "group": {"kind": "zn", "moduli": [1000003, 1000033]},
         "spec": {"variant": "explicit", "elements": list(range(8193))}})
     assert main(["profile", "--source", spec, "--alpha", "0.25"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_profile_in_large_zn_group(tmp_path, capsys):
+    # order ~1e18 is beyond the element budget: no bitmask, no FFT
+    spec = write(tmp_path / "small.json", {
+        "group": {"kind": "zn", "moduli": [1000003, 1000033, 1000037]},
+        "spec": {"variant": "explicit", "elements": [1, 2, 3]}})
+    assert main(["profile", "--source", spec, "--alpha", "0.25"]) == 0
+    prof = json.loads(capsys.readouterr().out)
+    assert prof["sumset_size"] == 5 and prof["sym_size"] == 1
+
+
+def test_profile_of_large_bohr_set(tmp_path, capsys):
+    # 30013 elements: 9e8 difference pairs, profiled by FFT in linear memory
+    spec = write(tmp_path / "bohr.json", {
+        "group": {"kind": "zp", "p": 50021},
+        "spec": {"variant": "bohr", "freqs": [1], "rho": 0.3}})
+    assert main(["profile", "--source", spec, "--alpha", "0.25"]) == 0
+    prof = json.loads(capsys.readouterr().out)
+    assert prof["size"] == 30013
+    # |X ∩ (X+g)| = 30013 - |g| for the interval |x| <= 15006
+    assert prof["sym_size"] == 2 * 7503 + 1
+
+
+def test_modulus_at_or_above_2_63_exits_two(tmp_path, capsys):
+    spec = write(tmp_path / "huge.json", {
+        "group": {"kind": "zp", "p": 18446744073709551557},
+        "spec": {"variant": "explicit", "elements": [1, 2]}})
+    for argv in (["charsum", "--source", spec, "--characters", "1:3",
+                  "--out", str(tmp_path / "c.csv")],
+                 ["profile", "--source", spec, "--alpha", "0.25"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_charsum_range_longer_than_budget_exits_two(tmp_path, capsys):
+    spec = write(tmp_path / "zn.json", {
+        "group": {"kind": "zn", "moduli": [1000003, 1000033, 1000037]},
+        "spec": {"variant": "explicit", "elements": [1, 2, 3]}})
+    out = tmp_path / "c.csv"
+    assert main(["charsum", "--source", spec, "--characters", f"0:{10**12}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_threads_must_be_positive(tmp_path, gap_spec):
@@ -220,6 +265,16 @@ def test_extract_exit_code_for_every_group_and_family(tmp_path, capsys):
             else:
                 assert code == 2 and not out.exists(), (kind, family)
                 assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_line_extractor_takes_only_one_bit(tmp_path, capsys):
+    spec = _source(tmp_path, GROUPS["fq_vec"], ELEMENTS["fq_vec"])
+    out = tmp_path / "line.csv"
+    assert main(["extract", "--source", spec, "--extractor", "line", "--m", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:") and not out.exists()
+    assert main(["extract", "--source", spec, "--extractor", "line", "--m", "1",
+                 "--out", str(out)]) == 0
 
 
 def test_extract_evaluates_each_point_once(tmp_path, monkeypatch):

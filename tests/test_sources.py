@@ -88,9 +88,10 @@ def test_budget_errors():
         build_source(BohrSpec((1,), 0.1), Group.zp(101), budget=50)
     with pytest.raises(BudgetError):
         build_source(GapSpec(0, (1, 2, 3), 100), Group.zp(10007), budget=10**4)
-    big = build_source(ExplicitSpec(tuple(range(8193))), Group.zp(10007))
+    big = build_source(ExplicitSpec(tuple(range(8193))),
+                       Group.zn(CrtSystem.make([1000003, 1000033])))
     with pytest.raises(BudgetError):
-        sym_set(big, 0.25)  # 8193^2 difference pairs exceed 2^26
+        sym_set(big, 0.25)  # 8193^2 pairs exceed 2^26 and the order the budget
 
 
 def test_bohr_membership_boundary_is_exact():

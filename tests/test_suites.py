@@ -178,6 +178,28 @@ def test_sweep_extractor_must_fit_the_group():
     assert len(r.rows) == 1
 
 
+def test_sweep_family_rows_check_their_extractor():
+    lines = {"kind": "all_lines", "q": 9, "n": 2}
+    aps = {"kind": "all_aps", "p": 101, "s": 12}
+    line_row = {"group": {"kind": "fq_vec", "p": 3, "k": 2, "n": 2},
+                "source": {"variant": "line", "a": [0, 1], "d": [1, 2]}}
+    grid = [{"family": lines, "extractor": {"build": "pgc", "m": 3}},
+            {"family": lines, "extractor": {"build": "line", "m": 3}},
+            {"family": lines},
+            {"family": aps, "extractor": {"build": "zp", "m": 2}},
+            {"family": aps, "extractor": {"build": "pgc", "m": 1}},
+            dict(line_row, extractor={"build": "line", "m": 3}),
+            {"family": lines, "extractor": {"build": "line"}},
+            {"family": aps, "extractor": {"build": "zp", "m": 1}},
+            {"family": lines, "extractor": ex.build_line_extractor(9, 2).to_json()},
+            dict(line_row, extractor={"build": "line"})]
+    r = suites.suite_sweep(grid)
+    assert [f["grid_index"] for f in r.failures] == [0, 1, 2, 3, 4, 5]
+    assert all(f["error"].startswith("InputError") for f in r.failures)
+    assert len(r.rows) == 4
+    assert r.rows[0].config_digest == r.rows[2].config_digest
+
+
 def test_sweep_empty_and_threaded_determinism():
     assert suites.suite_sweep([]).ok
     grid = [{"group": {"kind": "zp", "p": 11},
