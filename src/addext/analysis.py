@@ -142,6 +142,27 @@ def charsum_table(values: Sequence[int], modulus: int,
     return out / len(v)
 
 
+def vector_charsum_table(X: Source, indices: Sequence[int]) -> np.ndarray:
+    """additive_charsum(X, a) at each frequency a = element_from_index(i) of
+    the index list, X a source in Z_p^n.
+
+    When p^n <= min(|indices| |X|, element_budget()) one fftn of the source's
+    histogram on shape (p,)*n gives every frequency at once; otherwise each
+    frequency goes through additive_charsum.
+    """
+    grp = X.group
+    if grp.kind != "zp_vec":
+        raise InputError("additive characters over Z_p, Z_p^n or Z_N only")
+    if grp.order > min(len(indices) * len(X), element_budget()):
+        return np.array([additive_charsum(X, grp.element_from_index(i)) for i in indices])
+    # element_from_index reads coordinate j as base-p digit j: Fortran order
+    shape = (grp.p,) * grp.n
+    flat = np.ravel_multi_index(np.array(list(X.elements)).T, shape, order="F")
+    hist = np.bincount(flat, minlength=grp.order).reshape(shape, order="F")
+    spectrum = np.abs(np.fft.fftn(hist)).ravel(order="F") / len(X)
+    return spectrum[np.asarray(indices, dtype=np.int64)]
+
+
 # ---------------------------------------------------------------------------
 # polynomial sums over F_p
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ files validated against the packaged schemas; outputs are CSV/JSON plus a run
 manifest recording input digests, seed, version and timing.
 
 Exit codes: 0 = all checked bounds satisfied, 1 = a checked bound failed (the
-failing rows are reported), 2 = input or budget error (no partial CSV).
+failing rows are reported), 2 = input or budget error (no partial CSV). A
+sweep row with an input or budget error is recorded, the other rows are
+written, and the sweep exits 2 even if a bound failed too.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def cmd_charsum(args) -> int:
     if grp.kind in ("zp", "zn"):
         mags = analysis.charsum_table(list(X.elements), order, freq_idx)
     else:
-        mags = [analysis.additive_charsum(X, grp.element_from_index(i)) for i in freq_idx]
+        mags = analysis.vector_charsum_table(X, freq_idx)
     rows = [[canonical_json(src._elem_json(grp.element_from_index(i))), analysis.fmt17(v)]
             for i, v in zip(freq_idx, mags)]
     _write_csv(args.out, ["frequency", "magnitude"], rows)
@@ -196,7 +198,7 @@ def cmd_verify(args) -> int:
     if not result.ok:
         for f in result.failures[:10]:
             print(f"FAIL {args.suite}: {canonical_json(f)}", file=sys.stderr)
-        return 1
+        return 2 if result.input_errors else 1
     return 0
 
 

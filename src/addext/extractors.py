@@ -23,11 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import gf, numtheory as nt
 from .canonical import canonical_json
 from .errors import InputError
 from .numtheory import CrtSystem, Residue
-from .sources import Group
+from .sources import Group, element_budget
 
 # ---------------------------------------------------------------------------
 # Z_p
@@ -207,11 +209,15 @@ def line_poly_eval(x: Sequence[int], cfg: LineExtractorConfig) -> int:
     return acc
 
 
-def line_extract(x: Sequence[int], cfg: LineExtractorConfig) -> int:
-    v = line_poly_eval(x, cfg)
+def _line_bit(cfg: LineExtractorConfig, v: int) -> int:
+    """The output bit of the block polynomial value v in F_q."""
     if cfg.variant == "additive_trace":
         return gf.trace_to_f2(cfg.field, v)
     return 1 if gf.fq_quadratic_character(cfg.field, v) == -1 else 0
+
+
+def line_extract(x: Sequence[int], cfg: LineExtractorConfig) -> int:
+    return _line_bit(cfg, line_poly_eval(x, cfg))
 
 
 @dataclass(frozen=True)
@@ -384,22 +390,80 @@ def config_from_json(obj: dict) -> ExtractorConfig:
     return config_for_group(obj, Group.from_json(dict(obj, kind=kinds[-1])))
 
 
-def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
-    """The extractor's output at each point, in order, one evaluation each.
+def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
+                     X: np.ndarray) -> np.ndarray:
+    """line_poly_eval / ap_poly_eval at every row of an (N, n) array of
+    coordinates in [0, q), as F_q encodings. Each block goes the way
+    _block_norm goes: c_1^b where only the first coordinate can be nonzero,
+    else gf.norms_many, so get_extension is asked for the same blocks."""
+    f = cfg.field
+    coords = np.zeros((len(X), cfg.padded_n), dtype=np.int64)
+    coords[:, :cfg.n] = X
+    acc = np.zeros((len(X), f.k), dtype=np.int64)
+    for block in cfg.blocks:
+        c = coords[:, block.start:block.start + block.size]
+        norm = gf.pow_many(f, gf.to_digits(f, c[:, 0]), block.size)
+        general = c[:, 1:].any(axis=1)
+        if general.any():
+            ext = gf.get_extension(f, block.size)
+            norm[general] = gf.to_digits(f, gf.norms_many(ext, c[general]))
+        acc += norm
+    return gf.from_digits(f, acc % f.p)
 
-    The module-level ``*_extract`` functions are looked up by name, so that
-    a patched module attribute (as in ``benchmarks/tracer.py``) sees every call.
+
+def _batch_coordinates(cfg: LineExtractorConfig | ApExtractorConfig,
+                       points: list) -> np.ndarray | None:
+    """The points as an (N, n) int64 array for _block_poly_many, or None where
+    the one-point route must run: a field over gf.EXTENSION_BASE_CAP (whose
+    extensions get_extension refuses), or a point that is not n integer
+    coordinates in [0, q)."""
+    if cfg.field.order > gf.EXTENSION_BASE_CAP:
+        return None
+    try:
+        X = np.asarray(points)
+    except ValueError:  # points of different lengths
+        return None
+    if (X.dtype.kind not in "iu" or X.shape != (len(points), cfg.n)
+            or not 0 <= X.min() <= X.max() < cfg.field.order):
+        return None
+    return X
+
+
+def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
+    """The extractor's output at each point, in order.
+
+    ``line`` and ``ap`` over a field of order at most gf.EXTENSION_BASE_CAP
+    evaluate each block on all points at once (``_block_poly_many``); ``pgc``
+    reads ``index_table`` once it is cheaper than a discrete log per point.
+    Every other case calls the one-point ``*_extract`` function of its family,
+    looked up by name, so that a patched module attribute (as in
+    ``benchmarks/tracer.py``) sees each such call; those functions are also
+    the oracles of the batch routes in the tests.
     """
+    points = list(points)
     if isinstance(cfg, ZpExtractorConfig):
         return [zp_extract(x, cfg) for x in points]
     if isinstance(cfg, ZpnExtractorConfig):
         return [zpn_extract(x, cfg) for x in points]
     if isinstance(cfg, LineExtractorConfig):
-        return [line_extract(x, cfg) for x in points]
+        X = _batch_coordinates(cfg, points)
+        if X is None:
+            return [line_extract(x, cfg) for x in points]
+        values = _block_poly_many(cfg, X).tolist()
+        bits = {v: _line_bit(cfg, v) for v in set(values)}
+        return [bits[v] for v in values]
     if isinstance(cfg, ApExtractorConfig):
-        return [ap_extract(x, cfg) for x in points]
+        X = _batch_coordinates(cfg, points)
+        if X is None:
+            return [ap_extract(x, cfg) for x in points]
+        return (_block_poly_many(cfg, X) % cfg.M).tolist()
     if isinstance(cfg, PgcExtractorConfig):
-        return [pgc_extract(x, cfg) for x in points]
+        p = cfg.p
+        if p > element_budget() or p - 1 > len(points) * (math.isqrt(p) + 1):
+            return [pgc_extract(x, cfg) for x in points]
+        index = np.array(nt.index_table(p, cfg.g), dtype=np.int64)
+        index[0] = 0  # pgc_extract maps 0 to 0
+        return (index[[x % p for x in points]] % cfg.M).tolist()
     raise InputError(f"unknown config {cfg!r}")
 
 

@@ -5,17 +5,22 @@ Polynomials over F_p are coefficient tuples, lowest degree first, with no
 trailing zeros (the zero polynomial is ()). Field elements are encoded as
 integers in [0, p^k): value = sum c_i p^i over the polynomial basis
 1, theta, ..., theta^(k-1), theta the residue of x mod the field's modulus.
+
+The batch routines at the end hold N elements as an (N, k) int64 array of
+those F_p digits c_i, so that p^k never has to fit in a machine word.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetError, InputError
 
-_COERCE_DICT_CAP = 1 << 16
+EXTENSION_BASE_CAP = 1 << 16  # largest base field get_extension accepts
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +310,31 @@ class ExtensionField:
         return acc
 
 
+def _row_reduce(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon basis of the row space of ``rows`` over F_p, and the
+    pivot column of each basis row (1 there, 0 in every other basis row)."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        row = [x % p for x in row]
+        for bas, piv in zip(basis, pivots):
+            f = row[piv]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, bas)]
+        nz = next((i for i, x in enumerate(row) if x), None)
+        if nz is None:
+            continue
+        inv = pow(row[nz], -1, p)
+        row = [x * inv % p for x in row]
+        for i, bas in enumerate(basis):
+            f = bas[nz]
+            if f:
+                basis[i] = [(x - f * y) % p for x, y in zip(bas, row)]
+        basis.append(row)
+        pivots.append(nz)
+    return basis, pivots
+
+
 def _subfield_elements(ext: FieldSpec, base_degree: int) -> list[int]:
     """All elements of the subfield F_{p^base_degree} inside ext, via the trace
     map onto the subfield and Gaussian elimination over F_p."""
@@ -321,20 +351,7 @@ def _subfield_elements(ext: FieldSpec, base_degree: int) -> list[int]:
             acc = ext.add(acc, cur)
             cur = ext.pow(cur, q)
         images.append(list(ext.decode(acc)))
-    # row reduce images over F_p to a basis of the subfield
-    rows = [r[:] for r in images]
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        for bas, piv in zip(basis, pivots):
-            f = row[piv]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, bas)]
-        nz = next((i for i, x in enumerate(row) if x), None)
-        if nz is not None:
-            inv = pow(row[nz], -1, p)
-            basis.append([x * inv % p for x in row])
-            pivots.append(nz)
+    basis, _ = _row_reduce(images, p)
     if len(basis) != base_degree:
         raise AssertionError("trace image has wrong dimension")
     out = []
@@ -356,7 +373,7 @@ def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
     if degree < 1:
         raise InputError("extension degree must be >= 1")
     q = base.order
-    if q > _COERCE_DICT_CAP:
+    if q > EXTENSION_BASE_CAP:
         raise BudgetError(f"base field of order {q} too large for coercion tables")
     e = (q**degree - 1) // (q - 1) if q > 1 else 1
     if degree == 1:
@@ -419,3 +436,150 @@ def norm_by_conjugates(ext: ExtensionField, coords: Sequence[int]) -> int:
     if acc == 0:
         return 0
     return ext.coerce_to_base(acc)
+
+
+# ---------------------------------------------------------------------------
+# batch arithmetic on digit arrays
+# ---------------------------------------------------------------------------
+
+NORM_CHUNK = 2048  # rows per step of norms_many; its arrays hold O(NORM_CHUNK * k) ints
+
+
+def to_digits(spec: FieldSpec, codes) -> np.ndarray:
+    """F_p digits of int encodings: shape (..., k), lowest degree first."""
+    powers = spec.p ** np.arange(spec.k, dtype=np.int64)
+    return np.asarray(codes, dtype=np.int64)[..., None] // powers % spec.p
+
+
+def from_digits(spec: FieldSpec, digits: np.ndarray) -> np.ndarray:
+    """Int encodings of digit arrays (inverse of to_digits; needs p^k < 2^63)."""
+    return digits @ spec.p ** np.arange(spec.k, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_matrix(spec: FieldSpec) -> np.ndarray:
+    """Row j holds the digits of x^(k+j) mod the modulus, j < k - 1."""
+    k = spec.k
+    out = np.zeros((k - 1, k), dtype=np.int64)
+    for j in range(k - 1):
+        r = poly_mod((0,) * (k + j) + (1,), spec.modulus, spec.p)
+        out[j, :len(r)] = r
+    out.flags.writeable = False  # cached: shared by every caller
+    return out
+
+
+def _mul_digits(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of (N, k) digit arrays: the 2k-1 product coefficients
+    mod p, then the top k-1 folded down by the modulus. Every int64 sum stays
+    below k p^2, which is far from 2^63 for p <= EXTENSION_BASE_CAP."""
+    p, k = spec.p, spec.k
+    c = np.zeros((a.shape[0], 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        c[:, i:i + k] += a[:, i, None] * b
+    c %= p
+    return (c[:, :k] + c[:, k:] @ _reduction_matrix(spec)) % p
+
+
+def _uses_bitmasks(spec: FieldSpec) -> bool:
+    """Whether an F_{2^k} product fits a uint64 bitmask before reduction."""
+    return spec.p == 2 and 2 * spec.k - 1 <= 64
+
+
+def _mul_bits(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """FieldSpec._mul2 on uint64 arrays: carry-less product, then the bits
+    from 2k-2 down to k cleared by shifted copies of the modulus."""
+    k = spec.k
+    acc = np.zeros_like(a)
+    for i in range(k):
+        acc ^= (a << np.uint64(i)) * ((b >> np.uint64(i)) & np.uint64(1))
+    mod_mask = np.uint64(_gf2_mod_mask(spec))
+    for d in range(2 * k - 2, k - 1, -1):
+        acc ^= (mod_mask << np.uint64(d - k)) * ((acc >> np.uint64(d)) & np.uint64(1))
+    return acc
+
+
+def _to_bits(digits: np.ndarray) -> np.ndarray:
+    return (digits << np.arange(digits.shape[-1], dtype=np.int64)).sum(axis=-1).astype(np.uint64)
+
+
+def _from_bits(spec: FieldSpec, bits: np.ndarray) -> np.ndarray:
+    return ((bits[:, None] >> np.arange(spec.k, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
+
+
+def _ladder(mul: Callable, a: np.ndarray, e: int) -> np.ndarray:
+    """a^e for e >= 1 by the right-to-left square-and-multiply of FieldSpec.pow."""
+    result = None
+    while True:
+        if e & 1:
+            result = a.copy() if result is None else mul(result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = mul(a, a)
+
+
+def mul_many(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """FieldSpec.mul on each row pair of two (N, k) digit arrays (p at most
+    EXTENSION_BASE_CAP, so that int64 sums of products stay exact)."""
+    if _uses_bitmasks(spec):
+        return _from_bits(spec, _mul_bits(spec, _to_bits(a), _to_bits(b)))
+    return _mul_digits(spec, a, b)
+
+
+def pow_many(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
+    """FieldSpec.pow(x, e), e >= 1, on each row x of an (N, k) digit array
+    (p at most EXTENSION_BASE_CAP, as for mul_many)."""
+    if e < 1:
+        raise InputError("pow_many takes exponents >= 1")
+    if _uses_bitmasks(spec):
+        return _from_bits(spec, _ladder(functools.partial(_mul_bits, spec), _to_bits(a), e))
+    return _ladder(functools.partial(_mul_digits, spec), a, e)
+
+
+@functools.lru_cache(maxsize=None)
+def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The F_p-linear maps of norms_many, as int64 matrices over F_p digits:
+
+    * lift (b k, K): base digits of c_1..c_b to the E digits of ext.lift;
+    * embed (k, K): base digits to the E digits of ext.embed;
+    * pivots (k,), back (k, k): E digits of an embedded element, read on the
+      pivot columns of embed, times back give its base digits.
+    """
+    base, E = ext.base, ext.ext
+    p, k, K = base.p, base.k, E.k
+    unit = [p**j for j in range(k)]
+    lift = [E.decode(ext.lift([0] * i + [u])) for i in range(ext.degree) for u in unit]
+    embed = [list(E.decode(ext.embed(u))) for u in unit]
+    # row reducing [embed | I] gives [R | T] with T embed = R, R = I on the pivots
+    rows, pivots = _row_reduce([e + [int(i == j) for j in range(k)]
+                                for i, e in enumerate(embed)], p)
+    assert len(rows) == k and max(pivots) < K, "the embedding is not injective"
+    maps = (np.array(lift, dtype=np.int64), np.array(embed, dtype=np.int64),
+            np.array(pivots), np.array([r[K:] for r in rows], dtype=np.int64))
+    for m in maps:
+        m.flags.writeable = False  # cached: shared by every caller
+    return maps
+
+
+def norms_many(ext: ExtensionField, coords) -> np.ndarray:
+    """norm_poly_eval at each row of an (N, <= b) array of base-field
+    coordinates, as int64 base-field encodings.
+
+    Per chunk of NORM_CHUNK rows: the lift into E as one matmul mod p, the
+    power ladder of ext.norm_exponent on all rows at once, and the way back to
+    F_q through the linear inverse of the embedding, checked by re-embedding.
+    """
+    c = np.asarray(coords, dtype=np.int64)
+    if c.ndim != 2 or c.shape[1] > ext.degree:
+        raise InputError("expected an (N, b) array of at most b coordinates")
+    p = ext.base.p
+    lift, embed, pivots, back = _norm_maps(ext)
+    lift = lift[:c.shape[1] * ext.base.k]
+    out = np.empty(len(c), dtype=np.int64)
+    for s in range(0, len(c), NORM_CHUNK):
+        chunk = to_digits(ext.base, c[s:s + NORM_CHUNK])
+        u = pow_many(ext.ext, chunk.reshape(len(chunk), -1) @ lift % p, ext.norm_exponent)
+        v = u[:, pivots] @ back % p
+        assert (v @ embed % p == u).all(), "norm value escaped the base field"
+        out[s:s + NORM_CHUNK] = from_digits(ext.base, v)
+    return out

@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -454,7 +455,13 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
         if spec.size > cap:
             raise BudgetError("random source size exceeds cap")
         rng = random.Random(spec.seed)
-        idx = rng.sample(range(group.order), spec.size)
+        if group.order > sys.maxsize:
+            # rng.sample needs len(range(order)), which overflows here
+            idx = set()
+            while len(idx) < spec.size:
+                idx.add(rng.randrange(group.order))
+        else:
+            idx = rng.sample(range(group.order), spec.size)
         els = {group.element_from_index(i) for i in idx}
 
     else:

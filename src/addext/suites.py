@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, extractors as ex, gf, numtheory as nt, sources as src
 from .analysis import TOL, EvalReport
 from .canonical import digest
-from .errors import InputError
+from .errors import AddextError, BudgetError, InputError
 
 
 @dataclass
@@ -30,6 +30,7 @@ class SuiteResult:
     failures: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
     seconds: float = 0.0
+    input_errors: int = 0  # sweep rows that raised an input or budget error
 
     def to_json(self) -> dict:
         return {"suite": self.name, "ok": self.ok, "seconds": self.seconds,
@@ -148,20 +149,6 @@ def suite_xor(moduli=(15, 21, 33, 35, 105, 231, 1155)) -> SuiteResult:
 # line extractor scans
 # ---------------------------------------------------------------------------
 
-def _line_tables(cfg: ex.LineExtractorConfig):
-    """Dense tables over F_q for bulk line evaluation of a 2-coordinate config."""
-    f = cfg.field
-    q = f.order
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = f.add(a, b)
-            mul[a, b] = f.mul(a, b)
-    powb = np.array([f.pow(u, cfg.blocks[1].size) for u in range(q)], dtype=np.int64)
-    return add, mul, powb
-
-
 def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
     """Exhaustive scan over all affine lines of F_q^2: per-line character sums
     and 1-bit output distances of the block-norm extractor.
@@ -172,7 +159,16 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
         raise InputError("exhaustive line scan implemented for n = 2")
     f = cfg.field
     q = f.order
-    add, mul, powb = _line_tables(cfg)
+    if q * q > src.DEFAULT_PAIR_BUDGET:
+        raise BudgetError(f"q^2 = {q * q} pairs exceed the pair budget for line tables")
+    # dense tables by gf's batch digit arithmetic: sums and products of all
+    # q^2 pairs, and u^b for the size-b second block (only its first
+    # coordinate is set when n = 2)
+    d = gf.to_digits(f, np.arange(q))
+    add = gf.from_digits(f, (d[:, None, :] + d[None, :, :]) % f.p)
+    mul = gf.from_digits(f, gf.mul_many(f, np.repeat(d, q, axis=0),
+                                        np.tile(d, (q, 1)))).reshape(q, q)
+    powb = gf.from_digits(f, gf.pow_many(f, d, cfg.blocks[1].size))
     t = np.arange(q, dtype=np.int64)
     even = cfg.variant == "additive_trace"
     if even:
@@ -696,7 +692,8 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
 
 def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResult:
     """Run every grid point in grid order on the calling thread; per-point
-    errors are recorded in grid order and the sweep continues.
+    errors are recorded in grid order and the sweep continues; ``input_errors``
+    counts those that are an input or budget error.
 
     ``threads`` is accepted and ignored: the CLI records it in the run
     manifest. Rows run Python code under the interpreter lock, so threads
@@ -709,6 +706,7 @@ def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResul
             res.rows.append(_sweep_point(row))
         except Exception as exc:  # per-point errors recorded, sweep continues
             res.failures.append({"grid_index": i, "error": f"{type(exc).__name__}: {exc}"})
+            res.input_errors += isinstance(exc, AddextError)
     res.ok = not res.failures and all(r.ok for r in res.rows if r.asserted)
     res.seconds = elapsed()
     return res

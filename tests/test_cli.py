@@ -105,7 +105,8 @@ def test_verify_sweep_and_failure_exit(tmp_path):
          "extractor": {"build": "zp", "m": 1}},
     ]})
     out = str(tmp_path / "sw.csv")
-    assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out]) == 1
+    # a row's input error exits 2
+    assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out]) == 2
     rows = list(csv.reader(open(out)))
     assert rows[0][:3] == ["config_digest", "source_digest", "size"]
     assert len(rows) == 2  # one good row survived
@@ -125,7 +126,7 @@ def test_sweep_failures_in_grid_order_for_any_threads(tmp_path, capsys):
     for threads in (1, 4):
         out = str(tmp_path / f"sw{threads}.csv")
         assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out,
-                     "--threads", str(threads)]) == 1
+                     "--threads", str(threads)]) == 2
         rows = list(csv.reader(open(out)))
         assert rows[0][-1] == "seconds"
         tables.append([row[:-1] for row in rows])
@@ -136,6 +137,14 @@ def test_sweep_failures_in_grid_order_for_any_threads(tmp_path, capsys):
         assert [json.loads(f)["grid_index"] for f in fails] == [0, 2]
         assert json.load(open(out + ".manifest.json"))["threads"] == threads
     assert len(tables[0]) == 4 and tables[0] == tables[1]
+
+
+def test_random_source_in_a_group_of_order_at_least_2_63(tmp_path):
+    spec = write(tmp_path / "big.json", {"group": {"kind": "zp_vec", "p": 101, "n": 10},
+                                         "spec": {"variant": "random", "size": 5, "seed": 1}})
+    out = str(tmp_path / "big.src.json")
+    assert main(["build-source", "--spec", spec, "--out", out]) == 0
+    assert json.load(open(out))["size"] == 5
 
 
 def test_input_errors_exit_two_without_partial_output(tmp_path):
@@ -278,19 +287,30 @@ def test_line_extractor_takes_only_one_bit(tmp_path, capsys):
 
 
 def test_extract_evaluates_each_point_once(tmp_path, monkeypatch):
+    """One extract_many call over the whole source. In it zp and zpn make one
+    one-point call per point; line, ap and pgc take their batch routes and
+    make none."""
+    real_many = ex.extract_many
     for kind, family in sorted(FITS):
-        calls = []
+        batches, calls = [], []
         real = getattr(ex, f"{family}_extract")
 
         def counted(x, cfg, real=real, calls=calls):
             calls.append(x)
             return real(x, cfg)
 
+        def counted_many(cfg, points, batches=batches):
+            batches.append(len(points))
+            return real_many(cfg, points)
+
         monkeypatch.setattr(ex, f"{family}_extract", counted)
+        monkeypatch.setattr(ex, "extract_many", counted_many)
         spec = _source(tmp_path, GROUPS[kind], ELEMENTS[kind])
         assert main(["extract", "--source", spec, "--extractor", family,
                      "--out", str(tmp_path / "once.csv")]) == 0
-        assert len(calls) == len(ELEMENTS[kind]), (kind, family, len(calls))
+        assert batches == [len(ELEMENTS[kind])], (kind, family, batches)
+        one_point = len(ELEMENTS[kind]) if family in ("zp", "zpn") else 0
+        assert len(calls) == one_point, (kind, family, len(calls))
 
 
 def test_sweep_and_extract_agree_on_config_and_outputs(tmp_path):

@@ -83,6 +83,28 @@ def test_explicit_and_random():
         build_source(ExplicitSpec(((1, 2),)), g)  # wrong arity
 
 
+def test_random_source_digests_golden():
+    """Groups below 2^63 keep rng.sample: these digests were recorded before
+    groups of larger order got their own route."""
+    cases = [(Group.zp(101), RandomSpec(10, 1),
+              "06b4359cf33b8dc6000eb64289f43b9123e48fd457a2e88565b074dd8cbb8c30"),
+             (Group.zp_vec(11, 3), RandomSpec(20, 5),
+              "d90dd944a557c8c6ad963861cef3e30a0e740eec574c9c9a1b7da94407c9a847"),
+             (Group.fq_vec(gf.FieldSpec.make(2, 3), 4), RandomSpec(7, 2),
+              "5fb7845a86518cbb8792aee56c2a1afaec0f8a3f4615328a539c45853c357955")]
+    for group, spec, want in cases:
+        assert build_source(spec, group).digest == want
+
+
+def test_random_source_in_a_group_of_order_at_least_2_63():
+    g = Group.zp_vec(101, 10)                 # order 101^10 > 2^63
+    X = build_source(RandomSpec(5, 1), g)
+    assert len(X) == 5 and X.elements == build_source(RandomSpec(5, 1), g).elements
+    assert X.elements != build_source(RandomSpec(5, 2), g).elements
+    for x in X.elements:
+        g.validate_element(x)
+
+
 def test_budget_errors():
     with pytest.raises(BudgetError):
         build_source(BohrSpec((1,), 0.1), Group.zp(101), budget=50)

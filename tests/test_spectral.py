@@ -5,10 +5,13 @@
 The routes these primitives replaced are kept here as oracles: the |X| x |X|
 difference matrix of ``sym_set``, the ``np.convolve`` fold of ``moment_sum``,
 the |S| x |T| sum matrix of ``paley_double_sum``, the pair matrices of
-``suite_transport`` and the one-frequency-at-a-time character sum.
+``suite_transport`` and the one-frequency-at-a-time character sum, which
+``additive_charsum`` still runs and which is also the oracle of
+``analysis.vector_charsum_table`` (one ``fftn`` over Z_p^n).
 """
 
 import csv
+import json
 import random
 from collections import Counter
 
@@ -247,3 +250,54 @@ def test_cli_charsum_matches_per_frequency_sum(tmp_path):
         assert [int(r[0]) for r in rows] == list(freqs)
         want = charsum_per_frequency(els, 4001, freqs)
         assert np.abs(np.array([float(r[1]) for r in rows]) - want).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# vector_charsum_table over Z_p^n
+# ---------------------------------------------------------------------------
+
+def test_vector_charsum_table_fftn_matches_per_frequency(monkeypatch):
+    rng = random.Random(13)
+    real = an.additive_charsum
+    for p, n, size in ((2, 1, 1), (3, 3, 10), (7, 2, 30), (11, 3, 200), (101, 2, 500)):
+        grp = Group.zp_vec(p, n)
+        X = build_source(ExplicitSpec(tuple(
+            tuple(rng.randrange(p) for _ in range(n)) for _ in range(size))), grp)
+        idx = list(range(grp.order)) if grp.order <= 2000 else rng.sample(range(grp.order), 2000)
+        freqs = [grp.element_from_index(i) for i in idx]
+        calls = []
+        monkeypatch.setattr(an, "additive_charsum",
+                            lambda X, a: calls.append(a) or real(X, a))
+        fft = an.vector_charsum_table(X, idx)             # p^n <= |idx| |X|
+        assert not calls
+        monkeypatch.setenv("ADDEXT_BUDGET", "0")          # per-frequency route only
+        direct = an.vector_charsum_table(X, idx)
+        monkeypatch.delenv("ADDEXT_BUDGET")
+        assert calls == freqs
+        assert np.abs(fft - direct).max() < 1e-12
+        dots = [[sum(a * x for a, x in zip(f, v)) % p for v in X.elements] for f in freqs[:50]]
+        want = [charsum_per_frequency(d, p, [1])[0] for d in dots]
+        assert np.abs(fft[:50] - want).max() < 1e-12
+
+
+def test_cli_charsum_over_vectors_matches_per_frequency_sum(tmp_path):
+    rng = random.Random(14)
+    grp = Group.zp_vec(13, 2)
+    els = [[rng.randrange(13), rng.randrange(13)] for _ in range(60)]
+    src_path = tmp_path / "src.json"
+    src_path.write_text(canonical_json({"group": {"kind": "zp_vec", "p": 13, "n": 2},
+                                        "spec": {"variant": "explicit", "elements": els}}))
+    X = build_source(ExplicitSpec(tuple(map(tuple, els))), grp)
+    for chars, idx in (("all", range(1, 169)), ("5:9", range(5, 9))):
+        out = tmp_path / "c.csv"
+        assert main(["charsum", "--source", str(src_path), "--characters", chars,
+                     "--out", str(out)]) == 0
+        rows = list(csv.reader(open(out)))[1:]
+        freqs = [grp.element_from_index(i) for i in idx]
+        assert [tuple(json.loads(r[0])) for r in rows] == freqs
+        want = [an.additive_charsum(X, f) for f in freqs]
+        assert np.abs(np.array([float(r[1]) for r in rows]) - want).max() < 1e-12
+    fq_path = tmp_path / "fq.json"                # additive characters over F_q^n: none
+    fq_path.write_text(canonical_json({"group": {"kind": "fq_vec", "p": 2, "k": 2, "n": 2},
+                                       "spec": {"variant": "explicit", "elements": [[1, 2]]}}))
+    assert main(["charsum", "--source", str(fq_path), "--out", str(tmp_path / "f.csv")]) == 2

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from addext import extractors as ex
 from addext import suites
+from addext.errors import BudgetError
 
 
 def test_suite_registry_names():
@@ -57,6 +59,11 @@ def test_line_scan_matches_pointwise_distances():
             worst = max(worst, abs(sum(bits) / q - 0.5))
     scan = suites.scan_all_lines(cfg)
     assert worst <= scan["max_distance"] + 1e-12
+
+
+def test_scan_all_lines_refuses_tables_over_the_pair_budget():
+    with pytest.raises(BudgetError):   # 8209^2 > 2^26 pairs
+        suites.scan_all_lines(ex.build_line_extractor(8209, 2))
 
 
 def test_gap_profile_suite_small():
