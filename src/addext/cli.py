@@ -188,6 +188,10 @@ def cmd_verify(args) -> int:
         sig = inspect.signature(fn)
         if "seed" in sig.parameters and "seed" not in kwargs and args.seed is not None:
             kwargs["seed"] = args.seed
+        try:
+            sig.bind(**kwargs)
+        except TypeError as exc:
+            raise InputError(f"suite {args.suite!r}: {exc}") from None
         result = fn(**kwargs)
         header = sorted({k for row in result.rows for k in row})
         csv_rows = [[_cell(row.get(k)) for k in header] for row in result.rows]

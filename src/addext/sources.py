@@ -340,23 +340,34 @@ class Source:
                 "notes": dict(self.notes)}
 
 
-def _bohr_norm_ok(v: int, modulus: int, rho: Fraction) -> bool:
-    return Fraction(min(v, modulus - v), modulus) < rho
+def bohr_vmax(m: int, rho) -> int:
+    """The one Bohr predicate: a residue v mod m has || v/m || < rho iff
+    min(v, m - v) <= bohr_vmax(m, rho). Exact for rho a float or a Fraction;
+    -1 when no residue qualifies."""
+    rho = Fraction(rho)
+    return min((rho.numerator * m - 1) // rho.denominator, m - 1)
+
+
+def _bohr_modulus(group: Group) -> int:
+    if group.kind in ("zp", "zp_vec"):
+        return group.p
+    if group.kind == "zn":
+        return group.crt.combined_modulus
+    raise InputError("Bohr sets are supported over Z_p, Z_p^n and Z_N")
+
+
+def _in_bohr(group: Group, freqs: Sequence, vmax: int, x) -> bool:
+    m = _bohr_modulus(group)
+    for xi in freqs:
+        v = (sum(a * b for a, b in zip(xi, x)) if group.kind == "zp_vec" else xi * x) % m
+        if min(v, m - v) > vmax:
+            return False
+    return True
 
 
 def bohr_membership(group: Group, freqs: Sequence, rho: float, x) -> bool:
     """max over xi in freqs of || xi.x / modulus || < rho (distance to nearest integer)."""
-    rho_f = Fraction(rho)
-    if group.kind == "zp":
-        return all(_bohr_norm_ok(xi * x % group.p, group.p, rho_f) for xi in freqs)
-    if group.kind == "zp_vec":
-        return all(
-            _bohr_norm_ok(sum(a * b for a, b in zip(xi, x)) % group.p, group.p, rho_f)
-            for xi in freqs)
-    if group.kind == "zn":
-        N = group.crt.combined_modulus
-        return all(_bohr_norm_ok(xi * x % N, N, rho_f) for xi in freqs)
-    raise InputError("Bohr sets are supported over Z_p, Z_p^n and Z_N")
+    return _in_bohr(group, freqs, bohr_vmax(_bohr_modulus(group), rho), x)
 
 
 def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> Source:
@@ -401,8 +412,8 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
             raise InputError("Bohr radius must lie in (0, 1)")
         if any(f == group.zero for f in spec.freqs):
             raise InputError("Bohr frequencies must be nonzero")
-        els = {x for x in group.elements(cap)
-               if bohr_membership(group, spec.freqs, spec.rho, x)}
+        vmax = bohr_vmax(_bohr_modulus(group), spec.rho)
+        els = {x for x in group.elements(cap) if _in_bohr(group, spec.freqs, vmax, x)}
         # 0 is always a member, so a Bohr set is never empty
         notes["rank"] = len(spec.freqs)
 
@@ -529,23 +540,46 @@ def cyclic_convolve(va, ca, vb, cb, m: int) -> tuple[np.ndarray, np.ndarray]:
     if m > element_budget():
         raise BudgetError(f"{va.size} x {vb.size} pair sums mod {m} fit neither "
                           f"the pair budget nor the element budget")
-    size = 1 << (2 * m - 2).bit_length()
-    spectrum = (np.fft.rfft(np.bincount(va, weights=ca, minlength=m), size)
-                * np.fft.rfft(np.bincount(vb, weights=cb, minlength=m), size))
-    full = np.fft.irfft(spectrum, size)
-    folded = full[:m].copy()
-    folded[:m - 1] += full[m:2 * m - 1]
-    counts = np.rint(folded)
-    # The FFT's error per entry is about c eps log2(size) |a|_2 |b|_2, with eps
-    # = 2^-53 and c a small constant. Under the default budgets (size <= 2^27)
-    # every caller keeps |a|_2 |b|_2 below 2^31 (sets of at most m <= 2^26
-    # elements; moment_sum keeps |Y|^t < 2^31), so the residual stays below
-    # 1e-4. The check guards inputs beyond those bounds.
-    residual = float(np.abs(folded - counts).max())
-    if residual >= 0.25:
-        raise BudgetError(f"FFT rounding residual {residual} too large to round exactly")
+    counts = convolve_rows(np.bincount(va, weights=ca, minlength=m)[None],
+                           np.bincount(vb, weights=cb, minlength=m)[None], m)[0]
     values = np.flatnonzero(counts)
-    return values, counts[values].astype(np.int64)
+    return values, counts[values]
+
+
+CONVOLVE_CHUNK = 1 << 16  # padded entries per step of convolve_rows: 512 KiB per float64 work array
+
+
+def convolve_rows(A, B, m: int) -> np.ndarray:
+    """Exact cyclic convolutions of the rows of two (rows, m) arrays of
+    non-negative integer weights: out[r, k] = sum over i + j = k mod m of
+    A[r, i] B[r, j], as int64.
+
+    Per chunk of rows, an rfft zero-padded to a power of two >= 2m - 1 (a
+    large prime length through Bluestein costs several times more), folded
+    mod m and rounded; the chunk holds at most CONVOLVE_CHUNK padded entries
+    (at least one row), so memory is O(chunk) whatever the row count.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    size = 1 << (2 * m - 2).bit_length()
+    step = max(1, CONVOLVE_CHUNK // size)
+    out = np.empty((len(A), m), dtype=np.int64)
+    for s in range(0, len(A), step):
+        fa = np.fft.rfft(A[s:s + step], size)
+        fb = fa if B is A else np.fft.rfft(B[s:s + step], size)
+        full = np.fft.irfft(fa * fb, size)
+        folded = full[:, :m].copy()
+        folded[:, :m - 1] += full[:, m:2 * m - 1]
+        counts = np.rint(folded)
+        # The FFT's error per entry is about c eps log2(size) |a|_2 |b|_2, with
+        # eps = 2^-53 and c a small constant. Under the default budgets (size
+        # <= 2^27) every caller keeps |a|_2 |b|_2 below 2^31 (sets of at most
+        # m <= 2^26 elements; moment_sum keeps |Y|^t < 2^31), so the residual
+        # stays below 1e-4. The check guards inputs beyond those bounds.
+        residual = float(np.abs(folded - counts).max())
+        if residual >= 0.25:
+            raise BudgetError(f"FFT rounding residual {residual} too large to round exactly")
+        out[s:s + step] = counts
+    return out
 
 
 def sym_set(X: Source, alpha: float) -> set:
@@ -571,18 +605,13 @@ def sym_set(X: Source, alpha: float) -> set:
 
 
 def doubling(X: Source) -> int:
-    """Exact cardinality of the sumset X + X."""
+    """Exact cardinality of the sumset X + X (over Z_p and Z_N by
+    cyclic_convolve, which picks its route by size)."""
     grp = X.group
-    if grp.kind in ("zp", "zn") and grp.order <= element_budget():
-        m = grp.order
-        mask = 0
-        for x in X.elements:
-            mask |= 1 << x
-        acc = 0
-        for x in X.elements:
-            acc |= mask << x
-        folded = (acc & ((1 << m) - 1)) | (acc >> m)
-        return folded.bit_count()
+    if grp.kind in ("zp", "zn"):
+        arr = np.fromiter(X.elements, dtype=np.int64, count=len(X))
+        ones = np.ones(len(X), dtype=np.int64)
+        return int(cyclic_convolve(arr, ones, arr, ones, grp.order)[0].size)
     if len(X) ** 2 > DEFAULT_PAIR_BUDGET:
         raise BudgetError("pairwise sum scan exceeds budget")
     els = list(X.elements)

@@ -51,9 +51,9 @@ def _random_poly_batch(rng: np.random.Generator, count: int, p: int,
     """Coefficient matrix (count, dmax+1), low degree first, leading coef != 0."""
     degs = rng.integers(dmin, dmax + 1, size=count)
     coeffs = rng.integers(0, p, size=(count, dmax + 1))
-    for i, d in enumerate(degs):
-        coeffs[i, d] = rng.integers(1, p)
-        coeffs[i, d + 1:] = 0
+    # one draw of all leading coefficients: the same stream as one draw per row
+    coeffs[np.arange(count), degs] = rng.integers(1, p, size=count)
+    coeffs[np.arange(dmax + 1)[None, :] > degs[:, None]] = 0
     return coeffs, degs
 
 
@@ -68,7 +68,9 @@ def suite_weil(primes=None, polys_per_p: int = 500, dmin: int = 2, dmax: int = 1
     for p in primes:
         coeffs, degs = _random_poly_batch(rng, polys_per_p, p, dmin, dmax)
         vals = analysis.poly_eval_all(coeffs, p)
-        sums = np.abs(np.exp(2j * np.pi * vals / p).sum(axis=1))
+        # e_p(v) read from a p-entry table: the same values as exp() of each entry
+        e_p = np.exp(2j * np.pi * np.arange(p) / p)
+        sums = np.abs(e_p[vals].sum(axis=1))
         bounds = degs * math.sqrt(p)
         bad = np.nonzero(sums > bounds + TOL)[0]
         res.rows.append({"p": p, "polys": polys_per_p,
@@ -293,9 +295,26 @@ def suite_gap_profile(primes=(101, 499, 1009), dims=(1, 2), sides=(8, 16, 32),
     return res
 
 
-def _bohr_vmax(p: int, rho: Fraction) -> int:
-    """Largest v with v/p < rho (v = distance-to-0 of the residue); -1 if none."""
-    return min((rho.numerator * p - 1) // rho.denominator, p - 1)
+def _bohr_cases(p: int, rho: Fraction, d: int, dilations: np.ndarray | None) -> dict:
+    """Columns of the Bohr checks at rank d, one entry per case: the rank-1
+    set when ``dilations`` is None, else the rank-2 sets {1, c}, one per row
+    c x mod p of ``dilations``. Keys: size, lower, double, sym."""
+    x = np.arange(p)
+    dist = np.minimum(x, p - x)
+    kappa = Fraction(1, 200 * d)
+
+    def masks(r: Fraction) -> np.ndarray:
+        cond = dist <= src.bohr_vmax(p, r)
+        return cond[None, :] if dilations is None else cond & cond[dilations]
+
+    B, B2, Y, Bm = (masks(r) for r in (rho, 2 * rho, kappa * rho, (1 - kappa) * rho))
+    nB, nB2, nBm = B.sum(axis=1), B2.sum(axis=1), Bm.sum(axis=1)
+    # |B cap (B + y)| for every y at once: the autocorrelation of B, which is
+    # the cyclic convolution of B with its reflection x -> -x
+    overlap = src.convolve_rows(B, B[:, -x % p], p)
+    return {"size": nB, "lower": nB >= math.ceil(rho**d * p),
+            "double": nB2 <= 4**d * nB,
+            "sym": ((overlap >= nBm[:, None]) | ~Y).all(axis=1)}
 
 
 def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
@@ -303,66 +322,48 @@ def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
     """Bohr-set bounds in Z_p, exhaustive over rank <= 2 frequency sets up to
     the exact dilation equivalence Bohr({c1,c2}, rho) = c1^{-1} Bohr({1, c2/c1}, rho)
     (verified literally for p <= literal_pmax): size lower bound rho^|S| p,
-    doubling of the radius, and the symmetry witnesses at kappa = 1/(200|S|)."""
+    doubling of the radius, and the symmetry witnesses at kappa = 1/(200|S|).
+
+    Each (p, rho, rank) is one batch: a row of masks per ratio, sizes as row
+    sums, and the overlaps |B cap (B + y)| for all y as the autocorrelation
+    of each row, sum_x B(x) B(x - y), taken from one row-batched convolution."""
     elapsed = _timer()
     res = SuiteResult("bohr", True)
-
-    def cond(p: int, rho: Fraction) -> np.ndarray:
-        x = np.arange(p)
-        v = np.minimum(x, p - x)
-        return v <= _bohr_vmax(p, rho)
-
     for p in nt.primes_upto(pmax):
-        x = np.arange(p)
+        ratios = np.arange(2, p)
+        dilations = (ratios[:, None] * np.arange(p)) % p
         for rho_f in rhos:
             rho = Fraction(rho_f)
             worst = {"p": p, "rho": rho_f, "cases": 0}
-            for d, ratios in ((1, [None]), (2, range(2, p))):
-                kappa = Fraction(1, 200 * d)
-                conds = {name: cond(p, r) for name, r in
-                         (("base", rho), ("double", 2 * rho),
-                          ("kap", kappa * rho), ("one_minus", (1 - kappa) * rho))}
-                for c in ratios:
-                    if c is None:
-                        B, B2, Y, Bm = (conds["base"], conds["double"],
-                                        conds["kap"], conds["one_minus"])
-                    else:
-                        perm = (c * x) % p
-                        B = conds["base"] & conds["base"][perm]
-                        B2 = conds["double"] & conds["double"][perm]
-                        Y = conds["kap"] & conds["kap"][perm]
-                        Bm = conds["one_minus"] & conds["one_minus"][perm]
-                    nB, nB2, nBm = int(B.sum()), int(B2.sum()), int(Bm.sum())
-                    ok_lower = Fraction(nB) >= rho**d * p
-                    ok_double = nB2 <= 4**d * nB
-                    ok_sym = all(int((B & np.roll(B, int(y))).sum()) >= nBm
-                                 for y in np.nonzero(Y)[0])
-                    worst["cases"] += 1
-                    if not (ok_lower and ok_double and ok_sym):
-                        res.failures.append({"p": p, "rho": rho_f, "S_rank": d,
-                                             "ratio": c, "size": nB,
-                                             "lower": ok_lower, "double": ok_double,
-                                             "sym": ok_sym})
+            for d in (1, 2):
+                cases = _bohr_cases(p, rho, d, None if d == 1 else dilations)
+                worst["cases"] += len(cases["size"])
+                ok = cases["lower"] & cases["double"] & cases["sym"]
+                for i in np.flatnonzero(~ok):
+                    res.failures.append({"p": p, "rho": rho_f, "S_rank": d,
+                                         "ratio": None if d == 1 else int(ratios[i]),
+                                         "size": int(cases["size"][i]),
+                                         **{k: bool(cases[k][i])
+                                            for k in ("lower", "double", "sym")}})
             res.rows.append(worst)
     # literal enumeration of all frequency sets for small p, against the
     # dilation-reduced computation
     for p in nt.primes_upto(literal_pmax):
         if p < 3:
             continue
-        rho = Fraction(rhos[0])
         x = np.arange(p)
-        base = cond(p, rho)
+        base = np.minimum(x, p - x) <= src.bohr_vmax(p, Fraction(rhos[0]))
+        # row a is the rank-1 Bohr set of frequency a; sizes[a, b] = |Bohr({a, b})|
+        dilated = base[(x[:, None] * x) % p].astype(np.int64)
+        sizes = dilated @ dilated.T
         for xi1 in range(1, p):
-            s1 = int(base[(xi1 * x) % p].sum())
-            if s1 != int(base.sum()):
+            if sizes[xi1, xi1] != sizes[1, 1]:
                 res.failures.append({"p": p, "kind": "dilation-rank1", "xi": xi1})
-            for xi2 in range(xi1 + 1, p):
-                literal = base[(xi1 * x) % p] & base[(xi2 * x) % p]
-                c = xi2 * pow(xi1, -1, p) % p
-                reduced = base & base[(c * x) % p]
-                if int(literal.sum()) != int(reduced.sum()):
-                    res.failures.append({"p": p, "kind": "dilation-rank2",
-                                         "pair": (xi1, xi2)})
+            xi2 = np.arange(xi1 + 1, p)
+            reduced = sizes[1, xi2 * pow(xi1, -1, p) % p]
+            for j in np.flatnonzero(sizes[xi1, xi2] != reduced):
+                res.failures.append({"p": p, "kind": "dilation-rank2",
+                                     "pair": (xi1, int(xi2[j]))})
     res.notes["dilation_literal_pmax"] = literal_pmax
     res.ok = not res.failures
     res.seconds = elapsed()
@@ -375,15 +376,19 @@ def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
     elapsed = _timer()
     res = SuiteResult("cauchy-davenport", True)
     for p in primes:
-        grp = src.Group.zp(p)
+        src.Group.zp(p)  # p must be prime
         rng = random.Random(seed * 1_000_003 + p)
-        for _ in range(trials):
-            size = rng.randint(1, p)
-            A = rng.sample(range(p), size)
-            # elements of range(p) by construction: no build_source validation
-            X = src.Source(grp, src.ExplicitSpec(tuple(A)), frozenset(A))
-            if src.doubling(X) < min(2 * size - 1, p):
-                res.failures.append({"p": p, "A": sorted(A)})
+        step = max(1, src.CONVOLVE_CHUNK // p)
+        for start in range(0, trials, step):
+            # the same draws, trial by trial, as 0/1 rows; every |A + A| from
+            # one row-batched convolution
+            sets = np.zeros((min(step, trials - start), p), dtype=np.int8)
+            for row in sets:
+                row[rng.sample(range(p), rng.randint(1, p))] = 1
+            size = sets.sum(axis=1, dtype=np.int64)
+            sumset = np.count_nonzero(src.convolve_rows(sets, sets, p), axis=1)
+            for i in np.flatnonzero(sumset < np.minimum(2 * size - 1, p)):
+                res.failures.append({"p": p, "A": np.flatnonzero(sets[i]).tolist()})
         res.rows.append({"p": p, "trials": trials})
     res.ok = not res.failures
     res.seconds = elapsed()
@@ -416,7 +421,8 @@ def suite_transport(primes=(101, 499), sources_per_p: int = 200, alpha: float = 
             Y = gx[X]
             ones = np.ones(size, dtype=np.int64)
             sum_size = src.cyclic_convolve(X, ones, X, ones, p)[0].size
-            prod_size = np.unique((Y[:, None] * Y[None, :]) % q).size
+            prod_size = np.count_nonzero(np.bincount(((Y[:, None] * Y[None, :]) % q).ravel(),
+                                                     minlength=q))
             diffs, counts = src.cyclic_convolve(X, ones, (p - X) % p, ones, p)
             rep_add = np.zeros(p, dtype=np.int64)
             rep_add[diffs] = counts
@@ -425,8 +431,7 @@ def suite_transport(primes=(101, 499), sources_per_p: int = 200, alpha: float = 
                                    minlength=q)
             transport_ok = bool((rep_add == rep_mult[gx]).all())
             thresh = (1 - alpha) * size
-            sym_ok = all(rep_mult[gx[a]] >= thresh
-                         for a in np.nonzero(rep_add >= thresh)[0])
+            sym_ok = bool(((rep_mult[gx] >= thresh) | (rep_add < thresh)).all())
             if not (sum_size == prod_size and transport_ok and sym_ok):
                 res.failures.append({"p": p, "X": X.tolist(),
                                      "sumset": int(sum_size), "prodset": int(prod_size),
@@ -440,7 +445,11 @@ def suite_transport(primes=(101, 499), sources_per_p: int = 200, alpha: float = 
 def ap_distance_histogram(p: int, s: int, cfg: ex.ZpExtractorConfig) -> np.ndarray:
     """Histogram over ones-counts of the 1-bit extractor across all s-term APs
     (every base b, every step d != 0), via the dilation-to-interval identity:
-    the AP (b, d) maps to a length-s window of the d-dilated value sequence."""
+    the AP (b, d) maps to a length-s window of the d-dilated value sequence.
+
+    The AP (b, -d) is the AP (b - (s-1)d, d) traversed backwards, so steps d
+    and p - d give the same multiset of window sums: only d <= p/2 is scanned,
+    each histogram counted twice unless 2d = p."""
     par = np.empty(p, dtype=np.int64)
     cur = 1
     for i in range(p):
@@ -448,12 +457,12 @@ def ap_distance_histogram(p: int, s: int, cfg: ex.ZpExtractorConfig) -> np.ndarr
         cur = cur * cfg.g % cfg.q
     idx = np.arange(p, dtype=np.int64)
     hist = np.zeros(s + 1, dtype=np.int64)
-    for d in range(1, p):
+    for d in range(1, p // 2 + 1):
         perm = par[(d * idx) % p]
         ext = np.concatenate([perm, perm[:s]])
         cs = np.concatenate([[0], np.cumsum(ext)])
         wins = cs[s:s + p] - cs[:p]
-        hist += np.bincount(wins, minlength=s + 1)
+        hist += np.bincount(wins, minlength=s + 1) * (1 if 2 * d == p else 2)
     return hist
 
 
@@ -530,37 +539,41 @@ def suite_moments(qs=(11, 101), ts=(1, 2, 3), parseval_sets: int = 100,
 
 def suite_norms(qs=(2, 3, 4, 5), kmax: int = 4) -> SuiteResult:
     """Norm forms: exhaustive zero locus and homogeneity for every base field
-    order q and degree k <= kmax, with the conjugate-product route as oracle."""
+    order q and degree k <= kmax, with the conjugate-product route as oracle.
+
+    The zero locus is read from the pointwise route; homogeneity is checked
+    for every point and every lambda at once through the batch route, which
+    must equal the pointwise route at every point."""
     elapsed = _timer()
     res = SuiteResult("norms", True)
     for q in qs:
         base = ex.prime_power_field(q)
+        mul = np.array([[base.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
         for k in range(1, kmax + 1):
             extn = gf.get_extension(base, k)
             oracle_stride = 1 if q**k <= 700 else 7
-            checked = 0
-            for idx in range(q**k):
-                coords = []
-                v = idx
-                for _ in range(k):
-                    coords.append(v % q)
-                    v //= q
-                n1 = gf.norm_poly_eval(extn, coords)
-                if (n1 == 0) != (not any(coords)):
-                    res.failures.append({"q": q, "k": k, "coords": coords,
-                                         "error": "zero locus"})
-                if idx % oracle_stride == 0:
-                    if n1 != gf.norm_by_conjugates(extn, coords):
-                        res.failures.append({"q": q, "k": k, "coords": coords,
-                                             "error": "conjugate oracle"})
-                for lam in range(1, q):
-                    lhs = gf.norm_poly_eval(extn, [base.mul(lam, c) for c in coords])
-                    rhs = base.mul(base.pow(lam, k), n1)
-                    if lhs != rhs:
-                        res.failures.append({"q": q, "k": k, "coords": coords,
-                                             "lam": lam, "error": "homogeneity"})
-                checked += 1
-            res.rows.append({"q": q, "k": k, "points": checked})
+            coords = np.arange(q**k)[:, None] // q ** np.arange(k) % q
+            found = []   # (point, order, failure): reported point by point
+            norms = np.empty(q**k, dtype=np.int64)
+            for idx, point in enumerate(coords.tolist()):
+                norms[idx] = gf.norm_poly_eval(extn, point)
+                if (norms[idx] == 0) != (not any(point)):
+                    found.append((idx, 0, {"q": q, "k": k, "coords": point,
+                                           "error": "zero locus"}))
+                if idx % oracle_stride == 0 and norms[idx] != gf.norm_by_conjugates(extn, point):
+                    found.append((idx, 1, {"q": q, "k": k, "coords": point,
+                                           "error": "conjugate oracle"}))
+            for idx in np.flatnonzero(gf.norms_many(extn, coords) != norms):
+                found.append((idx, 2, {"q": q, "k": k, "coords": coords[idx].tolist(),
+                                       "error": "batch route"}))
+            for lam in range(1, q):
+                lhs = gf.norms_many(extn, mul[lam][coords])
+                rhs = mul[base.pow(lam, k)][norms]
+                for idx in np.flatnonzero(lhs != rhs):
+                    found.append((idx, 2 + lam, {"q": q, "k": k, "coords": coords[idx].tolist(),
+                                                 "lam": lam, "error": "homogeneity"}))
+            res.failures += [f for *_, f in sorted(found, key=lambda t: t[:2])]
+            res.rows.append({"q": q, "k": k, "points": q**k})
     res.ok = not res.failures
     res.seconds = elapsed()
     return res
@@ -572,19 +585,30 @@ def suite_norms(qs=(2, 3, 4, 5), kmax: int = 4) -> SuiteResult:
 
 CHARSUM_SCAN_CAP = 1 << 16
 
+_REQUIRED = object()
+
+
+def _key(obj: dict, key: str, what: str, default=_REQUIRED):
+    """obj[key] of a sweep row, family or extractor; a missing required key is
+    an input error, so that the sweep exits 2."""
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
+        raise InputError(f"the {what} has no {key!r}")
+    return default
+
 
 def _row_config(row: dict, group: src.Group):
     """A row's extractor: ``{"build": family, "m": m}``, or a full config that
     must be the one that family builds for the row's group."""
-    e = row.get("extractor")
-    if e is None:
-        raise InputError("the row names no extractor")
+    e = _key(row, "extractor", "row")
     if "variant" in e:
         return ex.config_for_group(e, group)
     unknown = set(e) - {"build", "m"}
     if unknown:
         raise InputError(f"unknown extractor keys {sorted(unknown)}")
-    return ex.build_for_group(e["build"], group, int(e.get("m", 1)))
+    return ex.build_for_group(_key(e, "build", "extractor"), group,
+                              int(_key(e, "m", "extractor", 1)))
 
 
 def _encoded_values(cfg, X: src.Source) -> tuple[list[int], int] | None:
@@ -598,13 +622,13 @@ def _encoded_values(cfg, X: src.Source) -> tuple[list[int], int] | None:
 
 def _sweep_point(row: dict) -> EvalReport:
     t0 = time.perf_counter()
-    fam = row.get("family")
+    fam = _key(row, "family", "row", None)
     if fam is not None:
         rep = _sweep_family(row, fam)
         rep.seconds = time.perf_counter() - t0
         return rep
-    group = src.Group.from_json(row["group"])
-    spec = src.spec_from_json(row["source"])
+    group = src.Group.from_json(_key(row, "group", "row"))
+    spec = src.spec_from_json(_key(row, "source", "row"))
     X = src.build_source(spec, group)
     cfg = _row_config(row, group)
     dist = analysis.extractor_distribution(ex.extract_many(cfg, X.sorted_elements),
@@ -619,12 +643,12 @@ def _sweep_point(row: dict) -> EvalReport:
         if modulus <= CHARSUM_SCAN_CAP:
             freqs = range(1, modulus)
         else:
-            rng = random.Random(row.get("charsum_seed", 113))
+            rng = random.Random(_key(row, "charsum_seed", "row", 113))
             freqs = sorted(rng.sample(range(1, modulus), 256))
             sampled = True
         table = analysis.charsum_table(values, modulus, list(freqs))
         max_charsum = float(table.max())
-        if row.get("per_character"):
+        if _key(row, "per_character", "row", False):
             per_char = [{"xi": int(xi), "value": float(v)}
                         for xi, v in zip(freqs, table)]
     bound, asserted = _sweep_bound(row, cfg, group, spec)
@@ -648,7 +672,7 @@ def _sweep_bound(row: dict, cfg, group, spec) -> tuple[float | None, bool]:
         p = cfg.p
         return (16 * math.log2(p)**2 * math.sqrt(cfg.n * p)
                 * 2**(cfg.m / 2) / spec.k), True
-    alpha = row.get("alpha")
+    alpha = _key(row, "alpha", "row", None)
     if alpha is not None and isinstance(cfg, (ex.ZpExtractorConfig, ex.ZpnExtractorConfig)):
         if isinstance(cfg, ex.ZpExtractorConfig):
             logsize = math.log2(cfg.p)
@@ -661,9 +685,9 @@ def _sweep_bound(row: dict, cfg, group, spec) -> tuple[float | None, bool]:
 def _sweep_family(row: dict, fam: dict) -> EvalReport:
     """An exhaustive family scan. The row's extractor must be the one the scan
     runs: the 1-bit ``zp`` extractor for ``all_aps``, ``line`` for ``all_lines``."""
-    kind = fam["kind"]
+    kind = _key(fam, "kind", "family")
     if kind == "all_aps":
-        p, s = int(fam["p"]), int(fam["s"])
+        p, s = int(_key(fam, "p", "family")), int(_key(fam, "s", "family"))
         cfg = _row_config(row, src.Group.zp(p))
         if not isinstance(cfg, ex.ZpExtractorConfig) or cfg.m != 1:
             raise InputError("the all_aps family scan runs the 1-bit zp extractor")
@@ -677,7 +701,8 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
             extra={"median_distance": _median_distance_from_hist(hist, s),
                    "family": fam})
     if kind == "all_lines":
-        group = src.Group.fq_vec(ex.prime_power_field(int(fam["q"])), int(fam.get("n", 2)))
+        group = src.Group.fq_vec(ex.prime_power_field(int(_key(fam, "q", "family"))),
+                                 int(_key(fam, "n", "family", 2)))
         cfg = _row_config(row, group)
         row_scan = scan_all_lines(cfg)
         bound = row_scan["charsum_bound"]

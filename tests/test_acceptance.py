@@ -6,11 +6,50 @@ pass/fail line. Criterion 10's absolute threshold downgrades to a warning on a
 miss (with the measured curve attached); its monotonicity assertion is hard.
 """
 
+import functools
 import warnings
 
+import pytest
+
 from addext import suites
+from test_golden import suite_digest
 
 TOL = 1e-6
+
+# Digests of each suite's JSON without ``seconds`` at its defaults, recorded
+# before the suites were batched (see test_golden.py).
+GOLDEN_DEFAULTS = {
+    "bohr":
+        "816c7d68535c47a04b8699bdb4b15e0ad561e9b2673e061135d830d81f873dd0",
+    "cauchy-davenport":
+        "d4bc0c0eb045d59e65baadb57a7338f67b80787d2e227438a1892e0876523fc9",
+    "gap-profile":
+        "94184206fd93890eeebb66747dcde32d2dcb6937e2deec54c34773c6892e8930",
+    "l1":
+        "893e7876df627df2c6020e2757e79057e0c9ee497a31393c3efb21ceaa7d5437",
+    "lines":
+        "92a4693933ac9e141218307727499e5669057437f59012618168b33f32dc541b",
+    "moments":
+        "4601ad7eec18ceab7bf07e03c6eafbd1ab38f0903cecb0d58c8b71674f035461",
+    "norms":
+        "56b934cace659f4a77c9cd703f979af27c9d20e717f000d00baabddd37caaa4a",
+    "partial-ap":
+        "3a7236c419fd2e18ae100cbf324c9b35e0fd628c16a2951a93f2a8df7d34a3d6",
+    "transport":
+        "7dc0c6988d2779bb4e404267ba26b346220fd1538029d3ac5051326123a3c501",
+    "weil":
+        "6a2c5e5a181ba0ef7e8ce6809a463e106d8769f845ba23a6240f413e7356f9fb",
+    "xor":
+        "83759605ca058b85715330c5e6ea2507d2d285b8868b0a11999d2e6c88cb2021",
+    "zp-trend":
+        "7e58bf98ef08a921892796ca1143e66763530bd92b41dd1781720b69fc3d7cb6",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _run(name: str):
+    """One default run per suite, shared by its criterion and its golden check."""
+    return suites.SUITES[name]()
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -20,7 +59,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_weil_additive_bound():
     # primes 11..199, 500 seeded polynomials each, 2 <= d <= 10: sum <= d sqrt(p)
-    r = suites.suite_weil()
+    r = _run("weil")
     worst = max(row["max_ratio"] for row in r.rows)
     _report(1, "Weil additive bound", r.ok, f"max sum/bound = {worst:.4f}")
     assert r.ok, r.failures[:3]
@@ -28,7 +67,7 @@ def test_criterion_01_weil_additive_bound():
 
 def test_criterion_02_partial_ap_sums():
     # p in {101,199,499}, 100 polynomials, every prefix, 20 frequencies each
-    r = suites.suite_partial_ap()
+    r = _run("partial-ap")
     worst = max(row["max_ratio"] for row in r.rows)
     _report(2, "partial progression sums vs 4 log2(p) sqrt(p) d", r.ok,
             f"max sum/bound = {worst:.4f}")
@@ -37,7 +76,7 @@ def test_criterion_02_partial_ap_sums():
 
 def test_criterion_03_interval_fourier_l1():
     # all p <= 499, all 1 <= s <= p: L1 of the interval spectrum <= 4 log2 p
-    r = suites.suite_l1()
+    r = _run("l1")
     worst = max(row["max_l1"] / row["bound"] for row in r.rows)
     _report(3, "interval Fourier L1 vs 4 log2 p", r.ok,
             f"max l1/bound = {worst:.4f}")
@@ -46,7 +85,7 @@ def test_criterion_03_interval_fourier_l1():
 
 def test_criterion_04_xor_residual_exact():
     # square-free odd N, every coprime M < N, exact rationals vs 2M/N
-    r = suites.suite_xor()
+    r = _run("xor")
     cases = sum(row["cases"] for row in r.rows)
     _report(4, "mod-M reduction residual <= 2M/N (exact)", r.ok,
             f"{cases} (N, M) pairs")
@@ -55,7 +94,7 @@ def test_criterion_04_xor_residual_exact():
 
 def test_criterion_05_line_extractor_bounds():
     # exhaustive over all affine lines of F_q^2, q in {9,16,25,49,64}
-    r = suites.suite_lines()
+    r = _run("lines")
     detail = "; ".join(
         f"q={row['q']}: sum {row['max_charsum']:.3f}, dist {row['max_distance']:.3f}"
         f" <= {row['charsum_bound']:.3f}" for row in r.rows)
@@ -65,7 +104,7 @@ def test_criterion_05_line_extractor_bounds():
 
 def test_criterion_06_gap_additive_profile():
     # seeded proper GAPs: doubling, sub-GAP size, representation counts
-    r = suites.suite_gap_profile()
+    r = _run("gap-profile")
     built = sum(row["gaps"] for row in r.rows)
     _report(6, "proper GAP profile inequalities", r.ok, f"{built} GAPs checked")
     assert r.ok, r.failures[:3]
@@ -73,7 +112,7 @@ def test_criterion_06_gap_additive_profile():
 
 def test_criterion_07_bohr_bounds():
     # exhaustive p <= 499 up to dilation, |S| <= 2, rho in {0.1, 0.2, 0.3}
-    r = suites.suite_bohr()
+    r = _run("bohr")
     cases = sum(row["cases"] for row in r.rows)
     _report(7, "Bohr size, doubling and symmetry-witness bounds", r.ok,
             f"{cases} cases; dilation verified literally to p <= "
@@ -82,7 +121,7 @@ def test_criterion_07_bohr_bounds():
 
 
 def test_criterion_08_cauchy_davenport():
-    r = suites.suite_cauchy_davenport()
+    r = _run("cauchy-davenport")
     _report(8, "Cauchy-Davenport on random subsets", r.ok,
             f"{sum(row['trials'] for row in r.rows)} trials")
     assert r.ok, r.failures[:3]
@@ -90,7 +129,7 @@ def test_criterion_08_cauchy_davenport():
 
 def test_criterion_09_encoding_transport():
     # injectivity, |Y Y| = |X+X|, exact symmetry-set transport, 200 sources per p
-    r = suites.suite_transport()
+    r = _run("transport")
     _report(9, "subgroup-encoding structure transport (exact)", r.ok,
             f"{sum(row['sources'] for row in r.rows)} sources")
     assert r.ok, r.failures[:3]
@@ -99,7 +138,7 @@ def test_criterion_09_encoding_transport():
 def test_criterion_10_zp_extractor_trend():
     # exhaustive s-APs, s = ceil(p^0.7), m = 1: medians non-increasing (hard);
     # final median < 0.25 (soft: downgrades to a warning with the curve)
-    r = suites.suite_zp_trend()
+    r = _run("zp-trend")
     meds = ", ".join(f"{m:.4f}" for m in r.notes["medians"])
     soft = r.notes["threshold_met"]
     _report(10, "1-bit distance trend over all APs", r.ok and soft,
@@ -110,15 +149,20 @@ def test_criterion_10_zp_extractor_trend():
 
 
 def test_criterion_11_moment_sum_identities():
-    r = suites.suite_moments()
+    r = _run("moments")
     _report(11, "moment-sum identities (exact integers)", r.ok)
     assert r.ok, r.failures[:3]
 
 
 def test_criterion_12_norm_polynomial_suite():
     # exhaustive zero locus + homogeneity, q in {2,3,4,5}, k <= 4
-    r = suites.suite_norms()
+    r = _run("norms")
     pts = sum(row["points"] for row in r.rows)
     _report(12, "norm-form zero locus and homogeneity", r.ok,
             f"{pts} points, conjugate-product oracle sampled")
     assert r.ok, r.failures[:3]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DEFAULTS))
+def test_suite_json_at_defaults_matches_golden(name):
+    assert suite_digest(_run(name)) == GOLDEN_DEFAULTS[name]

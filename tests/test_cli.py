@@ -139,6 +139,42 @@ def test_sweep_failures_in_grid_order_for_any_threads(tmp_path, capsys):
     assert len(tables[0]) == 4 and tables[0] == tables[1]
 
 
+_ROW = {"group": {"kind": "zp", "p": 11},
+        "source": {"variant": "explicit", "elements": [1, 2]},
+        "extractor": {"build": "zp", "m": 1}}
+
+
+@pytest.mark.parametrize("row, missing", [
+    ({k: v for k, v in _ROW.items() if k != "source"}, "source"),
+    ({k: v for k, v in _ROW.items() if k != "group"}, "group"),
+    ({k: v for k, v in _ROW.items() if k != "extractor"}, "extractor"),
+    (dict(_ROW, extractor={"m": 1}), "build"),
+    ({"family": {"kind": "all_aps", "s": 5}, "extractor": {"build": "zp"}}, "p"),
+    ({"family": {"kind": "all_aps", "p": 11}, "extractor": {"build": "zp"}}, "s"),
+    ({"family": {"kind": "all_lines", "n": 2}, "extractor": {"build": "line"}}, "q"),
+])
+def test_sweep_row_missing_a_key_exits_two(tmp_path, capsys, row, missing):
+    grid = write(tmp_path / "grid.json", {"rows": [row, _ROW]})
+    out = str(tmp_path / "sw.csv")
+    assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "InputError: the " in err and f"has no '{missing}'" in err
+    assert "Traceback" not in err
+    assert len(list(csv.reader(open(out)))) == 2   # the good row is written
+
+
+@pytest.mark.parametrize("suite, kwargs", [("weil", {"bogus": 1}),
+                                           ("l1", {"seed": 3}),
+                                           ("bohr", {"pmax": 31, "trials": 2})])
+def test_verify_unknown_suite_kwargs_exit_two(tmp_path, capsys, suite, kwargs):
+    grid = write(tmp_path / "grid.json", {"kwargs": kwargs})
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--suite", suite, "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: suite '{suite}'") and "unexpected keyword" in err
+    assert not out.exists()
+
+
 def test_random_source_in_a_group_of_order_at_least_2_63(tmp_path):
     spec = write(tmp_path / "big.json", {"group": {"kind": "zp_vec", "p": 101, "n": 10},
                                          "spec": {"variant": "random", "size": 5, "seed": 1}})

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from addext.numtheory import CrtSystem
 from addext.sources import (AffineSpec, ApSpec, BohrSpec,
                             ExplicitSpec, GapSpec, Group, HapSpec, LineSpec,
                             ListDecodabilityParams, RandomSpec, Source,
-                            additive_profile, bohr_regularity_probe, build_source,
+                            additive_profile, bohr_regularity_probe, bohr_vmax, build_source,
                             doubling, gap_decomposition, is_proper_gap,
                             list_decodability_check, rep_count, spec_from_json,
                             spec_to_json, sub_gap, sym_set)
@@ -125,6 +126,20 @@ def test_bohr_membership_boundary_is_exact():
     assert max(min(v, 13 - v) for v in Y.elements) == 3
 
 
+def test_bohr_vmax_matches_the_fraction_form():
+    # the one integer predicate against || v/m || < rho in exact rationals
+    rng = random.Random(11)
+    rhos = [0.1, 0.2, 0.25, 0.3, 1 / 3, 0.5, 0.999, 1.0, 1.5, 0.0, 1e-9]
+    for m in list(range(1, 80)) + [rng.randrange(80, 10**12) for _ in range(40)]:
+        cases = rhos + [k / m for k in range(0, m + 1, max(1, m // 7))]
+        vs = range(m) if m < 80 else [0, 1, m // 2, m - 1] + [rng.randrange(m) for _ in range(30)]
+        for rho in cases:
+            vmax = bohr_vmax(m, rho)
+            for v in vs:
+                dist = min(v, m - v)
+                assert (dist <= vmax) == (Fraction(dist, m) < Fraction(rho)), (m, rho, v)
+
+
 def test_bohr_vector_group_dot_product():
     g = Group.zp_vec(7, 2)
     X = build_source(BohrSpec(((1, 0), (0, 1)), 0.3), g)
@@ -200,6 +215,13 @@ def test_doubling_examples():
     zn = Group.zn(CrtSystem.make([3, 5]))
     coset = build_source(ExplicitSpec((1, 6, 11)), zn)  # coset of {0,5,10}
     assert doubling(coset) == 3
+
+
+def test_doubling_in_a_large_group_takes_the_pairs_route():
+    rng = random.Random(4)
+    grp = Group.zp(1000003)
+    X = build_source(ExplicitSpec(tuple(rng.sample(range(1000003), 200))), grp)
+    assert doubling(X) == len(naive_sumset(X.elements, grp))
 
 
 def test_doubling_matches_naive():

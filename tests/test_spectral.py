@@ -12,6 +12,7 @@ the |S| x |T| sum matrix of ``paley_double_sum``, the pair matrices of
 
 import csv
 import json
+import math
 import random
 from collections import Counter
 
@@ -25,7 +26,9 @@ from addext.canonical import canonical_json
 from addext.cli import main
 from addext.errors import BudgetError
 from addext.numtheory import CrtSystem
-from addext.sources import ExplicitSpec, Group, build_source, cyclic_convolve, sym_set
+from addext import sources
+from addext.sources import (ExplicitSpec, Group, build_source, convolve_rows, cyclic_convolve,
+                            sym_set)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +150,56 @@ def test_cyclic_convolve_property(case):
     got = as_pairs(cyclic_convolve(va, ca, vb, cb, m))
     assert got == naive_convolve(va, ca, vb, cb, m)
     assert [v for v, _ in got] == sorted({v for v, _ in got})
+
+
+def dense_by_pairs(row_a, row_b, m):
+    """One row of convolve_rows through the pairs route of cyclic_convolve."""
+    va, vb = np.flatnonzero(row_a), np.flatnonzero(row_b)
+    assert va.size * vb.size <= m  # the pairs route
+    values, counts = cyclic_convolve(va, row_a[va], vb, row_b[vb], m)
+    out = np.zeros(m, dtype=np.int64)
+    out[values] = counts
+    return out
+
+
+@pytest.mark.parametrize("chunk", [sources.CONVOLVE_CHUNK, 1, 700])
+def test_convolve_rows_matches_the_pairs_route(monkeypatch, chunk):
+    # small chunks force one row per step, or a few rows per step
+    monkeypatch.setattr(sources, "CONVOLVE_CHUNK", chunk)
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 3, 17, 101, 256, 499):
+        rows = 9
+        A = np.zeros((rows, m), dtype=np.int64)
+        B = np.zeros((rows, m), dtype=np.int64)
+        for r in range(rows):
+            # sparse rows, so that every pair count stays on the pairs route
+            k = int(rng.integers(0, max(1, math.isqrt(m)) + 1))
+            A[r, rng.choice(m, k, replace=False)] = rng.integers(1, 50, size=k)
+            B[r, rng.choice(m, k, replace=False)] = rng.integers(1, 50, size=k)
+        got = convolve_rows(A, B, m)
+        assert got.dtype == np.int64 and got.shape == (rows, m)
+        for r in range(rows):
+            assert (got[r] == dense_by_pairs(A[r], B[r], m)).all(), (m, r)
+
+
+def test_convolve_rows_autocorrelation_is_the_overlap_count():
+    # the identity suite_bohr relies on: row r of convolve_rows(B, B[:, -x], p)
+    # at y is |B cap (B + y)|, the count np.roll gave per shift
+    rng = np.random.default_rng(3)
+    p = 61
+    B = rng.random((12, p)) < 0.3
+    x = np.arange(p)
+    got = convolve_rows(B, B[:, -x % p], p)
+    for r in range(len(B)):
+        want = [int((B[r] & np.roll(B[r], y)).sum()) for y in range(p)]
+        assert got[r].tolist() == want
+
+
+def test_convolve_rows_refuses_an_inexact_fft(monkeypatch):
+    real = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real(*a, **k) + 0.3)
+    with pytest.raises(BudgetError):
+        convolve_rows(np.ones((2, 11)), np.ones((2, 11)), 11)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from addext import extractors as ex
+from addext import extractors as ex, gf, sources as src
 from addext import suites
-from addext.errors import BudgetError
+from addext.errors import BudgetError, InputError
 
 
 def test_suite_registry_names():
@@ -225,3 +228,180 @@ def test_sweep_charsum_budget_sampling():
     r = suites.suite_sweep(grid)
     assert r.ok
     assert r.rows[0].extra["charsum_sampled"]
+
+
+# ---------------------------------------------------------------------------
+# the batched suites against the loops they replaced
+# ---------------------------------------------------------------------------
+
+def test_poly_batch_matches_one_lead_draw_per_row():
+    def per_row(rng, count, p, dmin, dmax):
+        degs = rng.integers(dmin, dmax + 1, size=count)
+        coeffs = rng.integers(0, p, size=(count, dmax + 1))
+        for i, d in enumerate(degs):
+            coeffs[i, d] = rng.integers(1, p)
+            coeffs[i, d + 1:] = 0
+        return coeffs, degs
+
+    for p in (2, 11, 101, 199, 65537, 2**31 - 1, 2**61 - 1):
+        for seed in (0, 101, 7):
+            want = per_row(np.random.default_rng(seed), 50, p, 1, 6)
+            got = suites._random_poly_batch(np.random.default_rng(seed), 50, p, 1, 6)
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+
+
+def test_weil_table_equals_exp_of_each_value():
+    p = 199
+    vals = np.random.default_rng(1).integers(0, p, size=(30, p))
+    table = np.exp(2j * np.pi * np.arange(p) / p)
+    assert np.array_equal(table[vals], np.exp(2j * np.pi * vals / p))
+
+
+def bohr_cases_by_roll(p, rho, d):
+    """The per-ratio loop that suites._bohr_cases replaced."""
+    x = np.arange(p)
+    kappa = Fraction(1, 200 * d)
+    conds = [np.minimum(x, p - x) <= src.bohr_vmax(p, r)
+             for r in (rho, 2 * rho, kappa * rho, (1 - kappa) * rho)]
+    out = []
+    for c in ([None] if d == 1 else range(2, p)):
+        if c is None:
+            B, B2, Y, Bm = conds
+        else:
+            perm = (c * x) % p
+            B, B2, Y, Bm = (m & m[perm] for m in conds)
+        nB, nB2, nBm = int(B.sum()), int(B2.sum()), int(Bm.sum())
+        out.append((nB, Fraction(nB) >= rho**d * p, nB2 <= 4**d * nB,
+                    all(int((B & np.roll(B, int(y))).sum()) >= nBm
+                        for y in np.nonzero(Y)[0])))
+    return out
+
+
+@pytest.mark.parametrize("p, rho", [(2, 0.1), (3, 0.3), (61, 0.2), (101, 0.45),
+                                    (211, Fraction(3, 10)), (503, 0.95)])
+def test_bohr_cases_match_the_per_ratio_roll_loop(p, rho):
+    # at p = 503, rho = 0.95 the witness sets hold y = +-1 as well as 0
+    rho = Fraction(rho)
+    x = np.arange(p)
+    for d in (1, 2):
+        dil = None if d == 1 else (np.arange(2, p)[:, None] * x) % p
+        cases = suites._bohr_cases(p, rho, d, dil)
+        got = [(int(n), bool(lo), bool(db), bool(sy)) for n, lo, db, sy in
+               zip(cases["size"], cases["lower"], cases["double"], cases["sym"])]
+        assert got == bohr_cases_by_roll(p, rho, d)
+
+
+def test_cauchy_davenport_matches_per_trial_doubling(monkeypatch):
+    p, trials, seed = 101, 300, 3
+    rng = random.Random(seed * 1_000_003 + p)
+    grp = src.Group.zp(p)
+    drawn, sizes = [], []
+    for _ in range(trials):
+        size = rng.randint(1, p)
+        A = rng.sample(range(p), size)
+        drawn.append(sorted(A))
+        sizes.append(src.doubling(src.Source(grp, src.ExplicitSpec(tuple(A)), frozenset(A))))
+    rows = np.zeros((trials, p), dtype=np.int8)
+    for i, A in enumerate(drawn):
+        rows[i, A] = 1
+    assert np.count_nonzero(src.convolve_rows(rows, rows, p), axis=1).tolist() == sizes
+    assert suites.suite_cauchy_davenport(primes=(p,), trials=trials, seed=seed).ok
+    # with every sumset reported empty, each trial fails: the suite drew the
+    # same sets in the same order
+    monkeypatch.setattr(src, "convolve_rows", lambda A, B, m: np.zeros_like(A))
+    r = suites.suite_cauchy_davenport(primes=(p,), trials=trials, seed=seed)
+    assert r.failures == [{"p": p, "A": A} for A in drawn]
+
+
+def test_cauchy_davenport_rejects_a_composite_modulus():
+    with pytest.raises(InputError):
+        suites.suite_cauchy_davenport(primes=(100,), trials=3)
+
+
+def transport_by_unique(primes, sources_per_p, alpha, seed):
+    """suite_transport's loop with the np.unique product set and the
+    per-element symmetry test it replaced."""
+    rows, failures = [], []
+    for p in primes:
+        cfg = ex.build_zp_extractor(p, 1)
+        q = cfg.q
+        gx = np.array([pow(cfg.g, i, q) for i in range(p)], dtype=np.int64)
+        rng = random.Random(seed * 1_000_003 + p)
+        for _ in range(sources_per_p):
+            size = rng.randint(2, p)
+            X = np.array(sorted(rng.sample(range(p), size)), dtype=np.int64)
+            Y = gx[X]
+            ones = np.ones(size, dtype=np.int64)
+            sum_size = src.cyclic_convolve(X, ones, X, ones, p)[0].size
+            prod_size = np.unique((Y[:, None] * Y[None, :]) % q).size
+            diffs, counts = src.cyclic_convolve(X, ones, (p - X) % p, ones, p)
+            rep_add = np.zeros(p, dtype=np.int64)
+            rep_add[diffs] = counts
+            Yinv = gx[(p - X) % p]
+            rep_mult = np.bincount(((Y[:, None] * Yinv[None, :]) % q).ravel(), minlength=q)
+            transport_ok = bool((rep_add == rep_mult[gx]).all())
+            thresh = (1 - alpha) * size
+            sym_ok = all(rep_mult[gx[a]] >= thresh for a in np.nonzero(rep_add >= thresh)[0])
+            if not (sum_size == prod_size and transport_ok and sym_ok):
+                failures.append({"p": p, "X": X.tolist()})
+        rows.append({"p": p, "q": q, "sources": sources_per_p})
+    return rows, failures
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.9])
+def test_transport_matches_the_unique_product_set(alpha):
+    r = suites.suite_transport(primes=(3, 101), sources_per_p=15, alpha=alpha, seed=4)
+    assert (r.rows, r.failures) == transport_by_unique((3, 101), 15, alpha, 4)
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 2), (5, 4), (11, 6), (101, 26), (211, 43)])
+def test_ap_histogram_matches_every_step(p, s):
+    cfg = ex.build_zp_extractor(p, 1)
+    par = np.array([pow(cfg.g, i, cfg.q) & 1 for i in range(p)], dtype=np.int64)
+    idx = np.arange(p)
+    want = np.zeros(s + 1, dtype=np.int64)
+    for d in range(1, p):   # every step, as before the d <-> -d symmetry
+        ext = np.concatenate([par[(d * idx) % p]] * 2)
+        want += np.bincount([ext[b:b + s].sum() for b in range(p)], minlength=s + 1)
+    assert suites.ap_distance_histogram(p, s, cfg).tolist() == want.tolist()
+
+
+def norms_by_lambda(qs, kmax):
+    """suite_norms' loop: pointwise norm_poly_eval per point and per lambda."""
+    rows, failures = [], []
+    for q in qs:
+        base = ex.prime_power_field(q)
+        for k in range(1, kmax + 1):
+            extn = gf.get_extension(base, k)
+            oracle_stride = 1 if q**k <= 700 else 7
+            for idx in range(q**k):
+                coords = [idx // q**j % q for j in range(k)]
+                n1 = gf.norm_poly_eval(extn, coords)
+                if (n1 == 0) != (not any(coords)):
+                    failures.append({"q": q, "k": k, "coords": coords, "error": "zero locus"})
+                if idx % oracle_stride == 0 and n1 != gf.norm_by_conjugates(extn, coords):
+                    failures.append({"q": q, "k": k, "coords": coords,
+                                     "error": "conjugate oracle"})
+                for lam in range(1, q):
+                    lhs = gf.norm_poly_eval(extn, [base.mul(lam, c) for c in coords])
+                    if lhs != base.mul(base.pow(lam, k), n1):
+                        failures.append({"q": q, "k": k, "coords": coords, "lam": lam,
+                                         "error": "homogeneity"})
+            rows.append({"q": q, "k": k, "points": q**k})
+    return rows, failures
+
+
+def test_norms_match_the_per_lambda_loop(monkeypatch):
+    r = suites.suite_norms(qs=(2, 3, 4, 5), kmax=3)
+    assert r.ok and (r.rows, r.failures) == norms_by_lambda((2, 3, 4, 5), 3)
+    # a faulty oracle is reported as by the loop, in the same order
+    real_conj, real_eval = gf.norm_by_conjugates, gf.norm_poly_eval
+    monkeypatch.setattr(gf, "norm_by_conjugates",
+                        lambda e, c: real_conj(e, c) + (sum(c) % 3 == 1))
+    r = suites.suite_norms(qs=(3, 4), kmax=2)
+    assert r.failures and r.failures == norms_by_lambda((3, 4), 2)[1]
+    # a faulty pointwise route is caught where it leaves the batch route
+    monkeypatch.setattr(gf, "norm_poly_eval",
+                        lambda e, c: 0 if list(c) == [1, 1] else real_eval(e, c))
+    r = suites.suite_norms(qs=(3,), kmax=2)
+    assert {"q": 3, "k": 2, "coords": [1, 1], "error": "batch route"} in r.failures
