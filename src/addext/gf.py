@@ -13,7 +13,7 @@ those F_p digits c_i, so that p^k never has to fit in a machine word.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -283,7 +283,6 @@ class ExtensionField:
     ext: FieldSpec
     beta: int
     norm_exponent: int
-    _base_image: dict[int, int] = field(repr=False, compare=False)
 
     def embed(self, c: int) -> int:
         """Image in E of the base-field element c (Horner at beta)."""
@@ -294,9 +293,9 @@ class ExtensionField:
         return acc
 
     def coerce_to_base(self, u: int) -> int:
-        c = self._base_image.get(u)
-        assert c is not None, "norm value escaped the base field"
-        return c
+        """The base-field element c with embed(c) = u (see _to_base)."""
+        digits = np.array([self.ext.decode(u)], dtype=np.int64)
+        return self.base.encode(_to_base(self, digits)[0].tolist())
 
     def lift(self, coords: Sequence[int]) -> int:
         """sum embed(c_i) * theta^(i-1) in E, for c_i in the base field."""
@@ -310,12 +309,15 @@ class ExtensionField:
         return acc
 
 
-def _row_reduce(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row-echelon basis of the row space of ``rows`` over F_p, and the
-    pivot column of each basis row (1 there, 0 in every other basis row)."""
+def _row_reduce(rows: Sequence[Sequence[int]],
+                p: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Reduced row-echelon basis of the row space of ``rows`` over F_p, the
+    pivot column of each basis row (1 there, 0 in every other basis row), and
+    the index of the input row that added each basis row, i.e. raised the rank."""
     basis: list[list[int]] = []
     pivots: list[int] = []
-    for row in rows:
+    raised: list[int] = []
+    for index, row in enumerate(rows):
         row = [x % p for x in row]
         for bas, piv in zip(basis, pivots):
             f = row[piv]
@@ -332,7 +334,8 @@ def _row_reduce(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]],
                 basis[i] = [(x - f * y) % p for x, y in zip(bas, row)]
         basis.append(row)
         pivots.append(nz)
-    return basis, pivots
+        raised.append(index)
+    return basis, pivots, raised
 
 
 def _subfield_elements(ext: FieldSpec, base_degree: int) -> list[int]:
@@ -351,7 +354,7 @@ def _subfield_elements(ext: FieldSpec, base_degree: int) -> list[int]:
             acc = ext.add(acc, cur)
             cur = ext.pow(cur, q)
         images.append(list(ext.decode(acc)))
-    basis, _ = _row_reduce(images, p)
+    basis, *_ = _row_reduce(images, p)
     if len(basis) != base_degree:
         raise AssertionError("trace image has wrong dimension")
     out = []
@@ -374,14 +377,13 @@ def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
         raise InputError("extension degree must be >= 1")
     q = base.order
     if q > EXTENSION_BASE_CAP:
-        raise BudgetError(f"base field of order {q} too large for coercion tables")
+        raise BudgetError(f"base field of order {q} exceeds the extension cap "
+                          f"{EXTENSION_BASE_CAP}")
     e = (q**degree - 1) // (q - 1) if q > 1 else 1
+    ext = FieldSpec.make(base.p, base.k * degree) if degree > 1 else base
     if degree == 1:
-        image = {c: c for c in range(q)}
         beta = base.encode((0, 1)) if base.k > 1 else 0
-        return ExtensionField(base, 1, base, beta, e, image)
-    ext = FieldSpec.make(base.p, base.k * degree)
-    if base.k == 1:
+    elif base.k == 1:
         beta = 0  # root of x; base elements embed as constants
     else:
         candidates = _subfield_elements(ext, base.k)
@@ -397,10 +399,8 @@ def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
         if len(roots) != base.k:
             raise AssertionError("modulus does not split in the subfield")
         beta = min(roots)
-    out = ExtensionField(base, degree, ext, beta, e, {})
-    image = {out.embed(c): c for c in range(q)}
-    assert len(image) == q, "embedding is not injective"
-    object.__setattr__(out, "_base_image", image)
+    out = ExtensionField(base, degree, ext, beta, e)
+    _norm_maps(out)  # checks that the embedding is injective
     return out
 
 
@@ -551,14 +551,27 @@ def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     lift = [E.decode(ext.lift([0] * i + [u])) for i in range(ext.degree) for u in unit]
     embed = [list(E.decode(ext.embed(u))) for u in unit]
     # row reducing [embed | I] gives [R | T] with T embed = R, R = I on the pivots
-    rows, pivots = _row_reduce([e + [int(i == j) for j in range(k)]
-                                for i, e in enumerate(embed)], p)
-    assert len(rows) == k and max(pivots) < K, "the embedding is not injective"
+    rows, pivots, _ = _row_reduce([e + [int(i == j) for j in range(k)]
+                                   for i, e in enumerate(embed)], p)
+    if len(rows) != k or max(pivots) >= K:
+        raise AssertionError("the embedding is not injective")
     maps = (np.array(lift, dtype=np.int64), np.array(embed, dtype=np.int64),
             np.array(pivots), np.array([r[K:] for r in rows], dtype=np.int64))
     for m in maps:
         m.flags.writeable = False  # cached: shared by every caller
     return maps
+
+
+def _to_base(ext: ExtensionField, u: np.ndarray) -> np.ndarray:
+    """Base digits of the embedded elements whose E digits are the rows of u:
+    u read on the pivot columns of the embedding times its inverse there,
+    checked by re-embedding."""
+    p = ext.base.p
+    _, embed, pivots, back = _norm_maps(ext)
+    v = u[:, pivots] @ back % p
+    if not (v @ embed % p == u).all():
+        raise AssertionError("norm value escaped the base field")
+    return v
 
 
 def norms_many(ext: ExtensionField, coords) -> np.ndarray:
@@ -573,13 +586,10 @@ def norms_many(ext: ExtensionField, coords) -> np.ndarray:
     if c.ndim != 2 or c.shape[1] > ext.degree:
         raise InputError("expected an (N, b) array of at most b coordinates")
     p = ext.base.p
-    lift, embed, pivots, back = _norm_maps(ext)
-    lift = lift[:c.shape[1] * ext.base.k]
+    lift = _norm_maps(ext)[0][:c.shape[1] * ext.base.k]
     out = np.empty(len(c), dtype=np.int64)
     for s in range(0, len(c), NORM_CHUNK):
         chunk = to_digits(ext.base, c[s:s + NORM_CHUNK])
         u = pow_many(ext.ext, chunk.reshape(len(chunk), -1) @ lift % p, ext.norm_exponent)
-        v = u[:, pivots] @ back % p
-        assert (v @ embed % p == u).all(), "norm value escaped the base field"
-        out[s:s + NORM_CHUNK] = from_digits(ext.base, v)
+        out[s:s + NORM_CHUNK] = from_digits(ext.base, _to_base(ext, u))
     return out

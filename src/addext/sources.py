@@ -79,11 +79,14 @@ class Group:
     def order(self) -> int:
         if self.kind == "zp":
             return self.p
-        if self.kind == "zp_vec":
-            return self.p**self.n
-        if self.kind == "fq_vec":
-            return self.field.order**self.n
-        return self.crt.combined_modulus
+        if self.kind == "zn":
+            return self.crt.combined_modulus
+        return self.base_order**self.n
+
+    @property
+    def base_order(self) -> int:
+        """Order of the coordinate field of a vector group."""
+        return self.p if self.kind == "zp_vec" else self.field.order
 
     @property
     def zero(self):
@@ -112,21 +115,17 @@ class Group:
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
-    def int_scale(self, j: int, x):
-        """j-fold group addition of x (j an integer, not a group element)."""
-        if self.kind == "zp":
-            return j * x % self.p
-        if self.kind == "zn":
-            return j * x % self.crt.combined_modulus
+    def scale(self, t: int, x):
+        """The base-field scalar t times x in a vector group: t in [0, p) over
+        Z_p^n, an encoded element of F_q over F_q^n."""
         if self.kind == "zp_vec":
-            return tuple(j * a % self.p for a in x)
-        c = j % self.field.p
-        return tuple(self.field.mul(c, a) for a in x)
+            return tuple(t * a % self.p for a in x)
+        return tuple(self.field.mul(t, a) for a in x)
 
     def element_from_index(self, i: int):
         if self.kind in ("zp", "zn"):
             return i
-        base = self.p if self.kind == "zp_vec" else self.field.order
+        base = self.base_order
         out = []
         for _ in range(self.n):
             out.append(i % base)
@@ -144,7 +143,7 @@ class Group:
             if not isinstance(x, int) or not 0 <= x < self.order:
                 raise InputError(f"{x!r} is not an element of {self.kind} group")
             return
-        base = self.p if self.kind == "zp_vec" else self.field.order
+        base = self.base_order
         if not (isinstance(x, tuple) and len(x) == self.n
                 and all(isinstance(a, int) and 0 <= a < base for a in x)):
             raise InputError(f"{x!r} is not an element of {self.kind} group")
@@ -370,6 +369,29 @@ def bohr_membership(group: Group, freqs: Sequence, rho: float, x) -> bool:
     return _in_bohr(group, freqs, bohr_vmax(_bohr_modulus(group), rho), x)
 
 
+def _span(group: Group, base, gens: Sequence, count: int, cap: int,
+          scalars: bool = False) -> set:
+    """{base + m_1 + ... + m_r}, m_i running over count multiples of gens[i]:
+    the integer multiples 0, g, 2g, ... (by repeated Group.add), or with
+    ``scalars`` the base-field multiples t g, t < count = |F| (Group.scale).
+
+    The box volume count^r is checked against cap before anything is built.
+    """
+    if count ** len(gens) > cap:
+        raise BudgetError(f"span of volume {count ** len(gens)} exceeds enumeration cap {cap}")
+    out = {base}
+    for g in gens:
+        if scalars:
+            multiples = [group.scale(t, g) for t in range(count)]
+        else:
+            multiples, x = [], group.zero
+            for _ in range(count):
+                multiples.append(x)
+                x = group.add(x, g)
+        out = {group.add(x, m) for x in out for m in multiples}
+    return out
+
+
 def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> Source:
     """Materialize a source by exact enumeration of its element set."""
     cap = element_budget() if budget is None else budget
@@ -378,17 +400,10 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
     if isinstance(spec, GapSpec):
         if not 1 <= spec.s:
             raise InputError("GAP side s must be >= 1")
-        if spec.s**spec.r > cap:
-            raise BudgetError(f"GAP of volume {spec.s ** spec.r} exceeds cap {cap}")
         group.validate_element(spec.b0)
         for b in spec.steps:
             group.validate_element(b)
-        els = set()
-        for coeffs in itertools.product(range(spec.s), repeat=spec.r):
-            x = spec.b0
-            for a, b in zip(coeffs, spec.steps):
-                x = group.add(x, group.int_scale(a, b))
-            els.add(x)
+        els = _span(group, spec.b0, spec.steps, spec.s, cap)
         notes["proper"] = len(els) == spec.s**spec.r
 
     elif isinstance(spec, (ApSpec, HapSpec)):
@@ -398,13 +413,7 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
         group.validate_element(step)
         if step == group.zero:
             raise InputError("AP step must be nonzero")
-        if k > cap:
-            raise BudgetError(f"AP length {k} exceeds cap {cap}")
-        els = set()
-        x = b0
-        for _ in range(k):
-            els.add(x)
-            x = group.add(x, step)
+        els = _span(group, b0, (step,), k, cap)
         notes["proper"] = len(els) == k
 
     elif isinstance(spec, BohrSpec):
@@ -423,19 +432,8 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
             group.validate_element(b)
         if group.kind not in ("zp_vec", "fq_vec"):
             raise InputError("affine sources require a vector group")
-        base_order = group.p if group.kind == "zp_vec" else group.field.order
-        if base_order**len(spec.basis) > cap:
-            raise BudgetError("affine span exceeds enumeration cap")
-        els = set()
-        for coeffs in itertools.product(range(base_order), repeat=len(spec.basis)):
-            x = spec.base
-            for t, v in zip(coeffs, spec.basis):
-                if group.kind == "zp_vec":
-                    x = group.add(x, tuple(t * a % group.p for a in v))
-                else:
-                    x = group.add(x, tuple(group.field.mul(t, a) for a in v))
-            els.add(x)
-        notes["dimension"] = round(math.log(len(els), base_order))
+        els = _span(group, spec.base, spec.basis, group.base_order, cap, scalars=True)
+        notes["dimension"] = round(math.log(len(els), group.base_order))
 
     elif isinstance(spec, LineSpec):
         if group.kind not in ("zp_vec", "fq_vec"):
@@ -444,14 +442,7 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
         group.validate_element(spec.d)
         if spec.d == group.zero:
             raise InputError("line direction must be nonzero")
-        base_order = group.p if group.kind == "zp_vec" else group.field.order
-        els = set()
-        for t in range(base_order):
-            if group.kind == "zp_vec":
-                off = tuple(t * a % group.p for a in spec.d)
-            else:
-                off = tuple(group.field.mul(t, a) for a in spec.d)
-            els.add(group.add(spec.a, off))
+        els = _span(group, spec.a, (spec.d,), group.base_order, cap, scalars=True)
 
     elif isinstance(spec, ExplicitSpec):
         for x in spec.elements:
@@ -493,13 +484,7 @@ def sub_gap(spec: GapSpec, group: Group, side: int) -> set:
 
     These are the canonical symmetry-set witnesses of a proper GAP.
     """
-    out = set()
-    for coeffs in itertools.product(range(side), repeat=spec.r):
-        x = group.zero
-        for a, b in zip(coeffs, spec.steps):
-            x = group.add(x, group.int_scale(a, b))
-        out.add(x)
-    return out
+    return _span(group, group.zero, spec.steps, side, element_budget())
 
 
 # ---------------------------------------------------------------------------
@@ -582,21 +567,27 @@ def convolve_rows(A, B, m: int) -> np.ndarray:
     return out
 
 
+def difference_histogram(X: Source) -> tuple[np.ndarray, np.ndarray]:
+    """Over Z_p and Z_N: the distinct g in X - X, increasing, and each
+    rep_count(X, g), as the histogram of X + (-X) by cyclic_convolve."""
+    m = X.group.order
+    arr = np.fromiter(X.elements, dtype=np.int64, count=len(X))
+    ones = np.ones(len(X), dtype=np.int64)
+    return cyclic_convolve(arr, ones, (m - arr) % m, ones, m)
+
+
 def sym_set(X: Source, alpha: float) -> set:
     """{g : |X cap (X+g)| >= (1-alpha)|X|}, threshold inclusive.
 
     Only g in X - X can have a nonzero representation count. Over Z_p and Z_N
-    the counts are the histogram of X + (-X).
+    the counts are the difference histogram.
     """
     if not 0 < alpha <= 1:
         raise InputError("alpha must lie in (0, 1]")
     thresh = (1 - Fraction(alpha)) * len(X)
     grp = X.group
     if grp.kind in ("zp", "zn"):
-        m = grp.order
-        arr = np.fromiter(X.elements, dtype=np.int64, count=len(X))
-        ones = np.ones(len(X), dtype=np.int64)
-        values, counts = cyclic_convolve(arr, ones, (m - arr) % m, ones, m)
+        values, counts = difference_histogram(X)
         return {int(g) for g in values[counts >= thresh]}
     if len(X) ** 2 > DEFAULT_PAIR_BUDGET:
         raise BudgetError("pairwise difference scan exceeds budget")
@@ -711,29 +702,8 @@ def gap_decomposition(spec: GapSpec, group: Group) -> dict:
     """
     if group.kind != "zp_vec":
         raise InputError("GAP decomposition implemented over Z_p^n")
-    p = group.p
-    rows: list[tuple] = []
-    indep: list[int] = []
-    reduced: list[list[int]] = []
-    for i, step in enumerate(spec.steps):
-        row = list(step)
-        for bas in reduced:
-            piv = next(j for j, x in enumerate(bas) if x)
-            f = row[piv]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, bas)]
-        nz = next((j for j, x in enumerate(row) if x), None)
-        if nz is not None:
-            inv = pow(row[nz], -1, p)
-            reduced.append([x * inv % p for x in row])
-            indep.append(i)
-            rows.append(step)
-    dependent = [i for i in range(spec.r) if i not in indep]
-    offsets = set()
-    for coeffs in itertools.product(range(spec.s), repeat=len(dependent)):
-        x = spec.b0
-        for a, i in zip(coeffs, dependent):
-            x = group.add(x, group.int_scale(a, spec.steps[i]))
-        offsets.add(x)
+    *_, indep = gf._row_reduce(spec.steps, group.p)
+    dependent = [b for i, b in enumerate(spec.steps) if i not in indep]
+    offsets = _span(group, spec.b0, dependent, spec.s, element_budget())
     return {"k": len(indep), "independent_steps": [spec.steps[i] for i in indep],
             "offsets": sorted(offsets)}

@@ -274,7 +274,8 @@ def suite_gap_profile(primes=(101, 499, 1009), dims=(1, 2), sides=(8, 16, 32),
                     dbl = src.doubling(X)
                     side = math.ceil(s**0.1)
                     sub = src.sub_gap(spec, grp, side)
-                    rep_min = min(src.rep_count(X, x) for x in sub)
+                    reps = dict(zip(*(a.tolist() for a in src.difference_histogram(X))))
+                    rep_min = min(reps.get(x, 0) for x in sub)
                     rep_bound = size * (1 - r / s**0.9)
                     checks = {
                         "doubling": dbl <= 2**r * size,
@@ -295,6 +296,12 @@ def suite_gap_profile(primes=(101, 499, 1009), dims=(1, 2), sides=(8, 16, 32),
     return res
 
 
+def _shift_overlaps(B: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """|B cap (B + y)| = sum_x B(x) B(x - y) of each 0/1 row of B, one column
+    per y in ys (never empty)."""
+    return np.stack([np.count_nonzero(B & np.roll(B, y, axis=1), axis=1) for y in ys], axis=1)
+
+
 def _bohr_cases(p: int, rho: Fraction, d: int, dilations: np.ndarray | None) -> dict:
     """Columns of the Bohr checks at rank d, one entry per case: the rank-1
     set when ``dilations`` is None, else the rank-2 sets {1, c}, one per row
@@ -309,12 +316,12 @@ def _bohr_cases(p: int, rho: Fraction, d: int, dilations: np.ndarray | None) -> 
 
     B, B2, Y, Bm = (masks(r) for r in (rho, 2 * rho, kappa * rho, (1 - kappa) * rho))
     nB, nB2, nBm = B.sum(axis=1), B2.sum(axis=1), Bm.sum(axis=1)
-    # |B cap (B + y)| for every y at once: the autocorrelation of B, which is
-    # the cyclic convolution of B with its reflection x -> -x
-    overlap = src.convolve_rows(B, B[:, -x % p], p)
+    # Y lies in the window min(y, p - y) <= bohr_vmax(p, kappa rho), which is
+    # {0} for every p <= 661 at the default radii
+    ys = np.flatnonzero(dist <= src.bohr_vmax(p, kappa * rho))
     return {"size": nB, "lower": nB >= math.ceil(rho**d * p),
             "double": nB2 <= 4**d * nB,
-            "sym": ((overlap >= nBm[:, None]) | ~Y).all(axis=1)}
+            "sym": ((_shift_overlaps(B, ys) >= nBm[:, None]) | ~Y[:, ys]).all(axis=1)}
 
 
 def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
@@ -325,8 +332,8 @@ def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
     doubling of the radius, and the symmetry witnesses at kappa = 1/(200|S|).
 
     Each (p, rho, rank) is one batch: a row of masks per ratio, sizes as row
-    sums, and the overlaps |B cap (B + y)| for all y as the autocorrelation
-    of each row, sum_x B(x) B(x - y), taken from one row-batched convolution."""
+    sums, and the overlaps |B cap (B + y)| = sum_x B(x) B(x - y) of each row,
+    counted exactly for the y of the window that holds the witnesses Y."""
     elapsed = _timer()
     res = SuiteResult("bohr", True)
     for p in nt.primes_upto(pmax):
@@ -607,8 +614,10 @@ def _row_config(row: dict, group: src.Group):
     unknown = set(e) - {"build", "m"}
     if unknown:
         raise InputError(f"unknown extractor keys {sorted(unknown)}")
-    return ex.build_for_group(_key(e, "build", "extractor"), group,
-                              int(_key(e, "m", "extractor", 1)))
+    m = _key(e, "m", "extractor", 1)
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InputError(f"the extractor's m must be an integer, not {m!r}")
+    return ex.build_for_group(_key(e, "build", "extractor"), group, m)
 
 
 def _encoded_values(cfg, X: src.Source) -> tuple[list[int], int] | None:

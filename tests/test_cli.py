@@ -368,3 +368,26 @@ def test_sweep_and_extract_agree_on_config_and_outputs(tmp_path):
         for r in sweep.rows:
             assert r.config_digest == report["config_digest"], (group, family)
             assert list(r.extra["outputs"]) == report["outputs"]
+
+
+def test_line_over_a_huge_field_exits_two_on_the_budget(tmp_path, capsys):
+    spec = write(tmp_path / "line.json", {
+        "group": {"kind": "zp_vec", "p": (1 << 61) - 1, "n": 2},
+        "spec": {"variant": "line", "a": [0, 0], "d": [1, 2]}})
+    out = tmp_path / "line.src.json"
+    assert main(["build-source", "--spec", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds enumeration cap" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("m", ["x", 1.5, "3", True])
+def test_sweep_row_m_must_be_an_integer(tmp_path, capsys, m):
+    grid = write(tmp_path / "grid.json", {"rows": [
+        dict(_ROW, extractor={"build": "zp", "m": m}), _ROW]})
+    out = str(tmp_path / "sw.csv")
+    assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "InputError: the extractor's m must be an integer" in err
+    assert "Traceback" not in err
+    assert len(list(csv.reader(open(out)))) == 2   # the good row is written

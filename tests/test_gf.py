@@ -210,3 +210,21 @@ def test_poly_gcd_basics():
     b = gf.poly_mul((1, 1), (2, 1), 5)
     assert gf.poly_gcd(a, b, 5) == (1, 1)
     assert gf.poly_gcd(a, (1,), 5) == (1,)
+
+
+PRIME_POWERS_TO_64 = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                                       47, 53, 59, 61)
+                      for k in range(1, 7) if p**k <= 64]
+
+
+@pytest.mark.parametrize("p, k", PRIME_POWERS_TO_64)
+def test_coerce_to_base_inverts_the_embedding(p, k):
+    base = gf.FieldSpec.make(p, k)
+    for b in range(1, 5):
+        ext = gf.get_extension(base, b)
+        assert [ext.coerce_to_base(ext.embed(c)) for c in range(base.order)] \
+            == list(range(base.order))
+        if b > 1:
+            theta = ext.ext.encode((0, 1))   # generates E, so lies outside F_q
+            with pytest.raises(AssertionError, match="escaped the base field"):
+                ext.coerce_to_base(theta)

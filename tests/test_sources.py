@@ -13,7 +13,7 @@ from addext.sources import (AffineSpec, ApSpec, BohrSpec,
                             ExplicitSpec, GapSpec, Group, HapSpec, LineSpec,
                             ListDecodabilityParams, RandomSpec, Source,
                             additive_profile, bohr_regularity_probe, bohr_vmax, build_source,
-                            doubling, gap_decomposition, is_proper_gap,
+                            difference_histogram, doubling, gap_decomposition, is_proper_gap,
                             list_decodability_check, rep_count, spec_from_json,
                             spec_to_json, sub_gap, sym_set)
 
@@ -375,3 +375,16 @@ def test_source_digest_is_content_addressed():
     assert a.digest == b.digest
     c = build_source(ExplicitSpec((1, 2, 4)), g)
     assert a.digest != c.digest
+
+
+@pytest.mark.parametrize("group, spec", [
+    (Group.zp(101), GapSpec(7, (1, 9), 8)),
+    (Group.zp(11), GapSpec(0, (1, 2), 5)),
+    (Group.zn(CrtSystem.make([4, 9, 5])), ApSpec(17, 35, 40)),
+])
+def test_difference_histogram_matches_rep_count(group, spec):
+    X = build_source(spec, group)
+    values, counts = difference_histogram(X)
+    assert sorted({group.sub(x, y) for x in X.elements for y in X.elements}) \
+        == values.tolist()
+    assert counts.tolist() == [rep_count(X, g) for g in values.tolist()]

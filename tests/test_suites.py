@@ -405,3 +405,34 @@ def test_norms_match_the_per_lambda_loop(monkeypatch):
                         lambda e, c: 0 if list(c) == [1, 1] else real_eval(e, c))
     r = suites.suite_norms(qs=(3,), kmax=2)
     assert {"q": 3, "k": 2, "coords": [1, 1], "error": "batch route"} in r.failures
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bohr_window_overlaps_match_convolve_rows(d):
+    # at p = 1009, rho = 0.3 the rank-1 witness window holds y = 0 and +-1
+    p, rho = 1009, Fraction(3, 10)
+    x = np.arange(p)
+    dist = np.minimum(x, p - x)
+    kappa = Fraction(1, 200 * d)
+    dil = None if d == 1 else (np.arange(2, p)[:, None] * x) % p
+
+    def mask(r):
+        cond = dist <= src.bohr_vmax(p, r)
+        return cond[None, :] if dil is None else cond & cond[dil]
+
+    B, Y, Bm = mask(rho), mask(kappa * rho), mask((1 - kappa) * rho)
+    ys = np.flatnonzero(dist <= src.bohr_vmax(p, kappa * rho))
+    assert len(ys) == (3 if d == 1 else 1)
+    fft = src.convolve_rows(B, B[:, -x % p], p)
+    assert np.array_equal(suites._shift_overlaps(B, ys), fft[:, ys])
+    # the sym column against the all-y autocorrelation it replaced
+    sym = ((fft >= Bm.sum(axis=1)[:, None]) | ~Y).all(axis=1)
+    assert np.array_equal(suites._bohr_cases(p, rho, d, dil)["sym"], sym)
+
+
+def test_shift_overlaps_match_convolve_rows_on_random_rows():
+    p = 37
+    B = np.random.default_rng(3).integers(0, 2, size=(20, p)).astype(bool)
+    x = np.arange(p)
+    assert np.array_equal(suites._shift_overlaps(B, x),
+                          src.convolve_rows(B, B[:, -x % p], p))
