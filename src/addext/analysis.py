@@ -45,10 +45,6 @@ class OutputDistribution:
     def uniform(cls, m: int) -> "OutputDistribution":
         return cls(m, (1,) * m, m)
 
-    @property
-    def probs(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.total
-
 
 def statistical_distance_exact(d1: OutputDistribution,
                                d2: OutputDistribution) -> Fraction:

@@ -338,38 +338,6 @@ def _row_reduce(rows: Sequence[Sequence[int]],
     return basis, pivots, raised
 
 
-def _subfield_elements(ext: FieldSpec, base_degree: int) -> list[int]:
-    """All elements of the subfield F_{p^base_degree} inside ext, via the trace
-    map onto the subfield and Gaussian elimination over F_p."""
-    p, n = ext.p, ext.k
-    b = n // base_degree
-    q = p**base_degree
-    # trace of each basis monomial: T(v) = sum_{j<b} v^(q^j)
-    images = []
-    for i in range(n):
-        v = ext.encode(tuple(0 for _ in range(i)) + (1,)) if i else 1
-        acc = 0
-        cur = v
-        for _ in range(b):
-            acc = ext.add(acc, cur)
-            cur = ext.pow(cur, q)
-        images.append(list(ext.decode(acc)))
-    basis, *_ = _row_reduce(images, p)
-    if len(basis) != base_degree:
-        raise AssertionError("trace image has wrong dimension")
-    out = []
-    for sel in range(q):
-        acc = [0] * n
-        s = sel
-        for bas in basis:
-            c = s % p
-            s //= p
-            if c:
-                acc = [(x + c * y) % p for x, y in zip(acc, bas)]
-        out.append(ext.encode(acc))
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
     """Canonical degree-b extension of the given base field, with embedding."""
@@ -386,19 +354,7 @@ def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
     elif base.k == 1:
         beta = 0  # root of x; base elements embed as constants
     else:
-        candidates = _subfield_elements(ext, base.k)
-        roots = []
-        for u in candidates:
-            # evaluate base.modulus at u in E (coefficients are constants)
-            acc = 0
-            for coef in reversed(base.modulus):
-                acc = ext.mul(acc, u)
-                acc = ext.add(acc, coef)
-            if acc == 0:
-                roots.append(u)
-        if len(roots) != base.k:
-            raise AssertionError("modulus does not split in the subfield")
-        beta = min(roots)
+        beta = _subfield_root(ext, base)
     out = ExtensionField(base, degree, ext, beta, e)
     _norm_maps(out)  # checks that the embedding is injective
     return out
@@ -534,6 +490,36 @@ def pow_many(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
     if _uses_bitmasks(spec):
         return _from_bits(spec, _ladder(functools.partial(_mul_bits, spec), _to_bits(a), e))
     return _ladder(functools.partial(_mul_digits, spec), a, e)
+
+
+def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
+    """The least encoding of a root of base.modulus in the subfield F_q of ext.
+
+    The trace images T(theta^i) = sum_{j<b} theta^(i q^j) of the K monomials
+    span F_q over F_p; the selector digits times their row-reduced basis are
+    its q elements, at which Horner evaluates the modulus, NORM_CHUNK at a time.
+    """
+    p, k, q = base.p, base.k, base.order
+    cur = images = np.eye(ext.k, dtype=np.int64)
+    for _ in range(ext.k // k - 1):
+        cur = pow_many(ext, cur, q)
+        images = (images + cur) % p
+    rows, *_ = _row_reduce(images.tolist(), p)
+    if len(rows) != k:
+        raise AssertionError("trace image has wrong dimension")
+    basis = np.array(rows, dtype=np.int64)
+    roots = []
+    for s in range(0, q, NORM_CHUNK):
+        u = to_digits(base, np.arange(s, min(s + NORM_CHUNK, q))) @ basis % p
+        acc = np.zeros_like(u)
+        acc[:, 0] = 1  # the modulus is monic
+        for coef in reversed(base.modulus[:-1]):
+            acc = mul_many(ext, acc, u)
+            acc[:, 0] = (acc[:, 0] + coef) % p
+        roots += [ext.encode(r) for r in u[~acc.any(axis=1)].tolist()]
+    if len(roots) != k:
+        raise AssertionError("modulus does not split in the subfield")
+    return min(roots)
 
 
 @functools.lru_cache(maxsize=None)

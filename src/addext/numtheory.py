@@ -85,14 +85,7 @@ class CrtSystem:
 
 def smallest_prime_congruent_one(p: int, budget: int = 10**9) -> int:
     """Smallest prime q with q = 1 (mod p), found by direct search."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    q = 1 + p
-    while q <= budget:
-        if is_prime(q):
-            return q
-        q += p
-    raise SearchBudgetError(f"no prime = 1 mod {p} below {budget}")
+    return linnik_primes(p, 1, budget)[0]
 
 
 def linnik_primes(p: int, n: int, budget: int = 10**9) -> list[int]:

@@ -138,15 +138,15 @@ class Group:
             raise BudgetError(f"group of order {self.order} exceeds enumeration cap {cap}")
         return (self.element_from_index(i) for i in range(self.order))
 
-    def validate_element(self, x) -> None:
-        if self.kind in ("zp", "zn"):
-            if not isinstance(x, int) or not 0 <= x < self.order:
+    def validate_element(self, *xs) -> None:
+        """InputError unless every argument is an element of the group."""
+        scalar = self.kind in ("zp", "zn")
+        bound = self.order if scalar else self.base_order
+        for x in xs:
+            if not ((isinstance(x, int) and 0 <= x < bound) if scalar
+                    else (isinstance(x, tuple) and len(x) == self.n
+                          and all(isinstance(a, int) and 0 <= a < bound for a in x))):
                 raise InputError(f"{x!r} is not an element of {self.kind} group")
-            return
-        base = self.base_order
-        if not (isinstance(x, tuple) and len(x) == self.n
-                and all(isinstance(a, int) and 0 <= a < base for a in x)):
-            raise InputError(f"{x!r} is not an element of {self.kind} group")
 
     def to_json(self) -> dict:
         if self.kind == "zp":
@@ -364,11 +364,6 @@ def _in_bohr(group: Group, freqs: Sequence, vmax: int, x) -> bool:
     return True
 
 
-def bohr_membership(group: Group, freqs: Sequence, rho: float, x) -> bool:
-    """max over xi in freqs of || xi.x / modulus || < rho (distance to nearest integer)."""
-    return _in_bohr(group, freqs, bohr_vmax(_bohr_modulus(group), rho), x)
-
-
 def _span(group: Group, base, gens: Sequence, count: int, cap: int,
           scalars: bool = False) -> set:
     """{base + m_1 + ... + m_r}, m_i running over count multiples of gens[i]:
@@ -400,17 +395,14 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
     if isinstance(spec, GapSpec):
         if not 1 <= spec.s:
             raise InputError("GAP side s must be >= 1")
-        group.validate_element(spec.b0)
-        for b in spec.steps:
-            group.validate_element(b)
+        group.validate_element(spec.b0, *spec.steps)
         els = _span(group, spec.b0, spec.steps, spec.s, cap)
         notes["proper"] = len(els) == spec.s**spec.r
 
     elif isinstance(spec, (ApSpec, HapSpec)):
         b0 = spec.b0 if isinstance(spec, ApSpec) else group.zero
         step, k = spec.step, spec.k
-        group.validate_element(b0)
-        group.validate_element(step)
+        group.validate_element(b0, step)
         if step == group.zero:
             raise InputError("AP step must be nonzero")
         els = _span(group, b0, (step,), k, cap)
@@ -427,9 +419,7 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
         notes["rank"] = len(spec.freqs)
 
     elif isinstance(spec, AffineSpec):
-        group.validate_element(spec.base)
-        for b in spec.basis:
-            group.validate_element(b)
+        group.validate_element(spec.base, *spec.basis)
         if group.kind not in ("zp_vec", "fq_vec"):
             raise InputError("affine sources require a vector group")
         els = _span(group, spec.base, spec.basis, group.base_order, cap, scalars=True)
@@ -438,15 +428,13 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
     elif isinstance(spec, LineSpec):
         if group.kind not in ("zp_vec", "fq_vec"):
             raise InputError("line sources require a vector group")
-        group.validate_element(spec.a)
-        group.validate_element(spec.d)
+        group.validate_element(spec.a, spec.d)
         if spec.d == group.zero:
             raise InputError("line direction must be nonzero")
         els = _span(group, spec.a, (spec.d,), group.base_order, cap, scalars=True)
 
     elif isinstance(spec, ExplicitSpec):
-        for x in spec.elements:
-            group.validate_element(x)
+        group.validate_element(*spec.elements)
         if not spec.elements:
             raise InputError("explicit source must be nonempty")
         els = set(spec.elements)
@@ -484,6 +472,7 @@ def sub_gap(spec: GapSpec, group: Group, side: int) -> set:
 
     These are the canonical symmetry-set witnesses of a proper GAP.
     """
+    group.validate_element(*spec.steps)
     return _span(group, group.zero, spec.steps, side, element_budget())
 
 
@@ -702,6 +691,7 @@ def gap_decomposition(spec: GapSpec, group: Group) -> dict:
     """
     if group.kind != "zp_vec":
         raise InputError("GAP decomposition implemented over Z_p^n")
+    group.validate_element(spec.b0, *spec.steps)
     *_, indep = gf._row_reduce(spec.steps, group.p)
     dependent = [b for i, b in enumerate(spec.steps) if i not in indep]
     offsets = _span(group, spec.b0, dependent, spec.s, element_budget())

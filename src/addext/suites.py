@@ -496,7 +496,7 @@ def suite_zp_trend(primes=(101, 499, 1009, 4999), m: int = 1,
     medians = []
     for p in primes:
         s = math.ceil(p**0.7)
-        cfg = ex.build_zp_extractor(p, m)
+        cfg = ex.build_for_group("zp", src.Group.zp(p), m)
         hist = ap_distance_histogram(p, s, cfg)
         med = _median_distance_from_hist(hist, s)
         medians.append(med)

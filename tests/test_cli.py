@@ -391,3 +391,12 @@ def test_sweep_row_m_must_be_an_integer(tmp_path, capsys, m):
     assert "InputError: the extractor's m must be an integer" in err
     assert "Traceback" not in err
     assert len(list(csv.reader(open(out)))) == 2   # the good row is written
+
+
+def test_zp_trend_negative_m_exits_two(tmp_path, capsys):
+    grid = write(tmp_path / "grid.json", {"kwargs": {"m": -1}})
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--suite", "zp-trend", "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "m must be >= 0" in err and "Traceback" not in err
+    assert not out.exists()

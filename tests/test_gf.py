@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addext import gf
+from addext.extractors import prime_power_field
 from addext.errors import InputError
 
 
@@ -228,3 +230,78 @@ def test_coerce_to_base_inverts_the_embedding(p, k):
             theta = ext.ext.encode((0, 1))   # generates E, so lies outside F_q
             with pytest.raises(AssertionError, match="escaped the base field"):
                 ext.coerce_to_base(theta)
+
+
+def _subfield_elements_by_field_ops(ext, base_degree):
+    """Oracle: the subfield F_{p^base_degree} of ext element by element, from
+    the trace images of the monomials by FieldSpec.pow and Gaussian elimination."""
+    p, n = ext.p, ext.k
+    b = n // base_degree
+    q = p**base_degree
+    images = []
+    for i in range(n):
+        v = ext.encode(tuple(0 for _ in range(i)) + (1,)) if i else 1
+        acc = 0
+        cur = v
+        for _ in range(b):
+            acc = ext.add(acc, cur)
+            cur = ext.pow(cur, q)
+        images.append(list(ext.decode(acc)))
+    basis, *_ = gf._row_reduce(images, p)
+    assert len(basis) == base_degree
+    out = []
+    for sel in range(q):
+        acc = [0] * n
+        s = sel
+        for bas in basis:
+            c = s % p
+            s //= p
+            if c:
+                acc = [(x + c * y) % p for x, y in zip(acc, bas)]
+        out.append(ext.encode(acc))
+    return out
+
+
+def _beta_by_field_ops(ext, base):
+    """Oracle: the least root of base.modulus among the subfield's elements,
+    each evaluated by FieldSpec.mul/add Horner."""
+    roots = []
+    for u in _subfield_elements_by_field_ops(ext, base.k):
+        acc = 0
+        for coef in reversed(base.modulus):
+            acc = ext.add(ext.mul(acc, u), coef)
+        if acc == 0:
+            roots.append(u)
+    assert len(roots) == base.k
+    return min(roots)
+
+
+PRIME_POWERS_TO_256 = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9)
+                       if p**k <= 256]
+
+
+@pytest.mark.parametrize("p, k", PRIME_POWERS_TO_256)
+def test_extension_matches_the_field_op_route(p, k):
+    # cold caches, so that the batch route really runs here
+    gf.get_extension.cache_clear()
+    gf._norm_maps.cache_clear()
+    base = gf.FieldSpec.make(p, k)
+    q = base.order
+    for b in range(2, 6):
+        ext = gf.get_extension(base, b)
+        E = gf.FieldSpec.make(p, k * b)
+        assert ext.ext.modulus == E.modulus
+        assert ext.beta == _beta_by_field_ops(E, base)
+        assert ext.norm_exponent == (q**b - 1) // (q - 1)
+    assert gf.get_extension.cache_info().misses == 4
+
+
+def test_extension_above_the_oracle_grid():
+    base = prime_power_field(4096)
+    ext = gf.get_extension(base, 3)
+    rng = random.Random(8)
+    points = [[rng.randrange(base.order) for _ in range(3)] for _ in range(50)]
+    assert gf.norms_many(ext, points).tolist() \
+        == [gf.norm_by_conjugates(ext, c) for c in points]
+    for c in [0, 1, base.order - 1] + rng.sample(range(base.order), 40):
+        assert ext.coerce_to_base(ext.embed(c)) == c

@@ -243,3 +243,16 @@ def test_sub_gap_and_decomposition_respect_the_budget(monkeypatch):
         sub_gap(spec, Group.zp_vec(5, 2), 2)
     with pytest.raises(BudgetError):
         gap_decomposition(spec, Group.zp_vec(5, 2))   # 3 dependent steps: 27 offsets
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gap_decomposition(GapSpec((7, 7), ((1, 0), (0, 1)), 3), Group.zp_vec(5, 2)),
+    lambda: gap_decomposition(GapSpec((0, 0), ((1, 0), (1, 2, 3)), 3), Group.zp_vec(5, 2)),
+    lambda: sub_gap(GapSpec(0, (9,), 3), Group.zp(5), 2),
+    lambda: sub_gap(GapSpec((0, 0), ((1, 2, 3),), 2), Group.zp_vec(5, 2), 2),
+], ids=["decomposition-offset", "decomposition-step", "sub-gap-zp", "sub-gap-zp-vec"])
+def test_sub_gap_and_decomposition_reject_non_elements(call):
+    # offset (7, 7), step 9 in Z_5 and a 3-coordinate step in Z_5^2 are not
+    # group elements; zip would have truncated the last one to (1, 2)
+    with pytest.raises(InputError, match="is not an element"):
+        call()
