@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import inspect
 import json
 import os
@@ -23,6 +24,8 @@ import time
 from importlib import resources
 
 import jsonschema
+from jsonschema import Draft7Validator
+from jsonschema.exceptions import best_match
 
 from . import __version__, analysis, extractors as ex, sources as src, suites
 from .canonical import canonical_json, digest
@@ -34,13 +37,48 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
+_ELEMENT_REF = {"$ref": "#/definitions/element"}
+_DRAFT7_ITEMS = Draft7Validator.VALIDATORS["items"]
+
+
+def _plain_element(x) -> bool:
+    """A JSON int >= 0 or a list of them: accepted by the element schema."""
+    if type(x) is int:
+        return x >= 0
+    return type(x) is list and all(type(a) is int and a >= 0 for a in x)
+
+
+def _items(validator, items, instance, schema):
+    """Draft-7 ``items``, except that a list of plain elements against the
+    element schema yields no errors without a descent per entry. Anything
+    else (floats, bools, strings, ...) goes through the Draft-7 rule, so
+    every error is jsonschema's own."""
+    if items == _ELEMENT_REF and type(instance) is list and all(map(_plain_element, instance)):
+        return
+    yield from _DRAFT7_ITEMS(validator, items, instance, schema)
+
+
+_Validator = jsonschema.validators.extend(Draft7Validator, {"items": _items})
+
+
+@functools.cache
+def _validator(name: str):
+    """The packaged schema ``name``, checked against its metaschema on first
+    use and compiled once per process."""
+    schema = _schema(name)
+    Draft7Validator.check_schema(schema)
+    return _Validator(schema)
+
+
 _INPUT_DIGESTS: dict[str, str] = {}
 
 
 def _load_validated(path: str, schema_name: str) -> dict:
     with open(path) as fh:
         obj = json.load(fh)
-    jsonschema.validate(obj, _schema(schema_name))
+    error = best_match(_validator(schema_name).iter_errors(obj))
+    if error is not None:
+        raise error
     _INPUT_DIGESTS[path] = digest(obj)
     return obj
 

@@ -345,6 +345,8 @@ def build_for_group(family: str, group: Group, m: int = 1) -> ExtractorConfig:
     """The canonical ``family`` config for ``group`` with m output bits (the
     ``line`` extractor is 1-bit and takes only m = 1). InputError if the
     family does not run on the group's kind."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InputError(f"the extractor's m must be an integer, not {m!r}")
     kinds = GROUP_KINDS.get(family)
     if kinds is None:
         raise InputError(f"unknown extractor {family!r}")

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -131,12 +131,6 @@ class Group:
             out.append(i % base)
             i //= base
         return tuple(out)
-
-    def elements(self, budget: int | None = None) -> Iterator:
-        cap = element_budget() if budget is None else budget
-        if self.order > cap:
-            raise BudgetError(f"group of order {self.order} exceeds enumeration cap {cap}")
-        return (self.element_from_index(i) for i in range(self.order))
 
     def validate_element(self, *xs) -> None:
         """InputError unless every argument is an element of the group."""
@@ -355,13 +349,44 @@ def _bohr_modulus(group: Group) -> int:
     raise InputError("Bohr sets are supported over Z_p, Z_p^n and Z_N")
 
 
-def _in_bohr(group: Group, freqs: Sequence, vmax: int, x) -> bool:
+BOHR_CHUNK = 1 << 16  # group indices per step of _bohr_set: 512 KiB per int64 array
+
+
+def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
+    """Bohr(freqs, rho): the x with min(v, m - v) <= bohr_vmax(m, rho) for
+    every residue v = <xi, x> mod m, tested on int64 arrays over chunks of
+    the group's index range. Frequencies are reduced below m, so with
+    m^2 < 2^63 no product and no running sum of products overflows."""
     m = _bohr_modulus(group)
+    vmax = bohr_vmax(m, rho)
+    if group.order > cap:
+        raise BudgetError(f"group of order {group.order} exceeds enumeration cap {cap}")
+    if m * m >= 1 << 63:
+        raise BudgetError(f"Bohr modulus {m} has a square of at least 2^63")
+    vec = group.kind == "zp_vec"
+    n = group.n if vec else 1
+    coeffs = []
     for xi in freqs:
-        v = (sum(a * b for a, b in zip(xi, x)) if group.kind == "zp_vec" else xi * x) % m
-        if min(v, m - v) > vmax:
-            return False
-    return True
+        if not (isinstance(xi, tuple) and len(xi) == n and all(isinstance(a, int) for a in xi)
+                if vec else isinstance(xi, int)):
+            raise InputError(f"Bohr frequency {xi!r} does not fit the {group.kind} group")
+        coeffs.append([a % m for a in (xi if vec else (xi,))])
+    out: set = set()
+    for lo in range(0, group.order, BOHR_CHUNK):
+        rest = np.arange(lo, min(lo + BOHR_CHUNK, group.order), dtype=np.int64)
+        coords = []
+        for _ in range(n):
+            coords.append(rest % m)
+            rest //= m
+        keep = np.ones(len(rest), dtype=bool)
+        for c in coeffs:
+            v = np.zeros_like(rest)
+            for a, x in zip(c, coords):
+                v = (v + a * x) % m
+            keep &= np.minimum(v, m - v) <= vmax
+        members = [x[keep].tolist() for x in coords]
+        out.update(zip(*members) if vec else members[0])
+    return out
 
 
 def _span(group: Group, base, gens: Sequence, count: int, cap: int,
@@ -413,8 +438,7 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
             raise InputError("Bohr radius must lie in (0, 1)")
         if any(f == group.zero for f in spec.freqs):
             raise InputError("Bohr frequencies must be nonzero")
-        vmax = bohr_vmax(_bohr_modulus(group), spec.rho)
-        els = {x for x in group.elements(cap) if _in_bohr(group, spec.freqs, vmax, x)}
+        els = _bohr_set(group, spec.freqs, spec.rho, cap)
         # 0 is always a member, so a Bohr set is never empty
         notes["rank"] = len(spec.freqs)
 

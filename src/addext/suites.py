@@ -614,10 +614,8 @@ def _row_config(row: dict, group: src.Group):
     unknown = set(e) - {"build", "m"}
     if unknown:
         raise InputError(f"unknown extractor keys {sorted(unknown)}")
-    m = _key(e, "m", "extractor", 1)
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InputError(f"the extractor's m must be an integer, not {m!r}")
-    return ex.build_for_group(_key(e, "build", "extractor"), group, m)
+    return ex.build_for_group(_key(e, "build", "extractor"), group,
+                              _key(e, "m", "extractor", 1))
 
 
 def _encoded_values(cfg, X: src.Source) -> tuple[list[int], int] | None:

@@ -400,3 +400,13 @@ def test_zp_trend_negative_m_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "m must be >= 0" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("m", ["x", 1.5, True, None])
+def test_zp_trend_non_integer_m_exits_two(tmp_path, capsys, m):
+    grid = write(tmp_path / "grid.json", {"kwargs": {"m": m}})
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--suite", "zp-trend", "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"the extractor's m must be an integer, not {m!r}" in err
+    assert "Traceback" not in err and not out.exists()

@@ -148,6 +148,50 @@ def test_bohr_vector_group_dot_product():
     assert X.elements == want
 
 
+def _in_bohr(group, freqs, vmax, x) -> bool:
+    """The per-element Bohr predicate: the oracle of the chunked int64 route."""
+    m = group.p if group.kind in ("zp", "zp_vec") else group.crt.combined_modulus
+    for xi in freqs:
+        v = (sum(a * b for a, b in zip(xi, x)) if group.kind == "zp_vec" else xi * x) % m
+        if min(v, m - v) > vmax:
+            return False
+    return True
+
+
+_BOHR_GROUPS = [Group.zp(101), Group.zp(1009), Group.zn(CrtSystem.make([9, 35])),
+                Group.zp_vec(7, 2), Group.zp_vec(5, 3), Group.zp_vec(31, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_BOHR_GROUPS), st.data(),
+       st.sampled_from([0.05, 0.1, 0.2, 0.25, 1 / 3, 0.45, 0.9]),
+       st.sampled_from([1 << 16, 7, 64]))
+def test_bohr_set_matches_the_per_element_predicate(group, data, rho, chunk):
+    coord = st.integers(-(1 << 70), 1 << 70)
+    freq = (coord if group.kind in ("zp", "zn")
+            else st.tuples(*[coord] * group.n))
+    freqs = tuple(f for f in data.draw(st.lists(freq, max_size=3))
+                  if f != group.zero and f != 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("addext.sources.BOHR_CHUNK", chunk)
+        X = build_source(BohrSpec(freqs, rho), group)
+    vmax = bohr_vmax(group.order if group.kind != "zp_vec" else group.p, rho)
+    everything = (range(group.order) if group.kind in ("zp", "zn") else
+                  [tuple((i // group.p**j) % group.p for j in range(group.n))
+                   for i in range(group.order)])
+    assert X.elements == {x for x in everything if _in_bohr(group, freqs, vmax, x)}
+
+
+def test_bohr_rejects_frequencies_of_the_wrong_shape_and_huge_moduli():
+    for freqs, group in [(((1, 2),), Group.zp(11)), ((3,), Group.zp_vec(5, 2)),
+                         (((1, 2, 3),), Group.zp_vec(5, 2)), (((1,),), Group.zp_vec(5, 2))]:
+        with pytest.raises(InputError, match="Bohr frequency"):
+            build_source(BohrSpec(freqs, 0.2), group)
+    # the smallest prime whose square reaches 2^63: refused before any array is built
+    with pytest.raises(BudgetError, match="2\\^63"):
+        build_source(BohrSpec((1,), 0.2), Group.zp(3037000507), budget=1 << 40)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
