@@ -164,17 +164,27 @@ def vector_charsum_table(X: Source, indices: Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def poly_eval_all(coeffs, p: int) -> np.ndarray:
-    """f(t) for all t in F_p (vectorized Horner); coefficients low degree first.
+    """f(t) for all t in F_p; coefficients low degree first.
 
     A coefficient vector gives the p values of one polynomial; a (rows, d+1)
-    coefficient matrix gives a (rows, p) matrix, one polynomial per row.
+    coefficient matrix gives a (rows, p) matrix, one polynomial per row. One
+    int64 product with the (d+1) x p table of t^j mod p: its d+1 terms of at
+    most (p-1)^2 each must sum below 2^63, and the table and the result must
+    each fit the element budget; both are checked before anything is built.
     """
-    c = (np.asarray(coeffs) % p).astype(np.int64)
+    c = np.asarray(coeffs)
+    terms = c.shape[-1]
+    rows = math.prod(c.shape[:-1])
+    if p * max(rows, terms) > element_budget():
+        raise BudgetError(f"evaluating {rows} polynomials of {terms} terms at "
+                          f"p = {p} points exceeds the element budget")
+    if terms * (p - 1) ** 2 >= 1 << 63:
+        raise BudgetError(f"{terms} products mod p = {p} can reach 2^63")
+    powers = np.ones((terms, p), dtype=np.int64)
     t = np.arange(p, dtype=np.int64)
-    acc = np.zeros(c.shape[:-1] + (p,), dtype=np.int64)
-    for j in range(c.shape[-1] - 1, -1, -1):
-        acc = (acc * t + c[..., j, None]) % p
-    return acc
+    for j in range(1, terms):
+        powers[j] = powers[j - 1] * t % p
+    return (c % p).astype(np.int64) @ powers % p
 
 
 def poly_degree(coeffs: Sequence[int], p: int) -> int:
@@ -320,12 +330,14 @@ def fourier_l1_interval(p: int, s):
         raise InputError("need 0 < s <= p")
     flat = s_arr.reshape(-1)
     out = np.empty(flat.size)
+    # sin(pi r / p) for every residue r: the same bits as sin() of each entry
+    sines = np.sin(np.pi * np.arange(p, dtype=np.int64) / p)
     j = np.arange(1, p, dtype=np.int64)
-    den = p * np.sin(np.pi * j / p)
+    den = p * sines[1:]
     rows = max(1, L1_BLOCK_ENTRIES // max(1, p - 1))
     for lo in range(0, flat.size, rows):
         blk = flat[lo:lo + rows]
-        num = np.sin(np.pi * ((blk[:, None] * j) % p) / p)
+        num = sines[(blk[:, None] * j) % p]
         out[lo:lo + rows] = np.where(blk == p, 1.0, blk / p + (num / den).sum(axis=1))
     return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
 

@@ -355,8 +355,9 @@ BOHR_CHUNK = 1 << 16  # group indices per step of _bohr_set: 512 KiB per int64 a
 def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
     """Bohr(freqs, rho): the x with min(v, m - v) <= bohr_vmax(m, rho) for
     every residue v = <xi, x> mod m, tested on int64 arrays over chunks of
-    the group's index range. Frequencies are reduced below m, so with
-    m^2 < 2^63 no product and no running sum of products overflows."""
+    the group's index range. Frequencies are reduced below m, and one that
+    is zero mod m is an input error; with m^2 < 2^63 no product and no
+    running sum of products overflows."""
     m = _bohr_modulus(group)
     vmax = bohr_vmax(m, rho)
     if group.order > cap:
@@ -371,6 +372,8 @@ def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
                 if vec else isinstance(xi, int)):
             raise InputError(f"Bohr frequency {xi!r} does not fit the {group.kind} group")
         coeffs.append([a % m for a in (xi if vec else (xi,))])
+        if not any(coeffs[-1]):
+            raise InputError("Bohr frequencies must be nonzero")
     out: set = set()
     for lo in range(0, group.order, BOHR_CHUNK):
         rest = np.arange(lo, min(lo + BOHR_CHUNK, group.order), dtype=np.int64)
@@ -436,8 +439,6 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
     elif isinstance(spec, BohrSpec):
         if not 0 < spec.rho < 1:
             raise InputError("Bohr radius must lie in (0, 1)")
-        if any(f == group.zero for f in spec.freqs):
-            raise InputError("Bohr frequencies must be nonzero")
         els = _bohr_set(group, spec.freqs, spec.rho, cap)
         # 0 is always a member, so a Bohr set is never empty
         notes["rank"] = len(spec.freqs)

@@ -46,6 +46,35 @@ def _timer():
 # complete and partial exponential sums
 # ---------------------------------------------------------------------------
 
+def _check_int(name: str, value, lo: int) -> None:
+    """A suite parameter must be an integer >= lo; anything else is an input
+    error, raised before the suite does any work."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < lo:
+        raise InputError(f"{name} must be an integer >= {lo}, not {value!r}")
+
+
+def _suite_primes(primes, per_prime: int) -> list[int]:
+    """A non-empty list of primes, each through src.Group.zp, whose
+    per_prime * p entries each fit the element budget."""
+    if not isinstance(primes, (list, tuple)) or not primes:
+        raise InputError(f"primes must be a non-empty list of primes, not {primes!r}")
+    for p in primes:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InputError(f"primes must be integers, not {p!r}")
+        src.Group.zp(p)
+        if per_prime * p > src.element_budget():
+            raise BudgetError(f"{per_prime} rows of p = {p} entries exceed the element budget")
+    return list(primes)
+
+
+def _degree_range(dmin, dmax, lo: int, primes: list[int]) -> None:
+    """lo <= dmin <= dmax < p for every p: the hypothesis of the bound."""
+    _check_int("dmin", dmin, lo)
+    _check_int("dmax", dmax, dmin)
+    if dmax >= min(primes):
+        raise InputError(f"dmax = {dmax} must be below every prime")
+
+
 def _random_poly_batch(rng: np.random.Generator, count: int, p: int,
                        dmin: int, dmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient matrix (count, dmax+1), low degree first, leading coef != 0."""
@@ -57,20 +86,37 @@ def _random_poly_batch(rng: np.random.Generator, count: int, p: int,
     return coeffs, degs
 
 
+def _poly_values(coeffs: np.ndarray, p: int):
+    """(first row, values) per block of the coefficient matrix, each block's
+    values holding at most L1_BLOCK_ENTRIES entries (or one row)."""
+    rows = max(1, analysis.L1_BLOCK_ENTRIES // p)
+    for lo in range(0, len(coeffs), rows):
+        yield lo, analysis.poly_eval_all(coeffs[lo:lo + rows], p)
+
+
+def _unit_roots(p: int) -> np.ndarray:
+    """e_p(r) for every residue r: the same bits as exp() of each entry."""
+    return np.exp(2j * np.pi * np.arange(p) / p)
+
+
 def suite_weil(primes=None, polys_per_p: int = 500, dmin: int = 2, dmax: int = 10,
                seed: int = 101) -> SuiteResult:
-    """|sum_t e_p(f(t))| <= deg(f) sqrt(p) for seeded random polynomials."""
+    """|sum_t e_p(f(t))| <= deg(f) sqrt(p) for seeded random polynomials,
+    1 <= dmin <= deg f <= dmax < p."""
     elapsed = _timer()
     if primes is None:
         primes = [p for p in nt.primes_upto(199) if p >= 11]
+    _check_int("polys_per_p", polys_per_p, 1)
+    _check_int("seed", seed, 0)
+    primes = _suite_primes(primes, polys_per_p)
+    _degree_range(dmin, dmax, 1, primes)
     rng = np.random.default_rng(seed)
     res = SuiteResult("weil", True)
     for p in primes:
         coeffs, degs = _random_poly_batch(rng, polys_per_p, p, dmin, dmax)
-        vals = analysis.poly_eval_all(coeffs, p)
-        # e_p(v) read from a p-entry table: the same values as exp() of each entry
-        e_p = np.exp(2j * np.pi * np.arange(p) / p)
-        sums = np.abs(e_p[vals].sum(axis=1))
+        e_p = _unit_roots(p)
+        sums = np.concatenate([np.abs(e_p[vals].sum(axis=1))
+                               for _, vals in _poly_values(coeffs, p)])
         bounds = degs * math.sqrt(p)
         bad = np.nonzero(sums > bounds + TOL)[0]
         res.rows.append({"p": p, "polys": polys_per_p,
@@ -86,23 +132,30 @@ def suite_weil(primes=None, polys_per_p: int = 500, dmin: int = 2, dmax: int = 1
 def suite_partial_ap(primes=(101, 199, 499), polys_per_p: int = 100, dmin: int = 2,
                      dmax: int = 6, a_per_poly: int = 20, seed: int = 102) -> SuiteResult:
     """Prefix sums of e_p(a f(t)) over every 1 <= s <= p against
-    4 log2(p) sqrt(p) deg(f)."""
+    4 log2(p) sqrt(p) deg(f), 2 <= dmin <= deg f <= dmax < p."""
     elapsed = _timer()
+    _check_int("polys_per_p", polys_per_p, 1)
+    _check_int("a_per_poly", a_per_poly, 1)
+    _check_int("seed", seed, 0)
+    primes = _suite_primes(primes, max(polys_per_p, a_per_poly))
+    _degree_range(dmin, dmax, 2, primes)
     rng = np.random.default_rng(seed)
     res = SuiteResult("partial-ap", True)
     for p in primes:
         coeffs, degs = _random_poly_batch(rng, polys_per_p, p, dmin, dmax)
-        vals = analysis.poly_eval_all(coeffs, p)
+        e_p = _unit_roots(p)
+        step = max(1, analysis.L1_BLOCK_ENTRIES // p)
         worst = 0.0
-        for i in range(polys_per_p):
-            a_vals = 1 + rng.choice(p - 1, size=min(a_per_poly, p - 1), replace=False)
-            prod = (a_vals[:, None] * vals[i][None, :]) % p
-            pref = np.abs(np.cumsum(np.exp(2j * np.pi * prod / p), axis=1)).max()
-            bound = 4 * math.log2(p) * math.sqrt(p) * degs[i]
-            worst = max(worst, float(pref / bound))
-            if pref > bound + TOL:
-                res.failures.append({"p": p, "coeffs": coeffs[i].tolist(),
-                                     "max_prefix": float(pref), "bound": bound})
+        for lo, vals in _poly_values(coeffs, p):
+            for i, v in enumerate(vals, lo):
+                a_vals = 1 + rng.choice(p - 1, size=min(a_per_poly, p - 1), replace=False)
+                pref = max(np.abs(np.cumsum(e_p[a[:, None] * v % p], axis=1)).max()
+                           for a in np.split(a_vals, range(step, len(a_vals), step)))
+                bound = 4 * math.log2(p) * math.sqrt(p) * degs[i]
+                worst = max(worst, float(pref / bound))
+                if pref > bound + TOL:
+                    res.failures.append({"p": p, "coeffs": coeffs[i].tolist(),
+                                         "max_prefix": float(pref), "bound": bound})
         res.rows.append({"p": p, "max_ratio": worst})
     res.ok = not res.failures
     res.seconds = elapsed()
@@ -110,8 +163,12 @@ def suite_partial_ap(primes=(101, 199, 499), polys_per_p: int = 100, dmin: int =
 
 
 def suite_l1(pmax: int = 499) -> SuiteResult:
-    """L1 Fourier norm of every interval {0..s-1} in Z_p against 4 log2 p."""
+    """L1 Fourier norm of every interval {0..s-1} in Z_p against 4 log2 p,
+    for every prime 2 <= p <= pmax."""
     elapsed = _timer()
+    _check_int("pmax", pmax, 2)
+    if pmax > src.element_budget():
+        raise BudgetError(f"pmax = {pmax} exceeds the element budget")
     res = SuiteResult("l1", True)
     for p in nt.primes_upto(pmax):
         vals = analysis.fourier_l1_interval(p, np.arange(1, p + 1))
@@ -379,22 +436,32 @@ def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
 
 def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
                            seed: int = 108) -> SuiteResult:
-    """|A+A| >= min(2|A|-1, p) for seeded random subsets of Z_p."""
+    """|A+A| >= min(2|A|-1, p) for seeded random subsets of Z_p.
+
+    Per p, from np.random.default_rng([seed, p]): first every trial's size,
+    uniform on 1..p, then one rng.random((rows, p)) of keys per chunk of
+    trials. A trial's set is the x whose key is at most the size-th smallest
+    key of its row, so the sets do not depend on the chunk size. Every |A + A|
+    of a chunk comes from one row-batched convolution."""
     elapsed = _timer()
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed, 0)
+    if trials > src.element_budget():
+        raise BudgetError(f"{trials} trials exceed the element budget")
+    primes = _suite_primes(primes, 1)
     res = SuiteResult("cauchy-davenport", True)
     for p in primes:
-        src.Group.zp(p)  # p must be prime
-        rng = random.Random(seed * 1_000_003 + p)
+        rng = np.random.default_rng([seed, p])
+        sizes = rng.integers(1, p + 1, size=trials)
         step = max(1, src.CONVOLVE_CHUNK // p)
         for start in range(0, trials, step):
-            # the same draws, trial by trial, as 0/1 rows; every |A + A| from
-            # one row-batched convolution
-            sets = np.zeros((min(step, trials - start), p), dtype=np.int8)
-            for row in sets:
-                row[rng.sample(range(p), rng.randint(1, p))] = 1
-            size = sets.sum(axis=1, dtype=np.int64)
+            size = sizes[start:start + step]
+            keys = rng.random((len(size), p))
+            kth = np.sort(keys, axis=1)[np.arange(len(size)), size - 1]
+            sets = (keys <= kth[:, None]).astype(np.int8)
+            count = sets.sum(axis=1, dtype=np.int64)
             sumset = np.count_nonzero(src.convolve_rows(sets, sets, p), axis=1)
-            for i in np.flatnonzero(sumset < np.minimum(2 * size - 1, p)):
+            for i in np.flatnonzero(sumset < np.minimum(2 * count - 1, p)):
                 res.failures.append({"p": p, "A": np.flatnonzero(sets[i]).tolist()})
         res.rows.append({"p": p, "trials": trials})
     res.ok = not res.failures

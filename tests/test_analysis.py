@@ -8,7 +8,7 @@ import pytest
 
 from addext import analysis as an
 from addext import numtheory as nt
-from addext.errors import InputError
+from addext.errors import BudgetError, InputError
 from addext.extractors import (build_zp_extractor, build_zpn_extractor, extract_many,
                                zp_encode, zpn_encode)
 from addext.sources import ExplicitSpec, GapSpec, Group, build_source
@@ -154,6 +154,40 @@ def test_poly_eval_all_vector_and_matrix():
             assert (row == an.poly_eval_all(c.tolist(), p)).all()
 
 
+def poly_eval_horner(coeffs, p):
+    """The vectorized Horner route that poly_eval_all's power table replaced."""
+    c = (np.asarray(coeffs) % p).astype(np.int64)
+    t = np.arange(p, dtype=np.int64)
+    acc = np.zeros(c.shape[:-1] + (p,), dtype=np.int64)
+    for j in range(c.shape[-1] - 1, -1, -1):
+        acc = (acc * t + c[..., j, None]) % p
+    return acc
+
+
+@pytest.mark.parametrize("p", [2, 3, 11, 101, 199, 499, 65537, 1000003])
+def test_poly_eval_all_matches_horner(p):
+    rng = np.random.default_rng(p)
+    for d in (0, 1, 2, 5, 10):
+        # coefficients beyond p and negative ones are reduced first
+        mat = rng.integers(-3 * p, 3 * p, size=(4, d + 1))
+        assert np.array_equal(an.poly_eval_all(mat, p), poly_eval_horner(mat, p))
+        assert np.array_equal(an.poly_eval_all(mat[0].tolist(), p),
+                              poly_eval_horner(mat[0].tolist(), p))
+
+
+def test_poly_eval_all_checks_budget_and_overflow_before_allocating(monkeypatch):
+    p = 1 << 40
+    with pytest.raises(BudgetError, match="budget"):
+        an.poly_eval_all([1, 2, 3], p)
+    # with the budget out of the way, three products of up to (p-1)^2 overflow
+    monkeypatch.setenv("ADDEXT_BUDGET", str(1 << 62))
+    with pytest.raises(BudgetError, match="2\\^63"):
+        an.poly_eval_all([1, 2, 3], p)
+    monkeypatch.setenv("ADDEXT_BUDGET", str(100))
+    with pytest.raises(BudgetError, match="budget"):
+        an.poly_eval_all(np.ones((20, 3), dtype=np.int64), 11)
+
+
 def test_weil_additive_gauss_sum():
     r = an.weil_additive_check(7, [0, 0, 1])
     assert abs(r.value - math.sqrt(7)) < 1e-9
@@ -261,6 +295,21 @@ def test_fourier_l1_against_dft_oracle():
         assert np.abs(got - want).max() < 1e-9
     with pytest.raises(InputError):
         an.fourier_l1_interval(13, np.array([1, 14]))
+
+
+def fourier_l1_per_entry(p, s_values):
+    """The route that took one np.sin per (s, j) entry, before the sine table."""
+    blk = np.asarray(s_values, dtype=np.int64)
+    j = np.arange(1, p, dtype=np.int64)
+    den = p * np.sin(np.pi * j / p)
+    num = np.sin(np.pi * ((blk[:, None] * j) % p) / p)
+    return np.where(blk == p, 1.0, blk / p + (num / den).sum(axis=1))
+
+
+def test_fourier_l1_sine_table_equals_per_entry_sines():
+    for p in nt.primes_upto(199):
+        s = np.arange(1, p + 1)
+        assert np.array_equal(an.fourier_l1_interval(p, s), fourier_l1_per_entry(p, s))
 
 
 def test_fourier_l1_bound_example():

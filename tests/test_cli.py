@@ -410,3 +410,52 @@ def test_zp_trend_non_integer_m_exits_two(tmp_path, capsys, m):
     err = capsys.readouterr().err
     assert f"the extractor's m must be an integer, not {m!r}" in err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    ("weil", {"dmin": 5, "dmax": 2}),
+    ("partial-ap", {"dmin": 7, "dmax": 6}),
+    ("weil", {"polys_per_p": 0}),
+    ("partial-ap", {"a_per_poly": 0}),
+    ("weil", {"dmin": 0}),
+    ("partial-ap", {"dmin": 1}),
+    ("weil", {"primes": [11], "dmax": 11}),
+    ("weil", {"primes": [4]}),
+    ("weil", {"primes": []}),
+    ("partial-ap", {"primes": [101, "x"]}),
+    ("weil", {"seed": -1}),
+    ("l1", {"pmax": "x"}),
+    ("l1", {"pmax": 1.5}),
+    ("l1", {"pmax": 1}),
+    ("cauchy-davenport", {"trials": 0}),
+    ("cauchy-davenport", {"trials": -3}),
+    ("cauchy-davenport", {"trials": True}),
+])
+def test_suite_parameters_out_of_range_exit_two(tmp_path, capsys, suite, kwargs):
+    grid = write(tmp_path / "grid.json", {"kwargs": kwargs})
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--suite", suite, "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "FAIL" not in err
+    assert not out.exists()
+
+
+def test_weil_at_a_large_prime_exits_two_under_an_address_space_cap(tmp_path,
+                                                                    run_cli_capped):
+    # 500 polynomials at p = 1000003 would take a 3.7 GiB value matrix
+    grid = write(tmp_path / "grid.json", {"kwargs": {"primes": [1000003]}})
+    code, err = run_cli_capped(["verify", "--suite", "weil", "--grid", grid,
+                                "--out", str(tmp_path / "w.csv")])
+    assert code == 2, err
+    assert err.startswith("error: ") and "element budget" in err
+    assert "Traceback" not in err
+
+
+def test_bohr_frequency_zero_mod_p_exits_two(tmp_path, capsys):
+    spec = write(tmp_path / "bohr.json", {
+        "group": {"kind": "zp", "p": 101},
+        "spec": {"variant": "bohr", "freqs": [101], "rho": 0.1}})
+    out = tmp_path / "b.json"
+    assert main(["build-source", "--spec", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Bohr frequencies must be nonzero\n"
+    assert not out.exists()

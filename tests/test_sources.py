@@ -172,10 +172,16 @@ def test_bohr_set_matches_the_per_element_predicate(group, data, rho, chunk):
             else st.tuples(*[coord] * group.n))
     freqs = tuple(f for f in data.draw(st.lists(freq, max_size=3))
                   if f != group.zero and f != 0)
+    m = group.order if group.kind != "zp_vec" else group.p
+    if any(all(a % m == 0 for a in (f if isinstance(f, tuple) else (f,))) for f in freqs):
+        # a frequency that is zero mod m is refused, as a literal zero is
+        with pytest.raises(InputError, match="Bohr frequencies must be nonzero"):
+            build_source(BohrSpec(freqs, rho), group)
+        return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("addext.sources.BOHR_CHUNK", chunk)
         X = build_source(BohrSpec(freqs, rho), group)
-    vmax = bohr_vmax(group.order if group.kind != "zp_vec" else group.p, rho)
+    vmax = bohr_vmax(m, rho)
     everything = (range(group.order) if group.kind in ("zp", "zn") else
                   [tuple((i // group.p**j) % group.p for j in range(group.n))
                    for i in range(group.order)])
@@ -190,6 +196,16 @@ def test_bohr_rejects_frequencies_of_the_wrong_shape_and_huge_moduli():
     # the smallest prime whose square reaches 2^63: refused before any array is built
     with pytest.raises(BudgetError, match="2\\^63"):
         build_source(BohrSpec((1,), 0.2), Group.zp(3037000507), budget=1 << 40)
+
+
+@pytest.mark.parametrize("group, freqs", [
+    (Group.zp(101), (0,)), (Group.zp(101), (3, 101)), (Group.zp(101), (-202,)),
+    (Group.zp_vec(5, 2), ((1, 2), (5, 10))),
+    (Group.zn(CrtSystem.make([9, 35])), (315,)),
+])
+def test_bohr_rejects_a_frequency_zero_mod_m(group, freqs):
+    with pytest.raises(InputError, match="Bohr frequencies must be nonzero"):
+        build_source(BohrSpec(freqs, 0.1), group)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from addext import extractors as ex, gf, sources as src
+from addext import analysis, extractors as ex, gf, sources as src
 from addext import suites
+from addext.canonical import digest
 from addext.errors import BudgetError, InputError
 
 
@@ -257,6 +259,40 @@ def test_weil_table_equals_exp_of_each_value():
     assert np.array_equal(table[vals], np.exp(2j * np.pi * vals / p))
 
 
+def test_partial_ap_prefix_maxima_equal_the_per_entry_route(monkeypatch):
+    p, polys, a_per_poly, seed = 101, 12, 7, 5
+    rng = np.random.default_rng(seed)
+    coeffs, _ = suites._random_poly_batch(rng, polys, p, 2, 6)
+    want = [max(analysis.partial_ap_sum_prefix_max(p, c, a)
+                for a in 1 + rng.choice(p - 1, size=a_per_poly, replace=False))
+            for c in coeffs]
+    # with a tolerance of -inf every polynomial is reported with its maximum
+    monkeypatch.setattr(suites, "TOL", -math.inf)
+    for block in (analysis.L1_BLOCK_ENTRIES, 3 * p):
+        monkeypatch.setattr(analysis, "L1_BLOCK_ENTRIES", block)
+        r = suites.suite_partial_ap(primes=(p,), polys_per_p=polys,
+                                    a_per_poly=a_per_poly, seed=seed)
+        assert [f["max_prefix"] for f in r.failures] == want
+        assert [f["coeffs"] for f in r.failures] == coeffs.tolist()
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("weil", {"primes": [11, 211, 1009], "polys_per_p": 30, "seed": 3}),
+    ("partial-ap", {"primes": [101, 211], "polys_per_p": 9, "a_per_poly": 12, "seed": 3}),
+])
+def test_poly_suites_do_not_depend_on_the_block_size(monkeypatch, name, kwargs):
+    def digest_without_seconds():
+        out = suites.SUITES[name](**kwargs).to_json()
+        out.pop("seconds")
+        return digest(out)
+
+    want = digest_without_seconds()
+    # at p = 211 blocks of 2 polynomials and of 2 frequencies a per
+    # polynomial; at p = 1009 one polynomial per block
+    monkeypatch.setattr(analysis, "L1_BLOCK_ENTRIES", 2 * 211)
+    assert digest_without_seconds() == want
+
+
 def bohr_cases_by_roll(p, rho, d):
     """The per-ratio loop that suites._bohr_cases replaced."""
     x = np.arange(p)
@@ -291,26 +327,57 @@ def test_bohr_cases_match_the_per_ratio_roll_loop(p, rho):
         assert got == bohr_cases_by_roll(p, rho, d)
 
 
+def cauchy_davenport_sets(p, trials, seed):
+    """The documented draw of suite_cauchy_davenport, one trial at a time:
+    every size from default_rng([seed, p]), then p keys per trial; the set is
+    the x whose key is at most the size-th smallest key."""
+    rng = np.random.default_rng([seed, p])
+    sizes = rng.integers(1, p + 1, size=trials)
+    sets = []
+    for size in sizes:
+        keys = rng.random(p)
+        sets.append(np.flatnonzero(keys <= np.sort(keys)[size - 1]).tolist())
+    return sets
+
+
+def zero_sumsets(monkeypatch):
+    # with every sumset reported empty, each trial fails and is reported
+    monkeypatch.setattr(src, "convolve_rows", lambda A, B, m: np.zeros_like(A))
+
+
 def test_cauchy_davenport_matches_per_trial_doubling(monkeypatch):
     p, trials, seed = 101, 300, 3
-    rng = random.Random(seed * 1_000_003 + p)
     grp = src.Group.zp(p)
-    drawn, sizes = [], []
-    for _ in range(trials):
-        size = rng.randint(1, p)
-        A = rng.sample(range(p), size)
-        drawn.append(sorted(A))
-        sizes.append(src.doubling(src.Source(grp, src.ExplicitSpec(tuple(A)), frozenset(A))))
+    drawn = cauchy_davenport_sets(p, trials, seed)
+    sizes = [src.doubling(src.Source(grp, src.ExplicitSpec(tuple(A)), frozenset(A)))
+             for A in drawn]
     rows = np.zeros((trials, p), dtype=np.int8)
     for i, A in enumerate(drawn):
         rows[i, A] = 1
     assert np.count_nonzero(src.convolve_rows(rows, rows, p), axis=1).tolist() == sizes
     assert suites.suite_cauchy_davenport(primes=(p,), trials=trials, seed=seed).ok
-    # with every sumset reported empty, each trial fails: the suite drew the
-    # same sets in the same order
-    monkeypatch.setattr(src, "convolve_rows", lambda A, B, m: np.zeros_like(A))
+    # the suite drew the same sets in the same order
+    zero_sumsets(monkeypatch)
     r = suites.suite_cauchy_davenport(primes=(p,), trials=trials, seed=seed)
     assert r.failures == [{"p": p, "A": A} for A in drawn]
+
+
+def test_cauchy_davenport_sets_do_not_depend_on_the_chunk(monkeypatch):
+    zero_sumsets(monkeypatch)
+    for p in (2, 13, 101):
+        want = suites.suite_cauchy_davenport(primes=(p,), trials=40, seed=9).failures
+        with monkeypatch.context() as mp:
+            mp.setattr(src, "CONVOLVE_CHUNK", 3 * p)
+            got = suites.suite_cauchy_davenport(primes=(p,), trials=40, seed=9).failures
+        assert len(want) == 40 and got == want
+
+
+def test_cauchy_davenport_draws_sizes_one_and_p(monkeypatch):
+    zero_sumsets(monkeypatch)
+    for p in (2, 3, 5):
+        r = suites.suite_cauchy_davenport(primes=(p,), trials=60, seed=4)
+        sizes = {len(f["A"]) for f in r.failures}
+        assert {1, p} <= sizes <= set(range(1, p + 1))
 
 
 def test_cauchy_davenport_rejects_a_composite_modulus():
