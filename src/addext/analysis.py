@@ -1,6 +1,6 @@
-"""Brute-force verification core: exact statistical distances, additive and
-multiplicative character sums, Fourier L1 norms of intervals, residuals of the
-mod-M reduction map, moment sums, and double character sums.
+"""Brute-force verification core: exact statistical distances, additive
+character sums, polynomial values over F_p, Fourier L1 norms of intervals,
+residuals of the mod-M reduction map, and moment sums.
 
 Complex accumulations use numpy double precision; every quantity compared at a
 tolerance is normalized, and element counts stay far below the scale where
@@ -17,9 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import numtheory as nt
 from .errors import BudgetError, InputError
-from .gf import poly_mul
 from .sources import Source, cyclic_convolve, element_budget
 
 TOL = 1e-6
@@ -77,30 +75,9 @@ def distance_to_uniform(d: OutputDistribution) -> float:
 # characters and character sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharacterId:
-    """kind: "additive" (frequency a), "multiplicative" (index j), "quadratic"."""
-
-    kind: str
-    a: object = None
-
-    @property
-    def nontrivial(self) -> bool:
-        if self.kind == "additive":
-            return self.a != 0 and (not isinstance(self.a, tuple) or any(self.a))
-        if self.kind == "multiplicative":
-            return self.a != 0
-        return True
-
-
-def _frequency(a) -> object:
-    return a.a if isinstance(a, CharacterId) else a
-
-
 def additive_charsum(X: Source, a) -> float:
     """|sum_x e(<a, x> / modulus)| / |X| over the source, a the frequency
-    (an int, a coordinate tuple, or an additive CharacterId)."""
-    a = _frequency(a)
+    (an int over Z_p and Z_N, a coordinate tuple over Z_p^n)."""
     grp = X.group
     if grp.kind in ("zp", "zn"):
         return float(charsum_table(list(X.elements), grp.order, [int(a)])[0])
@@ -187,132 +164,6 @@ def poly_eval_all(coeffs, p: int) -> np.ndarray:
     return (c % p).astype(np.int64) @ powers % p
 
 
-def poly_degree(coeffs: Sequence[int], p: int) -> int:
-    d = -1
-    for i, c in enumerate(coeffs):
-        if c % p:
-            d = i
-    return d
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    value: float
-    bound: float
-    ok: bool
-    precondition_ok: bool = True
-    note: str = ""
-
-
-def weil_additive_check(p: int, coeffs: Sequence[int], a: int = 1) -> BoundCheck:
-    """Complete exponential sum |sum_t e_p(a f(t))| against deg(f) sqrt(p).
-
-    Precondition gcd(deg f, p) = 1; on violation the sum is still computed and
-    the check is flagged.
-    """
-    d = poly_degree(coeffs, p)
-    if d < 1 or a % p == 0:
-        raise InputError("need deg f >= 1 and a nontrivial character")
-    pre_ok = math.gcd(d, p) == 1
-    vals = poly_eval_all(coeffs, p)
-    s = abs(np.exp(2j * np.pi * ((a * vals) % p) / p).sum())
-    bound = d * math.sqrt(p)
-    return BoundCheck(float(s), bound, s <= bound + TOL, pre_ok,
-                      "" if pre_ok else f"gcd(deg={d}, p) != 1")
-
-
-def poly_root_attempt(coeffs: Sequence[int], m: int, p: int) -> list[int] | None:
-    """If the polynomial is c * g(t)^m, return monic g; else None.
-
-    Top-down undetermined coefficients; needs gcd(m, p) = 1 (true for any
-    character order m | p-1).
-    """
-    d = poly_degree(coeffs, p)
-    if d < 0 or d % m:
-        return None
-    lead_inv = pow(coeffs[d] % p, -1, p)
-    f = [(c * lead_inv) % p for c in coeffs[:d + 1]]
-    k = d // m
-    g = [0] * (k + 1)
-    g[k] = 1
-    for j in range(k - 1, -1, -1):
-        # match the coefficient of t^(k(m-1)+j): m * g_j + (terms from known g's)
-        target = f[k * (m - 1) + j]
-        partial = [0] * (k + 1)
-        partial[j + 1:] = g[j + 1:]
-        partial[k] = 1
-        acc = [1]
-        for _ in range(m):
-            acc = list(poly_mul(acc, partial, p)) or [0]
-        known = acc[k * (m - 1) + j] if len(acc) > k * (m - 1) + j else 0
-        g[j] = (target - known) * pow(m, -1, p) % p
-    acc = [1]
-    for _ in range(m):
-        acc = list(poly_mul(acc, g, p)) or [0]
-    acc += [0] * (d + 1 - len(acc))
-    return g if all((a - b) % p == 0 for a, b in zip(acc, f)) else None
-
-
-def weil_multiplicative_check(p: int, coeffs: Sequence[int],
-                              index: int | None = None) -> BoundCheck:
-    """Complete character sum |sum_t chi(f(t))| against deg(f) sqrt(p), chi the
-    multiplicative character of index j (quadratic when index is None).
-
-    Precondition: f is not c g(t)^ord(chi) (checked exactly by an ord(chi)-th
-    root attempt); chi(0) = 0 convention.
-    """
-    d = poly_degree(coeffs, p)
-    if d < 1:
-        raise InputError("need deg f >= 1")
-    if index is None:
-        index = (p - 1) // 2  # the quadratic character
-    index %= p - 1
-    if index == 0:
-        raise InputError("character must be nontrivial")
-    order = (p - 1) // math.gcd(index, p - 1)
-    pre_ok = poly_root_attempt(coeffs, order, p) is None
-    ind = np.asarray(nt.index_table(p), dtype=np.int64)
-    vals = poly_eval_all(coeffs, p)
-    chi = np.where(vals == 0, 0,
-                   np.exp(2j * np.pi * (index * ind[vals] % (p - 1)) / (p - 1)))
-    s = abs(chi.sum())
-    bound = d * math.sqrt(p)
-    return BoundCheck(float(s), bound, s <= bound + TOL, pre_ok,
-                      "" if pre_ok else f"f is a constant times an order-{order} power")
-
-
-def weil_check(p: int, coeffs: Sequence[int], character: CharacterId) -> BoundCheck:
-    """Complete sum of the given character over f(t), t in F_p, against
-    deg(f) sqrt(p); dispatches on the character kind."""
-    if character.kind == "additive":
-        return weil_additive_check(p, coeffs, int(character.a))
-    if character.kind == "quadratic":
-        return weil_multiplicative_check(p, coeffs, None)
-    if character.kind == "multiplicative":
-        return weil_multiplicative_check(p, coeffs, int(character.a))
-    raise InputError(f"unknown character kind {character.kind!r}")
-
-
-def partial_ap_sum_check(p: int, coeffs: Sequence[int], s: int, a: int = 1) -> BoundCheck:
-    """Prefix sum |sum_{t<s} e_p(a f(t))| against 4 log2(p) sqrt(p) deg(f)."""
-    d = poly_degree(coeffs, p)
-    if not 1 < d < p:
-        raise InputError("need 1 < deg f < p")
-    if not 0 < s <= p:
-        raise InputError("need 0 < s <= p")
-    vals = poly_eval_all(coeffs, p)[:s]
-    total = abs(np.exp(2j * np.pi * ((a * vals) % p) / p).sum())
-    bound = 4 * math.log2(p) * math.sqrt(p) * d
-    return BoundCheck(float(total), bound, total <= bound + TOL)
-
-
-def partial_ap_sum_prefix_max(p: int, coeffs: Sequence[int], a: int) -> float:
-    """max over all prefixes 1 <= s <= p of |sum_{t<s} e_p(a f(t))|."""
-    vals = poly_eval_all(coeffs, p)
-    phases = np.exp(2j * np.pi * ((a * vals) % p) / p)
-    return float(np.abs(np.cumsum(phases)).max())
-
-
 L1_BLOCK_ENTRIES = 1 << 20
 
 
@@ -357,20 +208,9 @@ def xor_residual_check(N: int, M: int) -> tuple[Fraction, Fraction, bool]:
     return dist, bound, dist <= bound
 
 
-@dataclass(frozen=True)
-class MomentSumQuery:
-    """Moment parameter t and (optional) probe-bound parameters Q, C_Q."""
-
-    t: int
-    Q: float | None = None
-    c_q: float | None = None
-
-
-def moment_sum(Y: Sequence[int], q: int, t: int | MomentSumQuery) -> int:
+def moment_sum(Y: Sequence[int], q: int, t: int) -> int:
     """(1/q) sum_a |Y^(a)|^(2t), computed exactly as the number of 2t-tuples
     (x_1..x_t, y_1..y_t) in Y^(2t) with equal half-sums mod q."""
-    if isinstance(t, MomentSumQuery):
-        t = t.t
     if t < 1:
         raise InputError("t must be >= 1")
     ys = sorted(set(int(y) % q for y in Y))
@@ -382,42 +222,6 @@ def moment_sum(Y: Sequence[int], q: int, t: int | MomentSumQuery) -> int:
     for _ in range(t - 1):
         values, counts = cyclic_convolve(values, counts, base, ones, q)
     return int((counts * counts).sum())
-
-
-def moment_reference_bound(size: int, q: int, t: int, Q: float, c_q: float) -> float:
-    """|Y|^(2t) (C_Q |Y|^(-Q) + q^(-1+1/Q)): reported beside moment sums as a
-    probe only (the constant C_Q is non-effective and caller-supplied)."""
-    return size ** (2 * t) * (c_q * size ** (-Q) + q ** (-1 + 1 / Q))
-
-
-def moment_probe(Y: Sequence[int], q: int, query: MomentSumQuery) -> dict:
-    """Exact moment value, reported beside the caller-parameterized reference
-    bound; never asserted (probe only)."""
-    value = moment_sum(Y, q, query.t)
-    size = len(set(int(y) % q for y in Y))
-    ref = None
-    if query.Q is not None and query.c_q is not None:
-        ref = moment_reference_bound(size, q, query.t, query.Q, query.c_q)
-    return {"moment": value, "size": size, "t": query.t,
-            "reference_bound": ref, "probe_only": True}
-
-
-def paley_double_sum(p: int, S: Sequence[int], T: Sequence[int],
-                     index: int | None = None) -> float:
-    """|sum_{s in S, t in T} chi(s + t)| / (|S| |T|), chi the multiplicative
-    character of the given index (quadratic when None); chi(0) = 0."""
-    if not S or not T:
-        raise InputError("S and T must be nonempty")
-    if index is None:
-        index = (p - 1) // 2
-    ind = np.asarray(nt.index_table(p), dtype=np.int64)
-    s = np.asarray(sorted(set(S)), dtype=np.int64) % p
-    tt = np.asarray(sorted(set(T)), dtype=np.int64) % p
-    sums, counts = cyclic_convolve(s, np.ones(len(s), dtype=np.int64),
-                                   tt, np.ones(len(tt), dtype=np.int64), p)
-    chi = np.where(sums == 0, 0,
-                   np.exp(2j * np.pi * (index * ind[sums] % (p - 1)) / (p - 1)))
-    return abs((counts * chi).sum()) / (len(s) * len(tt))
 
 
 # ---------------------------------------------------------------------------

@@ -335,8 +335,7 @@ def pgc_extract(x: int, cfg: PgcExtractorConfig) -> int:
 ExtractorConfig = (ZpExtractorConfig | ZpnExtractorConfig | LineExtractorConfig
                    | ApExtractorConfig | PgcExtractorConfig)
 
-# The group kinds each family runs on. A serialized config is rebuilt on the
-# last kind listed, whose parameters it carries (p, n; k and modulus for line).
+# The group kinds each family runs on.
 GROUP_KINDS = {"zp": ("zp",), "pgc": ("zp",), "zpn": ("zp_vec",),
                "ap": ("zp_vec",), "line": ("zp_vec", "fq_vec")}
 
@@ -382,14 +381,6 @@ def config_for_group(obj: dict, group: Group) -> ExtractorConfig:
     if canonical_json(cfg.to_json()) != canonical_json(obj):
         raise InputError(f"not the canonical {obj['variant']} config for its group")
     return cfg
-
-
-def config_from_json(obj: dict) -> ExtractorConfig:
-    """Load a serialized config by rebuilding it on the group it names."""
-    kinds = GROUP_KINDS.get(obj.get("variant"))
-    if kinds is None:
-        raise InputError(f"unknown extractor variant {obj.get('variant')!r}")
-    return config_for_group(obj, Group.from_json(dict(obj, kind=kinds[-1])))
 
 
 def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,

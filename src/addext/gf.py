@@ -1,5 +1,6 @@
 """Finite-field arithmetic for F_{p^k}: irreducible polynomial search, element
-arithmetic, Frobenius, traces, and norm-form evaluation for extension towers.
+arithmetic, traces, quadratic characters, and norm-form evaluation for
+extension towers.
 
 Polynomials over F_p are coefficient tuples, lowest degree first, with no
 trailing zeros (the zero polynomial is ()). Field elements are encoded as
@@ -233,9 +234,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero field element")
         return self.pow(a, self.order - 2)
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
 
 def trace_to_f2(spec: FieldSpec, a: int) -> int:
     """Absolute trace of F_{2^k} at the element encoded by a:
@@ -310,14 +308,12 @@ class ExtensionField:
 
 
 def _row_reduce(rows: Sequence[Sequence[int]],
-                p: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """Reduced row-echelon basis of the row space of ``rows`` over F_p, the
-    pivot column of each basis row (1 there, 0 in every other basis row), and
-    the index of the input row that added each basis row, i.e. raised the rank."""
+                p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon basis of the row space of ``rows`` over F_p and the
+    pivot column of each basis row (1 there, 0 in every other basis row)."""
     basis: list[list[int]] = []
     pivots: list[int] = []
-    raised: list[int] = []
-    for index, row in enumerate(rows):
+    for row in rows:
         row = [x % p for x in row]
         for bas, piv in zip(basis, pivots):
             f = row[piv]
@@ -334,8 +330,7 @@ def _row_reduce(rows: Sequence[Sequence[int]],
                 basis[i] = [(x - f * y) % p for x, y in zip(bas, row)]
         basis.append(row)
         pivots.append(nz)
-        raised.append(index)
-    return basis, pivots, raised
+    return basis, pivots
 
 
 @functools.lru_cache(maxsize=None)
@@ -504,7 +499,7 @@ def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
     for _ in range(ext.k // k - 1):
         cur = pow_many(ext, cur, q)
         images = (images + cur) % p
-    rows, *_ = _row_reduce(images.tolist(), p)
+    rows, _ = _row_reduce(images.tolist(), p)
     if len(rows) != k:
         raise AssertionError("trace image has wrong dimension")
     basis = np.array(rows, dtype=np.int64)
@@ -537,8 +532,8 @@ def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     lift = [E.decode(ext.lift([0] * i + [u])) for i in range(ext.degree) for u in unit]
     embed = [list(E.decode(ext.embed(u))) for u in unit]
     # row reducing [embed | I] gives [R | T] with T embed = R, R = I on the pivots
-    rows, pivots, _ = _row_reduce([e + [int(i == j) for j in range(k)]
-                                   for i, e in enumerate(embed)], p)
+    rows, pivots = _row_reduce([e + [int(i == j) for j in range(k)]
+                                for i, e in enumerate(embed)], p)
     if len(rows) != k or max(pivots) >= K:
         raise AssertionError("the embedding is not injective")
     maps = (np.array(lift, dtype=np.int64), np.array(embed, dtype=np.int64),

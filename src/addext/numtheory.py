@@ -1,5 +1,5 @@
 """Exact modular arithmetic: primes in arithmetic progressions, subgroup
-generators, Chinese remaindering, discrete logarithms, quadratic characters.
+generators, Chinese remaindering, discrete logarithms, index tables.
 
 All functions are pure and deterministic; "smallest" is the canonical choice
 wherever a prime or generator has to be picked, so every derived constant is
@@ -130,20 +130,6 @@ def crt_combine(residues: Sequence[Residue], system: CrtSystem) -> Residue:
     return Residue(y % q, q)
 
 
-def crt_split(y: Residue, system: CrtSystem) -> list[Residue]:
-    """Inverse of crt_combine: the residue of y modulo each q_i."""
-    if y.modulus != system.combined_modulus:
-        raise InputError("value modulus does not match the CRT system")
-    return [Residue(y.value % qi, qi) for qi in system.moduli]
-
-
-def mod_pow(base: Residue, exponent: int) -> Residue:
-    """base^exponent mod base.modulus (square-and-multiply)."""
-    if exponent < 0:
-        raise InputError("exponent must be nonnegative")
-    return Residue(pow(base.value, exponent, base.modulus), base.modulus)
-
-
 def discrete_log(g: Residue, y: Residue, order: int) -> int:
     """Exponent e in {0..order-1} with g^e = y, by baby-step/giant-step.
 
@@ -168,24 +154,6 @@ def discrete_log(g: Residue, y: Residue, order: int) -> int:
             return i * m + j
         cur = cur * giant % q
     raise NotInSubgroupError(f"{y.value} is not a power of {g.value} mod {q}")
-
-
-def quadratic_character(a: int | Residue, q: int | None = None) -> int:
-    """Legendre symbol of a mod an odd prime q: 0 on 0, else +-1 (Euler criterion)."""
-    if isinstance(a, Residue):
-        if q is not None and q != a.modulus:
-            raise InputError("modulus mismatch")
-        q = a.modulus
-        a = a.value
-    if q is None:
-        raise InputError("modulus required")
-    if q == 2 or not is_prime(q):
-        raise InputError(f"{q} is not an odd prime")
-    a %= q
-    if a == 0:
-        return 0
-    e = pow(a, (q - 1) // 2, q)
-    return 1 if e == 1 else -1
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -1,6 +1,6 @@
 """Source families over Z_p, Z_p^n, F_q^n and Z_N: construction by exact
 enumeration, and structural diagnostics (symmetry sets, doubling, additive
-profiles, properness, list decodability, Bohr regularity).
+profiles).
 
 A source is the uniform distribution on a finite, deduplicated element set.
 Elements are ints for Z_p and Z_N, tuples of ints for vector groups (each
@@ -9,7 +9,6 @@ coordinate an encoded field element for F_q^n).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -485,13 +484,6 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
     return Source(group, spec, frozenset(els), notes)
 
 
-def is_proper_gap(spec: GapSpec, group: Group) -> bool:
-    """True iff the s^r coefficient sums are pairwise distinct."""
-    if not isinstance(spec, GapSpec):
-        raise InputError("is_proper_gap requires a GAP spec")
-    return len(build_source(spec, group).elements) == spec.s**spec.r
-
-
 def sub_gap(spec: GapSpec, group: Group, side: int) -> set:
     """Homogeneous small-coefficient sub-GAP {sum a_i b_i : 0 <= a_i < side}.
 
@@ -657,68 +649,3 @@ def additive_profile(X: Source, alpha: float) -> AdditiveProfile:
         tau=math.log(dbl) / logx - 1.0,
         entropy_rate=logx / math.log(X.group.order),
         size=len(X), sym_size=sym, sumset_size=dbl, group_order=X.group.order)
-
-
-@dataclass(frozen=True)
-class ListDecodabilityParams:
-    r: int
-    B: int
-    gamma: float | None = None
-    L: float | None = None
-
-
-def list_decodability_check(X: Source, params: ListDecodabilityParams,
-                            op_budget: int | None = None):
-    """Max fiber size over all r-index-sets and realized value assignments,
-    compared against B. Returns (ok, worst) with the witnessing fiber."""
-    if X.group.kind not in ("zp_vec", "fq_vec"):
-        raise InputError("list decodability is defined for vector groups")
-    n = X.group.n
-    r = params.r
-    if not 1 <= r <= n:
-        raise InputError("need 1 <= r <= n")
-    cap = DEFAULT_PAIR_BUDGET if op_budget is None else op_budget
-    if math.comb(n, r) * len(X) > cap:
-        raise BudgetError("fiber enumeration exceeds budget")
-    els = list(X.elements)
-    worst = {"indices": None, "values": None, "count": 0}
-    for idx in itertools.combinations(range(n), r):
-        counts = Counter(tuple(x[i] for i in idx) for x in els)
-        values, count = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
-        if count > worst["count"]:
-            worst = {"indices": idx, "values": values, "count": count}
-    return worst["count"] <= params.B, worst
-
-
-def bohr_regularity_probe(spec: BohrSpec, group: Group,
-                          kappa_grid: Sequence[float]) -> list[dict]:
-    """For each kappa, the ratio |Bohr(S, rho(1+kappa))| / |Bohr(S, rho)| and
-    whether it stays below 1 + 100 kappa |S| (meaningful for kappa < 1/(100|S|))."""
-    d = len(spec.freqs)
-    base = build_source(spec, group)
-    rows = []
-    for kappa in kappa_grid:
-        inflated = build_source(BohrSpec(spec.freqs, spec.rho * (1 + kappa)), group)
-        ratio = len(inflated) / len(base)
-        bound = 1 + 100 * kappa * d
-        rows.append({"kappa": kappa, "base_size": len(base),
-                     "inflated_size": len(inflated), "ratio": ratio,
-                     "bound": bound, "holds": ratio <= bound,
-                     "applicable": kappa < 1 / (100 * d)})
-    return rows
-
-
-def gap_decomposition(spec: GapSpec, group: Group) -> dict:
-    """Write a (possibly non-proper) GAP over Z_p^n as a union of independent
-    GAPs on a maximal linearly independent subset of its steps.
-
-    Diagnostic only; extraction always runs on the deduplicated element set.
-    """
-    if group.kind != "zp_vec":
-        raise InputError("GAP decomposition implemented over Z_p^n")
-    group.validate_element(spec.b0, *spec.steps)
-    *_, indep = gf._row_reduce(spec.steps, group.p)
-    dependent = [b for i, b in enumerate(spec.steps) if i not in indep]
-    offsets = _span(group, spec.b0, dependent, spec.s, element_budget())
-    return {"k": len(indep), "independent_steps": [spec.steps[i] for i in indep],
-            "offsets": sorted(offsets)}

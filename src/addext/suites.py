@@ -476,8 +476,14 @@ def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
 def suite_transport(primes=(101, 499), sources_per_p: int = 200, alpha: float = 0.25,
                     seed: int = 109) -> SuiteResult:
     """The subgroup encoding x -> g^x: injectivity, |Y Y| = |X+X|, and exact
-    transport of representation counts (hence of every symmetry set)."""
+    transport of representation counts (hence of every symmetry set),
+    0 < alpha < 1."""
     elapsed = _timer()
+    primes = _suite_primes(primes, 1)
+    _check_int("sources_per_p", sources_per_p, 1)
+    _check_int("seed", seed, 0)
+    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
+        raise InputError(f"alpha must be a number in (0, 1), not {alpha!r}")
     res = SuiteResult("transport", True)
     for p in primes:
         cfg = ex.build_zp_extractor(p, 1)
@@ -559,6 +565,7 @@ def suite_zp_trend(primes=(101, 499, 1009, 4999), m: int = 1,
     must be non-increasing in p (hard); the final median is compared with the
     threshold (soft; a miss downgrades to a warning with the curve attached)."""
     elapsed = _timer()
+    primes = _suite_primes(primes, 1)
     res = SuiteResult("zp-trend", True)
     medians = []
     for p in primes:
@@ -588,8 +595,12 @@ def suite_zp_trend(primes=(101, 499, 1009, 4999), m: int = 1,
 def suite_moments(qs=(11, 101), ts=(1, 2, 3), parseval_sets: int = 100,
                   seed: int = 111) -> SuiteResult:
     """Exact moment-sum identities: full multiplicative group value
-    ((q-1)^2t + (q-1))/q, and the Parseval case 2t = 2 equals |Y|."""
+    ((q-1)^2t + (q-1))/q for each q >= 2, and the Parseval case 2t = 2
+    equals |Y|."""
     elapsed = _timer()
+    for q in qs:
+        _check_int("q", q, 2)
+    _check_int("seed", seed, 0)
     res = SuiteResult("moments", True)
     for q in qs:
         for t in ts:

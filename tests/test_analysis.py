@@ -8,10 +8,12 @@ import pytest
 
 from addext import analysis as an
 from addext import numtheory as nt
+from addext import suites
 from addext.errors import BudgetError, InputError
 from addext.extractors import (build_zp_extractor, build_zpn_extractor, extract_many,
                                zp_encode, zpn_encode)
 from addext.sources import ExplicitSpec, GapSpec, Group, build_source
+from oracles import partial_ap_sum_prefix_max
 
 
 # ---------------------------------------------------------------------------
@@ -188,90 +190,48 @@ def test_poly_eval_all_checks_budget_and_overflow_before_allocating(monkeypatch)
         an.poly_eval_all(np.ones((20, 3), dtype=np.int64), 11)
 
 
+def complete_sum(p, coeffs):
+    """|sum_t e_p(f(t))| from poly_eval_all, as the weil suite sums it."""
+    return abs(np.exp(2j * np.pi * an.poly_eval_all(coeffs, p) / p).sum())
+
+
 def test_weil_additive_gauss_sum():
-    r = an.weil_additive_check(7, [0, 0, 1])
-    assert abs(r.value - math.sqrt(7)) < 1e-9
-    assert r.ok and r.precondition_ok
+    assert abs(complete_sum(7, [0, 0, 1]) - math.sqrt(7)) < 1e-9
 
 
 def test_weil_additive_linear_vanishes():
-    r = an.weil_additive_check(13, [5, 3])
-    assert r.value < 1e-9 and r.ok
+    assert complete_sum(13, [5, 3]) < 1e-9
 
 
 def test_weil_additive_random_deg5():
     rng = random.Random(3)
     for _ in range(20):
         coeffs = [rng.randrange(101) for _ in range(5)] + [rng.randrange(1, 101)]
-        r = an.weil_additive_check(101, coeffs)
-        assert r.ok and r.bound == 5 * math.sqrt(101)
-
-
-def test_weil_additive_precondition_flag():
-    # deg = p: gcd(deg, p) != 1; sum still computed
-    r = an.weil_additive_check(5, [0, 1, 0, 0, 0, 1])
-    assert not r.precondition_ok
-    assert r.value >= 0
-
-
-def test_poly_root_attempt():
-    assert an.poly_root_attempt([1, 2, 1], 2, 7) == [1, 1]
-    assert an.poly_root_attempt([2, 4, 2], 2, 7) == [1, 1]     # constant times
-    assert an.poly_root_attempt([1, 1, 1], 2, 7) is None
-    assert an.poly_root_attempt([0, 0, 0, 1], 3, 7) == [0, 1]
-    assert an.poly_root_attempt([0, 0, 0, 1], 2, 7) is None
-    # random g, reassembled
-    rng = random.Random(9)
-    for m in (2, 3):
-        for _ in range(20):
-            g = [rng.randrange(13) for _ in range(2)] + [1]
-            fm = [1]
-            for _ in range(m):
-                out = [0] * (len(fm) + len(g) - 1)
-                for i, a in enumerate(fm):
-                    for j, b in enumerate(g):
-                        out[i + j] = (out[i + j] + a * b) % 13
-                fm = out
-            c = rng.randrange(1, 13)
-            fm = [c * x % 13 for x in fm]
-            got = an.poly_root_attempt(fm, m, 13)
-            assert got == g, (m, g, fm, got)
-
-
-def test_weil_multiplicative_quadratic():
-    r = an.weil_multiplicative_check(7, [0, 0, 1])  # chi2(t^2): a perfect square
-    assert not r.precondition_ok
-    assert abs(r.value - 6.0) < 1e-9
-    r2 = an.weil_multiplicative_check(7, [1, 1, 1])
-    assert r2.precondition_ok and r2.ok
-    # chi2(t) over F_p sums to zero
-    r3 = an.weil_multiplicative_check(11, [0, 1])
-    assert r3.value < 1e-9
+        assert complete_sum(101, coeffs) <= 5 * math.sqrt(101) + an.TOL
+    r = suites.suite_weil(primes=[101], polys_per_p=20, dmin=5, dmax=5)
+    assert r.ok and r.rows[0]["max_ratio"] <= 1
 
 
 def test_partial_ap_sum_examples():
-    r = an.partial_ap_sum_check(13, [0, 0, 1], 5, 1)
-    assert r.ok
-    assert abs(r.bound - 4 * math.log2(13) * math.sqrt(13) * 2) < 1e-12
-    full = an.partial_ap_sum_check(13, [0, 0, 1], 13, 1)
-    assert abs(full.value - math.sqrt(13)) < 1e-9  # complete Gauss sum
-    one = an.partial_ap_sum_check(13, [0, 0, 1], 1, 1)
-    assert abs(one.value - 1.0) < 1e-12
+    prefix = np.abs(np.cumsum(np.exp(2j * np.pi * an.poly_eval_all([0, 0, 1], 13) / 13)))
+    assert prefix[4] <= 4 * math.log2(13) * math.sqrt(13) * 2
+    assert abs(prefix[12] - math.sqrt(13)) < 1e-9  # complete Gauss sum
+    assert abs(prefix[0] - 1.0) < 1e-12
     with pytest.raises(InputError):
-        an.partial_ap_sum_check(13, [0, 1], 5, 1)  # degree must exceed 1
+        suites.suite_partial_ap(primes=(13,), dmin=1, dmax=1)  # degree must exceed 1
 
 
 def test_partial_prefix_max_matches_loop():
     coeffs = [3, 1, 4, 1]
     p = 31
-    got = an.partial_ap_sum_prefix_max(p, coeffs, 2)
+    got = partial_ap_sum_prefix_max(p, coeffs, 2)
     want = max(abs(sum(np.exp(2j * np.pi * (2 * ((3 + t + 4 * t * t + t**3) % p))
                               / p) for t in range(s))) for s in range(1, p + 1))
     assert abs(got - want) < 1e-9
 
 
 # ---------------------------------------------------------------------------
-# L1, residuals, moments, double sums
+# L1, residuals, moments
 # ---------------------------------------------------------------------------
 
 def test_fourier_l1_trivial_cases():
@@ -365,41 +325,15 @@ def test_moment_sum_float_oracle():
         assert abs(moment_float(Y, 101, t) - exact) < 1e-6 * max(exact, 1)
 
 
-def test_moment_reference_bound_probe():
-    v = an.moment_reference_bound(100, 101, 2, Q=4.0, c_q=1.0)
-    assert v > 0
-    probe = an.moment_probe(range(1, 11), 11, an.MomentSumQuery(2, Q=4.0, c_q=1.0))
-    assert probe["probe_only"] and probe["moment"] == an.moment_sum(range(1, 11), 11, 2)
-    assert probe["reference_bound"] > 0
-    no_ref = an.moment_probe(range(1, 11), 11, an.MomentSumQuery(1))
-    assert no_ref["reference_bound"] is None and no_ref["moment"] == 10
-
-
 def test_character_id_dispatch():
-    gauss = an.weil_check(7, [0, 0, 1], an.CharacterId("additive", 1))
-    assert abs(gauss.value - math.sqrt(7)) < 1e-9
-    quad = an.weil_check(7, [1, 1, 1], an.CharacterId("quadratic"))
-    assert quad.precondition_ok
-    mult = an.weil_check(11, [1, 1, 1], an.CharacterId("multiplicative", 2))
-    assert mult.ok
-    assert not an.CharacterId("additive", 0).nontrivial
-    assert an.CharacterId("additive", (0, 1)).nontrivial
-    assert not an.CharacterId("additive", (0, 0)).nontrivial
-    # charsum accepts CharacterId frequencies
+    # the frequency is an int over Z_p and a coordinate tuple over Z_p^n
     X = build_source(GapSpec(0, (1,), 5), Group.zp(11))
-    assert an.additive_charsum(X, an.CharacterId("additive", 1)) == \
-        an.additive_charsum(X, 1)
-
-
-def test_paley_double_sum():
-    assert an.paley_double_sum(101, range(101), range(101)) < 1e-12
-    assert abs(an.paley_double_sum(11, [3], [0]) - 1.0) < 1e-12
-    # collapse to a single character sum over S when T = {0}
-    rng = random.Random(4)
-    S = rng.sample(range(1, 101), 20)
-    chi = [nt.quadratic_character(a, 101) for a in range(101)]
-    want = abs(sum(chi[s] for s in S)) / 20
-    assert abs(an.paley_double_sum(101, S, [0]) - want) < 1e-12
+    want = math.sin(5 * math.pi / 11) / (5 * math.sin(math.pi / 11))
+    assert abs(an.additive_charsum(X, 1) - want) < 1e-12
+    assert an.additive_charsum(X, 1) == an.additive_charsum(X, 12)
+    V = build_source(GapSpec((0, 0), ((0, 1),), 5), Group.zp_vec(11, 2))
+    assert abs(an.additive_charsum(V, (3, 1)) - want) < 1e-12
+    assert abs(an.additive_charsum(V, (1, 0)) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

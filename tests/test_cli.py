@@ -430,6 +430,10 @@ def test_zp_trend_non_integer_m_exits_two(tmp_path, capsys, m):
     ("cauchy-davenport", {"trials": 0}),
     ("cauchy-davenport", {"trials": -3}),
     ("cauchy-davenport", {"trials": True}),
+    ("zp-trend", {"primes": []}),
+    ("transport", {"primes": [101], "sources_per_p": 0}),
+    ("transport", {"alpha": 5}),
+    ("moments", {"qs": [1]}),
 ])
 def test_suite_parameters_out_of_range_exit_two(tmp_path, capsys, suite, kwargs):
     grid = write(tmp_path / "grid.json", {"kwargs": kwargs})

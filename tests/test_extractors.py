@@ -12,9 +12,10 @@ from addext.extractors import (Block, LineExtractorConfig,
                                ap_extract, ap_poly_eval, build_ap_extractor,
                                build_line_extractor, build_pgc_extractor,
                                build_zp_extractor, build_zpn_extractor,
-                               config_from_json, line_extract, line_poly_eval,
+                               config_for_group, line_extract, line_poly_eval,
                                pgc_extract, prime_power_field, zp_encode,
                                zp_extract, zpn_encode, zpn_extract)
+from addext.sources import Group
 
 
 # ---------------------------------------------------------------------------
@@ -346,30 +347,44 @@ def test_configs_deterministic_and_serializable():
                 build_line_extractor(gf.FieldSpec(3, 2, (2, 1, 1)), 4),
                 build_ap_extractor(101, 10, 2), build_pgc_extractor(10007, 3)]
     for c in configs:
-        assert config_from_json(c.to_json()) == c
+        assert config_for_group(c.to_json(), group_of(c)) == c
+
+
+def group_of(cfg):
+    """The group a config runs on: Z_p for zp and pgc, F_q^n for line, Z_p^n
+    for zpn and ap."""
+    if isinstance(cfg, (ZpExtractorConfig, PgcExtractorConfig)):
+        return Group.zp(cfg.p)
+    if isinstance(cfg, LineExtractorConfig):
+        return Group.fq_vec(cfg.field, cfg.n)
+    if isinstance(cfg, ZpnExtractorConfig):
+        return Group.zp_vec(cfg.p, cfg.n)
+    return Group.zp_vec(cfg.field.p, cfg.n)
 
 
 def test_config_from_json_validates():
-    with pytest.raises(InputError):
-        config_from_json({"variant": "zp", "p": 5, "q": 13, "g": 3, "m": 1})
-    with pytest.raises(InputError):
-        config_from_json({"variant": "nope"})
-    with pytest.raises(InputError):
-        config_from_json({"variant": "zp", "p": 5})
+    # each config is checked against the canonical build on the group it names
     line = build_line_extractor(9, 4).to_json()
     holes = [
-        {"variant": "pgc", "p": 11, "g": 3, "m": 1},  # 3 is not a primitive root
-        dict(line, output="bogus"),
-        dict(line, blocks=[[0, 2], [2, 2]]),           # even blocks
-        {"variant": "ap", "p": 5, "n": 6, "padded_n": 6, "blocks": [[0, 6]],
-         "m": 1, "custom_poly": False},                # degree 6 >= p
-        dict(build_ap_extractor(5, 3, 1).to_json(), custom_poly=True),
-        dict(build_zp_extractor(5, 1).to_json(), m=1.0),
-        {"variant": "zp", "p": 4, "q": 5, "g": 2, "m": 1},  # composite p
+        ({"variant": "zp", "p": 5, "q": 13, "g": 3, "m": 1}, {"kind": "zp", "p": 5}),
+        ({"variant": "nope"}, {"kind": "zp", "p": 5}),
+        ({"variant": "zp", "p": 5}, {"kind": "zp", "p": 5}),
+        ({"variant": "pgc", "p": 11, "g": 3, "m": 1},  # 3 is not a primitive root
+         {"kind": "zp", "p": 11}),
+        (dict(line, output="bogus"), dict(line, kind="fq_vec")),
+        (dict(line, blocks=[[0, 2], [2, 2]]), dict(line, kind="fq_vec")),  # even blocks
+        ({"variant": "ap", "p": 5, "n": 6, "padded_n": 6, "blocks": [[0, 6]],
+          "m": 1, "custom_poly": False},                # degree 6 >= p
+         {"kind": "zp_vec", "p": 5, "n": 6}),
+        (dict(build_ap_extractor(5, 3, 1).to_json(), custom_poly=True),
+         {"kind": "zp_vec", "p": 5, "n": 3}),
+        (dict(build_zp_extractor(5, 1).to_json(), m=1.0), {"kind": "zp", "p": 5}),
+        ({"variant": "zp", "p": 4, "q": 5, "g": 2, "m": 1},  # composite p
+         {"kind": "zp", "p": 4}),
     ]
-    for obj in holes:
+    for obj, group in holes:
         with pytest.raises(InputError):
-            config_from_json(obj)
+            config_for_group(obj, Group.from_json(group))
 
 
 def test_config_digests_golden():
@@ -393,4 +408,4 @@ def test_config_digests_golden():
     ap = build_ap_extractor(13, 3, 1).to_json()
     assert ap["custom_poly"] is False
     with pytest.raises(InputError):
-        config_from_json(dict(ap, custom_poly=True))
+        config_for_group(dict(ap, custom_poly=True), Group.zp_vec(13, 3))

@@ -65,7 +65,7 @@ def test_field_arith_examples():
     F9 = gf.FieldSpec.make(3, 2)
     theta = F9.encode([0, 1])
     assert F9.decode(F9.mul(theta, theta)) == (2, 0)
-    assert F9.decode(F9.frobenius(theta)) == (0, 2)
+    assert F9.decode(F9.pow(theta, 3)) == (0, 2)  # Frobenius
     assert F9.inv(1) == 1
     with pytest.raises(ZeroDivisionError):
         F9.inv(0)
@@ -91,8 +91,7 @@ def test_frobenius_is_additive_homomorphism():
     F8 = gf.FieldSpec.make(2, 3)
     for a in F8.elements():
         for b in F8.elements():
-            assert F8.frobenius(F8.add(a, b)) == F8.add(F8.frobenius(a),
-                                                        F8.frobenius(b))
+            assert F8.pow(F8.add(a, b), 2) == F8.add(F8.pow(a, 2), F8.pow(b, 2))
 
 
 def test_trace_examples():

@@ -62,9 +62,6 @@ def test_random_source_through_index_map():
     cfg = ex.build_pgc_extractor(p, 1)
     dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements), 2)
     assert an.distance_to_uniform(dist) < 0.2
-    # companion probe: normalized double character sum over the source
-    probe = an.paley_double_sum(p, X.sorted_elements, X.sorted_elements)
-    assert probe < 0.2
 
 
 def test_m0_distance_zero_convention():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addext import numtheory as nt
+from addext import gf, numtheory as nt
 from addext.errors import CapacityError, InputError, NotInSubgroupError
 
 
@@ -87,12 +87,12 @@ def test_crt_bijection_exhaustive():
     q = s.combined_modulus
     assert q == 15015
     for y in range(q):
-        parts = nt.crt_split(nt.Residue(y, q), s)
+        parts = [nt.Residue(y % qi, qi) for qi in s.moduli]
         assert nt.crt_combine(parts, s).value == y
     # spot checks on a larger system
     s6 = nt.CrtSystem.make([3, 5, 7, 11, 13, 17])
     for y in range(0, s6.combined_modulus, 101):
-        parts = nt.crt_split(nt.Residue(y, s6.combined_modulus), s6)
+        parts = [nt.Residue(y % qi, qi) for qi in s6.moduli]
         assert nt.crt_combine(parts, s6).value == y
 
 
@@ -101,7 +101,7 @@ def test_crt_roundtrip_property(a, b, c):
     s = nt.CrtSystem.make([3, 5, 7])
     rs = [nt.Residue(a, 3), nt.Residue(b, 5), nt.Residue(c, 7)]
     y = nt.crt_combine(rs, s)
-    assert nt.crt_split(y, s) == rs
+    assert [nt.Residue(y.value % qi, qi) for qi in s.moduli] == rs
 
 
 def test_crt_errors():
@@ -112,12 +112,6 @@ def test_crt_errors():
     s = nt.CrtSystem.make([3, 5])
     with pytest.raises(InputError):
         nt.crt_combine([nt.Residue(1, 3), nt.Residue(1, 7)], s)
-
-
-def test_mod_pow():
-    assert nt.mod_pow(nt.Residue(3, 11), 5).value == 1
-    assert nt.mod_pow(nt.Residue(7, 13), 0).value == 1
-    assert nt.mod_pow(nt.Residue(2, 11), 10).value == 1
 
 
 def test_discrete_log_examples():
@@ -134,24 +128,26 @@ def test_discrete_log_roundtrip_exhaustive():
     q = nt.smallest_prime_congruent_one(p)
     g = nt.order_p_element(q, p)
     for e in range(0, p, 97):
-        y = nt.mod_pow(g, e)
+        y = nt.Residue(pow(g.value, e, q), q)
         assert nt.discrete_log(g, y, p) == e
     # small order: fully exhaustive
     g5 = nt.Residue(3, 11)
     for e in range(5):
-        assert nt.discrete_log(g5, nt.mod_pow(g5, e), 5) == e
+        assert nt.discrete_log(g5, nt.Residue(pow(3, e, 11), 11), 5) == e
 
 
 def test_quadratic_character_examples():
-    assert nt.quadratic_character(4, 7) == 1
-    assert nt.quadratic_character(3, 7) == -1
-    assert nt.quadratic_character(0, 7) == 0
-    assert nt.quadratic_character(nt.Residue(3, 7)) == -1
+    # the Legendre symbol is the quadratic character of the prime field F_7
+    F7 = gf.FieldSpec.make(7, 1)
+    assert gf.fq_quadratic_character(F7, 4) == 1
+    assert gf.fq_quadratic_character(F7, 3) == -1
+    assert gf.fq_quadratic_character(F7, 0) == 0
 
 
 def test_quadratic_character_multiplicative_exhaustive():
     for q in [3, 5, 7, 11, 101, 499]:
-        chi = [nt.quadratic_character(a, q) for a in range(q)]
+        Fq = gf.FieldSpec.make(q, 1)
+        chi = [gf.fq_quadratic_character(Fq, a) for a in range(q)]
         assert sum(chi) == 0  # as many residues as non-residues
         for a in range(1, q):
             for b in range(1, q):
@@ -160,7 +156,7 @@ def test_quadratic_character_multiplicative_exhaustive():
 
 def test_quadratic_character_rejects_even_modulus():
     with pytest.raises(InputError):
-        nt.quadratic_character(1, 2)
+        gf.fq_quadratic_character(gf.FieldSpec.make(2, 1), 1)
 
 
 def test_primitive_root_and_index_table():

@@ -11,10 +11,8 @@ from addext.errors import BudgetError, InputError
 from addext.numtheory import CrtSystem
 from addext.sources import (AffineSpec, ApSpec, BohrSpec,
                             ExplicitSpec, GapSpec, Group, HapSpec, LineSpec,
-                            ListDecodabilityParams, RandomSpec, Source,
-                            additive_profile, bohr_regularity_probe, bohr_vmax, build_source,
-                            difference_histogram, doubling, gap_decomposition, is_proper_gap,
-                            list_decodability_check, rep_count, spec_from_json,
+                            RandomSpec, Source, additive_profile, bohr_vmax, build_source,
+                            difference_histogram, doubling, rep_count, spec_from_json,
                             spec_to_json, sub_gap, sym_set)
 
 
@@ -213,9 +211,10 @@ def test_bohr_rejects_a_frequency_zero_mod_m(group, freqs):
 # ---------------------------------------------------------------------------
 
 def test_proper_gap_examples():
-    assert is_proper_gap(GapSpec(0, (2, 3), 2), Group.zp(7))
-    assert not is_proper_gap(GapSpec(0, (1, 2), 3), Group.zp(5))
-    assert is_proper_gap(GapSpec(4, (3,), 5), Group.zp(11))  # r=1 AP, s <= p
+    # build_source notes whether the s^r coefficient sums are pairwise distinct
+    assert build_source(GapSpec(0, (2, 3), 2), Group.zp(7)).notes["proper"]
+    assert not build_source(GapSpec(0, (1, 2), 3), Group.zp(5)).notes["proper"]
+    assert build_source(GapSpec(4, (3,), 5), Group.zp(11)).notes["proper"]  # r=1 AP, s <= p
 
 
 def test_rep_count_examples():
@@ -335,61 +334,6 @@ def test_sub_gap_is_homogeneous_witness_set():
     assert S == {0, 1, 9, 10}
     for x in S:
         assert rep_count(X, x) >= len(X) * (1 - 2 / 8**0.9)
-
-
-def test_list_decodability_full_cube():
-    g = Group.zp_vec(5, 2)
-    cube = build_source(ExplicitSpec(tuple((a, b) for a in range(5)
-                                           for b in range(5))), g)
-    ok, worst = list_decodability_check(cube, ListDecodabilityParams(r=1, B=5))
-    assert ok and worst["count"] == 5
-    ok2, worst2 = list_decodability_check(cube, ListDecodabilityParams(r=1, B=4))
-    assert not ok2
-
-
-def test_list_decodability_affine_rank():
-    # affine source whose generator matrix has full rank on every column pair:
-    # fibers have size p^(k - rank) = 1
-    g = Group.zp_vec(5, 3)
-    X = build_source(AffineSpec((0, 0, 0), ((1, 0, 1), (0, 1, 2))), g)
-    ok, worst = list_decodability_check(X, ListDecodabilityParams(r=2, B=1))
-    assert ok and worst["count"] == 1
-    # fixing one coordinate leaves a rank-1 section: fibers of size 5
-    ok1, worst1 = list_decodability_check(X, ListDecodabilityParams(r=1, B=5))
-    assert ok1 and worst1["count"] == 5
-
-
-def test_list_decodability_monte_carlo_remark():
-    # random sources of size 2^10 in Z_11^4 are (2, |X|/11)-list decodable
-    # with empirical frequency >= 0.95 over 100 seeds
-    g = Group.zp_vec(11, 4)
-    hits = 0
-    for seed in range(100):
-        X = build_source(RandomSpec(1024, seed), g)
-        ok, _ = list_decodability_check(X, ListDecodabilityParams(r=2, B=1024 // 11))
-        hits += ok
-    assert hits >= 95
-
-
-def test_bohr_regularity_probe():
-    rows = bohr_regularity_probe(BohrSpec((1,), 0.2), Group.zp(101), [0.0, 0.005])
-    assert rows[0]["ratio"] == 1.0 and rows[0]["holds"]
-    assert rows[1]["base_size"] == 41
-    assert rows[1]["applicable"]
-
-
-def test_gap_decomposition_diagnostic():
-    g = Group.zp_vec(5, 2)
-    dec = gap_decomposition(GapSpec((0, 0), ((1, 0), (2, 0), (0, 1)), 3), g)
-    assert dec["k"] == 2
-    assert len(dec["offsets"]) == 3  # one dependent step, s offsets
-    # union of independent GAPs over the offsets covers the original set
-    X = build_source(GapSpec((0, 0), ((1, 0), (2, 0), (0, 1)), 3), g)
-    cover = set()
-    for off in dec["offsets"]:
-        cover |= build_source(GapSpec(tuple(off), tuple(dec["independent_steps"]), 3),
-                              g).elements
-    assert cover == X.elements
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Box enumeration of spans: GAP, AP, HAP, affine and line sources, sub-GAPs
-and GAP decompositions all come from one budgeted enumerator.
+"""Box enumeration of spans: GAP, AP, HAP, affine and line sources and sub-GAPs
+all come from one budgeted enumerator.
 
 The golden digests below were recorded before the six per-variant loops were
 merged into ``sources._span``, so they pin element sets, notes and source
@@ -17,7 +17,7 @@ from addext.canonical import digest
 from addext.errors import BudgetError, InputError
 from addext.numtheory import CrtSystem
 from addext.sources import (AffineSpec, ApSpec, GapSpec, Group, HapSpec, LineSpec,
-                            _span, build_source, gap_decomposition, sub_gap)
+                            _span, build_source, sub_gap)
 
 F4, F8, F9, F25 = (gf.FieldSpec.make(p, k) for p, k in ((2, 2), (2, 3), (3, 2), (5, 2)))
 Z180 = Group.zn(CrtSystem.make([4, 9, 5]))
@@ -33,14 +33,6 @@ def _source(spec, group):
 
 def _sub_gap(spec, group, side):
     return lambda: _els(sub_gap(spec, group, side))
-
-
-def _decomposition(spec, group):
-    def run():
-        dec = gap_decomposition(spec, group)
-        return {"k": dec["k"], "independent_steps": [list(b) for b in dec["independent_steps"]],
-                "offsets": _els(dec["offsets"])}
-    return run
 
 
 CASES = {
@@ -79,16 +71,6 @@ CASES = {
     "sub_gap-zn": _sub_gap(GapSpec(1, (12, 35), 5), Z180, 3),
     "sub_gap-zp_vec": _sub_gap(GapSpec((0, 0), ((1, 2), (3, 1)), 6), Group.zp_vec(7, 2), 3),
     "sub_gap-fq_vec": _sub_gap(GapSpec((0, 0), ((2, 7), (4, 1)), 4), Group.fq_vec(F9, 2), 4),
-    "decomposition": _decomposition(GapSpec((0, 0), ((1, 0), (2, 0), (0, 1)), 3),
-                                    Group.zp_vec(5, 2)),
-    "decomposition-zero-step": _decomposition(
-        GapSpec((1, 1, 0), ((0, 0, 0), (1, 2, 3), (2, 4, 6), (0, 1, 1)), 4),
-        Group.zp_vec(7, 3)),
-    "decomposition-independent": _decomposition(
-        GapSpec((2, 3), ((1, 1), (1, 2)), 5), Group.zp_vec(5, 2)),
-    "decomposition-late-pivot": _decomposition(
-        GapSpec((0, 0, 0), ((0, 0, 3), (0, 2, 1), (4, 4, 4), (1, 0, 6), (3, 3, 3)), 3),
-        Group.zp_vec(11, 3)),
 }
 
 GOLDEN = {
@@ -114,14 +96,6 @@ GOLDEN = {
         "a09f2a039fac94fe12137e53ba52021813a4f35fbadecc96225d77d8243f6b84",
     "ap-zp_vec":
         "b85be396da3a9006ef5ba2e4e9d3ed089e8ee21b96555066ddbce1db9a2f5a2a",
-    "decomposition":
-        "97f0c1618c19d092fa8a4cadcdf9293252088a9c5be0c9b0e899a27e383d1f5f",
-    "decomposition-independent":
-        "849bc492b288007d199393437d3718bee8bc5b332d0bd6a7e6c37841f384d29d",
-    "decomposition-late-pivot":
-        "f3f4917903bc47e358866cdbab9724912b234c5556c5edb161c99303a994f431",
-    "decomposition-zero-step":
-        "eba68c586d8d7194af21ce3986290a61ab8f05c2dc68ad43aee032c36b345ccf",
     "gap-fq_vec-f25":
         "9ed8888bf21b71b67cd4e0203b415e4b5c391591d6f71bca7c098a0cbea5e45e",
     "gap-fq_vec-f8":
@@ -241,18 +215,14 @@ def test_sub_gap_and_decomposition_respect_the_budget(monkeypatch):
     assert len(sub_gap(spec, Group.zp_vec(5, 2), 1)) == 1
     with pytest.raises(BudgetError):
         sub_gap(spec, Group.zp_vec(5, 2), 2)
-    with pytest.raises(BudgetError):
-        gap_decomposition(spec, Group.zp_vec(5, 2))   # 3 dependent steps: 27 offsets
 
 
 @pytest.mark.parametrize("call", [
-    lambda: gap_decomposition(GapSpec((7, 7), ((1, 0), (0, 1)), 3), Group.zp_vec(5, 2)),
-    lambda: gap_decomposition(GapSpec((0, 0), ((1, 0), (1, 2, 3)), 3), Group.zp_vec(5, 2)),
     lambda: sub_gap(GapSpec(0, (9,), 3), Group.zp(5), 2),
     lambda: sub_gap(GapSpec((0, 0), ((1, 2, 3),), 2), Group.zp_vec(5, 2), 2),
-], ids=["decomposition-offset", "decomposition-step", "sub-gap-zp", "sub-gap-zp-vec"])
+], ids=["sub-gap-zp", "sub-gap-zp-vec"])
 def test_sub_gap_and_decomposition_reject_non_elements(call):
-    # offset (7, 7), step 9 in Z_5 and a 3-coordinate step in Z_5^2 are not
-    # group elements; zip would have truncated the last one to (1, 2)
+    # step 9 in Z_5 and a 3-coordinate step in Z_5^2 are not group elements;
+    # zip would have truncated the last one to (1, 2)
     with pytest.raises(InputError, match="is not an element"):
         call()

@@ -4,8 +4,7 @@
 
 The routes these primitives replaced are kept here as oracles: the |X| x |X|
 difference matrix of ``sym_set``, the ``np.convolve`` fold of ``moment_sum``,
-the |S| x |T| sum matrix of ``paley_double_sum``, the pair matrices of
-``suite_transport`` and the one-frequency-at-a-time character sum, which
+the pair matrices of ``suite_transport`` and the one-frequency-at-a-time character sum, which
 ``additive_charsum`` still runs and which is also the oracle of
 ``analysis.vector_charsum_table`` (one ``fftn`` over Z_p^n).
 """
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addext import analysis as an, numtheory as nt
+from addext import analysis as an
 from addext.canonical import canonical_json
 from addext.cli import main
 from addext.errors import BudgetError
@@ -58,18 +57,6 @@ def moment_sum_convolve_fold(Y, q, t):
         conv = full[:q].copy()
         conv[:q - 1] += full[q:]
     return int((conv * conv).sum())
-
-
-def paley_pair_matrix(p, S, T, index=None):
-    if index is None:
-        index = (p - 1) // 2
-    ind = np.asarray(nt.index_table(p), dtype=np.int64)
-    s = np.asarray(sorted(set(S)), dtype=np.int64)
-    tt = np.asarray(sorted(set(T)), dtype=np.int64)
-    counts = np.bincount(((s[:, None] + tt[None, :]) % p).ravel(), minlength=p)
-    u = np.arange(p)
-    chi = np.where(u == 0, 0, np.exp(2j * np.pi * (index * ind % (p - 1)) / (p - 1)))
-    return abs((counts * chi).sum()) / (len(s) * len(tt))
 
 
 def charsum_per_frequency(values, m, freqs):
@@ -231,16 +218,6 @@ def test_moment_sum_matches_convolve_fold():
         for t in (1, 2, 3):
             if size ** (2 * t) < 2**62:
                 assert an.moment_sum(Y, q, t) == moment_sum_convolve_fold(Y, q, t)
-
-
-def test_paley_double_sum_matches_pair_matrix():
-    rng = random.Random(8)
-    for p, ns, nt_ in ((101, 5, 9), (499, 40, 60), (1009, 1009, 3)):
-        S = rng.sample(range(p), ns)
-        T = rng.sample(range(p), nt_)
-        for index in (None, 1, 3):
-            got = an.paley_double_sum(p, S, T, index)
-            assert abs(got - paley_pair_matrix(p, S, T, index)) < 1e-12
 
 
 def test_transport_additive_counts_match_pair_matrices():

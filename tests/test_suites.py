@@ -9,6 +9,7 @@ from addext import analysis, extractors as ex, gf, sources as src
 from addext import suites
 from addext.canonical import digest
 from addext.errors import BudgetError, InputError
+from oracles import partial_ap_sum_prefix_max
 
 
 def test_suite_registry_names():
@@ -263,7 +264,7 @@ def test_partial_ap_prefix_maxima_equal_the_per_entry_route(monkeypatch):
     p, polys, a_per_poly, seed = 101, 12, 7, 5
     rng = np.random.default_rng(seed)
     coeffs, _ = suites._random_poly_batch(rng, polys, p, 2, 6)
-    want = [max(analysis.partial_ap_sum_prefix_max(p, c, a)
+    want = [max(partial_ap_sum_prefix_max(p, c, a)
                 for a in 1 + rng.choice(p - 1, size=a_per_poly, replace=False))
             for c in coeffs]
     # with a tolerance of -inf every polynomial is reported with its maximum

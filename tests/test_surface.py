@@ -1,0 +1,31 @@
+"""The package ships only what it runs: every top-level function and class in
+``src/addext`` is either used somewhere in the package outside its own body
+or exported in ``addext.__all__``. A name kept alive only by tests belongs in
+the tests, as an oracle of the shipped route it checks.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import addext
+
+PACKAGE = Path(addext.__file__).parent
+
+
+def _uses(node: ast.AST) -> Counter:
+    """How often each name is read under node, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_top_level_name_is_used_in_the_package_or_exported():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    unused = [f"{fname}:{node.lineno} {node.name}"
+              for fname, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in addext.__all__
+              and uses[node.name] == _uses(node)[node.name]]
+    assert not unused, "used only outside src/addext: " + ", ".join(unused)
