@@ -75,65 +75,57 @@ def distance_to_uniform(d: OutputDistribution) -> float:
 # characters and character sums
 # ---------------------------------------------------------------------------
 
+def character_digits(X: Source) -> np.ndarray:
+    """X's digits (Group.digits), for the characters x -> e(<a, x> / m) of
+    Z_m^N. F_q^n labels its additive characters through the trace form, not
+    by digits, so an F_q^n source is an input error."""
+    if X.group.field:
+        raise InputError("additive characters over Z_p, Z_p^n or Z_N only")
+    return X.group.digits(X.elements)
+
+
 def additive_charsum(X: Source, a) -> float:
-    """|sum_x e(<a, x> / modulus)| / |X| over the source, a the frequency
-    (an int over Z_p and Z_N, a coordinate tuple over Z_p^n)."""
-    grp = X.group
-    if grp.kind in ("zp", "zn"):
-        return float(charsum_table(list(X.elements), grp.order, [int(a)])[0])
-    if grp.kind == "zp_vec":
-        dots = [sum(ai * xi for ai, xi in zip(a, x)) % grp.p for x in X.elements]
-        return float(charsum_table(dots, grp.p, [1])[0])
-    raise InputError("additive characters over Z_p, Z_p^n or Z_N only")
+    """|sum_x e(<a, x> / m)| / |X| over the source, the frequency a an
+    element of the group (an int over Z_p and Z_N, a coordinate tuple over
+    Z_p^n)."""
+    digits = character_digits(X)
+    m = X.group.zmn[0]
+    index = sum(int(d) * m**j for j, d in enumerate(np.ravel(X.group.digits([a]) % m)))
+    return float(charsum_table(digits, m, [index])[0])
 
 
-def charsum_table(values: Sequence[int], modulus: int,
-                  frequencies: Sequence[int]) -> np.ndarray:
-    """|sum_y e(xi y / modulus)| / |values| for each requested frequency xi,
-    over a multiset of residues mod modulus.
+def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarray:
+    """|sum_y e(<a, y> / modulus)| / |values| for each requested frequency
+    a, over a multiset of elements y of Z_m^N, m = modulus: (count,)
+    residues when N = 1, or (count, N) digit rows (Group.digits). Each
+    frequency is given by its index, the base-m number of its digits.
 
-    When modulus <= min(|frequencies| |values|, element_budget()) one FFT of
-    the multiset's histogram gives every frequency at once. Otherwise each
-    frequency is summed directly, with exact products xi y mod modulus:
-    int64 vectors while (modulus - 1)^2 < 2^63, Python integers above that.
+    When m^N <= min(|frequencies| |values|, element_budget()) one fftn of
+    the multiset's histogram on shape (m,)*N gives every frequency at once.
+    Otherwise each frequency is summed directly over the exact residues
+    <a, y> mod m: int64 while (m - 1)^2 < 2^63, Python integers above that.
     """
     if len(values) == 0:
         raise InputError("empty multiset")
-    v = [int(y) % modulus for y in values]
-    if modulus <= min(len(frequencies) * len(v), element_budget()):
-        spectrum = np.abs(np.fft.fft(np.bincount(v, minlength=modulus)))
-        return spectrum[[int(xi) % modulus for xi in frequencies]] / len(v)
-    vec = np.array(v, dtype=np.int64) if (modulus - 1) ** 2 < 1 << 63 else None
+    rows = np.asarray(values, dtype=np.int64).reshape(len(values), -1) % modulus
+    N = rows.shape[1]
+    order = modulus**N
+    if order <= min(len(frequencies) * len(rows), element_budget()):
+        shape = (modulus,) * N  # axis j is digit j
+        index = rows @ modulus ** np.arange(N, dtype=np.int64)
+        hist = np.bincount(index, minlength=order).reshape(shape, order="F")
+        spectrum = np.abs(np.fft.fftn(hist)).ravel(order="F")
+        return spectrum[[int(xi) % order for xi in frequencies]] / len(rows)
+    if (modulus - 1) ** 2 >= 1 << 63:
+        rows = rows.astype(object)
     out = np.empty(len(frequencies))
     for i, xi in enumerate(frequencies):
-        xi = int(xi) % modulus
-        if vec is not None:
-            r = (xi * vec) % modulus
-        else:
-            r = np.array([xi * y % modulus for y in v], dtype=np.int64)
-        out[i] = abs(np.exp(2j * np.pi * r / modulus).sum())
-    return out / len(v)
-
-
-def vector_charsum_table(X: Source, indices: Sequence[int]) -> np.ndarray:
-    """additive_charsum(X, a) at each frequency a = element_from_index(i) of
-    the index list, X a source in Z_p^n.
-
-    When p^n <= min(|indices| |X|, element_budget()) one fftn of the source's
-    histogram on shape (p,)*n gives every frequency at once; otherwise each
-    frequency goes through additive_charsum.
-    """
-    grp = X.group
-    if grp.kind != "zp_vec":
-        raise InputError("additive characters over Z_p, Z_p^n or Z_N only")
-    if grp.order > min(len(indices) * len(X), element_budget()):
-        return np.array([additive_charsum(X, grp.element_from_index(i)) for i in indices])
-    # element_from_index reads coordinate j as base-p digit j: Fortran order
-    shape = (grp.p,) * grp.n
-    flat = np.ravel_multi_index(np.array(list(X.elements)).T, shape, order="F")
-    hist = np.bincount(flat, minlength=grp.order).reshape(shape, order="F")
-    spectrum = np.abs(np.fft.fftn(hist)).ravel(order="F") / len(X)
-    return spectrum[np.asarray(indices, dtype=np.int64)]
+        xi = int(xi) % order
+        r = rows[:, 0] * (xi % modulus) % modulus
+        for j in range(1, N):  # r + (m - 1)^2 < 2^63 whenever (m - 1)^2 < 2^63
+            r = (r + rows[:, j] * (xi // modulus**j % modulus)) % modulus
+        out[i] = abs(np.exp(2j * np.pi * np.asarray(r, dtype=np.int64) / modulus).sum())
+    return out / len(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -193,10 +193,7 @@ def cmd_charsum(args) -> int:
             raise BudgetError(f"character range of {hi - lo} frequencies exceeds "
                               f"the element budget {budget}")
         freq_idx = range(lo, hi)
-    if grp.kind in ("zp", "zn"):
-        mags = analysis.charsum_table(list(X.elements), order, freq_idx)
-    else:
-        mags = analysis.vector_charsum_table(X, freq_idx)
+    mags = analysis.charsum_table(analysis.character_digits(X), grp.zmn[0], freq_idx)
     rows = [[canonical_json(src._elem_json(grp.element_from_index(i))), analysis.fmt17(v)]
             for i, v in zip(freq_idx, mags)]
     _write_csv(args.out, ["frequency", "magnitude"], rows)

@@ -13,8 +13,7 @@ import math
 import os
 import random
 import sys
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -76,11 +75,16 @@ class Group:
 
     @property
     def order(self) -> int:
-        if self.kind == "zp":
-            return self.p
+        return self.zmn[0] ** self.zmn[1]
+
+    @property
+    def zmn(self) -> tuple[int, int]:
+        """(m, N) with the group's additive group Z_m^N: (order, 1) for Z_p
+        and the CRT group, (p, n) for Z_p^n and (p, kn) for F_q^n, q = p^k,
+        since an F_q coordinate is encoded as k base-p digits (gf.FieldSpec)."""
         if self.kind == "zn":
-            return self.crt.combined_modulus
-        return self.base_order**self.n
+            return self.crt.combined_modulus, 1
+        return self.p, (self.n or 1) * (self.field.k if self.field else 1)
 
     @property
     def base_order(self) -> int:
@@ -121,15 +125,29 @@ class Group:
             return tuple(t * a % self.p for a in x)
         return tuple(self.field.mul(t, a) for a in x)
 
+    def digits(self, elements) -> np.ndarray:
+        """The base-m digits of a collection of elements as one int64 array:
+        (count,) for the ints of Z_p and Z_N, (count, N) for vectors. Digit
+        j has weight m^j in the element's index (element_from_index)."""
+        if self.kind in ("zp", "zn"):
+            return np.fromiter(elements, dtype=np.int64, count=len(elements))
+        if self.field:
+            elements = [[d for c in x for d in self.field.decode(c)] for x in elements]
+        return np.array(list(elements), dtype=np.int64).reshape(-1, self.zmn[1])
+
+    def from_digits(self, digits: np.ndarray) -> list:
+        """The elements of digits (the inverse of Group.digits)."""
+        rows = digits.tolist()
+        if self.kind in ("zp", "zn"):
+            return rows
+        k = self.field.k if self.field else 1
+        return [tuple(self.field.encode(r[j:j + k]) for j in range(0, len(r), k))
+                if self.field else tuple(r) for r in rows]
+
     def element_from_index(self, i: int):
         if self.kind in ("zp", "zn"):
             return i
-        base = self.base_order
-        out = []
-        for _ in range(self.n):
-            out.append(i % base)
-            i //= base
-        return tuple(out)
+        return tuple(i // self.base_order**j % self.base_order for j in range(self.n))
 
     def validate_element(self, *xs) -> None:
         """InputError unless every argument is an element of the group."""
@@ -249,55 +267,31 @@ def _elem_from_json(v):
 
 
 def spec_to_json(spec: SourceSpec) -> dict:
+    if not isinstance(spec, SourceSpec):
+        raise InputError(f"unknown spec {spec!r}")
+    out = {"variant": spec.variant}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        out[f.name] = [_elem_json(x) for x in value] if f.type == "tuple" else _elem_json(value)
     if isinstance(spec, GapSpec):
-        return {"variant": "gap", "b0": _elem_json(spec.b0),
-                "steps": [_elem_json(b) for b in spec.steps], "r": spec.r, "s": spec.s}
-    if isinstance(spec, ApSpec):
-        return {"variant": "ap", "b0": _elem_json(spec.b0), "step": _elem_json(spec.step),
-                "k": spec.k}
-    if isinstance(spec, HapSpec):
-        return {"variant": "hap", "step": _elem_json(spec.step), "k": spec.k}
-    if isinstance(spec, BohrSpec):
-        return {"variant": "bohr", "freqs": [_elem_json(f) for f in spec.freqs],
-                "rho": spec.rho}
-    if isinstance(spec, AffineSpec):
-        return {"variant": "affine", "base": _elem_json(spec.base),
-                "basis": [_elem_json(b) for b in spec.basis]}
-    if isinstance(spec, LineSpec):
-        return {"variant": "line", "a": _elem_json(spec.a), "d": _elem_json(spec.d)}
-    if isinstance(spec, ExplicitSpec):
-        return {"variant": "explicit", "elements": [_elem_json(x) for x in spec.elements]}
-    if isinstance(spec, RandomSpec):
-        return {"variant": "random", "size": spec.size, "seed": spec.seed}
-    raise InputError(f"unknown spec {spec!r}")
+        out["r"] = spec.r
+    return out
+
+
+_SPECS = {cls.variant: cls for cls in SourceSpec.__args__}
+# field annotation -> reader of its JSON value
+_SPEC_FIELDS = {"object": _elem_from_json, "tuple": lambda v: tuple(map(_elem_from_json, v)),
+                "int": int, "float": float}
 
 
 def spec_from_json(obj: dict) -> SourceSpec:
-    v = obj.get("variant")
+    cls = _SPECS.get(obj.get("variant"))
+    if cls is None:
+        raise InputError(f"unknown source variant {obj.get('variant')!r}")
     try:
-        if v == "gap":
-            return GapSpec(_elem_from_json(obj["b0"]),
-                           tuple(_elem_from_json(b) for b in obj["steps"]), int(obj["s"]))
-        if v == "ap":
-            return ApSpec(_elem_from_json(obj["b0"]), _elem_from_json(obj["step"]),
-                          int(obj["k"]))
-        if v == "hap":
-            return HapSpec(_elem_from_json(obj["step"]), int(obj["k"]))
-        if v == "bohr":
-            return BohrSpec(tuple(_elem_from_json(f) for f in obj["freqs"]),
-                            float(obj["rho"]))
-        if v == "affine":
-            return AffineSpec(_elem_from_json(obj["base"]),
-                              tuple(_elem_from_json(b) for b in obj["basis"]))
-        if v == "line":
-            return LineSpec(_elem_from_json(obj["a"]), _elem_from_json(obj["d"]))
-        if v == "explicit":
-            return ExplicitSpec(tuple(_elem_from_json(x) for x in obj["elements"]))
-        if v == "random":
-            return RandomSpec(int(obj["size"]), int(obj["seed"]))
+        return cls(*(_SPEC_FIELDS[f.type](obj[f.name]) for f in fields(cls)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed source spec: {exc}") from exc
-    raise InputError(f"unknown source variant {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +334,6 @@ def bohr_vmax(m: int, rho) -> int:
     return min((rho.numerator * m - 1) // rho.denominator, m - 1)
 
 
-def _bohr_modulus(group: Group) -> int:
-    if group.kind in ("zp", "zp_vec"):
-        return group.p
-    if group.kind == "zn":
-        return group.crt.combined_modulus
-    raise InputError("Bohr sets are supported over Z_p, Z_p^n and Z_N")
-
-
 BOHR_CHUNK = 1 << 16  # group indices per step of _bohr_set: 512 KiB per int64 array
 
 
@@ -357,14 +343,15 @@ def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
     the group's index range. Frequencies are reduced below m, and one that
     is zero mod m is an input error; with m^2 < 2^63 no product and no
     running sum of products overflows."""
-    m = _bohr_modulus(group)
+    if group.field:
+        raise InputError("Bohr sets are supported over Z_p, Z_p^n and Z_N")
+    m, n = group.zmn
     vmax = bohr_vmax(m, rho)
     if group.order > cap:
         raise BudgetError(f"group of order {group.order} exceeds enumeration cap {cap}")
     if m * m >= 1 << 63:
         raise BudgetError(f"Bohr modulus {m} has a square of at least 2^63")
     vec = group.kind == "zp_vec"
-    n = group.n if vec else 1
     coeffs = []
     for xi in freqs:
         if not (isinstance(xi, tuple) and len(xi) == n and all(isinstance(a, int) for a in xi)
@@ -376,18 +363,14 @@ def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
     out: set = set()
     for lo in range(0, group.order, BOHR_CHUNK):
         rest = np.arange(lo, min(lo + BOHR_CHUNK, group.order), dtype=np.int64)
-        coords = []
-        for _ in range(n):
-            coords.append(rest % m)
-            rest //= m
+        digits = rest[:, None] // m ** np.arange(n, dtype=np.int64) % m
         keep = np.ones(len(rest), dtype=bool)
         for c in coeffs:
             v = np.zeros_like(rest)
-            for a, x in zip(c, coords):
+            for a, x in zip(c, digits.T):
                 v = (v + a * x) % m
             keep &= np.minimum(v, m - v) <= vmax
-        members = [x[keep].tolist() for x in coords]
-        out.update(zip(*members) if vec else members[0])
+        out.update(group.from_digits(digits[keep] if vec else rest[keep]))
     return out
 
 
@@ -499,42 +482,85 @@ def sub_gap(spec: GapSpec, group: Group, side: int) -> set:
 
 def rep_count(X: Source, g) -> int:
     """|X cap (X + g)|: the number of ways to represent g as a difference."""
-    els = X.elements
-    grp = X.group
-    return sum(1 for y in els if grp.sub(y, g) in els)
+    return sum(1 for y in X.elements if X.group.sub(y, g) in X.elements)
 
 
 def cyclic_convolve(va, ca, vb, cb, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact weighted histogram of a_i + b_j mod m over all pairs (i, j).
+    """Exact weighted histogram of a_i + b_j over all pairs (i, j) in Z_m^N.
 
-    ``va``, ``vb`` are residues in [0, m) and ``ca``, ``cb`` their positive
-    integer weights. Returns the distinct sums in increasing order and the
-    total weight of each. The route follows from the sizes:
+    ``va``, ``vb`` are (count,) residues (N = 1) or (count, N) digit rows
+    (Group.digits), ``ca``, ``cb`` their positive integer weights. Returns
+    the distinct sums in the layout of ``va`` and in increasing index (the
+    base-m number of the digits), and the total weight of each. The route
+    follows from the sizes:
 
-    * pairs, when |a||b| <= min(m, 2^26): the |a||b| sums themselves, with
-      no length-m array;
-    * FFT, when m <= element_budget(): zero-padded to a power of two
-      >= 2m - 1 (a large prime length through Bluestein costs several times
-      more), folded mod m and rounded;
+    * pairs, when |a||b| <= min(m^N, 2^26): the |a||b| digitwise sums, told
+      apart by their index (by their digits once m^N exceeds int64);
+    * FFT, when m^N <= element_budget(): for N = 1 zero-padded to a power of
+      two >= 2m - 1 (a large prime length through Bluestein costs several
+      times more) and folded mod m, for N > 1 one cyclic rfftn on shape
+      (m,)*N; then rounded;
     * otherwise BudgetError.
     """
     va, ca = np.asarray(va, dtype=np.int64), np.asarray(ca, dtype=np.int64)
     vb, cb = np.asarray(vb, dtype=np.int64), np.asarray(cb, dtype=np.int64)
-    if va.size * vb.size <= min(m, DEFAULT_PAIR_BUDGET):
-        # va + (vb - m) lies in [-m, m - 1), so int64 holds it for any m < 2^63
-        sums = (va[:, None] + (vb - m)[None, :]).ravel()
-        sums[sums < 0] += m
-        values, inverse = np.unique(sums, return_inverse=True)
-        counts = np.zeros(values.size, dtype=np.int64)
-        np.add.at(counts, inverse, (ca[:, None] * cb[None, :]).ravel())
-        return values, counts
-    if m > element_budget():
-        raise BudgetError(f"{va.size} x {vb.size} pair sums mod {m} fit neither "
-                          f"the pair budget nor the element budget")
-    counts = convolve_rows(np.bincount(va, weights=ca, minlength=m)[None],
-                           np.bincount(vb, weights=cb, minlength=m)[None], m)[0]
-    values = np.flatnonzero(counts)
-    return values, counts[values]
+    N = va.shape[1] if va.ndim == 2 else 1
+    a, b = va.reshape(len(va), N), vb.reshape(len(vb), N)
+    order = m**N
+    if len(a) * len(b) <= min(order, DEFAULT_PAIR_BUDGET):
+        if order < 1 << 63:
+            index = _digit_sums(a, b, m, 0)
+            for j in range(1, N):
+                index += _digit_sums(a, b, m, j) * m**j
+            keys, inverse = np.unique(index, return_inverse=True)
+        else:
+            # most significant digit first, so that the rows sort by index
+            sums = np.stack([_digit_sums(a, b, m, j) for j in reversed(range(N))], axis=1)
+            keys, inverse = np.unique(sums, axis=0, return_inverse=True)
+        counts = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(counts, inverse.ravel(), (ca[:, None] * cb[None, :]).ravel())
+        if keys.ndim == 2:
+            return keys[:, ::-1], counts
+        index = keys
+    elif order > element_budget():
+        raise BudgetError(f"{len(a)} x {len(b)} pair sums in a group of order {order} fit "
+                          f"neither the pair budget nor the element budget")
+    else:
+        if N == 1:
+            counts = convolve_rows(np.bincount(a[:, 0], weights=ca, minlength=m)[None],
+                                   np.bincount(b[:, 0], weights=cb, minlength=m)[None], m)[0]
+        else:
+            powers, shape = m ** np.arange(N, dtype=np.int64), (m,) * N  # axis j is digit j
+            fa, fb = (np.fft.rfftn(np.bincount(x @ powers, weights=c, minlength=order)
+                                   .reshape(shape, order="F")) for x, c in ((a, ca), (b, cb)))
+            counts = _rounded(np.fft.irfftn(fa * fb, shape, range(N))).ravel(order="F")
+        index = np.flatnonzero(counts)
+        counts = counts[index].astype(np.int64, copy=False)
+    if va.ndim == 1:
+        return index, counts
+    return index[:, None] // m ** np.arange(N, dtype=np.int64) % m, counts
+
+
+def _digit_sums(a: np.ndarray, b: np.ndarray, m: int, j: int) -> np.ndarray:
+    """(a_i + b_k) mod m at digit j for every pair (i, k), flat. a + (b - m)
+    lies in [-m, m - 1), so int64 holds it for any m < 2^63."""
+    sums = (a[:, j, None] + (b[:, j] - m)[None, :]).ravel()
+    sums[sums < 0] += m
+    return sums
+
+
+def _rounded(x: np.ndarray) -> np.ndarray:
+    """An FFT's float counts, rounded; BudgetError if one is too far from an
+    integer. The FFT's error per entry is about c eps log2(size) |a|_2 |b|_2,
+    with eps = 2^-53 and c a small constant. Under the default budgets (size
+    <= 2^27) every caller keeps |a|_2 |b|_2 below 2^31 (sets of at most 2^26
+    elements; moment_sum keeps |Y|^t < 2^31), so the residual stays below
+    1e-4. The check guards inputs beyond those bounds."""
+    counts = np.rint(x)
+    residual = float(np.abs(x - counts).max(initial=0.0))
+    if residual >= 0.25:
+        raise BudgetError(f"FFT rounding residual {residual} too large to round exactly")
+    return counts
 
 
 CONVOLVE_CHUNK = 1 << 16  # padded entries per step of convolve_rows: 512 KiB per float64 work array
@@ -560,59 +586,40 @@ def convolve_rows(A, B, m: int) -> np.ndarray:
         full = np.fft.irfft(fa * fb, size)
         folded = full[:, :m].copy()
         folded[:, :m - 1] += full[:, m:2 * m - 1]
-        counts = np.rint(folded)
-        # The FFT's error per entry is about c eps log2(size) |a|_2 |b|_2, with
-        # eps = 2^-53 and c a small constant. Under the default budgets (size
-        # <= 2^27) every caller keeps |a|_2 |b|_2 below 2^31 (sets of at most
-        # m <= 2^26 elements; moment_sum keeps |Y|^t < 2^31), so the residual
-        # stays below 1e-4. The check guards inputs beyond those bounds.
-        residual = float(np.abs(folded - counts).max())
-        if residual >= 0.25:
-            raise BudgetError(f"FFT rounding residual {residual} too large to round exactly")
-        out[s:s + step] = counts
+        out[s:s + step] = _rounded(folded)
     return out
 
 
 def difference_histogram(X: Source) -> tuple[np.ndarray, np.ndarray]:
-    """Over Z_p and Z_N: the distinct g in X - X, increasing, and each
-    rep_count(X, g), as the histogram of X + (-X) by cyclic_convolve."""
-    m = X.group.order
-    arr = np.fromiter(X.elements, dtype=np.int64, count=len(X))
+    """The distinct g in X - X as digits (Group.digits), in increasing index,
+    and each rep_count(X, g), as the histogram of X + (-X) by
+    cyclic_convolve."""
+    m = X.group.zmn[0]
+    digits = X.group.digits(X.elements)
     ones = np.ones(len(X), dtype=np.int64)
-    return cyclic_convolve(arr, ones, (m - arr) % m, ones, m)
+    return cyclic_convolve(digits, ones, (m - digits) % m, ones, m)
 
 
 def sym_set(X: Source, alpha: float) -> set:
     """{g : |X cap (X+g)| >= (1-alpha)|X|}, threshold inclusive.
 
-    Only g in X - X can have a nonzero representation count. Over Z_p and Z_N
-    the counts are the difference histogram.
+    Only g in X - X can have a nonzero representation count, and the counts
+    are the difference histogram.
     """
     if not 0 < alpha <= 1:
         raise InputError("alpha must lie in (0, 1]")
-    thresh = (1 - Fraction(alpha)) * len(X)
-    grp = X.group
-    if grp.kind in ("zp", "zn"):
-        values, counts = difference_histogram(X)
-        return {int(g) for g in values[counts >= thresh]}
-    if len(X) ** 2 > DEFAULT_PAIR_BUDGET:
-        raise BudgetError("pairwise difference scan exceeds budget")
-    counts = Counter(grp.sub(x, y) for x in X.elements for y in X.elements)
-    return {g for g, c in counts.items() if c >= thresh}
+    # counts are integers: compare with the ceiling, not elementwise with a Fraction
+    thresh = math.ceil((1 - Fraction(alpha)) * len(X))
+    values, counts = difference_histogram(X)
+    return set(X.group.from_digits(values[counts >= thresh]))
 
 
 def doubling(X: Source) -> int:
-    """Exact cardinality of the sumset X + X (over Z_p and Z_N by
-    cyclic_convolve, which picks its route by size)."""
-    grp = X.group
-    if grp.kind in ("zp", "zn"):
-        arr = np.fromiter(X.elements, dtype=np.int64, count=len(X))
-        ones = np.ones(len(X), dtype=np.int64)
-        return int(cyclic_convolve(arr, ones, arr, ones, grp.order)[0].size)
-    if len(X) ** 2 > DEFAULT_PAIR_BUDGET:
-        raise BudgetError("pairwise sum scan exceeds budget")
-    els = list(X.elements)
-    return len({grp.add(x, y) for x in els for y in els})
+    """Exact cardinality of the sumset X + X, by cyclic_convolve (which picks
+    its route by size)."""
+    digits = X.group.digits(X.elements)
+    ones = np.ones(len(X), dtype=np.int64)
+    return len(cyclic_convolve(digits, ones, digits, ones, X.group.zmn[0])[0])
 
 
 @dataclass(frozen=True)

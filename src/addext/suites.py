@@ -8,6 +8,7 @@ constants only report.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -37,9 +38,17 @@ class SuiteResult:
                 "notes": self.notes, "failures": self.failures, "rows": self.rows}
 
 
-def _timer():
-    t0 = time.perf_counter()
-    return lambda: time.perf_counter() - t0
+def _suite(fn):
+    """A suite run, timed into its ``seconds``; a run that recorded a failure
+    is not ok."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs) -> SuiteResult:
+        t0 = time.perf_counter()
+        res = fn(*args, **kwargs)
+        res.ok = not res.failures
+        res.seconds = time.perf_counter() - t0
+        return res
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -53,14 +62,20 @@ def _check_int(name: str, value, lo: int) -> None:
         raise InputError(f"{name} must be an integer >= {lo}, not {value!r}")
 
 
+def _int_list(name: str, values, lo: int) -> list[int]:
+    """A non-empty list of integers, each >= lo; anything else is an input
+    error, raised before the suite does any work."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise InputError(f"{name} must be a non-empty list of integers, not {values!r}")
+    for v in values:
+        _check_int(f"each of {name}", v, lo)
+    return list(values)
+
+
 def _suite_primes(primes, per_prime: int) -> list[int]:
     """A non-empty list of primes, each through src.Group.zp, whose
     per_prime * p entries each fit the element budget."""
-    if not isinstance(primes, (list, tuple)) or not primes:
-        raise InputError(f"primes must be a non-empty list of primes, not {primes!r}")
-    for p in primes:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise InputError(f"primes must be integers, not {p!r}")
+    for p in _int_list("primes", primes, 2):
         src.Group.zp(p)
         if per_prime * p > src.element_budget():
             raise BudgetError(f"{per_prime} rows of p = {p} entries exceed the element budget")
@@ -99,11 +114,11 @@ def _unit_roots(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
 
 
+@_suite
 def suite_weil(primes=None, polys_per_p: int = 500, dmin: int = 2, dmax: int = 10,
                seed: int = 101) -> SuiteResult:
     """|sum_t e_p(f(t))| <= deg(f) sqrt(p) for seeded random polynomials,
     1 <= dmin <= deg f <= dmax < p."""
-    elapsed = _timer()
     if primes is None:
         primes = [p for p in nt.primes_upto(199) if p >= 11]
     _check_int("polys_per_p", polys_per_p, 1)
@@ -124,16 +139,14 @@ def suite_weil(primes=None, polys_per_p: int = 500, dmin: int = 2, dmax: int = 1
         for i in bad:
             res.failures.append({"p": p, "coeffs": coeffs[i].tolist(),
                                  "sum": float(sums[i]), "bound": float(bounds[i])})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
+@_suite
 def suite_partial_ap(primes=(101, 199, 499), polys_per_p: int = 100, dmin: int = 2,
                      dmax: int = 6, a_per_poly: int = 20, seed: int = 102) -> SuiteResult:
     """Prefix sums of e_p(a f(t)) over every 1 <= s <= p against
     4 log2(p) sqrt(p) deg(f), 2 <= dmin <= deg f <= dmax < p."""
-    elapsed = _timer()
     _check_int("polys_per_p", polys_per_p, 1)
     _check_int("a_per_poly", a_per_poly, 1)
     _check_int("seed", seed, 0)
@@ -157,15 +170,13 @@ def suite_partial_ap(primes=(101, 199, 499), polys_per_p: int = 100, dmin: int =
                     res.failures.append({"p": p, "coeffs": coeffs[i].tolist(),
                                          "max_prefix": float(pref), "bound": bound})
         res.rows.append({"p": p, "max_ratio": worst})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
+@_suite
 def suite_l1(pmax: int = 499) -> SuiteResult:
     """L1 Fourier norm of every interval {0..s-1} in Z_p against 4 log2 p,
     for every prime 2 <= p <= pmax."""
-    elapsed = _timer()
     _check_int("pmax", pmax, 2)
     if pmax > src.element_budget():
         raise BudgetError(f"pmax = {pmax} exceeds the element budget")
@@ -177,14 +188,12 @@ def suite_l1(pmax: int = 499) -> SuiteResult:
             res.failures.append({"p": p, "s": int(i) + 1, "l1": float(vals[i]),
                                  "bound": bound})
         res.rows.append({"p": p, "max_l1": float(vals.max()), "bound": bound})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
+@_suite
 def suite_xor(moduli=(15, 21, 33, 35, 105, 231, 1155)) -> SuiteResult:
     """|sigma(U_N) - U_M| <= 2M/N for every M < N coprime to N, exactly."""
-    elapsed = _timer()
     res = SuiteResult("xor", True)
     for N in moduli:
         worst = Fraction(0)
@@ -199,8 +208,6 @@ def suite_xor(moduli=(15, 21, 33, 35, 105, 231, 1155)) -> SuiteResult:
                 res.failures.append({"N": N, "M": M, "distance": str(dist),
                                      "bound": str(bound)})
         res.rows.append({"N": N, "cases": count, "max_ratio": float(worst)})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
@@ -282,10 +289,11 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
             "charsum_bound": 4 * math.sqrt(n / q), "distance_bound": 4 * math.sqrt(n / q)}
 
 
+@_suite
 def suite_lines(qs=(9, 16, 25, 49, 64)) -> SuiteResult:
     """Exhaustive line-extractor bounds over F_q^2: normalized line sums and
     1-bit distances against 4 sqrt(n/q), n = 2."""
-    elapsed = _timer()
+    qs = _int_list("qs", qs, 2)
     res = SuiteResult("lines", True)
     for q in qs:
         cfg = ex.build_line_extractor(q, 2)
@@ -295,8 +303,6 @@ def suite_lines(qs=(9, 16, 25, 49, 64)) -> SuiteResult:
             res.failures.append({"q": q, "kind": "charsum", **row})
         if row["max_distance"] > row["distance_bound"] + TOL:
             res.failures.append({"q": q, "kind": "distance", **row})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
@@ -304,11 +310,16 @@ def suite_lines(qs=(9, 16, 25, 49, 64)) -> SuiteResult:
 # GAP and Bohr structure
 # ---------------------------------------------------------------------------
 
+@_suite
 def suite_gap_profile(primes=(101, 499, 1009), dims=(1, 2), sides=(8, 16, 32),
                       gaps_per_case: int = 25, seed: int = 106) -> SuiteResult:
     """Proper GAPs: |X+X| <= 2^r |X|; the homogeneous sub-GAP of side
     ceil(s^0.1) has >= |X|^0.1 elements, each with rep >= |X| (1 - r/s^0.9)."""
-    elapsed = _timer()
+    primes = _suite_primes(primes, 1)
+    dims = _int_list("dims", dims, 1)
+    sides = _int_list("sides", sides, 1)
+    _check_int("gaps_per_case", gaps_per_case, 1)
+    _check_int("seed", seed, 0)
     rng = random.Random(seed)
     res = SuiteResult("gap-profile", True)
     for p in primes:
@@ -348,8 +359,6 @@ def suite_gap_profile(primes=(101, 499, 1009), dims=(1, 2), sides=(8, 16, 32),
                 if built < gaps_per_case:
                     res.failures.append({"p": p, "r": r, "s": s,
                                          "error": "could not seed enough proper GAPs"})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
@@ -381,6 +390,7 @@ def _bohr_cases(p: int, rho: Fraction, d: int, dilations: np.ndarray | None) -> 
             "sym": ((_shift_overlaps(B, ys) >= nBm[:, None]) | ~Y[:, ys]).all(axis=1)}
 
 
+@_suite
 def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
                literal_pmax: int = 61) -> SuiteResult:
     """Bohr-set bounds in Z_p, exhaustive over rank <= 2 frequency sets up to
@@ -391,7 +401,6 @@ def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
     Each (p, rho, rank) is one batch: a row of masks per ratio, sizes as row
     sums, and the overlaps |B cap (B + y)| = sum_x B(x) B(x - y) of each row,
     counted exactly for the y of the window that holds the witnesses Y."""
-    elapsed = _timer()
     res = SuiteResult("bohr", True)
     for p in nt.primes_upto(pmax):
         ratios = np.arange(2, p)
@@ -429,11 +438,10 @@ def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
                 res.failures.append({"p": p, "kind": "dilation-rank2",
                                      "pair": (xi1, int(xi2[j]))})
     res.notes["dilation_literal_pmax"] = literal_pmax
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
+@_suite
 def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
                            seed: int = 108) -> SuiteResult:
     """|A+A| >= min(2|A|-1, p) for seeded random subsets of Z_p.
@@ -443,7 +451,6 @@ def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
     trials. A trial's set is the x whose key is at most the size-th smallest
     key of its row, so the sets do not depend on the chunk size. Every |A + A|
     of a chunk comes from one row-batched convolution."""
-    elapsed = _timer()
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
     if trials > src.element_budget():
@@ -464,8 +471,6 @@ def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
             for i in np.flatnonzero(sumset < np.minimum(2 * count - 1, p)):
                 res.failures.append({"p": p, "A": np.flatnonzero(sets[i]).tolist()})
         res.rows.append({"p": p, "trials": trials})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
@@ -473,12 +478,12 @@ def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
 # encoding transport, extractor trend, moments, norms
 # ---------------------------------------------------------------------------
 
+@_suite
 def suite_transport(primes=(101, 499), sources_per_p: int = 200, alpha: float = 0.25,
                     seed: int = 109) -> SuiteResult:
     """The subgroup encoding x -> g^x: injectivity, |Y Y| = |X+X|, and exact
     transport of representation counts (hence of every symmetry set),
     0 < alpha < 1."""
-    elapsed = _timer()
     primes = _suite_primes(primes, 1)
     _check_int("sources_per_p", sources_per_p, 1)
     _check_int("seed", seed, 0)
@@ -517,8 +522,6 @@ def suite_transport(primes=(101, 499), sources_per_p: int = 200, alpha: float = 
                                      "sumset": int(sum_size), "prodset": int(prod_size),
                                      "transport": transport_ok, "sym": sym_ok})
         res.rows.append({"p": p, "q": q, "sources": sources_per_p})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
@@ -559,13 +562,15 @@ def _median_distance_from_hist(hist: np.ndarray, s: int) -> float:
     return float(dists[order[-1]])
 
 
+@_suite
 def suite_zp_trend(primes=(101, 499, 1009, 4999), m: int = 1,
                    threshold: float = 0.25) -> SuiteResult:
     """Exhaustive 1-bit distances across all s-APs, s = ceil(p^0.7): the median
     must be non-increasing in p (hard); the final median is compared with the
     threshold (soft; a miss downgrades to a warning with the curve attached)."""
-    elapsed = _timer()
     primes = _suite_primes(primes, 1)
+    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
+        raise InputError(f"threshold must be a number, not {threshold!r}")
     res = SuiteResult("zp-trend", True)
     medians = []
     for p in primes:
@@ -587,19 +592,18 @@ def suite_zp_trend(primes=(101, 499, 1009, 4999), m: int = 1,
         res.notes["warning"] = ("final median above threshold; curve attached. "
                                 "This probe has non-effective constants and the "
                                 "threshold miss is not a failure.")
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
+@_suite
 def suite_moments(qs=(11, 101), ts=(1, 2, 3), parseval_sets: int = 100,
                   seed: int = 111) -> SuiteResult:
     """Exact moment-sum identities: full multiplicative group value
     ((q-1)^2t + (q-1))/q for each q >= 2, and the Parseval case 2t = 2
     equals |Y|."""
-    elapsed = _timer()
-    for q in qs:
-        _check_int("q", q, 2)
+    qs = _int_list("qs", qs, 2)
+    ts = _int_list("ts", ts, 1)
+    _check_int("parseval_sets", parseval_sets, 0)
     _check_int("seed", seed, 0)
     res = SuiteResult("moments", True)
     for q in qs:
@@ -617,11 +621,10 @@ def suite_moments(qs=(11, 101), ts=(1, 2, 3), parseval_sets: int = 100,
         if analysis.moment_sum(Y, q, 1) != size:
             res.failures.append({"q": q, "Y": sorted(Y), "error": "Parseval"})
     res.rows.append({"parseval_sets": parseval_sets, "q": 101})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
+@_suite
 def suite_norms(qs=(2, 3, 4, 5), kmax: int = 4) -> SuiteResult:
     """Norm forms: exhaustive zero locus and homogeneity for every base field
     order q and degree k <= kmax, with the conjugate-product route as oracle.
@@ -629,7 +632,6 @@ def suite_norms(qs=(2, 3, 4, 5), kmax: int = 4) -> SuiteResult:
     The zero locus is read from the pointwise route; homogeneity is checked
     for every point and every lambda at once through the batch route, which
     must equal the pointwise route at every point."""
-    elapsed = _timer()
     res = SuiteResult("norms", True)
     for q in qs:
         base = ex.prime_power_field(q)
@@ -659,8 +661,6 @@ def suite_norms(qs=(2, 3, 4, 5), kmax: int = 4) -> SuiteResult:
                                                  "lam": lam, "error": "homogeneity"}))
             res.failures += [f for *_, f in sorted(found, key=lambda t: t[:2])]
             res.rows.append({"q": q, "k": k, "points": q**k})
-    res.ok = not res.failures
-    res.seconds = elapsed()
     return res
 
 
@@ -809,7 +809,7 @@ def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResul
     manifest. Rows run Python code under the interpreter lock, so threads
     would not evaluate them in parallel.
     """
-    elapsed = _timer()
+    t0 = time.perf_counter()
     res = SuiteResult("sweep", True)
     for i, row in enumerate(grid_rows):
         try:
@@ -818,7 +818,7 @@ def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResul
             res.failures.append({"grid_index": i, "error": f"{type(exc).__name__}: {exc}"})
             res.input_errors += isinstance(exc, AddextError)
     res.ok = not res.failures and all(r.ok for r in res.rows if r.asserted)
-    res.seconds = elapsed()
+    res.seconds = time.perf_counter() - t0
     return res
 
 

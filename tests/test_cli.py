@@ -434,6 +434,12 @@ def test_zp_trend_non_integer_m_exits_two(tmp_path, capsys, m):
     ("transport", {"primes": [101], "sources_per_p": 0}),
     ("transport", {"alpha": 5}),
     ("moments", {"qs": [1]}),
+    ("moments", {"qs": 5}),
+    ("moments", {"ts": [1.5]}),
+    ("zp-trend", {"threshold": "x"}),
+    ("lines", {"qs": 5}),
+    ("gap-profile", {"sides": "x"}),
+    ("gap-profile", {"dims": [0]}),
 ])
 def test_suite_parameters_out_of_range_exit_two(tmp_path, capsys, suite, kwargs):
     grid = write(tmp_path / "grid.json", {"kwargs": kwargs})

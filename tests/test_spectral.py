@@ -4,12 +4,12 @@
 
 The routes these primitives replaced are kept here as oracles: the |X| x |X|
 difference matrix of ``sym_set``, the ``np.convolve`` fold of ``moment_sum``,
-the pair matrices of ``suite_transport`` and the one-frequency-at-a-time character sum, which
-``additive_charsum`` still runs and which is also the oracle of
-``analysis.vector_charsum_table`` (one ``fftn`` over Z_p^n).
+the pair matrices of ``suite_transport`` and the one-frequency-at-a-time character sum,
+which is also the oracle of ``charsum_table``'s one ``fftn`` over Z_p^n.
 """
 
 import csv
+import functools
 import json
 import math
 import random
@@ -24,10 +24,12 @@ from addext import analysis as an
 from addext.canonical import canonical_json
 from addext.cli import main
 from addext.errors import BudgetError
+from addext.gf import FieldSpec
 from addext.numtheory import CrtSystem
 from addext import sources
-from addext.sources import (ExplicitSpec, Group, build_source, convolve_rows, cyclic_convolve,
-                            sym_set)
+from addext.sources import (ExplicitSpec, GapSpec, Group, build_source, convolve_rows,
+                            cyclic_convolve, difference_histogram, doubling, sym_set)
+from oracles import differences_by_pairs, doubling_by_pairs, sym_set_by_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +237,88 @@ def test_transport_additive_counts_match_pair_matrices():
 
 
 # ---------------------------------------------------------------------------
+# vector groups on the Z_m^N core, against the pairwise routes
+# ---------------------------------------------------------------------------
+
+FFT_ORDER_CAP = 1 << 16  # largest order on which the FFT route is forced
+
+
+def element_index(grp, x) -> int:
+    return sum(c * grp.base_order**j for j, c in enumerate(x))
+
+
+def check_against_pairwise_routes(X, alphas) -> None:
+    """difference_histogram, sym_set and doubling against the pairwise
+    routes, on the default route, the forced FFT route (when the order is
+    at most FFT_ORDER_CAP) and the pairs route (BudgetError when |X|^2
+    exceeds the order, since then only the FFT route applies)."""
+    grp = X.group
+    diffs = differences_by_pairs(X)
+    syms = [sym_set_by_pairs(X, alpha) for alpha in alphas]
+    dbl = doubling_by_pairs(X)
+    routes = ["default", "pairs"] + (["fft"] if grp.order <= FFT_ORDER_CAP else [])
+    for route in routes:
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "fft":
+                mp.setattr(sources, "DEFAULT_PAIR_BUDGET", 0)
+            if route == "pairs":
+                mp.setenv("ADDEXT_BUDGET", "0")
+                if len(X) ** 2 > grp.order:
+                    with pytest.raises(BudgetError):
+                        doubling(X)
+                    continue
+            values, counts = difference_histogram(X)
+            elements = grp.from_digits(values)
+            assert dict(zip(elements, counts.tolist())) == diffs, route
+            indices = [element_index(grp, g) for g in elements]
+            assert indices == sorted(set(indices)), route
+            assert [sym_set(X, alpha) for alpha in alphas] == syms, route
+            assert doubling(X) == dbl, route
+
+
+@functools.cache
+def vector_group(kind: str, p: int, k: int, n: int) -> Group:
+    return Group.zp_vec(p, n) if kind == "zp_vec" else Group.fq_vec(FieldSpec.make(p, k), n)
+
+
+@st.composite
+def vector_sources(draw):
+    """A source in Z_p^n or F_q^n, q = p^k: p in {2, 3, 5, 7} (p = 2 adds
+    by XOR), k <= 3, n <= 3; half of the draws are small GAPs, whose
+    differences repeat."""
+    kind = draw(st.sampled_from(["zp_vec", "fq_vec"]))
+    grp = vector_group(kind, draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3)),
+                       draw(st.integers(1, 3)))
+    index = st.integers(0, grp.order - 1).map(grp.element_from_index)
+    if draw(st.booleans()):
+        spec = GapSpec(draw(index), tuple(draw(st.lists(index, min_size=1, max_size=2))),
+                       draw(st.integers(1, 6)))
+    else:
+        spec = ExplicitSpec(tuple(draw(st.sets(index, min_size=1, max_size=60))))
+    return build_source(spec, grp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_sources())
+def test_vector_diagnostics_match_the_pairwise_routes(X):
+    check_against_pairwise_routes(X, (0.1, 0.25, 0.5, 1.0))
+
+
+def test_vector_group_of_order_above_2_63_matches_the_pairwise_routes():
+    # Z_(2^31-1)^3: indices do not fit int64, so the pairs route tells sums
+    # apart by their digit rows
+    p = 2**31 - 1
+    grp = Group.zp_vec(p, 3)
+    assert grp.order >= 1 << 63
+    rng = random.Random(15)
+    vec = lambda: tuple(rng.randrange(p) for _ in range(3))  # noqa: E731
+    gap = build_source(GapSpec(vec(), (vec(), vec()), 17), grp).elements
+    X = build_source(ExplicitSpec(tuple(gap | {vec() for _ in range(11)})), grp)
+    assert len(X) == 300
+    check_against_pairwise_routes(X, (0.25, 0.5))
+
+
+# ---------------------------------------------------------------------------
 # charsum_table
 # ---------------------------------------------------------------------------
 
@@ -283,31 +367,42 @@ def test_cli_charsum_matches_per_frequency_sum(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# vector_charsum_table over Z_p^n
+# charsum_table over Z_p^n
 # ---------------------------------------------------------------------------
 
-def test_vector_charsum_table_fftn_matches_per_frequency(monkeypatch):
+def test_charsum_table_fftn_matches_per_frequency(monkeypatch):
     rng = random.Random(13)
-    real = an.additive_charsum
     for p, n, size in ((2, 1, 1), (3, 3, 10), (7, 2, 30), (11, 3, 200), (101, 2, 500)):
         grp = Group.zp_vec(p, n)
         X = build_source(ExplicitSpec(tuple(
             tuple(rng.randrange(p) for _ in range(n)) for _ in range(size))), grp)
         idx = list(range(grp.order)) if grp.order <= 2000 else rng.sample(range(grp.order), 2000)
         freqs = [grp.element_from_index(i) for i in idx]
-        calls = []
-        monkeypatch.setattr(an, "additive_charsum",
-                            lambda X, a: calls.append(a) or real(X, a))
-        fft = an.vector_charsum_table(X, idx)             # p^n <= |idx| |X|
-        assert not calls
+        digits = grp.digits(X.elements)
+        fft = an.charsum_table(digits, p, idx)            # p^n <= |idx| |X|
         monkeypatch.setenv("ADDEXT_BUDGET", "0")          # per-frequency route only
-        direct = an.vector_charsum_table(X, idx)
+        direct = an.charsum_table(digits, p, idx)
+        one_by_one = [an.additive_charsum(X, f) for f in freqs]
         monkeypatch.delenv("ADDEXT_BUDGET")
-        assert calls == freqs
+        assert direct.tolist() == one_by_one
         assert np.abs(fft - direct).max() < 1e-12
         dots = [[sum(a * x for a, x in zip(f, v)) % p for v in X.elements] for f in freqs[:50]]
         want = [charsum_per_frequency(d, p, [1])[0] for d in dots]
         assert np.abs(fft[:50] - want).max() < 1e-12
+
+
+def test_charsum_table_over_vectors_exact_above_int64_products():
+    # (p - 1)^2 >= 2^63, so <a, y> mod p is summed in Python integers
+    p = (1 << 61) - 1
+    rng = random.Random(16)
+    rows = [(rng.randrange(p), rng.randrange(p)) for _ in range(40)]
+    indices = [rng.randrange(p * p) for _ in range(5)]
+    got = an.charsum_table(rows, p, indices)
+    for i, value in zip(indices, got):
+        a0, a1 = i % p, i // p
+        want = abs(sum(np.exp(2j * np.pi * ((a0 * y0 + a1 * y1) % p) / p)
+                       for y0, y1 in rows)) / len(rows)
+        assert abs(value - want) < 1e-9
 
 
 def test_cli_charsum_over_vectors_matches_per_frequency_sum(tmp_path):
