@@ -205,11 +205,12 @@ def moment_sum(Y: Sequence[int], q: int, t: int) -> int:
     (x_1..x_t, y_1..y_t) in Y^(2t) with equal half-sums mod q."""
     if t < 1:
         raise InputError("t must be >= 1")
-    ys = sorted(set(int(y) % q for y in Y))
-    if len(ys) ** (2 * t) >= 2**62:
+    # not np.unique: its hash table takes several times the residues' memory
+    base = np.sort(np.asarray(Y, dtype=np.int64) % q)
+    base = base[np.diff(base, prepend=-1) != 0]
+    if len(base) ** (2 * t) >= 2**62:
         raise BudgetError("|Y|^(2t) exceeds the exact integer budget")
-    base = np.asarray(ys, dtype=np.int64)
-    ones = np.ones(len(ys), dtype=np.int64)
+    ones = np.ones(len(base), dtype=np.int64)
     values, counts = base, ones
     for _ in range(t - 1):
         values, counts = cyclic_convolve(values, counts, base, ones, q)

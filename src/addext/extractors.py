@@ -346,7 +346,7 @@ def build_for_group(family: str, group: Group, m: int = 1) -> ExtractorConfig:
     family does not run on the group's kind."""
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError(f"the extractor's m must be an integer, not {m!r}")
-    kinds = GROUP_KINDS.get(family)
+    kinds = GROUP_KINDS.get(family) if isinstance(family, str) else None
     if kinds is None:
         raise InputError(f"unknown extractor {family!r}")
     if group.kind not in kinds:

@@ -575,9 +575,12 @@ def convolve_rows(A, B, m: int) -> np.ndarray:
     large prime length through Bluestein costs several times more), folded
     mod m and rounded; the chunk holds at most CONVOLVE_CHUNK padded entries
     (at least one row), so memory is O(chunk) whatever the row count.
+    BudgetError if the padded length exceeds the element budget.
     """
     A, B = np.asarray(A), np.asarray(B)
     size = 1 << (2 * m - 2).bit_length()
+    if size > element_budget():
+        raise BudgetError(f"convolution mod {m} padded to {size} exceeds the element budget")
     step = max(1, CONVOLVE_CHUNK // size)
     out = np.empty((len(A), m), dtype=np.int64)
     for s in range(0, len(A), step):

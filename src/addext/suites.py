@@ -9,6 +9,7 @@ constants only report.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import random
 import time
@@ -38,57 +39,88 @@ class SuiteResult:
                 "notes": self.notes, "failures": self.failures, "rows": self.rows}
 
 
+class _Check:
+    """A suite parameter's declared range: check(name, value) raises InputError
+    (BudgetError past the element budget) for a value outside it."""
+
+
+@dataclass(frozen=True)
+class _Int(_Check):
+    """An integer >= lo; within the element budget if ``budgeted``; a zp prime if ``prime``."""
+    lo: int
+    budgeted: bool = False
+    prime: bool = False
+
+    def __call__(self, name: str, value) -> None:
+        if type(value) is not int or value < self.lo:
+            raise InputError(f"{name} must be an integer >= {self.lo}, not {value!r}")
+        if self.budgeted and value > src.element_budget():
+            raise BudgetError(f"{name} = {value} exceeds the element budget")
+        if self.prime:
+            src.Group.zp(value)
+
+
+@dataclass(frozen=True)
+class _Number(_Check):
+    """A real number strictly between lo and hi."""
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    def __call__(self, name: str, value) -> None:
+        if type(value) not in (int, float) or not self.lo < value < self.hi:
+            raise InputError(f"{name} must be a number in ({self.lo}, {self.hi}), not {value!r}")
+
+
+@dataclass(frozen=True)
+class _List(_Check):
+    """A non-empty list (or tuple) whose every entry passes ``item``."""
+    item: _Check
+
+    def __call__(self, name: str, value) -> None:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise InputError(f"{name} must be a non-empty list, not {value!r}")
+        for v in value:
+            self.item(f"each of {name}", v)
+
+
+_PRIME = _Int(2, budgeted=True, prime=True)
+_PRIMES = _List(_PRIME)
+
+
 def _suite(fn):
-    """A suite run, timed into its ``seconds``; a run that recorded a failure
-    is not ok."""
+    """A suite run. Each parameter of ``fn`` is annotated with its _Check (one
+    without fails at import); a call binds the arguments (an unknown one is an
+    InputError) and checks every parameter, defaults included, before any
+    work. The run is timed into its ``seconds``; one with a failure is not ok."""
+    name = fn.__name__.removeprefix("suite_").replace("_", "-")
+    sig = inspect.signature(fn)
+    annotations = inspect.get_annotations(fn, eval_str=True)
+    checks = {param: annotations.get(param) for param in sig.parameters}
+    for param, check in checks.items():
+        if not isinstance(check, _Check):
+            raise TypeError(f"suite {name!r}: parameter {param!r} declares no check")
+
     @functools.wraps(fn)
     def run(*args, **kwargs) -> SuiteResult:
         t0 = time.perf_counter()
-        res = fn(*args, **kwargs)
+        try:
+            bound = sig.bind(*args, **kwargs)
+        except TypeError as exc:
+            raise InputError(f"suite {name!r}: {exc}") from None
+        bound.apply_defaults()
+        for param, value in bound.arguments.items():
+            checks[param](param, value)
+        res = fn(*bound.args, **bound.kwargs)
         res.ok = not res.failures
         res.seconds = time.perf_counter() - t0
         return res
+    run.name, run.checks = name, checks
     return run
 
 
 # ---------------------------------------------------------------------------
 # complete and partial exponential sums
 # ---------------------------------------------------------------------------
-
-def _check_int(name: str, value, lo: int) -> None:
-    """A suite parameter must be an integer >= lo; anything else is an input
-    error, raised before the suite does any work."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < lo:
-        raise InputError(f"{name} must be an integer >= {lo}, not {value!r}")
-
-
-def _int_list(name: str, values, lo: int) -> list[int]:
-    """A non-empty list of integers, each >= lo; anything else is an input
-    error, raised before the suite does any work."""
-    if not isinstance(values, (list, tuple)) or not values:
-        raise InputError(f"{name} must be a non-empty list of integers, not {values!r}")
-    for v in values:
-        _check_int(f"each of {name}", v, lo)
-    return list(values)
-
-
-def _suite_primes(primes, per_prime: int) -> list[int]:
-    """A non-empty list of primes, each through src.Group.zp, whose
-    per_prime * p entries each fit the element budget."""
-    for p in _int_list("primes", primes, 2):
-        src.Group.zp(p)
-        if per_prime * p > src.element_budget():
-            raise BudgetError(f"{per_prime} rows of p = {p} entries exceed the element budget")
-    return list(primes)
-
-
-def _degree_range(dmin, dmax, lo: int, primes: list[int]) -> None:
-    """lo <= dmin <= dmax < p for every p: the hypothesis of the bound."""
-    _check_int("dmin", dmin, lo)
-    _check_int("dmax", dmax, dmin)
-    if dmax >= min(primes):
-        raise InputError(f"dmax = {dmax} must be below every prime")
-
 
 def _random_poly_batch(rng: np.random.Generator, count: int, p: int,
                        dmin: int, dmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,16 +147,15 @@ def _unit_roots(p: int) -> np.ndarray:
 
 
 @_suite
-def suite_weil(primes=None, polys_per_p: int = 500, dmin: int = 2, dmax: int = 10,
-               seed: int = 101) -> SuiteResult:
+def suite_weil(primes: _PRIMES = tuple(p for p in nt.primes_upto(199) if p >= 11),
+               polys_per_p: _Int(1) = 500, dmin: _Int(1) = 2, dmax: _Int(1) = 10,
+               seed: _Int(0) = 101) -> SuiteResult:
     """|sum_t e_p(f(t))| <= deg(f) sqrt(p) for seeded random polynomials,
     1 <= dmin <= deg f <= dmax < p."""
-    if primes is None:
-        primes = [p for p in nt.primes_upto(199) if p >= 11]
-    _check_int("polys_per_p", polys_per_p, 1)
-    _check_int("seed", seed, 0)
-    primes = _suite_primes(primes, polys_per_p)
-    _degree_range(dmin, dmax, 1, primes)
+    if not dmin <= dmax < min(primes):
+        raise InputError(f"need dmin <= dmax < every prime, not dmin = {dmin}, dmax = {dmax}")
+    if polys_per_p * max(primes) > src.element_budget():
+        raise BudgetError(f"{polys_per_p} rows of p = {max(primes)} exceed the element budget")
     rng = np.random.default_rng(seed)
     res = SuiteResult("weil", True)
     for p in primes:
@@ -143,15 +174,16 @@ def suite_weil(primes=None, polys_per_p: int = 500, dmin: int = 2, dmax: int = 1
 
 
 @_suite
-def suite_partial_ap(primes=(101, 199, 499), polys_per_p: int = 100, dmin: int = 2,
-                     dmax: int = 6, a_per_poly: int = 20, seed: int = 102) -> SuiteResult:
+def suite_partial_ap(primes: _PRIMES = (101, 199, 499), polys_per_p: _Int(1) = 100,
+                     dmin: _Int(2) = 2, dmax: _Int(2) = 6, a_per_poly: _Int(1) = 20,
+                     seed: _Int(0) = 102) -> SuiteResult:
     """Prefix sums of e_p(a f(t)) over every 1 <= s <= p against
     4 log2(p) sqrt(p) deg(f), 2 <= dmin <= deg f <= dmax < p."""
-    _check_int("polys_per_p", polys_per_p, 1)
-    _check_int("a_per_poly", a_per_poly, 1)
-    _check_int("seed", seed, 0)
-    primes = _suite_primes(primes, max(polys_per_p, a_per_poly))
-    _degree_range(dmin, dmax, 2, primes)
+    if not dmin <= dmax < min(primes):
+        raise InputError(f"need dmin <= dmax < every prime, not dmin = {dmin}, dmax = {dmax}")
+    rows = max(polys_per_p, a_per_poly)
+    if rows * max(primes) > src.element_budget():
+        raise BudgetError(f"{rows} rows of p = {max(primes)} exceed the element budget")
     rng = np.random.default_rng(seed)
     res = SuiteResult("partial-ap", True)
     for p in primes:
@@ -174,12 +206,9 @@ def suite_partial_ap(primes=(101, 199, 499), polys_per_p: int = 100, dmin: int =
 
 
 @_suite
-def suite_l1(pmax: int = 499) -> SuiteResult:
+def suite_l1(pmax: _Int(2, budgeted=True) = 499) -> SuiteResult:
     """L1 Fourier norm of every interval {0..s-1} in Z_p against 4 log2 p,
     for every prime 2 <= p <= pmax."""
-    _check_int("pmax", pmax, 2)
-    if pmax > src.element_budget():
-        raise BudgetError(f"pmax = {pmax} exceeds the element budget")
     res = SuiteResult("l1", True)
     for p in nt.primes_upto(pmax):
         vals = analysis.fourier_l1_interval(p, np.arange(1, p + 1))
@@ -192,7 +221,7 @@ def suite_l1(pmax: int = 499) -> SuiteResult:
 
 
 @_suite
-def suite_xor(moduli=(15, 21, 33, 35, 105, 231, 1155)) -> SuiteResult:
+def suite_xor(moduli: _List(_Int(2)) = (15, 21, 33, 35, 105, 231, 1155)) -> SuiteResult:
     """|sigma(U_N) - U_M| <= 2M/N for every M < N coprime to N, exactly."""
     res = SuiteResult("xor", True)
     for N in moduli:
@@ -290,10 +319,9 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
 
 
 @_suite
-def suite_lines(qs=(9, 16, 25, 49, 64)) -> SuiteResult:
+def suite_lines(qs: _List(_Int(2)) = (9, 16, 25, 49, 64)) -> SuiteResult:
     """Exhaustive line-extractor bounds over F_q^2: normalized line sums and
     1-bit distances against 4 sqrt(n/q), n = 2."""
-    qs = _int_list("qs", qs, 2)
     res = SuiteResult("lines", True)
     for q in qs:
         cfg = ex.build_line_extractor(q, 2)
@@ -311,15 +339,11 @@ def suite_lines(qs=(9, 16, 25, 49, 64)) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 @_suite
-def suite_gap_profile(primes=(101, 499, 1009), dims=(1, 2), sides=(8, 16, 32),
-                      gaps_per_case: int = 25, seed: int = 106) -> SuiteResult:
+def suite_gap_profile(primes: _PRIMES = (101, 499, 1009), dims: _List(_Int(1)) = (1, 2),
+                      sides: _List(_Int(1)) = (8, 16, 32), gaps_per_case: _Int(1) = 25,
+                      seed: _Int(0) = 106) -> SuiteResult:
     """Proper GAPs: |X+X| <= 2^r |X|; the homogeneous sub-GAP of side
     ceil(s^0.1) has >= |X|^0.1 elements, each with rep >= |X| (1 - r/s^0.9)."""
-    primes = _suite_primes(primes, 1)
-    dims = _int_list("dims", dims, 1)
-    sides = _int_list("sides", sides, 1)
-    _check_int("gaps_per_case", gaps_per_case, 1)
-    _check_int("seed", seed, 0)
     rng = random.Random(seed)
     res = SuiteResult("gap-profile", True)
     for p in primes:
@@ -391,8 +415,8 @@ def _bohr_cases(p: int, rho: Fraction, d: int, dilations: np.ndarray | None) -> 
 
 
 @_suite
-def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
-               literal_pmax: int = 61) -> SuiteResult:
+def suite_bohr(pmax: _Int(2) = 499, rhos: _List(_Number(0, 1)) = (0.1, 0.2, 0.3),
+               literal_pmax: _Int(3) = 61) -> SuiteResult:
     """Bohr-set bounds in Z_p, exhaustive over rank <= 2 frequency sets up to
     the exact dilation equivalence Bohr({c1,c2}, rho) = c1^{-1} Bohr({1, c2/c1}, rho)
     (verified literally for p <= literal_pmax): size lower bound rho^|S| p,
@@ -401,6 +425,8 @@ def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
     Each (p, rho, rank) is one batch: a row of masks per ratio, sizes as row
     sums, and the overlaps |B cap (B + y)| = sum_x B(x) B(x - y) of each row,
     counted exactly for the y of the window that holds the witnesses Y."""
+    if max(pmax, literal_pmax) ** 2 > src.element_budget():
+        raise BudgetError("pmax^2 or literal_pmax^2 exceeds the element budget")
     res = SuiteResult("bohr", True)
     for p in nt.primes_upto(pmax):
         ratios = np.arange(2, p)
@@ -442,8 +468,8 @@ def suite_bohr(pmax: int = 499, rhos=(0.1, 0.2, 0.3),
 
 
 @_suite
-def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
-                           seed: int = 108) -> SuiteResult:
+def suite_cauchy_davenport(primes: _PRIMES = (101, 499), trials: _Int(1, budgeted=True) = 10_000,
+                           seed: _Int(0) = 108) -> SuiteResult:
     """|A+A| >= min(2|A|-1, p) for seeded random subsets of Z_p.
 
     Per p, from np.random.default_rng([seed, p]): first every trial's size,
@@ -451,11 +477,6 @@ def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
     trials. A trial's set is the x whose key is at most the size-th smallest
     key of its row, so the sets do not depend on the chunk size. Every |A + A|
     of a chunk comes from one row-batched convolution."""
-    _check_int("trials", trials, 1)
-    _check_int("seed", seed, 0)
-    if trials > src.element_budget():
-        raise BudgetError(f"{trials} trials exceed the element budget")
-    primes = _suite_primes(primes, 1)
     res = SuiteResult("cauchy-davenport", True)
     for p in primes:
         rng = np.random.default_rng([seed, p])
@@ -479,16 +500,10 @@ def suite_cauchy_davenport(primes=(101, 499), trials: int = 10_000,
 # ---------------------------------------------------------------------------
 
 @_suite
-def suite_transport(primes=(101, 499), sources_per_p: int = 200, alpha: float = 0.25,
-                    seed: int = 109) -> SuiteResult:
+def suite_transport(primes: _PRIMES = (101, 499), sources_per_p: _Int(1) = 200,
+                    alpha: _Number(0, 1) = 0.25, seed: _Int(0) = 109) -> SuiteResult:
     """The subgroup encoding x -> g^x: injectivity, |Y Y| = |X+X|, and exact
-    transport of representation counts (hence of every symmetry set),
-    0 < alpha < 1."""
-    primes = _suite_primes(primes, 1)
-    _check_int("sources_per_p", sources_per_p, 1)
-    _check_int("seed", seed, 0)
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
-        raise InputError(f"alpha must be a number in (0, 1), not {alpha!r}")
+    transport of representation counts (hence of every symmetry set)."""
     res = SuiteResult("transport", True)
     for p in primes:
         cfg = ex.build_zp_extractor(p, 1)
@@ -563,19 +578,16 @@ def _median_distance_from_hist(hist: np.ndarray, s: int) -> float:
 
 
 @_suite
-def suite_zp_trend(primes=(101, 499, 1009, 4999), m: int = 1,
-                   threshold: float = 0.25) -> SuiteResult:
+def suite_zp_trend(primes: _PRIMES = (101, 499, 1009, 4999),
+                   threshold: _Number() = 0.25) -> SuiteResult:
     """Exhaustive 1-bit distances across all s-APs, s = ceil(p^0.7): the median
     must be non-increasing in p (hard); the final median is compared with the
     threshold (soft; a miss downgrades to a warning with the curve attached)."""
-    primes = _suite_primes(primes, 1)
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-        raise InputError(f"threshold must be a number, not {threshold!r}")
     res = SuiteResult("zp-trend", True)
     medians = []
     for p in primes:
         s = math.ceil(p**0.7)
-        cfg = ex.build_for_group("zp", src.Group.zp(p), m)
+        cfg = ex.build_for_group("zp", src.Group.zp(p))
         hist = ap_distance_histogram(p, s, cfg)
         med = _median_distance_from_hist(hist, s)
         medians.append(med)
@@ -596,19 +608,15 @@ def suite_zp_trend(primes=(101, 499, 1009, 4999), m: int = 1,
 
 
 @_suite
-def suite_moments(qs=(11, 101), ts=(1, 2, 3), parseval_sets: int = 100,
-                  seed: int = 111) -> SuiteResult:
+def suite_moments(qs: _List(_Int(2, budgeted=True)) = (11, 101), ts: _List(_Int(1)) = (1, 2, 3),
+                  parseval_sets: _Int(0) = 100, seed: _Int(0) = 111) -> SuiteResult:
     """Exact moment-sum identities: full multiplicative group value
     ((q-1)^2t + (q-1))/q for each q >= 2, and the Parseval case 2t = 2
     equals |Y|."""
-    qs = _int_list("qs", qs, 2)
-    ts = _int_list("ts", ts, 1)
-    _check_int("parseval_sets", parseval_sets, 0)
-    _check_int("seed", seed, 0)
     res = SuiteResult("moments", True)
     for q in qs:
         for t in ts:
-            got = analysis.moment_sum(range(1, q), q, t)
+            got = analysis.moment_sum(np.arange(1, q), q, t)
             want = ((q - 1)**(2 * t) + (q - 1)) // q
             res.rows.append({"q": q, "t": t, "moment": got, "expected": want})
             if got != want:
@@ -625,13 +633,17 @@ def suite_moments(qs=(11, 101), ts=(1, 2, 3), parseval_sets: int = 100,
 
 
 @_suite
-def suite_norms(qs=(2, 3, 4, 5), kmax: int = 4) -> SuiteResult:
+def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteResult:
     """Norm forms: exhaustive zero locus and homogeneity for every base field
     order q and degree k <= kmax, with the conjugate-product route as oracle.
 
     The zero locus is read from the pointwise route; homogeneity is checked
     for every point and every lambda at once through the batch route, which
     must equal the pointwise route at every point."""
+    budget = src.element_budget()
+    # q^kmax points and a q x q table per q; q >= 2, so q^(bit_length + 1) > budget
+    if max(qs) ** min(max(kmax, 2), budget.bit_length() + 1) > budget:
+        raise BudgetError(f"q^kmax or q^2 exceeds the element budget for q = {max(qs)}")
     res = SuiteResult("norms", True)
     for q in qs:
         base = ex.prime_power_field(q)
@@ -673,14 +685,14 @@ CHARSUM_SCAN_CAP = 1 << 16
 _REQUIRED = object()
 
 
-def _key(obj: dict, key: str, what: str, default=_REQUIRED):
-    """obj[key] of a sweep row, family or extractor; a missing required key is
-    an input error, so that the sweep exits 2."""
-    if key in obj:
-        return obj[key]
-    if default is _REQUIRED:
+def _key(obj: dict, key: str, what: str, default=_REQUIRED, check: _Check | None = None):
+    """obj[key] of a sweep row, family or extractor, through ``check`` if given;
+    a missing required key or a failed check is an input error: the sweep exits 2."""
+    if key not in obj and default is _REQUIRED:
         raise InputError(f"the {what} has no {key!r}")
-    return default
+    if key in obj and check is not None:
+        check(f"the {what}'s {key}", obj[key])
+    return obj.get(key, default)
 
 
 def _row_config(row: dict, group: src.Group):
@@ -772,7 +784,9 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
     runs: the 1-bit ``zp`` extractor for ``all_aps``, ``line`` for ``all_lines``."""
     kind = _key(fam, "kind", "family")
     if kind == "all_aps":
-        p, s = int(_key(fam, "p", "family")), int(_key(fam, "s", "family"))
+        p, s = _key(fam, "p", "family", check=_PRIME), _key(fam, "s", "family", check=_Int(1))
+        if s > p:
+            raise InputError(f"the family's s = {s} exceeds its p = {p}")
         cfg = _row_config(row, src.Group.zp(p))
         if not isinstance(cfg, ex.ZpExtractorConfig) or cfg.m != 1:
             raise InputError("the all_aps family scan runs the 1-bit zp extractor")
@@ -786,8 +800,8 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
             extra={"median_distance": _median_distance_from_hist(hist, s),
                    "family": fam})
     if kind == "all_lines":
-        group = src.Group.fq_vec(ex.prime_power_field(int(_key(fam, "q", "family"))),
-                                 int(_key(fam, "n", "family", 2)))
+        group = src.Group.fq_vec(ex.prime_power_field(_key(fam, "q", "family", check=_Int(2))),
+                                 _key(fam, "n", "family", 2, check=_Int(1)))
         cfg = _row_config(row, group)
         row_scan = scan_all_lines(cfg)
         bound = row_scan["charsum_bound"]
@@ -822,17 +836,6 @@ def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResul
     return res
 
 
-SUITES = {
-    "weil": suite_weil,
-    "partial-ap": suite_partial_ap,
-    "l1": suite_l1,
-    "xor": suite_xor,
-    "lines": suite_lines,
-    "gap-profile": suite_gap_profile,
-    "bohr": suite_bohr,
-    "cauchy-davenport": suite_cauchy_davenport,
-    "transport": suite_transport,
-    "zp-trend": suite_zp_trend,
-    "moments": suite_moments,
-    "norms": suite_norms,
-}
+SUITES = {fn.name: fn for fn in (suite_weil, suite_partial_ap, suite_l1, suite_xor, suite_lines,
+                                 suite_gap_profile, suite_bohr, suite_cauchy_davenport,
+                                 suite_transport, suite_zp_trend, suite_moments, suite_norms)}

@@ -393,23 +393,18 @@ def test_sweep_row_m_must_be_an_integer(tmp_path, capsys, m):
     assert len(list(csv.reader(open(out)))) == 2   # the good row is written
 
 
-def test_zp_trend_negative_m_exits_two(tmp_path, capsys):
-    grid = write(tmp_path / "grid.json", {"kwargs": {"m": -1}})
-    out = tmp_path / "v.csv"
-    assert main(["verify", "--suite", "zp-trend", "--grid", grid, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "m must be >= 0" in err and "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("m", ["x", 1.5, True, None])
-def test_zp_trend_non_integer_m_exits_two(tmp_path, capsys, m):
-    grid = write(tmp_path / "grid.json", {"kwargs": {"m": m}})
-    out = tmp_path / "v.csv"
-    assert main(["verify", "--suite", "zp-trend", "--grid", grid, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"the extractor's m must be an integer, not {m!r}" in err
-    assert "Traceback" not in err and not out.exists()
+def _declared_out_of_range():
+    """One kwargs per suite parameter out of its declared range: the string
+    "x" for each, and one below the lower bound for each integer parameter
+    (inside a list for a list of integers)."""
+    for suite, fn in suites.SUITES.items():
+        for name, check in fn.checks.items():
+            yield pytest.param(suite, {name: "x"}, id=f"{suite}-{name}-x")
+            item = getattr(check, "item", check)
+            if isinstance(item, suites._Int):
+                low = item.lo - 1
+                yield pytest.param(suite, {name: low if item is check else [low]},
+                                   id=f"{suite}-{name}-{low}")
 
 
 @pytest.mark.parametrize("suite, kwargs", [
@@ -440,14 +435,43 @@ def test_zp_trend_non_integer_m_exits_two(tmp_path, capsys, m):
     ("lines", {"qs": 5}),
     ("gap-profile", {"sides": "x"}),
     ("gap-profile", {"dims": [0]}),
+    ("bohr", {"pmax": "x"}),
+    ("bohr", {"rhos": "x"}),
+    ("bohr", {"literal_pmax": "x"}),
+    ("xor", {"moduli": "x"}),
+    ("norms", {"qs": "x"}),
+    ("norms", {"kmax": "x"}),
+    ("bohr", {"rhos": [2.0]}),
+    ("bohr", {"pmax": -3}),
+    ("xor", {"moduli": [0]}),
+    ("xor", {"moduli": [1]}),
+    ("norms", {"kmax": 0}),
+    ("bohr", {"pmax": 20011}),
+    ("bohr", {"literal_pmax": 20011}),
+    ("norms", {"qs": [2], "kmax": 27}),
+    ("norms", {"qs": [8209], "kmax": 1}),
+    # zp-trend takes no m: its extractor is the 1-bit zp extractor
+    ("zp-trend", {"m": -1}),
+    ("zp-trend", {"m": "x"}),
+    ("zp-trend", {"m": 1.5}),
+    ("zp-trend", {"m": True}),
+    ("zp-trend", {"m": None}),
+    *_declared_out_of_range(),
 ])
 def test_suite_parameters_out_of_range_exit_two(tmp_path, capsys, suite, kwargs):
     grid = write(tmp_path / "grid.json", {"kwargs": kwargs})
     out = tmp_path / "v.csv"
     assert main(["verify", "--suite", suite, "--grid", grid, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "FAIL" not in err
+    assert err.startswith("error: ") and "FAIL" not in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_suite_parameter_without_a_declared_check_fails_at_import():
+    def suite_bare(p: suites._Int(1) = 1, q=2):
+        pass
+    with pytest.raises(TypeError, match="'q' declares no check"):
+        suites._suite(suite_bare)
 
 
 def test_weil_at_a_large_prime_exits_two_under_an_address_space_cap(tmp_path,
@@ -459,6 +483,21 @@ def test_weil_at_a_large_prime_exits_two_under_an_address_space_cap(tmp_path,
     assert code == 2, err
     assert err.startswith("error: ") and "element budget" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite, kwargs, codes", [
+    # the 3e7 residues of Z_q* are deduplicated in an int64 array, not a set
+    ("moments", {"qs": [30000001], "ts": [1], "parseval_sets": 0}, (0, 2)),
+    # the rfft row of convolve_rows would be padded to 2^27 > the element budget
+    ("cauchy-davenport", {"primes": [67108859], "trials": 1}, (2,)),
+])
+def test_large_suite_inputs_exit_cleanly_under_an_address_space_cap(tmp_path, run_cli_capped,
+                                                                    suite, kwargs, codes):
+    grid = write(tmp_path / "grid.json", {"kwargs": kwargs})
+    code, err = run_cli_capped(["verify", "--suite", suite, "--grid", grid,
+                                "--out", str(tmp_path / "v.csv")])
+    assert code in codes, err
+    assert "Traceback" not in err and "Error" not in err.replace("error: ", "")
 
 
 def test_bohr_frequency_zero_mod_p_exits_two(tmp_path, capsys):

@@ -205,9 +205,12 @@ def test_sweep_family_rows_check_their_extractor():
             {"family": lines, "extractor": {"build": "line"}},
             {"family": aps, "extractor": {"build": "zp", "m": 1}},
             {"family": lines, "extractor": ex.build_line_extractor(9, 2).to_json()},
-            dict(line_row, extractor={"build": "line"})]
+            dict(line_row, extractor={"build": "line"}),
+            {"family": dict(aps, s=0), "extractor": {"build": "zp", "m": 1}},
+            {"family": {"kind": "all_aps", "p": 11, "s": 30}, "extractor": {"build": "zp"}},
+            {"family": aps, "extractor": {"build": []}}]
     r = suites.suite_sweep(grid)
-    assert [f["grid_index"] for f in r.failures] == [0, 1, 2, 3, 4, 5]
+    assert [f["grid_index"] for f in r.failures] == [0, 1, 2, 3, 4, 5, 10, 11, 12]
     assert all(f["error"].startswith("InputError") for f in r.failures)
     assert len(r.rows) == 4
     assert r.rows[0].config_digest == r.rows[2].config_digest
