@@ -28,7 +28,7 @@ import numpy as np
 from . import gf, numtheory as nt
 from .canonical import canonical_json
 from .errors import InputError
-from .numtheory import CrtSystem, Residue
+from .numtheory import MODULUS_CAP, CrtSystem, Residue
 from .sources import Group, element_budget
 
 # ---------------------------------------------------------------------------
@@ -159,16 +159,16 @@ class LineExtractorConfig:
 
 
 def prime_power_field(q: int) -> gf.FieldSpec:
+    """F_q for q = p^k, p a prime below MODULUS_CAP: p is the exact k-th root
+    of q for the largest such k, which is prime exactly when q is a prime power."""
     if q < 2:
         raise InputError("q must be a prime power >= 2")
-    p = min(f for f in nt.factorize(q))
-    k = 0
-    t = q
-    while t % p == 0:
-        t //= p
-        k += 1
-    if t != 1:
-        raise InputError(f"{q} is not a prime power")
+    for k in range(q.bit_length(), 0, -1):  # k = 1 always ends the loop
+        p = nt.integer_root(q, k)
+        if p**k == q:
+            break
+    if p >= MODULUS_CAP or not nt.is_prime(p):
+        raise InputError(f"{q} is not a power of a prime below 2^63")
     return gf.FieldSpec.make(p, k)
 
 
@@ -182,42 +182,9 @@ def build_line_extractor(q: int | gf.FieldSpec, n: int) -> LineExtractorConfig:
     return LineExtractorConfig(field, n, padded_n, blocks, variant)
 
 
-def _block_norm(field: gf.FieldSpec, block: Block, x: Sequence[int], n: int) -> int:
-    """Norm form of the block's coordinate slice (coordinates >= n are padding)."""
-    coords = [x[i] if i < n else 0 for i in range(block.start, block.start + block.size)]
-    if not any(coords):
-        return 0
-    if not any(coords[1:]):
-        # subfield element: every conjugate coincides, norm collapses to a power
-        return field.pow(coords[0], block.size)
-    ext = gf.get_extension(field, block.size)
-    return gf.norm_poly_eval(ext, coords)
-
-
-def line_poly_eval(x: Sequence[int], cfg: LineExtractorConfig) -> int:
-    """f(x) = sum over blocks of the block norm form, an F_q value.
-
-    Along any line a + t d with d != 0, f restricts to a polynomial in t of
-    degree equal to the largest block size on which d is nonzero, with leading
-    coefficient the norm of that block slice of d.
-    """
-    if len(x) != cfg.n:
-        raise InputError(f"expected a point of F_q^{cfg.n}")
-    acc = 0
-    for block in cfg.blocks:
-        acc = cfg.field.add(acc, _block_norm(cfg.field, block, x, cfg.n))
-    return acc
-
-
-def _line_bit(cfg: LineExtractorConfig, v: int) -> int:
-    """The output bit of the block polynomial value v in F_q."""
-    if cfg.variant == "additive_trace":
-        return gf.trace_to_f2(cfg.field, v)
-    return 1 if gf.fq_quadratic_character(cfg.field, v) == -1 else 0
-
-
 def line_extract(x: Sequence[int], cfg: LineExtractorConfig) -> int:
-    return _line_bit(cfg, line_poly_eval(x, cfg))
+    """The output bit at one point of F_q^n (extract_many on one point)."""
+    return extract_many(cfg, [x])[0]
 
 
 @dataclass(frozen=True)
@@ -280,17 +247,9 @@ def ap_config_with_blocks(p: int, n: int, m: int,
     return ApExtractorConfig(gf.FieldSpec.make(p, 1), n, total, tuple(blocks), m)
 
 
-def ap_poly_eval(x: Sequence[int], cfg: ApExtractorConfig) -> int:
-    if len(x) != cfg.n:
-        raise InputError(f"expected a point of F_p^{cfg.n}")
-    acc = 0
-    for block in cfg.blocks:
-        acc = (acc + _block_norm(cfg.field, block, x, cfg.n)) % cfg.p
-    return acc
-
-
 def ap_extract(x: Sequence[int], cfg: ApExtractorConfig) -> int:
-    return ap_poly_eval(x, cfg) % cfg.M
+    """The output at one point of F_p^n (extract_many on one point)."""
+    return extract_many(cfg, [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,55 +342,64 @@ def config_for_group(obj: dict, group: Group) -> ExtractorConfig:
     return cfg
 
 
+def _coordinates(cfg: LineExtractorConfig | ApExtractorConfig,
+                 points: list) -> np.ndarray:
+    """The points as an (N, n) array in the field's gf.digit_dtype; InputError
+    unless each point is n integers in [0, q)."""
+    f = cfg.field
+    dtype = gf.digit_dtype(f)
+    if not points:
+        return np.zeros((0, cfg.n), dtype=dtype)
+    try:
+        X = np.array(points, dtype=object if dtype is object else None)
+    except ValueError:  # points of different lengths
+        X = None
+    if (X is None or X.shape != (len(points), cfg.n)
+            or not (X.dtype.kind in "iu" or X.dtype == object and all(
+                isinstance(c, (int, np.integer)) for c in X.flat))
+            or not 0 <= X.min() <= X.max() < f.order):
+        raise InputError(f"expected points of F_q^{cfg.n}, q = {f.order}: "
+                         f"{cfg.n} integers in [0, q) each")
+    return X.astype(dtype, copy=False)
+
+
 def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
                      X: np.ndarray) -> np.ndarray:
-    """line_poly_eval / ap_poly_eval at every row of an (N, n) array of
-    coordinates in [0, q), as F_q encodings. Each block goes the way
-    _block_norm goes: c_1^b where only the first coordinate can be nonzero,
-    else gf.norms_many, so get_extension is asked for the same blocks."""
+    """f(x) = sum over blocks of the block's norm form at every row x of
+    _coordinates, as (N, k) F_p digits (coordinates >= n are padding).
+
+    A block whose coordinates past the first are all zero is a subfield
+    element, whose norm is c_1^b; every other block goes to gf.norms_many.
+    Along any line a + t d with d != 0, f restricts to a polynomial in t of
+    degree equal to the largest block size on which d is nonzero, with
+    leading coefficient the norm of that block slice of d.
+    """
     f = cfg.field
-    coords = np.zeros((len(X), cfg.padded_n), dtype=np.int64)
+    coords = np.zeros((len(X), cfg.padded_n), dtype=X.dtype)
     coords[:, :cfg.n] = X
-    acc = np.zeros((len(X), f.k), dtype=np.int64)
+    acc = np.zeros((len(X), f.k), dtype=X.dtype)
     for block in cfg.blocks:
         c = coords[:, block.start:block.start + block.size]
         norm = gf.pow_many(f, gf.to_digits(f, c[:, 0]), block.size)
-        general = c[:, 1:].any(axis=1)
+        general = (c[:, 1:] != 0).any(axis=1)
         if general.any():
             ext = gf.get_extension(f, block.size)
             norm[general] = gf.to_digits(f, gf.norms_many(ext, c[general]))
-        acc += norm
-    return gf.from_digits(f, acc % f.p)
-
-
-def _batch_coordinates(cfg: LineExtractorConfig | ApExtractorConfig,
-                       points: list) -> np.ndarray | None:
-    """The points as an (N, n) int64 array for _block_poly_many, or None where
-    the one-point route must run: a field over gf.EXTENSION_BASE_CAP (whose
-    extensions get_extension refuses), or a point that is not n integer
-    coordinates in [0, q)."""
-    if cfg.field.order > gf.EXTENSION_BASE_CAP:
-        return None
-    try:
-        X = np.asarray(points)
-    except ValueError:  # points of different lengths
-        return None
-    if (X.dtype.kind not in "iu" or X.shape != (len(points), cfg.n)
-            or not 0 <= X.min() <= X.max() < cfg.field.order):
-        return None
-    return X
+        acc = (acc + norm) % f.p
+    return acc
 
 
 def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
     """The extractor's output at each point, in order.
 
-    ``line`` and ``ap`` over a field of order at most gf.EXTENSION_BASE_CAP
-    evaluate each block on all points at once (``_block_poly_many``); ``pgc``
-    reads ``index_table`` once it is cheaper than a discrete log per point.
-    Every other case calls the one-point ``*_extract`` function of its family,
-    looked up by name, so that a patched module attribute (as in
-    ``benchmarks/tracer.py``) sees each such call; those functions are also
-    the oracles of the batch routes in the tests.
+    ``line`` and ``ap`` evaluate each block on all points at once
+    (``_block_poly_many``) and ``line`` takes its output bits by
+    ``gf.trace_many`` or ``gf.quadratic_character_many``; a point that is not
+    n integers in [0, q) is an InputError. ``pgc`` reads ``index_table`` once
+    it is cheaper than a discrete log per point. Every other case calls the
+    one-point ``*_extract`` function of its family, looked up by name, so
+    that a patched module attribute (as in ``benchmarks/tracer.py``) sees
+    each such call.
     """
     points = list(points)
     if isinstance(cfg, ZpExtractorConfig):
@@ -439,17 +407,12 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
     if isinstance(cfg, ZpnExtractorConfig):
         return [zpn_extract(x, cfg) for x in points]
     if isinstance(cfg, LineExtractorConfig):
-        X = _batch_coordinates(cfg, points)
-        if X is None:
-            return [line_extract(x, cfg) for x in points]
-        values = _block_poly_many(cfg, X).tolist()
-        bits = {v: _line_bit(cfg, v) for v in set(values)}
-        return [bits[v] for v in values]
+        values = _block_poly_many(cfg, _coordinates(cfg, points))
+        if cfg.variant == "additive_trace":
+            return gf.trace_many(cfg.field, values).tolist()
+        return (gf.quadratic_character_many(cfg.field, values) == -1).astype(int).tolist()
     if isinstance(cfg, ApExtractorConfig):
-        X = _batch_coordinates(cfg, points)
-        if X is None:
-            return [ap_extract(x, cfg) for x in points]
-        return (_block_poly_many(cfg, X) % cfg.M).tolist()
+        return (_block_poly_many(cfg, _coordinates(cfg, points))[:, 0] % cfg.M).tolist()
     if isinstance(cfg, PgcExtractorConfig):
         p = cfg.p
         if p > element_budget() or p - 1 > len(points) * (math.isqrt(p) + 1):

@@ -1,14 +1,15 @@
 """Finite-field arithmetic for F_{p^k}: irreducible polynomial search, element
-arithmetic, traces, quadratic characters, and norm-form evaluation for
-extension towers.
+arithmetic and extension towers, and batch products, powers, traces,
+quadratic characters and norm forms.
 
 Polynomials over F_p are coefficient tuples, lowest degree first, with no
 trailing zeros (the zero polynomial is ()). Field elements are encoded as
 integers in [0, p^k): value = sum c_i p^i over the polynomial basis
 1, theta, ..., theta^(k-1), theta the residue of x mod the field's modulus.
 
-The batch routines at the end hold N elements as an (N, k) int64 array of
-those F_p digits c_i, so that p^k never has to fit in a machine word.
+The batch routines at the end hold N elements as an (N, k) array of those
+F_p digits c_i, so that p^k never has to fit in a machine word: int64 where
+its sums stay exact, Python ints (dtype object) above that (digit_dtype).
 """
 
 from __future__ import annotations
@@ -235,35 +236,6 @@ class FieldSpec:
         return self.pow(a, self.order - 2)
 
 
-def trace_to_f2(spec: FieldSpec, a: int) -> int:
-    """Absolute trace of F_{2^k} at the element encoded by a:
-    Tr(a) = a + a^2 + ... + a^(2^(k-1)) in {0, 1}."""
-    if spec.p != 2:
-        raise InputError("trace_to_f2 requires characteristic 2")
-    acc = 0
-    cur = a
-    for _ in range(spec.k):
-        acc ^= cur
-        cur = spec.mul(cur, cur)
-    if acc not in (0, 1):
-        raise AssertionError("trace left the prime field")
-    return acc
-
-
-def fq_quadratic_character(spec: FieldSpec, a: int) -> int:
-    """Quadratic character of F_q for odd q: 0 on 0, else a^((q-1)/2) as +-1."""
-    if spec.p == 2:
-        raise InputError("quadratic character requires odd characteristic")
-    if a == 0:
-        return 0
-    e = spec.pow(a, (spec.order - 1) // 2)
-    if e == 1:
-        return 1
-    if e == spec.p - 1:  # the constant -1
-        return -1
-    raise AssertionError("square root of unity outside {1, -1}")
-
-
 # ---------------------------------------------------------------------------
 # extension towers and norms
 # ---------------------------------------------------------------------------
@@ -289,11 +261,6 @@ class ExtensionField:
             acc = self.ext.mul(acc, self.beta)
             acc = self.ext.add(acc, coef)
         return acc
-
-    def coerce_to_base(self, u: int) -> int:
-        """The base-field element c with embed(c) = u (see _to_base)."""
-        digits = np.array([self.ext.decode(u)], dtype=np.int64)
-        return self.base.encode(_to_base(self, digits)[0].tolist())
 
     def lift(self, coords: Sequence[int]) -> int:
         """sum embed(c_i) * theta^(i-1) in E, for c_i in the base field."""
@@ -355,56 +322,31 @@ def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
     return out
 
 
-def norm_poly_eval(ext: ExtensionField, coords: Sequence[int]) -> int:
-    """Norm form of F_{q^b}/F_q at base-field coordinates c_1..c_b: the value
-    (sum c_i alpha_i)^((q^b-1)/(q-1)) coerced back to F_q.
-
-    Zero iff all coordinates are zero; homogeneous of degree b.
-    """
-    coords = list(coords)
-    if len(coords) > ext.degree:
-        raise InputError("too many coordinates for the extension degree")
-    coords += [0] * (ext.degree - len(coords))
-    if not any(coords):
-        return 0
-    if not any(coords[1:]):
-        # element of the embedded base field: all conjugates coincide
-        return ext.base.pow(coords[0], ext.degree)
-    u = ext.ext.pow(ext.lift(coords), ext.norm_exponent)
-    return ext.coerce_to_base(u)
-
-
-def norm_by_conjugates(ext: ExtensionField, coords: Sequence[int]) -> int:
-    """Independent route: product over j of sum_i c_i alpha_i^(q^j)."""
-    coords = list(coords) + [0] * (ext.degree - len(coords))
-    q = ext.base.order
-    s = ext.lift(coords)
-    acc = 1
-    cur = s
-    for _ in range(ext.degree):
-        acc = ext.ext.mul(acc, cur)
-        cur = ext.ext.pow(cur, q)
-    if acc == 0:
-        return 0
-    return ext.coerce_to_base(acc)
-
-
 # ---------------------------------------------------------------------------
 # batch arithmetic on digit arrays
 # ---------------------------------------------------------------------------
 
-NORM_CHUNK = 2048  # rows per step of norms_many; its arrays hold O(NORM_CHUNK * k) ints
+NORM_CHUNK = 2048  # rows per step of the chunked routes; their arrays hold O(NORM_CHUNK * k) ints
+
+
+def digit_dtype(spec: FieldSpec) -> type:
+    """int64 where it holds every encoding and every sum of _mul_digits (at
+    most k (p-1)^2), else object: Python ints, exact at any size."""
+    return np.int64 if max(spec.order - 1, spec.k * (spec.p - 1) ** 2) < 1 << 63 else object
 
 
 def to_digits(spec: FieldSpec, codes) -> np.ndarray:
-    """F_p digits of int encodings: shape (..., k), lowest degree first."""
-    powers = spec.p ** np.arange(spec.k, dtype=np.int64)
-    return np.asarray(codes, dtype=np.int64)[..., None] // powers % spec.p
+    """F_p digits of int encodings: shape (..., k), lowest degree first; int64,
+    or Python ints where the codes are an object array."""
+    codes = np.asarray(codes)
+    if codes.dtype != object:
+        codes = codes.astype(np.int64, copy=False)
+    return codes[..., None] // spec.p ** np.arange(spec.k, dtype=codes.dtype) % spec.p
 
 
 def from_digits(spec: FieldSpec, digits: np.ndarray) -> np.ndarray:
-    """Int encodings of digit arrays (inverse of to_digits; needs p^k < 2^63)."""
-    return digits @ spec.p ** np.arange(spec.k, dtype=np.int64)
+    """Int encodings of digit arrays (inverse of to_digits), in their dtype."""
+    return digits @ spec.p ** np.arange(spec.k, dtype=digits.dtype)
 
 
 @functools.lru_cache(maxsize=None)
@@ -421,10 +363,10 @@ def _reduction_matrix(spec: FieldSpec) -> np.ndarray:
 
 def _mul_digits(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise products of (N, k) digit arrays: the 2k-1 product coefficients
-    mod p, then the top k-1 folded down by the modulus. Every int64 sum stays
-    below k p^2, which is far from 2^63 for p <= EXTENSION_BASE_CAP."""
+    mod p, then the top k-1 folded down by the modulus. No sum exceeds
+    k (p-1)^2, so int64 digits stay exact where digit_dtype gives int64."""
     p, k = spec.p, spec.k
-    c = np.zeros((a.shape[0], 2 * k - 1), dtype=np.int64)
+    c = np.zeros((a.shape[0], 2 * k - 1), dtype=a.dtype)
     for i in range(k):
         c[:, i:i + k] += a[:, i, None] * b
     c %= p
@@ -470,8 +412,9 @@ def _ladder(mul: Callable, a: np.ndarray, e: int) -> np.ndarray:
 
 
 def mul_many(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """FieldSpec.mul on each row pair of two (N, k) digit arrays (p at most
-    EXTENSION_BASE_CAP, so that int64 sums of products stay exact)."""
+    """FieldSpec.mul on each row pair of two (N, k) digit arrays, in the
+    dtype that digit_dtype gives for the field (int64 digits are exact only
+    where it gives int64)."""
     if _uses_bitmasks(spec):
         return _from_bits(spec, _mul_bits(spec, _to_bits(a), _to_bits(b)))
     return _mul_digits(spec, a, b)
@@ -479,12 +422,56 @@ def mul_many(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def pow_many(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
     """FieldSpec.pow(x, e), e >= 1, on each row x of an (N, k) digit array
-    (p at most EXTENSION_BASE_CAP, as for mul_many)."""
+    (in the dtype of digit_dtype, as for mul_many)."""
     if e < 1:
         raise InputError("pow_many takes exponents >= 1")
     if _uses_bitmasks(spec):
         return _from_bits(spec, _ladder(functools.partial(_mul_bits, spec), _to_bits(a), e))
     return _ladder(functools.partial(_mul_digits, spec), a, e)
+
+
+def mul_table(spec: FieldSpec) -> np.ndarray:
+    """The q x q table of FieldSpec.mul on int encodings, by mul_many on
+    NORM_CHUNK // q rows (at least one) at a time. It holds q^2 ints: the
+    caller checks q^2 against its budget."""
+    q = spec.order
+    d = to_digits(spec, np.arange(q))
+    out = np.empty((q, q), dtype=np.int64)
+    step = max(1, NORM_CHUNK // q)
+    for s in range(0, q, step):
+        rows = d[s:s + step]
+        prods = mul_many(spec, np.repeat(rows, q, axis=0), np.tile(d, (len(rows), 1)))
+        out[s:s + step] = from_digits(spec, prods).reshape(len(rows), q)
+    return out
+
+
+def trace_many(spec: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """Absolute trace a + a^2 + ... + a^(2^(k-1)) of F_{2^k} at each row of an
+    (N, k) digit array, by k - 1 squarings: 0 or 1 per row."""
+    if spec.p != 2:
+        raise InputError("the trace to F_2 requires characteristic 2")
+    acc = cur = a
+    for _ in range(spec.k - 1):
+        cur = mul_many(spec, cur, cur)
+        acc = acc ^ cur
+    if acc[:, 1:].any():
+        raise AssertionError("trace left the prime field")
+    return acc[:, 0]
+
+
+def quadratic_character_many(spec: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """Quadratic character of F_q, q odd, at each row of an (N, k) digit
+    array: 0 on 0, else a^((q-1)/2) read as 1 or -1 (int64)."""
+    if spec.p == 2:
+        raise InputError("quadratic character requires odd characteristic")
+    e = pow_many(spec, a, (spec.order - 1) // 2)
+    in_base = (e[:, 1:] == 0).all(axis=1)
+    chi = np.zeros(len(e), dtype=np.int64)
+    chi[in_base & (e[:, 0] == 1)] = 1
+    chi[in_base & (e[:, 0] == spec.p - 1)] = -1
+    if ((chi == 0) & (a != 0).any(axis=1)).any():
+        raise AssertionError("square root of unity outside {1, -1}")
+    return chi
 
 
 def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
@@ -555,13 +542,13 @@ def _to_base(ext: ExtensionField, u: np.ndarray) -> np.ndarray:
     return v
 
 
-def norms_many(ext: ExtensionField, coords) -> np.ndarray:
-    """norm_poly_eval at each row of an (N, <= b) array of base-field
-    coordinates, as int64 base-field encodings.
+def _norms_by(ext: ExtensionField, coords, power: Callable) -> np.ndarray:
+    """power(u) in F_q, as int64 base-field encodings, for the lift u of each
+    row of an (N, <= b) array of base-field coordinates into E.
 
-    Per chunk of NORM_CHUNK rows: the lift into E as one matmul mod p, the
-    power ladder of ext.norm_exponent on all rows at once, and the way back to
-    F_q through the linear inverse of the embedding, checked by re-embedding.
+    Per chunk of NORM_CHUNK rows: the lift as one matmul mod p, power on all
+    rows at once, and the way back to F_q through the linear inverse of the
+    embedding, checked by re-embedding.
     """
     c = np.asarray(coords, dtype=np.int64)
     if c.ndim != 2 or c.shape[1] > ext.degree:
@@ -571,6 +558,29 @@ def norms_many(ext: ExtensionField, coords) -> np.ndarray:
     out = np.empty(len(c), dtype=np.int64)
     for s in range(0, len(c), NORM_CHUNK):
         chunk = to_digits(ext.base, c[s:s + NORM_CHUNK])
-        u = pow_many(ext.ext, chunk.reshape(len(chunk), -1) @ lift % p, ext.norm_exponent)
+        u = power(chunk.reshape(len(chunk), -1) @ lift % p)
         out[s:s + NORM_CHUNK] = from_digits(ext.base, _to_base(ext, u))
     return out
+
+
+def norms_many(ext: ExtensionField, coords) -> np.ndarray:
+    """Norm form of F_{q^b}/F_q at each row c_1..c_b of an (N, <= b) array of
+    base-field coordinates (missing ones are 0): u^((q^b-1)/(q-1)) for
+    u = sum c_i alpha_i, by one power ladder on all rows at once.
+
+    Zero iff all coordinates are zero; homogeneous of degree b.
+    """
+    return _norms_by(ext, coords,
+                     lambda u: pow_many(ext.ext, u, ext.norm_exponent))
+
+
+def conjugate_norms_many(ext: ExtensionField, coords) -> np.ndarray:
+    """norms_many by another route, the product u u^q ... u^(q^(b-1)) of the
+    b conjugates of u: the oracle of the norms suite."""
+    def product(u):
+        acc = u
+        for _ in range(ext.degree - 1):
+            u = pow_many(ext.ext, u, ext.base.order)
+            acc = mul_many(ext.ext, acc, u)
+        return acc
+    return _norms_by(ext, coords, product)

@@ -177,6 +177,16 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, k >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def smallest_primitive_root(p: int) -> int:
     """Smallest generator of Z_p* (p an odd prime)."""
     if p == 2:

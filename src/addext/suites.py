@@ -221,7 +221,8 @@ def suite_l1(pmax: _Int(2, budgeted=True) = 499) -> SuiteResult:
 
 
 @_suite
-def suite_xor(moduli: _List(_Int(2)) = (15, 21, 33, 35, 105, 231, 1155)) -> SuiteResult:
+def suite_xor(moduli: _List(_Int(2, budgeted=True)) = (15, 21, 33, 35, 105, 231, 1155)
+              ) -> SuiteResult:
     """|sigma(U_N) - U_M| <= 2M/N for every M < N coprime to N, exactly."""
     res = SuiteResult("xor", True)
     for N in moduli:
@@ -261,17 +262,16 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
     # coordinate is set when n = 2)
     d = gf.to_digits(f, np.arange(q))
     add = gf.from_digits(f, (d[:, None, :] + d[None, :, :]) % f.p)
-    mul = gf.from_digits(f, gf.mul_many(f, np.repeat(d, q, axis=0),
-                                        np.tile(d, (q, 1)))).reshape(q, q)
+    mul = gf.mul_table(f)
     powb = gf.from_digits(f, gf.pow_many(f, d, cfg.blocks[1].size))
     t = np.arange(q, dtype=np.int64)
     even = cfg.variant == "additive_trace"
     if even:
-        tr = np.array([gf.trace_to_f2(f, u) for u in range(q)], dtype=np.int64)
+        tr = gf.trace_many(f, d)
         # psi_beta(u) = (-1)^Tr(beta u) for every nontrivial beta
         psi = (-1.0) ** tr[mul[1:, :]]
     else:
-        chi = np.array([gf.fq_quadratic_character(f, u) for u in range(q)], dtype=np.int64)
+        chi = gf.quadratic_character_many(f, d)
     max_charsum = 0.0
     max_distance = 0.0
     lines = 0
@@ -306,12 +306,13 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
         lines += q
         if len(spot) < 3:
             spot.append(((d0, d1), int(t[len(spot)]), fvals[len(spot)].copy()))
-    # cross-route: spot-check bulk values against pointwise evaluation
+    # cross-route: spot-check bulk values against pointwise FieldSpec
+    # arithmetic; for n = 2 the polynomial is x0 + x1^b, b the second block's size
     for (d0, d1), b, row in spot:
         a = (0, b) if d0 else (b, 0)
         for tv in range(0, q, max(1, q // 7)):
-            point = (f.add(a[0], f.mul(d0, tv)), f.add(a[1], f.mul(d1, tv)))
-            assert ex.line_poly_eval(point, cfg) == row[tv]
+            x0, x1 = f.add(a[0], f.mul(d0, tv)), f.add(a[1], f.mul(d1, tv))
+            assert f.add(x0, f.pow(x1, cfg.blocks[1].size)) == row[tv]
     n = cfg.n
     return {"q": q, "lines": lines, "max_charsum": max_charsum,
             "max_distance": max_distance,
@@ -637,39 +638,35 @@ def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteRe
     """Norm forms: exhaustive zero locus and homogeneity for every base field
     order q and degree k <= kmax, with the conjugate-product route as oracle.
 
-    The zero locus is read from the pointwise route; homogeneity is checked
-    for every point and every lambda at once through the batch route, which
-    must equal the pointwise route at every point."""
+    Every norm comes from gf.norms_many, and at every point it must equal
+    gf.conjugate_norms_many; homogeneity is checked for every point and every
+    lambda at once."""
     budget = src.element_budget()
-    # q^kmax points and a q x q table per q; q >= 2, so q^(bit_length + 1) > budget
-    if max(qs) ** min(max(kmax, 2), budget.bit_length() + 1) > budget:
-        raise BudgetError(f"q^kmax or q^2 exceeds the element budget for q = {max(qs)}")
+    # q^kmax points of kmax coordinates and a q x q table per q; q >= 2, so
+    # q^(bit_length + 1) > budget
+    qmax, k = max(qs), min(kmax, budget.bit_length() + 1)
+    if max(k * qmax**k, qmax**2) > budget:
+        raise BudgetError(f"kmax q^kmax or q^2 exceeds the element budget for q = {qmax}")
     res = SuiteResult("norms", True)
     for q in qs:
         base = ex.prime_power_field(q)
-        mul = np.array([[base.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+        mul = gf.mul_table(base)
         for k in range(1, kmax + 1):
             extn = gf.get_extension(base, k)
-            oracle_stride = 1 if q**k <= 700 else 7
             coords = np.arange(q**k)[:, None] // q ** np.arange(k) % q
+            norms = gf.norms_many(extn, coords)
             found = []   # (point, order, failure): reported point by point
-            norms = np.empty(q**k, dtype=np.int64)
-            for idx, point in enumerate(coords.tolist()):
-                norms[idx] = gf.norm_poly_eval(extn, point)
-                if (norms[idx] == 0) != (not any(point)):
-                    found.append((idx, 0, {"q": q, "k": k, "coords": point,
-                                           "error": "zero locus"}))
-                if idx % oracle_stride == 0 and norms[idx] != gf.norm_by_conjugates(extn, point):
-                    found.append((idx, 1, {"q": q, "k": k, "coords": point,
-                                           "error": "conjugate oracle"}))
-            for idx in np.flatnonzero(gf.norms_many(extn, coords) != norms):
-                found.append((idx, 2, {"q": q, "k": k, "coords": coords[idx].tolist(),
-                                       "error": "batch route"}))
+            checks = [("zero locus", (norms == 0) != ~coords.any(axis=1)),
+                      ("conjugate oracle", gf.conjugate_norms_many(extn, coords) != norms)]
+            for order, (error, bad) in enumerate(checks):
+                for idx in np.flatnonzero(bad):
+                    found.append((idx, order, {"q": q, "k": k, "coords": coords[idx].tolist(),
+                                               "error": error}))
             for lam in range(1, q):
                 lhs = gf.norms_many(extn, mul[lam][coords])
                 rhs = mul[base.pow(lam, k)][norms]
                 for idx in np.flatnonzero(lhs != rhs):
-                    found.append((idx, 2 + lam, {"q": q, "k": k, "coords": coords[idx].tolist(),
+                    found.append((idx, 1 + lam, {"q": q, "k": k, "coords": coords[idx].tolist(),
                                                  "lam": lam, "error": "homogeneity"}))
             res.failures += [f for *_, f in sorted(found, key=lambda t: t[:2])]
             res.rows.append({"q": q, "k": k, "points": q**k})

@@ -1,12 +1,16 @@
-"""Differential tests of the batch routes of ``extract_many``.
+"""Differential tests of the batch routes of ``extract_many`` and ``gf``.
 
 ``line`` and ``ap`` evaluate their block norms on all points at once through
 ``gf.norms_many`` (a power ladder over (N, K) arrays of F_p digits, or uint64
-bitmasks in characteristic 2), and ``pgc`` reads ``index_table``. The
-one-point ``line_extract``, ``ap_extract``, ``pgc_extract`` and
-``gf.norm_poly_eval`` are their oracles.
+bitmasks in characteristic 2), ``line`` takes its output bits from
+``gf.trace_many`` or ``gf.quadratic_character_many``, and ``pgc`` reads
+``index_table``. Their oracles are the one-point routes of
+``tests/oracles.py`` (``line_extract``, ``ap_extract``, ``norm_poly_eval``,
+``norm_by_conjugates``, ``trace_to_f2``, ``fq_quadratic_character``, all by
+``FieldSpec`` arithmetic) and ``pgc_extract``.
 """
 
+import json
 import random
 
 import numpy as np
@@ -14,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from addext import extractors as ex, gf, numtheory as nt
+from addext.cli import main
 from addext.errors import BudgetError, InputError
 
 # n is chosen so that the last block is padded
@@ -42,7 +48,7 @@ def test_line_batch_matches_one_point(data):
     q, n = data.draw(st.sampled_from(LINE_CASES))
     cfg = ex.build_line_extractor(q, n)
     points = block_points(data.draw, cfg, q, data.draw(st.integers(1, 8)))
-    assert ex.extract_many(cfg, points) == [ex.line_extract(x, cfg) for x in points]
+    assert ex.extract_many(cfg, points) == [oracles.line_extract(x, cfg) for x in points]
 
 
 @settings(max_examples=30, deadline=None)
@@ -51,7 +57,7 @@ def test_ap_batch_matches_one_point(data):
     p, n, m = data.draw(st.sampled_from([(5, 3, 1), (11, 7, 2), (101, 10, 2)]))
     cfg = ex.build_ap_extractor(p, n, m)
     points = block_points(data.draw, cfg, p, data.draw(st.integers(1, 8)))
-    assert ex.extract_many(cfg, points) == [ex.ap_extract(x, cfg) for x in points]
+    assert ex.extract_many(cfg, points) == [oracles.ap_extract(x, cfg) for x in points]
 
 
 @settings(max_examples=30, deadline=None)
@@ -93,12 +99,12 @@ def test_norms_many_across_chunk_boundaries(monkeypatch):
         ext = gf.get_extension(ex.prime_power_field(q), b)
         rows = [[rng.randrange(q) for _ in range(b)] for _ in range(30)]
         rows += [[0] * b, [rng.randrange(1, q)] + [0] * (b - 1)]
-        assert gf.norms_many(ext, rows).tolist() == [gf.norm_poly_eval(ext, r) for r in rows]
+        assert gf.norms_many(ext, rows).tolist() == [oracles.norm_poly_eval(ext, r) for r in rows]
         short = [r[:2] for r in rows]             # fewer than b coordinates
-        assert gf.norms_many(ext, short).tolist() == [gf.norm_poly_eval(ext, r) for r in short]
+        assert gf.norms_many(ext, short).tolist() == [oracles.norm_poly_eval(ext, r) for r in short]
     cfg = ex.build_line_extractor(49, 6)
     points = [tuple(rng.randrange(49) for _ in range(6)) for _ in range(22)]
-    assert ex.extract_many(cfg, points) == [ex.line_extract(x, cfg) for x in points]
+    assert ex.extract_many(cfg, points) == [oracles.line_extract(x, cfg) for x in points]
 
 
 def test_norms_many_matches_conjugate_product():
@@ -106,9 +112,48 @@ def test_norms_many_matches_conjugate_product():
     for q, b in ((2, 7), (8, 3), (27, 3), (16, 5)):
         ext = gf.get_extension(ex.prime_power_field(q), b)
         rows = [[rng.randrange(q) for _ in range(b)] for _ in range(20)]
-        assert gf.norms_many(ext, rows).tolist() == [gf.norm_by_conjugates(ext, r) for r in rows]
+        assert gf.norms_many(ext, rows).tolist() == [oracles.norm_by_conjugates(ext, r) for r in rows]
     with pytest.raises(InputError):
         gf.norms_many(ext, [[1] * (b + 1)])
+
+
+def test_batch_norms_match_the_pointwise_oracles_on_the_norms_suite_grid():
+    # every point of the norms suite's default grid: q in {2, 3, 4, 5}, k <= 4
+    for q in (2, 3, 4, 5):
+        base = ex.prime_power_field(q)
+        for k in range(1, 5):
+            ext = gf.get_extension(base, k)
+            coords = np.arange(q**k)[:, None] // q ** np.arange(k) % q
+            points = coords.tolist()
+            assert gf.norms_many(ext, coords).tolist() == \
+                [oracles.norm_poly_eval(ext, c) for c in points]
+            assert gf.conjugate_norms_many(ext, coords).tolist() == \
+                [oracles.norm_by_conjugates(ext, c) for c in points]
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (2, 5), (2, 8), (3, 1), (3, 2),
+                                  (5, 3), (7, 2), (101, 1)])
+def test_batch_trace_and_quadratic_character_match_the_oracles(p, k):
+    spec = gf.FieldSpec.make(p, k)
+    d = gf.to_digits(spec, np.arange(spec.order))
+    if p == 2:
+        assert gf.trace_many(spec, d).tolist() == \
+            [oracles.trace_to_f2(spec, u) for u in spec.elements()]
+        with pytest.raises(InputError):
+            gf.quadratic_character_many(spec, d)
+    else:
+        assert gf.quadratic_character_many(spec, d).tolist() == \
+            [oracles.fq_quadratic_character(spec, u) for u in spec.elements()]
+        with pytest.raises(InputError):
+            gf.trace_many(spec, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 49])
+def test_mul_table_matches_field_arithmetic(q, monkeypatch):
+    monkeypatch.setattr(gf, "NORM_CHUNK", 7)        # several rows per step, or one
+    spec = ex.prime_power_field(q)
+    assert gf.mul_table(spec).tolist() == \
+        [[spec.mul(a, b) for b in spec.elements()] for a in spec.elements()]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8, 16, 32])
@@ -147,13 +192,66 @@ def test_one_point_route_where_the_batch_does_not_apply():
     cfg = ex.build_line_extractor(9, 3)
     with pytest.raises(InputError):                 # a point of the wrong length
         ex.extract_many(cfg, [(1, 2, 3), (1, 2)])
-    odd = [(1, 2, 12), (-1, 0, 4), (True, 2, 3), (2**70, 0, 0)]  # not in [0, q) as ints
-    assert ex.extract_many(cfg, odd) == [ex.line_extract(x, cfg) for x in odd]
-    with pytest.raises(TypeError):                  # as the one-point route raises
-        ex.extract_many(cfg, [("1", 0, 0)])
+    odd = [(1, 2, 12), (-1, 0, 4), (2**70, 0, 0), ("1", 0, 0), (1.0, 2, 3)]
+    for x in odd:                                   # not n integers in [0, q)
+        with pytest.raises(InputError):
+            ex.extract_many(cfg, [(1, 2, 3), x])
+    # a bool is the integer it equals, as in the one-point route
+    assert ex.extract_many(cfg, [(True, 2, 3)]) == [oracles.line_extract((True, 2, 3), cfg)]
     big = ex.build_ap_extractor(65537, 3, 1)        # p over the extension cap
     assert ex.extract_many(big, [(5, 0, 0), (0, 0, 0)]) == \
-        [ex.ap_extract(x, big) for x in [(5, 0, 0), (0, 0, 0)]]
+        [oracles.ap_extract(x, big) for x in [(5, 0, 0), (0, 0, 0)]]
     with pytest.raises(BudgetError):
         ex.extract_many(big, [(1, 2, 3)])
     assert ex.extract_many(cfg, []) == []
+
+
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("p, dtype", [(3037000493, np.int64), (3037000507, object),
+                                      (P61, object)])
+def test_line_and_ap_where_int64_digit_products_overflow(tmp_path, p, dtype):
+    # (p - 1)^2 < 2^63 for the first prime only, the largest such: above it
+    # the digits are Python ints. Over Z_p^2 the line polynomial is x0 + x1^3
+    # (blocks of sizes 1 and 3), its bit the Legendre symbol; the ap
+    # polynomial over Z_p^1 is x0^2.
+    cfg = ex.build_line_extractor(p, 2)
+    assert gf.digit_dtype(cfg.field) is dtype
+    rng = random.Random(p)
+    points = [(0, 0), (0, 1), (5, p - 1), (p - 1, p - 1)]
+    points += [(rng.randrange(p), rng.randrange(p)) for _ in range(30)]
+    want = [int(pow((x0 + pow(x1, 3, p)) % p, (p - 1) // 2, p) == p - 1)
+            for x0, x1 in points]
+    assert ex.extract_many(cfg, points) == want
+    ap = ex.build_ap_extractor(p, 1, 3)
+    assert ex.extract_many(ap, [x[:1] for x in points]) == [x0 * x0 % p % 8 for x0, _ in points]
+    source = tmp_path / "src.json"
+    source.write_text(json.dumps({"group": {"kind": "zp_vec", "p": p, "n": 2},
+                                  "spec": {"variant": "explicit", "elements": points}}))
+    out = tmp_path / "line.csv"
+    assert main(["extract", "--source", str(source), "--extractor", "line",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    by_point = dict(zip(points, want))
+    assert sorted(rows) == sorted(f'"{json.dumps(list(x), separators=(",", ":"))}",{by_point[x]}'
+                                  for x in points)
+
+
+def test_extract_many_makes_no_pointwise_field_call(monkeypatch):
+    # the benchmark's line and ap shapes, after one run has built their extensions
+    rng = random.Random(9)
+    cases = []
+    for cfg, q, n in [(ex.build_line_extractor(49, 6), 49, 6),
+                      (ex.build_line_extractor(32, 6), 32, 6),
+                      (ex.build_ap_extractor(101, 10, 2), 101, 10)]:
+        points = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(40)]
+        cases.append((cfg, points, ex.extract_many(cfg, points)))
+
+    def refuse(*args):
+        raise AssertionError("pointwise FieldSpec arithmetic on the batch route")
+
+    monkeypatch.setattr(gf.FieldSpec, "mul", refuse)
+    monkeypatch.setattr(gf.FieldSpec, "pow", refuse)
+    for cfg, points, want in cases:
+        assert ex.extract_many(cfg, points) == want

@@ -456,6 +456,8 @@ def _declared_out_of_range():
     ("zp-trend", {"m": 1.5}),
     ("zp-trend", {"m": True}),
     ("zp-trend", {"m": None}),
+    ("xor", {"moduli": [1000000000039]}),
+    ("norms", {"qs": [2], "kmax": 22}),             # 22 * 2^22 digits past the budget
     *_declared_out_of_range(),
 ])
 def test_suite_parameters_out_of_range_exit_two(tmp_path, capsys, suite, kwargs):

@@ -9,13 +9,15 @@ from addext.errors import CapacityError, InputError
 from addext.extractors import (Block, LineExtractorConfig,
                                PgcExtractorConfig, ZpExtractorConfig,
                                ZpnExtractorConfig, ap_config_with_blocks,
-                               ap_extract, ap_poly_eval, build_ap_extractor,
+                               ap_extract, build_ap_extractor,
                                build_line_extractor, build_pgc_extractor,
                                build_zp_extractor, build_zpn_extractor,
-                               config_for_group, line_extract, line_poly_eval,
+                               config_for_group, line_extract,
                                pgc_extract, prime_power_field, zp_encode,
                                zp_extract, zpn_encode, zpn_extract)
 from addext.sources import Group
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,22 @@ def test_prime_power_field():
     assert prime_power_field(7).k == 1
 
 
+def test_prime_power_field_matches_trial_division():
+    for q in range(1, 4097):
+        try:
+            want = oracles.prime_power_field(q)
+        except InputError:
+            with pytest.raises(InputError):
+                prime_power_field(q)
+        else:
+            assert prime_power_field(q) == want
+    p61 = 2**61 - 1
+    for q in (1, 12, 3 * p61, 2**89 - 1):           # 2^89 - 1 is a prime above 2^63
+        with pytest.raises(InputError):
+            prime_power_field(q)
+    assert (prime_power_field(p61).p, prime_power_field(p61**2).k) == (p61, 2)
+
+
 def test_block_tiling_invariants_across_n():
     for q in (4, 9):
         for n in range(1, 41):
@@ -143,13 +161,13 @@ def test_line_poly_toy_tiling():
     toy = LineExtractorConfig(F3, 2, 2, (Block(0, 1), Block(1, 1)), "quadratic_char")
     for x0 in range(3):
         for x1 in range(3):
-            assert line_poly_eval((x0, x1), toy) == (x0 + x1) % 3
+            assert oracles.line_poly_eval((x0, x1), toy) == (x0 + x1) % 3
 
 
 def test_line_poly_zero_at_origin():
     for q, n in [(4, 3), (9, 4), (5, 2)]:
         cfg = build_line_extractor(q, n)
-        assert line_poly_eval((0,) * n, cfg) == 0
+        assert oracles.line_poly_eval((0,) * n, cfg) == 0
 
 
 def test_line_extract_output_examples():
@@ -218,7 +236,7 @@ def test_line_restriction_degree_and_leading_coefficient(q, n):
         ys = []
         for t in range(q):
             x = tuple(f.add(ai, f.mul(t, di)) for ai, di in zip(a, d))
-            ys.append(line_poly_eval(x, cfg))
+            ys.append(oracles.line_poly_eval(x, cfg))
         coeffs = interpolate(f, ys)
         deg = poly_degree_fe(coeffs)
         active = [blk for blk in cfg.blocks
@@ -228,7 +246,7 @@ def test_line_restriction_degree_and_leading_coefficient(q, n):
         slice_d = [d[i] if i < n else 0
                    for i in range(want_block.start, want_block.start + want_block.size)]
         ext = gf.get_extension(f, want_block.size)
-        assert coeffs[deg] == gf.norm_poly_eval(ext, slice_d)
+        assert coeffs[deg] == oracles.norm_poly_eval(ext, slice_d)
         assert deg >= 1  # non-constant on every line
 
 
@@ -241,7 +259,7 @@ def test_line_restriction_nonconstant_exhaustive_f4():
                 for d1 in range(4):
                     if (d0, d1) == (0, 0):
                         continue
-                    vals = {line_poly_eval(
+                    vals = {oracles.line_poly_eval(
                         (f.add(a0, f.mul(t, d0)), f.add(a1, f.mul(t, d1))), cfg)
                         for t in range(4)}
                     assert len(vals) > 1
@@ -276,8 +294,8 @@ def test_ap_explicit_blocks_against_direct_norm():
     rng = random.Random(13)
     for _ in range(50):
         x = tuple(rng.randrange(13) for _ in range(3))
-        want = gf.norm_by_conjugates(ext, list(x))
-        assert ap_poly_eval(x, cfg) == want
+        want = oracles.norm_by_conjugates(ext, list(x))
+        assert oracles.ap_poly_eval(x, cfg) == want
         assert ap_extract(x, cfg) == want % 2
     assert ap_extract((0, 0, 0), cfg) == 0
 
@@ -297,7 +315,7 @@ def test_ap_restriction_degree_at_least_two():
         d = tuple(rng.randrange(11) for _ in range(4))
         if not any(d):
             continue
-        ys = [ap_poly_eval(tuple((ai + t * di) % 11 for ai, di in zip(a, d)), cfg)
+        ys = [oracles.ap_poly_eval(tuple((ai + t * di) % 11 for ai, di in zip(a, d)), cfg)
               for t in range(11)]
         coeffs = interpolate(f, ys)
         assert poly_degree_fe(coeffs) >= 2

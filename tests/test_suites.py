@@ -9,6 +9,7 @@ from addext import analysis, extractors as ex, gf, sources as src
 from addext import suites
 from addext.canonical import digest
 from addext.errors import BudgetError, InputError
+import oracles
 from oracles import partial_ap_sum_prefix_max
 
 
@@ -59,7 +60,7 @@ def test_line_scan_matches_pointwise_distances():
     for d in [(1, 0), (1, 1), (0, 1), (1, 5)]:
         for b in range(q):
             a = (0, b) if d[0] else (b, 0)
-            bits = [ex.line_extract(
+            bits = [oracles.line_extract(
                 (f.add(a[0], f.mul(t, d[0])), f.add(a[1], f.mul(t, d[1]))), cfg)
                 for t in range(q)]
             worst = max(worst, abs(sum(bits) / q - 0.5))
@@ -438,23 +439,23 @@ def test_ap_histogram_matches_every_step(p, s):
 
 
 def norms_by_lambda(qs, kmax):
-    """suite_norms' loop: pointwise norm_poly_eval per point and per lambda."""
+    """suite_norms' loop: pointwise norm_poly_eval per point and per lambda,
+    with the conjugate product at every point."""
     rows, failures = [], []
     for q in qs:
         base = ex.prime_power_field(q)
         for k in range(1, kmax + 1):
             extn = gf.get_extension(base, k)
-            oracle_stride = 1 if q**k <= 700 else 7
             for idx in range(q**k):
                 coords = [idx // q**j % q for j in range(k)]
-                n1 = gf.norm_poly_eval(extn, coords)
+                n1 = oracles.norm_poly_eval(extn, coords)
                 if (n1 == 0) != (not any(coords)):
                     failures.append({"q": q, "k": k, "coords": coords, "error": "zero locus"})
-                if idx % oracle_stride == 0 and n1 != gf.norm_by_conjugates(extn, coords):
+                if n1 != oracles.norm_by_conjugates(extn, coords):
                     failures.append({"q": q, "k": k, "coords": coords,
                                      "error": "conjugate oracle"})
                 for lam in range(1, q):
-                    lhs = gf.norm_poly_eval(extn, [base.mul(lam, c) for c in coords])
+                    lhs = oracles.norm_poly_eval(extn, [base.mul(lam, c) for c in coords])
                     if lhs != base.mul(base.pow(lam, k), n1):
                         failures.append({"q": q, "k": k, "coords": coords, "lam": lam,
                                          "error": "homogeneity"})
@@ -466,16 +467,19 @@ def test_norms_match_the_per_lambda_loop(monkeypatch):
     r = suites.suite_norms(qs=(2, 3, 4, 5), kmax=3)
     assert r.ok and (r.rows, r.failures) == norms_by_lambda((2, 3, 4, 5), 3)
     # a faulty oracle is reported as by the loop, in the same order
-    real_conj, real_eval = gf.norm_by_conjugates, gf.norm_poly_eval
-    monkeypatch.setattr(gf, "norm_by_conjugates",
+    real_conj, real_batch = oracles.norm_by_conjugates, gf.conjugate_norms_many
+    monkeypatch.setattr(oracles, "norm_by_conjugates",
                         lambda e, c: real_conj(e, c) + (sum(c) % 3 == 1))
+    monkeypatch.setattr(gf, "conjugate_norms_many",
+                        lambda e, c: real_batch(e, c) + (np.sum(c, axis=1) % 3 == 1))
     r = suites.suite_norms(qs=(3, 4), kmax=2)
     assert r.failures and r.failures == norms_by_lambda((3, 4), 2)[1]
-    # a faulty pointwise route is caught where it leaves the batch route
-    monkeypatch.setattr(gf, "norm_poly_eval",
-                        lambda e, c: 0 if list(c) == [1, 1] else real_eval(e, c))
+    # a faulty norm route is caught by the oracle
+    monkeypatch.setattr(gf, "conjugate_norms_many", real_batch)
+    real_norms = gf.norms_many
+    monkeypatch.setattr(gf, "norms_many", lambda e, c: (real_norms(e, c) + 1) % 3)
     r = suites.suite_norms(qs=(3,), kmax=2)
-    assert {"q": 3, "k": 2, "coords": [1, 1], "error": "batch route"} in r.failures
+    assert {"q": 3, "k": 2, "coords": [1, 1], "error": "conjugate oracle"} in r.failures
 
 
 @pytest.mark.parametrize("d", [1, 2])
