@@ -345,7 +345,8 @@ def to_digits(spec: FieldSpec, codes) -> np.ndarray:
 
 
 def from_digits(spec: FieldSpec, digits: np.ndarray) -> np.ndarray:
-    """Int encodings of digit arrays (inverse of to_digits), in their dtype."""
+    """Int encodings of digit arrays (inverse of to_digits), in their dtype:
+    int64 digits only where digit_dtype gives int64 (p^k <= 2^63)."""
     return digits @ spec.p ** np.arange(spec.k, dtype=digits.dtype)
 
 
