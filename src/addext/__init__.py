@@ -10,7 +10,7 @@ from .extractors import (build_ap_extractor, build_line_extractor,
                          build_zpn_extractor, ap_extract, line_extract,
                          pgc_extract, zp_extract, zpn_extract)
 from .sources import (AdditiveProfile, Group, Source, additive_profile,
-                      build_source, doubling, rep_count, sym_set)
+                      build_source, doubling, sym_set)
 
 __all__ = [
     "AddextError", "AdditiveProfile", "BudgetError", "CapacityError", "Group",
@@ -18,6 +18,5 @@ __all__ = [
     "__version__", "additive_charsum", "additive_profile", "ap_extract",
     "build_ap_extractor", "build_line_extractor", "build_pgc_extractor",
     "build_source", "build_zp_extractor", "build_zpn_extractor", "doubling",
-    "line_extract", "pgc_extract", "rep_count", "sym_set", "zp_extract",
-    "zpn_extract",
+    "line_extract", "pgc_extract", "sym_set", "zp_extract", "zpn_extract",
 ]

@@ -1,22 +1,25 @@
-"""Finite-field arithmetic for F_{p^k}: irreducible polynomial search, element
-arithmetic and extension towers, and batch products, powers, traces,
-quadratic characters and norm forms.
+"""Finite-field arithmetic for F_{p^k}: irreducible polynomial search,
+extension towers, and batch products, powers, traces, quadratic characters
+and norm forms.
 
 Polynomials over F_p are coefficient tuples, lowest degree first, with no
 trailing zeros (the zero polynomial is ()). Field elements are encoded as
 integers in [0, p^k): value = sum c_i p^i over the polynomial basis
 1, theta, ..., theta^(k-1), theta the residue of x mod the field's modulus.
 
-The batch routines at the end hold N elements as an (N, k) array of those
+All field arithmetic is on arrays: N elements are an (N, k) array of those
 F_p digits c_i, so that p^k never has to fit in a machine word: int64 where
 its sums stay exact, Python ints (dtype object) above that (digit_dtype).
+FieldSpec itself only names a field and encodes its elements; products,
+powers and the embedding of F_q in F_{q^b} are mul_many, pow_many and the
+matrices of _norm_maps.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -139,11 +142,6 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
 # fields
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _gf2_mod_mask(spec: "FieldSpec") -> int:
-    return sum(c << i for i, c in enumerate(spec.modulus))
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """F_{p^k} presented as F_p[x]/(modulus), modulus monic irreducible of degree k."""
@@ -166,7 +164,6 @@ class FieldSpec:
     def order(self) -> int:
         return self.p**self.k
 
-    # -- encoding ----------------------------------------------------------
     def encode(self, coeffs: Sequence[int]) -> int:
         v = 0
         for c in reversed(tuple(coeffs)):
@@ -179,61 +176,6 @@ class FieldSpec:
             out.append(v % self.p)
             v //= self.p
         return tuple(out)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
-    # -- arithmetic on int encodings ---------------------------------------
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return self.encode([-x for x in self.decode(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return self._mul2(a, b)
-        prod = poly_mul(self.decode(a), self.decode(b), self.p)
-        return self.encode(poly_mod(prod, self.modulus, self.p))
-
-    def _mul2(self, a: int, b: int) -> int:
-        # carryless multiply then reduce; encodings are GF(2) bitmasks
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            a <<= 1
-            b >>= 1
-        mod_mask = _gf2_mod_mask(self)
-        top = acc.bit_length() - 1
-        while top >= self.k:
-            acc ^= mod_mask << (top - self.k)
-            top = acc.bit_length() - 1
-        return acc
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self.pow(a, self.order - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +195,6 @@ class ExtensionField:
     ext: FieldSpec
     beta: int
     norm_exponent: int
-
-    def embed(self, c: int) -> int:
-        """Image in E of the base-field element c (Horner at beta)."""
-        acc = 0
-        for coef in reversed(self.base.decode(c)):
-            acc = self.ext.mul(acc, self.beta)
-            acc = self.ext.add(acc, coef)
-        return acc
-
-    def lift(self, coords: Sequence[int]) -> int:
-        """sum embed(c_i) * theta^(i-1) in E, for c_i in the base field."""
-        theta = self.ext.encode((0, 1)) if self.ext.k > 1 else 1
-        acc = 0
-        power = 1
-        for c in coords:
-            if c:
-                acc = self.ext.add(acc, self.ext.mul(self.embed(c), power))
-            power = self.ext.mul(power, theta)
-        return acc
 
 
 def _row_reduce(rows: Sequence[Sequence[int]],
@@ -379,9 +302,15 @@ def _uses_bitmasks(spec: FieldSpec) -> bool:
     return spec.p == 2 and 2 * spec.k - 1 <= 64
 
 
+@functools.lru_cache(maxsize=None)
+def _gf2_mod_mask(spec: FieldSpec) -> int:
+    return sum(c << i for i, c in enumerate(spec.modulus))
+
+
 def _mul_bits(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """FieldSpec._mul2 on uint64 arrays: carry-less product, then the bits
-    from 2k-2 down to k cleared by shifted copies of the modulus."""
+    """F_{2^k} products of uint64 bitmasks (bit i the digit of theta^i):
+    carry-less product, then the bits from 2k-2 down to k cleared by shifted
+    copies of the modulus."""
     k = spec.k
     acc = np.zeros_like(a)
     for i in range(k):
@@ -401,7 +330,7 @@ def _from_bits(spec: FieldSpec, bits: np.ndarray) -> np.ndarray:
 
 
 def _ladder(mul: Callable, a: np.ndarray, e: int) -> np.ndarray:
-    """a^e for e >= 1 by the right-to-left square-and-multiply of FieldSpec.pow."""
+    """a^e for e >= 1 by right-to-left square-and-multiply."""
     result = None
     while True:
         if e & 1:
@@ -413,7 +342,7 @@ def _ladder(mul: Callable, a: np.ndarray, e: int) -> np.ndarray:
 
 
 def mul_many(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """FieldSpec.mul on each row pair of two (N, k) digit arrays, in the
+    """The field product of each row pair of two (N, k) digit arrays, in the
     dtype that digit_dtype gives for the field (int64 digits are exact only
     where it gives int64)."""
     if _uses_bitmasks(spec):
@@ -422,8 +351,8 @@ def mul_many(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pow_many(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
-    """FieldSpec.pow(x, e), e >= 1, on each row x of an (N, k) digit array
-    (in the dtype of digit_dtype, as for mul_many)."""
+    """x^e, e >= 1, for each row x of an (N, k) digit array (in the dtype of
+    digit_dtype, as for mul_many)."""
     if e < 1:
         raise InputError("pow_many takes exponents >= 1")
     if _uses_bitmasks(spec):
@@ -432,7 +361,7 @@ def pow_many(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
 
 
 def mul_table(spec: FieldSpec) -> np.ndarray:
-    """The q x q table of FieldSpec.mul on int encodings, by mul_many on
+    """The q x q table of field products on int encodings, by mul_many on
     NORM_CHUNK // q rows (at least one) at a time. It holds q^2 ints: the
     caller checks q^2 against its budget."""
     q = spec.order
@@ -509,23 +438,29 @@ def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
 def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The F_p-linear maps of norms_many, as int64 matrices over F_p digits:
 
-    * lift (b k, K): base digits of c_1..c_b to the E digits of ext.lift;
-    * embed (k, K): base digits to the E digits of ext.embed;
+    * embed (k, K): base digits c_0..c_(k-1) to the E digits of the image
+      sum c_j beta^j; row j is beta^j, by k - 1 products from 1;
+    * lift (b k, K): base digits of c_1..c_b to the E digits of
+      sum embed(c_i) theta^(i-1); rows i k to i k + k - 1 are embed times theta^i;
     * pivots (k,), back (k, k): E digits of an embedded element, read on the
       pivot columns of embed, times back give its base digits.
     """
     base, E = ext.base, ext.ext
     p, k, K = base.p, base.k, E.k
-    unit = [p**j for j in range(k)]
-    lift = [E.decode(ext.lift([0] * i + [u])) for i in range(ext.degree) for u in unit]
-    embed = [list(E.decode(ext.embed(u))) for u in unit]
+    eye = np.eye(K, dtype=np.int64)
+    beta = np.array([E.decode(ext.beta)], dtype=np.int64)
+    embed = eye[:1]
+    for _ in range(k - 1):
+        embed = np.concatenate([embed, mul_many(E, embed[-1:], beta)])
+    # theta^i is the monomial x^i of E, as i < b <= K
+    lift = np.concatenate([mul_many(E, embed, np.broadcast_to(eye[i], embed.shape))
+                           for i in range(ext.degree)])
     # row reducing [embed | I] gives [R | T] with T embed = R, R = I on the pivots
     rows, pivots = _row_reduce([e + [int(i == j) for j in range(k)]
-                                for i, e in enumerate(embed)], p)
+                                for i, e in enumerate(embed.tolist())], p)
     if len(rows) != k or max(pivots) >= K:
         raise AssertionError("the embedding is not injective")
-    maps = (np.array(lift, dtype=np.int64), np.array(embed, dtype=np.int64),
-            np.array(pivots), np.array([r[K:] for r in rows], dtype=np.int64))
+    maps = (lift, embed, np.array(pivots), np.array([r[K:] for r in rows], dtype=np.int64))
     for m in maps:
         m.flags.writeable = False  # cached: shared by every caller
     return maps

@@ -97,34 +97,6 @@ class Group:
             return 0
         return (0,) * self.n
 
-    def add(self, x, y):
-        if self.kind == "zp":
-            return (x + y) % self.p
-        if self.kind == "zn":
-            return (x + y) % self.crt.combined_modulus
-        if self.kind == "zp_vec":
-            return tuple((a + b) % self.p for a, b in zip(x, y))
-        return tuple(self.field.add(a, b) for a, b in zip(x, y))
-
-    def neg(self, x):
-        if self.kind == "zp":
-            return -x % self.p
-        if self.kind == "zn":
-            return -x % self.crt.combined_modulus
-        if self.kind == "zp_vec":
-            return tuple(-a % self.p for a in x)
-        return tuple(self.field.neg(a) for a in x)
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
-
-    def scale(self, t: int, x):
-        """The base-field scalar t times x in a vector group: t in [0, p) over
-        Z_p^n, an encoded element of F_q over F_q^n."""
-        if self.kind == "zp_vec":
-            return tuple(t * a % self.p for a in x)
-        return tuple(self.field.mul(t, a) for a in x)
-
     def digits(self, elements) -> np.ndarray:
         """The base-m digits of a collection of elements as one int64 array:
         (count,) for the ints of Z_p and Z_N, (count, N) for vectors. Digit
@@ -136,10 +108,11 @@ class Group:
         return np.array(list(elements), dtype=np.int64).reshape(-1, self.zmn[1])
 
     def from_digits(self, digits: np.ndarray) -> list:
-        """The elements of digits (the inverse of Group.digits)."""
-        rows = digits.tolist()
+        """The elements of digits (the inverse of Group.digits; a scalar
+        group also takes (count, 1) digits)."""
         if self.kind in ("zp", "zn"):
-            return rows
+            return digits.reshape(-1).tolist()
+        rows = digits.tolist()
         k = self.field.k if self.field else 1
         return [tuple(self.field.encode(r[j:j + k]) for j in range(0, len(r), k))
                 if self.field else tuple(r) for r in rows]
@@ -363,7 +336,7 @@ def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
     out: set = set()
     for lo in range(0, group.order, BOHR_CHUNK):
         rest = np.arange(lo, min(lo + BOHR_CHUNK, group.order), dtype=np.int64)
-        digits = rest[:, None] // m ** np.arange(n, dtype=np.int64) % m
+        digits = _index_digits(rest, m, n)
         keep = np.ones(len(rest), dtype=bool)
         for c in coeffs:
             v = np.zeros_like(rest)
@@ -374,27 +347,49 @@ def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
     return out
 
 
+def _multiples(group: Group, gens: np.ndarray, count: int, scalars: bool) -> np.ndarray:
+    """(count, r, N) digit rows of count multiples of each of r generators,
+    given as (r, N) digit rows: the integer multiples t g, digitwise
+    (t mod m) g mod m (int64 while (m - 1)^2 < 2^63, Python ints above that),
+    or with ``scalars`` the base-field multiples, t running over the
+    encodings of the coordinate field (Z_p as F_p), by one gf.mul_many."""
+    m = group.zmn[0]
+    if not scalars:
+        t = np.arange(count, dtype=np.int64)[:, None, None] % m
+        if (m - 1) ** 2 >= 1 << 63:
+            return (t.astype(object) * gens.astype(object) % m).astype(np.int64)
+        return t * gens % m
+    F = group.field or gf.FieldSpec.make(group.p, 1)
+    dtype = gf.digit_dtype(F)
+    t = gf.to_digits(F, np.arange(count)).astype(dtype)
+    coords = gens.reshape(-1, F.k).astype(dtype)   # one row per coordinate of each generator
+    prods = gf.mul_many(F, np.repeat(t, len(coords), axis=0), np.tile(coords, (count, 1)))
+    return prods.reshape(count, *gens.shape).astype(np.int64)
+
+
 def _span(group: Group, base, gens: Sequence, count: int, cap: int,
           scalars: bool = False) -> set:
-    """{base + m_1 + ... + m_r}, m_i running over count multiples of gens[i]:
-    the integer multiples 0, g, 2g, ... (by repeated Group.add), or with
-    ``scalars`` the base-field multiples t g, t < count = |F| (Group.scale).
+    """{base + m_1 + ... + m_r}, m_i running over count multiples of gens[i]
+    (_multiples: the integer multiples 0, g, 2g, ..., or with ``scalars`` the
+    base-field multiples t g, t < count = |F|), as digit rows: the box grows
+    one generator at a time by the pair sums of its rows so far and that
+    generator's multiples, only the distinct ones (_distinct_sums) once
+    there are more pairs than group elements.
 
-    The box volume count^r is checked against cap before anything is built.
+    The box volume count^r is checked against cap before anything is built,
+    and no step holds more rows than that volume.
     """
     if count ** len(gens) > cap:
         raise BudgetError(f"span of volume {count ** len(gens)} exceeds enumeration cap {cap}")
-    out = {base}
-    for g in gens:
-        if scalars:
-            multiples = [group.scale(t, g) for t in range(count)]
+    m, N = group.zmn
+    rows = group.digits([base, *gens]).reshape(-1, N)
+    out, multiples = rows[:1], _multiples(group, rows[1:], count, scalars)
+    for i in range(len(gens)):
+        if len(out) * count > m**N:
+            out = _distinct_sums(out, multiples[:, i], m)[0]
         else:
-            multiples, x = [], group.zero
-            for _ in range(count):
-                multiples.append(x)
-                x = group.add(x, g)
-        out = {group.add(x, m) for x in out for m in multiples}
-    return out
+            out = np.array([_digit_sums(out, multiples[:, i], m, j) for j in range(N)]).T
+    return set(group.from_digits(out))
 
 
 def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> Source:
@@ -480,11 +475,6 @@ def sub_gap(spec: GapSpec, group: Group, side: int) -> set:
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def rep_count(X: Source, g) -> int:
-    """|X cap (X + g)|: the number of ways to represent g as a difference."""
-    return sum(1 for y in X.elements if X.group.sub(y, g) in X.elements)
-
-
 def cyclic_convolve(va, ca, vb, cb, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact weighted histogram of a_i + b_j over all pairs (i, j) in Z_m^N.
 
@@ -508,20 +498,9 @@ def cyclic_convolve(va, ca, vb, cb, m: int) -> tuple[np.ndarray, np.ndarray]:
     a, b = va.reshape(len(va), N), vb.reshape(len(vb), N)
     order = m**N
     if len(a) * len(b) <= min(order, DEFAULT_PAIR_BUDGET):
-        if order < 1 << 63:
-            index = _digit_sums(a, b, m, 0)
-            for j in range(1, N):
-                index += _digit_sums(a, b, m, j) * m**j
-            keys, inverse = np.unique(index, return_inverse=True)
-        else:
-            # most significant digit first, so that the rows sort by index
-            sums = np.stack([_digit_sums(a, b, m, j) for j in reversed(range(N))], axis=1)
-            keys, inverse = np.unique(sums, axis=0, return_inverse=True)
+        keys, inverse = _distinct_sums(a, b, m)
         counts = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(counts, inverse.ravel(), (ca[:, None] * cb[None, :]).ravel())
-        if keys.ndim == 2:
-            return keys[:, ::-1], counts
-        index = keys
+        np.add.at(counts, inverse, (ca[:, None] * cb[None, :]).ravel())
     elif order > element_budget():
         raise BudgetError(f"{len(a)} x {len(b)} pair sums in a group of order {order} fit "
                           f"neither the pair budget nor the element budget")
@@ -536,17 +515,38 @@ def cyclic_convolve(va, ca, vb, cb, m: int) -> tuple[np.ndarray, np.ndarray]:
             counts = _rounded(np.fft.irfftn(fa * fb, shape, range(N))).ravel(order="F")
         index = np.flatnonzero(counts)
         counts = counts[index].astype(np.int64, copy=False)
-    if va.ndim == 1:
-        return index, counts
-    return index[:, None] // m ** np.arange(N, dtype=np.int64) % m, counts
+        keys = _index_digits(index, m, N)
+    return (keys[:, 0] if va.ndim == 1 else keys), counts
+
+
+def _index_digits(index: np.ndarray, m: int, N: int) -> np.ndarray:
+    """(count, N) base-m digits of indices below m^N < 2^63."""
+    return index[:, None] // m ** np.arange(N, dtype=np.int64) % m
+
+
+def _distinct_sums(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct digitwise sums (a_i + b_k) mod m over all pairs of two
+    (count, N) int64 digit arrays, as digit rows in increasing index, and
+    the position among them of each pair's sum (pairs flat, i major). The
+    sums are told apart by their index while m^N < 2^63, by their digits
+    above that."""
+    N = a.shape[1]
+    if m**N < 1 << 63:
+        index = _digit_sums(a, b, m, 0)
+        for j in range(1, N):
+            index += _digit_sums(a, b, m, j) * m**j
+        keys, inverse = np.unique(index, return_inverse=True)
+        return _index_digits(keys, m, N), inverse
+    # most significant digit first, so that the rows sort by index
+    sums = np.stack([_digit_sums(a, b, m, j) for j in reversed(range(N))], axis=1)
+    keys, inverse = np.unique(sums, axis=0, return_inverse=True)
+    return keys[:, ::-1], inverse.ravel()
 
 
 def _digit_sums(a: np.ndarray, b: np.ndarray, m: int, j: int) -> np.ndarray:
     """(a_i + b_k) mod m at digit j for every pair (i, k), flat. a + (b - m)
     lies in [-m, m - 1), so int64 holds it for any m < 2^63."""
-    sums = (a[:, j, None] + (b[:, j] - m)[None, :]).ravel()
-    sums[sums < 0] += m
-    return sums
+    return (a[:, j, None] + (b[:, j] - m)[None, :]).ravel() % m
 
 
 def _rounded(x: np.ndarray) -> np.ndarray:
@@ -595,8 +595,8 @@ def convolve_rows(A, B, m: int) -> np.ndarray:
 
 def difference_histogram(X: Source) -> tuple[np.ndarray, np.ndarray]:
     """The distinct g in X - X as digits (Group.digits), in increasing index,
-    and each rep_count(X, g), as the histogram of X + (-X) by
-    cyclic_convolve."""
+    and each |X cap (X + g)|, the number of ways to write g as a difference,
+    as the histogram of X + (-X) by cyclic_convolve."""
     m = X.group.zmn[0]
     digits = X.group.digits(X.elements)
     ones = np.ones(len(X), dtype=np.int64)

@@ -245,23 +245,35 @@ def suite_xor(moduli: _List(_Int(2, budgeted=True)) = (15, 21, 33, 35, 105, 231,
 # line extractor scans
 # ---------------------------------------------------------------------------
 
+LINE_SCAN_TABLES = 10  # q x q arrays scan_all_lines holds at once (peak 9.3 under tracemalloc)
+
+
 def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
     """Exhaustive scan over all affine lines of F_q^2: per-line character sums
     and 1-bit output distances of the block-norm extractor.
 
     Returns max normalized character sum, max distance, and line counts.
+    The scan holds LINE_SCAN_TABLES q x q arrays at once (the sum, product
+    and character tables, and per direction the second coordinates, values,
+    counts and character sums with their temporaries); their entries are
+    checked against the pair budget before the first is built, so that the
+    largest q scanned is 2579.
     """
     if cfg.n != 2:
         raise InputError("exhaustive line scan implemented for n = 2")
     f = cfg.field
     q = f.order
-    if q * q > src.DEFAULT_PAIR_BUDGET:
-        raise BudgetError(f"q^2 = {q * q} pairs exceed the pair budget for line tables")
-    # dense tables by gf's batch digit arithmetic: sums and products of all
-    # q^2 pairs, and u^b for the size-b second block (only its first
-    # coordinate is set when n = 2)
+    if LINE_SCAN_TABLES * q * q > src.DEFAULT_PAIR_BUDGET:
+        raise BudgetError(f"the line scan's {LINE_SCAN_TABLES} q x q tables "
+                          f"({LINE_SCAN_TABLES * q * q} entries) exceed the pair budget "
+                          f"{src.DEFAULT_PAIR_BUDGET}")
+    # dense tables by gf's batch digit arithmetic: sums (one digit at a time)
+    # and products of all q^2 pairs, and u^b for the size-b second block (only
+    # its first coordinate is set when n = 2)
     d = gf.to_digits(f, np.arange(q))
-    add = gf.from_digits(f, (d[:, None, :] + d[None, :, :]) % f.p)
+    add = np.zeros((q, q), dtype=np.int64)
+    for j in range(f.k):
+        add += (d[:, None, j] + d[None, :, j]) % f.p * f.p**j
     mul = gf.mul_table(f)
     powb = gf.from_digits(f, gf.pow_many(f, d, cfg.blocks[1].size))
     t = np.arange(q, dtype=np.int64)
@@ -304,15 +316,19 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
         max_charsum = max(max_charsum, float(line_max.max()) / q)
         max_distance = max(max_distance, float(dist.max()))
         lines += q
-        if len(spot) < 3:
-            spot.append(((d0, d1), int(t[len(spot)]), fvals[len(spot)].copy()))
-    # cross-route: spot-check bulk values against pointwise FieldSpec
-    # arithmetic; for n = 2 the polynomial is x0 + x1^b, b the second block's size
-    for (d0, d1), b, row in spot:
-        a = (0, b) if d0 else (b, 0)
-        for tv in range(0, q, max(1, q // 7)):
-            x0, x1 = f.add(a[0], f.mul(d0, tv)), f.add(a[1], f.mul(d1, tv))
-            assert f.add(x0, f.pow(x1, cfg.blocks[1].size)) == row[tv]
+        if len(spot) < 3:   # its line through (0, b) or (b, 0), b = len(spot)
+            b = len(spot)
+            spot.append(((d0, d1), (0, b) if d0 else (b, 0), fvals[b].copy()))
+    # cross-route: check the table values of three lines against the
+    # extractor's block polynomial (extractors._block_poly_many) at their
+    # points a + t d, built by gf.mul_many and digitwise sums
+    dirs, bases, rows = (np.array(x) for x in zip(*spot))
+    shape = (q, len(spot), 2, f.k)
+    steps = gf.mul_many(f, np.broadcast_to(d[:, None, None], shape).reshape(-1, f.k),
+                        np.broadcast_to(d[dirs], shape).reshape(-1, f.k))
+    points = gf.from_digits(f, (d[bases] + steps.reshape(shape)) % f.p).reshape(-1, 2)
+    values = gf.from_digits(f, ex._block_poly_many(cfg, points)).reshape(q, len(spot))
+    assert (values.T == rows).all(), "line tables disagree with the block polynomial"
     n = cfg.n
     return {"q": q, "lines": lines, "max_charsum": max_charsum,
             "max_distance": max_distance,
@@ -320,7 +336,7 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
 
 
 @_suite
-def suite_lines(qs: _List(_Int(2)) = (9, 16, 25, 49, 64)) -> SuiteResult:
+def suite_lines(qs: _List(_Int(2, budgeted=True)) = (9, 16, 25, 49, 64)) -> SuiteResult:
     """Exhaustive line-extractor bounds over F_q^2: normalized line sums and
     1-bit distances against 4 sqrt(n/q), n = 2."""
     res = SuiteResult("lines", True)
@@ -651,7 +667,9 @@ def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteRe
     for q in qs:
         base = ex.prime_power_field(q)
         mul = gf.mul_table(base)
+        lam_k = np.ones(q, dtype=np.int64)
         for k in range(1, kmax + 1):
+            lam_k = mul[lam_k, np.arange(q)]   # lambda^k for every lambda
             extn = gf.get_extension(base, k)
             coords = np.arange(q**k)[:, None] // q ** np.arange(k) % q
             norms = gf.norms_many(extn, coords)
@@ -664,7 +682,7 @@ def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteRe
                                                "error": error}))
             for lam in range(1, q):
                 lhs = gf.norms_many(extn, mul[lam][coords])
-                rhs = mul[base.pow(lam, k)][norms]
+                rhs = mul[lam_k[lam]][norms]
                 for idx in np.flatnonzero(lhs != rhs):
                     found.append((idx, 1 + lam, {"q": q, "k": k, "coords": coords[idx].tolist(),
                                                  "lam": lam, "error": "homogeneity"}))
@@ -797,7 +815,8 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
             extra={"median_distance": _median_distance_from_hist(hist, s),
                    "family": fam})
     if kind == "all_lines":
-        group = src.Group.fq_vec(ex.prime_power_field(_key(fam, "q", "family", check=_Int(2))),
+        q = _key(fam, "q", "family", check=_Int(2, budgeted=True))
+        group = src.Group.fq_vec(ex.prime_power_field(q),
                                  _key(fam, "n", "family", 2, check=_Int(1)))
         cfg = _row_config(row, group)
         row_scan = scan_all_lines(cfg)

@@ -19,11 +19,138 @@ def partial_ap_sum_prefix_max(p: int, coeffs, a: int) -> float:
     return float(np.abs(np.cumsum(phases)).max())
 
 
+# ---------------------------------------------------------------------------
+# one element at a time: the field and group arithmetic that the digit-array
+# routes of gf and sources replaced (elements as int encodings, vectors as
+# tuples of them)
+# ---------------------------------------------------------------------------
+
+def fq_add(spec: gf.FieldSpec, a: int, b: int) -> int:
+    if spec.p == 2:
+        return a ^ b
+    return spec.encode([x + y for x, y in zip(spec.decode(a), spec.decode(b))])
+
+
+def fq_neg(spec: gf.FieldSpec, a: int) -> int:
+    if spec.p == 2:
+        return a
+    return spec.encode([-x for x in spec.decode(a)])
+
+
+def fq_sub(spec: gf.FieldSpec, a: int, b: int) -> int:
+    return fq_add(spec, a, fq_neg(spec, b))
+
+
+def fq_mul(spec: gf.FieldSpec, a: int, b: int) -> int:
+    if spec.p == 2:
+        return _fq_mul2(spec, a, b)
+    prod = gf.poly_mul(spec.decode(a), spec.decode(b), spec.p)
+    return spec.encode(gf.poly_mod(prod, spec.modulus, spec.p))
+
+
+def _fq_mul2(spec: gf.FieldSpec, a: int, b: int) -> int:
+    # carryless multiply then reduce; encodings are GF(2) bitmasks
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    mod_mask = sum(c << i for i, c in enumerate(spec.modulus))
+    top = acc.bit_length() - 1
+    while top >= spec.k:
+        acc ^= mod_mask << (top - spec.k)
+        top = acc.bit_length() - 1
+    return acc
+
+
+def fq_pow(spec: gf.FieldSpec, a: int, e: int) -> int:
+    if e < 0:
+        return fq_pow(spec, fq_inv(spec, a), -e)
+    result = 1
+    base = a
+    while e:
+        if e & 1:
+            result = fq_mul(spec, result, base)
+        base = fq_mul(spec, base, base)
+        e >>= 1
+    return result
+
+
+def fq_inv(spec: gf.FieldSpec, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero field element")
+    return fq_pow(spec, a, spec.order - 2)
+
+
+def embed(ext: gf.ExtensionField, c: int) -> int:
+    """Image in E of the base-field element c (Horner at beta)."""
+    acc = 0
+    for coef in reversed(ext.base.decode(c)):
+        acc = fq_mul(ext.ext, acc, ext.beta)
+        acc = fq_add(ext.ext, acc, coef)
+    return acc
+
+
+def lift(ext: gf.ExtensionField, coords: Sequence[int]) -> int:
+    """sum embed(c_i) * theta^(i-1) in E, for c_i in the base field."""
+    E = ext.ext
+    theta = E.encode((0, 1)) if E.k > 1 else 1
+    acc = 0
+    power = 1
+    for c in coords:
+        if c:
+            acc = fq_add(E, acc, fq_mul(E, embed(ext, c), power))
+        power = fq_mul(E, power, theta)
+    return acc
+
+
+def group_add(group, x, y):
+    if group.kind == "zp":
+        return (x + y) % group.p
+    if group.kind == "zn":
+        return (x + y) % group.crt.combined_modulus
+    if group.kind == "zp_vec":
+        return tuple((a + b) % group.p for a, b in zip(x, y))
+    return tuple(fq_add(group.field, a, b) for a, b in zip(x, y))
+
+
+def group_neg(group, x):
+    if group.kind == "zp":
+        return -x % group.p
+    if group.kind == "zn":
+        return -x % group.crt.combined_modulus
+    if group.kind == "zp_vec":
+        return tuple(-a % group.p for a in x)
+    return tuple(fq_neg(group.field, a) for a in x)
+
+
+def group_sub(group, x, y):
+    return group_add(group, x, group_neg(group, y))
+
+
+def group_scale(group, t: int, x):
+    """The base-field scalar t times x in a vector group: t in [0, p) over
+    Z_p^n, an encoded element of F_q over F_q^n."""
+    if group.kind == "zp_vec":
+        return tuple(t * a % group.p for a in x)
+    return tuple(fq_mul(group.field, t, a) for a in x)
+
+
+def rep_count(X, g) -> int:
+    """|X cap (X + g)|: the number of ways to represent g as a difference."""
+    return sum(1 for y in X.elements if group_sub(X.group, y, g) in X.elements)
+
+
+# ---------------------------------------------------------------------------
+# pairwise sums and differences: the oracles of sources.cyclic_convolve
+# ---------------------------------------------------------------------------
+
 def differences_by_pairs(X) -> Counter:
     """rep_count(X, g) for every g in X - X, from all |X|^2 differences by
-    Group.sub (the vector-group route that sources.difference_histogram
+    group_sub (the vector-group route that sources.difference_histogram
     replaced)."""
-    return Counter(X.group.sub(x, y) for x in X.elements for y in X.elements)
+    return Counter(group_sub(X.group, x, y) for x in X.elements for y in X.elements)
 
 
 def sym_set_by_pairs(X, alpha: float) -> set:
@@ -33,12 +160,12 @@ def sym_set_by_pairs(X, alpha: float) -> set:
 
 
 def doubling_by_pairs(X) -> int:
-    """|X + X| as the set of all |X|^2 sums by Group.add."""
-    return len({X.group.add(x, y) for x in X.elements for y in X.elements})
+    """|X + X| as the set of all |X|^2 sums by group_add."""
+    return len({group_add(X.group, x, y) for x in X.elements for y in X.elements})
 
 
 # ---------------------------------------------------------------------------
-# one field element at a time by FieldSpec arithmetic: the oracles of the
+# one field element at a time by the arithmetic above: the oracles of the
 # digit-array routes gf.trace_many, gf.quadratic_character_many,
 # gf.norms_many and extractors.extract_many
 # ---------------------------------------------------------------------------
@@ -67,7 +194,7 @@ def trace_to_f2(spec: gf.FieldSpec, a: int) -> int:
     cur = a
     for _ in range(spec.k):
         acc ^= cur
-        cur = spec.mul(cur, cur)
+        cur = fq_mul(spec, cur, cur)
     if acc not in (0, 1):
         raise AssertionError("trace left the prime field")
     return acc
@@ -79,7 +206,7 @@ def fq_quadratic_character(spec: gf.FieldSpec, a: int) -> int:
         raise InputError("quadratic character requires odd characteristic")
     if a == 0:
         return 0
-    e = spec.pow(a, (spec.order - 1) // 2)
+    e = fq_pow(spec, a, (spec.order - 1) // 2)
     if e == 1:
         return 1
     if e == spec.p - 1:  # the constant -1
@@ -88,7 +215,7 @@ def fq_quadratic_character(spec: gf.FieldSpec, a: int) -> int:
 
 
 def coerce_to_base(ext: gf.ExtensionField, u: int) -> int:
-    """The base-field element c with ext.embed(c) = u (see gf._to_base)."""
+    """The base-field element c with embed(ext, c) = u (see gf._to_base)."""
     digits = np.array([ext.ext.decode(u)], dtype=np.int64)
     return ext.base.encode(gf._to_base(ext, digits)[0].tolist())
 
@@ -104,8 +231,8 @@ def norm_poly_eval(ext: gf.ExtensionField, coords: Sequence[int]) -> int:
         return 0
     if not any(coords[1:]):
         # element of the embedded base field: all conjugates coincide
-        return ext.base.pow(coords[0], ext.degree)
-    u = ext.ext.pow(ext.lift(coords), ext.norm_exponent)
+        return fq_pow(ext.base, coords[0], ext.degree)
+    u = fq_pow(ext.ext, lift(ext, coords), ext.norm_exponent)
     return coerce_to_base(ext, u)
 
 
@@ -113,12 +240,12 @@ def norm_by_conjugates(ext: gf.ExtensionField, coords: Sequence[int]) -> int:
     """Independent route: product over j of sum_i c_i alpha_i^(q^j)."""
     coords = list(coords) + [0] * (ext.degree - len(coords))
     q = ext.base.order
-    s = ext.lift(coords)
+    s = lift(ext, coords)
     acc = 1
     cur = s
     for _ in range(ext.degree):
-        acc = ext.ext.mul(acc, cur)
-        cur = ext.ext.pow(cur, q)
+        acc = fq_mul(ext.ext, acc, cur)
+        cur = fq_pow(ext.ext, cur, q)
     if acc == 0:
         return 0
     return coerce_to_base(ext, acc)
@@ -131,7 +258,7 @@ def block_norm(field: gf.FieldSpec, block, x: Sequence[int], n: int) -> int:
         return 0
     if not any(coords[1:]):
         # subfield element: every conjugate coincides, norm collapses to a power
-        return field.pow(coords[0], block.size)
+        return fq_pow(field, coords[0], block.size)
     ext = gf.get_extension(field, block.size)
     return norm_poly_eval(ext, coords)
 
@@ -142,7 +269,7 @@ def line_poly_eval(x: Sequence[int], cfg) -> int:
         raise InputError(f"expected a point of F_q^{cfg.n}")
     acc = 0
     for block in cfg.blocks:
-        acc = cfg.field.add(acc, block_norm(cfg.field, block, x, cfg.n))
+        acc = fq_add(cfg.field, acc, block_norm(cfg.field, block, x, cfg.n))
     return acc
 
 

@@ -458,6 +458,7 @@ def _declared_out_of_range():
     ("zp-trend", {"m": None}),
     ("xor", {"moduli": [1000000000039]}),
     ("norms", {"qs": [2], "kmax": 22}),             # 22 * 2^22 digits past the budget
+    ("lines", {"qs": [10**4299 + 1]}),              # past the budget before any field search
     *_declared_out_of_range(),
 ])
 def test_suite_parameters_out_of_range_exit_two(tmp_path, capsys, suite, kwargs):
@@ -485,6 +486,16 @@ def test_weil_at_a_large_prime_exits_two_under_an_address_space_cap(tmp_path,
     assert code == 2, err
     assert err.startswith("error: ") and "element budget" in err
     assert "Traceback" not in err
+
+
+def test_lines_past_the_pair_budget_exit_two_under_an_address_space_cap(tmp_path,
+                                                                       run_cli_capped):
+    # q^2 = 2^26 passes the pair budget alone; the scan's 10 q x q tables do not
+    grid = write(tmp_path / "grid.json", {"kwargs": {"qs": [8192]}})
+    code, err = run_cli_capped(["verify", "--suite", "lines", "--grid", grid,
+                                "--out", str(tmp_path / "l.csv")])
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "pair budget" in err
 
 
 @pytest.mark.parametrize("suite, kwargs, codes", [

@@ -196,12 +196,13 @@ def interpolate(field: gf.FieldSpec, ys):
         for j in range(q):
             if j == i:
                 continue
-            num = list(gf.poly_mul(tuple(num), (field.neg(j), 1), field.p)) \
-                if field.k == 1 else _fq_poly_mul(field, num, [field.neg(j), 1])
-            denom = field.mul(denom, field.sub(i, j))
-        scale = field.mul(ys[i], field.inv(denom))
+            neg_j = oracles.fq_neg(field, j)
+            num = list(gf.poly_mul(tuple(num), (neg_j, 1), field.p)) \
+                if field.k == 1 else _fq_poly_mul(field, num, [neg_j, 1])
+            denom = oracles.fq_mul(field, denom, oracles.fq_sub(field, i, j))
+        scale = oracles.fq_mul(field, ys[i], oracles.fq_inv(field, denom))
         for d, c in enumerate(num):
-            coeffs[d] = field.add(coeffs[d], field.mul(scale, c))
+            coeffs[d] = oracles.fq_add(field, coeffs[d], oracles.fq_mul(field, scale, c))
     return coeffs
 
 
@@ -209,7 +210,7 @@ def _fq_poly_mul(field, a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+            out[i + j] = oracles.fq_add(field, out[i + j], oracles.fq_mul(field, ai, bj))
     return out
 
 
@@ -235,7 +236,7 @@ def test_line_restriction_degree_and_leading_coefficient(q, n):
             continue
         ys = []
         for t in range(q):
-            x = tuple(f.add(ai, f.mul(t, di)) for ai, di in zip(a, d))
+            x = tuple(oracles.fq_add(f, ai, oracles.fq_mul(f, t, di)) for ai, di in zip(a, d))
             ys.append(oracles.line_poly_eval(x, cfg))
         coeffs = interpolate(f, ys)
         deg = poly_degree_fe(coeffs)
@@ -260,7 +261,8 @@ def test_line_restriction_nonconstant_exhaustive_f4():
                     if (d0, d1) == (0, 0):
                         continue
                     vals = {oracles.line_poly_eval(
-                        (f.add(a0, f.mul(t, d0)), f.add(a1, f.mul(t, d1))), cfg)
+                        (oracles.fq_add(f, a0, oracles.fq_mul(f, t, d0)),
+                         oracles.fq_add(f, a1, oracles.fq_mul(f, t, d1))), cfg)
                         for t in range(4)}
                     assert len(vals) > 1
 

@@ -1,6 +1,6 @@
-import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,37 +63,51 @@ def test_irreducible_certificate_no_roots():
                 assert acc != 0
 
 
+def _tables(F):
+    """The sum and product tables of F on int encodings: sums digitwise,
+    products by gf.mul_table."""
+    d = gf.to_digits(F, np.arange(F.order))
+    return gf.from_digits(F, (d[:, None] + d[None]) % F.p), gf.mul_table(F)
+
+
 def test_field_arith_examples():
     F9 = gf.FieldSpec.make(3, 2)
     theta = F9.encode([0, 1])
-    assert F9.decode(F9.mul(theta, theta)) == (2, 0)
-    assert F9.decode(F9.pow(theta, 3)) == (0, 2)  # Frobenius
-    assert F9.inv(1) == 1
+    mul = gf.mul_table(F9)
+    assert F9.decode(mul[theta, theta]) == (2, 0)
+    cube = gf.pow_many(F9, gf.to_digits(F9, [theta]), 3)
+    assert F9.decode(int(gf.from_digits(F9, cube)[0])) == (0, 2)  # Frobenius
+    assert mul[1, 1] == 1                           # 1 is its own inverse
+    assert (mul[0] == 0).all()                      # 0 has none
+    assert oracles.fq_inv(F9, 1) == 1
     with pytest.raises(ZeroDivisionError):
-        F9.inv(0)
+        oracles.fq_inv(F9, 0)
 
 
 def test_field_axioms_exhaustive_small():
     for (p, k) in [(2, 3), (3, 2), (5, 1)]:
         F = gf.FieldSpec.make(p, k)
         q = F.order
-        els = list(F.elements())
-        for a in els:
-            assert F.add(a, F.neg(a)) == 0
-            assert F.mul(a, 1) == a
-            if a:
-                assert F.mul(a, F.inv(a)) == 1
-                assert F.pow(a, q - 1) == 1
-        for a, b in itertools.product(els[: min(q, 9)], repeat=2):
-            assert F.add(a, b) == F.add(b, a)
-            assert F.mul(a, b) == F.mul(b, a)
+        add, mul = _tables(F)
+        d = gf.to_digits(F, np.arange(q))
+        neg = gf.from_digits(F, -d % p)
+        els = np.arange(q)
+        assert (add[els, neg] == 0).all() and (add[:, 0] == els).all()
+        assert (mul[:, 1] == els).all()
+        assert (add == add.T).all() and (mul == mul.T).all()
+        # associativity and distributivity at every triple
+        assert (add[add] == add[:, add]).all() and (mul[mul] == mul[:, mul]).all()
+        assert (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all()
+        # every nonzero a has exactly one inverse, and a^(q-1) = 1
+        assert ((mul[1:, 1:] == 1).sum(axis=1) == 1).all()
+        assert (gf.from_digits(F, gf.pow_many(F, d[1:], q - 1)) == 1).all()
 
 
 def test_frobenius_is_additive_homomorphism():
     F8 = gf.FieldSpec.make(2, 3)
-    for a in F8.elements():
-        for b in F8.elements():
-            assert F8.pow(F8.add(a, b), 2) == F8.add(F8.pow(a, 2), F8.pow(b, 2))
+    add, mul = _tables(F8)
+    square = mul.diagonal()
+    assert (square[add] == add[square[:, None], square[None, :]]).all()
 
 
 def test_trace_examples():
@@ -107,12 +121,12 @@ def test_trace_examples():
 def test_trace_linear_and_surjective():
     for k in (1, 2, 3, 4, 6):
         F = gf.FieldSpec.make(2, k)
-        traces = [oracles.trace_to_f2(F, v) for v in F.elements()]
+        traces = [oracles.trace_to_f2(F, v) for v in range(F.order)]
         assert set(traces) == {0, 1}
         assert traces.count(0) == traces.count(1)  # kernel is a hyperplane
         for a in range(F.order):
             for b in range(0, F.order, max(1, F.order // 5)):
-                s = oracles.trace_to_f2(F, F.add(a, b))
+                s = oracles.trace_to_f2(F, oracles.fq_add(F, a, b))
                 assert s == traces[a] ^ traces[b]
 
 
@@ -123,10 +137,10 @@ def test_trace_rejects_odd_characteristic():
 
 def test_fq_quadratic_character():
     F9 = gf.FieldSpec.make(3, 2)
-    chi = [oracles.fq_quadratic_character(F9, v) for v in F9.elements()]
+    chi = [oracles.fq_quadratic_character(F9, v) for v in range(F9.order)]
     assert chi[0] == 0
     assert chi.count(1) == 4 and chi.count(-1) == 4
-    squares = {F9.mul(v, v) for v in F9.elements() if v}
+    squares = {oracles.fq_mul(F9, v, v) for v in range(1, F9.order)}
     for v in range(1, 9):
         assert (chi[v] == 1) == (v in squares)
 
@@ -154,9 +168,9 @@ def test_norm_zero_locus_and_homogeneity_exhaustive():
                 n = oracles.norm_poly_eval(ext, coords)
                 assert (n == 0) == (not any(coords))
                 for lam in range(1, q):
-                    scaled = [base.mul(lam, c) for c in coords]
+                    scaled = [oracles.fq_mul(base, lam, c) for c in coords]
                     assert oracles.norm_poly_eval(ext, scaled) == \
-                        base.mul(base.pow(lam, k), n)
+                        oracles.fq_mul(base, oracles.fq_pow(base, lam, k), n)
 
 
 def test_norm_conjugate_product_oracle():
@@ -179,23 +193,23 @@ def test_norm_conjugate_product_oracle():
 def test_field_norm_multiplicative(a, b):
     F81 = gf.FieldSpec.make(3, 4)
     e = (81 - 1) // (3 - 1)
-    na, nb = F81.pow(a % 81, e), F81.pow(b % 81, e)
-    nab = F81.pow(F81.mul(a % 81, b % 81), e)
-    assert nab == F81.mul(na, nb)
+    na, nb = oracles.fq_pow(F81, a % 81, e), oracles.fq_pow(F81, b % 81, e)
+    nab = oracles.fq_pow(F81, oracles.fq_mul(F81, a % 81, b % 81), e)
+    assert nab == oracles.fq_mul(F81, na, nb)
 
 
 def test_embedding_is_ring_homomorphism():
     F4 = gf.FieldSpec.make(2, 2)
     ext = gf.get_extension(F4, 3)  # F_64 over F_4
     E = ext.ext
+    embed = [oracles.embed(ext, a) for a in range(4)]
     for a in range(4):
         for b in range(4):
-            assert ext.embed(F4.add(a, b)) == E.add(ext.embed(a), ext.embed(b))
-            assert ext.embed(F4.mul(a, b)) == E.mul(ext.embed(a), ext.embed(b))
+            assert embed[oracles.fq_add(F4, a, b)] == oracles.fq_add(E, embed[a], embed[b])
+            assert embed[oracles.fq_mul(F4, a, b)] == oracles.fq_mul(E, embed[a], embed[b])
     # embedded elements are fixed by Frobenius^k' (they lie in the subfield)
-    for a in range(4):
-        u = ext.embed(a)
-        assert E.pow(u, 4) == u
+    for u in embed:
+        assert oracles.fq_pow(E, u, 4) == u
 
 
 def test_norm_subfield_fast_path_matches_general_route():
@@ -204,7 +218,7 @@ def test_norm_subfield_fast_path_matches_general_route():
     for c in range(4):
         fast = oracles.norm_poly_eval(ext, [c, 0, 0])
         direct = oracles.norm_by_conjugates(ext, [c, 0, 0])
-        assert fast == direct == F4.pow(c, 3)
+        assert fast == direct == oracles.fq_pow(F4, c, 3)
 
 
 def test_poly_gcd_basics():
@@ -225,7 +239,7 @@ def test_coerce_to_base_inverts_the_embedding(p, k):
     base = gf.FieldSpec.make(p, k)
     for b in range(1, 5):
         ext = gf.get_extension(base, b)
-        assert [oracles.coerce_to_base(ext, ext.embed(c)) for c in range(base.order)] \
+        assert [oracles.coerce_to_base(ext, oracles.embed(ext, c)) for c in range(base.order)] \
             == list(range(base.order))
         if b > 1:
             theta = ext.ext.encode((0, 1))   # generates E, so lies outside F_q
@@ -235,7 +249,7 @@ def test_coerce_to_base_inverts_the_embedding(p, k):
 
 def _subfield_elements_by_field_ops(ext, base_degree):
     """Oracle: the subfield F_{p^base_degree} of ext element by element, from
-    the trace images of the monomials by FieldSpec.pow and Gaussian elimination."""
+    the trace images of the monomials by oracles.fq_pow and Gaussian elimination."""
     p, n = ext.p, ext.k
     b = n // base_degree
     q = p**base_degree
@@ -245,8 +259,8 @@ def _subfield_elements_by_field_ops(ext, base_degree):
         acc = 0
         cur = v
         for _ in range(b):
-            acc = ext.add(acc, cur)
-            cur = ext.pow(cur, q)
+            acc = oracles.fq_add(ext, acc, cur)
+            cur = oracles.fq_pow(ext, cur, q)
         images.append(list(ext.decode(acc)))
     basis, *_ = gf._row_reduce(images, p)
     assert len(basis) == base_degree
@@ -265,12 +279,12 @@ def _subfield_elements_by_field_ops(ext, base_degree):
 
 def _beta_by_field_ops(ext, base):
     """Oracle: the least root of base.modulus among the subfield's elements,
-    each evaluated by FieldSpec.mul/add Horner."""
+    each evaluated by oracles.fq_mul/fq_add Horner."""
     roots = []
     for u in _subfield_elements_by_field_ops(ext, base.k):
         acc = 0
         for coef in reversed(base.modulus):
-            acc = ext.add(ext.mul(acc, u), coef)
+            acc = oracles.fq_add(ext, oracles.fq_mul(ext, acc, u), coef)
         if acc == 0:
             roots.append(u)
     assert len(roots) == base.k
@@ -305,4 +319,22 @@ def test_extension_above_the_oracle_grid():
     assert gf.norms_many(ext, points).tolist() \
         == [oracles.norm_by_conjugates(ext, c) for c in points]
     for c in [0, 1, base.order - 1] + rng.sample(range(base.order), 40):
-        assert oracles.coerce_to_base(ext, ext.embed(c)) == c
+        assert oracles.coerce_to_base(ext, oracles.embed(ext, c)) == c
+
+
+def _maps_by_field_ops(ext):
+    """Oracle: the lift and embed matrices of gf._norm_maps, row by row from
+    the E digits of oracles.lift and oracles.embed at the base units p^j."""
+    E, unit = ext.ext, [ext.base.p**j for j in range(ext.base.k)]
+    lift = [list(E.decode(oracles.lift(ext, [0] * i + [u])))
+            for i in range(ext.degree) for u in unit]
+    embed = [list(E.decode(oracles.embed(ext, u))) for u in unit]
+    return lift, embed
+
+
+@pytest.mark.parametrize("p, k, b", [(p, k, b) for p, k in PRIME_POWERS_TO_256
+                                     for b in range(2, 6)] + [(2, 12, 3)])
+def test_norm_maps_match_the_embed_and_lift_oracles(p, k, b):
+    ext = gf.get_extension(gf.FieldSpec.make(p, k), b)
+    lift, embed, *_ = gf._norm_maps(ext)
+    assert (lift.tolist(), embed.tolist()) == _maps_by_field_ops(ext)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from addext import gf
 from addext.canonical import digest
 from addext.errors import BudgetError, InputError
@@ -151,17 +152,17 @@ def naive_span(group, base, gens, count, scalars=False):
         if not scalars:
             x = group.zero
             for _ in range(c):
-                x = group.add(x, g)
+                x = oracles.group_add(group, x, g)
             return x
         if group.kind == "zp_vec":
             return tuple(c * a % group.p for a in g)
-        return tuple(group.field.mul(c, a) for a in g)
+        return tuple(oracles.fq_mul(group.field, c, a) for a in g)
 
     out = set()
     for coeffs in itertools.product(range(count), repeat=len(gens)):
         x = base
         for c, g in zip(coeffs, gens):
-            x = group.add(x, times(c, g))
+            x = oracles.group_add(group, x, times(c, g))
         out.add(x)
     return out
 

@@ -61,7 +61,8 @@ def test_line_scan_matches_pointwise_distances():
         for b in range(q):
             a = (0, b) if d[0] else (b, 0)
             bits = [oracles.line_extract(
-                (f.add(a[0], f.mul(t, d[0])), f.add(a[1], f.mul(t, d[1]))), cfg)
+                (oracles.fq_add(f, a[0], oracles.fq_mul(f, t, d[0])),
+                 oracles.fq_add(f, a[1], oracles.fq_mul(f, t, d[1]))), cfg)
                 for t in range(q)]
             worst = max(worst, abs(sum(bits) / q - 0.5))
     scan = suites.scan_all_lines(cfg)
@@ -71,6 +72,38 @@ def test_line_scan_matches_pointwise_distances():
 def test_scan_all_lines_refuses_tables_over_the_pair_budget():
     with pytest.raises(BudgetError):   # 8209^2 > 2^26 pairs
         suites.scan_all_lines(ex.build_line_extractor(8209, 2))
+
+
+def test_scan_all_lines_budgets_all_its_tables_before_the_first(monkeypatch):
+    # q^2 <= 2^26 for each refused q, but not LINE_SCAN_TABLES q^2
+    refused = [ex.build_line_extractor(q, 2) for q in (2591, 4096, 8192)]
+    largest = ex.build_line_extractor(2579, 2)
+
+    def first_table(*args):
+        raise RuntimeError("first table")
+    monkeypatch.setattr(gf, "to_digits", first_table)
+    for cfg in refused:
+        with pytest.raises(BudgetError, match="pair budget"):
+            suites.scan_all_lines(cfg)
+    with pytest.raises(RuntimeError, match="first table"):
+        suites.scan_all_lines(largest)
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 27])
+def test_scan_all_lines_catches_one_wrong_product(monkeypatch, q):
+    # the spot lines' first coordinates are 1 * t
+    t = max(1, q // 7)
+    real = gf.mul_table
+
+    def one_wrong(spec):
+        table = real(spec)
+        table[1, t] = (table[1, t] + 1) % q
+        return table
+    cfg = ex.build_line_extractor(q, 2)
+    assert suites.scan_all_lines(cfg)["lines"] == q * (q + 1)
+    monkeypatch.setattr(gf, "mul_table", one_wrong)
+    with pytest.raises(AssertionError, match="disagree with the block polynomial"):
+        suites.scan_all_lines(cfg)
 
 
 def test_gap_profile_suite_small():
@@ -209,10 +242,13 @@ def test_sweep_family_rows_check_their_extractor():
             dict(line_row, extractor={"build": "line"}),
             {"family": dict(aps, s=0), "extractor": {"build": "zp", "m": 1}},
             {"family": {"kind": "all_aps", "p": 11, "s": 30}, "extractor": {"build": "zp"}},
-            {"family": aps, "extractor": {"build": []}}]
+            {"family": aps, "extractor": {"build": []}},
+            # refused by the element budget before the field is looked for
+            {"family": dict(lines, q=10**4299 + 1), "extractor": {"build": "line"}}]
     r = suites.suite_sweep(grid)
-    assert [f["grid_index"] for f in r.failures] == [0, 1, 2, 3, 4, 5, 10, 11, 12]
-    assert all(f["error"].startswith("InputError") for f in r.failures)
+    assert [f["grid_index"] for f in r.failures] == [0, 1, 2, 3, 4, 5, 10, 11, 12, 13]
+    assert all(f["error"].startswith("InputError") for f in r.failures[:-1])
+    assert r.failures[-1]["error"].startswith("BudgetError: the family's q")
     assert len(r.rows) == 4
     assert r.rows[0].config_digest == r.rows[2].config_digest
 
@@ -455,8 +491,9 @@ def norms_by_lambda(qs, kmax):
                     failures.append({"q": q, "k": k, "coords": coords,
                                      "error": "conjugate oracle"})
                 for lam in range(1, q):
-                    lhs = oracles.norm_poly_eval(extn, [base.mul(lam, c) for c in coords])
-                    if lhs != base.mul(base.pow(lam, k), n1):
+                    lhs = oracles.norm_poly_eval(extn, [oracles.fq_mul(base, lam, c)
+                                                        for c in coords])
+                    if lhs != oracles.fq_mul(base, oracles.fq_pow(base, lam, k), n1):
                         failures.append({"q": q, "k": k, "coords": coords, "lam": lam,
                                          "error": "homogeneity"})
             rows.append({"q": q, "k": k, "points": q**k})

@@ -9,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import addext
+from addext import gf
+from addext.sources import Group
 
 PACKAGE = Path(addext.__file__).parent
 
@@ -29,3 +31,12 @@ def test_every_top_level_name_is_used_in_the_package_or_exported():
               and node.name not in addext.__all__
               and uses[node.name] == _uses(node)[node.name]]
     assert not unused, "used only outside src/addext: " + ", ".join(unused)
+
+
+def test_no_field_or_group_arithmetic_one_element_at_a_time():
+    # field and group arithmetic runs on digit arrays (gf.mul_many, pow_many,
+    # the _norm_maps matrices, sources._span); the one-element routes are the
+    # test oracles in tests/oracles.py
+    pointwise = {"add", "neg", "sub", "mul", "scale", "pow", "inv", "embed", "lift"}
+    for cls in (gf.FieldSpec, gf.ExtensionField, Group):
+        assert not pointwise & set(dir(cls)), cls.__name__
