@@ -8,9 +8,10 @@ reproducible from its inputs alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, InputError, NotInSubgroupError, SearchBudgetError
 
@@ -141,10 +142,8 @@ def discrete_log(g: Residue, y: Residue, order: int) -> int:
     q = g.modulus
     m = math.isqrt(order - 1) + 1
     baby: dict[int, int] = {}
-    cur = 1
-    for j in range(m):
-        baby.setdefault(cur, j)
-        cur = cur * g.value % q
+    for j, x in enumerate(powers(g.value, m, q)):
+        baby.setdefault(x, j)
     # giant step: y * (g^-m)^i
     giant = pow(g.value, -m, q)
     cur = y.value
@@ -212,16 +211,19 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
+def powers(g: int, count: int, q: int) -> Iterator[int]:
+    """g^0, g^1, ..., g^(count-1) mod q (count >= 1): one subgroup walk."""
+    return itertools.accumulate(range(count - 1), lambda x, _: x * g % q, initial=1)
+
+
 def index_table(p: int, g: int | None = None) -> list[int]:
     """ind[x] = discrete log of x base g for x in Z_p* (one O(p) subgroup walk);
     ind[0] = -1 as a sentinel."""
     if g is None:
         g = smallest_primitive_root(p)
-    tab = [-1] * p
-    cur = 1
-    for e in range(p - 1):
-        tab[cur] = e
-        cur = cur * g % p
-    if cur != 1:
+    if pow(g, p - 1, p) != 1:
         raise InputError(f"{g} does not generate Z_{p}*")
+    tab = [-1] * p
+    for e, x in enumerate(powers(g, p - 1, p)):
+        tab[x] = e
     return tab

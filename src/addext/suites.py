@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -41,21 +43,18 @@ class SuiteResult:
 
 class _Check:
     """A suite parameter's declared range: check(name, value) raises InputError
-    (BudgetError past the element budget) for a value outside it."""
+    for a value outside it."""
 
 
 @dataclass(frozen=True)
 class _Int(_Check):
-    """An integer >= lo; within the element budget if ``budgeted``; a zp prime if ``prime``."""
+    """An integer >= lo; a zp prime if ``prime``."""
     lo: int
-    budgeted: bool = False
     prime: bool = False
 
     def __call__(self, name: str, value) -> None:
         if type(value) is not int or value < self.lo:
             raise InputError(f"{name} must be an integer >= {self.lo}, not {value!r}")
-        if self.budgeted and value > src.element_budget():
-            raise BudgetError(f"{name} = {value} exceeds the element budget")
         if self.prime:
             src.Group.zp(value)
 
@@ -83,39 +82,61 @@ class _List(_Check):
             self.item(f"each of {name}", v)
 
 
-_PRIME = _Int(2, budgeted=True, prime=True)
+_PRIME = _Int(2, prime=True)
 _PRIMES = _List(_PRIME)
 
+# Work counts array-entry steps (a numpy pass over one entry, ~0.5 ns on a 2-vCPU
+# Xeon), a Python loop step as PY_STEP of them; a run may do WORK_FACTOR x the budget.
+PY_STEP, WORK_FACTOR = 1 << 11, 1 << 10
 
-def _suite(fn):
-    """A suite run. Each parameter of ``fn`` is annotated with its _Check (one
-    without fails at import); a call binds the arguments (an unknown one is an
-    InputError) and checks every parameter, defaults included, before any
-    work. The run is timed into its ``seconds``; one with a failure is not ok."""
-    name = fn.__name__.removeprefix("suite_").replace("_", "-")
-    sig = inspect.signature(fn)
-    annotations = inspect.get_annotations(fn, eval_str=True)
-    checks = {param: annotations.get(param) for param in sig.parameters}
-    for param, check in checks.items():
-        if not isinstance(check, _Check):
-            raise TypeError(f"suite {name!r}: parameter {param!r} declares no check")
 
-    @functools.wraps(fn)
-    def run(*args, **kwargs) -> SuiteResult:
-        t0 = time.perf_counter()
-        try:
-            bound = sig.bind(*args, **kwargs)
-        except TypeError as exc:
-            raise InputError(f"suite {name!r}: {exc}") from None
-        bound.apply_defaults()
-        for param, value in bound.arguments.items():
-            checks[param](param, value)
-        res = fn(*bound.args, **bound.kwargs)
-        res.ok = not res.failures
-        res.seconds = time.perf_counter() - t0
-        return res
-    run.name, run.checks = name, checks
-    return run
+def _suite(*, cost):
+    """A suite run. Each parameter is annotated with its _Check; ``cost`` maps
+    the bound arguments to (held, work), the most array entries held at once
+    and the total work. ``check`` binds the arguments (an unknown one is an
+    InputError), checks each parameter, defaults included, then held against
+    the element budget and work against WORK_FACTOR times it. A run checks
+    first, is timed into ``seconds``, and is not ok with a failure."""
+    def declare(fn):
+        name = fn.__name__.removeprefix("suite_").replace("_", "-")
+        sig = inspect.signature(fn)
+        annotations = inspect.get_annotations(fn, eval_str=True)
+        checks = {param: annotations.get(param) for param in sig.parameters}
+        for param, check in checks.items():
+            if not isinstance(check, _Check):
+                raise TypeError(f"suite {name!r}: parameter {param!r} declares no check")
+
+        def check(*args, **kwargs) -> inspect.BoundArguments:
+            try:
+                bound = sig.bind(*args, **kwargs)
+            except TypeError as exc:
+                raise InputError(f"suite {name!r}: {exc}") from None
+            bound.apply_defaults()
+            for param, value in bound.arguments.items():
+                checks[param](param, value)
+            budget, (held, work) = src.element_budget(), cost(**bound.arguments)
+            if held > budget or work > WORK_FACTOR * budget:
+                raise BudgetError(f"suite {name!r} holds {Decimal(held):.4g} entries, works "
+                                  f"{Decimal(work):.4g} steps: past the element budget {budget} "
+                                  f"or {WORK_FACTOR} x it")
+            return bound
+
+        @functools.wraps(fn)
+        def run(*args, **kwargs) -> SuiteResult:
+            t0 = time.perf_counter()
+            bound = check(*args, **kwargs)
+            res = fn(*bound.args, **bound.kwargs)
+            res.ok = not res.failures
+            res.seconds = time.perf_counter() - t0
+            return res
+        run.name, run.checks, run.check = name, checks, check
+        return run
+    return declare
+
+
+def _prime_sum(n: int, k: int) -> int:
+    """About the sum of p^k over the primes p <= n: n^(k+1) / ((k+1) ln n)."""
+    return n ** (k + 1) * 3 // (2 * (k + 1) * n.bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +167,20 @@ def _unit_roots(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
 
 
-@_suite
+def _degrees(primes, dmin: int, dmax: int):
+    """The primes of weil or partial-ap, which need dmin <= dmax < every prime."""
+    if not dmin <= dmax < min(primes):
+        raise InputError(f"need dmin <= dmax < every prime, not dmin = {dmin}, dmax = {dmax}")
+    return primes
+
+
+@_suite(cost=lambda primes, polys_per_p, dmin, dmax, seed: (polys_per_p * max(primes), sum(
+    polys_per_p * p * (2 * dmax + 24) for p in _degrees(primes, dmin, dmax))))
 def suite_weil(primes: _PRIMES = tuple(p for p in nt.primes_upto(199) if p >= 11),
                polys_per_p: _Int(1) = 500, dmin: _Int(1) = 2, dmax: _Int(1) = 10,
                seed: _Int(0) = 101) -> SuiteResult:
     """|sum_t e_p(f(t))| <= deg(f) sqrt(p) for seeded random polynomials,
     1 <= dmin <= deg f <= dmax < p."""
-    if not dmin <= dmax < min(primes):
-        raise InputError(f"need dmin <= dmax < every prime, not dmin = {dmin}, dmax = {dmax}")
-    if polys_per_p * max(primes) > src.element_budget():
-        raise BudgetError(f"{polys_per_p} rows of p = {max(primes)} exceed the element budget")
     rng = np.random.default_rng(seed)
     res = SuiteResult("weil", True)
     for p in primes:
@@ -173,17 +198,14 @@ def suite_weil(primes: _PRIMES = tuple(p for p in nt.primes_upto(199) if p >= 11
     return res
 
 
-@_suite
+@_suite(cost=lambda primes, polys_per_p, dmin, dmax, a_per_poly, seed: (
+    max(polys_per_p, a_per_poly) * max(primes), sum(polys_per_p * (40 * PY_STEP + p * (
+        2 * dmax + 24 + 64 * min(a_per_poly, p - 1))) for p in _degrees(primes, dmin, dmax))))
 def suite_partial_ap(primes: _PRIMES = (101, 199, 499), polys_per_p: _Int(1) = 100,
                      dmin: _Int(2) = 2, dmax: _Int(2) = 6, a_per_poly: _Int(1) = 20,
                      seed: _Int(0) = 102) -> SuiteResult:
     """Prefix sums of e_p(a f(t)) over every 1 <= s <= p against
     4 log2(p) sqrt(p) deg(f), 2 <= dmin <= deg f <= dmax < p."""
-    if not dmin <= dmax < min(primes):
-        raise InputError(f"need dmin <= dmax < every prime, not dmin = {dmin}, dmax = {dmax}")
-    rows = max(polys_per_p, a_per_poly)
-    if rows * max(primes) > src.element_budget():
-        raise BudgetError(f"{rows} rows of p = {max(primes)} exceed the element budget")
     rng = np.random.default_rng(seed)
     res = SuiteResult("partial-ap", True)
     for p in primes:
@@ -205,8 +227,9 @@ def suite_partial_ap(primes: _PRIMES = (101, 199, 499), polys_per_p: _Int(1) = 1
     return res
 
 
-@_suite
-def suite_l1(pmax: _Int(2, budgeted=True) = 499) -> SuiteResult:
+@_suite(cost=lambda pmax: (pmax + min(pmax * pmax, analysis.L1_BLOCK_ENTRIES),
+                          40 * _prime_sum(pmax, 2)))
+def suite_l1(pmax: _Int(2) = 499) -> SuiteResult:
     """L1 Fourier norm of every interval {0..s-1} in Z_p against 4 log2 p,
     for every prime 2 <= p <= pmax."""
     res = SuiteResult("l1", True)
@@ -220,24 +243,20 @@ def suite_l1(pmax: _Int(2, budgeted=True) = 499) -> SuiteResult:
     return res
 
 
-@_suite
-def suite_xor(moduli: _List(_Int(2, budgeted=True)) = (15, 21, 33, 35, 105, 231, 1155)
-              ) -> SuiteResult:
+@_suite(cost=lambda moduli: (0, 16 * PY_STEP * sum(moduli)))
+def suite_xor(moduli: _List(_Int(2)) = (15, 21, 33, 35, 105, 231, 1155)) -> SuiteResult:
     """|sigma(U_N) - U_M| <= 2M/N for every M < N coprime to N, exactly."""
     res = SuiteResult("xor", True)
     for N in moduli:
         worst = Fraction(0)
-        count = 0
-        for M in range(1, N):
-            if math.gcd(M, N) != 1:
-                continue
-            count += 1
+        coprime = [M for M in range(1, N) if math.gcd(M, N) == 1]
+        for M in coprime:
             dist, bound, ok = analysis.xor_residual_check(N, M)
             worst = max(worst, dist / bound)
             if not ok:
                 res.failures.append({"N": N, "M": M, "distance": str(dist),
                                      "bound": str(bound)})
-        res.rows.append({"N": N, "cases": count, "max_ratio": float(worst)})
+        res.rows.append({"N": N, "cases": len(coprime), "max_ratio": float(worst)})
     return res
 
 
@@ -253,20 +272,14 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
     and 1-bit output distances of the block-norm extractor.
 
     Returns max normalized character sum, max distance, and line counts.
-    The scan holds LINE_SCAN_TABLES q x q arrays at once (the sum, product
-    and character tables, and per direction the second coordinates, values,
-    counts and character sums with their temporaries); their entries are
-    checked against the pair budget before the first is built, so that the
-    largest q scanned is 2579.
+    It holds LINE_SCAN_TABLES q x q arrays at once (the sum, product and
+    character tables, and per direction the second coordinates, values,
+    counts and character sums with temporaries): the cost of lines.
     """
     if cfg.n != 2:
         raise InputError("exhaustive line scan implemented for n = 2")
     f = cfg.field
     q = f.order
-    if LINE_SCAN_TABLES * q * q > src.DEFAULT_PAIR_BUDGET:
-        raise BudgetError(f"the line scan's {LINE_SCAN_TABLES} q x q tables "
-                          f"({LINE_SCAN_TABLES * q * q} entries) exceed the pair budget "
-                          f"{src.DEFAULT_PAIR_BUDGET}")
     # dense tables by gf's batch digit arithmetic: sums (one digit at a time)
     # and products of all q^2 pairs, and u^b for the size-b second block (only
     # its first coordinate is set when n = 2)
@@ -335,10 +348,11 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
             "charsum_bound": 4 * math.sqrt(n / q), "distance_bound": 4 * math.sqrt(n / q)}
 
 
-@_suite
-def suite_lines(qs: _List(_Int(2, budgeted=True)) = (9, 16, 25, 49, 64)) -> SuiteResult:
-    """Exhaustive line-extractor bounds over F_q^2: normalized line sums and
-    1-bit distances against 4 sqrt(n/q), n = 2."""
+@_suite(cost=lambda qs: (LINE_SCAN_TABLES * max(qs) ** 2, sum(
+    (q + 1) * q * q * (128 if q % 2 else 128 + q // 8) for q in qs)))
+def suite_lines(qs: _List(_Int(4)) = (9, 16, 25, 49, 64)) -> SuiteResult:
+    """Exhaustive line-extractor bounds over F_q^2, q >= 4 (below, x^3 = x):
+    normalized line sums and 1-bit distances against 4 sqrt(n/q), n = 2."""
     res = SuiteResult("lines", True)
     for q in qs:
         cfg = ex.build_line_extractor(q, 2)
@@ -355,7 +369,16 @@ def suite_lines(qs: _List(_Int(2, budgeted=True)) = (9, 16, 25, 49, 64)) -> Suit
 # GAP and Bohr structure
 # ---------------------------------------------------------------------------
 
-@_suite
+def _gap_cases(primes, dims, sides) -> list[tuple[int, int, int]]:
+    """The (p, r, s) of gap-profile: s^r < p, tried without s^r once 2^r > p."""
+    return [(p, r, s) for p in primes for r in dims for s in sides
+            if (s == 1 or r < p.bit_length()) and s**r < p]
+
+
+@_suite(cost=lambda primes, dims, sides, gaps_per_case, seed: (
+    max((8 * min(p, s**(2 * r)) for p, r, s in _gap_cases(primes, dims, sides)), default=0),
+    gaps_per_case * 256 * PY_STEP * sum(32 + s**r + r for p, r, s in _gap_cases(
+        primes, dims, sides))))
 def suite_gap_profile(primes: _PRIMES = (101, 499, 1009), dims: _List(_Int(1)) = (1, 2),
                       sides: _List(_Int(1)) = (8, 16, 32), gaps_per_case: _Int(1) = 25,
                       seed: _Int(0) = 106) -> SuiteResult:
@@ -363,43 +386,39 @@ def suite_gap_profile(primes: _PRIMES = (101, 499, 1009), dims: _List(_Int(1)) =
     ceil(s^0.1) has >= |X|^0.1 elements, each with rep >= |X| (1 - r/s^0.9)."""
     rng = random.Random(seed)
     res = SuiteResult("gap-profile", True)
-    for p in primes:
+    for p, r, s in _gap_cases(primes, dims, sides):
         grp = src.Group.zp(p)
-        for r in dims:
-            for s in sides:
-                if s**r >= p:
-                    continue
-                built = 0
-                attempts = 0
-                while built < gaps_per_case and attempts < 200 * gaps_per_case:
-                    attempts += 1
-                    spec = src.GapSpec(rng.randrange(p),
-                                       tuple(rng.randrange(1, p) for _ in range(r)), s)
-                    X = src.build_source(spec, grp)
-                    if not X.notes["proper"]:
-                        continue
-                    built += 1
-                    size = len(X)
-                    dbl = src.doubling(X)
-                    side = math.ceil(s**0.1)
-                    sub = src.sub_gap(spec, grp, side)
-                    reps = dict(zip(*(a.tolist() for a in src.difference_histogram(X))))
-                    rep_min = min(reps.get(x, 0) for x in sub)
-                    rep_bound = size * (1 - r / s**0.9)
-                    checks = {
-                        "doubling": dbl <= 2**r * size,
-                        "sub_gap_size": len(sub) >= size**0.1 - TOL,
-                        "rep": rep_min + TOL >= rep_bound,
-                    }
-                    if not all(checks.values()):
-                        res.failures.append({"p": p, "r": r, "s": s,
-                                             "spec": src.spec_to_json(spec),
-                                             "checks": checks})
-                res.rows.append({"p": p, "r": r, "s": s, "gaps": built,
-                                 "attempts": attempts})
-                if built < gaps_per_case:
-                    res.failures.append({"p": p, "r": r, "s": s,
-                                         "error": "could not seed enough proper GAPs"})
+        built = 0
+        attempts = 0
+        while built < gaps_per_case and attempts < 200 * gaps_per_case:
+            attempts += 1
+            spec = src.GapSpec(rng.randrange(p),
+                               tuple(rng.randrange(1, p) for _ in range(r)), s)
+            X = src.build_source(spec, grp)
+            if not X.notes["proper"]:
+                continue
+            built += 1
+            size = len(X)
+            dbl = src.doubling(X)
+            side = math.ceil(s**0.1)
+            sub = src.sub_gap(spec, grp, side)
+            reps = dict(zip(*(a.tolist() for a in src.difference_histogram(X))))
+            rep_min = min(reps.get(x, 0) for x in sub)
+            rep_bound = size * (1 - r / s**0.9)
+            checks = {
+                "doubling": dbl <= 2**r * size,
+                "sub_gap_size": len(sub) >= size**0.1 - TOL,
+                "rep": rep_min + TOL >= rep_bound,
+            }
+            if not all(checks.values()):
+                res.failures.append({"p": p, "r": r, "s": s,
+                                     "spec": src.spec_to_json(spec),
+                                     "checks": checks})
+        res.rows.append({"p": p, "r": r, "s": s, "gaps": built,
+                         "attempts": attempts})
+        if built < gaps_per_case:
+            res.failures.append({"p": p, "r": r, "s": s,
+                                 "error": "could not seed enough proper GAPs"})
     return res
 
 
@@ -431,7 +450,9 @@ def _bohr_cases(p: int, rho: Fraction, d: int, dilations: np.ndarray | None) -> 
             "sym": ((_shift_overlaps(B, ys) >= nBm[:, None]) | ~Y[:, ys]).all(axis=1)}
 
 
-@_suite
+@_suite(cost=lambda pmax, rhos, literal_pmax: (8 * max(pmax, literal_pmax) ** 2, len(rhos) * (
+    40 * _prime_sum(pmax, 2) + _prime_sum(pmax, 3) // 64)
+    + 3 * _prime_sum(literal_pmax, 3) + 16 * PY_STEP * _prime_sum(literal_pmax, 1)))
 def suite_bohr(pmax: _Int(2) = 499, rhos: _List(_Number(0, 1)) = (0.1, 0.2, 0.3),
                literal_pmax: _Int(3) = 61) -> SuiteResult:
     """Bohr-set bounds in Z_p, exhaustive over rank <= 2 frequency sets up to
@@ -442,8 +463,6 @@ def suite_bohr(pmax: _Int(2) = 499, rhos: _List(_Number(0, 1)) = (0.1, 0.2, 0.3)
     Each (p, rho, rank) is one batch: a row of masks per ratio, sizes as row
     sums, and the overlaps |B cap (B + y)| = sum_x B(x) B(x - y) of each row,
     counted exactly for the y of the window that holds the witnesses Y."""
-    if max(pmax, literal_pmax) ** 2 > src.element_budget():
-        raise BudgetError("pmax^2 or literal_pmax^2 exceeds the element budget")
     res = SuiteResult("bohr", True)
     for p in nt.primes_upto(pmax):
         ratios = np.arange(2, p)
@@ -464,9 +483,7 @@ def suite_bohr(pmax: _Int(2) = 499, rhos: _List(_Number(0, 1)) = (0.1, 0.2, 0.3)
             res.rows.append(worst)
     # literal enumeration of all frequency sets for small p, against the
     # dilation-reduced computation
-    for p in nt.primes_upto(literal_pmax):
-        if p < 3:
-            continue
+    for p in nt.primes_upto(literal_pmax)[1:]:   # p >= 3
         x = np.arange(p)
         base = np.minimum(x, p - x) <= src.bohr_vmax(p, Fraction(rhos[0]))
         # row a is the rank-1 Bohr set of frequency a; sizes[a, b] = |Bohr({a, b})|
@@ -484,8 +501,10 @@ def suite_bohr(pmax: _Int(2) = 499, rhos: _List(_Number(0, 1)) = (0.1, 0.2, 0.3)
     return res
 
 
-@_suite
-def suite_cauchy_davenport(primes: _PRIMES = (101, 499), trials: _Int(1, budgeted=True) = 10_000,
+@_suite(cost=lambda primes, trials, seed: (
+    trials + 8 * max(min(trials * p, max(src.CONVOLVE_CHUNK, p)) for p in primes),
+    trials * sum(32 * (p + 16) * p.bit_length() for p in primes)))
+def suite_cauchy_davenport(primes: _PRIMES = (101, 499), trials: _Int(1) = 10_000,
                            seed: _Int(0) = 108) -> SuiteResult:
     """|A+A| >= min(2|A|-1, p) for seeded random subsets of Z_p.
 
@@ -516,7 +535,8 @@ def suite_cauchy_davenport(primes: _PRIMES = (101, 499), trials: _Int(1, budgete
 # encoding transport, extractor trend, moments, norms
 # ---------------------------------------------------------------------------
 
-@_suite
+@_suite(cost=lambda primes, sources_per_p, alpha, seed: (
+    2 * max(primes) ** 2, sources_per_p * sum(512 * PY_STEP + 24 * p * p for p in primes)))
 def suite_transport(primes: _PRIMES = (101, 499), sources_per_p: _Int(1) = 200,
                     alpha: _Number(0, 1) = 0.25, seed: _Int(0) = 109) -> SuiteResult:
     """The subgroup encoding x -> g^x: injectivity, |Y Y| = |X+X|, and exact
@@ -525,9 +545,7 @@ def suite_transport(primes: _PRIMES = (101, 499), sources_per_p: _Int(1) = 200,
     for p in primes:
         cfg = ex.build_zp_extractor(p, 1)
         q = cfg.q
-        gx = np.ones(p, dtype=np.int64)
-        for i in range(1, p):
-            gx[i] = gx[i - 1] * cfg.g % q
+        gx = np.fromiter(nt.powers(cfg.g, p, q), dtype=np.int64, count=p)
         if len(set(gx.tolist())) != p:
             res.failures.append({"p": p, "error": "encoding not injective"})
             continue
@@ -565,11 +583,7 @@ def ap_distance_histogram(p: int, s: int, cfg: ex.ZpExtractorConfig) -> np.ndarr
     The AP (b, -d) is the AP (b - (s-1)d, d) traversed backwards, so steps d
     and p - d give the same multiset of window sums: only d <= p/2 is scanned,
     each histogram counted twice unless 2d = p."""
-    par = np.empty(p, dtype=np.int64)
-    cur = 1
-    for i in range(p):
-        par[i] = cur & 1
-        cur = cur * cfg.g % cfg.q
+    par = np.fromiter(nt.powers(cfg.g, p, cfg.q), dtype=np.int64, count=p) & 1
     idx = np.arange(p, dtype=np.int64)
     hist = np.zeros(s + 1, dtype=np.int64)
     for d in range(1, p // 2 + 1):
@@ -584,17 +598,12 @@ def ap_distance_histogram(p: int, s: int, cfg: ex.ZpExtractorConfig) -> np.ndarr
 def _median_distance_from_hist(hist: np.ndarray, s: int) -> float:
     dists = np.abs(np.arange(s + 1) / s - 0.5)
     order = np.argsort(dists, kind="stable")
-    total = hist.sum()
-    rank = (total + 1) // 2
-    acc = 0
-    for c in order:
-        acc += hist[c]
-        if acc >= rank:
-            return float(dists[c])
-    return float(dists[order[-1]])
+    # the first distance, nearest first, at which half the APs are counted
+    return float(dists[order[np.searchsorted(np.cumsum(hist[order]), (hist.sum() + 1) // 2)]])
 
 
-@_suite
+@_suite(cost=lambda primes, threshold: (
+    8 * max(primes), sum(p // 2 * (48 * p + 16 * PY_STEP) for p in primes)))
 def suite_zp_trend(primes: _PRIMES = (101, 499, 1009, 4999),
                    threshold: _Number() = 0.25) -> SuiteResult:
     """Exhaustive 1-bit distances across all s-APs, s = ceil(p^0.7): the median
@@ -609,11 +618,8 @@ def suite_zp_trend(primes: _PRIMES = (101, 499, 1009, 4999),
         med = _median_distance_from_hist(hist, s)
         medians.append(med)
         res.rows.append({"p": p, "s": s, "aps": int(hist.sum()), "median_distance": med})
-    for a, b in zip(medians, medians[1:]):
-        if b > a + TOL:
-            res.failures.append({"error": "median not non-increasing",
-                                 "medians": medians})
-            break
+    if any(b > a + TOL for a, b in zip(medians, medians[1:])):
+        res.failures.append({"error": "median not non-increasing", "medians": medians})
     res.notes["medians"] = medians
     res.notes["threshold"] = threshold
     res.notes["threshold_met"] = medians[-1] < threshold
@@ -624,8 +630,9 @@ def suite_zp_trend(primes: _PRIMES = (101, 499, 1009, 4999),
     return res
 
 
-@_suite
-def suite_moments(qs: _List(_Int(2, budgeted=True)) = (11, 101), ts: _List(_Int(1)) = (1, 2, 3),
+@_suite(cost=lambda qs, ts, parseval_sets, seed: (4 * max(qs), 64 * PY_STEP * parseval_sets + sum(
+    16 * t * q * q.bit_length() + 64 * (t - 1) * PY_STEP for q in qs for t in ts)))
+def suite_moments(qs: _List(_Int(2)) = (11, 101), ts: _List(_Int(1)) = (1, 2, 3),
                   parseval_sets: _Int(0) = 100, seed: _Int(0) = 111) -> SuiteResult:
     """Exact moment-sum identities: full multiplicative group value
     ((q-1)^2t + (q-1))/q for each q >= 2, and the Parseval case 2t = 2
@@ -649,7 +656,9 @@ def suite_moments(qs: _List(_Int(2, budgeted=True)) = (11, 101), ts: _List(_Int(
     return res
 
 
-@_suite
+@_suite(cost=lambda qs, kmax: (  # q^65 is past any budget
+    max((min(kmax, 64) + 4) * q ** min(kmax, 64) + q * q for q in qs),
+    sum(80 * q ** (min(kmax, 64) + 1) * (min(kmax, 64) * q.bit_length()) ** 3 for q in qs)))
 def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteResult:
     """Norm forms: exhaustive zero locus and homogeneity for every base field
     order q and degree k <= kmax, with the conjugate-product route as oracle.
@@ -657,12 +666,6 @@ def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteRe
     Every norm comes from gf.norms_many, and at every point it must equal
     gf.conjugate_norms_many; homogeneity is checked for every point and every
     lambda at once."""
-    budget = src.element_budget()
-    # q^kmax points of kmax coordinates and a q x q table per q; q >= 2, so
-    # q^(bit_length + 1) > budget
-    qmax, k = max(qs), min(kmax, budget.bit_length() + 1)
-    if max(k * qmax**k, qmax**2) > budget:
-        raise BudgetError(f"kmax q^kmax or q^2 exceeds the element budget for q = {qmax}")
     res = SuiteResult("norms", True)
     for q in qs:
         base = ex.prime_power_field(q)
@@ -674,18 +677,14 @@ def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteRe
             coords = np.arange(q**k)[:, None] // q ** np.arange(k) % q
             norms = gf.norms_many(extn, coords)
             found = []   # (point, order, failure): reported point by point
-            checks = [("zero locus", (norms == 0) != ~coords.any(axis=1)),
-                      ("conjugate oracle", gf.conjugate_norms_many(extn, coords) != norms)]
-            for order, (error, bad) in enumerate(checks):
-                for idx in np.flatnonzero(bad):
-                    found.append((idx, order, {"q": q, "k": k, "coords": coords[idx].tolist(),
-                                               "error": error}))
-            for lam in range(1, q):
-                lhs = gf.norms_many(extn, mul[lam][coords])
-                rhs = mul[lam_k[lam]][norms]
-                for idx in np.flatnonzero(lhs != rhs):
-                    found.append((idx, 1 + lam, {"q": q, "k": k, "coords": coords[idx].tolist(),
-                                                 "lam": lam, "error": "homogeneity"}))
+            checks = itertools.chain(
+                [("zero locus", (norms == 0) != ~coords.any(axis=1), {}),
+                 ("conjugate oracle", gf.conjugate_norms_many(extn, coords) != norms, {})],
+                (("homogeneity", gf.norms_many(extn, mul[lam][coords]) != mul[lam_k[lam]][norms],
+                  {"lam": lam}) for lam in range(1, q)))
+            for order, (error, bad, extra) in enumerate(checks):
+                found += [(idx, order, {"q": q, "k": k, "coords": coords[idx].tolist(), **extra,
+                                        "error": error}) for idx in np.flatnonzero(bad)]
             res.failures += [f for *_, f in sorted(found, key=lambda t: t[:2])]
             res.rows.append({"q": q, "k": k, "points": q**k})
     return res
@@ -725,20 +724,15 @@ def _row_config(row: dict, group: src.Group):
 
 def _encoded_values(cfg, X: src.Source) -> tuple[list[int], int] | None:
     """Encoded multiset and encoding modulus, for configs with an encode stage."""
-    if isinstance(cfg, ex.ZpExtractorConfig):
-        return [ex.zp_encode(x, cfg) for x in X.sorted_elements], cfg.q
-    if isinstance(cfg, ex.ZpnExtractorConfig):
-        return [ex.zpn_encode(x, cfg) for x in X.sorted_elements], cfg.q
-    return None
+    encode = {ex.ZpExtractorConfig: ex.zp_encode,
+              ex.ZpnExtractorConfig: ex.zpn_encode}.get(type(cfg))
+    return encode and ([encode(x, cfg) for x in X.sorted_elements], cfg.q)
 
 
 def _sweep_point(row: dict) -> EvalReport:
-    t0 = time.perf_counter()
     fam = _key(row, "family", "row", None)
     if fam is not None:
-        rep = _sweep_family(row, fam)
-        rep.seconds = time.perf_counter() - t0
-        return rep
+        return _sweep_family(row, fam)
     group = src.Group.from_json(_key(row, "group", "row"))
     spec = src.spec_from_json(_key(row, "source", "row"))
     X = src.build_source(spec, group)
@@ -765,14 +759,12 @@ def _sweep_point(row: dict) -> EvalReport:
                         for xi, v in zip(freqs, table)]
     bound, asserted = _sweep_bound(row, cfg, group, spec)
     ok = True if bound is None else distance <= bound + TOL
-    rep = EvalReport(
+    return EvalReport(
         config_digest=digest(cfg.to_json()), source_digest=X.digest,
         size=len(X), distance=distance, max_charsum=max_charsum, bound=bound,
         ok=ok, asserted=asserted and bound is not None,
         extra={"charsum_sampled": sampled, "outputs": dist.counts},
         per_character=per_char)
-    rep.seconds = time.perf_counter() - t0
-    return rep
 
 
 def _sweep_bound(row: dict, cfg, group, spec) -> tuple[float | None, bool]:
@@ -795,13 +787,14 @@ def _sweep_bound(row: dict, cfg, group, spec) -> tuple[float | None, bool]:
 
 
 def _sweep_family(row: dict, fam: dict) -> EvalReport:
-    """An exhaustive family scan. The row's extractor must be the one the scan
-    runs: the 1-bit ``zp`` extractor for ``all_aps``, ``line`` for ``all_lines``."""
+    """An exhaustive family scan, first checked at the cost of zp-trend or lines.
+    Its extractor must be the 1-bit ``zp`` for ``all_aps``, ``line`` for ``all_lines``."""
     kind = _key(fam, "kind", "family")
     if kind == "all_aps":
         p, s = _key(fam, "p", "family", check=_PRIME), _key(fam, "s", "family", check=_Int(1))
         if s > p:
             raise InputError(f"the family's s = {s} exceeds its p = {p}")
+        suite_zp_trend.check(primes=[p])
         cfg = _row_config(row, src.Group.zp(p))
         if not isinstance(cfg, ex.ZpExtractorConfig) or cfg.m != 1:
             raise InputError("the all_aps family scan runs the 1-bit zp extractor")
@@ -815,7 +808,8 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
             extra={"median_distance": _median_distance_from_hist(hist, s),
                    "family": fam})
     if kind == "all_lines":
-        q = _key(fam, "q", "family", check=_Int(2, budgeted=True))
+        q = _key(fam, "q", "family", check=_Int(4))
+        suite_lines.check(qs=[q])
         group = src.Group.fq_vec(ex.prime_power_field(q),
                                  _key(fam, "n", "family", 2, check=_Int(1)))
         cfg = _row_config(row, group)
@@ -843,7 +837,9 @@ def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResul
     res = SuiteResult("sweep", True)
     for i, row in enumerate(grid_rows):
         try:
+            t_row = time.perf_counter()
             res.rows.append(_sweep_point(row))
+            res.rows[-1].seconds = time.perf_counter() - t_row
         except Exception as exc:  # per-point errors recorded, sweep continues
             res.failures.append({"grid_index": i, "error": f"{type(exc).__name__}: {exc}"})
             res.input_errors += isinstance(exc, AddextError)

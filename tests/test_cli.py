@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -474,7 +475,54 @@ def test_a_suite_parameter_without_a_declared_check_fails_at_import():
     def suite_bare(p: suites._Int(1) = 1, q=2):
         pass
     with pytest.raises(TypeError, match="'q' declares no check"):
+        suites._suite(cost=lambda p, q: (0, 0))(suite_bare)
+
+
+def test_a_suite_without_a_declared_cost_fails_at_import():
+    def suite_bare(p: suites._Int(1) = 1):
+        pass
+    with pytest.raises(TypeError, match="positional"):
         suites._suite(suite_bare)
+    with pytest.raises(TypeError, match="'cost'"):
+        suites._suite()
+    assert suites._suite(cost=lambda p: (p, p))(suite_bare).name == "bare"
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    # x^3 = x over F_2 and F_3: the block polynomial is constant on a line
+    ("lines", {"qs": [2]}),
+    ("lines", {"qs": [3]}),
+    # refused before q = 256 is scanned
+    ("lines", {"qs": [256, 4096]}),
+    ("weil", {"primes": [1000003]}),
+])
+def test_refused_suite_inputs_exit_two_with_one_error_line(tmp_path, capsys, suite, kwargs):
+    grid = write(tmp_path / "grid.json", {"kwargs": kwargs})
+    out = tmp_path / "v.csv"
+    t0 = time.perf_counter()
+    assert main(["verify", "--suite", suite, "--grid", grid, "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, error", [
+    ({"family": {"kind": "all_lines", "q": 3, "n": 2}, "extractor": {"build": "line"}},
+     "InputError"),
+    # p^2 / 2 steps of the AP scan, refused before its extractor is built
+    ({"family": {"kind": "all_aps", "p": 67108859, "s": 2}, "extractor": {"build": "zp", "m": 1}},
+     "BudgetError"),
+])
+def test_family_rows_are_refused_before_their_scan(tmp_path, capsys, row, error):
+    grid = write(tmp_path / "grid.json", {"rows": [row]})
+    out = str(tmp_path / "sw.csv")
+    t0 = time.perf_counter()
+    assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f'FAIL sweep: {{"error":"{error}: ') and "Traceback" not in err
+    assert json.load(open(out + ".summary.json"))["failures"][0]["error"].startswith(error)
 
 
 def test_weil_at_a_large_prime_exits_two_under_an_address_space_cap(tmp_path,
@@ -490,12 +538,12 @@ def test_weil_at_a_large_prime_exits_two_under_an_address_space_cap(tmp_path,
 
 def test_lines_past_the_pair_budget_exit_two_under_an_address_space_cap(tmp_path,
                                                                        run_cli_capped):
-    # q^2 = 2^26 passes the pair budget alone; the scan's 10 q x q tables do not
+    # q^2 = 2^26 fits the element budget alone; the scan's 10 q x q tables do not
     grid = write(tmp_path / "grid.json", {"kwargs": {"qs": [8192]}})
     code, err = run_cli_capped(["verify", "--suite", "lines", "--grid", grid,
                                 "--out", str(tmp_path / "l.csv")])
     assert code == 2, err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "pair budget" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "element budget" in err
 
 
 @pytest.mark.parametrize("suite, kwargs, codes", [
@@ -503,6 +551,8 @@ def test_lines_past_the_pair_budget_exit_two_under_an_address_space_cap(tmp_path
     ("moments", {"qs": [30000001], "ts": [1], "parseval_sets": 0}, (0, 2)),
     # the rfft row of convolve_rows would be padded to 2^27 > the element budget
     ("cauchy-davenport", {"primes": [67108859], "trials": 1}, (2,)),
+    # two |X| x |X| products of up to 7.4 GiB each
+    ("transport", {"primes": [100003], "sources_per_p": 1}, (2,)),
 ])
 def test_large_suite_inputs_exit_cleanly_under_an_address_space_cap(tmp_path, run_cli_capped,
                                                                     suite, kwargs, codes):

@@ -69,24 +69,36 @@ def test_line_scan_matches_pointwise_distances():
     assert worst <= scan["max_distance"] + 1e-12
 
 
-def test_scan_all_lines_refuses_tables_over_the_pair_budget():
-    with pytest.raises(BudgetError):   # 8209^2 > 2^26 pairs
-        suites.scan_all_lines(ex.build_line_extractor(8209, 2))
+def _all_lines_row(q):
+    return {"family": {"kind": "all_lines", "q": q, "n": 2}, "extractor": {"build": "line"}}
 
 
-def test_scan_all_lines_budgets_all_its_tables_before_the_first(monkeypatch):
-    # q^2 <= 2^26 for each refused q, but not LINE_SCAN_TABLES q^2
-    refused = [ex.build_line_extractor(q, 2) for q in (2591, 4096, 8192)]
-    largest = ex.build_line_extractor(2579, 2)
+def test_lines_refuses_tables_over_the_element_budget():
+    with pytest.raises(BudgetError, match="element budget"):   # 10 * 8209^2 > 2^26 entries
+        suites.suite_lines(qs=[8209])
+    error = suites.suite_sweep([_all_lines_row(8209)]).failures[0]["error"]
+    assert error.startswith("BudgetError") and "element budget" in error
+
+
+def test_lines_budgets_all_its_tables_before_the_first(monkeypatch):
+    # q^2 <= 2^26 for each refused q, but not LINE_SCAN_TABLES q^2; with the
+    # work bound lifted, the tables alone decide, on both routes to the scan
+    monkeypatch.setattr(suites, "WORK_FACTOR", 1 << 40)
 
     def first_table(*args):
         raise RuntimeError("first table")
     monkeypatch.setattr(gf, "to_digits", first_table)
-    for cfg in refused:
-        with pytest.raises(BudgetError, match="pair budget"):
-            suites.scan_all_lines(cfg)
+    for qs in ([2591], [4096], [8192], [256, 4096]):
+        with pytest.raises(BudgetError, match="element budget"):
+            suites.suite_lines(qs=qs)
+    errors = [f["error"] for f in suites.suite_sweep(
+        [_all_lines_row(q) for q in (2591, 4096, 8192)]).failures]
+    assert len(errors) == 3
+    assert all(e.startswith("BudgetError") and "element budget" in e for e in errors)
     with pytest.raises(RuntimeError, match="first table"):
-        suites.scan_all_lines(largest)
+        suites.suite_lines(qs=[2579])
+    assert suites.suite_sweep([_all_lines_row(2579)]).failures[0]["error"] == \
+        "RuntimeError: first table"
 
 
 @pytest.mark.parametrize("q", [4, 9, 16, 27])
@@ -248,7 +260,7 @@ def test_sweep_family_rows_check_their_extractor():
     r = suites.suite_sweep(grid)
     assert [f["grid_index"] for f in r.failures] == [0, 1, 2, 3, 4, 5, 10, 11, 12, 13]
     assert all(f["error"].startswith("InputError") for f in r.failures[:-1])
-    assert r.failures[-1]["error"].startswith("BudgetError: the family's q")
+    assert r.failures[-1]["error"].startswith("BudgetError: suite 'lines'")
     assert len(r.rows) == 4
     assert r.rows[0].config_digest == r.rows[2].config_digest
 
