@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .sources import Source, cyclic_convolve, element_budget
+from .sources import Source, convolve_rows, element_budget
 
 TOL = 1e-6
 
@@ -202,18 +202,19 @@ def xor_residual_check(N: int, M: int) -> tuple[Fraction, Fraction, bool]:
 
 def moment_sum(Y: Sequence[int], q: int, t: int) -> int:
     """(1/q) sum_a |Y^(a)|^(2t), computed exactly as the number of 2t-tuples
-    (x_1..x_t, y_1..y_t) in Y^(2t) with equal half-sums mod q."""
+    (x_1..x_t, y_1..y_t) in Y^(2t) with equal half-sums mod q, from t - 1
+    convolutions of the 0/1 histogram of Y mod q (q within the element budget)."""
     if t < 1:
         raise InputError("t must be >= 1")
-    # not np.unique: its hash table takes several times the residues' memory
-    base = np.sort(np.asarray(Y, dtype=np.int64) % q)
-    base = base[np.diff(base, prepend=-1) != 0]
-    if len(base) ** (2 * t) >= 2**62:
+    if q > element_budget():
+        raise BudgetError(f"moment sum mod {q} exceeds the element budget")
+    base = np.zeros(q, dtype=np.int64)
+    base[np.asarray(Y, dtype=np.int64) % q] = 1
+    if int(base.sum()) ** (2 * t) >= 2**62:
         raise BudgetError("|Y|^(2t) exceeds the exact integer budget")
-    ones = np.ones(len(base), dtype=np.int64)
-    values, counts = base, ones
+    counts = base
     for _ in range(t - 1):
-        values, counts = cyclic_convolve(values, counts, base, ones, q)
+        counts = convolve_rows(counts[None], base[None], q)[0]
     return int((counts * counts).sum())
 
 

@@ -229,6 +229,15 @@ def cmd_verify(args) -> int:
     if not result.ok:
         for f in result.failures[:10]:
             print(f"FAIL {args.suite}: {canonical_json(f)}", file=sys.stderr)
+        if args.suite == "sweep":  # rows that ran, in grid order, past the row errors
+            errors = {f["grid_index"] for f in result.failures}
+            ran = (i for i in range(len(rows)) if i not in errors)
+            for i, r in zip(ran, result.rows):
+                if r.asserted and not r.ok:
+                    print("FAIL sweep: " + canonical_json(
+                        {"grid_index": i, "config_digest": r.config_digest,
+                         "source_digest": r.source_digest, "distance": r.distance,
+                         "bound": r.bound}), file=sys.stderr)
         return 2 if result.input_errors else 1
     return 0
 

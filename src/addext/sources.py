@@ -475,43 +475,40 @@ def sub_gap(spec: GapSpec, group: Group, side: int) -> set:
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def cyclic_convolve(va, ca, vb, cb, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact weighted histogram of a_i + b_j over all pairs (i, j) in Z_m^N.
+def cyclic_convolve(va, vb, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact histogram of a_i + b_j over all pairs (i, j) in Z_m^N.
 
     ``va``, ``vb`` are (count,) residues (N = 1) or (count, N) digit rows
-    (Group.digits), ``ca``, ``cb`` their positive integer weights. Returns
-    the distinct sums in the layout of ``va`` and in increasing index (the
-    base-m number of the digits), and the total weight of each. The route
-    follows from the sizes:
+    (Group.digits); an entry repeated r times counts r times. Returns the
+    distinct sums in the layout of ``va`` and in increasing index (the
+    base-m number of the digits), and the number of pairs giving each. The
+    route follows from the sizes:
 
-    * pairs, when |a||b| <= min(m^N, 2^26): the |a||b| digitwise sums, told
-      apart by their index (by their digits once m^N exceeds int64);
+    * pairs, when |a||b| <= min(m^N, 2^26): the |a||b| digitwise sums,
+      sorted and counted by runs (_distinct_sums);
     * FFT, when m^N <= element_budget(): for N = 1 zero-padded to a power of
       two >= 2m - 1 (a large prime length through Bluestein costs several
       times more) and folded mod m, for N > 1 one cyclic rfftn on shape
       (m,)*N; then rounded;
     * otherwise BudgetError.
     """
-    va, ca = np.asarray(va, dtype=np.int64), np.asarray(ca, dtype=np.int64)
-    vb, cb = np.asarray(vb, dtype=np.int64), np.asarray(cb, dtype=np.int64)
+    va, vb = np.asarray(va, dtype=np.int64), np.asarray(vb, dtype=np.int64)
     N = va.shape[1] if va.ndim == 2 else 1
     a, b = va.reshape(len(va), N), vb.reshape(len(vb), N)
     order = m**N
     if len(a) * len(b) <= min(order, DEFAULT_PAIR_BUDGET):
-        keys, inverse = _distinct_sums(a, b, m)
-        counts = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(counts, inverse, (ca[:, None] * cb[None, :]).ravel())
+        keys, counts = _distinct_sums(a, b, m)
     elif order > element_budget():
         raise BudgetError(f"{len(a)} x {len(b)} pair sums in a group of order {order} fit "
                           f"neither the pair budget nor the element budget")
     else:
         if N == 1:
-            counts = convolve_rows(np.bincount(a[:, 0], weights=ca, minlength=m)[None],
-                                   np.bincount(b[:, 0], weights=cb, minlength=m)[None], m)[0]
+            counts = convolve_rows(np.bincount(a[:, 0], minlength=m)[None],
+                                   np.bincount(b[:, 0], minlength=m)[None], m)[0]
         else:
             powers, shape = m ** np.arange(N, dtype=np.int64), (m,) * N  # axis j is digit j
-            fa, fb = (np.fft.rfftn(np.bincount(x @ powers, weights=c, minlength=order)
-                                   .reshape(shape, order="F")) for x, c in ((a, ca), (b, cb)))
+            fa, fb = (np.fft.rfftn(np.bincount(x @ powers, minlength=order)
+                                   .reshape(shape, order="F")) for x in (a, b))
             counts = _rounded(np.fft.irfftn(fa * fb, shape, range(N))).ravel(order="F")
         index = np.flatnonzero(counts)
         counts = counts[index].astype(np.int64, copy=False)
@@ -527,20 +524,20 @@ def _index_digits(index: np.ndarray, m: int, N: int) -> np.ndarray:
 def _distinct_sums(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct digitwise sums (a_i + b_k) mod m over all pairs of two
     (count, N) int64 digit arrays, as digit rows in increasing index, and
-    the position among them of each pair's sum (pairs flat, i major). The
-    sums are told apart by their index while m^N < 2^63, by their digits
-    above that."""
+    the number of pairs giving each: the sums sorted and counted by runs.
+    The sums are told apart by their index while m^N < 2^63, by their
+    digits above that."""
     N = a.shape[1]
     if m**N < 1 << 63:
         index = _digit_sums(a, b, m, 0)
         for j in range(1, N):
             index += _digit_sums(a, b, m, j) * m**j
-        keys, inverse = np.unique(index, return_inverse=True)
-        return _index_digits(keys, m, N), inverse
+        keys, counts = np.unique(index, return_counts=True)
+        return _index_digits(keys, m, N), counts
     # most significant digit first, so that the rows sort by index
     sums = np.stack([_digit_sums(a, b, m, j) for j in reversed(range(N))], axis=1)
-    keys, inverse = np.unique(sums, axis=0, return_inverse=True)
-    return keys[:, ::-1], inverse.ravel()
+    keys, counts = np.unique(sums, axis=0, return_counts=True)
+    return keys[:, ::-1], counts
 
 
 def _digit_sums(a: np.ndarray, b: np.ndarray, m: int, j: int) -> np.ndarray:
@@ -553,9 +550,9 @@ def _rounded(x: np.ndarray) -> np.ndarray:
     """An FFT's float counts, rounded; BudgetError if one is too far from an
     integer. The FFT's error per entry is about c eps log2(size) |a|_2 |b|_2,
     with eps = 2^-53 and c a small constant. Under the default budgets (size
-    <= 2^27) every caller keeps |a|_2 |b|_2 below 2^31 (sets of at most 2^26
-    elements; moment_sum keeps |Y|^t < 2^31), so the residual stays below
-    1e-4. The check guards inputs beyond those bounds."""
+    <= 2^27) every caller keeps |a|_2 |b|_2 below 2^31 (0/1 histograms of sets
+    of at most 2^26 elements; moment_sum's t-fold counts, |Y|^t < 2^31), so
+    the residual stays below 1e-4. The check guards inputs beyond those bounds."""
     counts = np.rint(x)
     residual = float(np.abs(x - counts).max(initial=0.0))
     if residual >= 0.25:
@@ -599,8 +596,7 @@ def difference_histogram(X: Source) -> tuple[np.ndarray, np.ndarray]:
     as the histogram of X + (-X) by cyclic_convolve."""
     m = X.group.zmn[0]
     digits = X.group.digits(X.elements)
-    ones = np.ones(len(X), dtype=np.int64)
-    return cyclic_convolve(digits, ones, (m - digits) % m, ones, m)
+    return cyclic_convolve(digits, (m - digits) % m, m)
 
 
 def sym_set(X: Source, alpha: float) -> set:
@@ -621,8 +617,7 @@ def doubling(X: Source) -> int:
     """Exact cardinality of the sumset X + X, by cyclic_convolve (which picks
     its route by size)."""
     digits = X.group.digits(X.elements)
-    ones = np.ones(len(X), dtype=np.int64)
-    return len(cyclic_convolve(digits, ones, digits, ones, X.group.zmn[0])[0])
+    return len(cyclic_convolve(digits, digits, X.group.zmn[0])[0])
 
 
 @dataclass(frozen=True)

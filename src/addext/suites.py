@@ -310,8 +310,7 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
             x0 = np.broadcast_to(t[:, None], (q, q))    # bases (b, 0)
             x1 = np.broadcast_to(mul[d1, t][None, :], (q, q))
         fvals = add[x0, powb[x1]]
-        counts = np.zeros((q, q), dtype=np.int64)
-        np.add.at(counts, (np.arange(q)[:, None], fvals), 1)
+        counts = np.bincount((t[:, None] * q + fvals).ravel(), minlength=q * q).reshape(q, q)
         # the block polynomial is non-constant on every line
         assert int(counts.max()) < q
         if even:
@@ -554,11 +553,10 @@ def suite_transport(primes: _PRIMES = (101, 499), sources_per_p: _Int(1) = 200,
             size = rng.randint(2, p)
             X = np.array(sorted(rng.sample(range(p), size)), dtype=np.int64)
             Y = gx[X]
-            ones = np.ones(size, dtype=np.int64)
-            sum_size = src.cyclic_convolve(X, ones, X, ones, p)[0].size
+            sum_size = src.cyclic_convolve(X, X, p)[0].size
             prod_size = np.count_nonzero(np.bincount(((Y[:, None] * Y[None, :]) % q).ravel(),
                                                      minlength=q))
-            diffs, counts = src.cyclic_convolve(X, ones, (p - X) % p, ones, p)
+            diffs, counts = src.cyclic_convolve(X, (p - X) % p, p)
             rep_add = np.zeros(p, dtype=np.int64)
             rep_add[diffs] = counts
             Yinv = gx[(p - X) % p]
@@ -630,21 +628,27 @@ def suite_zp_trend(primes: _PRIMES = (101, 499, 1009, 4999),
     return res
 
 
+def _moment_cases(qs, ts):
+    """The (q, t) pairs of moments, which need (max q - 1)^(2 max t) < 2^62."""
+    if 2 * max(ts) * math.log2(max(qs) - 1) >= 62:  # exact at powers of 2, and t may be huge
+        raise BudgetError(f"need (max q - 1)^(2 max t) < 2^62, not q = {max(qs)}, t = {max(ts)}")
+    return itertools.product(qs, ts)
+
+
 @_suite(cost=lambda qs, ts, parseval_sets, seed: (4 * max(qs), 64 * PY_STEP * parseval_sets + sum(
-    16 * t * q * q.bit_length() + 64 * (t - 1) * PY_STEP for q in qs for t in ts)))
+    16 * t * q * q.bit_length() + 64 * (t - 1) * PY_STEP for q, t in _moment_cases(qs, ts))))
 def suite_moments(qs: _List(_Int(2)) = (11, 101), ts: _List(_Int(1)) = (1, 2, 3),
                   parseval_sets: _Int(0) = 100, seed: _Int(0) = 111) -> SuiteResult:
     """Exact moment-sum identities: full multiplicative group value
     ((q-1)^2t + (q-1))/q for each q >= 2, and the Parseval case 2t = 2
     equals |Y|."""
     res = SuiteResult("moments", True)
-    for q in qs:
-        for t in ts:
-            got = analysis.moment_sum(np.arange(1, q), q, t)
-            want = ((q - 1)**(2 * t) + (q - 1)) // q
-            res.rows.append({"q": q, "t": t, "moment": got, "expected": want})
-            if got != want:
-                res.failures.append(res.rows[-1])
+    for q, t in itertools.product(qs, ts):
+        got = analysis.moment_sum(np.arange(1, q), q, t)
+        want = ((q - 1)**(2 * t) + (q - 1)) // q
+        res.rows.append({"q": q, "t": t, "moment": got, "expected": want})
+        if got != want:
+            res.failures.append(res.rows[-1])
     rng = random.Random(seed)
     for _ in range(parseval_sets):
         q = 101

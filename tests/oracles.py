@@ -146,6 +146,18 @@ def rep_count(X, g) -> int:
 # pairwise sums and differences: the oracles of sources.cyclic_convolve
 # ---------------------------------------------------------------------------
 
+def weighted_sums_by_unique(va, ca, vb, cb, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (a_i + b_k) mod m, increasing, and the total weight
+    sum of ca_i cb_k over the pairs giving each: the weighted np.unique route
+    that sources.cyclic_convolve had before it took unit weights only
+    (residues below m < 2^62, weights whose products fit int64)."""
+    va, ca, vb, cb = (np.asarray(x, dtype=np.int64) for x in (va, ca, vb, cb))
+    keys, inverse = np.unique((va[:, None] + vb[None, :]) % m, return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse.ravel(), (ca[:, None] * cb[None, :]).ravel())
+    return keys, counts
+
+
 def differences_by_pairs(X) -> Counter:
     """rep_count(X, g) for every g in X - X, from all |X|^2 differences by
     group_sub (the vector-group route that sources.difference_histogram

@@ -313,6 +313,17 @@ def test_moment_sum_parseval_and_singleton():
     assert an.moment_sum([3], 11, 2) == 1
 
 
+def test_moment_sum_refuses_a_modulus_past_the_element_budget(monkeypatch):
+    # a histogram of 2^62 entries could not be allocated: the refusal comes first
+    for q in (2**62, (1 << 26) + 1):
+        with pytest.raises(BudgetError, match="element budget"):
+            an.moment_sum([1, 5], q, 1)
+    monkeypatch.setenv("ADDEXT_BUDGET", "101")
+    assert an.moment_sum([1, 5, 106], 101, 1) == 2
+    with pytest.raises(BudgetError, match="element budget"):
+        an.moment_sum([1, 5], 102, 1)
+
+
 def test_moment_sum_float_oracle():
     def moment_float(Y, q, t):
         a = np.arange(q)

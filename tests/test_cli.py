@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from addext import extractors as ex, suites
+from addext import analysis, extractors as ex, suites
 from addext.canonical import canonical_json
 from addext.cli import main
+from addext.errors import BudgetError
 
 
 def write(path, obj):
@@ -138,6 +139,30 @@ def test_sweep_failures_in_grid_order_for_any_threads(tmp_path, capsys):
         assert [json.loads(f)["grid_index"] for f in fails] == [0, 2]
         assert json.load(open(out + ".manifest.json"))["threads"] == threads
     assert len(tables[0]) == 4 and tables[0] == tables[1]
+
+
+def test_sweep_rows_failing_their_bound_are_named_on_stderr(tmp_path, capsys):
+    # one point of F_101 on a line: distance 1/2 against the bound 4 sqrt(1/101)
+    failing = {"group": {"kind": "fq_vec", "p": 101, "k": 1, "n": 1},
+               "source": {"variant": "explicit", "elements": [[3]]},
+               "extractor": {"build": "line"}}
+    bad = {"group": {"kind": "zp", "p": 4},
+           "source": {"variant": "explicit", "elements": [0]},
+           "extractor": {"build": "zp", "m": 1}}
+    for rows, code, index in (([failing], 1, 0), ([bad, failing], 2, 1)):
+        grid = write(tmp_path / "grid.json", {"rows": rows})
+        out = str(tmp_path / "sw.csv")
+        assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out]) == code
+        summary = json.load(open(out + ".summary.json"))
+        assert len(summary["failures"]) == code - 1   # row errors only, as before
+        row = summary["rows"][0]
+        assert not row["ok"] and row["asserted"]
+        fails = [json.loads(line.split(": ", 1)[1])
+                 for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL sweep: ")]
+        assert fails[code - 1:] == [{"grid_index": index, **{
+            k: row[k] for k in ("config_digest", "source_digest", "distance", "bound")}}]
+        assert row["distance"] == 0.5 > row["bound"]
 
 
 _ROW = {"group": {"kind": "zp", "p": 11},
@@ -525,6 +550,32 @@ def test_family_rows_are_refused_before_their_scan(tmp_path, capsys, row, error)
     assert json.load(open(out + ".summary.json"))["failures"][0]["error"].startswith(error)
 
 
+def test_moments_refuses_its_degree_rule_before_any_moment_sum(tmp_path, capsys, monkeypatch):
+    # (q - 1)^(2t) >= 2^62 at t = 2: refused before t = 1 is computed
+    def never(*args):
+        raise AssertionError("moment_sum was called")
+    monkeypatch.setattr(analysis, "moment_sum", never)
+    grid = write(tmp_path / "grid.json",
+                 {"kwargs": {"qs": [1000003], "ts": [1, 2], "parseval_sets": 0}})
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--suite", "moments", "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need (max q - 1)^(2 max t) < 2^62, not q = 1000003, t = 2\n"
+    assert not out.exists()
+
+
+def test_moments_degree_rule_at_its_boundary():
+    assert list(suites._moment_cases([2**31], [1])) == [(2**31, 1)]  # (2^31 - 1)^2 < 2^62
+    assert list(suites._moment_cases([2], [10**9])) == [(2, 10**9)]  # 1^(2t), for a huge t
+    assert list(suites._moment_cases([3, 2], [30, 1])) == [(3, 30), (3, 1), (2, 30), (2, 1)]
+    for qs, ts in (([2**31 + 1], [1]), ([3], [31]), ([101], [5]), ([3], [10**9])):
+        with pytest.raises(BudgetError):
+            suites._moment_cases(qs, ts)
+    with pytest.raises(BudgetError, match="2\\^62"):
+        suites.suite_moments.check(qs=[101], ts=[1, 5], parseval_sets=0)
+    suites.suite_moments.check(qs=[101], ts=[1, 4], parseval_sets=0)   # 100^8 < 2^62
+
+
 def test_weil_at_a_large_prime_exits_two_under_an_address_space_cap(tmp_path,
                                                                     run_cli_capped):
     # 500 polynomials at p = 1000003 would take a 3.7 GiB value matrix
@@ -547,7 +598,7 @@ def test_lines_past_the_pair_budget_exit_two_under_an_address_space_cap(tmp_path
 
 
 @pytest.mark.parametrize("suite, kwargs, codes", [
-    # the 3e7 residues of Z_q* are deduplicated in an int64 array, not a set
+    # 4q entries past the element budget: refused before the histogram of Z_q*
     ("moments", {"qs": [30000001], "ts": [1], "parseval_sets": 0}, (0, 2)),
     # the rfft row of convolve_rows would be padded to 2^27 > the element budget
     ("cauchy-davenport", {"primes": [67108859], "trials": 1}, (2,)),

@@ -1,11 +1,16 @@
-"""Differential tests of the two spectral primitives over Z_m:
-``sources.cyclic_convolve`` (exact pairwise sum histograms) and
-``analysis.charsum_table`` (additive character sums).
+"""Differential tests of the spectral primitives over Z_m:
+``sources.cyclic_convolve`` (exact pair counts of the sums a + b, an entry
+repeated r times counting r times), ``sources.convolve_rows`` (exact cyclic
+convolutions of integer rows) and ``analysis.charsum_table`` (additive
+character sums).
 
-The routes these primitives replaced are kept here as oracles: the |X| x |X|
-difference matrix of ``sym_set``, the ``np.convolve`` fold of ``moment_sum``,
-the pair matrices of ``suite_transport`` and the one-frequency-at-a-time character sum,
-which is also the oracle of ``charsum_table``'s one ``fftn`` over Z_p^n.
+The routes these primitives replaced are kept here as oracles: the pair
+``Counter`` of ``cyclic_convolve``, the |X| x |X| difference matrix of
+``sym_set``, the ``np.convolve`` fold of ``moment_sum``, the pair matrices of
+``suite_transport`` and the one-frequency-at-a-time character sum, which is
+also the oracle of ``charsum_table``'s one ``fftn`` over Z_p^n. The weighted
+``np.unique`` route that ``cyclic_convolve`` had before it took unit weights
+only is the oracle of ``convolve_rows`` (``tests/oracles.py``).
 """
 
 import csv
@@ -29,19 +34,16 @@ from addext.numtheory import CrtSystem
 from addext import sources
 from addext.sources import (ExplicitSpec, GapSpec, Group, build_source, convolve_rows,
                             cyclic_convolve, difference_histogram, doubling, sym_set)
-from oracles import differences_by_pairs, doubling_by_pairs, sym_set_by_pairs
+from oracles import (differences_by_pairs, doubling_by_pairs, sym_set_by_pairs,
+                     weighted_sums_by_unique)
 
 
 # ---------------------------------------------------------------------------
 # oracles: the replaced routes
 # ---------------------------------------------------------------------------
 
-def naive_convolve(va, ca, vb, cb, m):
-    acc = Counter()
-    for a, wa in zip(va, ca):
-        for b, wb in zip(vb, cb):
-            acc[(int(a) + int(b)) % m] += int(wa) * int(wb)
-    return sorted(acc.items())
+def naive_convolve(va, vb, m):
+    return sorted(Counter((int(a) + int(b)) % m for a in va for b in vb).items())
 
 
 def diff_counts_matrix(elements, m):
@@ -76,47 +78,64 @@ def as_pairs(result):
 # cyclic_convolve
 # ---------------------------------------------------------------------------
 
-def test_cyclic_convolve_weighted_both_routes(monkeypatch):
+def repeated(rng, values, most):
+    """Each of ``values`` repeated 1..most times, in a shuffled order."""
+    out = [v for v in values for _ in range(rng.randint(1, most))]
+    rng.shuffle(out)
+    return out
+
+
+def test_cyclic_convolve_repeated_entries_both_routes(monkeypatch):
     rng = random.Random(5)
     m = 211
-    for na, nb in ((3, 7), (14, 15), (40, 90), (211, 211)):
-        va = rng.sample(range(m), na)
-        vb = rng.sample(range(m), nb)
-        ca = [rng.randint(1, 10**4) for _ in va]
-        cb = [rng.randint(1, 10**4) for _ in vb]
-        want = naive_convolve(va, ca, vb, cb, m)
-        assert as_pairs(cyclic_convolve(va, ca, vb, cb, m)) == want
+    for na, nb, most in ((3, 7, 1), (3, 7, 4), (14, 15, 1), (6, 5, 3), (40, 90, 5),
+                         (211, 211, 3)):
+        va = repeated(rng, rng.sample(range(m), na), most)
+        vb = repeated(rng, rng.sample(range(m), nb), most)
+        want = naive_convolve(va, vb, m)
+        assert as_pairs(cyclic_convolve(va, vb, m)) == want
         # with no element budget only the pairs route is left
         monkeypatch.setenv("ADDEXT_BUDGET", "0")
-        if na * nb <= m:
-            assert as_pairs(cyclic_convolve(va, ca, vb, cb, m)) == want
+        if len(va) * len(vb) <= m:
+            assert as_pairs(cyclic_convolve(va, vb, m)) == want
         else:
             with pytest.raises(BudgetError):
-                cyclic_convolve(va, ca, vb, cb, m)
+                cyclic_convolve(va, vb, m)
         monkeypatch.delenv("ADDEXT_BUDGET")
 
 
+# at most 18 x 12 pairs: the FFT route in Z_7^2, the pairs route in Z_11^3 (and the
+# forced FFT), the pairs route on digit rows in Z_(2^31-1)^3, of order >= 2^63
+@pytest.mark.parametrize("m, N", [(7, 2), (11, 3), (2**31 - 1, 3)])
+def test_cyclic_convolve_repeated_digit_rows(monkeypatch, m, N):
+    rng = random.Random(m)
+    rows = [tuple(rng.randrange(m) for _ in range(N)) for _ in range(6)]
+    va, vb = repeated(rng, rows, 3), repeated(rng, rows[:4], 3)
+    want = Counter(tuple((x + y) % m for x, y in zip(a, b)) for a in va for b in vb)
+    for pair_budget in [sources.DEFAULT_PAIR_BUDGET] + ([0] if m**N <= 1 << 16 else []):
+        monkeypatch.setattr(sources, "DEFAULT_PAIR_BUDGET", pair_budget)
+        keys, counts = cyclic_convolve(np.array(va), np.array(vb), m)
+        assert dict(zip(map(tuple, keys.tolist()), counts.tolist())) == want
+
+
 def test_cyclic_convolve_duplicates_and_trivial_moduli():
-    assert as_pairs(cyclic_convolve([2, 2, 0], [1, 3, 5], [1], [2], 3)) == [(0, 8), (1, 10)]
-    assert as_pairs(cyclic_convolve([0] * 4, [1] * 4, [0] * 4, [1] * 4, 1)) == [(0, 16)]
-    assert as_pairs(cyclic_convolve([], [], [1, 2], [1, 1], 5)) == []
+    assert as_pairs(cyclic_convolve([2, 0, 2, 0, 0, 2, 0, 2, 0], [1, 1], 3)) == [(0, 8), (1, 10)]
+    assert as_pairs(cyclic_convolve([0] * 4, [0] * 4, 1)) == [(0, 16)]
+    assert as_pairs(cyclic_convolve([], [1, 2], 5)) == []
 
 
 def test_cyclic_convolve_pairs_route_just_below_2_63():
     m = (1 << 63) - 25
-    va = [0, 1, m - 1, m - 2, (1 << 62) + 7]
-    vb = [m - 1, m - 3, 1 << 62, 5]
-    ca = [1, 2, 3, 4, 5]
-    cb = [7, 1, 1, 2]
-    assert as_pairs(cyclic_convolve(va, ca, vb, cb, m)) == naive_convolve(va, ca, vb, cb, m)
+    va = [0, 1, 1, m - 1, m - 2, m - 1, (1 << 62) + 7]
+    vb = [m - 1, m - 3, 1 << 62, 5, m - 1]
+    assert as_pairs(cyclic_convolve(va, vb, m)) == naive_convolve(va, vb, m)
 
 
 def test_cyclic_convolve_refuses_what_fits_neither_route():
     m = (1 << 40) + 15
     big = np.arange(8193, dtype=np.int64)
     with pytest.raises(BudgetError):
-        cyclic_convolve(big, np.ones(8193, dtype=np.int64), big,
-                        np.ones(8193, dtype=np.int64), m)
+        cyclic_convolve(big, big, m)
 
 
 def test_cyclic_convolve_refuses_an_inexact_fft(monkeypatch):
@@ -124,28 +143,27 @@ def test_cyclic_convolve_refuses_an_inexact_fft(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: real(*a, **k) + 0.3)
     x = np.arange(20, dtype=np.int64)
     with pytest.raises(BudgetError):
-        cyclic_convolve(x, np.ones(20, dtype=np.int64), x, np.ones(20, dtype=np.int64), 101)
+        cyclic_convolve(x, x, 101)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 300).flatmap(lambda m: st.tuples(
     st.just(m),
-    st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 50)), max_size=25),
-    st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 50)), max_size=25))))
+    st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 5)), max_size=25),
+    st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 5)), max_size=25))))
 def test_cyclic_convolve_property(case):
+    # each (value, r) is the value repeated r times
     m, a, b = case
-    va, ca = [x for x, _ in a], [w for _, w in a]
-    vb, cb = [x for x, _ in b], [w for _, w in b]
-    got = as_pairs(cyclic_convolve(va, ca, vb, cb, m))
-    assert got == naive_convolve(va, ca, vb, cb, m)
+    va, vb = ([x for x, r in pairs for _ in range(r)] for pairs in (a, b))
+    got = as_pairs(cyclic_convolve(va, vb, m))
+    assert got == naive_convolve(va, vb, m)
     assert [v for v, _ in got] == sorted({v for v, _ in got})
 
 
 def dense_by_pairs(row_a, row_b, m):
-    """One row of convolve_rows through the pairs route of cyclic_convolve."""
+    """One row of convolve_rows through the weighted np.unique route."""
     va, vb = np.flatnonzero(row_a), np.flatnonzero(row_b)
-    assert va.size * vb.size <= m  # the pairs route
-    values, counts = cyclic_convolve(va, row_a[va], vb, row_b[vb], m)
+    values, counts = weighted_sums_by_unique(va, row_a[va], vb, row_b[vb], m)
     out = np.zeros(m, dtype=np.int64)
     out[values] = counts
     return out
@@ -161,7 +179,7 @@ def test_convolve_rows_matches_the_pairs_route(monkeypatch, chunk):
         A = np.zeros((rows, m), dtype=np.int64)
         B = np.zeros((rows, m), dtype=np.int64)
         for r in range(rows):
-            # sparse rows, so that every pair count stays on the pairs route
+            # sparse rows, at most m weighted pairs, as the pairs route took them
             k = int(rng.integers(0, max(1, math.isqrt(m)) + 1))
             A[r, rng.choice(m, k, replace=False)] = rng.integers(1, 50, size=k)
             B[r, rng.choice(m, k, replace=False)] = rng.integers(1, 50, size=k)
@@ -227,10 +245,9 @@ def test_transport_additive_counts_match_pair_matrices():
     p = 499
     for size in (2, 20, 300, p):
         X = np.array(sorted(rng.sample(range(p), size)), dtype=np.int64)
-        ones = np.ones(size, dtype=np.int64)
-        sums = cyclic_convolve(X, ones, X, ones, p)[0]
+        sums = cyclic_convolve(X, X, p)[0]
         assert sums.size == np.unique((X[:, None] + X[None, :]) % p).size
-        diffs, counts = cyclic_convolve(X, ones, (p - X) % p, ones, p)
+        diffs, counts = cyclic_convolve(X, (p - X) % p, p)
         rep = np.zeros(p, dtype=np.int64)
         rep[diffs] = counts
         assert (rep == diff_counts_matrix(X.tolist(), p)).all()

@@ -451,10 +451,9 @@ def transport_by_unique(primes, sources_per_p, alpha, seed):
             size = rng.randint(2, p)
             X = np.array(sorted(rng.sample(range(p), size)), dtype=np.int64)
             Y = gx[X]
-            ones = np.ones(size, dtype=np.int64)
-            sum_size = src.cyclic_convolve(X, ones, X, ones, p)[0].size
+            sum_size = src.cyclic_convolve(X, X, p)[0].size
             prod_size = np.unique((Y[:, None] * Y[None, :]) % q).size
-            diffs, counts = src.cyclic_convolve(X, ones, (p - X) % p, ones, p)
+            diffs, counts = src.cyclic_convolve(X, (p - X) % p, p)
             rep_add = np.zeros(p, dtype=np.int64)
             rep_add[diffs] = counts
             Yinv = gx[(p - X) % p]
