@@ -154,8 +154,7 @@ def cmd_extract(args) -> int:
     X = _load_source(args.source)
     cfg = ex.build_for_group(args.extractor, X.group, args.m)
     outputs = ex.extract_many(cfg, X.sorted_elements)
-    rows = [[canonical_json(src._elem_json(x)), y]
-            for x, y in zip(X.sorted_elements, outputs)]
+    rows = [[src._elem_text(x), y] for x, y in zip(X.sorted_elements, outputs)]
     dist = analysis.extractor_distribution(outputs, ex.output_size(cfg))
     report = analysis.EvalReport(
         config_digest=digest(cfg.to_json()), source_digest=X.digest, size=len(X),
@@ -193,7 +192,7 @@ def cmd_charsum(args) -> int:
                               f"the element budget {budget}")
         freq_idx = range(lo, hi)
     mags = analysis.charsum_table(analysis.character_digits(X), grp.zmn[0], freq_idx)
-    rows = [[canonical_json(src._elem_json(grp.element_from_index(i))), analysis.fmt17(v)]
+    rows = [[src._elem_text(grp.element_from_index(i)), analysis.fmt17(v)]
             for i, v in zip(freq_idx, mags)]
     _write_csv(args.out, ["frequency", "magnitude"], rows)
     _manifest(args, [args.source], [args.out], started, time.perf_counter() - t0)

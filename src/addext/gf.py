@@ -13,6 +13,12 @@ its sums stay exact, Python ints (dtype object) above that (digit_dtype).
 FieldSpec itself only names a field and encodes its elements; products,
 powers and the embedding of F_q in F_{q^b} are mul_many, pow_many and the
 matrices of _norm_maps.
+
+Building a field is linear algebra over F_p too. find_irreducible tests
+blocks of candidate moduli at once, each through its own Frobenius matrix
+h -> h^p mod f (Rabin's test); get_extension finds the subfield F_q of
+F_{q^b} from the Frobenius matrix of the extension, and its embedding and
+lift are matrix powers of x -> x beta and x -> x theta.
 """
 
 from __future__ import annotations
@@ -24,8 +30,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError
+from .numtheory import is_prime
 
 EXTENSION_BASE_CAP = 1 << 16  # largest base field get_extension accepts
+NORM_CHUNK = 2048  # rows per step of the chunked routes; their arrays hold O(NORM_CHUNK * k) ints
 
 
 # ---------------------------------------------------------------------------
@@ -37,17 +45,6 @@ def _norm(c: tuple[int, ...]) -> tuple[int, ...]:
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return c[:i]
-
-
-def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _norm(tuple(out))
 
 
 def poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
@@ -77,64 +74,115 @@ def poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(x * inv % p for x in a)
 
 
-def _poly_powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    base = poly_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), m, p)
-        base = poly_mod(poly_mul(base, base, p), m, p)
-        e >>= 1
-    return result
+# ---------------------------------------------------------------------------
+# irreducibility, on blocks of candidates: row i of a (B, k) digit array is
+# the tail of the monic f_i = x^k + sum_j tails[i, j] x^j
+# ---------------------------------------------------------------------------
+
+_CERTIFIED: set = set()  # (modulus, p) that _first_irreducible proved irreducible
+
+
+def _sum_dtype(p: int, k: int) -> type:
+    """int64 where a sum of k products of F_p digits (at most k (p-1)^2) fits
+    it, as in a product of k x k matrices mod p, else object: Python ints."""
+    return np.int64 if k * (p - 1) ** 2 < 1 << 63 else object
+
+
+def _root_free(tails: np.ndarray, p: int) -> np.ndarray:
+    """The rows whose f has no root in F_p (gcd(f, x^p - x) = 1), by f at
+    every a in F_p, k values of a per matmul by the columns a^j; only where
+    p <= k^2, since there this costs less than the Frobenius steps of
+    _first_irreducible that it spares. All True where p > k^2."""
+    k = tails.shape[1]
+    free = np.ones(len(tails), dtype=bool)
+    if p > k * k:
+        return free
+    for s in range(0, p, k):
+        a = np.arange(s, min(s + k, p), dtype=np.int64)
+        powers = np.ones((k + 1, len(a)), dtype=np.int64)  # row j: a^j mod p
+        for j in range(1, k + 1):
+            powers[j] = powers[j - 1] * a % p
+        free &= ((tails @ powers[:k] + powers[k]) % p != 0).all(axis=1)
+    return free
+
+
+def _first_irreducible(tails: np.ndarray, p: int) -> int | None:
+    """Index of the first row whose f is irreducible (k >= 2), or None.
+
+    Rows with a root go first (_root_free). The others, all at once, as
+    (rows, k, k) matrices mod their own f: times_x (h -> h x), its p-th
+    power by a ladder of matmuls (h -> h x^p), the Frobenius matrix frob of
+    h -> h^p (row i is x^(i p)), and Rabin's test x^(p^k) = x by k steps
+    through frob. The survivors, in order, get the scalar part of the
+    certificate, gcd(x^(p^(k/t)) - x, f) = 1 for every prime t | k; the first
+    row that passes is recorded in _CERTIFIED.
+    """
+    k = tails.shape[1]
+    keep = np.flatnonzero(_root_free(tails, p))
+    times_x = np.zeros((len(keep), k, k), dtype=tails.dtype)
+    times_x[:, np.arange(k - 1), np.arange(1, k)] = 1
+    times_x[:, -1] = -tails[keep] % p
+    times_xp = _ladder(lambda a, b: a @ b % p, times_x, p)
+    frob = np.zeros_like(times_x)
+    frob[:, 0, 0] = 1
+    for i in range(1, k):
+        frob[:, i] = (frob[:, i - 1, None] @ times_xp)[:, 0] % p
+    divisors = {k // t for t in range(2, k + 1)
+                if k % t == 0 and all(t % s for s in range(2, t))}
+    h, saved = times_x[:, 0], {}  # x
+    for j in range(1, k + 1):
+        h = (h[:, None] @ frob)[:, 0] % p
+        if j in divisors:
+            saved[j] = h.copy()
+            saved[j][:, 1] -= 1  # x^(p^j) - x
+    for i in np.flatnonzero((h == times_x[:, 0]).all(axis=1)).tolist():
+        f = tuple(tails[keep[i]].tolist()) + (1,)
+        if all(poly_gcd(g[i].tolist(), f, p) == (1,) for g in saved.values()):
+            _CERTIFIED.add((f, p))
+            return int(keep[i])
+    return None
 
 
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Irreducibility certificate: x^(p^k) = x mod f, and gcd(x^(p^(k/t)) - x, f) = 1
-    for every prime t | k."""
+    """Whether poly is a monic irreducible over F_p, p prime: _first_irreducible
+    on one row, unless the polynomial is already certified."""
     f = _norm(tuple(x % p for x in poly))
     k = len(f) - 1
     if k < 1 or f[-1] != 1:
         return False
-    if k == 1:
+    if k == 1 or (f, p) in _CERTIFIED:
         return True
-    x = (0, 1)
-    frob = {0: x}  # x^(p^j) mod f
-    h = x
-    for j in range(1, k + 1):
-        h = _poly_powmod(h, p, f, p)
-        frob[j] = h
-    if frob[k] != poly_mod(x, f, p):
-        return False
-    k_prime_divs = {t for t in range(2, k + 1) if k % t == 0 and all(t % s for s in range(2, t))}
-    for t in k_prime_divs:
-        # g = x^(p^(k/t)) - x mod f must be coprime to f
-        g_coeffs = list(frob[k // t]) + [0, 0]
-        g_coeffs[1] = (g_coeffs[1] - 1) % p
-        g = _norm(tuple(g_coeffs))
-        if poly_gcd(g, f, p) != (1,):
-            return False
-    return True
+    return is_prime(p) and _first_irreducible(np.array([f[:-1]], dtype=_sum_dtype(p, k)), p) == 0
 
 
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
     Candidates are ordered by their non-leading coefficient vector read as a
-    base-p integer (constant term least significant).
+    base-p integer (constant term least significant). They are tested in
+    blocks by _first_irreducible: k rows first (about one in k is
+    irreducible), then twice as many each time, up to NORM_CHUNK // k rows,
+    whose k x k matrices hold at most NORM_CHUNK k ints.
     """
     if k < 1:
         raise InputError("degree must be >= 1")
     if k == 1:
         return (0, 1)
-    for tail in range(p**k):
-        coeffs = []
-        t = tail
-        for _ in range(k):
-            coeffs.append(t % p)
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not prime")
+    start, size, end, dtype = 0, k, p**k, _sum_dtype(p, k)
+    while start < end:
+        size = min(size, max(1, NORM_CHUNK // k))
+        t = np.arange(start, min(start + size, end), dtype=np.int64).astype(dtype)
+        tails = np.empty((len(t), k), dtype=dtype)
+        for j in range(k):
+            tails[:, j] = t % p
             t //= p
-        cand = tuple(coeffs) + (1,)
-        if is_irreducible(cand, p):
-            return cand
+        i = _first_irreducible(tails, p)
+        if i is not None:
+            return tuple(tails[i].tolist()) + (1,)
+        start += len(tails)
+        size *= 2
     raise InputError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
 
@@ -249,13 +297,10 @@ def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
 # batch arithmetic on digit arrays
 # ---------------------------------------------------------------------------
 
-NORM_CHUNK = 2048  # rows per step of the chunked routes; their arrays hold O(NORM_CHUNK * k) ints
-
-
 def digit_dtype(spec: FieldSpec) -> type:
-    """int64 where it holds every encoding and every sum of _mul_digits (at
-    most k (p-1)^2), else object: Python ints, exact at any size."""
-    return np.int64 if max(spec.order - 1, spec.k * (spec.p - 1) ** 2) < 1 << 63 else object
+    """int64 where it holds every encoding and every sum of _mul_digits
+    (_sum_dtype), else object: Python ints, exact at any size."""
+    return _sum_dtype(spec.p, spec.k) if spec.order - 1 < 1 << 63 else object
 
 
 def to_digits(spec: FieldSpec, codes) -> np.ndarray:
@@ -404,19 +449,33 @@ def quadratic_character_many(spec: FieldSpec, a: np.ndarray) -> np.ndarray:
     return chi
 
 
+def _trace_images(ext: FieldSpec, base: FieldSpec) -> np.ndarray:
+    """T(theta^i) = sum_{j<b} theta^(i q^j) for the K monomials theta^i of ext,
+    as a (K, K) int64 digit array. h -> h^p is F_p-linear, with the matrix phi
+    whose row i is theta^(i p) (one pow_many on the identity); h -> h^q is
+    phi^k, and the images are the sum of its first b powers, all matmuls mod p."""
+    p = ext.p
+    eye = np.eye(ext.k, dtype=np.int64)
+    phi = pow_many(ext, eye, p)
+    frob_q = eye
+    for _ in range(base.k):
+        frob_q = frob_q @ phi % p
+    cur = images = eye
+    for _ in range(ext.k // base.k - 1):
+        cur = cur @ frob_q % p
+        images = (images + cur) % p
+    return images
+
+
 def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
     """The least encoding of a root of base.modulus in the subfield F_q of ext.
 
-    The trace images T(theta^i) = sum_{j<b} theta^(i q^j) of the K monomials
-    span F_q over F_p; the selector digits times their row-reduced basis are
-    its q elements, at which Horner evaluates the modulus, NORM_CHUNK at a time.
+    The trace images of the K monomials span F_q over F_p; the selector
+    digits times their row-reduced basis are its q elements, at which Horner
+    evaluates the modulus, NORM_CHUNK at a time.
     """
     p, k, q = base.p, base.k, base.order
-    cur = images = np.eye(ext.k, dtype=np.int64)
-    for _ in range(ext.k // k - 1):
-        cur = pow_many(ext, cur, q)
-        images = (images + cur) % p
-    rows, _ = _row_reduce(images.tolist(), p)
+    rows, _ = _row_reduce(_trace_images(ext, base).tolist(), p)
     if len(rows) != k:
         raise AssertionError("trace image has wrong dimension")
     basis = np.array(rows, dtype=np.int64)
@@ -439,22 +498,27 @@ def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """The F_p-linear maps of norms_many, as int64 matrices over F_p digits:
 
     * embed (k, K): base digits c_0..c_(k-1) to the E digits of the image
-      sum c_j beta^j; row j is beta^j, by k - 1 products from 1;
+      sum c_j beta^j; row j is beta^j, row j - 1 times the matrix of x -> x beta;
     * lift (b k, K): base digits of c_1..c_b to the E digits of
-      sum embed(c_i) theta^(i-1); rows i k to i k + k - 1 are embed times theta^i;
+      sum embed(c_i) theta^(i-1); rows i k to i k + k - 1 are embed times
+      theta^i, the block before them times the matrix of x -> x theta;
     * pivots (k,), back (k, k): E digits of an embedded element, read on the
       pivot columns of embed, times back give its base digits.
     """
     base, E = ext.base, ext.ext
     p, k, K = base.p, base.k, E.k
     eye = np.eye(K, dtype=np.int64)
-    beta = np.array([E.decode(ext.beta)], dtype=np.int64)
-    embed = eye[:1]
+    times_beta = mul_many(E, eye, np.broadcast_to(E.decode(ext.beta), eye.shape))
+    embed = [eye[0]]
     for _ in range(k - 1):
-        embed = np.concatenate([embed, mul_many(E, embed[-1:], beta)])
-    # theta^i is the monomial x^i of E, as i < b <= K
-    lift = np.concatenate([mul_many(E, embed, np.broadcast_to(eye[i], embed.shape))
-                           for i in range(ext.degree)])
+        embed.append(embed[-1] @ times_beta % p)
+    embed = np.array(embed)
+    lift = [embed]
+    if ext.degree > 1:  # theta is the monomial x of E
+        times_theta = mul_many(E, eye, np.broadcast_to(eye[1], eye.shape))
+        for _ in range(ext.degree - 1):
+            lift.append(lift[-1] @ times_theta % p)
+    lift = np.concatenate(lift)
     # row reducing [embed | I] gives [R | T] with T embed = R, R = I on the pivots
     rows, pivots = _row_reduce([e + [int(i == j) for j in range(k)]
                                 for i, e in enumerate(embed.tolist())], p)

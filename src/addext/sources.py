@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -235,6 +236,11 @@ def _elem_json(x):
     return list(x) if isinstance(x, tuple) else x
 
 
+def _elem_text(x) -> str:
+    """canonical_json(_elem_json(x)) without json: the CSV cell of an element."""
+    return "[" + ",".join(map(str, x)) + "]" if isinstance(x, tuple) else str(x)
+
+
 def _elem_from_json(v):
     return tuple(int(a) for a in v) if isinstance(v, list) else int(v)
 
@@ -273,7 +279,8 @@ def spec_from_json(obj: dict) -> SourceSpec:
 
 @dataclass(frozen=True)
 class Source:
-    """A deduplicated element set carrying the uniform distribution."""
+    """A deduplicated element set carrying the uniform distribution. Its
+    sorted elements and digest are computed once, on first read."""
 
     group: Group
     spec: SourceSpec
@@ -283,11 +290,11 @@ class Source:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def sorted_elements(self) -> list:
         return sorted(self.elements)
 
-    @property
+    @cached_property
     def digest(self) -> str:
         return digest({"group": self.group.to_json(),
                        "elements": [_elem_json(x) for x in self.sorted_elements]})

@@ -20,6 +20,89 @@ def partial_ap_sum_prefix_max(p: int, coeffs, a: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# one candidate at a time: the irreducibility certificate and search, and the
+# trace images of the subfield F_q, that gf batches on digit arrays
+# ---------------------------------------------------------------------------
+
+def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return gf._norm(tuple(out))
+
+
+def _poly_powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple[int, ...]:
+    result: tuple[int, ...] = (1,)
+    base = gf.poly_mod(a, m, p)
+    while e:
+        if e & 1:
+            result = gf.poly_mod(poly_mul(result, base, p), m, p)
+        base = gf.poly_mod(poly_mul(base, base, p), m, p)
+        e >>= 1
+    return result
+
+
+def is_irreducible_by_frobenius(poly: Sequence[int], p: int) -> bool:
+    """Irreducibility certificate, one polynomial at a time: x^(p^k) = x mod f,
+    and gcd(x^(p^(k/t)) - x, f) = 1 for every prime t | k."""
+    f = gf._norm(tuple(x % p for x in poly))
+    k = len(f) - 1
+    if k < 1 or f[-1] != 1:
+        return False
+    if k == 1:
+        return True
+    x = (0, 1)
+    frob = {0: x}  # x^(p^j) mod f
+    h = x
+    for j in range(1, k + 1):
+        h = _poly_powmod(h, p, f, p)
+        frob[j] = h
+    if frob[k] != gf.poly_mod(x, f, p):
+        return False
+    k_prime_divs = {t for t in range(2, k + 1) if k % t == 0 and all(t % s for s in range(2, t))}
+    for t in k_prime_divs:
+        # g = x^(p^(k/t)) - x mod f must be coprime to f
+        g_coeffs = list(frob[k // t]) + [0, 0]
+        g_coeffs[1] = (g_coeffs[1] - 1) % p
+        g = gf._norm(tuple(g_coeffs))
+        if gf.poly_gcd(g, f, p) != (1,):
+            return False
+    return True
+
+
+def find_irreducible_by_scan(p: int, k: int) -> tuple[int, ...]:
+    """The lexicographically least monic irreducible of degree k over F_p, by
+    is_irreducible_by_frobenius on one candidate tail after another (the
+    constant term least significant)."""
+    for tail in range(p**k):
+        coeffs = []
+        t = tail
+        for _ in range(k):
+            coeffs.append(t % p)
+            t //= p
+        cand = tuple(coeffs) + (1,)
+        if is_irreducible_by_frobenius(cand, p):
+            return cand
+    raise InputError(f"no irreducible of degree {k} over F_{p}")
+
+
+def trace_images_by_ladder(ext: gf.FieldSpec, base: gf.FieldSpec) -> np.ndarray:
+    """T(theta^i) = sum_{j<b} theta^(i q^j) for the K monomials theta^i of
+    ext, as a (K, K) digit array: b - 1 steps of pow_many(ext, ., q) on the
+    identity."""
+    p, q = base.p, base.order
+    cur = images = np.eye(ext.k, dtype=np.int64)
+    for _ in range(ext.k // base.k - 1):
+        cur = gf.pow_many(ext, cur, q)
+        images = (images + cur) % p
+    return images
+
+
+# ---------------------------------------------------------------------------
 # one element at a time: the field and group arithmetic that the digit-array
 # routes of gf and sources replaced (elements as int encodings, vectors as
 # tuples of them)
@@ -44,7 +127,7 @@ def fq_sub(spec: gf.FieldSpec, a: int, b: int) -> int:
 def fq_mul(spec: gf.FieldSpec, a: int, b: int) -> int:
     if spec.p == 2:
         return _fq_mul2(spec, a, b)
-    prod = gf.poly_mul(spec.decode(a), spec.decode(b), spec.p)
+    prod = poly_mul(spec.decode(a), spec.decode(b), spec.p)
     return spec.encode(gf.poly_mod(prod, spec.modulus, spec.p))
 
 

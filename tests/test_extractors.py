@@ -197,7 +197,7 @@ def interpolate(field: gf.FieldSpec, ys):
             if j == i:
                 continue
             neg_j = oracles.fq_neg(field, j)
-            num = list(gf.poly_mul(tuple(num), (neg_j, 1), field.p)) \
+            num = list(oracles.poly_mul(tuple(num), (neg_j, 1), field.p)) \
                 if field.k == 1 else _fq_poly_mul(field, num, [neg_j, 1])
             denom = oracles.fq_mul(field, denom, oracles.fq_sub(field, i, j))
         scale = oracles.fq_mul(field, ys[i], oracles.fq_inv(field, denom))

@@ -52,6 +52,30 @@ def test_find_irreducible_against_naive_scan():
                 assert not naive_irreducible(tuple(cand) + (1,), p)
 
 
+@pytest.mark.parametrize("p, k", [(p, k) for p in (2, 3, 5, 7, 11, 101) for k in range(1, 7)]
+                         + [(2**61 - 1, 2)])
+def test_find_irreducible_matches_the_scan(p, k):
+    assert gf.find_irreducible(p, k) == oracles.find_irreducible_by_scan(p, k)
+
+
+def test_is_irreducible_matches_the_certificate_on_every_monic():
+    for p, kmax in [(2, 6), (3, 4), (5, 3), (7, 3)]:
+        for k in range(1, kmax + 1):
+            for tail in range(p**k):
+                f = tuple(tail // p**i % p for i in range(k)) + (1,)
+                assert gf.is_irreducible(f, p) == oracles.is_irreducible_by_frobenius(f, p), f
+
+
+def test_reducible_modulus_is_an_input_error():
+    with pytest.raises(InputError, match="reducible"):
+        gf.FieldSpec(3, 2, (1, 1, 1))          # (x + 2)^2 over F_3
+    with pytest.raises(InputError, match="reducible"):
+        gf.FieldSpec(2, 4, (1, 0, 1, 0, 1))    # (x^2 + x + 1)^2: no root in F_2
+    with pytest.raises(InputError, match="reducible"):
+        gf.FieldSpec(5, 2, (-1, 0, 1))         # x^2 - 1, unreduced coefficients
+    assert gf.FieldSpec(3, 2, (4, 0, 1)).modulus == (4, 0, 1)  # x^2 + 1, unreduced
+
+
 def test_irreducible_certificate_no_roots():
     for p in (2, 3, 5, 7):
         for k in (2, 3):
@@ -223,8 +247,8 @@ def test_norm_subfield_fast_path_matches_general_route():
 
 def test_poly_gcd_basics():
     # (x+1)^2 and (x+1)(x+2) over F_5
-    a = gf.poly_mul((1, 1), (1, 1), 5)
-    b = gf.poly_mul((1, 1), (2, 1), 5)
+    a = oracles.poly_mul((1, 1), (1, 1), 5)
+    b = oracles.poly_mul((1, 1), (2, 1), 5)
     assert gf.poly_gcd(a, b, 5) == (1, 1)
     assert gf.poly_gcd(a, (1,), 5) == (1,)
 
@@ -320,6 +344,35 @@ def test_extension_above_the_oracle_grid():
         == [oracles.norm_by_conjugates(ext, c) for c in points]
     for c in [0, 1, base.order - 1] + rng.sample(range(base.order), 40):
         assert oracles.coerce_to_base(ext, oracles.embed(ext, c)) == c
+
+
+@pytest.mark.parametrize("p, k, b", [(p, k, b) for p, k in PRIME_POWERS_TO_256
+                                     for b in range(2, 6)])
+def test_trace_images_match_the_ladder(p, k, b):
+    base, E = gf.FieldSpec.make(p, k), gf.FieldSpec.make(p, k * b)
+    assert gf._trace_images(E, base).tolist() == oracles.trace_images_by_ladder(E, base).tolist()
+
+
+# modulus of F_{q^b}, beta and norm exponent, recorded before the extension
+# build moved to Frobenius matrices and the batched irreducibility search
+EXTENSION_GOLDENS = {
+    (49, 3): ((2, 0, 0, 0, 0, 0, 1), 686, 2451),
+    (49, 5): ((3, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1), 12780957, 5884901),
+    (32, 3): ((1, 1) + (0,) * 13 + (1,), 316, 1057),
+    (32, 5): ((1, 0, 0, 1) + (0,) * 21 + (1,), 2844714, 1082401),
+    (101, 2): ((2, 0, 1), 0, 102),
+    (101, 3): ((1, 1, 0, 1), 0, 10303),
+    (101, 4): ((2, 0, 0, 0, 1), 0, 1040604),
+    (2401, 3): ((2, 1, 1) + (0,) * 9 + (1,), 460056963, 5767203),
+    (4096, 3): ((1, 0, 1, 0, 1, 1) + (0,) * 30 + (1,), 430862814, 16781313),
+    (10007, 3): ((1, 1, 0, 1), 0, 100150057),
+}
+
+
+@pytest.mark.parametrize("q, b", sorted(EXTENSION_GOLDENS))
+def test_extension_goldens(q, b):
+    ext = gf.get_extension(prime_power_field(q), b)
+    assert (ext.ext.modulus, ext.beta, ext.norm_exponent) == EXTENSION_GOLDENS[q, b]
 
 
 def _maps_by_field_ops(ext):

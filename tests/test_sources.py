@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from addext import gf
+from addext.canonical import canonical_json
 from addext.errors import BudgetError, InputError
 from addext.numtheory import CrtSystem
 from addext.sources import (AffineSpec, ApSpec, BohrSpec,
@@ -15,6 +16,7 @@ from addext.sources import (AffineSpec, ApSpec, BohrSpec,
                             RandomSpec, Source, additive_profile, bohr_vmax, build_source,
                             difference_histogram, doubling, spec_from_json,
                             spec_to_json, sub_gap, sym_set)
+from addext.sources import _elem_json, _elem_text
 
 
 def naive_sumset(els, group):
@@ -380,6 +382,30 @@ def test_source_digest_is_content_addressed():
     assert a.digest == b.digest
     c = build_source(ExplicitSpec((1, 2, 4)), g)
     assert a.digest != c.digest
+
+
+def test_source_sorts_and_digests_once_and_compares_by_content():
+    g = Group.zp_vec(5, 2)
+    a = build_source(ExplicitSpec(((3, 1), (0, 4), (2, 2))), g)
+    fresh = build_source(ExplicitSpec(((3, 1), (0, 4), (2, 2))), g)
+    assert a.sorted_elements is a.sorted_elements == [(0, 4), (2, 2), (3, 1)]
+    assert a.to_json()["digest"] == a.digest
+    # the cached values are no fields: equality and hashing see the content only
+    assert a == fresh and hash(a) == hash(fresh)
+    assert fresh.digest == a.digest
+
+
+_elements = st.one_of(st.integers(0, 2**80),
+                      st.lists(st.integers(0, 2**80), min_size=1, max_size=10).map(tuple))
+
+
+@settings(max_examples=200)
+@given(_elements)
+@example(0)
+@example((0,))
+@example(2**63)
+def test_elem_text_is_the_canonical_json_of_the_element(x):
+    assert _elem_text(x) == canonical_json(_elem_json(x))
 
 
 @pytest.mark.parametrize("group, spec", [
