@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError
+from .numtheory import from_digits, to_digits
 from .sources import Source, convolve_rows, element_budget
 
 TOL = 1e-6
@@ -90,8 +91,11 @@ def additive_charsum(X: Source, a) -> float:
     Z_p^n)."""
     digits = character_digits(X)
     m = X.group.zmn[0]
-    index = sum(int(d) * m**j for j, d in enumerate(np.ravel(X.group.digits([a]) % m)))
-    return float(charsum_table(digits, m, [index])[0])
+    index = from_digits(X.group.digits([a]).reshape(1, -1) % m, m)
+    return float(charsum_table(digits, m, index)[0])
+
+
+CHARSUM_CHUNK = 1 << 12  # frequencies per digit conversion of charsum_table's direct route
 
 
 def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarray:
@@ -112,19 +116,19 @@ def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarra
     order = modulus**N
     if order <= min(len(frequencies) * len(rows), element_budget()):
         shape = (modulus,) * N  # axis j is digit j
-        index = rows @ modulus ** np.arange(N, dtype=np.int64)
-        hist = np.bincount(index, minlength=order).reshape(shape, order="F")
+        hist = np.bincount(from_digits(rows, modulus), minlength=order).reshape(shape, order="F")
         spectrum = np.abs(np.fft.fftn(hist)).ravel(order="F")
         return spectrum[[int(xi) % order for xi in frequencies]] / len(rows)
     if (modulus - 1) ** 2 >= 1 << 63:
         rows = rows.astype(object)
     out = np.empty(len(frequencies))
-    for i, xi in enumerate(frequencies):
-        xi = int(xi) % order
-        r = rows[:, 0] * (xi % modulus) % modulus
-        for j in range(1, N):  # r + (m - 1)^2 < 2^63 whenever (m - 1)^2 < 2^63
-            r = (r + rows[:, j] * (xi // modulus**j % modulus)) % modulus
-        out[i] = abs(np.exp(2j * np.pi * np.asarray(r, dtype=np.int64) / modulus).sum())
+    for lo in range(0, len(frequencies), CHARSUM_CHUNK):
+        chunk = [int(xi) % order for xi in frequencies[lo:lo + CHARSUM_CHUNK]]
+        for i, a in enumerate(to_digits(chunk, modulus, N).tolist(), lo):
+            r = rows[:, 0] * a[0] % modulus
+            for j in range(1, N):  # r + (m - 1)^2 < 2^63 whenever (m - 1)^2 < 2^63
+                r = (r + rows[:, j] * a[j]) % modulus
+            out[i] = abs(np.exp(2j * np.pi * np.asarray(r, dtype=np.int64) / modulus).sum())
     return out / len(rows)
 
 

@@ -29,6 +29,7 @@ from jsonschema.exceptions import best_match
 from . import __version__, analysis, extractors as ex, sources as src, suites
 from .canonical import canonical_json, digest
 from .errors import AddextError, BudgetError, InputError
+from .numtheory import to_digits
 
 
 def _schema(name: str) -> dict:
@@ -97,8 +98,7 @@ def _write_json(path: str, obj) -> None:
 
 def _manifest(args, inputs: list[str], outputs: list[str], started: str,
               elapsed: float) -> None:
-    out = outputs[0] + ".manifest.json"
-    _write_json(out, {
+    _write_json(outputs[0] + ".manifest.json", {
         "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.command,
         "inputs": {p: _INPUT_DIGESTS[p] for p in inputs},
         "seed": getattr(args, "seed", None),
@@ -125,32 +125,29 @@ def _load_source(path: str) -> src.Source:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_build_source(args) -> int:
-    started = _utcnow()
-    t0 = time.perf_counter()
+# Each command returns its exit code, its input files and its output files;
+# main writes the run manifest next to the first output, if there is one.
+Outcome = tuple[int, list[str], list[str]]
+
+
+def cmd_build_source(args, t0: float) -> Outcome:
     X = _load_source(args.spec)
     _write_json(args.out, X.to_json())
-    _manifest(args, [args.spec], [args.out], started, time.perf_counter() - t0)
-    return 0
+    return 0, [args.spec], [args.out]
 
 
-def cmd_profile(args) -> int:
-    started = _utcnow()
-    t0 = time.perf_counter()
+def cmd_profile(args, t0: float) -> Outcome:
     X = _load_source(args.source)
     prof = src.additive_profile(X, args.alpha).to_json()
     prof["source_digest"] = X.digest
-    if args.out:
-        _write_json(args.out, prof)
-        _manifest(args, [args.source], [args.out], started, time.perf_counter() - t0)
-    else:
+    if not args.out:
         print(canonical_json(prof))
-    return 0
+        return 0, [args.source], []
+    _write_json(args.out, prof)
+    return 0, [args.source], [args.out]
 
 
-def cmd_extract(args) -> int:
-    started = _utcnow()
-    t0 = time.perf_counter()
+def cmd_extract(args, t0: float) -> Outcome:
     X = _load_source(args.source)
     cfg = ex.build_for_group(args.extractor, X.group, args.m)
     outputs = ex.extract_many(cfg, X.sorted_elements)
@@ -163,14 +160,10 @@ def cmd_extract(args) -> int:
     report.seconds = time.perf_counter() - t0
     _write_csv(args.out, ["element", "output"], rows)
     _write_json(args.out + ".report.json", report.to_json())
-    _manifest(args, [args.source], [args.out, args.out + ".report.json"],
-              started, time.perf_counter() - t0)
-    return 0
+    return 0, [args.source], [args.out, args.out + ".report.json"]
 
 
-def cmd_charsum(args) -> int:
-    started = _utcnow()
-    t0 = time.perf_counter()
+def cmd_charsum(args, t0: float) -> Outcome:
     X = _load_source(args.source)
     grp = X.group
     order = grp.order
@@ -192,16 +185,13 @@ def cmd_charsum(args) -> int:
                               f"the element budget {budget}")
         freq_idx = range(lo, hi)
     mags = analysis.charsum_table(analysis.character_digits(X), grp.zmn[0], freq_idx)
-    rows = [[src._elem_text(grp.element_from_index(i)), analysis.fmt17(v)]
-            for i, v in zip(freq_idx, mags)]
+    freqs = grp.from_digits(to_digits(freq_idx, *grp.zmn))
+    rows = [[src._elem_text(x), analysis.fmt17(v)] for x, v in zip(freqs, mags)]
     _write_csv(args.out, ["frequency", "magnitude"], rows)
-    _manifest(args, [args.source], [args.out], started, time.perf_counter() - t0)
-    return 0
+    return 0, [args.source], [args.out]
 
 
-def cmd_verify(args) -> int:
-    started = _utcnow()
-    t0 = time.perf_counter()
+def cmd_verify(args, t0: float) -> Outcome:
     grid = _load_validated(args.grid, "grid.v1.json") if args.grid else {}
     if args.suite == "sweep":
         rows = grid.get("rows")
@@ -223,8 +213,7 @@ def cmd_verify(args) -> int:
         csv_rows = [[_cell(row.get(k)) for k in header] for row in result.rows]
         _write_csv(args.out, header, csv_rows)
         _write_json(args.out + ".summary.json", result.to_json())
-    _manifest(args, [args.grid] if args.grid else [], [args.out],
-              started, time.perf_counter() - t0)
+    code = 0
     if not result.ok:
         for f in result.failures[:10]:
             print(f"FAIL {args.suite}: {canonical_json(f)}", file=sys.stderr)
@@ -237,8 +226,8 @@ def cmd_verify(args) -> int:
                         {"grid_index": i, "config_digest": r.config_digest,
                          "source_digest": r.source_digest, "distance": r.distance,
                          "bound": r.bound}), file=sys.stderr)
-        return 2 if result.input_errors else 1
-    return 0
+        code = 2 if result.input_errors else 1
+    return code, [args.grid] if args.grid else [], [args.out]
 
 
 def _cell(v):
@@ -322,8 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started, t0 = _utcnow(), time.perf_counter()
     try:
-        return args.fn(args)
+        code, inputs, outputs = args.fn(args, t0)
+        if outputs:
+            _manifest(args, inputs, outputs, started, time.perf_counter() - t0)
+        return code
     except (AddextError, jsonschema.ValidationError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

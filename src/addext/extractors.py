@@ -146,10 +146,6 @@ class LineExtractorConfig:
     blocks: tuple[Block, ...]
     variant: str              # "additive_trace" (even q) | "quadratic_char" (odd q)
 
-    @property
-    def degree(self) -> int:
-        return max(b.size for b in self.blocks)
-
     def to_json(self) -> dict:
         return {"variant": "line", "p": self.field.p, "k": self.field.k,
                 "modulus": list(self.field.modulus), "q": self.field.order,
@@ -208,10 +204,6 @@ class ApExtractorConfig:
     @property
     def p(self) -> int:
         return self.field.p
-
-    @property
-    def degree(self) -> int:
-        return max(b.size for b in self.blocks)
 
     def to_json(self) -> dict:
         return {"variant": "ap", "p": self.field.p, "n": self.n,
@@ -380,11 +372,11 @@ def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
     acc = np.zeros((len(X), f.k), dtype=X.dtype)
     for block in cfg.blocks:
         c = coords[:, block.start:block.start + block.size]
-        norm = gf.pow_many(f, gf.to_digits(f, c[:, 0]), block.size)
+        norm = gf.pow_many(f, nt.to_digits(c[:, 0], f.p, f.k), block.size)
         general = (c[:, 1:] != 0).any(axis=1)
         if general.any():
             ext = gf.get_extension(f, block.size)
-            norm[general] = gf.to_digits(f, gf.norms_many(ext, c[general]))
+            norm[general] = nt.to_digits(gf.norms_many(ext, c[general]), f.p, f.k)
         acc = (acc + norm) % f.p
     return acc
 

@@ -10,9 +10,10 @@ integers in [0, p^k): value = sum c_i p^i over the polynomial basis
 All field arithmetic is on arrays: N elements are an (N, k) array of those
 F_p digits c_i, so that p^k never has to fit in a machine word: int64 where
 its sums stay exact, Python ints (dtype object) above that (digit_dtype).
-FieldSpec itself only names a field and encodes its elements; products,
-powers and the embedding of F_q in F_{q^b} are mul_many, pow_many and the
-matrices of _norm_maps.
+FieldSpec itself only names a field; encodings and digits convert by
+numtheory's to_digits / from_digits (base p, k digits), and products, powers
+and the embedding of F_q in F_{q^b} are mul_many, pow_many and the matrices
+of _norm_maps.
 
 Building a field is linear algebra over F_p too. find_irreducible tests
 blocks of candidate moduli at once, each through its own Frobenius matrix
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .numtheory import is_prime
+from .numtheory import from_digits, is_prime, to_digits
 
 EXTENSION_BASE_CAP = 1 << 16  # largest base field get_extension accepts
 NORM_CHUNK = 2048  # rows per step of the chunked routes; their arrays hold O(NORM_CHUNK * k) ints
@@ -173,11 +174,7 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     start, size, end, dtype = 0, k, p**k, _sum_dtype(p, k)
     while start < end:
         size = min(size, max(1, NORM_CHUNK // k))
-        t = np.arange(start, min(start + size, end), dtype=np.int64).astype(dtype)
-        tails = np.empty((len(t), k), dtype=dtype)
-        for j in range(k):
-            tails[:, j] = t % p
-            t //= p
+        tails = to_digits(np.arange(start, min(start + size, end)), p, k).astype(dtype)
         i = _first_irreducible(tails, p)
         if i is not None:
             return tuple(tails[i].tolist()) + (1,)
@@ -211,19 +208,6 @@ class FieldSpec:
     @property
     def order(self) -> int:
         return self.p**self.k
-
-    def encode(self, coeffs: Sequence[int]) -> int:
-        v = 0
-        for c in reversed(tuple(coeffs)):
-            v = v * self.p + c % self.p
-        return v
-
-    def decode(self, v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +267,7 @@ def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
     e = (q**degree - 1) // (q - 1) if q > 1 else 1
     ext = FieldSpec.make(base.p, base.k * degree) if degree > 1 else base
     if degree == 1:
-        beta = base.encode((0, 1)) if base.k > 1 else 0
+        beta = base.p if base.k > 1 else 0  # theta, the digits (0, 1)
     elif base.k == 1:
         beta = 0  # root of x; base elements embed as constants
     else:
@@ -301,21 +285,6 @@ def digit_dtype(spec: FieldSpec) -> type:
     """int64 where it holds every encoding and every sum of _mul_digits
     (_sum_dtype), else object: Python ints, exact at any size."""
     return _sum_dtype(spec.p, spec.k) if spec.order - 1 < 1 << 63 else object
-
-
-def to_digits(spec: FieldSpec, codes) -> np.ndarray:
-    """F_p digits of int encodings: shape (..., k), lowest degree first; int64,
-    or Python ints where the codes are an object array."""
-    codes = np.asarray(codes)
-    if codes.dtype != object:
-        codes = codes.astype(np.int64, copy=False)
-    return codes[..., None] // spec.p ** np.arange(spec.k, dtype=codes.dtype) % spec.p
-
-
-def from_digits(spec: FieldSpec, digits: np.ndarray) -> np.ndarray:
-    """Int encodings of digit arrays (inverse of to_digits), in their dtype:
-    int64 digits only where digit_dtype gives int64 (p^k <= 2^63)."""
-    return digits @ spec.p ** np.arange(spec.k, dtype=digits.dtype)
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,13 +379,13 @@ def mul_table(spec: FieldSpec) -> np.ndarray:
     NORM_CHUNK // q rows (at least one) at a time. It holds q^2 ints: the
     caller checks q^2 against its budget."""
     q = spec.order
-    d = to_digits(spec, np.arange(q))
+    d = to_digits(np.arange(q), spec.p, spec.k)
     out = np.empty((q, q), dtype=np.int64)
     step = max(1, NORM_CHUNK // q)
     for s in range(0, q, step):
         rows = d[s:s + step]
         prods = mul_many(spec, np.repeat(rows, q, axis=0), np.tile(d, (len(rows), 1)))
-        out[s:s + step] = from_digits(spec, prods).reshape(len(rows), q)
+        out[s:s + step] = from_digits(prods, spec.p).reshape(len(rows), q)
     return out
 
 
@@ -481,13 +450,13 @@ def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
     basis = np.array(rows, dtype=np.int64)
     roots = []
     for s in range(0, q, NORM_CHUNK):
-        u = to_digits(base, np.arange(s, min(s + NORM_CHUNK, q))) @ basis % p
+        u = to_digits(np.arange(s, min(s + NORM_CHUNK, q)), p, k) @ basis % p
         acc = np.zeros_like(u)
         acc[:, 0] = 1  # the modulus is monic
         for coef in reversed(base.modulus[:-1]):
             acc = mul_many(ext, acc, u)
             acc[:, 0] = (acc[:, 0] + coef) % p
-        roots += [ext.encode(r) for r in u[~acc.any(axis=1)].tolist()]
+        roots += from_digits(u[~acc.any(axis=1)], p).tolist()
     if len(roots) != k:
         raise AssertionError("modulus does not split in the subfield")
     return min(roots)
@@ -508,7 +477,8 @@ def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     base, E = ext.base, ext.ext
     p, k, K = base.p, base.k, E.k
     eye = np.eye(K, dtype=np.int64)
-    times_beta = mul_many(E, eye, np.broadcast_to(E.decode(ext.beta), eye.shape))
+    beta = to_digits(ext.beta, p, K).astype(np.int64)  # Python ints where p^K > 2^63
+    times_beta = mul_many(E, eye, np.broadcast_to(beta, eye.shape))
     embed = [eye[0]]
     for _ in range(k - 1):
         embed.append(embed[-1] @ times_beta % p)
@@ -557,9 +527,9 @@ def _norms_by(ext: ExtensionField, coords, power: Callable) -> np.ndarray:
     lift = _norm_maps(ext)[0][:c.shape[1] * ext.base.k]
     out = np.empty(len(c), dtype=np.int64)
     for s in range(0, len(c), NORM_CHUNK):
-        chunk = to_digits(ext.base, c[s:s + NORM_CHUNK])
+        chunk = to_digits(c[s:s + NORM_CHUNK], p, ext.base.k)
         u = power(chunk.reshape(len(chunk), -1) @ lift % p)
-        out[s:s + NORM_CHUNK] = from_digits(ext.base, _to_base(ext, u))
+        out[s:s + NORM_CHUNK] = from_digits(_to_base(ext, u), p)
     return out
 
 

@@ -1,5 +1,7 @@
 """Exact modular arithmetic: primes in arithmetic progressions, subgroup
-generators, Chinese remaindering, discrete logarithms, index tables.
+generators, Chinese remaindering, discrete logarithms, index tables, and the
+one base-m digit codec (to_digits / from_digits) of group indices and field
+encodings.
 
 All functions are pure and deterministic; "smallest" is the canonical choice
 wherever a prime or generator has to be picked, so every derived constant is
@@ -12,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, InputError, NotInSubgroupError, SearchBudgetError
 
@@ -227,3 +231,33 @@ def index_table(p: int, g: int | None = None) -> list[int]:
     for e, x in enumerate(powers(g, p - 1, p)):
         tab[x] = e
     return tab
+
+
+def _weights(m: int, N: int) -> np.ndarray:
+    """m^0, ..., m^(N-1): int64 where every code below m^N fits int64, else
+    Python ints (dtype object)."""
+    if m**N <= MODULUS_CAP:
+        return m ** np.arange(N, dtype=np.int64)
+    return np.array([m**j for j in range(N)], dtype=object)
+
+
+def to_digits(codes, m: int, N: int) -> np.ndarray:
+    """The N little-endian base-m digits of each code in [0, m^N), shape
+    (..., N): int64 for int64 codes, Python ints (dtype object) for object
+    codes and for Python ints of 2^63 or more, which numpy would read as
+    uint64 or float64."""
+    array = np.asarray(codes)
+    if array.dtype.kind not in "iO":
+        array = np.array(codes, dtype=object)
+    dtype = array.dtype if array.dtype == object else np.int64
+    w = _weights(m, N)
+    return (array.astype(np.result_type(dtype, w.dtype), copy=False)[..., None] // w % m
+            ).astype(dtype, copy=False)
+
+
+def from_digits(digits, m: int) -> np.ndarray:
+    """The codes sum_j d_j m^j of (..., N) base-m digit arrays (the inverse of
+    to_digits): int64 where m^N <= 2^63, exact Python ints above that."""
+    digits = np.asarray(digits)
+    w = _weights(m, digits.shape[-1])
+    return digits.astype(w.dtype, copy=False) @ w

@@ -23,7 +23,7 @@ import numpy as np
 from . import gf
 from .canonical import digest
 from .errors import BudgetError, InputError
-from .numtheory import MODULUS_CAP, CrtSystem, is_prime
+from .numtheory import MODULUS_CAP, CrtSystem, from_digits, is_prime, to_digits
 
 DEFAULT_ELEMENT_BUDGET = 1 << 26
 DEFAULT_PAIR_BUDGET = 1 << 26
@@ -101,27 +101,23 @@ class Group:
     def digits(self, elements) -> np.ndarray:
         """The base-m digits of a collection of elements as one int64 array:
         (count,) for the ints of Z_p and Z_N, (count, N) for vectors. Digit
-        j has weight m^j in the element's index (element_from_index)."""
+        j has weight m^j in the element's index: the element of index i is
+        Group.from_digits(numtheory.to_digits(i, m, N)). An F_q coordinate
+        (q < 2^63) is its k base-p digits."""
         if self.kind in ("zp", "zn"):
             return np.fromiter(elements, dtype=np.int64, count=len(elements))
-        if self.field:
-            elements = [[d for c in x for d in self.field.decode(c)] for x in elements]
-        return np.array(list(elements), dtype=np.int64).reshape(-1, self.zmn[1])
+        coords = np.array(list(elements), dtype=np.int64).reshape(-1, self.n)
+        return to_digits(coords, self.p, self.field.k).reshape(-1, self.zmn[1]) \
+            if self.field else coords
 
     def from_digits(self, digits: np.ndarray) -> list:
-        """The elements of digits (the inverse of Group.digits; a scalar
-        group also takes (count, 1) digits)."""
+        """The elements of (count, N) digits, int64 or object (the inverse of
+        Group.digits; a scalar group also takes (count,) digits)."""
         if self.kind in ("zp", "zn"):
             return digits.reshape(-1).tolist()
-        rows = digits.tolist()
-        k = self.field.k if self.field else 1
-        return [tuple(self.field.encode(r[j:j + k]) for j in range(0, len(r), k))
-                if self.field else tuple(r) for r in rows]
-
-    def element_from_index(self, i: int):
-        if self.kind in ("zp", "zn"):
-            return i
-        return tuple(i // self.base_order**j % self.base_order for j in range(self.n))
+        if self.field:
+            digits = from_digits(digits.reshape(len(digits), self.n, self.field.k), self.p)
+        return list(map(tuple, digits.tolist()))
 
     def validate_element(self, *xs) -> None:
         """InputError unless every argument is an element of the group."""
@@ -153,6 +149,8 @@ class Group:
                 return cls.zp_vec(int(obj["p"]), int(obj["n"]))
             if kind == "fq_vec":
                 p, k = int(obj["p"]), int(obj["k"])
+                if p ** min(k, 64) >= MODULUS_CAP:  # p >= 2, so p^64 >= 2^64
+                    raise InputError(f"q = {p}^{k} is not below 2^63")
                 spec = (gf.FieldSpec(p, k, tuple(obj["modulus"])) if "modulus" in obj
                         else gf.FieldSpec.make(p, k))
                 return cls.fq_vec(spec, int(obj["n"]))
@@ -343,7 +341,7 @@ def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
     out: set = set()
     for lo in range(0, group.order, BOHR_CHUNK):
         rest = np.arange(lo, min(lo + BOHR_CHUNK, group.order), dtype=np.int64)
-        digits = _index_digits(rest, m, n)
+        digits = to_digits(rest, m, n)
         keep = np.ones(len(rest), dtype=bool)
         for c in coeffs:
             v = np.zeros_like(rest)
@@ -368,7 +366,7 @@ def _multiples(group: Group, gens: np.ndarray, count: int, scalars: bool) -> np.
         return t * gens % m
     F = group.field or gf.FieldSpec.make(group.p, 1)
     dtype = gf.digit_dtype(F)
-    t = gf.to_digits(F, np.arange(count)).astype(dtype)
+    t = to_digits(np.arange(count), F.p, F.k).astype(dtype)
     coords = gens.reshape(-1, F.k).astype(dtype)   # one row per coordinate of each generator
     prods = gf.mul_many(F, np.repeat(t, len(coords), axis=0), np.tile(coords, (count, 1)))
     return prods.reshape(count, *gens.shape).astype(np.int64)
@@ -459,9 +457,10 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
             idx = set()
             while len(idx) < spec.size:
                 idx.add(rng.randrange(group.order))
+            idx = list(idx)
         else:
             idx = rng.sample(range(group.order), spec.size)
-        els = {group.element_from_index(i) for i in idx}
+        els = set(group.from_digits(to_digits(idx, *group.zmn)))
 
     else:
         raise InputError(f"unknown source spec {spec!r}")
@@ -513,19 +512,14 @@ def cyclic_convolve(va, vb, m: int) -> tuple[np.ndarray, np.ndarray]:
             counts = convolve_rows(np.bincount(a[:, 0], minlength=m)[None],
                                    np.bincount(b[:, 0], minlength=m)[None], m)[0]
         else:
-            powers, shape = m ** np.arange(N, dtype=np.int64), (m,) * N  # axis j is digit j
-            fa, fb = (np.fft.rfftn(np.bincount(x @ powers, minlength=order)
+            shape = (m,) * N  # axis j is digit j
+            fa, fb = (np.fft.rfftn(np.bincount(from_digits(x, m), minlength=order)
                                    .reshape(shape, order="F")) for x in (a, b))
             counts = _rounded(np.fft.irfftn(fa * fb, shape, range(N))).ravel(order="F")
         index = np.flatnonzero(counts)
         counts = counts[index].astype(np.int64, copy=False)
-        keys = _index_digits(index, m, N)
+        keys = to_digits(index, m, N)
     return (keys[:, 0] if va.ndim == 1 else keys), counts
-
-
-def _index_digits(index: np.ndarray, m: int, N: int) -> np.ndarray:
-    """(count, N) base-m digits of indices below m^N < 2^63."""
-    return index[:, None] // m ** np.arange(N, dtype=np.int64) % m
 
 
 def _distinct_sums(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -540,7 +534,7 @@ def _distinct_sums(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np
         for j in range(1, N):
             index += _digit_sums(a, b, m, j) * m**j
         keys, counts = np.unique(index, return_counts=True)
-        return _index_digits(keys, m, N), counts
+        return to_digits(keys, m, N), counts
     # most significant digit first, so that the rows sort by index
     sums = np.stack([_digit_sums(a, b, m, j) for j in reversed(range(N))], axis=1)
     keys, counts = np.unique(sums, axis=0, return_counts=True)

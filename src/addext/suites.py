@@ -283,12 +283,12 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
     # dense tables by gf's batch digit arithmetic: sums (one digit at a time)
     # and products of all q^2 pairs, and u^b for the size-b second block (only
     # its first coordinate is set when n = 2)
-    d = gf.to_digits(f, np.arange(q))
+    d = nt.to_digits(np.arange(q), f.p, f.k)
     add = np.zeros((q, q), dtype=np.int64)
     for j in range(f.k):
         add += (d[:, None, j] + d[None, :, j]) % f.p * f.p**j
     mul = gf.mul_table(f)
-    powb = gf.from_digits(f, gf.pow_many(f, d, cfg.blocks[1].size))
+    powb = nt.from_digits(gf.pow_many(f, d, cfg.blocks[1].size), f.p)
     t = np.arange(q, dtype=np.int64)
     even = cfg.variant == "additive_trace"
     if even:
@@ -338,8 +338,8 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
     shape = (q, len(spot), 2, f.k)
     steps = gf.mul_many(f, np.broadcast_to(d[:, None, None], shape).reshape(-1, f.k),
                         np.broadcast_to(d[dirs], shape).reshape(-1, f.k))
-    points = gf.from_digits(f, (d[bases] + steps.reshape(shape)) % f.p).reshape(-1, 2)
-    values = gf.from_digits(f, ex._block_poly_many(cfg, points)).reshape(q, len(spot))
+    points = nt.from_digits((d[bases] + steps.reshape(shape)) % f.p, f.p).reshape(-1, 2)
+    values = nt.from_digits(ex._block_poly_many(cfg, points), f.p).reshape(q, len(spot))
     assert (values.T == rows).all(), "line tables disagree with the block polynomial"
     n = cfg.n
     return {"q": q, "lines": lines, "max_charsum": max_charsum,
@@ -678,7 +678,7 @@ def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteRe
         for k in range(1, kmax + 1):
             lam_k = mul[lam_k, np.arange(q)]   # lambda^k for every lambda
             extn = gf.get_extension(base, k)
-            coords = np.arange(q**k)[:, None] // q ** np.arange(k) % q
+            coords = nt.to_digits(np.arange(q**k), q, k)
             norms = gf.norms_many(extn, coords)
             found = []   # (point, order, failure): reported point by point
             checks = itertools.chain(

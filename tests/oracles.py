@@ -108,16 +108,26 @@ def trace_images_by_ladder(ext: gf.FieldSpec, base: gf.FieldSpec) -> np.ndarray:
 # tuples of them)
 # ---------------------------------------------------------------------------
 
+def encode(spec: gf.FieldSpec, coeffs: Sequence[int]) -> int:
+    """The int encoding of F_p coefficients, lowest degree first, reduced mod p."""
+    return int(nt.from_digits(np.array(coeffs, dtype=object) % spec.p, spec.p))
+
+
+def decode(spec: gf.FieldSpec, v: int) -> tuple[int, ...]:
+    """The k F_p digits of an int encoding."""
+    return tuple(nt.to_digits(v, spec.p, spec.k).tolist())
+
+
 def fq_add(spec: gf.FieldSpec, a: int, b: int) -> int:
     if spec.p == 2:
         return a ^ b
-    return spec.encode([x + y for x, y in zip(spec.decode(a), spec.decode(b))])
+    return encode(spec, [x + y for x, y in zip(decode(spec, a), decode(spec, b))])
 
 
 def fq_neg(spec: gf.FieldSpec, a: int) -> int:
     if spec.p == 2:
         return a
-    return spec.encode([-x for x in spec.decode(a)])
+    return encode(spec, [-x for x in decode(spec, a)])
 
 
 def fq_sub(spec: gf.FieldSpec, a: int, b: int) -> int:
@@ -127,8 +137,8 @@ def fq_sub(spec: gf.FieldSpec, a: int, b: int) -> int:
 def fq_mul(spec: gf.FieldSpec, a: int, b: int) -> int:
     if spec.p == 2:
         return _fq_mul2(spec, a, b)
-    prod = poly_mul(spec.decode(a), spec.decode(b), spec.p)
-    return spec.encode(gf.poly_mod(prod, spec.modulus, spec.p))
+    prod = poly_mul(decode(spec, a), decode(spec, b), spec.p)
+    return encode(spec, gf.poly_mod(prod, spec.modulus, spec.p))
 
 
 def _fq_mul2(spec: gf.FieldSpec, a: int, b: int) -> int:
@@ -169,7 +179,7 @@ def fq_inv(spec: gf.FieldSpec, a: int) -> int:
 def embed(ext: gf.ExtensionField, c: int) -> int:
     """Image in E of the base-field element c (Horner at beta)."""
     acc = 0
-    for coef in reversed(ext.base.decode(c)):
+    for coef in reversed(decode(ext.base, c)):
         acc = fq_mul(ext.ext, acc, ext.beta)
         acc = fq_add(ext.ext, acc, coef)
     return acc
@@ -178,7 +188,7 @@ def embed(ext: gf.ExtensionField, c: int) -> int:
 def lift(ext: gf.ExtensionField, coords: Sequence[int]) -> int:
     """sum embed(c_i) * theta^(i-1) in E, for c_i in the base field."""
     E = ext.ext
-    theta = E.encode((0, 1)) if E.k > 1 else 1
+    theta = encode(E, (0, 1)) if E.k > 1 else 1
     acc = 0
     power = 1
     for c in coords:
@@ -311,8 +321,8 @@ def fq_quadratic_character(spec: gf.FieldSpec, a: int) -> int:
 
 def coerce_to_base(ext: gf.ExtensionField, u: int) -> int:
     """The base-field element c with embed(ext, c) = u (see gf._to_base)."""
-    digits = np.array([ext.ext.decode(u)], dtype=np.int64)
-    return ext.base.encode(gf._to_base(ext, digits)[0].tolist())
+    digits = np.array([decode(ext.ext, u)], dtype=np.int64)
+    return encode(ext.base, gf._to_base(ext, digits)[0].tolist())
 
 
 def norm_poly_eval(ext: gf.ExtensionField, coords: Sequence[int]) -> int:

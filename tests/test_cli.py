@@ -622,3 +622,49 @@ def test_bohr_frequency_zero_mod_p_exits_two(tmp_path, capsys):
     assert main(["build-source", "--spec", spec, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: Bohr frequencies must be nonzero\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("p, k", [(2, 500), (2147483647, 64), (2, 63), (3, 40)])
+def test_fq_vec_of_order_at_least_2_63_exits_two_before_the_field_is_built(tmp_path, capsys, p, k):
+    spec = write(tmp_path / "s.json", {"group": {"kind": "fq_vec", "p": p, "k": k, "n": 1},
+                                       "spec": {"variant": "random", "size": 1, "seed": 0}})
+    out = tmp_path / "s.out.json"
+    t0 = time.perf_counter()
+    assert main(["build-source", "--spec", spec, "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^63" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p, k", [(2, 62), (3, 39)])
+def test_fq_vec_just_below_2_63_is_built(tmp_path, p, k):
+    spec = write(tmp_path / "s.json", {"group": {"kind": "fq_vec", "p": p, "k": k, "n": 1},
+                                       "spec": {"variant": "explicit", "elements": [[p**k - 1]]}})
+    assert main(["build-source", "--spec", spec, "--out", str(tmp_path / "o.json")]) == 0
+
+
+def test_main_writes_the_manifest_of_every_command_with_an_output(tmp_path, gap_spec, capsys):
+    keys = ["command", "elapsed_seconds", "inputs", "outputs", "seed", "started_utc",
+            "threads", "version"]
+    failing = write(tmp_path / "grid.json", {"rows": [   # distance 1/2 above its bound: exit 1
+        {"group": {"kind": "fq_vec", "p": 101, "k": 1, "n": 1},
+         "source": {"variant": "explicit", "elements": [[3]]}, "extractor": {"build": "line"}}]})
+    out = {name: str(tmp_path / name) for name in ("s.json", "p.json", "e.csv", "c.csv", "v.csv")}
+    runs = [(["build-source", "--spec", gap_spec], "s.json", 0, [gap_spec], []),
+            (["profile", "--source", gap_spec, "--alpha", "0.25"], "p.json", 0, [gap_spec], []),
+            (["extract", "--source", gap_spec, "--extractor", "zp"], "e.csv", 0, [gap_spec],
+             [".report.json"]),
+            (["charsum", "--source", gap_spec], "c.csv", 0, [gap_spec], []),
+            (["verify", "--suite", "sweep", "--grid", failing], "v.csv", 1, [failing], [])]
+    for argv, name, code, inputs, extra in runs:
+        assert main(argv + ["--out", out[name]]) == code
+        manifest = json.load(open(out[name] + ".manifest.json"))
+        assert sorted(manifest) == keys and manifest["elapsed_seconds"] >= 0
+        assert list(manifest["inputs"]) == inputs
+        assert manifest["outputs"] == [out[name]] + [out[name] + e for e in extra]
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+    assert main(["profile", "--source", gap_spec, "--alpha", "0.25"]) == 0
+    assert sorted(tmp_path.iterdir()) == before
+    assert json.loads(capsys.readouterr().out)["size"] == 64

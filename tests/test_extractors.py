@@ -173,7 +173,7 @@ def test_line_poly_zero_at_origin():
 def test_line_extract_output_examples():
     F4 = gf.FieldSpec.make(2, 2)
     cfg4 = LineExtractorConfig(F4, 1, 1, (Block(0, 1),), "additive_trace")
-    omega = F4.encode((0, 1))
+    omega = oracles.encode(F4, (0, 1))
     assert line_extract((omega,), cfg4) == 1
     assert line_extract((0,), cfg4) == 0
     F7 = gf.FieldSpec.make(7, 1)

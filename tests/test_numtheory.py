@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,3 +181,48 @@ def test_factorize_reassembles(n):
         assert nt.is_prime(p)
         prod *= p**e
     assert prod == n
+
+
+# ---------------------------------------------------------------------------
+# the base-m digit codec
+# ---------------------------------------------------------------------------
+
+def _digits_by_divmod(code, m, N):
+    out = []
+    for _ in range(N):
+        code, d = divmod(code, m)
+        out.append(d)
+    return out
+
+
+@st.composite
+def _codec_cases(draw):
+    """(m, N, codes, form): m in [2, 2^63), N <= 6, and m^N on either side of
+    2^63 (m near its N-th root is one of the draws); the codes as an int64
+    array where they fit, an object array, or a list."""
+    N = draw(st.integers(1, 6))
+    root = nt.integer_root((1 << 63) - 1, N)
+    m = draw(st.one_of(st.integers(2, 16),
+                       st.integers(max(2, root - 2), min(root + 2, (1 << 63) - 1)),
+                       st.integers(2, (1 << 63) - 1)))
+    top = m**N - 1
+    codes = draw(st.lists(st.one_of(st.integers(0, top), st.sampled_from([0, top])),
+                          min_size=1, max_size=8))
+    forms = ["object", "list"] + (["int64"] if max(codes) < 1 << 63 else [])
+    return m, N, codes, draw(st.sampled_from(forms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_codec_cases())
+def test_digit_codec_round_trips_and_agrees_with_divmod(case):
+    m, N, codes, form = case
+    fits = max(codes) < 1 << 63
+    array = codes if form == "list" else np.array(codes, dtype=object if form == "object" else np.int64)
+    digits = nt.to_digits(array, m, N)
+    assert digits.shape == (len(codes), N)
+    assert digits.dtype == (object if form == "object" or not fits else np.int64)
+    assert digits.tolist() == [_digits_by_divmod(c, m, N) for c in codes]
+    back = nt.from_digits(digits, m)
+    assert back.dtype == (np.int64 if m**N <= 1 << 63 else object)
+    assert back.tolist() == codes
+    assert nt.to_digits(codes[0], m, N).tolist() == _digits_by_divmod(codes[0], m, N)

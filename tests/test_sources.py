@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ import oracles
 from addext import gf
 from addext.canonical import canonical_json
 from addext.errors import BudgetError, InputError
-from addext.numtheory import CrtSystem
+from addext.numtheory import CrtSystem, from_digits, to_digits
 from addext.sources import (AffineSpec, ApSpec, BohrSpec,
                             ExplicitSpec, GapSpec, Group, HapSpec, LineSpec,
                             RandomSpec, Source, additive_profile, bohr_vmax, build_source,
@@ -105,6 +107,41 @@ def test_random_source_in_a_group_of_order_at_least_2_63():
     assert X.elements != build_source(RandomSpec(5, 2), g).elements
     for x in X.elements:
         g.validate_element(x)
+
+
+def _element_of_index(group, i):
+    """The element of index i read one coordinate at a time: base-q digit j
+    of i is coordinate j of a vector over a field of order q."""
+    if group.kind in ("zp", "zn"):
+        return i
+    q = group.base_order
+    return tuple(i // q**j % q for j in range(group.n))
+
+
+@pytest.mark.parametrize("group", [
+    Group.zp(101), Group.zn(CrtSystem.make([4, 9, 25])), Group.zp_vec(5, 3),
+    Group.zp_vec((1 << 61) - 1, 3),              # indices above 2^63
+    Group.fq_vec(gf.FieldSpec.make(3, 2), 2), Group.fq_vec(gf.FieldSpec.make(2, 5), 3),
+    Group.fq_vec(gf.FieldSpec.make(2, 31), 3)], ids=lambda g: f"{g.kind}-{g.order}")
+def test_group_digits_round_trip_for_every_kind(group):
+    rng = random.Random(group.order)
+    m, N = group.zmn
+    index = [0, group.order - 1] + [rng.randrange(group.order) for _ in range(40)]
+    X = group.from_digits(to_digits(index, m, N))
+    assert X == [_element_of_index(group, i) for i in index]
+    digits = group.digits(X)
+    assert digits.dtype == np.int64 and group.from_digits(digits) == X
+    assert from_digits(digits.reshape(len(X), N), m).tolist() == index
+
+
+def test_random_source_above_sys_maxsize_matches_the_index_map():
+    for group in (Group.zp_vec((1 << 61) - 1, 3), Group.fq_vec(gf.FieldSpec.make(2, 31), 3)):
+        assert group.order > sys.maxsize
+        rng, index = random.Random(9), set()
+        while len(index) < 40:
+            index.add(rng.randrange(group.order))
+        X = build_source(RandomSpec(40, 9), group)
+        assert X.elements == {_element_of_index(group, i) for i in index}
 
 
 def test_budget_errors():

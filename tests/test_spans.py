@@ -16,7 +16,7 @@ import oracles
 from addext import gf
 from addext.canonical import digest
 from addext.errors import BudgetError, InputError
-from addext.numtheory import CrtSystem
+from addext.numtheory import CrtSystem, to_digits
 from addext.sources import (AffineSpec, ApSpec, GapSpec, Group, HapSpec, LineSpec,
                             _span, build_source, sub_gap)
 
@@ -176,7 +176,8 @@ GROUPS = [Group.zp(13), Z180, Group.zp_vec(5, 2), Group.zp_vec(3, 3),
 def test_span_matches_the_coefficient_box(data):
     group = data.draw(st.sampled_from(GROUPS))
     scalars = group.kind in ("zp_vec", "fq_vec") and data.draw(st.booleans())
-    element = st.integers(0, group.order - 1).map(group.element_from_index)
+    element = st.integers(0, group.order - 1).map(
+        lambda i: group.from_digits(to_digits([i], *group.zmn))[0])
     base = data.draw(element)
     gens = data.draw(st.lists(element, max_size=3))
     count = group.base_order if scalars else data.draw(st.integers(0, 7))

@@ -30,7 +30,7 @@ from addext.canonical import canonical_json
 from addext.cli import main
 from addext.errors import BudgetError
 from addext.gf import FieldSpec
-from addext.numtheory import CrtSystem
+from addext.numtheory import CrtSystem, to_digits
 from addext import sources
 from addext.sources import (ExplicitSpec, GapSpec, Group, build_source, convolve_rows,
                             cyclic_convolve, difference_histogram, doubling, sym_set)
@@ -306,7 +306,8 @@ def vector_sources(draw):
     kind = draw(st.sampled_from(["zp_vec", "fq_vec"]))
     grp = vector_group(kind, draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3)),
                        draw(st.integers(1, 3)))
-    index = st.integers(0, grp.order - 1).map(grp.element_from_index)
+    index = st.integers(0, grp.order - 1).map(
+        lambda i: grp.from_digits(to_digits([i], *grp.zmn))[0])
     if draw(st.booleans()):
         spec = GapSpec(draw(index), tuple(draw(st.lists(index, min_size=1, max_size=2))),
                        draw(st.integers(1, 6)))
@@ -394,7 +395,7 @@ def test_charsum_table_fftn_matches_per_frequency(monkeypatch):
         X = build_source(ExplicitSpec(tuple(
             tuple(rng.randrange(p) for _ in range(n)) for _ in range(size))), grp)
         idx = list(range(grp.order)) if grp.order <= 2000 else rng.sample(range(grp.order), 2000)
-        freqs = [grp.element_from_index(i) for i in idx]
+        freqs = grp.from_digits(to_digits(idx, *grp.zmn))
         digits = grp.digits(X.elements)
         fft = an.charsum_table(digits, p, idx)            # p^n <= |idx| |X|
         monkeypatch.setenv("ADDEXT_BUDGET", "0")          # per-frequency route only
@@ -435,7 +436,7 @@ def test_cli_charsum_over_vectors_matches_per_frequency_sum(tmp_path):
         assert main(["charsum", "--source", str(src_path), "--characters", chars,
                      "--out", str(out)]) == 0
         rows = list(csv.reader(open(out)))[1:]
-        freqs = [grp.element_from_index(i) for i in idx]
+        freqs = grp.from_digits(to_digits(idx, *grp.zmn))
         assert [tuple(json.loads(r[0])) for r in rows] == freqs
         want = [an.additive_charsum(X, f) for f in freqs]
         assert np.abs(np.array([float(r[1]) for r in rows]) - want).max() < 1e-12
@@ -443,3 +444,16 @@ def test_cli_charsum_over_vectors_matches_per_frequency_sum(tmp_path):
     fq_path.write_text(canonical_json({"group": {"kind": "fq_vec", "p": 2, "k": 2, "n": 2},
                                        "spec": {"variant": "explicit", "elements": [[1, 2]]}}))
     assert main(["charsum", "--source", str(fq_path), "--out", str(tmp_path / "f.csv")]) == 2
+
+
+def test_cli_charsum_names_frequencies_on_both_sides_of_2_63(tmp_path):
+    p = (1 << 61) - 1                             # Z_p^2 has order about 2^122
+    src_path = tmp_path / "src.json"
+    src_path.write_text(canonical_json({"group": {"kind": "zp_vec", "p": p, "n": 2},
+                                        "spec": {"variant": "explicit",
+                                                 "elements": [[1, 2], [3, 4]]}}))
+    lo, out = (1 << 63) - 2, tmp_path / "c.csv"
+    assert main(["charsum", "--source", str(src_path), "--characters", f"{lo}:{lo + 4}",
+                 "--out", str(out)]) == 0
+    rows = list(csv.reader(open(out)))[1:]
+    assert [tuple(json.loads(r[0])) for r in rows] == [(i % p, i // p) for i in range(lo, lo + 4)]

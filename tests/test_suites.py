@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from addext import analysis, extractors as ex, gf, sources as src
+from addext import analysis, extractors as ex, gf, numtheory as nt, sources as src
 from addext import suites
 from addext.canonical import digest
 from addext.errors import BudgetError, InputError
@@ -87,7 +87,7 @@ def test_lines_budgets_all_its_tables_before_the_first(monkeypatch):
 
     def first_table(*args):
         raise RuntimeError("first table")
-    monkeypatch.setattr(gf, "to_digits", first_table)
+    monkeypatch.setattr(nt, "to_digits", first_table)
     for qs in ([2591], [4096], [8192], [256, 4096]):
         with pytest.raises(BudgetError, match="element budget"):
             suites.suite_lines(qs=qs)

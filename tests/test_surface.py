@@ -5,11 +5,12 @@ the tests, as an oracle of the shipped route it checks.
 """
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import addext
-from addext import gf
+from addext import gf, numtheory as nt
 from addext.sources import Group
 
 PACKAGE = Path(addext.__file__).parent
@@ -37,6 +38,15 @@ def test_no_field_or_group_arithmetic_one_element_at_a_time():
     # field and group arithmetic runs on digit arrays (gf.mul_many, pow_many,
     # the _norm_maps matrices, sources._span); the one-element routes are the
     # test oracles in tests/oracles.py
-    pointwise = {"add", "neg", "sub", "mul", "scale", "pow", "inv", "embed", "lift"}
+    pointwise = {"add", "neg", "sub", "mul", "scale", "pow", "inv", "embed", "lift",
+                 "encode", "decode"}
     for cls in (gf.FieldSpec, gf.ExtensionField, Group):
         assert not pointwise & set(dir(cls)), cls.__name__
+
+
+def test_digit_weights_are_built_only_by_the_codec():
+    # every index <-> digits conversion goes through numtheory.to_digits and
+    # from_digits, whose weight vector m^0..m^(N-1) is built in one place
+    weights = "** np.arange("
+    total = sum(path.read_text().count(weights) for path in PACKAGE.glob("*.py"))
+    assert total == inspect.getsource(nt._weights).count(weights) == 1
