@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from importlib import resources
+from typing import Iterable
 
 import jsonschema
 from jsonschema import Draft7Validator
@@ -83,7 +84,7 @@ def _load_validated(path: str, schema_name: str) -> dict:
     return obj
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -185,8 +186,10 @@ def cmd_charsum(args, t0: float) -> Outcome:
                               f"the element budget {budget}")
         freq_idx = range(lo, hi)
     mags = analysis.charsum_table(analysis.character_digits(X), grp.zmn[0], freq_idx)
-    freqs = grp.from_digits(to_digits(freq_idx, *grp.zmn))
-    rows = [[src._elem_text(x), analysis.fmt17(v)] for x, v in zip(freqs, mags)]
+    step = analysis.CHARSUM_CHUNK  # rows are made and written this many at a time
+    rows = ([src._elem_text(x), analysis.fmt17(v)] for lo in range(0, len(freq_idx), step)
+            for x, v in zip(grp.from_digits(to_digits(freq_idx[lo:lo + step], *grp.zmn)),
+                            mags[lo:lo + step]))
     _write_csv(args.out, ["frequency", "magnitude"], rows)
     return 0, [args.source], [args.out]
 

@@ -2,10 +2,10 @@
 extension towers, and batch products, powers, traces, quadratic characters
 and norm forms.
 
-Polynomials over F_p are coefficient tuples, lowest degree first, with no
-trailing zeros (the zero polynomial is ()). Field elements are encoded as
-integers in [0, p^k): value = sum c_i p^i over the polynomial basis
-1, theta, ..., theta^(k-1), theta the residue of x mod the field's modulus.
+A field is F_p[x]/(f) for its modulus f, monic irreducible of degree k, read
+mod p (FieldSpec.tail). Field elements are encoded as integers in [0, p^k):
+value = sum c_i p^i over the polynomial basis 1, theta, ..., theta^(k-1),
+theta the residue of x mod f.
 
 All field arithmetic is on arrays: N elements are an (N, k) array of those
 F_p digits c_i, so that p^k never has to fit in a machine word: int64 where
@@ -15,11 +15,12 @@ numtheory's to_digits / from_digits (base p, k digits), and products, powers
 and the embedding of F_q in F_{q^b} are mul_many, pow_many and the matrices
 of _norm_maps.
 
-Building a field is linear algebra over F_p too. find_irreducible tests
-blocks of candidate moduli at once, each through its own Frobenius matrix
-h -> h^p mod f (Rabin's test); get_extension finds the subfield F_q of
-F_{q^b} from the Frobenius matrix of the extension, and its embedding and
-lift are matrix powers of x -> x beta and x -> x theta.
+Building a field is F_p linear algebra on arrays too (companion matrices
+and their powers, no polynomial arithmetic). find_irreducible tests blocks
+of candidate moduli at once, each by its own Frobenius matrix h -> h^p mod f
+(Berlekamp's rank test); get_extension finds the subfield F_q of F_{q^b}
+from the Frobenius matrix of the extension, and its embedding and lift are
+matrix powers of x -> x beta and x -> x theta.
 """
 
 from __future__ import annotations
@@ -38,41 +39,52 @@ NORM_CHUNK = 2048  # rows per step of the chunked routes; their arrays hold O(NO
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p
+# F_p linear algebra: companion matrices, their powers, row reduction
 # ---------------------------------------------------------------------------
 
-def _norm(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
+def _companion(tails: np.ndarray, p: int) -> np.ndarray:
+    """The matrix of h -> h x mod f = x^k + sum_j tail[j] x^j for each tail on
+    the last axis of ``tails``, in its dtype: row i is x^(i+1) mod f."""
+    k = tails.shape[-1]
+    out = np.zeros(tails.shape + (k,), dtype=tails.dtype)
+    out[..., np.arange(k - 1), np.arange(1, k)] = 1
+    out[..., -1, :] = -tails % p
+    return out
 
 
-def poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
-    """a mod m for monic m."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1] % p
-        if lead:
-            off = len(a) - 1 - dm
-            for i in range(dm):
-                a[off + i] = (a[off + i] - lead * m[i]) % p
-        a.pop()
-    return _norm(tuple(x % p for x in a))
+def _orbit(v: np.ndarray, m: np.ndarray, c: int, p: int) -> np.ndarray:
+    """v, v m, ..., v m^(c-1) mod p on a new first axis, (c, ..., n), for row
+    vectors v (..., n) and matrices m (..., n, n) that broadcast to v."""
+    out = np.empty((c,) + v.shape, dtype=np.result_type(v, m))
+    for j in range(c):
+        out[j] = v if j == 0 else (out[j - 1][..., None, :] @ m)[..., 0, :] % p
+    return out
 
 
-def poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """Monic gcd over F_p."""
-    a, b = _norm(tuple(x % p for x in a)), _norm(tuple(x % p for x in b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        monic_b = tuple(x * inv % p for x in b)
-        a, b = b, poly_mod(a, monic_b, p)
-    if not a:
-        return ()
-    inv = pow(a[-1], -1, p)
-    return tuple(x * inv % p for x in a)
+def _row_reduce(rows: Sequence[Sequence[int]],
+                p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon basis of the row space of ``rows`` over F_p and the
+    pivot column of each basis row (1 there, 0 in every other basis row)."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        row = [x % p for x in row]
+        for bas, piv in zip(basis, pivots):
+            f = row[piv]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, bas)]
+        nz = next((i for i, x in enumerate(row) if x), None)
+        if nz is None:
+            continue
+        inv = pow(row[nz], -1, p)
+        row = [x * inv % p for x in row]
+        for i, bas in enumerate(basis):
+            f = bas[nz]
+            if f:
+                basis[i] = [(x - f * y) % p for x, y in zip(bas, row)]
+        basis.append(row)
+        pivots.append(nz)
+    return basis, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +125,22 @@ def _first_irreducible(tails: np.ndarray, p: int) -> int | None:
     Rows with a root go first (_root_free). The others, all at once, as
     (rows, k, k) matrices mod their own f: times_x (h -> h x), its p-th
     power by a ladder of matmuls (h -> h x^p), the Frobenius matrix frob of
-    h -> h^p (row i is x^(i p)), and Rabin's test x^(p^k) = x by k steps
-    through frob. The survivors, in order, get the scalar part of the
-    certificate, gcd(x^(p^(k/t)) - x, f) = 1 for every prime t | k; the first
-    row that passes is recorded in _CERTIFIED.
+    h -> h^p (row i is x^(i p)), and x^(p^k) = x by k steps through frob, so
+    that f | x^(p^k) - x is squarefree and (Berlekamp) has dim ker(frob - I)
+    irreducible factors. The survivors, in order, are certified by
+    rank(frob - I) = k - 1; the first that passes is recorded in _CERTIFIED.
     """
     k = tails.shape[1]
     keep = np.flatnonzero(_root_free(tails, p))
-    times_x = np.zeros((len(keep), k, k), dtype=tails.dtype)
-    times_x[:, np.arange(k - 1), np.arange(1, k)] = 1
-    times_x[:, -1] = -tails[keep] % p
+    times_x = _companion(tails[keep], p)
+    x = times_x[:, 0]  # row 0 of times_x: x itself
     times_xp = _ladder(lambda a, b: a @ b % p, times_x, p)
-    frob = np.zeros_like(times_x)
-    frob[:, 0, 0] = 1
-    for i in range(1, k):
-        frob[:, i] = (frob[:, i - 1, None] @ times_xp)[:, 0] % p
-    divisors = {k // t for t in range(2, k + 1)
-                if k % t == 0 and all(t % s for s in range(2, t))}
-    h, saved = times_x[:, 0], {}  # x
-    for j in range(1, k + 1):
-        h = (h[:, None] @ frob)[:, 0] % p
-        if j in divisors:
-            saved[j] = h.copy()
-            saved[j][:, 1] -= 1  # x^(p^j) - x
-    for i in np.flatnonzero((h == times_x[:, 0]).all(axis=1)).tolist():
-        f = tuple(tails[keep[i]].tolist()) + (1,)
-        if all(poly_gcd(g[i].tolist(), f, p) == (1,) for g in saved.values()):
-            _CERTIFIED.add((f, p))
+    eye = np.eye(k, dtype=tails.dtype)
+    frob = _orbit(np.broadcast_to(eye[0], x.shape), times_xp, k, p).swapaxes(0, 1)
+    h = _orbit(x, frob, k + 1, p)[-1]  # x^(p^k)
+    for i in np.flatnonzero((h == x).all(axis=1)).tolist():
+        if len(_row_reduce((frob[i] - eye).tolist(), p)[0]) == k - 1:
+            _CERTIFIED.add((tuple(tails[keep[i]].tolist()) + (1,), p))
             return int(keep[i])
     return None
 
@@ -147,7 +148,7 @@ def _first_irreducible(tails: np.ndarray, p: int) -> int | None:
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Whether poly is a monic irreducible over F_p, p prime: _first_irreducible
     on one row, unless the polynomial is already certified."""
-    f = _norm(tuple(x % p for x in poly))
+    f = tuple(np.trim_zeros([x % p for x in poly], "b"))
     k = len(f) - 1
     if k < 1 or f[-1] != 1:
         return False
@@ -206,6 +207,11 @@ class FieldSpec:
         return cls(p, k, find_irreducible(p, k))
 
     @property
+    def tail(self) -> tuple[int, ...]:
+        """The modulus below x^k reduced mod p, as the arithmetic reads it."""
+        return tuple(c % self.p for c in self.modulus[:-1])
+
+    @property
     def order(self) -> int:
         return self.p**self.k
 
@@ -227,32 +233,6 @@ class ExtensionField:
     ext: FieldSpec
     beta: int
     norm_exponent: int
-
-
-def _row_reduce(rows: Sequence[Sequence[int]],
-                p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row-echelon basis of the row space of ``rows`` over F_p and the
-    pivot column of each basis row (1 there, 0 in every other basis row)."""
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = [x % p for x in row]
-        for bas, piv in zip(basis, pivots):
-            f = row[piv]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, bas)]
-        nz = next((i for i, x in enumerate(row) if x), None)
-        if nz is None:
-            continue
-        inv = pow(row[nz], -1, p)
-        row = [x * inv % p for x in row]
-        for i, bas in enumerate(basis):
-            f = bas[nz]
-            if f:
-                basis[i] = [(x - f * y) % p for x, y in zip(bas, row)]
-        basis.append(row)
-        pivots.append(nz)
-    return basis, pivots
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,12 +269,11 @@ def digit_dtype(spec: FieldSpec) -> type:
 
 @functools.lru_cache(maxsize=None)
 def _reduction_matrix(spec: FieldSpec) -> np.ndarray:
-    """Row j holds the digits of x^(k+j) mod the modulus, j < k - 1."""
-    k = spec.k
-    out = np.zeros((k - 1, k), dtype=np.int64)
-    for j in range(k - 1):
-        r = poly_mod((0,) * (k + j) + (1,), spec.modulus, spec.p)
-        out[j, :len(r)] = r
+    """Row j holds the digits of x^(k+j) mod the modulus, j < k - 1: x^k, the
+    last row of the companion matrix, times that matrix j times."""
+    p, k = spec.p, spec.k
+    times_x = _companion(np.array(spec.tail, dtype=_sum_dtype(p, k)), p)
+    out = _orbit(times_x[-1], times_x, k - 1, p).astype(np.int64)
     out.flags.writeable = False  # cached: shared by every caller
     return out
 
@@ -318,7 +297,7 @@ def _uses_bitmasks(spec: FieldSpec) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _gf2_mod_mask(spec: FieldSpec) -> int:
-    return sum(c << i for i, c in enumerate(spec.modulus))
+    return int(from_digits(spec.tail + (1,), 2))
 
 
 def _mul_bits(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -333,14 +312,6 @@ def _mul_bits(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for d in range(2 * k - 2, k - 1, -1):
         acc ^= (mod_mask << np.uint64(d - k)) * ((acc >> np.uint64(d)) & np.uint64(1))
     return acc
-
-
-def _to_bits(digits: np.ndarray) -> np.ndarray:
-    return (digits << np.arange(digits.shape[-1], dtype=np.int64)).sum(axis=-1).astype(np.uint64)
-
-
-def _from_bits(spec: FieldSpec, bits: np.ndarray) -> np.ndarray:
-    return ((bits[:, None] >> np.arange(spec.k, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
 
 
 def _ladder(mul: Callable, a: np.ndarray, e: int) -> np.ndarray:
@@ -359,8 +330,9 @@ def mul_many(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The field product of each row pair of two (N, k) digit arrays, in the
     dtype that digit_dtype gives for the field (int64 digits are exact only
     where it gives int64)."""
-    if _uses_bitmasks(spec):
-        return _from_bits(spec, _mul_bits(spec, _to_bits(a), _to_bits(b)))
+    if _uses_bitmasks(spec):  # bitmasks below 2^k <= 2^32: int64 codes
+        bits = _mul_bits(spec, *(from_digits(x, 2).astype(np.uint64) for x in (a, b)))
+        return to_digits(bits.astype(np.int64), 2, spec.k)
     return _mul_digits(spec, a, b)
 
 
@@ -370,7 +342,8 @@ def pow_many(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
     if e < 1:
         raise InputError("pow_many takes exponents >= 1")
     if _uses_bitmasks(spec):
-        return _from_bits(spec, _ladder(functools.partial(_mul_bits, spec), _to_bits(a), e))
+        bits = _ladder(functools.partial(_mul_bits, spec), from_digits(a, 2).astype(np.uint64), e)
+        return to_digits(bits.astype(np.int64), 2, spec.k)
     return _ladder(functools.partial(_mul_digits, spec), a, e)
 
 
@@ -422,18 +395,11 @@ def _trace_images(ext: FieldSpec, base: FieldSpec) -> np.ndarray:
     """T(theta^i) = sum_{j<b} theta^(i q^j) for the K monomials theta^i of ext,
     as a (K, K) int64 digit array. h -> h^p is F_p-linear, with the matrix phi
     whose row i is theta^(i p) (one pow_many on the identity); h -> h^q is
-    phi^k, and the images are the sum of its first b powers, all matmuls mod p."""
+    phi^k, and the images are the sum of its first b powers (_orbit)."""
     p = ext.p
     eye = np.eye(ext.k, dtype=np.int64)
-    phi = pow_many(ext, eye, p)
-    frob_q = eye
-    for _ in range(base.k):
-        frob_q = frob_q @ phi % p
-    cur = images = eye
-    for _ in range(ext.k // base.k - 1):
-        cur = cur @ frob_q % p
-        images = (images + cur) % p
-    return images
+    frob_q = _orbit(eye, pow_many(ext, eye, p), base.k + 1, p)[-1]
+    return _orbit(eye, frob_q, ext.k // base.k, p).sum(axis=0) % p
 
 
 def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
@@ -453,7 +419,7 @@ def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
         u = to_digits(np.arange(s, min(s + NORM_CHUNK, q)), p, k) @ basis % p
         acc = np.zeros_like(u)
         acc[:, 0] = 1  # the modulus is monic
-        for coef in reversed(base.modulus[:-1]):
+        for coef in reversed(base.tail):
             acc = mul_many(ext, acc, u)
             acc[:, 0] = (acc[:, 0] + coef) % p
         roots += from_digits(u[~acc.any(axis=1)], p).tolist()
@@ -467,10 +433,10 @@ def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """The F_p-linear maps of norms_many, as int64 matrices over F_p digits:
 
     * embed (k, K): base digits c_0..c_(k-1) to the E digits of the image
-      sum c_j beta^j; row j is beta^j, row j - 1 times the matrix of x -> x beta;
+      sum c_j beta^j; row j is beta^j, 1 times the matrix of x -> x beta j times;
     * lift (b k, K): base digits of c_1..c_b to the E digits of
       sum embed(c_i) theta^(i-1); rows i k to i k + k - 1 are embed times
-      theta^i, the block before them times the matrix of x -> x theta;
+      theta^i, embed times the companion matrix of E (x -> x theta) i times;
     * pivots (k,), back (k, k): E digits of an embedded element, read on the
       pivot columns of embed, times back give its base digits.
     """
@@ -478,17 +444,9 @@ def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     p, k, K = base.p, base.k, E.k
     eye = np.eye(K, dtype=np.int64)
     beta = to_digits(ext.beta, p, K).astype(np.int64)  # Python ints where p^K > 2^63
-    times_beta = mul_many(E, eye, np.broadcast_to(beta, eye.shape))
-    embed = [eye[0]]
-    for _ in range(k - 1):
-        embed.append(embed[-1] @ times_beta % p)
-    embed = np.array(embed)
-    lift = [embed]
-    if ext.degree > 1:  # theta is the monomial x of E
-        times_theta = mul_many(E, eye, np.broadcast_to(eye[1], eye.shape))
-        for _ in range(ext.degree - 1):
-            lift.append(lift[-1] @ times_theta % p)
-    lift = np.concatenate(lift)
+    embed = _orbit(eye[0], mul_many(E, eye, np.broadcast_to(beta, eye.shape)), k, p)
+    times_theta = _companion(np.array(E.tail, dtype=np.int64), p)  # theta is x in E
+    lift = _orbit(embed, times_theta, ext.degree, p).reshape(-1, K)
     # row reducing [embed | I] gives [R | T] with T embed = R, R = I on the pivots
     rows, pivots = _row_reduce([e + [int(i == j) for j in range(k)]
                                 for i, e in enumerate(embed.tolist())], p)

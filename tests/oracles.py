@@ -20,9 +20,44 @@ def partial_ap_sum_prefix_max(p: int, coeffs, a: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one candidate at a time: the irreducibility certificate and search, and the
-# trace images of the subfield F_q, that gf batches on digit arrays
+# polynomials over F_p, as coefficient tuples lowest degree first with no
+# trailing zeros (the zero polynomial is ()): the scalar route beside the
+# F_p matrices of gf
 # ---------------------------------------------------------------------------
+
+def _norm(c: tuple[int, ...]) -> tuple[int, ...]:
+    i = len(c)
+    while i > 0 and c[i - 1] == 0:
+        i -= 1
+    return c[:i]
+
+
+def poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
+    """a mod m for monic m."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) > dm:
+        lead = a[-1] % p
+        if lead:
+            off = len(a) - 1 - dm
+            for i in range(dm):
+                a[off + i] = (a[off + i] - lead * m[i]) % p
+        a.pop()
+    return _norm(tuple(x % p for x in a))
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """Monic gcd over F_p."""
+    a, b = _norm(tuple(x % p for x in a)), _norm(tuple(x % p for x in b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        monic_b = tuple(x * inv % p for x in b)
+        a, b = b, poly_mod(a, monic_b, p)
+    if not a:
+        return ()
+    inv = pow(a[-1], -1, p)
+    return tuple(x * inv % p for x in a)
+
 
 def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     if not a or not b:
@@ -32,24 +67,30 @@ def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return gf._norm(tuple(out))
+    return _norm(tuple(out))
 
 
 def _poly_powmod(a: Sequence[int], e: int, m: Sequence[int], p: int) -> tuple[int, ...]:
     result: tuple[int, ...] = (1,)
-    base = gf.poly_mod(a, m, p)
+    base = poly_mod(a, m, p)
     while e:
         if e & 1:
-            result = gf.poly_mod(poly_mul(result, base, p), m, p)
-        base = gf.poly_mod(poly_mul(base, base, p), m, p)
+            result = poly_mod(poly_mul(result, base, p), m, p)
+        base = poly_mod(poly_mul(base, base, p), m, p)
         e >>= 1
     return result
 
 
+# ---------------------------------------------------------------------------
+# one candidate at a time: the irreducibility certificate and search, and the
+# trace images of the subfield F_q, that gf batches on digit arrays
+# ---------------------------------------------------------------------------
+
 def is_irreducible_by_frobenius(poly: Sequence[int], p: int) -> bool:
     """Irreducibility certificate, one polynomial at a time: x^(p^k) = x mod f,
-    and gcd(x^(p^(k/t)) - x, f) = 1 for every prime t | k."""
-    f = gf._norm(tuple(x % p for x in poly))
+    and gcd(x^(p^(k/t)) - x, f) = 1 for every prime t | k (Rabin's test, the
+    route that gf's rank test on the Frobenius matrix replaced)."""
+    f = _norm(tuple(x % p for x in poly))
     k = len(f) - 1
     if k < 1 or f[-1] != 1:
         return False
@@ -61,15 +102,15 @@ def is_irreducible_by_frobenius(poly: Sequence[int], p: int) -> bool:
     for j in range(1, k + 1):
         h = _poly_powmod(h, p, f, p)
         frob[j] = h
-    if frob[k] != gf.poly_mod(x, f, p):
+    if frob[k] != poly_mod(x, f, p):
         return False
     k_prime_divs = {t for t in range(2, k + 1) if k % t == 0 and all(t % s for s in range(2, t))}
     for t in k_prime_divs:
         # g = x^(p^(k/t)) - x mod f must be coprime to f
         g_coeffs = list(frob[k // t]) + [0, 0]
         g_coeffs[1] = (g_coeffs[1] - 1) % p
-        g = gf._norm(tuple(g_coeffs))
-        if gf.poly_gcd(g, f, p) != (1,):
+        g = _norm(tuple(g_coeffs))
+        if poly_gcd(g, f, p) != (1,):
             return False
     return True
 
@@ -138,7 +179,7 @@ def fq_mul(spec: gf.FieldSpec, a: int, b: int) -> int:
     if spec.p == 2:
         return _fq_mul2(spec, a, b)
     prod = poly_mul(decode(spec, a), decode(spec, b), spec.p)
-    return encode(spec, gf.poly_mod(prod, spec.modulus, spec.p))
+    return encode(spec, poly_mod(prod, spec.modulus, spec.p))
 
 
 def _fq_mul2(spec: gf.FieldSpec, a: int, b: int) -> int:

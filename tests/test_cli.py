@@ -396,6 +396,23 @@ def test_sweep_and_extract_agree_on_config_and_outputs(tmp_path):
             assert list(r.extra["outputs"]) == report["outputs"]
 
 
+@pytest.mark.parametrize("p, modulus, n", [(2, [3, 1, 1], 2), (2, [-1, 1, 1], 2),
+                                           (2, [2**70 + 1, 1, 1], 2), (3, [3**40 + 4, 0, 1], 3)])
+def test_line_extract_reads_an_unreduced_modulus_mod_p(tmp_path, capsys, p, modulus, n):
+    elements = [[0] * (n - 1) + [1], [1] * n, [2] * n, [3] * n, [1] + [0] * (n - 1),
+                [1, 2, 3][:n]]
+    csvs = []
+    for m in (modulus, [c % p for c in modulus]):
+        spec = _source(tmp_path, {"kind": "fq_vec", "p": p, "k": 2, "modulus": m, "n": n},
+                       elements)
+        out = tmp_path / "line.csv"
+        assert main(["extract", "--source", spec, "--extractor", "line",
+                     "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_line_over_a_huge_field_exits_two_on_the_budget(tmp_path, capsys):
     spec = write(tmp_path / "line.json", {
         "group": {"kind": "zp_vec", "p": (1 << 61) - 1, "n": 2},

@@ -25,7 +25,7 @@ def naive_irreducible(poly, p):
                 cand.append(t % p)
                 t //= p
             cand.append(1)
-            if not gf.poly_mod(poly, tuple(cand), p):
+            if not oracles.poly_mod(poly, tuple(cand), p):
                 return False
     return True
 
@@ -58,12 +58,45 @@ def test_find_irreducible_matches_the_scan(p, k):
     assert gf.find_irreducible(p, k) == oracles.find_irreducible_by_scan(p, k)
 
 
+IRREDUCIBILITY_GRID = [(2, 8), (3, 5), (5, 4), (7, 3), (11, 3)]  # (p, largest degree)
+
+
+def _monics(p, k):
+    return [tuple(tail // p**i % p for i in range(k)) + (1,) for tail in range(p**k)]
+
+
 def test_is_irreducible_matches_the_certificate_on_every_monic():
-    for p, kmax in [(2, 6), (3, 4), (5, 3), (7, 3)]:
+    for p, kmax in IRREDUCIBILITY_GRID:
         for k in range(1, kmax + 1):
-            for tail in range(p**k):
-                f = tuple(tail // p**i % p for i in range(k)) + (1,)
+            for f in _monics(p, k):
                 assert gf.is_irreducible(f, p) == oracles.is_irreducible_by_frobenius(f, p), f
+
+
+def _divides_x_to_the_p_to_the_k_minus_x(f, p):
+    k, x = len(f) - 1, (0, 1)
+    h = x
+    for _ in range(k):
+        h = oracles._poly_powmod(h, p, f, p)
+    return h == oracles.poly_mod(x, f, p)
+
+
+def test_rank_test_rejects_every_squarefree_reducible(monkeypatch):
+    # With the root sieve off, every reducible f that divides x^(p^k) - x
+    # (squarefree, all factor degrees dividing k) reaches the rank test,
+    # x(x + 1)(x^2 + x + 1) = x^4 + x over F_2 among them; so do the
+    # irreducibles, each certified afresh.
+    monkeypatch.setattr(gf, "_root_free", lambda tails, p: np.ones(len(tails), dtype=bool))
+    monkeypatch.setattr(gf, "_CERTIFIED", set())
+    reached = 0
+    for p, kmax in IRREDUCIBILITY_GRID:
+        for k in range(2, kmax + 1):
+            for f in _monics(p, k):
+                irreducible = oracles.is_irreducible_by_frobenius(f, p)
+                assert gf.is_irreducible(f, p) == irreducible, f
+                reached += not irreducible and _divides_x_to_the_p_to_the_k_minus_x(f, p)
+    assert _divides_x_to_the_p_to_the_k_minus_x((0, 1, 0, 0, 1), 2)
+    assert not gf.is_irreducible((0, 1, 0, 0, 1), 2)
+    assert reached == 475, reached
 
 
 def test_reducible_modulus_is_an_input_error():
@@ -74,6 +107,27 @@ def test_reducible_modulus_is_an_input_error():
     with pytest.raises(InputError, match="reducible"):
         gf.FieldSpec(5, 2, (-1, 0, 1))         # x^2 - 1, unreduced coefficients
     assert gf.FieldSpec(3, 2, (4, 0, 1)).modulus == (4, 0, 1)  # x^2 + 1, unreduced
+
+
+# moduli given with coefficients outside [0, p): x^2 + x + 1 over F_2, x^2 + 1 over F_3
+UNREDUCED_MODULI = [(2, (3, 1, 1)), (2, (-1, 1, 1)), (2, (2**70 + 1, 1, 1)),
+                    (3, (3**40 + 4, 0, 1))]
+
+
+@pytest.mark.parametrize("p, modulus", UNREDUCED_MODULI)
+def test_arithmetic_reads_an_unreduced_modulus_mod_p(p, modulus):
+    spec = gf.FieldSpec(p, 2, modulus)
+    reduced = gf.FieldSpec(p, 2, tuple(c % p for c in modulus))
+    assert spec.modulus == modulus and spec.tail == reduced.modulus[:-1]
+    q = spec.order
+    assert gf.mul_table(spec).tolist() == \
+        [[oracles.fq_mul(reduced, a, b) for b in range(q)] for a in range(q)]
+    assert gf._reduction_matrix(spec).tolist() == gf._reduction_matrix(reduced).tolist()
+    for b in (2, 3):
+        ext, ref = gf.get_extension(spec, b), gf.get_extension(reduced, b)
+        assert (ext.ext, ext.beta) == (ref.ext, ref.beta)
+        for m, r in zip(gf._norm_maps(ext), gf._norm_maps(ref)):
+            assert m.tolist() == r.tolist()
 
 
 def test_irreducible_certificate_no_roots():
@@ -249,13 +303,20 @@ def test_poly_gcd_basics():
     # (x+1)^2 and (x+1)(x+2) over F_5
     a = oracles.poly_mul((1, 1), (1, 1), 5)
     b = oracles.poly_mul((1, 1), (2, 1), 5)
-    assert gf.poly_gcd(a, b, 5) == (1, 1)
-    assert gf.poly_gcd(a, (1,), 5) == (1,)
+    assert oracles.poly_gcd(a, b, 5) == (1, 1)
+    assert oracles.poly_gcd(a, (1,), 5) == (1,)
 
 
 PRIME_POWERS_TO_64 = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                                        47, 53, 59, 61)
                       for k in range(1, 7) if p**k <= 64]
+
+
+@pytest.mark.parametrize("p, k", PRIME_POWERS_TO_64 + [(2, 32)])
+def test_reduction_matrix_matches_poly_mod(p, k):
+    spec = gf.FieldSpec.make(p, k)
+    rows = [oracles.poly_mod((0,) * (k + j) + (1,), spec.modulus, p) for j in range(k - 1)]
+    assert gf._reduction_matrix(spec).tolist() == [list(r) + [0] * (k - len(r)) for r in rows]
 
 
 @pytest.mark.parametrize("p, k", PRIME_POWERS_TO_64)

@@ -446,6 +446,29 @@ def test_cli_charsum_over_vectors_matches_per_frequency_sum(tmp_path):
     assert main(["charsum", "--source", str(fq_path), "--out", str(tmp_path / "f.csv")]) == 2
 
 
+def test_cli_charsum_writes_rows_in_chunks_after_one_table(tmp_path, monkeypatch):
+    rng = random.Random(15)
+    els = [[rng.randrange(13), rng.randrange(13)] for _ in range(40)]
+    src_path = tmp_path / "src.json"
+    src_path.write_text(canonical_json({"group": {"kind": "zp_vec", "p": 13, "n": 2},
+                                        "spec": {"variant": "explicit", "elements": els}}))
+    real, calls = an.charsum_table, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(an, "charsum_table", counted)
+    csvs = []
+    for chunk in (an.CHARSUM_CHUNK, 5):                # 168 frequencies: 34 chunks, the last of 3
+        monkeypatch.setattr(an, "CHARSUM_CHUNK", chunk)
+        out = tmp_path / f"c{chunk}.csv"
+        assert main(["charsum", "--source", str(src_path), "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1] and len(calls) == 2
+    assert len(csvs[0].splitlines()) == 169
+
+
 def test_cli_charsum_names_frequencies_on_both_sides_of_2_63(tmp_path):
     p = (1 << 61) - 1                             # Z_p^2 has order about 2^122
     src_path = tmp_path / "src.json"

@@ -46,7 +46,17 @@ def test_no_field_or_group_arithmetic_one_element_at_a_time():
 
 def test_digit_weights_are_built_only_by_the_codec():
     # every index <-> digits conversion goes through numtheory.to_digits and
-    # from_digits, whose weight vector m^0..m^(N-1) is built in one place
+    # from_digits, whose weight vector m^0..m^(N-1) is built in one place;
+    # base 2 too, so no weights by shifts either
     weights = "** np.arange("
     total = sum(path.read_text().count(weights) for path in PACKAGE.glob("*.py"))
     assert total == inspect.getsource(nt._weights).count(weights) == 1
+    for shift in ("<< np.arange(", ">> np.arange("):
+        assert not any(shift in path.read_text() for path in PACKAGE.glob("*.py")), shift
+
+
+def test_fields_are_built_without_polynomial_arithmetic():
+    # gf builds fields by F_p matrices only; the scalar polynomial route is
+    # the test oracle in tests/oracles.py
+    for name in ("poly_mod", "poly_gcd", "_norm", "_to_bits", "_from_bits"):
+        assert not hasattr(gf, name), name
