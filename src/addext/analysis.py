@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .numtheory import from_digits, to_digits
-from .sources import Source, convolve_rows, element_budget
+from .numtheory import dot_mod, from_digits, to_digits
+from .sources import BOHR_CHUNK, WORK_FACTOR, Source, convolve_rows, element_budget
 
 TOL = 1e-6
 
@@ -95,7 +95,7 @@ def additive_charsum(X: Source, a) -> float:
     return float(charsum_table(digits, m, index)[0])
 
 
-CHARSUM_CHUNK = 1 << 12  # frequencies per digit conversion of charsum_table's direct route
+CHARSUM_CHUNK = 1 << 12  # frequencies per CSV write of the charsum command
 
 
 def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarray:
@@ -106,29 +106,33 @@ def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarra
 
     When m^N <= min(|frequencies| |values|, element_budget()) one fftn of
     the multiset's histogram on shape (m,)*N gives every frequency at once.
-    Otherwise each frequency is summed directly over the exact residues
-    <a, y> mod m: int64 while (m - 1)^2 < 2^63, Python integers above that.
+    Otherwise the sums are taken directly over the exact residues <a, y> mod
+    m (numtheory.dot_mod), in chunks of frequencies of at most BOHR_CHUNK / 4
+    residues (at least one frequency), after the cost |frequencies| |values|
+    N is checked against WORK_FACTOR times the element budget (BudgetError).
     """
     if len(values) == 0:
         raise InputError("empty multiset")
     rows = np.asarray(values, dtype=np.int64).reshape(len(values), -1) % modulus
     N = rows.shape[1]
     order = modulus**N
-    if order <= min(len(frequencies) * len(rows), element_budget()):
+    budget = element_budget()
+    if order <= min(len(frequencies) * len(rows), budget):
         shape = (modulus,) * N  # axis j is digit j
         hist = np.bincount(from_digits(rows, modulus), minlength=order).reshape(shape, order="F")
         spectrum = np.abs(np.fft.fftn(hist)).ravel(order="F")
         return spectrum[[int(xi) % order for xi in frequencies]] / len(rows)
-    if (modulus - 1) ** 2 >= 1 << 63:
-        rows = rows.astype(object)
+    work = len(frequencies) * len(rows) * N
+    if work > WORK_FACTOR * budget:
+        raise BudgetError(f"{len(frequencies)} character sums over {len(rows)} elements of "
+                          f"Z_{modulus}^{N} take {work} steps: past {WORK_FACTOR} x the "
+                          f"element budget {budget}")
     out = np.empty(len(frequencies))
-    for lo in range(0, len(frequencies), CHARSUM_CHUNK):
-        chunk = [int(xi) % order for xi in frequencies[lo:lo + CHARSUM_CHUNK]]
-        for i, a in enumerate(to_digits(chunk, modulus, N).tolist(), lo):
-            r = rows[:, 0] * a[0] % modulus
-            for j in range(1, N):  # r + (m - 1)^2 < 2^63 whenever (m - 1)^2 < 2^63
-                r = (r + rows[:, j] * a[j]) % modulus
-            out[i] = abs(np.exp(2j * np.pi * np.asarray(r, dtype=np.int64) / modulus).sum())
+    step = max(1, BOHR_CHUNK // 4 // len(rows))  # 256 KiB of complex128 per chunk
+    for lo in range(0, len(frequencies), step):
+        chunk = to_digits([int(xi) % order for xi in frequencies[lo:lo + step]], modulus, N)
+        sums = np.exp(2j * np.pi * dot_mod(chunk, rows, modulus) / modulus).sum(axis=1)
+        out[lo:lo + step] = np.hypot(sums.real, sums.imag)  # abs() of each sum, to the bit
     return out / len(rows)
 
 

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import gf, numtheory as nt
 from .canonical import canonical_json
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .numtheory import MODULUS_CAP, CrtSystem, Residue
-from .sources import Group, element_budget
+from .sources import PY_STEP, WORK_FACTOR, Group, element_budget
 
 # ---------------------------------------------------------------------------
 # Z_p
@@ -271,12 +271,9 @@ def build_pgc_extractor(p: int, m: int) -> PgcExtractorConfig:
 
 
 def pgc_extract(x: int, cfg: PgcExtractorConfig) -> int:
-    """0 on 0, else the index (discrete log base g) of x reduced mod 2^m."""
-    x %= cfg.p
-    if x == 0:
-        return 0
-    ind = nt.discrete_log(Residue(cfg.g, cfg.p), Residue(x, cfg.p), cfg.p - 1)
-    return ind % cfg.M
+    """0 on 0, else the index (discrete log base g) of x reduced mod 2^m
+    (extract_many on one point)."""
+    return extract_many(cfg, [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +384,13 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
     ``line`` and ``ap`` evaluate each block on all points at once
     (``_block_poly_many``) and ``line`` takes its output bits by
     ``gf.trace_many`` or ``gf.quadratic_character_many``; a point that is not
-    n integers in [0, q) is an InputError. ``pgc`` reads ``index_table`` once
-    it is cheaper than a discrete log per point. Every other case calls the
-    one-point ``*_extract`` function of its family, looked up by name, so
-    that a patched module attribute (as in ``benchmarks/tracer.py``) sees
-    each such call.
+    n integers in [0, q) is an InputError. ``pgc`` takes every point's
+    discrete log at once by ``numtheory.discrete_logs``, B baby steps and G
+    giant steps; it declares its cost first, and B past the element budget,
+    or B + G (N + PY_STEP) past WORK_FACTOR times it, is a BudgetError. The
+    ``zp`` and ``zpn`` cases call the one-point ``*_extract`` function of
+    their family, looked up by name, so that a patched module attribute (as
+    in ``benchmarks/tracer.py``) sees each such call.
     """
     points = list(points)
     if isinstance(cfg, ZpExtractorConfig):
@@ -406,12 +405,20 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
     if isinstance(cfg, ApExtractorConfig):
         return (_block_poly_many(cfg, _coordinates(cfg, points))[:, 0] % cfg.M).tolist()
     if isinstance(cfg, PgcExtractorConfig):
-        p = cfg.p
-        if p > element_budget() or p - 1 > len(points) * (math.isqrt(p) + 1):
-            return [pgc_extract(x, cfg) for x in points]
-        index = np.array(nt.index_table(p, cfg.g), dtype=np.int64)
-        index[0] = 0  # pgc_extract maps 0 to 0
-        return (index[[x % p for x in points]] % cfg.M).tolist()
+        p, N = cfg.p, len(points)
+        # B baby steps and G giant steps of N points minimise B + G (N + c),
+        # c the cost of one giant step's Python overhead in products: PY_STEP
+        # int64 products, or about 16 Python-int products
+        c = PY_STEP if (p - 1) ** 2 < 1 << 63 else 16
+        B = min(p - 1, math.isqrt((p - 1) * (N + c) - 1) + 1)
+        G = -(-(p - 1) // B)
+        budget = element_budget()
+        if B > budget or B + G * (N + PY_STEP) > WORK_FACTOR * budget:
+            raise BudgetError(f"pgc discrete logs of {N} points at p = {p} hold {B} powers "
+                              f"and take {G} giant steps: past the element budget {budget} "
+                              f"or {WORK_FACTOR} x it")
+        logs = nt.discrete_logs(cfg.g, [x % p for x in points], p, B)
+        return (np.maximum(logs, 0) % cfg.M).tolist()  # pgc maps 0 to 0
     raise InputError(f"unknown config {cfg!r}")
 
 

@@ -1,7 +1,8 @@
 """Exact modular arithmetic: primes in arithmetic progressions, subgroup
-generators, Chinese remaindering, discrete logarithms, index tables, and the
-one base-m digit codec (to_digits / from_digits) of group indices and field
-encodings.
+generators, Chinese remaindering, the one subgroup walk (powers) and the
+batched discrete logs read from it, the one kernel of inner products mod m
+(dot_mod), and the one base-m digit codec (to_digits / from_digits) of group
+indices and field encodings.
 
 All functions are pure and deterministic; "smallest" is the canonical choice
 wherever a prime or generator has to be picked, so every derived constant is
@@ -10,14 +11,13 @@ reproducible from its inputs alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NotInSubgroupError, SearchBudgetError
+from .errors import CapacityError, InputError, SearchBudgetError
 
 MODULUS_CAP = 1 << 63
 
@@ -135,30 +135,6 @@ def crt_combine(residues: Sequence[Residue], system: CrtSystem) -> Residue:
     return Residue(y % q, q)
 
 
-def discrete_log(g: Residue, y: Residue, order: int) -> int:
-    """Exponent e in {0..order-1} with g^e = y, by baby-step/giant-step.
-
-    O(sqrt(order)) time and space. Raises NotInSubgroupError when y is not a
-    power of g.
-    """
-    if g.modulus != y.modulus:
-        raise InputError("modulus mismatch")
-    q = g.modulus
-    m = math.isqrt(order - 1) + 1
-    baby: dict[int, int] = {}
-    for j, x in enumerate(powers(g.value, m, q)):
-        baby.setdefault(x, j)
-    # giant step: y * (g^-m)^i
-    giant = pow(g.value, -m, q)
-    cur = y.value
-    for i in range(m + 1):
-        j = baby.get(cur)
-        if j is not None and i * m + j < order:
-            return i * m + j
-        cur = cur * giant % q
-    raise NotInSubgroupError(f"{y.value} is not a power of {g.value} mod {q}")
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (desk scale)."""
     if n <= 0:
@@ -215,22 +191,61 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
-def powers(g: int, count: int, q: int) -> Iterator[int]:
-    """g^0, g^1, ..., g^(count-1) mod q (count >= 1): one subgroup walk."""
-    return itertools.accumulate(range(count - 1), lambda x, _: x * g % q, initial=1)
+def dot_mod(A, X, m: int) -> np.ndarray:
+    """The (c, n) int64 matrix of <a, x> mod m over the rows a of A and x of
+    X, (c, N) and (n, N) digits in [0, m); (c,) and (n,) residues are N = 1,
+    their products. Summed a digit at a time: int64 while (m - 1)^2 < 2^63
+    (a sum below m plus one product then stays below 2^63), exact Python
+    ints above that."""
+    dtype = np.int64 if (m - 1) ** 2 < 1 << 63 else object
+    A, X = (np.asarray(Y).astype(dtype, copy=False) for Y in (A, X))
+    A, X = (Y[:, None] if Y.ndim == 1 else Y for Y in (A, X))
+    out = A[:, 0, None] * X[None, :, 0]
+    out %= m
+    for j in range(1, A.shape[1]):
+        out += A[:, j, None] * X[None, :, j]
+        out %= m
+    return out.astype(np.int64, copy=False)
 
 
-def index_table(p: int, g: int | None = None) -> list[int]:
-    """ind[x] = discrete log of x base g for x in Z_p* (one O(p) subgroup walk);
-    ind[0] = -1 as a sentinel."""
-    if g is None:
-        g = smallest_primitive_root(p)
-    if pow(g, p - 1, p) != 1:
-        raise InputError(f"{g} does not generate Z_{p}*")
-    tab = [-1] * p
-    for e, x in enumerate(powers(g, p - 1, p)):
-        tab[x] = e
-    return tab
+def powers(g: int, count: int, q: int) -> np.ndarray:
+    """g^0, g^1, ..., g^(count-1) mod q as int64: one subgroup walk by
+    doubling, the powers so far times g^(their number) by dot_mod. Where
+    (q - 1)^2 >= 2^63 a step takes at most isqrt(count) + 1 of them, which
+    bounds the Python ints that dot_mod holds at once."""
+    out = np.ones(count, dtype=np.int64)
+    done, width = 1, count if (q - 1) ** 2 < 1 << 63 else math.isqrt(count) + 1
+    while done < count:
+        step = min(done, count - done, width)
+        out[done:done + step] = dot_mod(out[:step], [pow(g, done, q)], q)[:, 0]
+        done += step
+    return out
+
+
+def discrete_logs(g: int, ys, p: int, baby: int) -> np.ndarray:
+    """The index e in [0, p - 1) with g^e = y mod p of each y of ys (residues
+    mod p, g a generator of Z_p*), or -1 where y = 0, by baby-step/giant-step
+    for all points at once: one sorted table of the powers g^j, j < baby = B
+    (1 <= B <= p - 1), then up to ceil((p - 1) / B) giant steps, each looking
+    up y g^(-iB) for every point not yet found; the first hit is e = iB + j.
+    At B = p - 1 the table holds every index and one step finds them all."""
+    table = powers(g, baby, p)
+    order = np.argsort(table)
+    keys = table[order]
+    giant = pow(g, -baby, p)
+    ys = np.asarray(ys, dtype=np.int64)
+    out = np.full(len(ys), -1, dtype=np.int64)
+    todo = np.flatnonzero(ys)
+    cur = ys[todo]
+    for i in range(-(-(p - 1) // baby)):
+        pos = np.minimum(np.searchsorted(keys, cur), baby - 1)
+        hit = keys[pos] == cur
+        out[todo[hit]] = i * baby + order[pos[hit]]
+        todo, cur = todo[~hit], cur[~hit]
+        if not len(todo):
+            break
+        cur = dot_mod(cur, [giant], p)[:, 0]
+    return out
 
 
 def _weights(m: int, N: int) -> np.ndarray:

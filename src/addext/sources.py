@@ -23,10 +23,13 @@ import numpy as np
 from . import gf
 from .canonical import digest
 from .errors import BudgetError, InputError
-from .numtheory import MODULUS_CAP, CrtSystem, from_digits, is_prime, to_digits
+from .numtheory import MODULUS_CAP, CrtSystem, dot_mod, from_digits, is_prime, to_digits
 
 DEFAULT_ELEMENT_BUDGET = 1 << 26
 DEFAULT_PAIR_BUDGET = 1 << 26
+# Work counts array-entry steps (a numpy pass over one entry, ~0.5 ns on a 2-vCPU
+# Xeon), a Python loop step as PY_STEP of them; a run may do WORK_FACTOR x the budget.
+PY_STEP, WORK_FACTOR = 1 << 11, 1 << 10
 
 
 def element_budget() -> int:
@@ -312,15 +315,15 @@ def bohr_vmax(m: int, rho) -> int:
     return min((rho.numerator * m - 1) // rho.denominator, m - 1)
 
 
-BOHR_CHUNK = 1 << 16  # group indices per step of _bohr_set: 512 KiB per int64 array
+BOHR_CHUNK = 1 << 16  # entries per dot_mod matrix of _bohr_set (512 KiB); charsum_table takes 1/4
 
 
 def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
     """Bohr(freqs, rho): the x with min(v, m - v) <= bohr_vmax(m, rho) for
-    every residue v = <xi, x> mod m, tested on int64 arrays over chunks of
-    the group's index range. Frequencies are reduced below m, and one that
-    is zero mod m is an input error; with m^2 < 2^63 no product and no
-    running sum of products overflows."""
+    every residue v = <xi, x> mod m, tested over chunks of the group's index
+    range, each a dot_mod matrix of at most BOHR_CHUNK entries (at least one
+    index). Frequencies are reduced below m, and one that is zero mod m is
+    an input error; so is a modulus whose square reaches 2^63."""
     if group.field:
         raise InputError("Bohr sets are supported over Z_p, Z_p^n and Z_N")
     m, n = group.zmn
@@ -338,16 +341,14 @@ def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
         coeffs.append([a % m for a in (xi if vec else (xi,))])
         if not any(coeffs[-1]):
             raise InputError("Bohr frequencies must be nonzero")
+    coeffs = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), n)
+    step = max(1, BOHR_CHUNK // max(1, len(coeffs)))
     out: set = set()
-    for lo in range(0, group.order, BOHR_CHUNK):
-        rest = np.arange(lo, min(lo + BOHR_CHUNK, group.order), dtype=np.int64)
+    for lo in range(0, group.order, step):
+        rest = np.arange(lo, min(lo + step, group.order), dtype=np.int64)
         digits = to_digits(rest, m, n)
-        keep = np.ones(len(rest), dtype=bool)
-        for c in coeffs:
-            v = np.zeros_like(rest)
-            for a, x in zip(c, digits.T):
-                v = (v + a * x) % m
-            keep &= np.minimum(v, m - v) <= vmax
+        v = dot_mod(coeffs, digits, m)
+        keep = (np.minimum(v, m - v) <= vmax).all(axis=0)
         out.update(group.from_digits(digits[keep] if vec else rest[keep]))
     return out
 
@@ -355,15 +356,12 @@ def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
 def _multiples(group: Group, gens: np.ndarray, count: int, scalars: bool) -> np.ndarray:
     """(count, r, N) digit rows of count multiples of each of r generators,
     given as (r, N) digit rows: the integer multiples t g, digitwise
-    (t mod m) g mod m (int64 while (m - 1)^2 < 2^63, Python ints above that),
-    or with ``scalars`` the base-field multiples, t running over the
-    encodings of the coordinate field (Z_p as F_p), by one gf.mul_many."""
+    (t mod m) g mod m by one numtheory.dot_mod, or with ``scalars`` the
+    base-field multiples, t running over the encodings of the coordinate
+    field (Z_p as F_p), by one gf.mul_many."""
     m = group.zmn[0]
     if not scalars:
-        t = np.arange(count, dtype=np.int64)[:, None, None] % m
-        if (m - 1) ** 2 >= 1 << 63:
-            return (t.astype(object) * gens.astype(object) % m).astype(np.int64)
-        return t * gens % m
+        return dot_mod(np.arange(count) % m, gens.ravel(), m).reshape(count, *gens.shape)
     F = group.field or gf.FieldSpec.make(group.p, 1)
     dtype = gf.digit_dtype(F)
     t = to_digits(np.arange(count), F.p, F.k).astype(dtype)
@@ -382,13 +380,15 @@ def _span(group: Group, base, gens: Sequence, count: int, cap: int,
     there are more pairs than group elements.
 
     The box volume count^r is checked against cap before anything is built,
-    and no step holds more rows than that volume.
+    and no step holds more rows than that volume; with no generators there
+    is no table of multiples, and the span is {base}.
     """
     if count ** len(gens) > cap:
         raise BudgetError(f"span of volume {count ** len(gens)} exceeds enumeration cap {cap}")
     m, N = group.zmn
     rows = group.digits([base, *gens]).reshape(-1, N)
-    out, multiples = rows[:1], _multiples(group, rows[1:], count, scalars)
+    out = rows[:1]
+    multiples = _multiples(group, rows[1:], count, scalars) if gens else None
     for i in range(len(gens)):
         if len(out) * count > m**N:
             out = _distinct_sums(out, multiples[:, i], m)[0]

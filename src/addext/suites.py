@@ -24,6 +24,7 @@ from . import analysis, extractors as ex, gf, numtheory as nt, sources as src
 from .analysis import TOL, EvalReport
 from .canonical import digest
 from .errors import AddextError, BudgetError, InputError
+from .sources import PY_STEP, WORK_FACTOR
 
 
 @dataclass
@@ -84,10 +85,6 @@ class _List(_Check):
 
 _PRIME = _Int(2, prime=True)
 _PRIMES = _List(_PRIME)
-
-# Work counts array-entry steps (a numpy pass over one entry, ~0.5 ns on a 2-vCPU
-# Xeon), a Python loop step as PY_STEP of them; a run may do WORK_FACTOR x the budget.
-PY_STEP, WORK_FACTOR = 1 << 11, 1 << 10
 
 
 def _suite(*, cost):
@@ -544,7 +541,7 @@ def suite_transport(primes: _PRIMES = (101, 499), sources_per_p: _Int(1) = 200,
     for p in primes:
         cfg = ex.build_zp_extractor(p, 1)
         q = cfg.q
-        gx = np.fromiter(nt.powers(cfg.g, p, q), dtype=np.int64, count=p)
+        gx = nt.powers(cfg.g, p, q)
         if len(set(gx.tolist())) != p:
             res.failures.append({"p": p, "error": "encoding not injective"})
             continue
@@ -581,7 +578,7 @@ def ap_distance_histogram(p: int, s: int, cfg: ex.ZpExtractorConfig) -> np.ndarr
     The AP (b, -d) is the AP (b - (s-1)d, d) traversed backwards, so steps d
     and p - d give the same multiset of window sums: only d <= p/2 is scanned,
     each histogram counted twice unless 2d = p."""
-    par = np.fromiter(nt.powers(cfg.g, p, cfg.q), dtype=np.int64, count=p) & 1
+    par = nt.powers(cfg.g, p, cfg.q) & 1
     idx = np.arange(p, dtype=np.int64)
     hist = np.zeros(s + 1, dtype=np.int64)
     for d in range(1, p // 2 + 1):
@@ -828,15 +825,12 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
     raise InputError(f"unknown family kind {kind!r}")
 
 
-def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResult:
+def suite_sweep(grid_rows: list[dict]) -> SuiteResult:
     """Run every grid point in grid order on the calling thread; per-point
     errors are recorded in grid order and the sweep continues; ``input_errors``
-    counts those that are an input or budget error.
-
-    ``threads`` is accepted and ignored: the CLI records it in the run
-    manifest. Rows run Python code under the interpreter lock, so threads
-    would not evaluate them in parallel.
-    """
+    counts those that are an input or budget error. (Rows run Python code
+    under the interpreter lock, so threads would not evaluate them in
+    parallel.)"""
     t0 = time.perf_counter()
     res = SuiteResult("sweep", True)
     for i, row in enumerate(grid_rows):

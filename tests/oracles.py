@@ -1,6 +1,7 @@
 """Slow, direct routes of shipped computations, kept as differential oracles
 for the tests. Nothing in ``src/addext`` imports this module."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
@@ -8,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from addext import analysis, gf, numtheory as nt
-from addext.errors import InputError
+from addext.errors import InputError, NotInSubgroupError
 
 
 def partial_ap_sum_prefix_max(p: int, coeffs, a: int) -> float:
@@ -190,7 +191,7 @@ def _fq_mul2(spec: gf.FieldSpec, a: int, b: int) -> int:
             acc ^= a
         a <<= 1
         b >>= 1
-    mod_mask = sum(c << i for i, c in enumerate(spec.modulus))
+    mod_mask = sum(c << i for i, c in enumerate(spec.tail)) | 1 << spec.k
     top = acc.bit_length() - 1
     while top >= spec.k:
         acc ^= mod_mask << (top - spec.k)
@@ -444,3 +445,64 @@ def ap_poly_eval(x: Sequence[int], cfg) -> int:
 def ap_extract(x: Sequence[int], cfg) -> int:
     """The ap extractor's output at one point."""
     return ap_poly_eval(x, cfg) % cfg.M
+
+
+# ---------------------------------------------------------------------------
+# discrete logarithms one point at a time: the oracles of
+# numtheory.discrete_logs and of the pgc branch of extractors.extract_many
+# ---------------------------------------------------------------------------
+
+def discrete_log(g: nt.Residue, y: nt.Residue, order: int) -> int:
+    """Exponent e in {0..order-1} with g^e = y, by baby-step/giant-step over
+    a dict of isqrt(order - 1) + 1 baby steps. NotInSubgroupError when y is
+    not a power of g."""
+    if g.modulus != y.modulus:
+        raise InputError("modulus mismatch")
+    q = g.modulus
+    m = math.isqrt(order - 1) + 1
+    baby: dict[int, int] = {}
+    x = 1
+    for j in range(m):
+        baby.setdefault(x, j)
+        x = x * g.value % q
+    giant = pow(g.value, -m, q)
+    cur = y.value
+    for i in range(m + 1):
+        j = baby.get(cur)
+        if j is not None and i * m + j < order:
+            return i * m + j
+        cur = cur * giant % q
+    raise NotInSubgroupError(f"{y.value} is not a power of {g.value} mod {q}")
+
+
+def index_table(p: int, g: int | None = None) -> list[int]:
+    """ind[x] = discrete log of x base g for x in Z_p* (one O(p) walk);
+    ind[0] = -1 as a sentinel."""
+    if g is None:
+        g = nt.smallest_primitive_root(p)
+    tab = [-1] * p
+    x = 1
+    for e in range(p - 1):
+        tab[x] = e
+        x = x * g % p
+    return tab
+
+
+def pgc_extract(x: int, cfg) -> int:
+    """The pgc extractor at one point: 0 on 0, else discrete_log(x) mod 2^m."""
+    x %= cfg.p
+    if x == 0:
+        return 0
+    return discrete_log(nt.Residue(cfg.g, cfg.p), nt.Residue(x, cfg.p), cfg.p - 1) % cfg.M
+
+
+# ---------------------------------------------------------------------------
+# character sums one frequency at a time: the oracle of analysis.charsum_table
+# ---------------------------------------------------------------------------
+
+def charsum_per_frequency(values, m, freqs):
+    """|sum_v e(a v / m)| / |values| for each frequency a, residues v mod m
+    (m^2 < 2^63), one frequency at a time."""
+    v = np.asarray(values, dtype=np.int64)
+    return np.array([abs(np.exp(2j * np.pi * (int(xi) % m * v % m) / m).sum())
+                     for xi in freqs]) / len(values)

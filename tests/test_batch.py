@@ -1,16 +1,20 @@
-"""Differential tests of the batch routes of ``extract_many`` and ``gf``.
+"""Differential tests of the batch routes of ``extract_many``, ``gf`` and
+``numtheory.discrete_logs``.
 
 ``line`` and ``ap`` evaluate their block norms on all points at once through
 ``gf.norms_many`` (a power ladder over (N, K) arrays of F_p digits, or uint64
 bitmasks in characteristic 2), ``line`` takes its output bits from
-``gf.trace_many`` or ``gf.quadratic_character_many``, and ``pgc`` reads
-``index_table``. Their oracles are the one-point routes of
-``tests/oracles.py`` (``line_extract``, ``ap_extract``, ``norm_poly_eval``,
-``norm_by_conjugates``, ``trace_to_f2``, ``fq_quadratic_character``, all by
-the one-element arithmetic ``fq_mul``, ``fq_pow``, ...) and ``pgc_extract``.
+``gf.trace_many`` or ``gf.quadratic_character_many``, and ``pgc`` takes the
+discrete logs of all points at once by ``numtheory.discrete_logs``. Their
+oracles are the one-point routes of ``tests/oracles.py`` (``line_extract``,
+``ap_extract``, ``norm_poly_eval``, ``norm_by_conjugates``, ``trace_to_f2``,
+``fq_quadratic_character``, all by the one-element arithmetic ``fq_mul``,
+``fq_pow``, ..., and ``pgc_extract`` by the dict baby-step/giant-step
+``discrete_log``).
 """
 
 import json
+import math
 import random
 
 import numpy as np
@@ -67,29 +71,36 @@ def test_pgc_batch_matches_one_point(p, m, points):
     if (1 << m) >= p - 1:
         m = 0
     cfg = ex.build_pgc_extractor(p, m)
-    assert ex.extract_many(cfg, points) == [ex.pgc_extract(x, cfg) for x in points]
+    assert ex.extract_many(cfg, points) == [oracles.pgc_extract(x, cfg) for x in points]
 
 
-def test_pgc_index_table_and_discrete_log_agree(monkeypatch):
-    rng = random.Random(3)
-    cfg = ex.build_pgc_extractor(10007, 3)
-    points = [0, 1, 10006, 10007] + [rng.randrange(10007) for _ in range(2000)]
-    routes = []
-    for name in ("index_table", "discrete_log"):
-        real = getattr(nt, name)
-        monkeypatch.setattr(nt, name, lambda *a, real=real, name=name:
-                            routes.append(name) or real(*a))
-    by_table = ex.extract_many(cfg, points)       # p - 1 <= N (isqrt(p) + 1)
-    assert routes == ["index_table"]
-    routes.clear()
-    monkeypatch.setenv("ADDEXT_BUDGET", "100")    # p over the element budget
-    by_log = ex.extract_many(cfg, points)
-    assert set(routes) == {"discrete_log"}
-    routes.clear()
-    monkeypatch.delenv("ADDEXT_BUDGET")
-    few = ex.extract_many(cfg, points[:50])       # too few points for the table
-    assert set(routes) == {"discrete_log"}
-    assert by_table == by_log and few == by_table[:50]
+# baby-step counts B = p - 1 (one table of every index), about sqrt(p) and 1
+# (p - 1 giant steps); B = p - 1 is left out where its table would hold more
+# than 2^24 entries, and B = 1 where p - 1 giant steps would take seconds. At
+# p ~ 2^32, where products are Python ints, B = 4 sqrt(p) keeps the 2^14
+# giant steps under a second.
+DLOG_CASES = [(p, b) for p in (3, 11, 10007, 1000003)
+              for b in sorted({p - 1, math.isqrt(p), 1})
+              if b > 1 or p < 1 << 16] + [(4294967291, 1 << 18)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DLOG_CASES), st.data())
+def test_discrete_logs_match_the_one_point_oracle(case, data):
+    p, baby = case
+    point = st.integers(0, p - 1) | st.sampled_from([0, 1, p - 1])
+    ys = data.draw(st.lists(point, min_size=1, max_size=8))
+    ys += data.draw(st.lists(st.sampled_from(ys), max_size=3))   # repeated points
+    g = nt.smallest_primitive_root(p)
+    want = [-1 if y == 0 else oracles.discrete_log(nt.Residue(g, p), nt.Residue(y, p), p - 1)
+            for y in ys]
+    assert nt.discrete_logs(g, ys, p, baby).tolist() == want
+
+
+def test_discrete_logs_at_one_table_are_the_index_table():
+    p = 10007
+    ind = oracles.index_table(p)
+    assert nt.discrete_logs(nt.smallest_primitive_root(p), range(p), p, p - 1).tolist() == ind
 
 
 def test_norms_many_across_chunk_boundaries(monkeypatch):

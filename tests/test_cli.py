@@ -685,3 +685,49 @@ def test_main_writes_the_manifest_of_every_command_with_an_output(tmp_path, gap_
     assert main(["profile", "--source", gap_spec, "--alpha", "0.25"]) == 0
     assert sorted(tmp_path.iterdir()) == before
     assert json.loads(capsys.readouterr().out)["size"] == 64
+
+
+@pytest.mark.parametrize("group, base", [
+    ({"kind": "zp_vec", "p": 2147483647, "n": 1}, [0]),
+    ({"kind": "fq_vec", "p": 7, "k": 16, "n": 2}, [0, 0]),
+])
+def test_affine_source_with_no_basis_is_its_base_point(tmp_path, run_cli_capped, group, base):
+    # no generators, no table of the |F| scalar multiples (it once asked for 16 GiB)
+    spec = write(tmp_path / "affine.json",
+                 {"group": group, "spec": {"variant": "affine", "base": base, "basis": []}})
+    out = tmp_path / "a.json"
+    code, err = run_cli_capped(["build-source", "--spec", spec, "--out", str(out)])
+    assert code == 0, err
+    built = json.loads(out.read_text())
+    assert built["size"] == 1 and built["elements"] == [base]
+
+
+def test_pgc_past_its_declared_cost_exits_two_at_once(tmp_path, run_cli_capped):
+    # B = isqrt((p - 1)(5 + 16)) + 1, about 7e9 baby steps, is past the element
+    # budget; the per-point route used to run out of memory after 20 s
+    p = (1 << 61) - 1
+    source = write(tmp_path / "s.json", {"group": {"kind": "zp", "p": p},
+                                         "spec": {"variant": "explicit",
+                                                  "elements": [1, 2, 3, 5, p - 1]}})
+    t0 = time.perf_counter()
+    code, err = run_cli_capped(["extract", "--source", source, "--extractor", "pgc",
+                                "--out", str(tmp_path / "e.csv")])
+    assert time.perf_counter() - t0 < 5
+    assert code == 2 and err.startswith("error: pgc discrete logs") and err.count("\n") == 1
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_charsum_range_past_its_declared_cost_exits_two_before_any_work(tmp_path,
+                                                                         run_cli_capped):
+    # 2^26 frequencies x 2000 elements is past WORK_FACTOR x the element budget
+    p = 2**31 - 1
+    source = write(tmp_path / "s.json", {"group": {"kind": "zp", "p": p},
+                                         "spec": {"variant": "random", "size": 2000,
+                                                  "seed": 1}})
+    out = tmp_path / "c.csv"
+    t0 = time.perf_counter()
+    code, err = run_cli_capped(["charsum", "--source", source, "--characters",
+                                f"0:{1 << 26}", "--out", str(out)])
+    assert time.perf_counter() - t0 < 5
+    assert code == 2 and "character sums over 2000 elements" in err and err.count("\n") == 1
+    assert not out.exists()

@@ -130,6 +130,17 @@ def test_arithmetic_reads_an_unreduced_modulus_mod_p(p, modulus):
             assert m.tolist() == r.tolist()
 
 
+@pytest.mark.parametrize("p, modulus", UNREDUCED_MODULI)
+def test_one_element_oracle_reads_an_unreduced_modulus_mod_p(p, modulus):
+    # oracles.fq_mul builds its F_2 reduction mask from FieldSpec.tail, as
+    # gf._gf2_mod_mask does (from the raw (3, 1, 1) it never returned)
+    spec = gf.FieldSpec(p, 2, modulus)
+    reduced = gf.FieldSpec(p, 2, tuple(c % p for c in modulus))
+    q = spec.order
+    assert [[oracles.fq_mul(spec, a, b) for b in range(q)] for a in range(q)] == \
+        [[oracles.fq_mul(reduced, a, b) for b in range(q)] for a in range(q)]
+
+
 def test_irreducible_certificate_no_roots():
     for p in (2, 3, 5, 7):
         for k in (2, 3):

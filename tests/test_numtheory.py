@@ -119,10 +119,10 @@ def test_crt_errors():
 
 def test_discrete_log_examples():
     g = nt.Residue(3, 11)
-    assert nt.discrete_log(g, nt.Residue(9, 11), 5) == 2
-    assert nt.discrete_log(g, nt.Residue(1, 11), 5) == 0
+    assert oracles.discrete_log(g, nt.Residue(9, 11), 5) == 2
+    assert oracles.discrete_log(g, nt.Residue(1, 11), 5) == 0
     with pytest.raises(NotInSubgroupError):
-        nt.discrete_log(g, nt.Residue(2, 11), 5)
+        oracles.discrete_log(g, nt.Residue(2, 11), 5)
 
 
 def test_discrete_log_roundtrip_exhaustive():
@@ -132,11 +132,45 @@ def test_discrete_log_roundtrip_exhaustive():
     g = nt.order_p_element(q, p)
     for e in range(0, p, 97):
         y = nt.Residue(pow(g.value, e, q), q)
-        assert nt.discrete_log(g, y, p) == e
+        assert oracles.discrete_log(g, y, p) == e
     # small order: fully exhaustive
     g5 = nt.Residue(3, 11)
     for e in range(5):
-        assert nt.discrete_log(g5, nt.Residue(pow(3, e, 11), 11), 5) == e
+        assert oracles.discrete_log(g5, nt.Residue(pow(3, e, 11), 11), 5) == e
+
+
+# the last modulus with int64 products, the first with Python-int products,
+# and moduli far on either side
+DOT_MODULI = [2, 7, 1000003, 3037000500, 3037000501, (1 << 61) - 1, (1 << 63) - 25]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DOT_MODULI), st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
+       st.data())
+def test_dot_mod_matches_python_integers(m, N, c, n, data):
+    digit = st.integers(0, m - 1) | st.sampled_from([0, m - 1])
+    A = data.draw(st.lists(st.lists(digit, min_size=N, max_size=N), min_size=c, max_size=c))
+    X = data.draw(st.lists(st.lists(digit, min_size=N, max_size=N), min_size=n, max_size=n))
+    want = [[sum(a * x for a, x in zip(ra, rx)) % m for rx in X] for ra in A]
+    got = nt.dot_mod(np.array(A, dtype=np.int64).reshape(c, N),
+                     np.array(X, dtype=np.int64).reshape(n, N), m)
+    assert got.dtype == np.int64 and got.shape == (c, n) and got.tolist() == want
+    # residues are one-digit rows: their products
+    ys = [r[0] for r in A]
+    assert nt.dot_mod(ys, [x[0] for x in X], m).tolist() == [
+        [y * r[0] % m for r in X] for y in ys]
+
+
+@pytest.mark.parametrize("g, q", [(1, 2), (2, 11), (5, 10007), (2, 4294967291),
+                                  (37, (1 << 61) - 1)])
+def test_powers_is_the_subgroup_walk(g, q):
+    for count in (0, 1, 2, 3, 5, 64, 1000, 1025):
+        want, x = [], 1
+        for _ in range(count):
+            want.append(x)
+            x = x * g % q
+        got = nt.powers(g, count, q)
+        assert got.dtype == np.int64 and got.tolist() == want, count
 
 
 def test_quadratic_character_examples():
@@ -166,7 +200,7 @@ def test_primitive_root_and_index_table():
     assert nt.smallest_primitive_root(11) == 2
     for p in [3, 5, 7, 11, 101]:
         g = nt.smallest_primitive_root(p)
-        tab = nt.index_table(p)
+        tab = oracles.index_table(p)
         assert tab[0] == -1 and tab[1] == 0 and tab[g] == 1
         assert sorted(tab[1:]) == list(range(p - 1))
         for x in range(1, p):

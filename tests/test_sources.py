@@ -203,7 +203,7 @@ _BOHR_GROUPS = [Group.zp(101), Group.zp(1009), Group.zn(CrtSystem.make([9, 35]))
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_BOHR_GROUPS), st.data(),
        st.sampled_from([0.05, 0.1, 0.2, 0.25, 1 / 3, 0.45, 0.9]),
-       st.sampled_from([1 << 16, 7, 64]))
+       st.sampled_from([1 << 16, 7, 64, 1]))
 def test_bohr_set_matches_the_per_element_predicate(group, data, rho, chunk):
     coord = st.integers(-(1 << 70), 1 << 70)
     freq = (coord if group.kind in ("zp", "zn")

@@ -7,10 +7,12 @@ character sums).
 The routes these primitives replaced are kept here as oracles: the pair
 ``Counter`` of ``cyclic_convolve``, the |X| x |X| difference matrix of
 ``sym_set``, the ``np.convolve`` fold of ``moment_sum``, the pair matrices of
-``suite_transport`` and the one-frequency-at-a-time character sum, which is
-also the oracle of ``charsum_table``'s one ``fftn`` over Z_p^n. The weighted
-``np.unique`` route that ``cyclic_convolve`` had before it took unit weights
-only is the oracle of ``convolve_rows`` (``tests/oracles.py``).
+``suite_transport`` and, in ``tests/oracles.py``, the
+one-frequency-at-a-time character sum, which is the oracle of both routes of
+``charsum_table`` (its direct route's chunks of ``numtheory.dot_mod`` and its
+one ``fftn`` over Z_p^n). The weighted ``np.unique`` route that
+``cyclic_convolve`` had before it took unit weights only is the oracle of
+``convolve_rows`` (``tests/oracles.py``).
 """
 
 import csv
@@ -34,8 +36,8 @@ from addext.numtheory import CrtSystem, to_digits
 from addext import sources
 from addext.sources import (ExplicitSpec, GapSpec, Group, build_source, convolve_rows,
                             cyclic_convolve, difference_histogram, doubling, sym_set)
-from oracles import (differences_by_pairs, doubling_by_pairs, sym_set_by_pairs,
-                     weighted_sums_by_unique)
+from oracles import (charsum_per_frequency, differences_by_pairs, doubling_by_pairs,
+                     sym_set_by_pairs, weighted_sums_by_unique)
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +63,6 @@ def moment_sum_convolve_fold(Y, q, t):
         conv = full[:q].copy()
         conv[:q - 1] += full[q:]
     return int((conv * conv).sum())
-
-
-def charsum_per_frequency(values, m, freqs):
-    v = np.asarray(values, dtype=np.int64)
-    return np.array([abs(np.exp(2j * np.pi * (int(xi) % m * v % m) / m).sum())
-                     for xi in freqs]) / len(values)
 
 
 def as_pairs(result):
@@ -340,15 +336,22 @@ def test_vector_group_of_order_above_2_63_matches_the_pairwise_routes():
 # charsum_table
 # ---------------------------------------------------------------------------
 
-def test_charsum_table_fft_matches_direct(monkeypatch):
+def direct_route_only(mp, order):
+    """The FFT route past the element budget (order - 1), the direct route's
+    cost within WORK_FACTOR times it."""
+    mp.setenv("ADDEXT_BUDGET", str(order - 1))
+    mp.setattr(an, "WORK_FACTOR", 1 << 40)
+
+
+def test_charsum_table_fft_matches_direct():
     rng = random.Random(10)
     for m, size in ((2, 1), (97, 40), (1000, 300), (4001, 2401), (65521, 500)):
         values = [rng.randrange(m) for _ in range(size)]  # a multiset
         freqs = list(range(m)) if m <= 4001 else sorted(rng.sample(range(m), 400))
         fft = an.charsum_table(values, m, freqs)          # m <= |freqs| |values|
-        monkeypatch.setenv("ADDEXT_BUDGET", "0")          # direct route only
-        direct = an.charsum_table(values, m, freqs)
-        monkeypatch.delenv("ADDEXT_BUDGET")
+        with pytest.MonkeyPatch.context() as mp:
+            direct_route_only(mp, m)
+            direct = an.charsum_table(values, m, freqs)
         assert np.abs(fft - direct).max() < 1e-12
         assert np.abs(direct - charsum_per_frequency(values, m, freqs)).max() < 1e-12
 
@@ -388,7 +391,7 @@ def test_cli_charsum_matches_per_frequency_sum(tmp_path):
 # charsum_table over Z_p^n
 # ---------------------------------------------------------------------------
 
-def test_charsum_table_fftn_matches_per_frequency(monkeypatch):
+def test_charsum_table_fftn_matches_per_frequency():
     rng = random.Random(13)
     for p, n, size in ((2, 1, 1), (3, 3, 10), (7, 2, 30), (11, 3, 200), (101, 2, 500)):
         grp = Group.zp_vec(p, n)
@@ -398,10 +401,10 @@ def test_charsum_table_fftn_matches_per_frequency(monkeypatch):
         freqs = grp.from_digits(to_digits(idx, *grp.zmn))
         digits = grp.digits(X.elements)
         fft = an.charsum_table(digits, p, idx)            # p^n <= |idx| |X|
-        monkeypatch.setenv("ADDEXT_BUDGET", "0")          # per-frequency route only
-        direct = an.charsum_table(digits, p, idx)
-        one_by_one = [an.additive_charsum(X, f) for f in freqs]
-        monkeypatch.delenv("ADDEXT_BUDGET")
+        with pytest.MonkeyPatch.context() as mp:
+            direct_route_only(mp, grp.order)
+            direct = an.charsum_table(digits, p, idx)
+            one_by_one = [an.additive_charsum(X, f) for f in freqs]
         assert direct.tolist() == one_by_one
         assert np.abs(fft - direct).max() < 1e-12
         dots = [[sum(a * x for a, x in zip(f, v)) % p for v in X.elements] for f in freqs[:50]]
@@ -421,6 +424,37 @@ def test_charsum_table_over_vectors_exact_above_int64_products():
         want = abs(sum(np.exp(2j * np.pi * ((a0 * y0 + a1 * y1) % p) / p)
                        for y0, y1 in rows)) / len(rows)
         assert abs(value - want) < 1e-9
+
+
+@pytest.mark.parametrize("chunk", [1, 160, 320, 484, 1 << 16])
+def test_charsum_table_direct_route_matches_the_oracle_across_chunk_edges(monkeypatch, chunk):
+    # 40 elements: chunks of max(1, chunk // 4 // 40) frequencies, so 1, 1, 2,
+    # 3 (the last chunk of one) and all of them; the sums equal the
+    # one-frequency oracle to the bit
+    monkeypatch.setattr(an, "BOHR_CHUNK", chunk)
+    rng = random.Random(17)
+    p = 2**31 - 1                                 # above the element budget
+    values = [rng.randrange(p) for _ in range(40)]
+    freqs = [rng.randrange(p) for _ in range(7)] + [0, 1, p - 1]
+    assert an.charsum_table(values, p, freqs).tolist() == \
+        charsum_per_frequency(values, p, freqs).tolist()
+    # (p - 1)^2 >= 2^63: <a, y> mod p over Z_p^2 in Python integers
+    p = (1 << 61) - 1
+    rows = [(rng.randrange(p), rng.randrange(p)) for _ in range(40)]
+    indices = [rng.randrange(p * p) for _ in range(5)] + [0, p * p - 1]
+    dots = [[(i % p * y0 + i // p * y1) % p for y0, y1 in rows] for i in indices]
+    assert an.charsum_table(rows, p, indices).tolist() == \
+        [charsum_per_frequency(d, p, [1])[0] for d in dots]
+
+
+def test_charsum_table_refuses_a_direct_route_past_its_cost(monkeypatch):
+    # |frequencies| |values| N steps against WORK_FACTOR x the element budget
+    monkeypatch.setenv("ADDEXT_BUDGET", "100")
+    values, freqs = list(range(1, 41)), range(2560)  # 102,400 steps: 1000 x 100 is the bound
+    monkeypatch.setattr(an, "WORK_FACTOR", 1000)
+    with pytest.raises(BudgetError, match="past 1000 x the element budget 100"):
+        an.charsum_table(values, 1009, freqs)
+    assert len(an.charsum_table(values, 1009, freqs[:2500])) == 2500
 
 
 def test_cli_charsum_over_vectors_matches_per_frequency_sum(tmp_path):

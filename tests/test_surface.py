@@ -60,3 +60,10 @@ def test_fields_are_built_without_polynomial_arithmetic():
     # the test oracle in tests/oracles.py
     for name in ("poly_mod", "poly_gcd", "_norm", "_to_bits", "_from_bits"):
         assert not hasattr(gf, name), name
+
+
+def test_discrete_logs_have_one_route():
+    # numtheory.discrete_logs is the one route; the dict baby-step/giant-step
+    # and the O(p) index table are its oracles in tests/oracles.py
+    for name in ("index_table", "discrete_log"):
+        assert not hasattr(nt, name), name
