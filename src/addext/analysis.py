@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 from .numtheory import dot_mod, from_digits, to_digits
-from .sources import BOHR_CHUNK, WORK_FACTOR, Source, convolve_rows, element_budget
+from .sources import (BOHR_CHUNK, WORK_FACTOR, Source, convolve_rows, element_budget,
+                      product_steps)
 
 TOL = 1e-6
 
@@ -109,7 +110,8 @@ def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarra
     Otherwise the sums are taken directly over the exact residues <a, y> mod
     m (numtheory.dot_mod), in chunks of frequencies of at most BOHR_CHUNK / 4
     residues (at least one frequency), after the cost |frequencies| |values|
-    N is checked against WORK_FACTOR times the element budget (BudgetError).
+    N product_steps(m) is checked against WORK_FACTOR times the element
+    budget (BudgetError).
     """
     if len(values) == 0:
         raise InputError("empty multiset")
@@ -122,7 +124,7 @@ def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarra
         hist = np.bincount(from_digits(rows, modulus), minlength=order).reshape(shape, order="F")
         spectrum = np.abs(np.fft.fftn(hist)).ravel(order="F")
         return spectrum[[int(xi) % order for xi in frequencies]] / len(rows)
-    work = len(frequencies) * len(rows) * N
+    work = len(frequencies) * len(rows) * N * product_steps(modulus)
     if work > WORK_FACTOR * budget:
         raise BudgetError(f"{len(frequencies)} character sums over {len(rows)} elements of "
                           f"Z_{modulus}^{N} take {work} steps: past {WORK_FACTOR} x the "

@@ -197,7 +197,7 @@ def cmd_verify(args, t0: float) -> Outcome:
         rows = grid.get("rows")
         if rows is None:
             raise InputError("sweep requires a grid file with a 'rows' list")
-        result = suites.suite_sweep(rows)
+        result = suites.suite_sweep(rows, threads=args.threads)
         csv_rows = [r.csv_row() for r in result.rows]
         _write_csv(args.out, analysis.CSV_COLUMNS, csv_rows)
         _write_json(args.out + ".summary.json",

@@ -29,7 +29,7 @@ from . import gf, numtheory as nt
 from .canonical import canonical_json
 from .errors import BudgetError, InputError
 from .numtheory import MODULUS_CAP, CrtSystem, Residue
-from .sources import PY_STEP, WORK_FACTOR, Group, element_budget
+from .sources import PY_STEP, WORK_FACTOR, Group, element_budget, product_steps
 
 # ---------------------------------------------------------------------------
 # Z_p
@@ -386,11 +386,12 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
     ``gf.trace_many`` or ``gf.quadratic_character_many``; a point that is not
     n integers in [0, q) is an InputError. ``pgc`` takes every point's
     discrete log at once by ``numtheory.discrete_logs``, B baby steps and G
-    giant steps; it declares its cost first, and B past the element budget,
-    or B + G (N + PY_STEP) past WORK_FACTOR times it, is a BudgetError. The
-    ``zp`` and ``zpn`` cases call the one-point ``*_extract`` function of
-    their family, looked up by name, so that a patched module attribute (as
-    in ``benchmarks/tracer.py``) sees each such call.
+    giant steps, B held to the element budget; it declares its cost first,
+    and u (B + G N) + G PY_STEP (u = product_steps(p)) past WORK_FACTOR
+    times the budget is a BudgetError. The ``zp`` and ``zpn`` cases call the
+    one-point ``*_extract`` function of their family, looked up by name, so
+    that a patched module attribute (as in ``benchmarks/tracer.py``) sees
+    each such call.
     """
     points = list(points)
     if isinstance(cfg, ZpExtractorConfig):
@@ -406,17 +407,17 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
         return (_block_poly_many(cfg, _coordinates(cfg, points))[:, 0] % cfg.M).tolist()
     if isinstance(cfg, PgcExtractorConfig):
         p, N = cfg.p, len(points)
-        # B baby steps and G giant steps of N points minimise B + G (N + c),
-        # c the cost of one giant step's Python overhead in products: PY_STEP
-        # int64 products, or about 16 Python-int products
-        c = PY_STEP if (p - 1) ** 2 < 1 << 63 else 16
-        B = min(p - 1, math.isqrt((p - 1) * (N + c) - 1) + 1)
+        # B baby steps and G = ceil((p - 1) / B) giant steps of N points cost
+        # u (B + G N) + G PY_STEP, u the work of one product; B = sqrt((p - 1)
+        # (N + PY_STEP / u)) minimises it, held to the element budget
+        u, budget = product_steps(p), element_budget()
+        B = max(1, min(p - 1, budget, math.isqrt((p - 1) * (N + PY_STEP // u) - 1) + 1))
         G = -(-(p - 1) // B)
-        budget = element_budget()
-        if B > budget or B + G * (N + PY_STEP) > WORK_FACTOR * budget:
-            raise BudgetError(f"pgc discrete logs of {N} points at p = {p} hold {B} powers "
-                              f"and take {G} giant steps: past the element budget {budget} "
-                              f"or {WORK_FACTOR} x it")
+        work = u * (B + G * N) + G * PY_STEP
+        if work > WORK_FACTOR * budget:
+            raise BudgetError(f"pgc discrete logs of {N} points at p = {p} take {B} baby "
+                              f"and {G} giant steps, {work} steps: past {WORK_FACTOR} x the "
+                              f"element budget {budget}")
         logs = nt.discrete_logs(cfg.g, [x % p for x in points], p, B)
         return (np.maximum(logs, 0) % cfg.M).tolist()  # pgc maps 0 to 0
     raise InputError(f"unknown config {cfg!r}")

@@ -28,8 +28,14 @@ from .numtheory import MODULUS_CAP, CrtSystem, dot_mod, from_digits, is_prime, t
 DEFAULT_ELEMENT_BUDGET = 1 << 26
 DEFAULT_PAIR_BUDGET = 1 << 26
 # Work counts array-entry steps (a numpy pass over one entry, ~0.5 ns on a 2-vCPU
-# Xeon), a Python loop step as PY_STEP of them; a run may do WORK_FACTOR x the budget.
-PY_STEP, WORK_FACTOR = 1 << 11, 1 << 10
+# Xeon), a Python loop step as PY_STEP of them and a product of Python ints (dot_mod
+# where (m - 1)^2 >= 2^63) as PY_INT; a run may do WORK_FACTOR x the budget.
+PY_STEP, PY_INT, WORK_FACTOR = 1 << 11, 1 << 7, 1 << 10
+
+
+def product_steps(m: int) -> int:
+    """The work of one entry of dot_mod mod m: 1 step in int64, PY_INT above."""
+    return 1 if (m - 1) ** 2 < 1 << 63 else PY_INT
 
 
 def element_budget() -> int:

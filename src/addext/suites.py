@@ -825,12 +825,15 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
     raise InputError(f"unknown family kind {kind!r}")
 
 
-def suite_sweep(grid_rows: list[dict]) -> SuiteResult:
+def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResult:
     """Run every grid point in grid order on the calling thread; per-point
     errors are recorded in grid order and the sweep continues; ``input_errors``
-    counts those that are an input or budget error. (Rows run Python code
-    under the interpreter lock, so threads would not evaluate them in
-    parallel.)"""
+    counts those that are an input or budget error.
+
+    ``threads`` is accepted and ignored: the CLI records it in the run
+    manifest. Rows run Python code under the interpreter lock, so threads
+    would not evaluate them in parallel.
+    """
     t0 = time.perf_counter()
     res = SuiteResult("sweep", True)
     for i, row in enumerate(grid_rows):

@@ -97,6 +97,31 @@ def test_discrete_logs_match_the_one_point_oracle(case, data):
     assert nt.discrete_logs(g, ys, p, baby).tolist() == want
 
 
+@pytest.mark.parametrize("p, N, budget, baby", [
+    (10007, 20, 1000, 1000),            # B = 4549 held to the budget: 11 giant steps
+    (4294967291, 5, 1 << 18, 1 << 18),  # Python-int products: B = 300,324 held to 2^18
+])
+def test_pgc_table_is_held_to_the_element_budget(monkeypatch, p, N, budget, baby):
+    monkeypatch.setenv("ADDEXT_BUDGET", str(budget))
+    babies, real = [], nt.discrete_logs
+    monkeypatch.setattr(nt, "discrete_logs",
+                        lambda g, ys, q, b: babies.append(b) or real(g, ys, q, b))
+    cfg = ex.build_pgc_extractor(p, 3)
+    rng = random.Random(p)
+    points = [0, 1, p - 1] + [rng.randrange(p) for _ in range(N - 3)]
+    assert ex.extract_many(cfg, points) == [oracles.pgc_extract(x, cfg) for x in points]
+    assert babies == [baby]
+
+
+def test_pgc_past_its_declared_cost_is_refused_before_the_table(monkeypatch):
+    # at ADDEXT_BUDGET = 100, B = 100 and 101 giant steps of 20 points cost
+    # 100 + 101 (20 + PY_STEP) = 208,968 steps, past 1024 x 100
+    monkeypatch.setenv("ADDEXT_BUDGET", "100")
+    monkeypatch.setattr(nt, "discrete_logs", lambda *a: pytest.fail("table built"))
+    with pytest.raises(BudgetError, match="100 baby and 101 giant steps, 208968 steps"):
+        ex.extract_many(ex.build_pgc_extractor(10007, 3), range(1, 21))
+
+
 def test_discrete_logs_at_one_table_are_the_index_table():
     p = 10007
     ind = oracles.index_table(p)

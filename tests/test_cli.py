@@ -703,8 +703,9 @@ def test_affine_source_with_no_basis_is_its_base_point(tmp_path, run_cli_capped,
 
 
 def test_pgc_past_its_declared_cost_exits_two_at_once(tmp_path, run_cli_capped):
-    # B = isqrt((p - 1)(5 + 16)) + 1, about 7e9 baby steps, is past the element
-    # budget; the per-point route used to run out of memory after 20 s
+    # B = 2^26 baby steps (the element budget) leave 2^35 giant steps, past
+    # WORK_FACTOR x the budget; the per-point route used to run out of memory
+    # after 20 s
     p = (1 << 61) - 1
     source = write(tmp_path / "s.json", {"group": {"kind": "zp", "p": p},
                                          "spec": {"variant": "explicit",

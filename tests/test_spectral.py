@@ -455,6 +455,12 @@ def test_charsum_table_refuses_a_direct_route_past_its_cost(monkeypatch):
     with pytest.raises(BudgetError, match="past 1000 x the element budget 100"):
         an.charsum_table(values, 1009, freqs)
     assert len(an.charsum_table(values, 1009, freqs[:2500])) == 2500
+    # where (m - 1)^2 >= 2^63 each entry is a product of Python ints, PY_INT steps
+    big = (1 << 61) - 1
+    assert sources.PY_INT == 128
+    with pytest.raises(BudgetError, match="past 1000 x the element budget 100"):
+        an.charsum_table(values, big, range(20))  # 20 x 40 x 128 = 102,400 steps
+    assert len(an.charsum_table(values, big, range(19))) == 19
 
 
 def test_cli_charsum_over_vectors_matches_per_frequency_sum(tmp_path):

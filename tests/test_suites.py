@@ -271,7 +271,7 @@ def test_sweep_empty_and_threaded_determinism():
              "source": {"variant": "random", "size": 6, "seed": s},
              "extractor": {"build": "zp", "m": 1}} for s in range(6)]
     seq = suites.suite_sweep(grid)
-    par = suites.suite_sweep(grid)
+    par = suites.suite_sweep(grid, threads=4)
     assert [r.csv_row()[:6] for r in seq.rows] == [r.csv_row()[:6] for r in par.rows]
 
 
