@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .analysis import additive_charsum
-from .errors import (AddextError, BudgetError, CapacityError, InputError,
-                     NotInSubgroupError, SearchBudgetError)
+from .errors import AddextError, BudgetError, CapacityError, InputError, SearchBudgetError
 from .extractors import (build_ap_extractor, build_line_extractor,
                          build_pgc_extractor, build_zp_extractor,
                          build_zpn_extractor, ap_extract, line_extract,
@@ -14,9 +13,8 @@ from .sources import (AdditiveProfile, Group, Source, additive_profile,
 
 __all__ = [
     "AddextError", "AdditiveProfile", "BudgetError", "CapacityError", "Group",
-    "InputError", "NotInSubgroupError", "SearchBudgetError", "Source",
-    "__version__", "additive_charsum", "additive_profile", "ap_extract",
-    "build_ap_extractor", "build_line_extractor", "build_pgc_extractor",
-    "build_source", "build_zp_extractor", "build_zpn_extractor", "doubling",
-    "line_extract", "pgc_extract", "sym_set", "zp_extract", "zpn_extract",
+    "InputError", "SearchBudgetError", "Source", "__version__", "additive_charsum",
+    "additive_profile", "ap_extract", "build_ap_extractor", "build_line_extractor",
+    "build_pgc_extractor", "build_source", "build_zp_extractor", "build_zpn_extractor",
+    "doubling", "line_extract", "pgc_extract", "sym_set", "zp_extract", "zpn_extract",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetError, InputError
 from .numtheory import dot_mod, from_digits, to_digits
-from .sources import (BOHR_CHUNK, WORK_FACTOR, Source, convolve_rows, element_budget,
+from .sources import (BOHR_CHUNK, Source, check_cost, convolve_rows, element_budget,
                       product_steps)
 
 TOL = 1e-6
@@ -41,25 +41,6 @@ class OutputDistribution:
         if len(self.counts) != self.support or sum(self.counts) != self.total:
             raise InputError("inconsistent distribution counts")
 
-    @classmethod
-    def uniform(cls, m: int) -> "OutputDistribution":
-        return cls(m, (1,) * m, m)
-
-
-def statistical_distance_exact(d1: OutputDistribution,
-                               d2: OutputDistribution) -> Fraction:
-    if d1.support != d2.support:
-        raise InputError("support mismatch")
-    acc = Fraction(0)
-    for a, b in zip(d1.counts, d2.counts):
-        acc += abs(Fraction(a, d1.total) - Fraction(b, d2.total))
-    return acc / 2
-
-
-def statistical_distance(d1: OutputDistribution, d2: OutputDistribution) -> float:
-    """(1/2) sum |d1_i - d2_i|, from exact counts."""
-    return float(statistical_distance_exact(d1, d2))
-
 
 def extractor_distribution(outputs: Sequence[int], support: int) -> OutputDistribution:
     """Exact histogram of an extractor's outputs over a source (uniform weights)."""
@@ -70,7 +51,10 @@ def extractor_distribution(outputs: Sequence[int], support: int) -> OutputDistri
 
 
 def distance_to_uniform(d: OutputDistribution) -> float:
-    return statistical_distance(d, OutputDistribution.uniform(d.support))
+    """(1/2) sum |c/N - 1/M| over the counts c of N outputs in M = support
+    values, as one integer sum: sum |c M - N| / (2 N M), rounded once."""
+    M, N = d.support, d.total
+    return float(Fraction(sum(abs(c * M - N) for c in d.counts), 2 * N * M))
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +93,22 @@ def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarra
     the multiset's histogram on shape (m,)*N gives every frequency at once.
     Otherwise the sums are taken directly over the exact residues <a, y> mod
     m (numtheory.dot_mod), in chunks of frequencies of at most BOHR_CHUNK / 4
-    residues (at least one frequency), after the cost |frequencies| |values|
-    N product_steps(m) is checked against WORK_FACTOR times the element
-    budget (BudgetError).
+    residues (at least one frequency), after their work |frequencies|
+    |values| N product_steps(m) is checked by check_cost, the one place a
+    budget refusal happens.
     """
     if len(values) == 0:
         raise InputError("empty multiset")
     rows = np.asarray(values, dtype=np.int64).reshape(len(values), -1) % modulus
     N = rows.shape[1]
     order = modulus**N
-    budget = element_budget()
-    if order <= min(len(frequencies) * len(rows), budget):
+    if order <= min(len(frequencies) * len(rows), element_budget()):
         shape = (modulus,) * N  # axis j is digit j
         hist = np.bincount(from_digits(rows, modulus), minlength=order).reshape(shape, order="F")
         spectrum = np.abs(np.fft.fftn(hist)).ravel(order="F")
         return spectrum[[int(xi) % order for xi in frequencies]] / len(rows)
-    work = len(frequencies) * len(rows) * N * product_steps(modulus)
-    if work > WORK_FACTOR * budget:
-        raise BudgetError(f"{len(frequencies)} character sums over {len(rows)} elements of "
-                          f"Z_{modulus}^{N} take {work} steps: past {WORK_FACTOR} x the "
-                          f"element budget {budget}")
+    check_cost(f"{len(frequencies)} character sums over {len(rows)} elements of "
+               f"Z_{modulus}^{N}", work=len(frequencies) * len(rows) * N * product_steps(modulus))
     out = np.empty(len(frequencies))
     step = max(1, BOHR_CHUNK // 4 // len(rows))  # 256 KiB of complex128 per chunk
     for lo in range(0, len(frequencies), step):
@@ -149,14 +129,14 @@ def poly_eval_all(coeffs, p: int) -> np.ndarray:
     coefficient matrix gives a (rows, p) matrix, one polynomial per row. One
     int64 product with the (d+1) x p table of t^j mod p: its d+1 terms of at
     most (p-1)^2 each must sum below 2^63, and the table and the result must
-    each fit the element budget; both are checked before anything is built.
+    each fit the element budget (check_cost); both are checked before
+    anything is built.
     """
     c = np.asarray(coeffs)
     terms = c.shape[-1]
     rows = math.prod(c.shape[:-1])
-    if p * max(rows, terms) > element_budget():
-        raise BudgetError(f"evaluating {rows} polynomials of {terms} terms at "
-                          f"p = {p} points exceeds the element budget")
+    check_cost(f"evaluating {rows} polynomials of {terms} terms at p = {p} points",
+               held=p * max(rows, terms))
     if terms * (p - 1) ** 2 >= 1 << 63:
         raise BudgetError(f"{terms} products mod p = {p} can reach 2^63")
     powers = np.ones((terms, p), dtype=np.int64)
@@ -213,11 +193,10 @@ def xor_residual_check(N: int, M: int) -> tuple[Fraction, Fraction, bool]:
 def moment_sum(Y: Sequence[int], q: int, t: int) -> int:
     """(1/q) sum_a |Y^(a)|^(2t), computed exactly as the number of 2t-tuples
     (x_1..x_t, y_1..y_t) in Y^(2t) with equal half-sums mod q, from t - 1
-    convolutions of the 0/1 histogram of Y mod q (q within the element budget)."""
+    convolutions of the 0/1 histogram of Y mod q (q held, by check_cost)."""
     if t < 1:
         raise InputError("t must be >= 1")
-    if q > element_budget():
-        raise BudgetError(f"moment sum mod {q} exceeds the element budget")
+    check_cost(f"a moment sum mod {q}", held=q)
     base = np.zeros(q, dtype=np.int64)
     base[np.asarray(Y, dtype=np.int64) % q] = 1
     if int(base.sum()) ** (2 * t) >= 2**62:

@@ -29,7 +29,7 @@ from jsonschema.exceptions import best_match
 
 from . import __version__, analysis, extractors as ex, sources as src, suites
 from .canonical import canonical_json, digest
-from .errors import AddextError, BudgetError, InputError
+from .errors import AddextError, InputError
 from .numtheory import to_digits
 
 
@@ -73,7 +73,10 @@ _INPUT_DIGESTS: dict[str, str] = {}
 
 def _load_validated(path: str, schema_name: str) -> dict:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or an int past 4,300 digits
+            raise InputError(f"{path}: {exc}") from None
     error = best_match(_validator(schema_name).iter_errors(obj))
     if error is not None:
         raise error
@@ -167,8 +170,8 @@ def cmd_charsum(args, t0: float) -> Outcome:
     order = grp.order
     if args.characters == "all":
         if order > suites.CHARSUM_SCAN_CAP:
-            raise InputError(f"group order {order} too large for --characters all; "
-                             f"use a range a:b")
+            raise InputError(f"--characters all takes groups of order at most "
+                             f"{suites.CHARSUM_SCAN_CAP}; use a range a:b")
         freq_idx = range(1, order)
     else:
         try:
@@ -177,10 +180,7 @@ def cmd_charsum(args, t0: float) -> Outcome:
             raise InputError("--characters expects 'all' or 'lo:hi'") from exc
         if not 0 <= lo < hi <= order:
             raise InputError("character range out of bounds")
-        budget = src.element_budget()
-        if hi - lo > budget:
-            raise BudgetError(f"character range of {hi - lo} frequencies exceeds "
-                              f"the element budget {budget}")
+        src.check_cost("the --characters range", held=hi - lo)
         freq_idx = range(lo, hi)
     mags = analysis.charsum_table(analysis.character_digits(X), grp.zmn[0], freq_idx)
     step = analysis.CHARSUM_CHUNK  # rows are made and written this many at a time
@@ -317,8 +317,7 @@ def main(argv=None) -> int:
         if outputs:
             _manifest(args, inputs, outputs, started, time.perf_counter() - t0)
         return code
-    except (AddextError, jsonschema.ValidationError, OSError,
-            json.JSONDecodeError) as exc:
+    except (AddextError, jsonschema.ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,3 @@ class SearchBudgetError(BudgetError):
 
 class CapacityError(BudgetError):
     """A derived modulus would exceed the documented 2^63 cap."""
-
-
-class NotInSubgroupError(AddextError):
-    """Discrete logarithm requested for an element outside the subgroup."""

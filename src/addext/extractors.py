@@ -27,9 +27,9 @@ import numpy as np
 
 from . import gf, numtheory as nt
 from .canonical import canonical_json
-from .errors import BudgetError, InputError
+from .errors import InputError
 from .numtheory import MODULUS_CAP, CrtSystem, Residue
-from .sources import PY_STEP, WORK_FACTOR, Group, element_budget, product_steps
+from .sources import PY_STEP, Group, check_cost, element_budget, product_steps
 
 # ---------------------------------------------------------------------------
 # Z_p
@@ -263,11 +263,30 @@ class PgcExtractorConfig:
 
 
 def build_pgc_extractor(p: int, m: int) -> PgcExtractorConfig:
+    """The config at p, once one point's discrete log is within its cost
+    (_pgc_baby_steps), so that no primitive root is searched for (a
+    factorization of p - 1 by trial division) at a p that extract_many would
+    refuse."""
     if p == 2 or not nt.is_prime(p):
         raise InputError("p must be an odd prime")
     if (1 << m) >= p - 1:
         raise InputError(f"2^{m} >= p - 1: too many output bits")
+    _pgc_baby_steps(p, 1)
     return PgcExtractorConfig(p, nt.smallest_primitive_root(p), m)
+
+
+def _pgc_baby_steps(p: int, N: int) -> int:
+    """The B baby steps of N discrete logs mod p, after their cost is checked
+    (check_cost): B baby and G = ceil((p - 1) / B) giant steps cost
+    u (B + G N) + G PY_STEP, u = product_steps(p), the work of one product;
+    B = sqrt((p - 1) (N + PY_STEP / u)) minimises it, held to the element
+    budget."""
+    u = product_steps(p)
+    B = max(1, min(p - 1, element_budget(), math.isqrt((p - 1) * (N + PY_STEP // u) - 1) + 1))
+    G = -(-(p - 1) // B)
+    check_cost(f"pgc discrete logs of {N} points at p = {p} take {B} baby and {G} giant steps",
+               work=u * (B + G * N) + G * PY_STEP)
+    return B
 
 
 def pgc_extract(x: int, cfg: PgcExtractorConfig) -> int:
@@ -304,6 +323,9 @@ def build_for_group(family: str, group: Group, m: int = 1) -> ExtractorConfig:
         raise InputError("m must be >= 0")
     if family == "line" and m != 1:
         raise InputError(f"the line extractor is 1-bit; m = {m} is not 1")
+    # the histogram of 2^m outputs, charged before any point is extracted
+    # (every budget below 2^64 refuses m >= 64 alike)
+    check_cost(f"the {family} extractor's 2^{m} outputs", held=1 << min(m, 64))
     if family == "zp":
         return build_zp_extractor(group.p, m)
     if family == "pgc":
@@ -386,12 +408,11 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
     ``gf.trace_many`` or ``gf.quadratic_character_many``; a point that is not
     n integers in [0, q) is an InputError. ``pgc`` takes every point's
     discrete log at once by ``numtheory.discrete_logs``, B baby steps and G
-    giant steps, B held to the element budget; it declares its cost first,
-    and u (B + G N) + G PY_STEP (u = product_steps(p)) past WORK_FACTOR
-    times the budget is a BudgetError. The ``zp`` and ``zpn`` cases call the
-    one-point ``*_extract`` function of their family, looked up by name, so
-    that a patched module attribute (as in ``benchmarks/tracer.py``) sees
-    each such call.
+    giant steps, B held to the element budget; its cost is checked first by
+    check_cost, the one place a budget refusal happens (_pgc_baby_steps).
+    The ``zp`` and ``zpn`` cases call the one-point ``*_extract`` function of
+    their family, looked up by name, so that a patched module attribute (as
+    in ``benchmarks/tracer.py``) sees each such call.
     """
     points = list(points)
     if isinstance(cfg, ZpExtractorConfig):
@@ -406,19 +427,8 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
     if isinstance(cfg, ApExtractorConfig):
         return (_block_poly_many(cfg, _coordinates(cfg, points))[:, 0] % cfg.M).tolist()
     if isinstance(cfg, PgcExtractorConfig):
-        p, N = cfg.p, len(points)
-        # B baby steps and G = ceil((p - 1) / B) giant steps of N points cost
-        # u (B + G N) + G PY_STEP, u the work of one product; B = sqrt((p - 1)
-        # (N + PY_STEP / u)) minimises it, held to the element budget
-        u, budget = product_steps(p), element_budget()
-        B = max(1, min(p - 1, budget, math.isqrt((p - 1) * (N + PY_STEP // u) - 1) + 1))
-        G = -(-(p - 1) // B)
-        work = u * (B + G * N) + G * PY_STEP
-        if work > WORK_FACTOR * budget:
-            raise BudgetError(f"pgc discrete logs of {N} points at p = {p} take {B} baby "
-                              f"and {G} giant steps, {work} steps: past {WORK_FACTOR} x the "
-                              f"element budget {budget}")
-        logs = nt.discrete_logs(cfg.g, [x % p for x in points], p, B)
+        B = _pgc_baby_steps(cfg.p, len(points))
+        logs = nt.discrete_logs(cfg.g, [x % cfg.p for x in points], cfg.p, B)
         return (np.maximum(logs, 0) % cfg.M).tolist()  # pgc maps 0 to 0
     raise InputError(f"unknown config {cfg!r}")
 

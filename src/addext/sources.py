@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -29,7 +30,7 @@ DEFAULT_ELEMENT_BUDGET = 1 << 26
 DEFAULT_PAIR_BUDGET = 1 << 26
 # Work counts array-entry steps (a numpy pass over one entry, ~0.5 ns on a 2-vCPU
 # Xeon), a Python loop step as PY_STEP of them and a product of Python ints (dot_mod
-# where (m - 1)^2 >= 2^63) as PY_INT; a run may do WORK_FACTOR x the budget.
+# where (m - 1)^2 >= 2^63) as PY_INT; a run may do WORK_FACTOR x the budget (check_cost).
 PY_STEP, PY_INT, WORK_FACTOR = 1 << 11, 1 << 7, 1 << 10
 
 
@@ -44,6 +45,24 @@ def element_budget() -> int:
         return int(raw)
     except ValueError:
         raise InputError(f"ADDEXT_BUDGET must be an integer, not {raw!r}") from None
+
+
+def _figure(n: int) -> str:
+    """n exactly while it has at most 12 digits, else to 4 significant digits
+    (str() refuses an int of more than 4,300 digits)."""
+    return str(n) if n < 10**12 else f"{Decimal(n):.4g}"
+
+
+def check_cost(what: str, held: int = 0, work: int = 0) -> None:
+    """The one budget refusal, made before anything is built: BudgetError
+    when ``what`` holds more than element_budget() array entries at once, or
+    works more than WORK_FACTOR times it in steps (PY_STEP, PY_INT)."""
+    budget = element_budget()
+    if held > budget:
+        raise BudgetError(f"{what}, {_figure(held)} entries: past the element budget {budget}")
+    if work > WORK_FACTOR * budget:
+        raise BudgetError(f"{what}, {_figure(work)} steps: past {WORK_FACTOR} x the "
+                          f"element budget {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +343,18 @@ def bohr_vmax(m: int, rho) -> int:
 BOHR_CHUNK = 1 << 16  # entries per dot_mod matrix of _bohr_set (512 KiB); charsum_table takes 1/4
 
 
-def _bohr_set(group: Group, freqs: Sequence, rho, cap: int) -> set:
+def _bohr_set(group: Group, freqs: Sequence, rho) -> set:
     """Bohr(freqs, rho): the x with min(v, m - v) <= bohr_vmax(m, rho) for
     every residue v = <xi, x> mod m, tested over chunks of the group's index
     range, each a dot_mod matrix of at most BOHR_CHUNK entries (at least one
-    index). Frequencies are reduced below m, and one that is zero mod m is
-    an input error; so is a modulus whose square reaches 2^63."""
+    index), after the group's order is checked as held entries (check_cost).
+    Frequencies are reduced below m, and one that is zero mod m is an input
+    error; a modulus whose square reaches 2^63 is a BudgetError."""
     if group.field:
         raise InputError("Bohr sets are supported over Z_p, Z_p^n and Z_N")
     m, n = group.zmn
     vmax = bohr_vmax(m, rho)
-    if group.order > cap:
-        raise BudgetError(f"group of order {group.order} exceeds enumeration cap {cap}")
+    check_cost(f"a Bohr set over the {group.kind} group", held=group.order)
     if m * m >= 1 << 63:
         raise BudgetError(f"Bohr modulus {m} has a square of at least 2^63")
     vec = group.kind == "zp_vec"
@@ -376,8 +395,7 @@ def _multiples(group: Group, gens: np.ndarray, count: int, scalars: bool) -> np.
     return prods.reshape(count, *gens.shape).astype(np.int64)
 
 
-def _span(group: Group, base, gens: Sequence, count: int, cap: int,
-          scalars: bool = False) -> set:
+def _span(group: Group, base, gens: Sequence, count: int, scalars: bool = False) -> set:
     """{base + m_1 + ... + m_r}, m_i running over count multiples of gens[i]
     (_multiples: the integer multiples 0, g, 2g, ..., or with ``scalars`` the
     base-field multiples t g, t < count = |F|), as digit rows: the box grows
@@ -385,12 +403,11 @@ def _span(group: Group, base, gens: Sequence, count: int, cap: int,
     generator's multiples, only the distinct ones (_distinct_sums) once
     there are more pairs than group elements.
 
-    The box volume count^r is checked against cap before anything is built,
-    and no step holds more rows than that volume; with no generators there
-    is no table of multiples, and the span is {base}.
+    The box volume count^r is checked as held entries (check_cost) before
+    anything is built, and no step holds more rows than that volume; with no
+    generators there is no table of multiples, and the span is {base}.
     """
-    if count ** len(gens) > cap:
-        raise BudgetError(f"span of volume {count ** len(gens)} exceeds enumeration cap {cap}")
+    check_cost(f"a span of volume {count}^{len(gens)}", held=count ** len(gens))
     m, N = group.zmn
     rows = group.digits([base, *gens]).reshape(-1, N)
     out = rows[:1]
@@ -403,16 +420,17 @@ def _span(group: Group, base, gens: Sequence, count: int, cap: int,
     return set(group.from_digits(out))
 
 
-def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> Source:
-    """Materialize a source by exact enumeration of its element set."""
-    cap = element_budget() if budget is None else budget
+def build_source(spec: SourceSpec, group: Group) -> Source:
+    """Materialize a source by exact enumeration of its element set; its size
+    (a box's volume, a Bohr set's group order, a random sample) is refused
+    past the element budget by check_cost before anything is built."""
     notes: dict = {}
 
     if isinstance(spec, GapSpec):
         if not 1 <= spec.s:
             raise InputError("GAP side s must be >= 1")
         group.validate_element(spec.b0, *spec.steps)
-        els = _span(group, spec.b0, spec.steps, spec.s, cap)
+        els = _span(group, spec.b0, spec.steps, spec.s)
         notes["proper"] = len(els) == spec.s**spec.r
 
     elif isinstance(spec, (ApSpec, HapSpec)):
@@ -421,13 +439,13 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
         group.validate_element(b0, step)
         if step == group.zero:
             raise InputError("AP step must be nonzero")
-        els = _span(group, b0, (step,), k, cap)
+        els = _span(group, b0, (step,), k)
         notes["proper"] = len(els) == k
 
     elif isinstance(spec, BohrSpec):
         if not 0 < spec.rho < 1:
             raise InputError("Bohr radius must lie in (0, 1)")
-        els = _bohr_set(group, spec.freqs, spec.rho, cap)
+        els = _bohr_set(group, spec.freqs, spec.rho)
         # 0 is always a member, so a Bohr set is never empty
         notes["rank"] = len(spec.freqs)
 
@@ -435,7 +453,7 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
         group.validate_element(spec.base, *spec.basis)
         if group.kind not in ("zp_vec", "fq_vec"):
             raise InputError("affine sources require a vector group")
-        els = _span(group, spec.base, spec.basis, group.base_order, cap, scalars=True)
+        els = _span(group, spec.base, spec.basis, group.base_order, scalars=True)
         notes["dimension"] = round(math.log(len(els), group.base_order))
 
     elif isinstance(spec, LineSpec):
@@ -444,7 +462,7 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
         group.validate_element(spec.a, spec.d)
         if spec.d == group.zero:
             raise InputError("line direction must be nonzero")
-        els = _span(group, spec.a, (spec.d,), group.base_order, cap, scalars=True)
+        els = _span(group, spec.a, (spec.d,), group.base_order, scalars=True)
 
     elif isinstance(spec, ExplicitSpec):
         group.validate_element(*spec.elements)
@@ -455,8 +473,7 @@ def build_source(spec: SourceSpec, group: Group, budget: int | None = None) -> S
     elif isinstance(spec, RandomSpec):
         if not 1 <= spec.size <= group.order:
             raise InputError("random source size out of range")
-        if spec.size > cap:
-            raise BudgetError("random source size exceeds cap")
+        check_cost("a random source", held=spec.size)
         rng = random.Random(spec.seed)
         if group.order > sys.maxsize:
             # rng.sample needs len(range(order)), which overflows here
@@ -480,7 +497,7 @@ def sub_gap(spec: GapSpec, group: Group, side: int) -> set:
     These are the canonical symmetry-set witnesses of a proper GAP.
     """
     group.validate_element(*spec.steps)
-    return _span(group, group.zero, spec.steps, side, element_budget())
+    return _span(group, group.zero, spec.steps, side)
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +515,10 @@ def cyclic_convolve(va, vb, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     * pairs, when |a||b| <= min(m^N, 2^26): the |a||b| digitwise sums,
       sorted and counted by runs (_distinct_sums);
-    * FFT, when m^N <= element_budget(): for N = 1 zero-padded to a power of
-      two >= 2m - 1 (a large prime length through Bluestein costs several
-      times more) and folded mod m, for N > 1 one cyclic rfftn on shape
-      (m,)*N; then rounded;
-    * otherwise BudgetError.
+    * FFT otherwise, its m^N entries checked as held (check_cost): for N = 1
+      zero-padded to a power of two >= 2m - 1 (a large prime length through
+      Bluestein costs several times more) and folded mod m, for N > 1 one
+      cyclic rfftn on shape (m,)*N; then rounded.
     """
     va, vb = np.asarray(va, dtype=np.int64), np.asarray(vb, dtype=np.int64)
     N = va.shape[1] if va.ndim == 2 else 1
@@ -510,10 +526,8 @@ def cyclic_convolve(va, vb, m: int) -> tuple[np.ndarray, np.ndarray]:
     order = m**N
     if len(a) * len(b) <= min(order, DEFAULT_PAIR_BUDGET):
         keys, counts = _distinct_sums(a, b, m)
-    elif order > element_budget():
-        raise BudgetError(f"{len(a)} x {len(b)} pair sums in a group of order {order} fit "
-                          f"neither the pair budget nor the element budget")
     else:
+        check_cost(f"the FFT route for {len(a)} x {len(b)} pair sums", held=order)
         if N == 1:
             counts = convolve_rows(np.bincount(a[:, 0], minlength=m)[None],
                                    np.bincount(b[:, 0], minlength=m)[None], m)[0]
@@ -579,12 +593,11 @@ def convolve_rows(A, B, m: int) -> np.ndarray:
     large prime length through Bluestein costs several times more), folded
     mod m and rounded; the chunk holds at most CONVOLVE_CHUNK padded entries
     (at least one row), so memory is O(chunk) whatever the row count.
-    BudgetError if the padded length exceeds the element budget.
+    The padded length is checked as held entries (check_cost) first.
     """
     A, B = np.asarray(A), np.asarray(B)
     size = 1 << (2 * m - 2).bit_length()
-    if size > element_budget():
-        raise BudgetError(f"convolution mod {m} padded to {size} exceeds the element budget")
+    check_cost(f"a convolution mod {m}, zero-padded", held=size)
     step = max(1, CONVOLVE_CHUNK // size)
     out = np.empty((len(A), m), dtype=np.int64)
     for s in range(0, len(A), step):

@@ -15,7 +15,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import analysis, extractors as ex, gf, numtheory as nt, sources as src
 from .analysis import TOL, EvalReport
 from .canonical import digest
 from .errors import AddextError, BudgetError, InputError
-from .sources import PY_STEP, WORK_FACTOR
+from .sources import PY_STEP
 
 
 @dataclass
@@ -91,8 +90,8 @@ def _suite(*, cost):
     """A suite run. Each parameter is annotated with its _Check; ``cost`` maps
     the bound arguments to (held, work), the most array entries held at once
     and the total work. ``check`` binds the arguments (an unknown one is an
-    InputError), checks each parameter, defaults included, then held against
-    the element budget and work against WORK_FACTOR times it. A run checks
+    InputError), checks each parameter, defaults included, then the cost by
+    sources.check_cost, the one place a budget refusal happens. A run checks
     first, is timed into ``seconds``, and is not ok with a failure."""
     def declare(fn):
         name = fn.__name__.removeprefix("suite_").replace("_", "-")
@@ -111,11 +110,7 @@ def _suite(*, cost):
             bound.apply_defaults()
             for param, value in bound.arguments.items():
                 checks[param](param, value)
-            budget, (held, work) = src.element_budget(), cost(**bound.arguments)
-            if held > budget or work > WORK_FACTOR * budget:
-                raise BudgetError(f"suite {name!r} holds {Decimal(held):.4g} entries, works "
-                                  f"{Decimal(work):.4g} steps: past the element budget {budget} "
-                                  f"or {WORK_FACTOR} x it")
+            src.check_cost(f"suite {name!r}", *cost(**bound.arguments))
             return bound
 
         @functools.wraps(fn)

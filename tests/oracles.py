@@ -9,7 +9,32 @@ from typing import Sequence
 import numpy as np
 
 from addext import analysis, gf, numtheory as nt
-from addext.errors import InputError, NotInSubgroupError
+from addext.errors import AddextError, InputError
+
+
+class NotInSubgroupError(AddextError):
+    """Discrete logarithm requested for an element outside the subgroup."""
+
+
+def uniform(m: int) -> analysis.OutputDistribution:
+    return analysis.OutputDistribution(m, (1,) * m, m)
+
+
+def statistical_distance_exact(d1: analysis.OutputDistribution,
+                               d2: analysis.OutputDistribution) -> Fraction:
+    """(1/2) sum |d1_i - d2_i| as a sum of Fractions, one per output (the
+    oracle of analysis.distance_to_uniform's one integer sum)."""
+    if d1.support != d2.support:
+        raise InputError("support mismatch")
+    acc = Fraction(0)
+    for a, b in zip(d1.counts, d2.counts):
+        acc += abs(Fraction(a, d1.total) - Fraction(b, d2.total))
+    return acc / 2
+
+
+def statistical_distance(d1: analysis.OutputDistribution,
+                         d2: analysis.OutputDistribution) -> float:
+    return float(statistical_distance_exact(d1, d2))
 
 
 def partial_ap_sum_prefix_max(p: int, coeffs, a: int) -> float:

@@ -13,7 +13,8 @@ from addext.errors import BudgetError, InputError
 from addext.extractors import (build_zp_extractor, build_zpn_extractor, extract_many,
                                zp_encode, zpn_encode)
 from addext.sources import ExplicitSpec, GapSpec, Group, build_source
-from oracles import partial_ap_sum_prefix_max
+from oracles import (partial_ap_sum_prefix_max, statistical_distance,
+                     statistical_distance_exact, uniform)
 
 
 # ---------------------------------------------------------------------------
@@ -21,12 +22,12 @@ from oracles import partial_ap_sum_prefix_max
 # ---------------------------------------------------------------------------
 
 def test_statistical_distance_basics():
-    u = an.OutputDistribution.uniform(4)
-    assert an.statistical_distance(u, u) == 0.0
+    u = uniform(4)
+    assert statistical_distance(u, u) == 0.0
     point = an.OutputDistribution(4, (4, 0, 0, 0), 4)
-    assert an.statistical_distance(point, u) == 0.75  # 1 - 1/M
+    assert statistical_distance(point, u) == 0.75  # 1 - 1/M
     with pytest.raises(InputError):
-        an.statistical_distance(u, an.OutputDistribution.uniform(3))
+        statistical_distance(u, uniform(3))
 
 
 def test_distribution_counts_validated():
@@ -44,8 +45,19 @@ def test_zp_extractor_distribution_example():
 
 def test_exact_distance_is_rational():
     d = an.OutputDistribution(2, (8, 7), 15)
-    u = an.OutputDistribution.uniform(2)
-    assert an.statistical_distance_exact(d, u) == Fraction(1, 30)
+    u = uniform(2)
+    assert statistical_distance_exact(d, u) == Fraction(1, 30)
+
+
+def test_distance_to_uniform_is_the_fraction_sum_to_the_bit():
+    rng = random.Random(4)
+    for M in (1, 2, 3, 16, 1000):
+        for N in (1, 7, 5000):
+            counts = [0] * M
+            for _ in range(N):
+                counts[rng.randrange(M) if rng.random() < 0.7 else 0] += 1
+            d = an.OutputDistribution(M, tuple(counts), N)
+            assert an.distance_to_uniform(d) == statistical_distance(d, uniform(M))
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,20 @@ def test_pgc_table_is_held_to_the_element_budget(monkeypatch, p, N, budget, baby
 def test_pgc_past_its_declared_cost_is_refused_before_the_table(monkeypatch):
     # at ADDEXT_BUDGET = 100, B = 100 and 101 giant steps of 20 points cost
     # 100 + 101 (20 + PY_STEP) = 208,968 steps, past 1024 x 100
+    cfg = ex.build_pgc_extractor(10007, 3)
     monkeypatch.setenv("ADDEXT_BUDGET", "100")
     monkeypatch.setattr(nt, "discrete_logs", lambda *a: pytest.fail("table built"))
     with pytest.raises(BudgetError, match="100 baby and 101 giant steps, 208968 steps"):
-        ex.extract_many(ex.build_pgc_extractor(10007, 3), range(1, 21))
+        ex.extract_many(cfg, range(1, 21))
+
+
+def test_pgc_build_is_refused_before_its_primitive_root_search(monkeypatch):
+    # one point at this safe prime near 2^54 costs 5.9e11 steps, past
+    # WORK_FACTOR x 2^26: refused before p - 1 is factored by trial division
+    monkeypatch.setattr(nt, "factorize", lambda n: pytest.fail("p - 1 factored"))
+    with pytest.raises(BudgetError, match="pgc discrete logs of 1 points at "
+                                          "p = 18014398509483863 .* 592705489024 steps"):
+        ex.build_pgc_extractor(18014398509483863, 3)
 
 
 def test_discrete_logs_at_one_table_are_the_index_table():

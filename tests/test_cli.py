@@ -9,6 +9,8 @@ from addext.canonical import canonical_json
 from addext.cli import main
 from addext.errors import BudgetError
 
+import oracles
+
 
 def write(path, obj):
     path.write_text(canonical_json(obj))
@@ -420,7 +422,7 @@ def test_line_over_a_huge_field_exits_two_on_the_budget(tmp_path, capsys):
     out = tmp_path / "line.src.json"
     assert main(["build-source", "--spec", spec, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "exceeds enumeration cap" in err
+    assert err.startswith("error:") and "span of volume" in err and "past the element budget" in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -732,3 +734,80 @@ def test_charsum_range_past_its_declared_cost_exits_two_before_any_work(tmp_path
     assert time.perf_counter() - t0 < 5
     assert code == 2 and "character sums over 2000 elements" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    # the volume 100^3000 of a box
+    (["build-source", "--spec"], {"group": {"kind": "zp", "p": 101},
+                                  "spec": {"variant": "gap", "b0": 0, "steps": [1] * 3000,
+                                           "r": 3000, "s": 100}}),
+    # a Bohr set's group order 101^2200
+    (["build-source", "--spec"], {"group": {"kind": "zp_vec", "p": 101, "n": 2200},
+                                  "spec": {"variant": "bohr", "freqs": [[1] * 2200],
+                                           "rho": 0.1}}),
+    # the order of that group against the cap of --characters all
+    (["charsum", "--characters", "all", "--source"],
+     {"group": {"kind": "zp_vec", "p": 101, "n": 2200},
+      "spec": {"variant": "explicit", "elements": [[0] * 2200]}}),
+    # an integer that json.load refuses to parse
+    (["build-source", "--spec"], None),
+], ids=["gap-volume", "bohr-order", "charsum-all", "json-int"])
+def test_integers_past_4300_digits_exit_two_without_a_traceback(tmp_path, capsys,
+                                                                 command, doc):
+    path = tmp_path / "in.json"
+    if doc is None:
+        path.write_text('{"group": {"kind": "zp", "p": 1' + "0" * 4999 + '}, '
+                        '"spec": {"variant": "explicit", "elements": [1]}}')
+    else:
+        write(path, doc)
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert main([*command, str(path), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("extractor, m", [
+    ("zpn", 28), ("zpn", 64), ("zpn", 100_000_000_000), ("zp", 100_000_000_000)])
+def test_the_output_histogram_is_charged_before_any_point(tmp_path, run_cli_capped,
+                                                          extractor, m):
+    # 2^m histogram entries against the element budget, 2^m never computed
+    group = ({"kind": "zp_vec", "p": 101, "n": 3} if extractor == "zpn"
+             else {"kind": "zp", "p": 101})
+    element = [1, 2, 3] if extractor == "zpn" else 1
+    source = write(tmp_path / "s.json", {"group": group, "spec": {
+        "variant": "explicit", "elements": [element]}})
+    out = tmp_path / "e.csv"
+    t0 = time.perf_counter()
+    code, err = run_cli_capped(["extract", "--source", source, "--extractor", extractor,
+                                "--m", str(m), "--out", str(out)])
+    assert time.perf_counter() - t0 < 5
+    assert code == 2, err
+    assert err.startswith(f"error: the {extractor} extractor's 2^{m} outputs")
+    assert "past the element budget" in err and err.count("\n") == 1 and not out.exists()
+
+
+def test_a_sweep_row_past_the_output_budget_is_a_row_error(tmp_path, capsys):
+    grid = write(tmp_path / "grid.json", {"rows": [
+        {"group": {"kind": "zp_vec", "p": 101, "n": 3},
+         "source": {"variant": "explicit", "elements": [[1, 2, 3]]},
+         "extractor": {"build": "zpn", "m": 64}}]})
+    out = str(tmp_path / "sw.csv")
+    assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('FAIL sweep: {"error":"BudgetError: the zpn extractor') and \
+        "Traceback" not in err
+
+
+def test_a_wide_output_histogram_has_its_exact_distance(tmp_path):
+    # 2^20 outputs: the distance is one integer sum, equal to the Fraction sum
+    source = write(tmp_path / "s.json", {"group": {"kind": "zp_vec", "p": 101, "n": 3},
+                                         "spec": {"variant": "explicit", "elements": [
+                                             [1, 2, 3], [4, 5, 6], [0, 0, 1], [7, 7, 7]]}})
+    out = tmp_path / "e.csv"
+    assert main(["extract", "--source", source, "--extractor", "zpn", "--m", "20",
+                 "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "e.csv.report.json").read_text())
+    dist = analysis.OutputDistribution(1 << 20, tuple(report["outputs"]), 4)
+    assert report["distance"] == oracles.statistical_distance(dist, oracles.uniform(1 << 20))

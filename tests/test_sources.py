@@ -144,11 +144,14 @@ def test_random_source_above_sys_maxsize_matches_the_index_map():
         assert X.elements == {_element_of_index(group, i) for i in index}
 
 
-def test_budget_errors():
-    with pytest.raises(BudgetError):
-        build_source(BohrSpec((1,), 0.1), Group.zp(101), budget=50)
-    with pytest.raises(BudgetError):
-        build_source(GapSpec(0, (1, 2, 3), 100), Group.zp(10007), budget=10**4)
+def test_budget_errors(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setenv("ADDEXT_BUDGET", "50")
+        with pytest.raises(BudgetError):
+            build_source(BohrSpec((1,), 0.1), Group.zp(101))
+        mp.setenv("ADDEXT_BUDGET", str(10**4))
+        with pytest.raises(BudgetError):
+            build_source(GapSpec(0, (1, 2, 3), 100), Group.zp(10007))
     big = build_source(ExplicitSpec(tuple(range(8193))),
                        Group.zn(CrtSystem.make([1000003, 1000033])))
     with pytest.raises(BudgetError):
@@ -226,14 +229,15 @@ def test_bohr_set_matches_the_per_element_predicate(group, data, rho, chunk):
     assert X.elements == {x for x in everything if _in_bohr(group, freqs, vmax, x)}
 
 
-def test_bohr_rejects_frequencies_of_the_wrong_shape_and_huge_moduli():
+def test_bohr_rejects_frequencies_of_the_wrong_shape_and_huge_moduli(monkeypatch):
     for freqs, group in [(((1, 2),), Group.zp(11)), ((3,), Group.zp_vec(5, 2)),
                          (((1, 2, 3),), Group.zp_vec(5, 2)), (((1,),), Group.zp_vec(5, 2))]:
         with pytest.raises(InputError, match="Bohr frequency"):
             build_source(BohrSpec(freqs, 0.2), group)
     # the smallest prime whose square reaches 2^63: refused before any array is built
+    monkeypatch.setenv("ADDEXT_BUDGET", str(1 << 40))
     with pytest.raises(BudgetError, match="2\\^63"):
-        build_source(BohrSpec((1,), 0.2), Group.zp(3037000507), budget=1 << 40)
+        build_source(BohrSpec((1,), 0.2), Group.zp(3037000507))
 
 
 @pytest.mark.parametrize("group, freqs", [

@@ -181,16 +181,21 @@ def test_span_matches_the_coefficient_box(data):
     base = data.draw(element)
     gens = data.draw(st.lists(element, max_size=3))
     count = group.base_order if scalars else data.draw(st.integers(0, 7))
-    got = _span(group, base, gens, count, count ** len(gens), scalars)
-    assert got == naive_span(group, base, gens, count, scalars)
-    with pytest.raises(BudgetError):
-        _span(group, base, gens, count, count ** len(gens) - 1, scalars)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("ADDEXT_BUDGET", str(count ** len(gens)))
+        got = _span(group, base, gens, count, scalars)
+        assert got == naive_span(group, base, gens, count, scalars)
+        monkeypatch.setenv("ADDEXT_BUDGET", str(count ** len(gens) - 1))
+        with pytest.raises(BudgetError):
+            _span(group, base, gens, count, scalars)
 
 
-def test_line_sources_are_budgeted():
+def test_line_sources_are_budgeted(monkeypatch):
+    monkeypatch.setenv("ADDEXT_BUDGET", "10")
     with pytest.raises(BudgetError):
-        build_source(LineSpec((0, 0), (1, 2)), Group.zp_vec(101, 2), budget=10)
-    assert len(build_source(LineSpec((0, 0), (1, 2)), Group.zp_vec(101, 2), budget=101)) == 101
+        build_source(LineSpec((0, 0), (1, 2)), Group.zp_vec(101, 2))
+    monkeypatch.setenv("ADDEXT_BUDGET", "101")
+    assert len(build_source(LineSpec((0, 0), (1, 2)), Group.zp_vec(101, 2))) == 101
 
 
 def test_line_budget_is_checked_before_any_multiple_is_built():
@@ -198,17 +203,21 @@ def test_line_budget_is_checked_before_any_multiple_is_built():
         build_source(LineSpec((0, 0), (1, 2)), Group.zp_vec((1 << 61) - 1, 2))
 
 
-def test_every_box_checks_its_volume_first():
+def test_every_box_checks_its_volume_first(monkeypatch):
     zp = Group.zp(101)
+    monkeypatch.setenv("ADDEXT_BUDGET", "10")
     with pytest.raises(BudgetError):
-        build_source(ApSpec(0, 1, 11), zp, budget=10)
+        build_source(ApSpec(0, 1, 11), zp)
+    monkeypatch.setenv("ADDEXT_BUDGET", "15")
     with pytest.raises(BudgetError):
-        build_source(GapSpec(0, (1, 2), 4), zp, budget=15)
+        build_source(GapSpec(0, (1, 2), 4), zp)
+    monkeypatch.setenv("ADDEXT_BUDGET", "10")
     with pytest.raises(BudgetError):
-        build_source(AffineSpec((0, 0), ((1, 0),)), Group.zp_vec(11, 2), budget=10)
+        build_source(AffineSpec((0, 0), ((1, 0),)), Group.zp_vec(11, 2))
     # elements are validated before the volume is checked
+    monkeypatch.setenv("ADDEXT_BUDGET", "15")
     with pytest.raises(InputError):
-        build_source(GapSpec(101, (1, 2), 4), zp, budget=15)
+        build_source(GapSpec(101, (1, 2), 4), zp)
 
 
 def test_sub_gap_and_decomposition_respect_the_budget(monkeypatch):

@@ -340,7 +340,7 @@ def direct_route_only(mp, order):
     """The FFT route past the element budget (order - 1), the direct route's
     cost within WORK_FACTOR times it."""
     mp.setenv("ADDEXT_BUDGET", str(order - 1))
-    mp.setattr(an, "WORK_FACTOR", 1 << 40)
+    mp.setattr(sources, "WORK_FACTOR", 1 << 40)
 
 
 def test_charsum_table_fft_matches_direct():
@@ -451,7 +451,7 @@ def test_charsum_table_refuses_a_direct_route_past_its_cost(monkeypatch):
     # |frequencies| |values| N steps against WORK_FACTOR x the element budget
     monkeypatch.setenv("ADDEXT_BUDGET", "100")
     values, freqs = list(range(1, 41)), range(2560)  # 102,400 steps: 1000 x 100 is the bound
-    monkeypatch.setattr(an, "WORK_FACTOR", 1000)
+    monkeypatch.setattr(sources, "WORK_FACTOR", 1000)
     with pytest.raises(BudgetError, match="past 1000 x the element budget 100"):
         an.charsum_table(values, 1009, freqs)
     assert len(an.charsum_table(values, 1009, freqs[:2500])) == 2500

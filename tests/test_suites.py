@@ -83,7 +83,7 @@ def test_lines_refuses_tables_over_the_element_budget():
 def test_lines_budgets_all_its_tables_before_the_first(monkeypatch):
     # q^2 <= 2^26 for each refused q, but not LINE_SCAN_TABLES q^2; with the
     # work bound lifted, the tables alone decide, on both routes to the scan
-    monkeypatch.setattr(suites, "WORK_FACTOR", 1 << 40)
+    monkeypatch.setattr(src, "WORK_FACTOR", 1 << 40)
 
     def first_table(*args):
         raise RuntimeError("first table")

@@ -67,3 +67,37 @@ def test_discrete_logs_have_one_route():
     # and the O(p) index table are its oracles in tests/oracles.py
     for name in ("index_table", "discrete_log"):
         assert not hasattr(nt, name), name
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _reads(node: ast.AST, name: str) -> int:
+    """How often node reads name: loads of it as a name or an attribute, and imports."""
+    return sum(isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+               and (n.id if isinstance(n, ast.Name) else n.attr) == name
+               or isinstance(n, ast.alias) and n.name == name for n in ast.walk(node))
+
+
+def test_work_factor_is_read_only_by_check_cost():
+    trees = _trees()
+    check_cost = next(node for node in trees["sources"].body
+                      if isinstance(node, ast.FunctionDef) and node.name == "check_cost")
+    reads = sum(_reads(tree, "WORK_FACTOR") for tree in trees.values())
+    assert reads == _reads(check_cost, "WORK_FACTOR") > 0
+
+
+# The BudgetErrors that are not the element budget's: the exactness guards
+# (2^62, 2^63, the FFT's rounding) and gf.EXTENSION_BASE_CAP.
+NOT_THE_ELEMENT_BUDGET = {"sources._bohr_set", "sources._rounded", "analysis.poly_eval_all",
+                          "analysis.moment_sum", "suites._moment_cases", "gf.get_extension"}
+
+
+def test_every_budget_refusal_goes_through_check_cost():
+    raisers = {f"{module}.{fn.name}" for module, tree in _trees().items()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for n in ast.walk(fn) if isinstance(n, ast.Raise)
+               and isinstance(n.exc, ast.Call) and _reads(n.exc.func, "BudgetError")}
+    assert raisers == {"sources.check_cost"} | NOT_THE_ELEMENT_BUDGET
