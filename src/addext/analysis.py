@@ -29,32 +29,23 @@ TOL = 1e-6
 # output distributions and statistical distance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutputDistribution:
-    """Histogram over a finite output alphabet, kept as exact counts."""
-
-    support: int
-    counts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self):
-        if len(self.counts) != self.support or sum(self.counts) != self.total:
-            raise InputError("inconsistent distribution counts")
+def extractor_distribution(outputs: Sequence[int], support: int) -> np.ndarray:
+    """Exact histogram of an extractor's outputs over a source (uniform
+    weights): the int64 count of each output value in [0, support)."""
+    counts = np.bincount(np.asarray(outputs, dtype=np.int64), minlength=support)
+    if len(counts) != support:
+        raise InputError(f"an output outside [0, {support})")
+    return counts
 
 
-def extractor_distribution(outputs: Sequence[int], support: int) -> OutputDistribution:
-    """Exact histogram of an extractor's outputs over a source (uniform weights)."""
-    counts = [0] * support
-    for y in outputs:
-        counts[y] += 1
-    return OutputDistribution(support, tuple(counts), len(outputs))
-
-
-def distance_to_uniform(d: OutputDistribution) -> float:
-    """(1/2) sum |c/N - 1/M| over the counts c of N outputs in M = support
-    values, as one integer sum: sum |c M - N| / (2 N M), rounded once."""
-    M, N = d.support, d.total
-    return float(Fraction(sum(abs(c * M - N) for c in d.counts), 2 * N * M))
+def distance_to_uniform(counts: np.ndarray) -> float:
+    """(1/2) sum |c/N - 1/M| over the counts c of N outputs in M = len(counts)
+    values, as one integer sum rounded once: sum |c M - N| = 2 (M S - N k)
+    over the k counts c > floor(N / M), whose sum is S (the terms c M - N sum
+    to 0 and are positive exactly there)."""
+    M, N = len(counts), int(counts.sum())
+    above = counts[counts > N // M]
+    return float(Fraction(M * int(above.sum()) - N * len(above), N * M))
 
 
 # ---------------------------------------------------------------------------

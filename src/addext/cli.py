@@ -153,11 +153,11 @@ def cmd_extract(args, t0: float) -> Outcome:
     cfg = ex.build_for_group(args.extractor, X.group, args.m)
     outputs = ex.extract_many(cfg, X.sorted_elements)
     rows = [[src._elem_text(x), y] for x, y in zip(X.sorted_elements, outputs)]
-    dist = analysis.extractor_distribution(outputs, ex.output_size(cfg))
+    counts = analysis.extractor_distribution(outputs, ex.output_size(cfg))
     report = analysis.EvalReport(
         config_digest=digest(cfg.to_json()), source_digest=X.digest, size=len(X),
-        distance=analysis.distance_to_uniform(dist),
-        extra={"outputs": dist.counts, "config": cfg.to_json()})
+        distance=analysis.distance_to_uniform(counts),
+        extra={"outputs": counts.tolist(), "config": cfg.to_json()})
     report.seconds = time.perf_counter() - t0
     _write_csv(args.out, ["element", "output"], rows)
     _write_json(args.out + ".report.json", report.to_json())

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import gf, numtheory as nt
 from .canonical import canonical_json
-from .errors import InputError
-from .numtheory import MODULUS_CAP, CrtSystem, Residue
+from .errors import CapacityError, InputError
+from .numtheory import MODULUS_CAP, CrtSystem
 from .sources import PY_STEP, Group, check_cost, element_budget, product_steps
 
 # ---------------------------------------------------------------------------
@@ -54,17 +54,7 @@ def build_zp_extractor(p: int, m: int) -> ZpExtractorConfig:
     q = nt.smallest_prime_congruent_one(p)
     if (1 << m) >= q:
         raise InputError(f"2^{m} >= q = {q}: too many output bits")
-    g = nt.order_p_element(q, p).value
-    return ZpExtractorConfig(p, q, g, m)
-
-
-def zp_encode(x: int, cfg: ZpExtractorConfig) -> int:
-    """The injective encoding x -> g^x of Z_p into the order-p subgroup of Z_q*."""
-    return pow(cfg.g, x % cfg.p, cfg.q)
-
-
-def zp_extract(x: int, cfg: ZpExtractorConfig) -> int:
-    return zp_encode(x, cfg) % cfg.M
+    return ZpExtractorConfig(p, q, nt.order_p_element(q, p), m)
 
 
 # ---------------------------------------------------------------------------
@@ -84,35 +74,41 @@ class ZpnExtractorConfig:
     def M(self) -> int:
         return 1 << self.m
 
-    @property
-    def crt(self) -> CrtSystem:
-        return CrtSystem(self.qs, self.q)
-
     def to_json(self) -> dict:
         return {"variant": "zpn", "p": self.p, "n": self.n, "qs": list(self.qs),
                 "gs": list(self.gs), "q": self.q, "m": self.m}
 
 
 def build_zpn_extractor(p: int, n: int, m: int) -> ZpnExtractorConfig:
+    """The config at (p, n), refused before the prime search where n primes
+    = 1 (mod p), each at least p + 1, cannot multiply to below 2^63."""
+    if (p + 1) ** min(n, 64) >= MODULUS_CAP:
+        raise CapacityError(f"{n} primes = 1 mod {p} multiply to at least "
+                            f"{p + 1}^{n} >= 2^63")
     qs = tuple(nt.linnik_primes(p, n))
     crt = CrtSystem.make(qs)  # enforces the 2^63 cap
-    gs = tuple(nt.order_p_element(qi, p).value for qi in qs)
+    gs = tuple(nt.order_p_element(qi, p) for qi in qs)
     if math.gcd(1 << m, crt.combined_modulus) != 1:
         raise InputError("output modulus must be coprime to q")
     return ZpnExtractorConfig(p, n, qs, gs, crt.combined_modulus, m)
 
 
-def zpn_encode(x: Sequence[int], cfg: ZpnExtractorConfig) -> int:
-    """CRT(g_1^{x_1}, ..., g_n^{x_n}) in Z_q; injective, image inside Z_q*."""
-    if len(x) != cfg.n:
-        raise InputError(f"expected a vector of length {cfg.n}")
-    residues = [Residue(pow(g, xi % cfg.p, qi), qi)
-                for g, qi, xi in zip(cfg.gs, cfg.qs, x)]
-    return nt.crt_combine(residues, cfg.crt).value
-
-
-def zpn_extract(x: Sequence[int], cfg: ZpnExtractorConfig) -> int:
-    return zpn_encode(x, cfg) % cfg.M
+def encode_many(cfg: ZpExtractorConfig | ZpnExtractorConfig, points: Iterable) -> list[int]:
+    """The injective encoding of each point into Z_q: x -> g^x in the order-p
+    subgroup of Z_q* for zp; for zpn, CRT(g_1^{x_1}, ..., g_n^{x_n}), inside
+    Z_q*, as sum_i g_i^{x_i} w_i mod q with the weights w_i = (q/q_i)
+    ((q/q_i)^-1 mod q_i) taken once. A zpn point not of length n is an
+    InputError."""
+    p, q = cfg.p, cfg.q
+    if isinstance(cfg, ZpExtractorConfig):
+        return [pow(cfg.g, x % p, q) for x in points]
+    terms = [(g, qi, q // qi * pow(q // qi, -1, qi)) for g, qi in zip(cfg.gs, cfg.qs)]
+    out = []
+    for x in points:
+        if len(x) != cfg.n:
+            raise InputError(f"expected a vector of length {cfg.n}")
+        out.append(sum(pow(g, xi % p, qi) * w for (g, qi, w), xi in zip(terms, x)) % q)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +174,6 @@ def build_line_extractor(q: int | gf.FieldSpec, n: int) -> LineExtractorConfig:
     return LineExtractorConfig(field, n, padded_n, blocks, variant)
 
 
-def line_extract(x: Sequence[int], cfg: LineExtractorConfig) -> int:
-    """The output bit at one point of F_q^n (extract_many on one point)."""
-    return extract_many(cfg, [x])[0]
-
-
 @dataclass(frozen=True)
 class ApExtractorConfig:
     """Block-polynomial extractor for APs and GAPs in F_p^n.
@@ -239,11 +230,6 @@ def ap_config_with_blocks(p: int, n: int, m: int,
     return ApExtractorConfig(gf.FieldSpec.make(p, 1), n, total, tuple(blocks), m)
 
 
-def ap_extract(x: Sequence[int], cfg: ApExtractorConfig) -> int:
-    """The output at one point of F_p^n (extract_many on one point)."""
-    return extract_many(cfg, [x])[0]
-
-
 # ---------------------------------------------------------------------------
 # index-map extractor (conditional construction)
 # ---------------------------------------------------------------------------
@@ -287,12 +273,6 @@ def _pgc_baby_steps(p: int, N: int) -> int:
     check_cost(f"pgc discrete logs of {N} points at p = {p} take {B} baby and {G} giant steps",
                work=u * (B + G * N) + G * PY_STEP)
     return B
-
-
-def pgc_extract(x: int, cfg: PgcExtractorConfig) -> int:
-    """0 on 0, else the index (discrete log base g) of x reduced mod 2^m
-    (extract_many on one point)."""
-    return extract_many(cfg, [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +390,12 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
     discrete log at once by ``numtheory.discrete_logs``, B baby steps and G
     giant steps, B held to the element budget; its cost is checked first by
     check_cost, the one place a budget refusal happens (_pgc_baby_steps).
-    The ``zp`` and ``zpn`` cases call the one-point ``*_extract`` function of
-    their family, looked up by name, so that a patched module attribute (as
-    in ``benchmarks/tracer.py``) sees each such call.
+    ``zp`` and ``zpn`` reduce their encodings (encode_many) mod 2^m.
     """
     points = list(points)
-    if isinstance(cfg, ZpExtractorConfig):
-        return [zp_extract(x, cfg) for x in points]
-    if isinstance(cfg, ZpnExtractorConfig):
-        return [zpn_extract(x, cfg) for x in points]
+    if isinstance(cfg, (ZpExtractorConfig, ZpnExtractorConfig)):
+        M = cfg.M
+        return [y % M for y in encode_many(cfg, points)]
     if isinstance(cfg, LineExtractorConfig):
         values = _block_poly_many(cfg, _coordinates(cfg, points))
         if cfg.variant == "additive_trace":

@@ -1,8 +1,8 @@
 """Exact modular arithmetic: primes in arithmetic progressions, subgroup
-generators, Chinese remaindering, the one subgroup walk (powers) and the
-batched discrete logs read from it, the one kernel of inner products mod m
-(dot_mod), and the one base-m digit codec (to_digits / from_digits) of group
-indices and field encodings.
+generators, Chinese-remainder moduli systems, the one subgroup walk (powers)
+and the batched discrete logs read from it, the one kernel of inner products
+mod m (dot_mod), and the one base-m digit codec (to_digits / from_digits) of
+group indices and field encodings.
 
 All functions are pure and deterministic; "smallest" is the canonical choice
 wherever a prime or generator has to be picked, so every derived constant is
@@ -53,20 +53,6 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Residue:
-    """An integer reduced mod a fixed modulus >= 2."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise InputError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise InputError(f"value {self.value} not reduced mod {self.modulus}")
-
-
-@dataclass(frozen=True)
 class CrtSystem:
     """Pairwise-coprime moduli q_1..q_n with combined modulus q = prod q_i."""
 
@@ -110,7 +96,7 @@ def linnik_primes(p: int, n: int, budget: int = 10**9) -> list[int]:
     return out
 
 
-def order_p_element(q: int, p: int) -> Residue:
+def order_p_element(q: int, p: int) -> int:
     """Smallest g in {2..q-1} with g^p = 1 (mod q); has exact order p (p prime).
 
     Existence: Z_q* is cyclic of order q-1 and p | q-1.
@@ -119,20 +105,8 @@ def order_p_element(q: int, p: int) -> Residue:
         raise InputError(f"{p} does not divide {q}-1")
     for g in range(2, q):
         if pow(g, p, q) == 1:
-            return Residue(g, q)
+            return g
     raise InputError(f"no element of order {p} mod {q}")  # unreachable for prime q
-
-
-def crt_combine(residues: Sequence[Residue], system: CrtSystem) -> Residue:
-    """Unique y mod q with y = y_i (mod q_i), via sum y_i (q/q_i) [(q/q_i)^-1]_{q_i}."""
-    if tuple(r.modulus for r in residues) != system.moduli:
-        raise InputError("residue moduli do not match the CRT system")
-    q = system.combined_modulus
-    y = 0
-    for r, qi in zip(residues, system.moduli):
-        m = q // qi
-        y += r.value * m * pow(m, -1, qi)
-    return Residue(y % q, q)
 
 
 def factorize(n: int) -> dict[int, int]:

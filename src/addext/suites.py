@@ -718,13 +718,6 @@ def _row_config(row: dict, group: src.Group):
                               _key(e, "m", "extractor", 1))
 
 
-def _encoded_values(cfg, X: src.Source) -> tuple[list[int], int] | None:
-    """Encoded multiset and encoding modulus, for configs with an encode stage."""
-    encode = {ex.ZpExtractorConfig: ex.zp_encode,
-              ex.ZpnExtractorConfig: ex.zpn_encode}.get(type(cfg))
-    return encode and ([encode(x, cfg) for x in X.sorted_elements], cfg.q)
-
-
 def _sweep_point(row: dict) -> EvalReport:
     fam = _key(row, "family", "row", None)
     if fam is not None:
@@ -733,15 +726,14 @@ def _sweep_point(row: dict) -> EvalReport:
     spec = src.spec_from_json(_key(row, "source", "row"))
     X = src.build_source(spec, group)
     cfg = _row_config(row, group)
-    dist = analysis.extractor_distribution(ex.extract_many(cfg, X.sorted_elements),
-                                           ex.output_size(cfg))
-    distance = analysis.distance_to_uniform(dist)
-    enc = _encoded_values(cfg, X)
+    counts = analysis.extractor_distribution(ex.extract_many(cfg, X.sorted_elements),
+                                             ex.output_size(cfg))
+    distance = analysis.distance_to_uniform(counts)
     max_charsum = None
     per_char = None
     sampled = False
-    if enc is not None:
-        values, modulus = enc
+    if isinstance(cfg, (ex.ZpExtractorConfig, ex.ZpnExtractorConfig)):
+        values, modulus = ex.encode_many(cfg, X.sorted_elements), cfg.q
         if modulus <= CHARSUM_SCAN_CAP:
             freqs = range(1, modulus)
         else:
@@ -759,7 +751,7 @@ def _sweep_point(row: dict) -> EvalReport:
         config_digest=digest(cfg.to_json()), source_digest=X.digest,
         size=len(X), distance=distance, max_charsum=max_charsum, bound=bound,
         ok=ok, asserted=asserted and bound is not None,
-        extra={"charsum_sampled": sampled, "outputs": dist.counts},
+        extra={"charsum_sampled": sampled, "outputs": counts.tolist()},
         per_character=per_char)
 
 

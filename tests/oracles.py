@@ -3,6 +3,7 @@ for the tests. Nothing in ``src/addext`` imports this module."""
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -16,12 +17,26 @@ class NotInSubgroupError(AddextError):
     """Discrete logarithm requested for an element outside the subgroup."""
 
 
-def uniform(m: int) -> analysis.OutputDistribution:
-    return analysis.OutputDistribution(m, (1,) * m, m)
+@dataclass(frozen=True)
+class OutputDistribution:
+    """Histogram over a finite output alphabet, kept as exact counts (the
+    oracle of analysis.extractor_distribution's bincount array)."""
+
+    support: int
+    counts: tuple[int, ...]
+    total: int
+
+    def __post_init__(self):
+        if len(self.counts) != self.support or sum(self.counts) != self.total:
+            raise InputError("inconsistent distribution counts")
 
 
-def statistical_distance_exact(d1: analysis.OutputDistribution,
-                               d2: analysis.OutputDistribution) -> Fraction:
+def uniform(m: int) -> OutputDistribution:
+    return OutputDistribution(m, (1,) * m, m)
+
+
+def statistical_distance_exact(d1: OutputDistribution,
+                               d2: OutputDistribution) -> Fraction:
     """(1/2) sum |d1_i - d2_i| as a sum of Fractions, one per output (the
     oracle of analysis.distance_to_uniform's one integer sum)."""
     if d1.support != d2.support:
@@ -32,8 +47,8 @@ def statistical_distance_exact(d1: analysis.OutputDistribution,
     return acc / 2
 
 
-def statistical_distance(d1: analysis.OutputDistribution,
-                         d2: analysis.OutputDistribution) -> float:
+def statistical_distance(d1: OutputDistribution,
+                         d2: OutputDistribution) -> float:
     return float(statistical_distance_exact(d1, d2))
 
 
@@ -473,11 +488,42 @@ def ap_extract(x: Sequence[int], cfg) -> int:
 
 
 # ---------------------------------------------------------------------------
+# residues and Chinese remaindering one point at a time: the oracle of the
+# zpn branch of extractors.encode_many (its zp branch is plain pow)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Residue:
+    """An integer reduced mod a fixed modulus >= 2."""
+
+    value: int
+    modulus: int
+
+    def __post_init__(self):
+        if self.modulus < 2:
+            raise InputError(f"modulus must be >= 2, got {self.modulus}")
+        if not 0 <= self.value < self.modulus:
+            raise InputError(f"value {self.value} not reduced mod {self.modulus}")
+
+
+def crt_combine(residues: Sequence[Residue], system: nt.CrtSystem) -> Residue:
+    """Unique y mod q with y = y_i (mod q_i), via sum y_i (q/q_i) [(q/q_i)^-1]_{q_i}."""
+    if tuple(r.modulus for r in residues) != system.moduli:
+        raise InputError("residue moduli do not match the CRT system")
+    q = system.combined_modulus
+    y = 0
+    for r, qi in zip(residues, system.moduli):
+        m = q // qi
+        y += r.value * m * pow(m, -1, qi)
+    return Residue(y % q, q)
+
+
+# ---------------------------------------------------------------------------
 # discrete logarithms one point at a time: the oracles of
 # numtheory.discrete_logs and of the pgc branch of extractors.extract_many
 # ---------------------------------------------------------------------------
 
-def discrete_log(g: nt.Residue, y: nt.Residue, order: int) -> int:
+def discrete_log(g: Residue, y: Residue, order: int) -> int:
     """Exponent e in {0..order-1} with g^e = y, by baby-step/giant-step over
     a dict of isqrt(order - 1) + 1 baby steps. NotInSubgroupError when y is
     not a power of g."""
@@ -518,7 +564,7 @@ def pgc_extract(x: int, cfg) -> int:
     x %= cfg.p
     if x == 0:
         return 0
-    return discrete_log(nt.Residue(cfg.g, cfg.p), nt.Residue(x, cfg.p), cfg.p - 1) % cfg.M
+    return discrete_log(Residue(cfg.g, cfg.p), Residue(x, cfg.p), cfg.p - 1) % cfg.M
 
 
 # ---------------------------------------------------------------------------

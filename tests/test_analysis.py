@@ -10,10 +10,10 @@ from addext import analysis as an
 from addext import numtheory as nt
 from addext import suites
 from addext.errors import BudgetError, InputError
-from addext.extractors import (build_zp_extractor, build_zpn_extractor, extract_many,
-                               zp_encode, zpn_encode)
+from addext.extractors import (build_zp_extractor, build_zpn_extractor, encode_many,
+                               extract_many)
 from addext.sources import ExplicitSpec, GapSpec, Group, build_source
-from oracles import (partial_ap_sum_prefix_max, statistical_distance,
+from oracles import (OutputDistribution, partial_ap_sum_prefix_max, statistical_distance,
                      statistical_distance_exact, uniform)
 
 
@@ -24,7 +24,7 @@ from oracles import (partial_ap_sum_prefix_max, statistical_distance,
 def test_statistical_distance_basics():
     u = uniform(4)
     assert statistical_distance(u, u) == 0.0
-    point = an.OutputDistribution(4, (4, 0, 0, 0), 4)
+    point = OutputDistribution(4, (4, 0, 0, 0), 4)
     assert statistical_distance(point, u) == 0.75  # 1 - 1/M
     with pytest.raises(InputError):
         statistical_distance(u, uniform(3))
@@ -32,19 +32,21 @@ def test_statistical_distance_basics():
 
 def test_distribution_counts_validated():
     with pytest.raises(InputError):
-        an.OutputDistribution(2, (1, 1), 3)
+        OutputDistribution(2, (1, 1), 3)
+    with pytest.raises(InputError):
+        an.extractor_distribution([0, 2], 2)  # an output past the support
 
 
 def test_zp_extractor_distribution_example():
     cfg = build_zp_extractor(5, 1)
     X = build_source(ExplicitSpec(tuple(range(5))), Group.zp(5))
     dist = an.extractor_distribution(extract_many(cfg, X.sorted_elements), 2)
-    assert dist.counts == (1, 4)
+    assert dist.dtype == np.int64 and dist.tolist() == [1, 4]
     assert abs(an.distance_to_uniform(dist) - 0.3) < 1e-15
 
 
 def test_exact_distance_is_rational():
-    d = an.OutputDistribution(2, (8, 7), 15)
+    d = OutputDistribution(2, (8, 7), 15)
     u = uniform(2)
     assert statistical_distance_exact(d, u) == Fraction(1, 30)
 
@@ -56,8 +58,19 @@ def test_distance_to_uniform_is_the_fraction_sum_to_the_bit():
             counts = [0] * M
             for _ in range(N):
                 counts[rng.randrange(M) if rng.random() < 0.7 else 0] += 1
-            d = an.OutputDistribution(M, tuple(counts), N)
-            assert an.distance_to_uniform(d) == statistical_distance(d, uniform(M))
+            d = OutputDistribution(M, tuple(counts), N)
+            assert an.distance_to_uniform(np.array(counts)) == statistical_distance(d, uniform(M))
+
+
+def test_distance_to_uniform_has_no_int64_overflow():
+    # c M and N M pass 2^63 here: the sum is taken in Python ints
+    M = 1 << 20
+    counts = np.zeros(M, dtype=np.int64)
+    counts[[0, 5, M - 1]] = [1 << 50, 3, (1 << 50) + 7]
+    N = int(counts.sum())
+    want = Fraction(sum(abs(int(c) * M - N) for c in counts[[0, 5, M - 1]])
+                    + (M - 3) * N, 2 * N * M)
+    assert an.distance_to_uniform(counts) == float(want)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +103,7 @@ def test_additive_charsum_vector_group():
 def test_encoded_charsum_trivial_cases():
     cfg = build_zp_extractor(5, 1)
     X = build_source(ExplicitSpec(tuple(range(5))), Group.zp(5))
-    values = [zp_encode(x, cfg) for x in X.sorted_elements]
+    values = encode_many(cfg, X.sorted_elements)
     assert an.charsum_table(values, cfg.q, [0])[0] == 1.0
     # the image is the order-5 subgroup of Z_11*; its charsums are Gauss-like
     v = an.charsum_table(values, cfg.q, [1])[0]
@@ -107,8 +120,8 @@ def test_charsum_table_exact_above_int64_products():
     q = cfg.q
     assert (q - 1) ** 2 >= 1 << 63
     rng = random.Random(41)
-    values = [zpn_encode(tuple(rng.randrange(101) for _ in range(4)), cfg)
-              for _ in range(200)]
+    values = encode_many(cfg, [tuple(rng.randrange(101) for _ in range(4))
+                               for _ in range(200)])
     freqs = [1] + rng.sample(range(1, q), 15)
     got = an.charsum_table(values, q, freqs)
     for xi, value in zip(freqs, got):
@@ -136,7 +149,7 @@ def test_displacement_transport_exhaustive_p101():
     rng = random.Random(17)
     for _ in range(5):
         X = sorted(rng.sample(range(p), rng.randint(5, p)))
-        Y = [zp_encode(x, cfg) for x in X]
+        Y = encode_many(cfg, X)
         ind = np.zeros(q)
         ind[Y] = 1
         mags = np.abs(np.fft.fft(ind))  # |Y^(a)| for all a
@@ -146,7 +159,7 @@ def test_displacement_transport_exhaustive_p101():
             if reps[a_prime] == 0:
                 continue
             alpha = 1 - reps[a_prime] / size
-            shift = zp_encode(a_prime, cfg)
+            shift = encode_many(cfg, [a_prime])[0]
             shifted = mags[np.arange(q) * shift % q]
             assert (np.abs(shifted - mags) <= 2 * alpha * size + 1e-9).all()
 

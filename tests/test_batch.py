@@ -1,5 +1,5 @@
-"""Differential tests of the batch routes of ``extract_many``, ``gf`` and
-``numtheory.discrete_logs``.
+"""Differential tests of the batch routes of ``extract_many``, ``encode_many``,
+``gf`` and ``numtheory.discrete_logs``.
 
 ``line`` and ``ap`` evaluate their block norms on all points at once through
 ``gf.norms_many`` (a power ladder over (N, K) arrays of F_p digits, or uint64
@@ -10,7 +10,9 @@ oracles are the one-point routes of ``tests/oracles.py`` (``line_extract``,
 ``ap_extract``, ``norm_poly_eval``, ``norm_by_conjugates``, ``trace_to_f2``,
 ``fq_quadratic_character``, all by the one-element arithmetic ``fq_mul``,
 ``fq_pow``, ..., and ``pgc_extract`` by the dict baby-step/giant-step
-``discrete_log``).
+``discrete_log``). ``zp`` and ``zpn`` encode all points in one
+``encode_many`` call, against plain ``pow`` and ``crt_combine`` over
+``Residue``.
 """
 
 import json
@@ -74,6 +76,42 @@ def test_pgc_batch_matches_one_point(p, m, points):
     assert ex.extract_many(cfg, points) == [oracles.pgc_extract(x, cfg) for x in points]
 
 
+# zpn configs (p, n, m); at (101, 4), (7, 9) and (65537, 3) q > 2^32, so the
+# products g_i^{x_i} w_i of the CRT weights pass 2^63 as Python ints
+ZPN_CASES = [(2, 2, 1), (3, 2, 1), (11, 3, 2), (101, 4, 3), (7, 9, 5), (65537, 3, 8)]
+
+
+@pytest.mark.parametrize("p, n, m", ZPN_CASES)
+def test_zpn_encodings_match_the_crt_oracle(p, n, m):
+    cfg = ex.build_zpn_extractor(p, n, m)
+    rng = random.Random(p * n)
+    points = [tuple(rng.randrange(-p, 2 * p) for _ in range(n)) for _ in range(200)]
+    points += [(0,) * n, (p - 1,) * n]
+    want = [oracles.crt_combine([oracles.Residue(pow(g, xi % p, qi), qi)
+                                 for g, qi, xi in zip(cfg.gs, cfg.qs, x)],
+                                nt.CrtSystem.make(cfg.qs)).value for x in points]
+    assert ex.encode_many(cfg, points) == want
+    assert ex.extract_many(cfg, points) == [y % cfg.M for y in want]
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (5, 2), (101, 3), (10007, 5), (1000003, 8)])
+def test_zp_encodings_match_pow(p, m):
+    cfg = ex.build_zp_extractor(p, m)
+    rng = random.Random(p)
+    points = [rng.randrange(-p, 2 * p) for _ in range(500)] + [0, p - 1]
+    want = [pow(cfg.g, x % p, cfg.q) for x in points]
+    assert ex.encode_many(cfg, points) == want
+    assert ex.extract_many(cfg, points) == [y % cfg.M for y in want]
+
+
+def test_a_zpn_point_of_the_wrong_length_is_an_input_error():
+    cfg = ex.build_zpn_extractor(11, 3, 1)
+    for bad in [(), (1, 2), (1, 2, 3, 4)]:
+        for route in (ex.encode_many, ex.extract_many):
+            with pytest.raises(InputError, match="length 3"):
+                route(cfg, [(1, 2, 3), bad])
+
+
 # baby-step counts B = p - 1 (one table of every index), about sqrt(p) and 1
 # (p - 1 giant steps); B = p - 1 is left out where its table would hold more
 # than 2^24 entries, and B = 1 where p - 1 giant steps would take seconds. At
@@ -92,7 +130,8 @@ def test_discrete_logs_match_the_one_point_oracle(case, data):
     ys = data.draw(st.lists(point, min_size=1, max_size=8))
     ys += data.draw(st.lists(st.sampled_from(ys), max_size=3))   # repeated points
     g = nt.smallest_primitive_root(p)
-    want = [-1 if y == 0 else oracles.discrete_log(nt.Residue(g, p), nt.Residue(y, p), p - 1)
+    want = [-1 if y == 0 else
+            oracles.discrete_log(oracles.Residue(g, p), oracles.Residue(y, p), p - 1)
             for y in ys]
     assert nt.discrete_logs(g, ys, p, baby).tolist() == want
 

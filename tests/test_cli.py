@@ -351,30 +351,29 @@ def test_line_extractor_takes_only_one_bit(tmp_path, capsys):
 
 
 def test_extract_evaluates_each_point_once(tmp_path, monkeypatch):
-    """One extract_many call over the whole source. In it zp and zpn make one
-    one-point call per point; line, ap and pgc take their batch routes and
-    make none."""
-    real_many = ex.extract_many
+    """One extract_many call over the whole source. In it zp and zpn encode
+    every point in one encode_many call; line, ap and pgc take their batch
+    routes and make none."""
+    real_many, real_encode = ex.extract_many, ex.encode_many
     for kind, family in sorted(FITS):
-        batches, calls = [], []
-        real = getattr(ex, f"{family}_extract")
+        batches, encoded = [], []
 
-        def counted(x, cfg, real=real, calls=calls):
-            calls.append(x)
-            return real(x, cfg)
+        def counted_encode(cfg, points, encoded=encoded):
+            encoded.append(len(points))
+            return real_encode(cfg, points)
 
         def counted_many(cfg, points, batches=batches):
             batches.append(len(points))
             return real_many(cfg, points)
 
-        monkeypatch.setattr(ex, f"{family}_extract", counted)
+        monkeypatch.setattr(ex, "encode_many", counted_encode)
         monkeypatch.setattr(ex, "extract_many", counted_many)
         spec = _source(tmp_path, GROUPS[kind], ELEMENTS[kind])
         assert main(["extract", "--source", spec, "--extractor", family,
                      "--out", str(tmp_path / "once.csv")]) == 0
         assert batches == [len(ELEMENTS[kind])], (kind, family, batches)
-        one_point = len(ELEMENTS[kind]) if family in ("zp", "zpn") else 0
-        assert len(calls) == one_point, (kind, family, len(calls))
+        want = [len(ELEMENTS[kind])] if family in ("zp", "zpn") else []
+        assert encoded == want, (kind, family, encoded)
 
 
 def test_sweep_and_extract_agree_on_config_and_outputs(tmp_path):
@@ -800,6 +799,25 @@ def test_a_sweep_row_past_the_output_budget_is_a_row_error(tmp_path, capsys):
         "Traceback" not in err
 
 
+def test_a_zpn_group_past_the_modulus_cap_exits_before_its_prime_search(tmp_path, capsys):
+    # n primes = 1 (mod p) are each at least p + 1, and 4^200000 >= 2^63:
+    # refused before the 200,000 primes = 1 (mod 3) are searched for
+    group = {"kind": "zp_vec", "p": 3, "n": 200000}
+    elements = [[0] * 200000]
+    grid = write(tmp_path / "grid.json", {"rows": [{
+        "group": group, "source": {"variant": "explicit", "elements": elements},
+        "extractor": {"build": "zpn"}}]})
+    for argv in (["extract", "--source", _source(tmp_path, group, elements),
+                  "--extractor", "zpn", "--out", str(tmp_path / "e.csv")],
+                 ["verify", "--suite", "sweep", "--grid", grid,
+                  "--out", str(tmp_path / "sw.csv")]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1
+        assert "200000 primes = 1 mod 3 multiply to at least" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_a_wide_output_histogram_has_its_exact_distance(tmp_path):
     # 2^20 outputs: the distance is one integer sum, equal to the Fraction sum
     source = write(tmp_path / "s.json", {"group": {"kind": "zp_vec", "p": 101, "n": 3},
@@ -809,5 +827,5 @@ def test_a_wide_output_histogram_has_its_exact_distance(tmp_path):
     assert main(["extract", "--source", source, "--extractor", "zpn", "--m", "20",
                  "--out", str(out)]) == 0
     report = json.loads((tmp_path / "e.csv.report.json").read_text())
-    dist = analysis.OutputDistribution(1 << 20, tuple(report["outputs"]), 4)
+    dist = oracles.OutputDistribution(1 << 20, tuple(report["outputs"]), 4)
     assert report["distance"] == oracles.statistical_distance(dist, oracles.uniform(1 << 20))

@@ -9,12 +9,10 @@ from addext.errors import CapacityError, InputError
 from addext.extractors import (Block, LineExtractorConfig,
                                PgcExtractorConfig, ZpExtractorConfig,
                                ZpnExtractorConfig, ap_config_with_blocks,
-                               ap_extract, build_ap_extractor,
-                               build_line_extractor, build_pgc_extractor,
-                               build_zp_extractor, build_zpn_extractor,
-                               config_for_group, line_extract,
-                               pgc_extract, prime_power_field, zp_encode,
-                               zp_extract, zpn_encode, zpn_extract)
+                               build_ap_extractor, build_line_extractor,
+                               build_pgc_extractor, build_zp_extractor,
+                               build_zpn_extractor, config_for_group,
+                               encode_many, extract_many, prime_power_field)
 from addext.sources import Group
 
 import oracles
@@ -37,15 +35,15 @@ def test_build_zp_examples():
 
 def test_zp_extract_examples():
     cfg = build_zp_extractor(5, 1)
-    assert zp_extract(0, cfg) == 1
-    assert zp_extract(2, cfg) == 1
-    assert zp_extract(4, cfg) == 0
+    assert extract_many(cfg, [0])[0] == 1
+    assert extract_many(cfg, [2])[0] == 1
+    assert extract_many(cfg, [4])[0] == 0
 
 
 def test_zp_encoding_injective_exhaustive():
     for p in (101, 997):
         cfg = build_zp_extractor(p, 1)
-        values = {zp_encode(x, cfg) for x in range(p)}
+        values = set(encode_many(cfg, range(p)))
         assert len(values) == p
         assert all(0 < v < cfg.q for v in values)
 
@@ -56,7 +54,7 @@ def test_zp_structure_transport_small():
     cfg = build_zp_extractor(p, 1)
     for _ in range(20):
         X = set(rng.sample(range(p), rng.randint(2, p)))
-        Y = {zp_encode(x, cfg) for x in X}
+        Y = set(encode_many(cfg, X))
         sums = {(a + b) % p for a in X for b in X}
         prods = {a * b % cfg.q for a in Y for b in Y}
         assert len(sums) == len(prods)
@@ -75,9 +73,9 @@ def test_build_zpn_examples():
 
 def test_zpn_extract_examples():
     cfg = build_zpn_extractor(3, 2, 1)
-    assert zpn_encode((1, 2), cfg) == 9 and zpn_extract((1, 2), cfg) == 1
-    assert zpn_encode((0, 0), cfg) == 1 and zpn_extract((0, 0), cfg) == 1
-    assert zpn_encode((2, 1), cfg) == 81 and zpn_extract((2, 1), cfg) == 1
+    assert encode_many(cfg, [(1, 2)])[0] == 9 and extract_many(cfg, [(1, 2)])[0] == 1
+    assert encode_many(cfg, [(0, 0)])[0] == 1 and extract_many(cfg, [(0, 0)])[0] == 1
+    assert encode_many(cfg, [(2, 1)])[0] == 81 and extract_many(cfg, [(2, 1)])[0] == 1
 
 
 def test_zpn_degenerates_to_zp_at_n1():
@@ -85,7 +83,7 @@ def test_zpn_degenerates_to_zp_at_n1():
     czpn = build_zpn_extractor(3, 1, 1)
     assert czpn.qs == (czp.q,) and czpn.gs == (czp.g,)
     for x in range(3):
-        assert zpn_extract((x,), czpn) == zp_extract(x, czp)
+        assert extract_many(czpn, [(x,)])[0] == extract_many(czp, [x])[0]
 
 
 def test_zpn_encoding_injective_and_unit():
@@ -93,7 +91,7 @@ def test_zpn_encoding_injective_and_unit():
     seen = set()
     for x0 in range(3):
         for x1 in range(3):
-            v = zpn_encode((x0, x1), cfg)
+            v = encode_many(cfg, [(x0, x1)])[0]
             seen.add(v)
             assert math.gcd(v, cfg.q) == 1  # image lies in the unit group
     assert len(seen) == 9
@@ -174,13 +172,13 @@ def test_line_extract_output_examples():
     F4 = gf.FieldSpec.make(2, 2)
     cfg4 = LineExtractorConfig(F4, 1, 1, (Block(0, 1),), "additive_trace")
     omega = oracles.encode(F4, (0, 1))
-    assert line_extract((omega,), cfg4) == 1
-    assert line_extract((0,), cfg4) == 0
+    assert extract_many(cfg4, [(omega,)])[0] == 1
+    assert extract_many(cfg4, [(0,)])[0] == 0
     F7 = gf.FieldSpec.make(7, 1)
     cfg7 = LineExtractorConfig(F7, 1, 1, (Block(0, 1),), "quadratic_char")
-    assert line_extract((3,), cfg7) == 1
-    assert line_extract((0,), cfg7) == 0
-    assert line_extract((4,), cfg7) == 0  # 4 = 2^2 is a square
+    assert extract_many(cfg7, [(3,)])[0] == 1
+    assert extract_many(cfg7, [(0,)])[0] == 0
+    assert extract_many(cfg7, [(4,)])[0] == 0  # 4 = 2^2 is a square
 
 
 def interpolate(field: gf.FieldSpec, ys):
@@ -298,13 +296,13 @@ def test_ap_explicit_blocks_against_direct_norm():
         x = tuple(rng.randrange(13) for _ in range(3))
         want = oracles.norm_by_conjugates(ext, list(x))
         assert oracles.ap_poly_eval(x, cfg) == want
-        assert ap_extract(x, cfg) == want % 2
-    assert ap_extract((0, 0, 0), cfg) == 0
+        assert extract_many(cfg, [x])[0] == want % 2
+    assert extract_many(cfg, [(0, 0, 0)])[0] == 0
 
 
 def test_ap_m0_degenerate():
     cfg = ap_config_with_blocks(13, 3, 0, [3])
-    assert all(ap_extract((a, b, c), cfg) == 0
+    assert all(extract_many(cfg, [(a, b, c)])[0] == 0
                for a in range(3) for b in range(3) for c in range(3))
 
 
@@ -330,16 +328,16 @@ def test_ap_restriction_degree_at_least_two():
 def test_pgc_examples():
     cfg = build_pgc_extractor(11, 1)
     assert cfg.g == 2
-    assert pgc_extract(1, cfg) == 0
-    assert pgc_extract(8, cfg) == 1  # index 3
-    assert pgc_extract(2, cfg) == 1  # index 1
-    assert pgc_extract(0, cfg) == 0
+    assert extract_many(cfg, [1])[0] == 0
+    assert extract_many(cfg, [8])[0] == 1  # index 3
+    assert extract_many(cfg, [2])[0] == 1  # index 1
+    assert extract_many(cfg, [0])[0] == 0
 
 
 def test_pgc_index_consistency():
     cfg = build_pgc_extractor(101, 2)
     for x in range(1, 101):
-        out = pgc_extract(x, cfg)
+        out = extract_many(cfg, [x])[0]
         # recompute index by brute force
         ind = next(e for e in range(100) if pow(cfg.g, e, 101) == x)
         assert out == ind % 4

@@ -38,7 +38,7 @@ def test_affine_source_through_crt_pipeline():
     X = build_source(AffineSpec((1, 2, 3), ((1, 0, 5), (0, 1, 7))), grp)
     assert len(X) == p**2
     cfg = ex.build_zpn_extractor(p, n, 1)
-    vals = [ex.zpn_encode(x, cfg) for x in X.sorted_elements]
+    vals = ex.encode_many(cfg, X.sorted_elements)
     assert len(set(vals)) == len(X)  # encoding stays injective on the source
     assert all(math.gcd(v, cfg.q) == 1 for v in vals)
     dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements), 2)

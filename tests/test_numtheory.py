@@ -64,14 +64,14 @@ def test_linnik_primes_ascending_distinct():
 
 
 def test_order_p_element_examples():
-    assert nt.order_p_element(3, 2).value == 2
-    assert nt.order_p_element(11, 5).value == 3
-    assert nt.order_p_element(29, 7).value == 7
+    assert nt.order_p_element(3, 2) == 2
+    assert nt.order_p_element(11, 5) == 3
+    assert nt.order_p_element(29, 7) == 7
 
 
 def test_order_p_element_is_smallest_with_exact_order():
     for (q, p) in [(11, 5), (29, 7), (31, 5), (13, 3), (607, 101)]:
-        g = nt.order_p_element(q, p).value
+        g = nt.order_p_element(q, p)
         assert pow(g, p, q) == 1 and g != 1
         for h in range(2, g):
             assert pow(h, p, q) != 1
@@ -79,10 +79,10 @@ def test_order_p_element_is_smallest_with_exact_order():
 
 def test_crt_examples():
     s = nt.CrtSystem.make([3, 5])
-    assert nt.crt_combine([nt.Residue(2, 3), nt.Residue(3, 5)], s).value == 8
-    assert nt.crt_combine([nt.Residue(0, 3), nt.Residue(0, 5)], s).value == 0
+    assert oracles.crt_combine([oracles.Residue(2, 3), oracles.Residue(3, 5)], s).value == 8
+    assert oracles.crt_combine([oracles.Residue(0, 3), oracles.Residue(0, 5)], s).value == 0
     s2 = nt.CrtSystem.make([7, 13])
-    assert nt.crt_combine([nt.Residue(2, 7), nt.Residue(9, 13)], s2).value == 9
+    assert oracles.crt_combine([oracles.Residue(2, 7), oracles.Residue(9, 13)], s2).value == 9
 
 
 def test_crt_bijection_exhaustive():
@@ -91,21 +91,21 @@ def test_crt_bijection_exhaustive():
     q = s.combined_modulus
     assert q == 15015
     for y in range(q):
-        parts = [nt.Residue(y % qi, qi) for qi in s.moduli]
-        assert nt.crt_combine(parts, s).value == y
+        parts = [oracles.Residue(y % qi, qi) for qi in s.moduli]
+        assert oracles.crt_combine(parts, s).value == y
     # spot checks on a larger system
     s6 = nt.CrtSystem.make([3, 5, 7, 11, 13, 17])
     for y in range(0, s6.combined_modulus, 101):
-        parts = [nt.Residue(y % qi, qi) for qi in s6.moduli]
-        assert nt.crt_combine(parts, s6).value == y
+        parts = [oracles.Residue(y % qi, qi) for qi in s6.moduli]
+        assert oracles.crt_combine(parts, s6).value == y
 
 
 @given(st.integers(0, 2), st.integers(0, 4), st.integers(0, 6))
 def test_crt_roundtrip_property(a, b, c):
     s = nt.CrtSystem.make([3, 5, 7])
-    rs = [nt.Residue(a, 3), nt.Residue(b, 5), nt.Residue(c, 7)]
-    y = nt.crt_combine(rs, s)
-    assert [nt.Residue(y.value % qi, qi) for qi in s.moduli] == rs
+    rs = [oracles.Residue(a, 3), oracles.Residue(b, 5), oracles.Residue(c, 7)]
+    y = oracles.crt_combine(rs, s)
+    assert [oracles.Residue(y.value % qi, qi) for qi in s.moduli] == rs
 
 
 def test_crt_errors():
@@ -115,29 +115,29 @@ def test_crt_errors():
         nt.CrtSystem.make([2**31 - 1, 2**31 - 19, 2**13 - 1])
     s = nt.CrtSystem.make([3, 5])
     with pytest.raises(InputError):
-        nt.crt_combine([nt.Residue(1, 3), nt.Residue(1, 7)], s)
+        oracles.crt_combine([oracles.Residue(1, 3), oracles.Residue(1, 7)], s)
 
 
 def test_discrete_log_examples():
-    g = nt.Residue(3, 11)
-    assert oracles.discrete_log(g, nt.Residue(9, 11), 5) == 2
-    assert oracles.discrete_log(g, nt.Residue(1, 11), 5) == 0
+    g = oracles.Residue(3, 11)
+    assert oracles.discrete_log(g, oracles.Residue(9, 11), 5) == 2
+    assert oracles.discrete_log(g, oracles.Residue(1, 11), 5) == 0
     with pytest.raises(NotInSubgroupError):
-        oracles.discrete_log(g, nt.Residue(2, 11), 5)
+        oracles.discrete_log(g, oracles.Residue(2, 11), 5)
 
 
 def test_discrete_log_roundtrip_exhaustive():
     # subgroup of order 10007 (prime) inside Z_q*
     p = 10007
     q = nt.smallest_prime_congruent_one(p)
-    g = nt.order_p_element(q, p)
+    g = oracles.Residue(nt.order_p_element(q, p), q)
     for e in range(0, p, 97):
-        y = nt.Residue(pow(g.value, e, q), q)
+        y = oracles.Residue(pow(g.value, e, q), q)
         assert oracles.discrete_log(g, y, p) == e
     # small order: fully exhaustive
-    g5 = nt.Residue(3, 11)
+    g5 = oracles.Residue(3, 11)
     for e in range(5):
-        assert oracles.discrete_log(g5, nt.Residue(pow(3, e, 11), 11), 5) == e
+        assert oracles.discrete_log(g5, oracles.Residue(pow(3, e, 11), 11), 5) == e
 
 
 # the last modulus with int64 products, the first with Python-int products,

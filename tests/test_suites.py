@@ -156,12 +156,12 @@ def test_ap_distance_histogram_matches_direct_enumeration():
     direct = np.zeros(s + 1, dtype=int)
     for d in (1, 2, 57):
         for b in range(p):
-            ones = sum(ex.zp_extract((b + j * d) % p, cfg) for j in range(s))
+            ones = sum(ex.extract_many(cfg, [(b + j * d) % p for j in range(s)]))
             direct[ones] += 1
     # the directly-counted triples are a sub-multiset of the histogram
     assert (direct <= hist).all()
     # and for d=1 the window identity is exact: recompute full d=1 slice
-    par = np.array([ex.zp_extract(x, cfg) for x in range(p)])
+    par = np.array(ex.extract_many(cfg, range(p)))
     d1 = np.zeros(s + 1, dtype=int)
     for b in range(p):
         d1[par[np.arange(b, b + s) % p].sum()] += 1

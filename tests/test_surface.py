@@ -69,6 +69,19 @@ def test_discrete_logs_have_one_route():
         assert not hasattr(nt, name), name
 
 
+def test_points_reach_outputs_by_one_route():
+    # extractors.extract_many is the one evaluator and encode_many the one
+    # zp/zpn encoding; the one-point routes, Residue, crt_combine and the
+    # tuple histogram are oracles in tests/oracles.py
+    from addext import analysis, cli, extractors, sources, suites
+    names = ("zp_extract", "zpn_extract", "line_extract", "ap_extract", "pgc_extract",
+             "zp_encode", "zpn_encode", "crt_combine", "Residue", "OutputDistribution",
+             "_encoded_values")
+    for module in (addext, analysis, cli, extractors, gf, nt, sources, suites):
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
 def _trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(), str(path))
             for path in sorted(PACKAGE.glob("*.py"))}
