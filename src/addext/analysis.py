@@ -206,12 +206,6 @@ CSV_COLUMNS = ["config_digest", "source_digest", "size", "distance",
                "max_charsum", "bound", "ok", "seconds"]
 
 
-def fmt17(x) -> str:
-    if x is None:
-        return ""
-    return f"{float(x):.17g}"
-
-
 @dataclass
 class EvalReport:
     config_digest: str
@@ -225,11 +219,6 @@ class EvalReport:
     asserted: bool = True
     extra: dict = field(default_factory=dict)
     per_character: list | None = None
-
-    def csv_row(self) -> list[str]:
-        return [self.config_digest, self.source_digest, str(self.size),
-                fmt17(self.distance), fmt17(self.max_charsum), fmt17(self.bound),
-                "1" if self.ok else "0", fmt17(self.seconds)]
 
     def to_json(self) -> dict:
         out = {"config_digest": self.config_digest, "source_digest": self.source_digest,

@@ -6,7 +6,7 @@ manifest recording input digests, seed, version and timing.
 
 Exit codes: 0 = all checked bounds satisfied, 1 = a checked bound failed (the
 failing rows are reported), 2 = input or budget error (no partial CSV). A
-sweep row with an input or budget error is recorded, the other rows are
+sweep row that fails, whatever it raises, is recorded, the other rows are
 written, and the sweep exits 2 even if a bound failed too.
 """
 
@@ -97,13 +97,13 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _manifest(args, inputs: list[str], outputs: list[str], started: str,
+def _manifest(args, argv: list[str], inputs: list[str], outputs: list[str], started: str,
               elapsed: float) -> None:
     _write_json(outputs[0] + ".manifest.json", {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.command,
+        "command": " ".join(argv),
         "inputs": {p: _INPUT_DIGESTS[p] for p in inputs},
-        "seed": getattr(args, "seed", None),
-        "threads": getattr(args, "threads", None),
+        "seed": args.seed,
+        "threads": args.threads,
         "version": __version__,
         "started_utc": started,
         "elapsed_seconds": elapsed,
@@ -131,13 +131,13 @@ def _load_source(path: str) -> src.Source:
 Outcome = tuple[int, list[str], list[str]]
 
 
-def cmd_build_source(args, t0: float) -> Outcome:
+def cmd_build_source(args) -> Outcome:
     X = _load_source(args.spec)
     _write_json(args.out, X.to_json())
     return 0, [args.spec], [args.out]
 
 
-def cmd_profile(args, t0: float) -> Outcome:
+def cmd_profile(args) -> Outcome:
     X = _load_source(args.source)
     prof = src.additive_profile(X, args.alpha).to_json()
     prof["source_digest"] = X.digest
@@ -148,7 +148,8 @@ def cmd_profile(args, t0: float) -> Outcome:
     return 0, [args.source], [args.out]
 
 
-def cmd_extract(args, t0: float) -> Outcome:
+def cmd_extract(args) -> Outcome:
+    t0 = time.perf_counter()
     X = _load_source(args.source)
     cfg = ex.build_for_group(args.extractor, X.group, args.m)
     outputs = ex.extract_many(cfg, X.sorted_elements)
@@ -164,7 +165,7 @@ def cmd_extract(args, t0: float) -> Outcome:
     return 0, [args.source], [args.out, args.out + ".report.json"]
 
 
-def cmd_charsum(args, t0: float) -> Outcome:
+def cmd_charsum(args) -> Outcome:
     X = _load_source(args.source)
     grp = X.group
     order = grp.order
@@ -184,40 +185,38 @@ def cmd_charsum(args, t0: float) -> Outcome:
         freq_idx = range(lo, hi)
     mags = analysis.charsum_table(analysis.character_digits(X), grp.zmn[0], freq_idx)
     step = analysis.CHARSUM_CHUNK  # rows are made and written this many at a time
-    rows = ([src._elem_text(x), analysis.fmt17(v)] for lo in range(0, len(freq_idx), step)
+    rows = ([src._elem_text(x), _cell(v)] for lo in range(0, len(freq_idx), step)
             for x, v in zip(grp.from_digits(to_digits(freq_idx[lo:lo + step], *grp.zmn)),
                             mags[lo:lo + step]))
     _write_csv(args.out, ["frequency", "magnitude"], rows)
     return 0, [args.source], [args.out]
 
 
-def cmd_verify(args, t0: float) -> Outcome:
+def cmd_verify(args) -> Outcome:
     grid = _load_validated(args.grid, "grid.v1.json") if args.grid else {}
     if args.suite == "sweep":
         rows = grid.get("rows")
         if rows is None:
             raise InputError("sweep requires a grid file with a 'rows' list")
         result = suites.suite_sweep(rows, threads=args.threads)
-        csv_rows = [r.csv_row() for r in result.rows]
-        _write_csv(args.out, analysis.CSV_COLUMNS, csv_rows)
-        _write_json(args.out + ".summary.json",
-                    {"suite": "sweep", "ok": result.ok, "failures": result.failures,
-                     "rows": [r.to_json() for r in result.rows]})
+        header, records = analysis.CSV_COLUMNS, [r.to_json() for r in result.rows]
+        summary = {"suite": "sweep", "ok": result.ok, "failures": result.failures,
+                   "rows": records}
     else:
         fn = suites.SUITES[args.suite]
         kwargs = dict(grid.get("kwargs", {}))
         if "seed" in fn.checks:
             kwargs.setdefault("seed", args.seed)
         result = fn(**kwargs)
-        header = sorted({k for row in result.rows for k in row})
-        csv_rows = [[_cell(row.get(k)) for k in header] for row in result.rows]
-        _write_csv(args.out, header, csv_rows)
-        _write_json(args.out + ".summary.json", result.to_json())
+        records, summary = result.rows, result.to_json()
+        header = sorted({k for row in records for k in row})
+    _write_csv(args.out, header, ([_cell(r.get(k)) for k in header] for r in records))
+    _write_json(args.out + ".summary.json", summary)
     code = 0
     if not result.ok:
         for f in result.failures[:10]:
             print(f"FAIL {args.suite}: {canonical_json(f)}", file=sys.stderr)
-        if args.suite == "sweep":  # rows that ran, in grid order, past the row errors
+        if args.suite == "sweep":  # rows that ran, in grid order, past the failed rows
             errors = {f["grid_index"] for f in result.failures}
             ran = (i for i in range(len(rows)) if i not in errors)
             for i, r in zip(ran, result.rows):
@@ -226,7 +225,8 @@ def cmd_verify(args, t0: float) -> Outcome:
                         {"grid_index": i, "config_digest": r.config_digest,
                          "source_digest": r.source_digest, "distance": r.distance,
                          "bound": r.bound}), file=sys.stderr)
-        code = 2 if result.input_errors else 1
+        # a failed sweep row is an input fault, whatever it raised
+        code = 2 if args.suite == "sweep" and result.failures else 1
     return code, [args.grid] if args.grid else [], [args.out]
 
 
@@ -234,7 +234,7 @@ def _cell(v):
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
-        return analysis.fmt17(v)
+        return f"{float(v):.17g}"  # a numpy float64 formats slower than a float
     if isinstance(v, (dict, list, tuple)):
         return canonical_json(v)
     return v
@@ -310,12 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     started, t0 = _utcnow(), time.perf_counter()
     try:
-        code, inputs, outputs = args.fn(args, t0)
+        code, inputs, outputs = args.fn(args)
         if outputs:
-            _manifest(args, inputs, outputs, started, time.perf_counter() - t0)
+            _manifest(args, argv, inputs, outputs, started, time.perf_counter() - t0)
         return code
     except (AddextError, jsonschema.ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

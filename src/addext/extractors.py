@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -88,8 +88,6 @@ def build_zpn_extractor(p: int, n: int, m: int) -> ZpnExtractorConfig:
     qs = tuple(nt.linnik_primes(p, n))
     crt = CrtSystem.make(qs)  # enforces the 2^63 cap
     gs = tuple(nt.order_p_element(qi, p) for qi in qs)
-    if math.gcd(1 << m, crt.combined_modulus) != 1:
-        raise InputError("output modulus must be coprime to q")
     return ZpnExtractorConfig(p, n, qs, gs, crt.combined_modulus, m)
 
 
@@ -205,29 +203,16 @@ class ApExtractorConfig:
 
 
 def build_ap_extractor(p: int, n: int, m: int) -> ApExtractorConfig:
-    blocks, _ = ascending_blocks(n, range(2, p))
-    return ap_config_with_blocks(p, n, m, [b.size for b in blocks])
-
-
-def ap_config_with_blocks(p: int, n: int, m: int,
-                          sizes: Sequence[int]) -> ApExtractorConfig:
-    """Explicit-blocks constructor (sizes must be ascending, each in (1, p))."""
+    """The config at (p, n, m): n coordinates tiled by blocks of the ascending
+    sizes 2, 3, ..., p - 1."""
     if p == 2 or not nt.is_prime(p):
         raise InputError("the AP extractor requires an odd prime p")
     if (1 << m) >= p:
         raise InputError(f"2^{m} >= p = {p}: too many output bits")
-    if any(not 1 < s < p for s in sizes):
-        raise InputError(f"block sizes must lie in (1, p = {p})")
-    if list(sizes) != sorted(set(sizes)):
-        raise InputError("block sizes must be strictly ascending")
-    blocks = []
-    total = 0
-    for s in sizes:
-        blocks.append(Block(total, s))
-        total += s
-    if total < n:
+    blocks, padded_n = ascending_blocks(n, range(2, p))
+    if padded_n < n:
         raise InputError("blocks do not cover the n coordinates")
-    return ApExtractorConfig(gf.FieldSpec.make(p, 1), n, total, tuple(blocks), m)
+    return ApExtractorConfig(gf.FieldSpec.make(p, 1), n, padded_n, blocks, m)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,23 @@ def check_cost(what: str, held: int = 0, work: int = 0) -> None:
                           f"element budget {budget}")
 
 
+def json_int(v, what: str) -> int:
+    """v as Draft-7 reads an integer (an int or an integral float, not a bool), else InputError."""
+    if type(v) is int:
+        return v
+    if type(v) is float and v.is_integer():
+        return int(v)
+    raise InputError(f"{what} must be an integer, not {v!r}")
+
+
+def json_number(v, what: str) -> float:
+    """v as a float if it is a JSON number (an int or a float, not a bool) in the
+    float range, else InputError."""
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise InputError(f"{what} must be a finite number, not {v!r}")
+    return float(v)
+
+
 # ---------------------------------------------------------------------------
 # groups
 # ---------------------------------------------------------------------------
@@ -170,20 +187,25 @@ class Group:
     @classmethod
     def from_json(cls, obj: dict) -> "Group":
         kind = obj.get("kind")
+
+        def num(key: str) -> int:
+            return json_int(obj[key], f"the group's {key}")
         try:
             if kind == "zp":
-                return cls.zp(int(obj["p"]))
+                return cls.zp(num("p"))
             if kind == "zp_vec":
-                return cls.zp_vec(int(obj["p"]), int(obj["n"]))
+                return cls.zp_vec(num("p"), num("n"))
             if kind == "fq_vec":
-                p, k = int(obj["p"]), int(obj["k"])
+                p, k = num("p"), num("k")
                 if p ** min(k, 64) >= MODULUS_CAP:  # p >= 2, so p^64 >= 2^64
                     raise InputError(f"q = {p}^{k} is not below 2^63")
-                spec = (gf.FieldSpec(p, k, tuple(obj["modulus"])) if "modulus" in obj
-                        else gf.FieldSpec.make(p, k))
-                return cls.fq_vec(spec, int(obj["n"]))
+                spec = (gf.FieldSpec(p, k, tuple(json_int(c, "each modulus coefficient")
+                                                 for c in obj["modulus"]))
+                        if "modulus" in obj else gf.FieldSpec.make(p, k))
+                return cls.fq_vec(spec, num("n"))
             if kind == "zn":
-                return cls.zn(CrtSystem.make(obj["moduli"]))
+                return cls.zn(CrtSystem.make([json_int(q, "each zn modulus")
+                                              for q in obj["moduli"]]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed group description: {exc}") from exc
         raise InputError(f"unknown group kind {kind!r}")
@@ -267,8 +289,10 @@ def _elem_text(x) -> str:
     return "[" + ",".join(map(str, x)) + "]" if isinstance(x, tuple) else str(x)
 
 
-def _elem_from_json(v):
-    return tuple(int(a) for a in v) if isinstance(v, list) else int(v)
+def _elem_from_json(v, what: str = "an element"):
+    if isinstance(v, list):
+        return tuple(map(json_int, v, [f"each coordinate of {what}"] * len(v)))
+    return json_int(v, what)
 
 
 def spec_to_json(spec: SourceSpec) -> dict:
@@ -284,9 +308,10 @@ def spec_to_json(spec: SourceSpec) -> dict:
 
 
 _SPECS = {cls.variant: cls for cls in SourceSpec.__args__}
-# field annotation -> reader of its JSON value
-_SPEC_FIELDS = {"object": _elem_from_json, "tuple": lambda v: tuple(map(_elem_from_json, v)),
-                "int": int, "float": float}
+# field annotation -> reader of its JSON value and the value's name
+_SPEC_FIELDS = {"object": _elem_from_json, "int": json_int, "float": json_number,
+                "tuple": lambda v, what: tuple(map(_elem_from_json, v,
+                                                   [f"each of {what}"] * len(v)))}
 
 
 def spec_from_json(obj: dict) -> SourceSpec:
@@ -294,7 +319,8 @@ def spec_from_json(obj: dict) -> SourceSpec:
     if cls is None:
         raise InputError(f"unknown source variant {obj.get('variant')!r}")
     try:
-        return cls(*(_SPEC_FIELDS[f.type](obj[f.name]) for f in fields(cls)))
+        return cls(*(_SPEC_FIELDS[f.type](obj[f.name], f"the source spec's {f.name}")
+                     for f in fields(cls)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed source spec: {exc}") from exc
 

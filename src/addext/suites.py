@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, extractors as ex, gf, numtheory as nt, sources as src
 from .analysis import TOL, EvalReport
 from .canonical import digest
-from .errors import AddextError, BudgetError, InputError
+from .errors import BudgetError, InputError
 from .sources import PY_STEP
 
 
@@ -34,7 +34,6 @@ class SuiteResult:
     failures: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
     seconds: float = 0.0
-    input_errors: int = 0  # sweep rows that raised an input or budget error
 
     def to_json(self) -> dict:
         return {"suite": self.name, "ok": self.ok, "seconds": self.seconds,
@@ -745,7 +744,7 @@ def _sweep_point(row: dict) -> EvalReport:
         if _key(row, "per_character", "row", False):
             per_char = [{"xi": int(xi), "value": float(v)}
                         for xi, v in zip(freqs, table)]
-    bound, asserted = _sweep_bound(row, cfg, group, spec)
+    bound, asserted = _sweep_bound(row, cfg, spec)
     ok = True if bound is None else distance <= bound + TOL
     return EvalReport(
         config_digest=digest(cfg.to_json()), source_digest=X.digest,
@@ -755,7 +754,7 @@ def _sweep_point(row: dict) -> EvalReport:
         per_character=per_char)
 
 
-def _sweep_bound(row: dict, cfg, group, spec) -> tuple[float | None, bool]:
+def _sweep_bound(row: dict, cfg, spec) -> tuple[float | None, bool]:
     """Variant bound for the report. Bounds with non-effective constants are
     advisory (reported, never asserted)."""
     if isinstance(cfg, ex.LineExtractorConfig):
@@ -814,8 +813,7 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
 
 def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResult:
     """Run every grid point in grid order on the calling thread; per-point
-    errors are recorded in grid order and the sweep continues; ``input_errors``
-    counts those that are an input or budget error.
+    errors are recorded in grid order and the sweep continues.
 
     ``threads`` is accepted and ignored: the CLI records it in the run
     manifest. Rows run Python code under the interpreter lock, so threads
@@ -830,7 +828,6 @@ def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResul
             res.rows[-1].seconds = time.perf_counter() - t_row
         except Exception as exc:  # per-point errors recorded, sweep continues
             res.failures.append({"grid_index": i, "error": f"{type(exc).__name__}: {exc}"})
-            res.input_errors += isinstance(exc, AddextError)
     res.ok = not res.failures and all(r.ok for r in res.rows if r.asserted)
     res.seconds = time.perf_counter() - t0
     return res

@@ -1,4 +1,6 @@
 import cmath
+import csv
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 from addext import analysis as an
 from addext import numtheory as nt
 from addext import suites
+from addext.cli import _cell, _write_csv
 from addext.errors import BudgetError, InputError
 from addext.extractors import (build_zp_extractor, build_zpn_extractor, encode_many,
                                extract_many)
@@ -376,9 +379,19 @@ def test_character_id_dispatch():
 # reports
 # ---------------------------------------------------------------------------
 
-def test_eval_report_csv_row_formatting():
+def _sweep_csv_row(tmp_path, rep):
+    # the cells cmd_verify writes for a sweep row: its to_json() through cli._cell
+    path = str(tmp_path / "row.csv")
+    _write_csv(path, an.CSV_COLUMNS, [[_cell(rep.to_json()[k]) for k in an.CSV_COLUMNS]])
+    with open(path, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == an.CSV_COLUMNS
+    return row
+
+
+def test_eval_report_csv_row_formatting(tmp_path):
     rep = an.EvalReport("c" * 8, "s" * 8, 10, 0.125, 0.5, 1.0, True, 0.001)
-    row = rep.csv_row()
+    row = _sweep_csv_row(tmp_path, rep)
     assert row[2] == "10" and row[3] == "0.125" and row[6] == "1"
-    assert an.fmt17(1 / 3) == f"{1/3:.17g}"
-    assert an.fmt17(None) == ""
+    assert _cell(1 / 3) == f"{1/3:.17g}"
+    assert _sweep_csv_row(tmp_path, dataclasses.replace(rep, max_charsum=None))[4] == ""

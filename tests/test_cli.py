@@ -437,6 +437,59 @@ def test_sweep_row_m_must_be_an_integer(tmp_path, capsys, m):
     assert len(list(csv.reader(open(out)))) == 2   # the good row is written
 
 
+# JSON text, so that 1e400 reaches the sweep as the float inf that json.load makes
+@pytest.mark.parametrize("group, source, name", [
+    ('{"kind": "zp", "p": 101}', '{"variant": "ap", "b0": 0, "step": 1, "k": 1e400}',
+     "the source spec's k"),
+    ('{"kind": "zp", "p": 101}', '{"variant": "gap", "b0": 0, "steps": [1], "s": 10.7}',
+     "the source spec's s"),
+    ('{"kind": "zp", "p": 101}', '{"variant": "bohr", "freqs": [1], "rho": "0.3"}',
+     "the source spec's rho"),
+    ('{"kind": "zp", "p": 101}', '{"variant": "ap", "b0": 0, "step": 1, "k": "12"}',
+     "the source spec's k"),
+    ('{"kind": "zp_vec", "p": 11, "n": true}', '{"variant": "explicit", "elements": [[1]]}',
+     "the group's n"),
+])
+def test_sweep_rows_read_json_numbers_as_the_schemas_do(tmp_path, capsys, group, source, name):
+    grid = tmp_path / "grid.json"
+    grid.write_text(f'{{"rows": [{{"group": {group}, "source": {source}, '
+                    f'"extractor": {{"build": "zp"}}}}]}}')
+    out = str(tmp_path / "sw.csv")
+    assert main(["verify", "--suite", "sweep", "--grid", str(grid), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f'FAIL sweep: {{"error":"InputError: {name} must be ')
+    assert "Traceback" not in err
+
+
+def test_a_sweep_row_that_raises_any_exception_exits_two(tmp_path, capsys, monkeypatch):
+    # a failed row is an input fault whatever it raised: no bound was checked
+    sweep_point, calls = suites._sweep_point, []
+
+    def point(row):  # the first row raises
+        calls.append(row)
+        if len(calls) == 1:
+            raise ZeroDivisionError("division by zero")
+        return sweep_point(row)
+    monkeypatch.setattr(suites, "_sweep_point", point)
+    grid = write(tmp_path / "grid.json", {"rows": [_ROW, _ROW]})
+    out = str(tmp_path / "sw.csv")
+    assert main(["verify", "--suite", "sweep", "--grid", grid, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == 'FAIL sweep: {"error":"ZeroDivisionError: division by zero","grid_index":0}\n'
+    assert len(list(csv.reader(open(out)))) == 2   # the other row is written
+
+
+def test_the_manifest_records_the_argv_main_was_given(tmp_path, gap_spec, monkeypatch):
+    out = str(tmp_path / "s.json")
+    argv = ["build-source", "--spec", gap_spec, "--out", out]
+    monkeypatch.setattr("sys.argv", ["pytest", "-q", "--lf"])
+    assert main(argv) == 0
+    assert json.load(open(out + ".manifest.json"))["command"] == " ".join(argv)
+    monkeypatch.setattr("sys.argv", ["addext", *argv])
+    assert main() == 0
+    assert json.load(open(out + ".manifest.json"))["command"] == " ".join(argv)
+
+
 def _declared_out_of_range():
     """One kwargs per suite parameter out of its declared range: the string
     "x" for each, and one below the lower bound for each integer parameter

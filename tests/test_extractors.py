@@ -6,10 +6,9 @@ import pytest
 from addext import gf
 from addext.canonical import digest
 from addext.errors import CapacityError, InputError
-from addext.extractors import (Block, LineExtractorConfig,
+from addext.extractors import (ApExtractorConfig, Block, LineExtractorConfig,
                                PgcExtractorConfig, ZpExtractorConfig,
-                               ZpnExtractorConfig, ap_config_with_blocks,
-                               build_ap_extractor, build_line_extractor,
+                               ZpnExtractorConfig, build_ap_extractor, build_line_extractor,
                                build_pgc_extractor, build_zp_extractor,
                                build_zpn_extractor, config_for_group,
                                encode_many, extract_many, prime_power_field)
@@ -282,13 +281,11 @@ def test_build_ap_blocks():
     with pytest.raises(InputError):
         build_ap_extractor(3, 7, 1)  # degrees must stay below p
     with pytest.raises(InputError):
-        ap_config_with_blocks(5, 6, 1, [6])  # degree >= p
-    with pytest.raises(InputError):
-        ap_config_with_blocks(5, 2, 3, [2])  # 2^3 >= p
+        build_ap_extractor(5, 2, 3)  # 2^3 >= p
 
 
 def test_ap_explicit_blocks_against_direct_norm():
-    cfg = ap_config_with_blocks(13, 3, 1, [3])
+    cfg = ApExtractorConfig(gf.FieldSpec.make(13, 1), 3, 3, (Block(0, 3),), 1)
     F13 = gf.FieldSpec.make(13, 1)
     ext = gf.get_extension(F13, 3)
     rng = random.Random(13)
@@ -301,7 +298,7 @@ def test_ap_explicit_blocks_against_direct_norm():
 
 
 def test_ap_m0_degenerate():
-    cfg = ap_config_with_blocks(13, 3, 0, [3])
+    cfg = ApExtractorConfig(gf.FieldSpec.make(13, 1), 3, 3, (Block(0, 3),), 0)
     assert all(extract_many(cfg, [(a, b, c)])[0] == 0
                for a in range(3) for b in range(3) for c in range(3))
 

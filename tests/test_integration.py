@@ -5,6 +5,7 @@ import math
 
 from addext import analysis as an
 from addext import extractors as ex
+from addext import gf
 from addext import suites
 from addext.sources import (AffineSpec, ApSpec, BohrSpec, GapSpec, Group,
                             RandomSpec, build_source)
@@ -65,7 +66,7 @@ def test_random_source_through_index_map():
 
 
 def test_m0_distance_zero_convention():
-    cfg = ex.ap_config_with_blocks(13, 3, 0, [3])
+    cfg = ex.ApExtractorConfig(gf.FieldSpec.make(13, 1), 3, 3, (ex.Block(0, 3),), 0)
     grp = Group.zp_vec(13, 3)
     X = build_source(RandomSpec(50, 1), grp)
     dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements),

@@ -16,8 +16,8 @@ from addext.numtheory import CrtSystem, from_digits, to_digits
 from addext.sources import (AffineSpec, ApSpec, BohrSpec,
                             ExplicitSpec, GapSpec, Group, HapSpec, LineSpec,
                             RandomSpec, Source, additive_profile, bohr_vmax, build_source,
-                            difference_histogram, doubling, spec_from_json,
-                            spec_to_json, sub_gap, sym_set)
+                            difference_histogram, doubling, json_int, json_number,
+                            spec_from_json, spec_to_json, sub_gap, sym_set)
 from addext.sources import _elem_json, _elem_text
 
 
@@ -460,3 +460,34 @@ def test_difference_histogram_matches_rep_count(group, spec):
     assert sorted({oracles.group_sub(group, x, y) for x in X.elements for y in X.elements}) \
         == values.tolist()
     assert counts.tolist() == [oracles.rep_count(X, g) for g in values.tolist()]
+
+
+_JSON_VALUES = [0, -3, 12, 10.0, -2.0, 1e300, 10**400, 10.7, 0.3, math.inf, -math.inf,
+                math.nan, True, False, "12", "0.3", None, [1], {"k": 1}]
+
+
+@pytest.mark.parametrize("value", _JSON_VALUES, ids=lambda v: repr(v)[:12])
+def test_json_numbers_are_read_as_draft7_types_them(value):
+    # the oracle: jsonschema's own Draft-7 type checker; a number must also be a
+    # finite float
+    from jsonschema import Draft7Validator
+    is_type = Draft7Validator.TYPE_CHECKER.is_type
+    if is_type(value, "integer"):
+        assert json_int(value, "x") == value and type(json_int(value, "x")) is int
+    else:
+        with pytest.raises(InputError, match="^x must be an integer, not "):
+            json_int(value, "x")
+    if is_type(value, "number") and abs(value) <= sys.float_info.max:
+        assert json_number(value, "x") == value and type(json_number(value, "x")) is float
+    else:
+        with pytest.raises(InputError, match="^x must be a finite number, not "):
+            json_number(value, "x")
+
+
+def test_an_integral_float_in_a_spec_still_reads_as_an_int():
+    spec = spec_from_json({"variant": "gap", "b0": 0.0, "steps": [1.0], "s": 10.0})
+    assert spec == GapSpec(0, (1,), 10) and type(spec.s) is int
+    group = Group.from_json({"kind": "fq_vec", "p": 2.0, "k": 2, "modulus": [1.0, 1, 1],
+                             "n": 1.0})
+    assert group == Group.from_json({"kind": "fq_vec", "p": 2, "k": 2, "modulus": [1, 1, 1],
+                                     "n": 1})

@@ -272,7 +272,9 @@ def test_sweep_empty_and_threaded_determinism():
              "extractor": {"build": "zp", "m": 1}} for s in range(6)]
     seq = suites.suite_sweep(grid)
     par = suites.suite_sweep(grid, threads=4)
-    assert [r.csv_row()[:6] for r in seq.rows] == [r.csv_row()[:6] for r in par.rows]
+    cells = analysis.CSV_COLUMNS[:6]
+    assert [[r.to_json()[k] for k in cells] for r in seq.rows] == \
+        [[r.to_json()[k] for k in cells] for r in par.rows]
 
 
 def test_sweep_charsum_budget_sampling():

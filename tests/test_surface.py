@@ -114,3 +114,25 @@ def test_every_budget_refusal_goes_through_check_cost():
                for n in ast.walk(fn) if isinstance(n, ast.Raise)
                and isinstance(n.exc, ast.Call) and _reads(n.exc.func, "BudgetError")}
     assert raisers == {"sources.check_cost"} | NOT_THE_ELEMENT_BUDGET
+
+
+# suite_sweep takes a thread count that it does not use: the benchmark's tracer
+# reads it from the call to tell threaded sweeps from serial ones
+UNREAD_PARAMETERS = {"suites.suite_sweep": {"threads"}}
+
+
+def test_every_parameter_in_src_is_read():
+    unread = {}
+    for module, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if x is not None]
+            missing = {p for p in params if not any(
+                isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == p
+                for n in ast.walk(fn))}
+            if missing:
+                unread[f"{module}.{fn.name}"] = missing
+    assert unread == UNREAD_PARAMETERS
