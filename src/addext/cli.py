@@ -15,17 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import functools
 import json
 import os
 import sys
 import time
 from importlib import resources
 from typing import Iterable
-
-import jsonschema
-from jsonschema import Draft7Validator
-from jsonschema.exceptions import best_match
 
 from . import __version__, analysis, extractors as ex, sources as src, suites
 from .canonical import canonical_json, digest
@@ -38,8 +33,14 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
-_ELEMENT_REF = {"$ref": "#/definitions/element"}
-_DRAFT7_ITEMS = Draft7Validator.VALIDATORS["items"]
+def _is_type(x, name: str) -> bool:
+    """Draft-7's type test as jsonschema reads it: a bool is not a number,
+    and an integral float (1.0, not NaN or inf) is an integer."""
+    if name in ("integer", "number"):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return False
+        return name == "number" or isinstance(x, int) or x.is_integer()
+    return isinstance(x, {"object": dict, "array": list, "string": str, "boolean": bool}[name])
 
 
 def _plain_element(x) -> bool:
@@ -49,38 +50,67 @@ def _plain_element(x) -> bool:
     return type(x) is list and all(type(a) is int and a >= 0 for a in x)
 
 
-def _items(validator, items, instance, schema):
-    """Draft-7 ``items``, except that a list of plain elements against the
-    element schema yields no errors without a descent per entry. Anything
-    else (floats, bools, strings, ...) goes through the Draft-7 rule, so
-    every error is jsonschema's own."""
-    if items == _ELEMENT_REF and type(instance) is list and all(map(_plain_element, instance)):
-        return
-    yield from _DRAFT7_ITEMS(validator, items, instance, schema)
-
-
-_Validator = jsonschema.validators.extend(Draft7Validator, {"items": _items})
-
-
-@functools.cache
-def _validator(name: str):
-    """The packaged schema ``name``, compiled once per process."""
-    return _Validator(_schema(name))
+def _valid(schema: dict, x, root: dict) -> bool:
+    """Whether ``x`` is valid under ``schema`` (a part of ``root``) as Draft 7
+    reads it, for the keywords of the packaged schemas: ``$ref`` into
+    ``#/definitions``, ``type``, ``enum`` of scalars, ``minimum``,
+    ``exclusiveMinimum``, ``exclusiveMaximum``, ``required``, ``properties``,
+    ``items`` (one schema) and ``oneOf``. It descends only where the schema
+    does, so it recurses as deep as the schema, however deep ``x`` is."""
+    if "$ref" in schema:  # Draft 7 ignores the siblings of a $ref
+        return _valid(root["definitions"][schema["$ref"].removeprefix("#/definitions/")],
+                      x, root)
+    if "type" in schema and not _is_type(x, schema["type"]):
+        return False
+    if "enum" in schema and not any(x == e and isinstance(x, bool) == isinstance(e, bool)
+                                    for e in schema["enum"]):
+        return False
+    if _is_type(x, "number") and ("minimum" in schema and x < schema["minimum"]
+                                  or "exclusiveMinimum" in schema
+                                  and x <= schema["exclusiveMinimum"]
+                                  or "exclusiveMaximum" in schema
+                                  and x >= schema["exclusiveMaximum"]):
+        return False
+    if isinstance(x, dict) and not (
+            all(k in x for k in schema.get("required", ()))
+            and all(_valid(s, x[k], root) for k, s in schema.get("properties", {}).items()
+                    if k in x)):
+        return False
+    if isinstance(x, list) and "items" in schema:
+        items = schema["items"]
+        # a list of plain elements passes without a descent per entry
+        plain = items == {"$ref": "#/definitions/element"} and all(map(_plain_element, x))
+        if not plain and not all(_valid(items, a, root) for a in x):
+            return False
+    return "oneOf" not in schema or sum(_valid(s, x, root) for s in schema["oneOf"]) == 1
 
 
 _INPUT_DIGESTS: dict[str, str] = {}
 
 
 def _load_validated(path: str, schema_name: str) -> dict:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # malformed JSON, or an int past 4,300 digits
-            raise InputError(f"{path}: {exc}") from None
-    error = best_match(_validator(schema_name).iter_errors(obj))
-    if error is not None:
-        raise error
-    _INPUT_DIGESTS[path] = digest(obj)
+    """The JSON document at ``path``, valid under the packaged schema
+    ``schema_name``. A valid document is checked by ``_valid`` alone; only a
+    rejected one imports jsonschema, whose best-matching Draft-7
+    ``ValidationError`` is raised. A document nested too deeply to load, digest
+    or word a rejection of is an ``InputError``."""
+    schema = _schema(schema_name)
+    try:
+        with open(path) as fh:
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or an int past 4,300 digits
+                raise InputError(f"{path}: {exc}") from None
+        if not _valid(schema, obj, schema):
+            from jsonschema import Draft7Validator
+            from jsonschema.exceptions import best_match
+            error = best_match(Draft7Validator(schema).iter_errors(obj))
+            if error is not None:
+                str(error)  # worded here, where a RecursionError is caught
+                raise error
+        _INPUT_DIGESTS[path] = digest(obj)
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     return obj
 
 
@@ -318,7 +348,13 @@ def main(argv=None) -> int:
         if outputs:
             _manifest(args, argv, inputs, outputs, started, time.perf_counter() - t0)
         return code
-    except (AddextError, jsonschema.ValidationError, OSError) as exc:
+    except Exception as exc:
+        # a rejected input raises jsonschema's ValidationError, and jsonschema
+        # is imported only then: look it up, do not import it here
+        jsonschema = sys.modules.get("jsonschema")
+        if not (isinstance(exc, (AddextError, OSError))
+                or jsonschema is not None and isinstance(exc, jsonschema.ValidationError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
