@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import extractors
+from .canonical import digest
 from .errors import BudgetError, InputError
 from .numtheory import dot_mod, from_digits, to_digits
 from .sources import (BOHR_CHUNK, Source, check_cost, convolve_rows, element_budget,
@@ -46,6 +48,16 @@ def distance_to_uniform(counts: np.ndarray) -> float:
     M, N = len(counts), int(counts.sum())
     above = counts[counts > N // M]
     return float(Fraction(M * int(above.sum()) - N * len(above), N * M))
+
+
+def evaluate(X: Source, cfg) -> tuple[list[int], EvalReport]:
+    """The outputs of cfg at X's sorted elements, and the report of their exact
+    distance from uniform on cfg.M outputs, with their histogram as extra["outputs"]."""
+    outputs = extractors.extract_many(cfg, X.sorted_elements)
+    counts = extractor_distribution(outputs, cfg.M)
+    return outputs, EvalReport(config_digest=digest(cfg.to_json()), source_digest=X.digest,
+                               size=len(X), distance=distance_to_uniform(counts),
+                               extra={"outputs": counts.tolist()})
 
 
 # ---------------------------------------------------------------------------

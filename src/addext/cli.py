@@ -142,14 +142,24 @@ def _manifest(args, argv: list[str], inputs: list[str], outputs: list[str], star
 
 
 def _load_source(path: str) -> src.Source:
+    """The source a source file describes: built from its spec, or from its
+    elements with the spec as declared. A ``size`` or ``digest`` in the file
+    must be that of the source built (InputError otherwise)."""
     obj = _load_validated(path, "source.v1.json")
     group = src.Group.from_json(obj["group"])
     if "elements" in obj:
         spec = src.ExplicitSpec(tuple(src._elem_from_json(x) for x in obj["elements"]))
         built = src.build_source(spec, group)
         declared = src.spec_from_json(obj["spec"]) if "spec" in obj else spec
-        return src.Source(group, declared, built.elements, dict(obj.get("notes", {})))
-    return src.build_source(src.spec_from_json(obj["spec"]), group)
+        X = src.Source(group, declared, built.elements, dict(obj.get("notes", {})))
+    else:
+        X = src.build_source(src.spec_from_json(obj["spec"]), group)
+    if "size" in obj and src.json_int(obj["size"], f"{path}: size") != len(X):
+        raise InputError(f"{path}: size {obj['size']} is not the {len(X)} elements built")
+    if "digest" in obj and obj["digest"] != X.digest:
+        raise InputError(f"{path}: digest {obj['digest']} is not the digest {X.digest} "
+                         f"of the elements built")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +192,9 @@ def cmd_extract(args) -> Outcome:
     t0 = time.perf_counter()
     X = _load_source(args.source)
     cfg = ex.build_for_group(args.extractor, X.group, args.m)
-    outputs = ex.extract_many(cfg, X.sorted_elements)
+    outputs, report = analysis.evaluate(X, cfg)
     rows = [[src._elem_text(x), y] for x, y in zip(X.sorted_elements, outputs)]
-    counts = analysis.extractor_distribution(outputs, ex.output_size(cfg))
-    report = analysis.EvalReport(
-        config_digest=digest(cfg.to_json()), source_digest=X.digest, size=len(X),
-        distance=analysis.distance_to_uniform(counts),
-        extra={"outputs": counts.tolist(), "config": cfg.to_json()})
+    report.extra["config"] = cfg.to_json()
     report.seconds = time.perf_counter() - t0
     _write_csv(args.out, ["element", "output"], rows)
     _write_json(args.out + ".report.json", report.to_json())

@@ -29,7 +29,7 @@ from . import gf, numtheory as nt
 from .canonical import canonical_json
 from .errors import CapacityError, InputError
 from .numtheory import MODULUS_CAP, CrtSystem
-from .sources import PY_STEP, Group, check_cost, element_budget, product_steps
+from .sources import PY_STEP, Group, check_cost, element_budget, json_int, product_steps
 
 # ---------------------------------------------------------------------------
 # Z_p
@@ -139,6 +139,7 @@ class LineExtractorConfig:
     padded_n: int
     blocks: tuple[Block, ...]
     variant: str              # "additive_trace" (even q) | "quadratic_char" (odd q)
+    M = 2                     # a 1-bit extractor
 
     def to_json(self) -> dict:
         return {"variant": "line", "p": self.field.p, "k": self.field.k,
@@ -274,10 +275,9 @@ GROUP_KINDS = {"zp": ("zp",), "pgc": ("zp",), "zpn": ("zp_vec",),
 
 def build_for_group(family: str, group: Group, m: int = 1) -> ExtractorConfig:
     """The canonical ``family`` config for ``group`` with m output bits (the
-    ``line`` extractor is 1-bit and takes only m = 1). InputError if the
-    family does not run on the group's kind."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InputError(f"the extractor's m must be an integer, not {m!r}")
+    ``line`` extractor is 1-bit and takes only m = 1), m read as a JSON
+    integer. InputError if the family does not run on the group's kind."""
+    m = json_int(m, "the extractor's m")
     kinds = GROUP_KINDS.get(family) if isinstance(family, str) else None
     if kinds is None:
         raise InputError(f"unknown extractor {family!r}")
@@ -309,10 +309,7 @@ def config_for_group(obj: dict, group: Group) -> ExtractorConfig:
     Every construction is canonical, so ``obj`` is valid exactly when the
     rebuild serializes to the same JSON; anything else is an InputError.
     """
-    try:
-        cfg = build_for_group(obj["variant"], group, int(obj.get("m", 1)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed extractor config: {exc}") from exc
+    cfg = build_for_group(obj.get("variant"), group, obj.get("m", 1))
     if canonical_json(cfg.to_json()) != canonical_json(obj):
         raise InputError(f"not the canonical {obj['variant']} config for its group")
     return cfg
@@ -393,8 +390,3 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
         logs = nt.discrete_logs(cfg.g, [x % cfg.p for x in points], cfg.p, B)
         return (np.maximum(logs, 0) % cfg.M).tolist()  # pgc maps 0 to 0
     raise InputError(f"unknown config {cfg!r}")
-
-
-def output_size(cfg: ExtractorConfig) -> int:
-    """Number of possible outputs M (2 for the 1-bit line extractor)."""
-    return 2 if isinstance(cfg, LineExtractorConfig) else cfg.M

@@ -319,10 +319,13 @@ def spec_from_json(obj: dict) -> SourceSpec:
     if cls is None:
         raise InputError(f"unknown source variant {obj.get('variant')!r}")
     try:
-        return cls(*(_SPEC_FIELDS[f.type](obj[f.name], f"the source spec's {f.name}")
+        spec = cls(*(_SPEC_FIELDS[f.type](obj[f.name], f"the source spec's {f.name}")
                      for f in fields(cls)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed source spec: {exc}") from exc
+    if cls is GapSpec and "r" in obj and json_int(obj["r"], "the source spec's r") != spec.r:
+        raise InputError(f"the source spec's r = {obj['r']} is not its {spec.r} steps")
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ class SuiteResult:
 
 
 class _Check:
-    """A suite parameter's declared range: check(name, value) raises InputError
-    for a value outside it."""
+    """A suite parameter's declared range: check(value, name) returns the value
+    as read (sources.json_int, json_number), or raises InputError outside it."""
 
 
 @dataclass(frozen=True)
@@ -51,22 +51,25 @@ class _Int(_Check):
     lo: int
     prime: bool = False
 
-    def __call__(self, name: str, value) -> None:
-        if type(value) is not int or value < self.lo:
+    def __call__(self, value, name: str) -> int:
+        n = src.json_int(value, name)
+        if n < self.lo:
             raise InputError(f"{name} must be an integer >= {self.lo}, not {value!r}")
         if self.prime:
-            src.Group.zp(value)
+            src.Group.zp(n)
+        return n
 
 
 @dataclass(frozen=True)
 class _Number(_Check):
-    """A real number strictly between lo and hi."""
+    """A real number strictly between lo and hi, returned as given."""
     lo: float = -math.inf
     hi: float = math.inf
 
-    def __call__(self, name: str, value) -> None:
-        if type(value) not in (int, float) or not self.lo < value < self.hi:
+    def __call__(self, value, name: str):
+        if not self.lo < src.json_number(value, name) < self.hi:
             raise InputError(f"{name} must be a number in ({self.lo}, {self.hi}), not {value!r}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,10 @@ class _List(_Check):
     """A non-empty list (or tuple) whose every entry passes ``item``."""
     item: _Check
 
-    def __call__(self, name: str, value) -> None:
+    def __call__(self, value, name: str) -> list:
         if not isinstance(value, (list, tuple)) or not value:
             raise InputError(f"{name} must be a non-empty list, not {value!r}")
-        for v in value:
-            self.item(f"each of {name}", v)
+        return [self.item(v, f"each of {name}") for v in value]
 
 
 _PRIME = _Int(2, prime=True)
@@ -89,9 +91,10 @@ def _suite(*, cost):
     """A suite run. Each parameter is annotated with its _Check; ``cost`` maps
     the bound arguments to (held, work), the most array entries held at once
     and the total work. ``check`` binds the arguments (an unknown one is an
-    InputError), checks each parameter, defaults included, then the cost by
-    sources.check_cost, the one place a budget refusal happens. A run checks
-    first, is timed into ``seconds``, and is not ok with a failure."""
+    InputError), reads each parameter by its check, defaults included, then the
+    cost by sources.check_cost, the one place a budget refusal happens. A run
+    checks first, runs on the values read, is timed into ``seconds``, and is not
+    ok with a failure."""
     def declare(fn):
         name = fn.__name__.removeprefix("suite_").replace("_", "-")
         sig = inspect.signature(fn)
@@ -108,7 +111,7 @@ def _suite(*, cost):
                 raise InputError(f"suite {name!r}: {exc}") from None
             bound.apply_defaults()
             for param, value in bound.arguments.items():
-                checks[param](param, value)
+                bound.arguments[param] = checks[param](value, param)
             src.check_cost(f"suite {name!r}", *cost(**bound.arguments))
             return bound
 
@@ -694,14 +697,14 @@ CHARSUM_SCAN_CAP = 1 << 16
 _REQUIRED = object()
 
 
-def _key(obj: dict, key: str, what: str, default=_REQUIRED, check: _Check | None = None):
-    """obj[key] of a sweep row, family or extractor, through ``check`` if given;
-    a missing required key or a failed check is an input error: the sweep exits 2."""
+def _key(obj: dict, key: str, what: str, default=_REQUIRED, read=None):
+    """obj[key] of a sweep row, family or extractor, as ``read(value, name)`` reads it if
+    given; a missing required key or a failed read is an input error: the sweep exits 2."""
     if key not in obj and default is _REQUIRED:
         raise InputError(f"the {what} has no {key!r}")
-    if key in obj and check is not None:
-        check(f"the {what}'s {key}", obj[key])
-    return obj.get(key, default)
+    if key not in obj or read is None:
+        return obj.get(key, default)
+    return read(obj[key], f"the {what}'s {key}")
 
 
 def _row_config(row: dict, group: src.Group):
@@ -725,51 +728,43 @@ def _sweep_point(row: dict) -> EvalReport:
     spec = src.spec_from_json(_key(row, "source", "row"))
     X = src.build_source(spec, group)
     cfg = _row_config(row, group)
-    counts = analysis.extractor_distribution(ex.extract_many(cfg, X.sorted_elements),
-                                             ex.output_size(cfg))
-    distance = analysis.distance_to_uniform(counts)
-    max_charsum = None
-    per_char = None
-    sampled = False
+    report = analysis.evaluate(X, cfg)[1]  # the outputs are not held through the sums
+    report.extra["charsum_sampled"] = False
     if isinstance(cfg, (ex.ZpExtractorConfig, ex.ZpnExtractorConfig)):
         values, modulus = ex.encode_many(cfg, X.sorted_elements), cfg.q
         if modulus <= CHARSUM_SCAN_CAP:
             freqs = range(1, modulus)
         else:
-            rng = random.Random(_key(row, "charsum_seed", "row", 113))
+            rng = random.Random(_key(row, "charsum_seed", "row", 113, src.json_int))
             freqs = sorted(rng.sample(range(1, modulus), 256))
-            sampled = True
+            report.extra["charsum_sampled"] = True
         table = analysis.charsum_table(values, modulus, list(freqs))
-        max_charsum = float(table.max())
+        report.max_charsum = float(table.max())
         if _key(row, "per_character", "row", False):
-            per_char = [{"xi": int(xi), "value": float(v)}
-                        for xi, v in zip(freqs, table)]
-    bound, asserted = _sweep_bound(row, cfg, spec)
-    ok = True if bound is None else distance <= bound + TOL
-    return EvalReport(
-        config_digest=digest(cfg.to_json()), source_digest=X.digest,
-        size=len(X), distance=distance, max_charsum=max_charsum, bound=bound,
-        ok=ok, asserted=asserted and bound is not None,
-        extra={"charsum_sampled": sampled, "outputs": counts.tolist()},
-        per_character=per_char)
+            report.per_character = [{"xi": int(xi), "value": float(v)}
+                                    for xi, v in zip(freqs, table)]
+    report.bound, asserted = _sweep_bound(row, cfg, spec)
+    report.ok = report.bound is None or report.distance <= report.bound + TOL
+    report.asserted = asserted and report.bound is not None
+    return report
 
 
 def _sweep_bound(row: dict, cfg, spec) -> tuple[float | None, bool]:
     """Variant bound for the report. Bounds with non-effective constants are
     advisory (reported, never asserted)."""
+    alpha = _key(row, "alpha", "row", None, src.json_number)
     if isinstance(cfg, ex.LineExtractorConfig):
         return 4 * math.sqrt(cfg.n / cfg.field.order), True
     if isinstance(cfg, ex.ApExtractorConfig) and isinstance(spec, (src.ApSpec, src.HapSpec)):
         p = cfg.p
         return (16 * math.log2(p)**2 * math.sqrt(cfg.n * p)
                 * 2**(cfg.m / 2) / spec.k), True
-    alpha = _key(row, "alpha", "row", None)
     if alpha is not None and isinstance(cfg, (ex.ZpExtractorConfig, ex.ZpnExtractorConfig)):
         if isinstance(cfg, ex.ZpExtractorConfig):
             logsize = math.log2(cfg.p)
         else:
             logsize = cfg.n * math.log2(cfg.p)
-        return 3 * float(alpha) * 2**(cfg.m / 2) * logsize, False
+        return 3 * alpha * 2**(cfg.m / 2) * logsize, False
     return None, False
 
 
@@ -778,7 +773,7 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
     Its extractor must be the 1-bit ``zp`` for ``all_aps``, ``line`` for ``all_lines``."""
     kind = _key(fam, "kind", "family")
     if kind == "all_aps":
-        p, s = _key(fam, "p", "family", check=_PRIME), _key(fam, "s", "family", check=_Int(1))
+        p, s = _key(fam, "p", "family", read=_PRIME), _key(fam, "s", "family", read=_Int(1))
         if s > p:
             raise InputError(f"the family's s = {s} exceeds its p = {p}")
         suite_zp_trend.check(primes=[p])
@@ -788,6 +783,7 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
         hist = ap_distance_histogram(p, s, cfg)
         dists = np.abs(np.arange(s + 1) / s - 0.5)
         worst = float(dists[np.nonzero(hist)[0]].max())
+        fam = dict(fam, p=p, s=s)
         return EvalReport(
             config_digest=digest(cfg.to_json()), source_digest=digest(fam),
             size=int(hist.sum()), distance=worst, max_charsum=None, bound=None,
@@ -795,14 +791,15 @@ def _sweep_family(row: dict, fam: dict) -> EvalReport:
             extra={"median_distance": _median_distance_from_hist(hist, s),
                    "family": fam})
     if kind == "all_lines":
-        q = _key(fam, "q", "family", check=_Int(4))
+        q = _key(fam, "q", "family", read=_Int(4))
         suite_lines.check(qs=[q])
         group = src.Group.fq_vec(ex.prime_power_field(q),
-                                 _key(fam, "n", "family", 2, check=_Int(1)))
+                                 _key(fam, "n", "family", 2, read=_Int(1)))
         cfg = _row_config(row, group)
         row_scan = scan_all_lines(cfg)
         bound = row_scan["charsum_bound"]
         worst = max(row_scan["max_charsum"], row_scan["max_distance"])
+        fam = dict(fam, q=q, **{"n": group.n} if "n" in fam else {})
         return EvalReport(
             config_digest=digest(cfg.to_json()), source_digest=digest(fam),
             size=row_scan["lines"], distance=row_scan["max_distance"],

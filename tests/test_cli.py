@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from addext import analysis, extractors as ex, suites
+from addext import analysis, extractors as ex, sources as src, suites
 from addext.canonical import canonical_json
 from addext.cli import main
 from addext.errors import BudgetError
@@ -882,3 +882,152 @@ def test_a_wide_output_histogram_has_its_exact_distance(tmp_path):
     report = json.loads((tmp_path / "e.csv.report.json").read_text())
     dist = oracles.OutputDistribution(1 << 20, tuple(report["outputs"]), 4)
     assert report["distance"] == oracles.statistical_distance(dist, oracles.uniform(1 << 20))
+
+
+# ---------------------------------------------------------------------------
+# one reading of a JSON number: sources.json_int and json_number
+# ---------------------------------------------------------------------------
+
+def _untimed(x):
+    """x without its timing keys."""
+    if isinstance(x, dict):
+        return {k: _untimed(v) for k, v in x.items() if k != "seconds"}
+    return [_untimed(v) for v in x] if isinstance(x, list) else x
+
+
+def _verify_outputs(tmp_path, suite, grid_text):
+    """verify's exit code, CSV rows and summary for a grid given as JSON text,
+    without their timing keys."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(grid_text)
+    out = tmp_path / "v.csv"
+    code = main(["verify", "--suite", suite, "--grid", str(grid), "--out", str(out)])
+    rows = list(csv.reader(open(out)))
+    keep = [i for i, k in enumerate(rows[0]) if k != "seconds"]
+    return (code, [[row[i] for i in keep] for row in rows],
+            _untimed(json.loads((tmp_path / "v.csv.summary.json").read_text())))
+
+
+_ZPN_ROW = {"group": {"kind": "zp_vec", "p": 11, "n": 3},  # q = 23 * 67 * 89: sampled sums
+            "source": {"variant": "explicit", "elements": [[1, 2, 3], [4, 0, 9], [10, 10, 1]]},
+            "extractor": {"build": "zpn", "m": 1}, "per_character": True}
+_AP_FAMILY = {"family": {"kind": "all_aps", "p": 101, "s": 10},
+              "extractor": {"build": "zp", "m": 1}}
+
+
+@pytest.mark.parametrize("suite, grid, key, value", [
+    ("l1", {"kwargs": {"pmax": 50}}, ("kwargs", "pmax"), 50.0),
+    ("bohr", {"kwargs": {"pmax": 23, "literal_pmax": 11}}, ("kwargs", "literal_pmax"), 11.0),
+    ("sweep", {"rows": [_AP_FAMILY]}, ("rows", 0, "family", "p"), 101.0),
+    ("sweep", {"rows": [dict(_ROW, extractor={"build": "zp", "m": 2})]},
+     ("rows", 0, "extractor", "m"), 2.0),
+    ("sweep", {"rows": [dict(_ZPN_ROW, charsum_seed=7)]}, ("rows", 0, "charsum_seed"), 7.0),
+])
+def test_integral_floats_in_a_grid_run_as_the_ints_they_equal(tmp_path, suite, grid, key,
+                                                              value):
+    as_float = json.loads(json.dumps(grid))
+    node = as_float
+    for k in key[:-1]:
+        node = node[k]
+    node[key[-1]] = value
+    want = _verify_outputs(tmp_path, suite, json.dumps(grid))
+    assert want[0] == 0
+    assert _verify_outputs(tmp_path, suite, json.dumps(as_float)) == want
+
+
+# JSON text, so that 1e400 reaches the program as the float inf that json.load makes
+@pytest.mark.parametrize("value", ["1.5", "true", '"3"', "1e400"])
+@pytest.mark.parametrize("suite, template, name", [
+    ("l1", '{"kwargs": {"pmax": %s}}', "pmax must be an integer"),
+    ("sweep", '{"rows": [{"family": {"kind": "all_aps", "p": %s, "s": 5}, '
+              '"extractor": {"build": "zp", "m": 1}}]}', "['family']['p']"),
+    ("sweep", '{"rows": [{"group": {"kind": "zp", "p": 11}, "source": {"variant": "explicit", '
+              '"elements": [1, 2]}, "extractor": {"build": "zp", "m": %s}}]}',
+     "the extractor's m must be an integer"),
+    ("sweep", '{"rows": [{"group": {"kind": "zp", "p": 11}, "source": {"variant": "explicit", '
+              '"elements": [1, 2]}, "extractor": {"build": "zp"}, "charsum_seed": %s}]}',
+     "['charsum_seed']"),
+])
+def test_numbers_that_are_not_integers_exit_two_and_name_their_key(tmp_path, capsys, value,
+                                                                   suite, template, name):
+    grid = tmp_path / "grid.json"
+    grid.write_text(template % value)
+    assert main(["verify", "--suite", suite, "--grid", str(grid),
+                 "--out", str(tmp_path / "v.csv")]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha, code", [("0.25", 0), ("NaN", 2), ("1e400", 2)])
+def test_a_sweep_row_alpha_must_be_a_finite_number(tmp_path, capsys, alpha, code):
+    grid = tmp_path / "grid.json"
+    grid.write_text(f'{{"rows": [{canonical_json(_ROW)[:-1]}, "alpha": {alpha}}}]}}')
+    assert main(["verify", "--suite", "sweep", "--grid", str(grid),
+                 "--out", str(tmp_path / "sw.csv")]) == code
+    err = capsys.readouterr().err
+    assert code == 0 or "InputError: the row's alpha must be a finite number" in err
+
+
+def test_a_suite_number_past_the_float_range_exits_two(tmp_path, capsys):
+    grid = write(tmp_path / "grid.json", {"kwargs": {"primes": [101], "threshold": 10**400}})
+    assert main(["verify", "--suite", "zp-trend", "--grid", grid,
+                 "--out", str(tmp_path / "v.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: threshold must be a finite number")
+
+
+# ---------------------------------------------------------------------------
+# keys that must agree with what is built: a GAP's r, a source file's size and digest
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r, code", [(2, 0), (2.0, 0), (5, 2), (1, 2)])
+def test_a_gap_r_must_be_its_number_of_steps(tmp_path, capsys, r, code):
+    spec = write(tmp_path / "gap.json", {
+        "group": {"kind": "zp", "p": 11},
+        "spec": {"variant": "gap", "b0": 1, "steps": [1, 2], "s": 3, "r": r}})
+    out = tmp_path / "gap.src.json"
+    assert main(["build-source", "--spec", spec, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"error: the source spec's r = {r} is not its 2 steps\n"
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["spec"]["r"] == 2
+
+
+@pytest.mark.parametrize("key, value", [("size", 3), ("size", 8), ("digest", "0" * 64)])
+def test_a_source_file_size_and_digest_must_be_those_built(tmp_path, capsys, key, value):
+    spec = write(tmp_path / "ap.json", {"group": {"kind": "zp", "p": 101},
+                                        "spec": {"variant": "ap", "b0": 0, "step": 3, "k": 7}})
+    built = tmp_path / "ap.src.json"
+    assert main(["build-source", "--spec", spec, "--out", str(built)]) == 0
+    doc = json.loads(built.read_text())
+    assert doc["size"] == 7
+    assert main(["profile", "--source", str(built), "--alpha", "0.25"]) == 0
+    capsys.readouterr()
+    bad = write(tmp_path / "bad.json", dict(doc, **{key: value}))
+    assert main(["profile", "--source", bad, "--alpha", "0.25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {key} {value} is not the ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# extractor.v1.json describes every config that is written
+# ---------------------------------------------------------------------------
+
+def test_written_configs_are_valid_under_the_extractor_schema(tmp_path):
+    from jsonschema import Draft7Validator
+    from addext.cli import _schema
+    schema = _schema("extractor.v1.json")
+    validator = Draft7Validator(schema)
+    written = []
+    for kind, family in sorted(FITS):
+        spec = _source(tmp_path, GROUPS[kind], ELEMENTS[kind])
+        out = str(tmp_path / "ext.csv")
+        assert main(["extract", "--source", spec, "--extractor", family, "--out", out]) == 0
+        written.append(json.load(open(out + ".report.json"))["config"])
+        written.append(ex.build_for_group(family, src.Group.from_json(GROUPS[kind])).to_json())
+    assert {c["variant"] for c in written} == set(ex.GROUP_KINDS)
+    for config in written:
+        validator.validate(config)
+        # the schema allows other keys: every written key must be one it types
+        assert set(config) <= set(schema["properties"]), config

@@ -69,8 +69,7 @@ def test_m0_distance_zero_convention():
     cfg = ex.ApExtractorConfig(gf.FieldSpec.make(13, 1), 3, 3, (ex.Block(0, 3),), 0)
     grp = Group.zp_vec(13, 3)
     X = build_source(RandomSpec(50, 1), grp)
-    dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements),
-                                     ex.output_size(cfg))
+    dist = an.extractor_distribution(ex.extract_many(cfg, X.sorted_elements), cfg.M)
     assert an.distance_to_uniform(dist) == 0.0
 
 

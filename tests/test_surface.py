@@ -136,3 +136,42 @@ def test_every_parameter_in_src_is_read():
             if missing:
                 unread[f"{module}.{fn.name}"] = missing
     assert unread == UNREAD_PARAMETERS
+
+
+def _calls(tree: ast.AST, name: str) -> int:
+    """How many calls under tree call name, as a name or an attribute."""
+    return sum(isinstance(n, ast.Call) and _reads(n.func, name) > 0 for n in ast.walk(tree))
+
+
+def test_sources_reach_reports_by_one_route():
+    # analysis.evaluate is the one route from a source and a config to a
+    # report: the extract command and every sweep row take it
+    trees = _trees()
+    evaluate = next(node for node in trees["analysis"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == "evaluate")
+    for name in ("extract_many", "extractor_distribution", "distance_to_uniform"):
+        assert sum(_calls(tree, name) for tree in trees.values()) == _calls(evaluate, name) == 1
+
+
+def _number_type_tests(node: ast.AST) -> list[int]:
+    """The lines under node that test whether a value is an int, a float or a
+    bool: isinstance(x, ...) naming one, or a comparison of type(x)."""
+    numbers = {"int", "float", "bool", "integer", "floating", "number"}
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Call) and _reads(n.func, "isinstance") and len(n.args) == 2
+            and any(_reads(n.args[1], t) for t in numbers)
+            or isinstance(n, ast.Compare) and any(
+                isinstance(c, ast.Call) and _reads(c.func, "type")
+                for c in (n.left, *n.comparators))]
+
+
+def test_only_the_json_readers_decide_what_a_json_number_is():
+    # sources.json_int and json_number read every number of a grid or source
+    # file; the suites' parameter checks and the extractor's m go through them
+    trees = _trees()
+    build_for_group = next(node for node in trees["extractors"].body
+                           if isinstance(node, ast.FunctionDef) and node.name == "build_for_group")
+    assert _number_type_tests(trees["suites"]) == []
+    assert _number_type_tests(build_for_group) == []
+    # the check sees the tests it is meant to find
+    assert _number_type_tests(ast.parse("type(v) in (int, float)\nisinstance(m, bool)")) == [1, 2]
