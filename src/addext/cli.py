@@ -145,16 +145,17 @@ def _load_source(path: str) -> src.Source:
     """The source a source file describes: built from its spec, or from its
     elements with the spec as declared. A ``size`` or ``digest`` in the file
     must be that of the source built (InputError otherwise)."""
-    obj = _load_validated(path, "source.v1.json")
-    group = src.Group.from_json(obj["group"])
+    obj = src.read_object(_load_validated(path, "source.v1.json"), f"source file {path}", {
+        "group": lambda v, _: src.Group.from_json(v), "spec": lambda v, _: src.spec_from_json(v),
+        "elements": src._elements, "size": src.json_int, "digest": None,
+        "notes": None}, ("elements", "size", "digest", "notes"))
+    group = obj["group"]
     if "elements" in obj:
-        spec = src.ExplicitSpec(tuple(src._elem_from_json(x) for x in obj["elements"]))
-        built = src.build_source(spec, group)
-        declared = src.spec_from_json(obj["spec"]) if "spec" in obj else spec
-        X = src.Source(group, declared, built.elements, dict(obj.get("notes", {})))
+        built = src.build_source(src.ExplicitSpec(obj["elements"]), group)
+        X = src.Source(group, obj["spec"], built.elements, dict(obj.get("notes", {})))
     else:
-        X = src.build_source(src.spec_from_json(obj["spec"]), group)
-    if "size" in obj and src.json_int(obj["size"], f"{path}: size") != len(X):
+        X = src.build_source(obj["spec"], group)
+    if "size" in obj and obj["size"] != len(X):
         raise InputError(f"{path}: size {obj['size']} is not the {len(X)} elements built")
     if "digest" in obj and obj["digest"] != X.digest:
         raise InputError(f"{path}: digest {obj['digest']} is not the digest {X.digest} "
@@ -230,19 +231,17 @@ def cmd_charsum(args) -> Outcome:
 
 def cmd_verify(args) -> Outcome:
     grid = _load_validated(args.grid, "grid.v1.json") if args.grid else {}
-    if args.suite == "sweep":
-        rows = grid.get("rows")
-        if rows is None:
-            raise InputError("sweep requires a grid file with a 'rows' list")
+    if args.suite == "sweep":  # a sweep's grid has rows, a named suite's its kwargs
+        rows = src.read_object(grid, "grid", {"rows": None})["rows"]
         result = suites.suite_sweep(rows, threads=args.threads)
         header, records = analysis.CSV_COLUMNS, [r.to_json() for r in result.rows]
         summary = {"suite": "sweep", "ok": result.ok, "failures": result.failures,
                    "rows": records}
     else:
         fn = suites.SUITES[args.suite]
-        kwargs = dict(grid.get("kwargs", {}))
+        kwargs = src.read_object(grid, "grid", {"kwargs": None}, ("kwargs",)).get("kwargs", {})
         if "seed" in fn.checks:
-            kwargs.setdefault("seed", args.seed)
+            kwargs = {"seed": args.seed, **kwargs}
         result = fn(**kwargs)
         records, summary = result.rows, result.to_json()
         header = sorted({k for row in records for k in row})

@@ -29,7 +29,8 @@ from . import gf, numtheory as nt
 from .canonical import canonical_json
 from .errors import CapacityError, InputError
 from .numtheory import MODULUS_CAP, CrtSystem
-from .sources import PY_STEP, Group, check_cost, element_budget, json_int, product_steps
+from .sources import (PY_STEP, Group, check_cost, element_budget, json_int, product_steps,
+                      read_object)
 
 # ---------------------------------------------------------------------------
 # Z_p
@@ -306,13 +307,22 @@ def build_for_group(family: str, group: Group, m: int = 1) -> ExtractorConfig:
 def config_for_group(obj: dict, group: Group) -> ExtractorConfig:
     """The serialized config ``obj``, rebuilt for ``group``.
 
-    Every construction is canonical, so ``obj`` is valid exactly when the
-    rebuild serializes to the same JSON; anything else is an InputError.
+    Every construction is canonical, so ``obj`` is valid exactly when its keys
+    and values, numbers read by json_int, are the rebuild's; else InputError.
     """
-    cfg = build_for_group(obj.get("variant"), group, obj.get("m", 1))
-    if canonical_json(cfg.to_json()) != canonical_json(obj):
-        raise InputError(f"not the canonical {obj['variant']} config for its group")
+    cfg = build_for_group(obj["variant"], group, obj.get("m", 1))
+    want = cfg.to_json()
+    got = read_object(obj, f"{want['variant']} config", dict.fromkeys(want, _json_ints))
+    if canonical_json(got) != canonical_json(want):
+        raise InputError(f"not the canonical {want['variant']} config for its group")
     return cfg
+
+
+def _json_ints(v, what: str):
+    """A config value with its numbers read by json_int, lists entry by entry."""
+    if isinstance(v, list):
+        return [_json_ints(x, f"each of {what}") for x in v]
+    return json_int(v, what) if isinstance(v, float) else v
 
 
 def _coordinates(cfg: LineExtractorConfig | ApExtractorConfig,

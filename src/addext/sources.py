@@ -82,6 +82,39 @@ def json_number(v, what: str) -> float:
     return float(v)
 
 
+def read_object(obj, what: str, keys: dict, optional=(), tag: str | None = None) -> dict:
+    """The values of a JSON object's keys, each by its reader in ``keys``, called
+    as read(value, "the <what>'s <key>"), or as given if None; a key in
+    ``optional`` may be absent. With a ``tag``, ``keys`` maps each kind the tag
+    names to its keys. InputError, naming the key, for a non-object, a missing
+    key or an unknown one."""
+    if not isinstance(obj, dict):
+        raise InputError(f"the {what} must be a JSON object, not {obj!r}")
+    if tag is not None:
+        kind = obj.get(tag)
+        if not (isinstance(kind, str) and kind in keys):
+            raise InputError(f"the {what}'s {tag} must be one of {', '.join(keys)}, not {kind!r}")
+        keys = {tag: None, **keys[kind]}
+    for key in keys:
+        if key not in obj and key not in optional:
+            raise InputError(f"the {what} has no {key!r}")
+    unknown = obj.keys() - keys.keys()
+    if unknown:
+        raise InputError(f"the {what} takes no {', '.join(sorted(map(repr, unknown)))} "
+                         f"(it takes {', '.join(map(repr, keys))})")
+    return {key: obj[key] if read is None else read(obj[key], f"the {what}'s {key}")
+            for key, read in keys.items() if key in obj}
+
+
+def _list_of(read):
+    """The reader of a JSON list whose every entry ``read`` reads, as a tuple."""
+    def read_list(v, what: str) -> tuple:
+        if not isinstance(v, list):
+            raise InputError(f"{what} must be a list, not {v!r}")
+        return tuple(map(read, v, [f"each of {what}"] * len(v)))
+    return read_list
+
+
 # ---------------------------------------------------------------------------
 # groups
 # ---------------------------------------------------------------------------
@@ -185,30 +218,26 @@ class Group:
         return {"kind": "zn", "moduli": list(self.crt.moduli)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Group":
-        kind = obj.get("kind")
+    def from_json(cls, obj) -> "Group":
+        g = read_object(obj, "group", _GROUP_KEYS, ("modulus",), tag="kind")
+        if g["kind"] == "zp":
+            return cls.zp(g["p"])
+        if g["kind"] == "zp_vec":
+            return cls.zp_vec(g["p"], g["n"])
+        if g["kind"] == "fq_vec":
+            p, k = g["p"], g["k"]
+            if p ** min(k, 64) >= MODULUS_CAP:  # p >= 2, so p^64 >= 2^64
+                raise InputError(f"q = {p}^{k} is not below 2^63")
+            spec = gf.FieldSpec(p, k, g["modulus"]) if "modulus" in g else gf.FieldSpec.make(p, k)
+            return cls.fq_vec(spec, g["n"])
+        return cls.zn(CrtSystem.make(g["moduli"]))
 
-        def num(key: str) -> int:
-            return json_int(obj[key], f"the group's {key}")
-        try:
-            if kind == "zp":
-                return cls.zp(num("p"))
-            if kind == "zp_vec":
-                return cls.zp_vec(num("p"), num("n"))
-            if kind == "fq_vec":
-                p, k = num("p"), num("k")
-                if p ** min(k, 64) >= MODULUS_CAP:  # p >= 2, so p^64 >= 2^64
-                    raise InputError(f"q = {p}^{k} is not below 2^63")
-                spec = (gf.FieldSpec(p, k, tuple(json_int(c, "each modulus coefficient")
-                                                 for c in obj["modulus"]))
-                        if "modulus" in obj else gf.FieldSpec.make(p, k))
-                return cls.fq_vec(spec, num("n"))
-            if kind == "zn":
-                return cls.zn(CrtSystem.make([json_int(q, "each zn modulus")
-                                              for q in obj["moduli"]]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed group description: {exc}") from exc
-        raise InputError(f"unknown group kind {kind!r}")
+
+_ints = _list_of(json_int)
+# the keys of each group kind besides "kind"; fq_vec's modulus is optional
+_GROUP_KEYS = {"zp": {"p": json_int}, "zp_vec": {"p": json_int, "n": json_int},
+               "fq_vec": {"p": json_int, "k": json_int, "n": json_int, "modulus": _ints},
+               "zn": {"moduli": _ints}}
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +318,8 @@ def _elem_text(x) -> str:
     return "[" + ",".join(map(str, x)) + "]" if isinstance(x, tuple) else str(x)
 
 
-def _elem_from_json(v, what: str = "an element"):
-    if isinstance(v, list):
-        return tuple(map(json_int, v, [f"each coordinate of {what}"] * len(v)))
-    return json_int(v, what)
+def _elem_from_json(v, what: str):
+    return _ints(v, what) if isinstance(v, list) else json_int(v, what)
 
 
 def spec_to_json(spec: SourceSpec) -> dict:
@@ -307,23 +334,22 @@ def spec_to_json(spec: SourceSpec) -> dict:
     return out
 
 
+_elements = _list_of(_elem_from_json)
 _SPECS = {cls.variant: cls for cls in SourceSpec.__args__}
-# field annotation -> reader of its JSON value and the value's name
+# field annotation -> reader of its JSON value
 _SPEC_FIELDS = {"object": _elem_from_json, "int": json_int, "float": json_number,
-                "tuple": lambda v, what: tuple(map(_elem_from_json, v,
-                                                   [f"each of {what}"] * len(v)))}
+                "tuple": _elements}
+# the keys of each variant besides "variant": its fields, and a GAP's optional r
+_SPEC_KEYS = {variant: {f.name: _SPEC_FIELDS[f.type] for f in fields(cls)}
+              for variant, cls in _SPECS.items()}
+_SPEC_KEYS["gap"]["r"] = json_int
 
 
-def spec_from_json(obj: dict) -> SourceSpec:
-    cls = _SPECS.get(obj.get("variant"))
-    if cls is None:
-        raise InputError(f"unknown source variant {obj.get('variant')!r}")
-    try:
-        spec = cls(*(_SPEC_FIELDS[f.type](obj[f.name], f"the source spec's {f.name}")
-                     for f in fields(cls)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed source spec: {exc}") from exc
-    if cls is GapSpec and "r" in obj and json_int(obj["r"], "the source spec's r") != spec.r:
+def spec_from_json(obj) -> SourceSpec:
+    read = read_object(obj, "source spec", _SPEC_KEYS, ("r",), tag="variant")
+    r = read.pop("r", None)
+    spec = _SPECS[read.pop("variant")](**read)
+    if r is not None and r != spec.r:
         raise InputError(f"the source spec's r = {obj['r']} is not its {spec.r} steps")
     return spec
 
@@ -465,6 +491,8 @@ def build_source(spec: SourceSpec, group: Group) -> Source:
     elif isinstance(spec, (ApSpec, HapSpec)):
         b0 = spec.b0 if isinstance(spec, ApSpec) else group.zero
         step, k = spec.step, spec.k
+        if not 1 <= k:
+            raise InputError(f"AP length k must be >= 1, not {k}")
         group.validate_element(b0, step)
         if step == group.zero:
             raise InputError("AP step must be nonzero")

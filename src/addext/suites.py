@@ -89,37 +89,31 @@ _PRIMES = _List(_PRIME)
 
 def _suite(*, cost):
     """A suite run. Each parameter is annotated with its _Check; ``cost`` maps
-    the bound arguments to (held, work), the most array entries held at once
-    and the total work. ``check`` binds the arguments (an unknown one is an
-    InputError), reads each parameter by its check, defaults included, then the
-    cost by sources.check_cost, the one place a budget refusal happens. A run
-    checks first, runs on the values read, is timed into ``seconds``, and is not
-    ok with a failure."""
+    the arguments to (held, work), the most array entries held at once and the
+    total work. ``check`` reads the keyword arguments over the defaults by
+    sources.read_object, each parameter by its check (an unknown one is an
+    InputError), then the cost by sources.check_cost, the one place a budget
+    refusal happens. A run checks first, runs on the values read, is timed into
+    ``seconds``, and is not ok with a failure."""
     def declare(fn):
         name = fn.__name__.removeprefix("suite_").replace("_", "-")
-        sig = inspect.signature(fn)
+        params = inspect.signature(fn).parameters
         annotations = inspect.get_annotations(fn, eval_str=True)
-        checks = {param: annotations.get(param) for param in sig.parameters}
+        checks = {param: annotations.get(param) for param in params}
         for param, check in checks.items():
             if not isinstance(check, _Check):
                 raise TypeError(f"suite {name!r}: parameter {param!r} declares no check")
+        defaults = {param: p.default for param, p in params.items() if p.default is not p.empty}
 
-        def check(*args, **kwargs) -> inspect.BoundArguments:
-            try:
-                bound = sig.bind(*args, **kwargs)
-            except TypeError as exc:
-                raise InputError(f"suite {name!r}: {exc}") from None
-            bound.apply_defaults()
-            for param, value in bound.arguments.items():
-                bound.arguments[param] = checks[param](value, param)
-            src.check_cost(f"suite {name!r}", *cost(**bound.arguments))
-            return bound
+        def check(**kwargs) -> dict:
+            values = src.read_object({**defaults, **kwargs}, f"{name} suite", checks)
+            src.check_cost(f"suite {name!r}", *cost(**values))
+            return values
 
         @functools.wraps(fn)
-        def run(*args, **kwargs) -> SuiteResult:
+        def run(**kwargs) -> SuiteResult:
             t0 = time.perf_counter()
-            bound = check(*args, **kwargs)
-            res = fn(*bound.args, **bound.kwargs)
+            res = fn(**check(**kwargs))
             res.ok = not res.failures
             res.seconds = time.perf_counter() - t0
             return res
@@ -694,40 +688,27 @@ def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteRe
 
 CHARSUM_SCAN_CAP = 1 << 16
 
-_REQUIRED = object()
+# the keys of a sweep row that is not a family scan
+_SOURCE_ROW = {"group": lambda v, _: src.Group.from_json(v),
+               "source": lambda v, _: src.spec_from_json(v), "extractor": None,
+               "alpha": src.json_number, "per_character": None, "charsum_seed": src.json_int}
 
 
-def _key(obj: dict, key: str, what: str, default=_REQUIRED, read=None):
-    """obj[key] of a sweep row, family or extractor, as ``read(value, name)`` reads it if
-    given; a missing required key or a failed read is an input error: the sweep exits 2."""
-    if key not in obj and default is _REQUIRED:
-        raise InputError(f"the {what} has no {key!r}")
-    if key not in obj or read is None:
-        return obj.get(key, default)
-    return read(obj[key], f"the {what}'s {key}")
-
-
-def _row_config(row: dict, group: src.Group):
+def _row_config(e, group: src.Group):
     """A row's extractor: ``{"build": family, "m": m}``, or a full config that
     must be the one that family builds for the row's group."""
-    e = _key(row, "extractor", "row")
-    if "variant" in e:
+    if isinstance(e, dict) and "variant" in e:
         return ex.config_for_group(e, group)
-    unknown = set(e) - {"build", "m"}
-    if unknown:
-        raise InputError(f"unknown extractor keys {sorted(unknown)}")
-    return ex.build_for_group(_key(e, "build", "extractor"), group,
-                              _key(e, "m", "extractor", 1))
+    e = src.read_object(e, "extractor", {"build": None, "m": src.json_int}, ("m",))
+    return ex.build_for_group(e["build"], group, e.get("m", 1))
 
 
-def _sweep_point(row: dict) -> EvalReport:
-    fam = _key(row, "family", "row", None)
-    if fam is not None:
-        return _sweep_family(row, fam)
-    group = src.Group.from_json(_key(row, "group", "row"))
-    spec = src.spec_from_json(_key(row, "source", "row"))
-    X = src.build_source(spec, group)
-    cfg = _row_config(row, group)
+def _sweep_point(row) -> EvalReport:
+    if isinstance(row, dict) and "family" in row:
+        return _sweep_family(**src.read_object(row, "row", {"family": None, "extractor": None}))
+    row = src.read_object(row, "row", _SOURCE_ROW, ("alpha", "per_character", "charsum_seed"))
+    X = src.build_source(row["source"], row["group"])
+    cfg = _row_config(row["extractor"], X.group)
     report = analysis.evaluate(X, cfg)[1]  # the outputs are not held through the sums
     report.extra["charsum_sampled"] = False
     if isinstance(cfg, (ex.ZpExtractorConfig, ex.ZpnExtractorConfig)):
@@ -735,24 +716,23 @@ def _sweep_point(row: dict) -> EvalReport:
         if modulus <= CHARSUM_SCAN_CAP:
             freqs = range(1, modulus)
         else:
-            rng = random.Random(_key(row, "charsum_seed", "row", 113, src.json_int))
+            rng = random.Random(row.get("charsum_seed", 113))
             freqs = sorted(rng.sample(range(1, modulus), 256))
             report.extra["charsum_sampled"] = True
         table = analysis.charsum_table(values, modulus, list(freqs))
         report.max_charsum = float(table.max())
-        if _key(row, "per_character", "row", False):
+        if row.get("per_character", False):
             report.per_character = [{"xi": int(xi), "value": float(v)}
                                     for xi, v in zip(freqs, table)]
-    report.bound, asserted = _sweep_bound(row, cfg, spec)
+    report.bound, asserted = _sweep_bound(row.get("alpha"), cfg, X.spec)
     report.ok = report.bound is None or report.distance <= report.bound + TOL
     report.asserted = asserted and report.bound is not None
     return report
 
 
-def _sweep_bound(row: dict, cfg, spec) -> tuple[float | None, bool]:
-    """Variant bound for the report. Bounds with non-effective constants are
-    advisory (reported, never asserted)."""
-    alpha = _key(row, "alpha", "row", None, src.json_number)
+def _sweep_bound(alpha: float | None, cfg, spec) -> tuple[float | None, bool]:
+    """Variant bound for the report, ``alpha`` the row's if it gives one. Bounds
+    with non-effective constants are advisory (reported, never asserted)."""
     if isinstance(cfg, ex.LineExtractorConfig):
         return 4 * math.sqrt(cfg.n / cfg.field.order), True
     if isinstance(cfg, ex.ApExtractorConfig) and isinstance(spec, (src.ApSpec, src.HapSpec)):
@@ -768,44 +748,42 @@ def _sweep_bound(row: dict, cfg, spec) -> tuple[float | None, bool]:
     return None, False
 
 
-def _sweep_family(row: dict, fam: dict) -> EvalReport:
+# the keys of each family kind besides "kind"; all_lines' n is optional
+_FAMILY_KEYS = {"all_aps": {"p": _PRIME, "s": _Int(1)}, "all_lines": {"q": _Int(4), "n": _Int(1)}}
+
+
+def _sweep_family(family, extractor) -> EvalReport:
     """An exhaustive family scan, first checked at the cost of zp-trend or lines.
     Its extractor must be the 1-bit ``zp`` for ``all_aps``, ``line`` for ``all_lines``."""
-    kind = _key(fam, "kind", "family")
-    if kind == "all_aps":
-        p, s = _key(fam, "p", "family", read=_PRIME), _key(fam, "s", "family", read=_Int(1))
+    fam = src.read_object(family, "family", _FAMILY_KEYS, ("n",), tag="kind")
+    if fam["kind"] == "all_aps":
+        p, s = fam["p"], fam["s"]
         if s > p:
             raise InputError(f"the family's s = {s} exceeds its p = {p}")
         suite_zp_trend.check(primes=[p])
-        cfg = _row_config(row, src.Group.zp(p))
+        cfg = _row_config(extractor, src.Group.zp(p))
         if not isinstance(cfg, ex.ZpExtractorConfig) or cfg.m != 1:
             raise InputError("the all_aps family scan runs the 1-bit zp extractor")
         hist = ap_distance_histogram(p, s, cfg)
         dists = np.abs(np.arange(s + 1) / s - 0.5)
         worst = float(dists[np.nonzero(hist)[0]].max())
-        fam = dict(fam, p=p, s=s)
         return EvalReport(
             config_digest=digest(cfg.to_json()), source_digest=digest(fam),
             size=int(hist.sum()), distance=worst, max_charsum=None, bound=None,
             ok=True, asserted=False,
             extra={"median_distance": _median_distance_from_hist(hist, s),
                    "family": fam})
-    if kind == "all_lines":
-        q = _key(fam, "q", "family", read=_Int(4))
-        suite_lines.check(qs=[q])
-        group = src.Group.fq_vec(ex.prime_power_field(q),
-                                 _key(fam, "n", "family", 2, read=_Int(1)))
-        cfg = _row_config(row, group)
-        row_scan = scan_all_lines(cfg)
-        bound = row_scan["charsum_bound"]
-        worst = max(row_scan["max_charsum"], row_scan["max_distance"])
-        fam = dict(fam, q=q, **{"n": group.n} if "n" in fam else {})
-        return EvalReport(
-            config_digest=digest(cfg.to_json()), source_digest=digest(fam),
-            size=row_scan["lines"], distance=row_scan["max_distance"],
-            max_charsum=row_scan["max_charsum"], bound=bound,
-            ok=worst <= bound + TOL, asserted=True, extra={"family": fam})
-    raise InputError(f"unknown family kind {kind!r}")
+    suite_lines.check(qs=[fam["q"]])
+    group = src.Group.fq_vec(ex.prime_power_field(fam["q"]), fam.get("n", 2))
+    cfg = _row_config(extractor, group)
+    row_scan = scan_all_lines(cfg)
+    bound = row_scan["charsum_bound"]
+    worst = max(row_scan["max_charsum"], row_scan["max_distance"])
+    return EvalReport(
+        config_digest=digest(cfg.to_json()), source_digest=digest(fam),
+        size=row_scan["lines"], distance=row_scan["max_distance"],
+        max_charsum=row_scan["max_charsum"], bound=bound,
+        ok=worst <= bound + TOL, asserted=True, extra={"family": fam})
 
 
 def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResult:

@@ -195,11 +195,12 @@ def test_sweep_row_missing_a_key_exits_two(tmp_path, capsys, row, missing):
                                            ("l1", {"seed": 3}),
                                            ("bohr", {"pmax": 31, "trials": 2})])
 def test_verify_unknown_suite_kwargs_exit_two(tmp_path, capsys, suite, kwargs):
+    (key,) = kwargs.keys() - suites.SUITES[suite].checks.keys()   # the one it does not take
     grid = write(tmp_path / "grid.json", {"kwargs": kwargs})
     out = tmp_path / "v.csv"
     assert main(["verify", "--suite", suite, "--grid", grid, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: suite '{suite}'") and "unexpected keyword" in err
+    assert err.startswith(f"error: the {suite} suite takes no {key!r} (it takes ")
     assert not out.exists()
 
 
@@ -935,6 +936,47 @@ def test_integral_floats_in_a_grid_run_as_the_ints_they_equal(tmp_path, suite, g
     assert _verify_outputs(tmp_path, suite, json.dumps(as_float)) == want
 
 
+def _floats(x):
+    """x with every JSON integer written as a float."""
+    if isinstance(x, list):
+        return list(map(_floats, x))
+    return float(x) if type(x) is int else x
+
+
+_ZP_CONFIG = {"variant": "zp", "p": 11, "q": 23, "g": 2, "m": 1}
+_AP_ROW = {"group": {"kind": "zp_vec", "p": 5, "n": 3},
+           "source": {"variant": "explicit", "elements": [[1, 2, 3], [0, 4, 1]]},
+           "extractor": ex.build_ap_extractor(5, 3, 1).to_json()}
+
+
+@pytest.mark.parametrize("row, floats", [
+    (dict(_ROW, extractor=_ZP_CONFIG), dict(_ZP_CONFIG, p=11.0)),
+    (dict(_ROW, extractor=_ZP_CONFIG), {k: _floats(v) for k, v in _ZP_CONFIG.items()}),
+    (_AP_ROW, {k: _floats(v) for k, v in _AP_ROW["extractor"].items()}),
+])
+def test_a_full_config_reads_its_numbers_as_json_integers(tmp_path, row, floats):
+    want = _verify_outputs(tmp_path, "sweep", json.dumps({"rows": [row]}))
+    assert want[0] == 0 and len(want[1]) == 2
+    assert _verify_outputs(tmp_path, "sweep",
+                           json.dumps({"rows": [dict(row, extractor=floats)]})) == want
+
+
+@pytest.mark.parametrize("row, message", [
+    (dict(_ROW, extractor=dict(_ZP_CONFIG, m=True)), "the extractor's m must be an integer"),
+    (dict(_ROW, extractor=dict(_ZP_CONFIG, p=11.5)), "the zp config's p must be an integer"),
+    (dict(_AP_ROW, extractor=dict(_AP_ROW["extractor"], custom_poly=0)),
+     "not the canonical ap config"),
+    (dict(_ROW, extractor=dict(_ZP_CONFIG, x=1)), "the zp config takes no 'x'"),
+    (dict(_ROW, extractor={k: v for k, v in _ZP_CONFIG.items() if k != "g"}),
+     "the zp config has no 'g'"),
+])
+def test_a_full_config_that_is_not_the_rebuild_exits_two(tmp_path, capsys, row, message):
+    code, rows, _ = _verify_outputs(tmp_path, "sweep", json.dumps({"rows": [row, _ROW]}))
+    err = capsys.readouterr().err
+    assert code == 2 and len(rows) == 2
+    assert err.startswith(f'FAIL sweep: {{"error":"InputError: {message}')
+
+
 # JSON text, so that 1e400 reaches the program as the float inf that json.load makes
 @pytest.mark.parametrize("value", ["1.5", "true", '"3"', "1e400"])
 @pytest.mark.parametrize("suite, template, name", [
@@ -972,7 +1014,8 @@ def test_a_suite_number_past_the_float_range_exits_two(tmp_path, capsys):
     grid = write(tmp_path / "grid.json", {"kwargs": {"primes": [101], "threshold": 10**400}})
     assert main(["verify", "--suite", "zp-trend", "--grid", grid,
                  "--out", str(tmp_path / "v.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: threshold must be a finite number")
+    assert capsys.readouterr().err.startswith(
+        "error: the zp-trend suite's threshold must be a finite number")
 
 
 # ---------------------------------------------------------------------------

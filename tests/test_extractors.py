@@ -380,26 +380,31 @@ def group_of(cfg):
 def test_config_from_json_validates():
     # each config is checked against the canonical build on the group it names
     line = build_line_extractor(9, 4).to_json()
+    f9 = {"kind": "fq_vec", "p": 3, "k": 2, "n": 4, "modulus": line["modulus"]}
     holes = [
         ({"variant": "zp", "p": 5, "q": 13, "g": 3, "m": 1}, {"kind": "zp", "p": 5}),
         ({"variant": "nope"}, {"kind": "zp", "p": 5}),
         ({"variant": "zp", "p": 5}, {"kind": "zp", "p": 5}),
         ({"variant": "pgc", "p": 11, "g": 3, "m": 1},  # 3 is not a primitive root
          {"kind": "zp", "p": 11}),
-        (dict(line, output="bogus"), dict(line, kind="fq_vec")),
-        (dict(line, blocks=[[0, 2], [2, 2]]), dict(line, kind="fq_vec")),  # even blocks
+        (dict(line, output="bogus"), f9),
+        (dict(line, blocks=[[0, 2], [2, 2]]), f9),  # even blocks
         ({"variant": "ap", "p": 5, "n": 6, "padded_n": 6, "blocks": [[0, 6]],
           "m": 1, "custom_poly": False},                # degree 6 >= p
          {"kind": "zp_vec", "p": 5, "n": 6}),
         (dict(build_ap_extractor(5, 3, 1).to_json(), custom_poly=True),
          {"kind": "zp_vec", "p": 5, "n": 3}),
-        (dict(build_zp_extractor(5, 1).to_json(), m=1.0), {"kind": "zp", "p": 5}),
+        (dict(build_zp_extractor(5, 1).to_json(), m=True), {"kind": "zp", "p": 5}),
         ({"variant": "zp", "p": 4, "q": 5, "g": 2, "m": 1},  # composite p
          {"kind": "zp", "p": 4}),
     ]
     for obj, group in holes:
         with pytest.raises(InputError):
             config_for_group(obj, Group.from_json(group))
+    # the numbers of a config are read as JSON integers: 1.0 is the 1 it equals
+    assert config_for_group(dict(build_zp_extractor(5, 1).to_json(), m=1.0),
+                            Group.zp(5)) == build_zp_extractor(5, 1)
+    assert config_for_group(line, Group.from_json(f9)) == build_line_extractor(9, 4)
 
 
 def test_config_digests_golden():

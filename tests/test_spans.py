@@ -48,7 +48,6 @@ CASES = {
     "gap-fq_vec-f25": _source(GapSpec((0, 11), ((13, 2), (6, 24)), 6), Group.fq_vec(F25, 2)),
     "ap-zp": _source(ApSpec(5, 7, 30), Group.zp(101)),
     "ap-zp-wraps": _source(ApSpec(0, 1, 15), Group.zp(11)),
-    "ap-zp-empty": _source(ApSpec(3, 1, 0), Group.zp(11)),
     "ap-zp_vec": _source(ApSpec((1, 2), (3, 4), 9), Group.zp_vec(5, 2)),
     "ap-fq_vec": _source(ApSpec((1, 8), (4, 7), 5), Group.fq_vec(F9, 2)),
     "ap-zn": _source(ApSpec(17, 35, 40), Z180),
@@ -89,8 +88,6 @@ GOLDEN = {
         "d765a7408db5c95aca22fda164ffcdcd66d48e6d82a2d7cbed3c2fe8eb5d48ef",
     "ap-zn":
         "89286e128de8e267e1114c486857d12bd5d79849e36e11cceb838eddeed8a435",
-    "ap-zp-empty":
-        "ea0d03d80d93b9be807a131d405a15cedad7ef12251d07a5f5eec7b1e0d16072",
     "ap-zp":
         "1a83103ca66e8b0a59a1c4002b1afe02bb29b53664316b85dd652c770a70268f",
     "ap-zp-wraps":

@@ -175,3 +175,35 @@ def test_only_the_json_readers_decide_what_a_json_number_is():
     assert _number_type_tests(build_for_group) == []
     # the check sees the tests it is meant to find
     assert _number_type_tests(ast.parse("type(v) in (int, float)\nisinstance(m, bool)")) == [1, 2]
+
+
+def _key_set_tests(node: ast.AST) -> list[int]:
+    """The lines under node that compare an object's keys with a set of keys or
+    catch a KeyError: set(x) - ..., x.keys() - ..., a set literal subtracted,
+    .difference/.issubset/.issuperset, and an except clause naming KeyError."""
+    def keyset(n):
+        return (isinstance(n, ast.Set) or isinstance(n, ast.Call)
+                and (_reads(n.func, "set") or _reads(n.func, "keys")))
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+            and (keyset(n.left) or keyset(n.right))
+            or isinstance(n, ast.Call) and any(
+                _reads(n.func, m) for m in ("difference", "issubset", "issuperset"))
+            or isinstance(n, ast.ExceptHandler) and n.type is not None
+            and _reads(n.type, "KeyError")]
+
+
+def test_input_objects_have_one_reader():
+    # sources.read_object is the one reader of an input object's keys: every
+    # other reader (groups, specs, source files, grids, rows, families,
+    # extractors, suite kwargs) goes through it
+    from addext import suites
+    found = {f"{module}.{fn.name}" for module, tree in _trees().items()
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             and _key_set_tests(fn)}
+    assert found == {"sources.read_object"}
+    assert not hasattr(suites, "_key") and not hasattr(suites, "_REQUIRED")
+    # the check sees the tests it is meant to find
+    assert _key_set_tests(ast.parse(
+        "set(e) - {'a'}\ntry:\n    x\nexcept (KeyError, TypeError):\n    pass\n"
+        "e.keys() - k.keys()\n{1} - set(e)\nset(e).issubset(k)")) == [1, 4, 6, 7, 8]
