@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import os
 import sys
@@ -206,20 +207,15 @@ def cmd_charsum(args) -> Outcome:
     X = _load_source(args.source)
     grp = X.group
     order = grp.order
-    if args.characters == "all":
-        if order > suites.CHARSUM_SCAN_CAP:
-            raise InputError(f"--characters all takes groups of order at most "
-                             f"{suites.CHARSUM_SCAN_CAP}; use a range a:b")
-        freq_idx = range(1, order)
-    else:
-        try:
-            lo, hi = (int(t) for t in args.characters.split(":"))
-        except ValueError as exc:
-            raise InputError("--characters expects 'all' or 'lo:hi'") from exc
-        if not 0 <= lo < hi <= order:
-            raise InputError("character range out of bounds")
-        src.check_cost("the --characters range", held=hi - lo)
-        freq_idx = range(lo, hi)
+    try:  # all: every nonzero frequency, 1:order
+        lo, hi = (1, order) if args.characters == "all" else \
+            (int(t) for t in args.characters.split(":"))
+    except ValueError as exc:
+        raise InputError("--characters expects 'all' or 'lo:hi'") from exc
+    if not 0 <= lo < hi <= order:
+        raise InputError("character range out of bounds")
+    src.check_cost("the --characters range", held=hi - lo)
+    freq_idx = range(lo, hi)
     mags = analysis.charsum_table(analysis.character_digits(X), grp.zmn[0], freq_idx)
     step = analysis.CHARSUM_CHUNK  # rows are made and written this many at a time
     rows = ([src._elem_text(x), _cell(v)] for lo in range(0, len(freq_idx), step)
@@ -290,7 +286,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on the first call, then shared by
+    every main call, so that in-process commands leave no parser behind."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=1,
                         help="master seed recorded in the run manifest (default 1)")

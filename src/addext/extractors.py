@@ -29,8 +29,8 @@ from . import gf, numtheory as nt
 from .canonical import canonical_json
 from .errors import CapacityError, InputError
 from .numtheory import MODULUS_CAP, CrtSystem
-from .sources import (PY_STEP, Group, check_cost, element_budget, json_int, product_steps,
-                      read_object)
+from .sources import (PY_INT, PY_STEP, Group, check_cost, element_budget, json_int,
+                      product_steps, read_object)
 
 # ---------------------------------------------------------------------------
 # Z_p
@@ -299,9 +299,47 @@ def build_for_group(family: str, group: Group, m: int = 1) -> ExtractorConfig:
     if family == "zpn":
         return build_zpn_extractor(group.p, group.n, m)
     if family == "ap":
-        return build_ap_extractor(group.p, group.n, m)
-    return build_line_extractor(group.field if group.kind == "fq_vec" else group.p,
-                                group.n)
+        cfg = build_ap_extractor(group.p, group.n, m)
+    else:
+        cfg = build_line_extractor(group.field if group.kind == "fq_vec" else group.p, group.n)
+    check_cost(f"the {family} extractor's extension fields", work=extension_steps(cfg, 0))
+    return cfg
+
+
+def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -> int:
+    """The work, in check_cost's steps, of building gf.get_extension(F_q, b)
+    for the size b of every block of the config that holds two coordinates
+    below n (a norm form; _block_poly_many takes any other block's first
+    coordinate to the power b) and of those norms at ``points`` points;
+    calibrated on in-process timings on a shared 2-vCPU Xeon.
+
+    With q = p^k and K = k b, one product of two elements of F_(p^K) costs
+    48 K steps on F_2 bitmasks (2K - 1 <= 64), 10 K^2 + 256 on int64 digits
+    and 5 PY_INT K^2 + 256 on Python-int digits (gf._sum_dtype). Building:
+    gf.find_irreducible tests about 2K candidates of degree K (one in K is
+    irreducible; a third of them pass the root sieve where p <= K^2), each by
+    bitlen(p) + popcount(p) batched K x K matrix products of 3 K^3 + 256
+    steps (PY_INT K^3 + 256 on Python ints), and certifies about two by a
+    Python row reduction of K^2 PY_STEP + 64 K^3; for k > 1 the root beta of
+    F_q's modulus costs the trace images' Frobenius orbits, (2 (bitlen(p) +
+    popcount(p) + k + b) + 64) K^3, and k Horner products at each of the q
+    subfield elements. A point's norm is one power ladder of bitlen(e) +
+    popcount(e) products, e = (q^b - 1) / (q - 1)."""
+    f = cfg.field
+    p, k, q = f.p, f.k, f.order
+    ladder, steps = p.bit_length() + p.bit_count(), 0
+    for b in {block.size for block in cfg.blocks if 1 < block.size and block.start + 1 < cfg.n}:
+        K, e = k * b, (q**b - 1) // (q - 1)
+        int64 = gf._sum_dtype(p, K) is np.int64
+        product = 48 * K if p == 2 and 2 * K - 1 <= 64 else \
+            (10 if int64 else 5 * PY_INT) * K * K + 256
+        candidates = 2 * K // (3 if p <= K * K else 1)
+        steps += (candidates * ladder * ((3 if int64 else PY_INT) * K**3 + 256)
+                  + 2 * K * K * (PY_STEP + 64 * K)
+                  + points * (e.bit_length() + e.bit_count()) * product)
+        if k > 1:
+            steps += (2 * (ladder + k + b) + 64) * K**3 + q * k * product
+    return steps
 
 
 def config_for_group(obj: dict, group: Group) -> ExtractorConfig:
@@ -355,8 +393,11 @@ def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
     element, whose norm is c_1^b; every other block goes to gf.norms_many.
     Along any line a + t d with d != 0, f restricts to a polynomial in t of
     degree equal to the largest block size on which d is nonzero, with
-    leading coefficient the norm of that block slice of d.
+    leading coefficient the norm of that block slice of d. The work of the
+    extension fields and norms (extension_steps) is checked first.
     """
+    check_cost(f"the extension fields and block norms of {len(X)} points",
+               work=extension_steps(cfg, len(X)))
     f = cfg.field
     coords = np.zeros((len(X), cfg.padded_n), dtype=X.dtype)
     coords[:, :cfg.n] = X

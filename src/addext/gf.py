@@ -31,10 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, InputError
-from .numtheory import from_digits, is_prime, to_digits
+from .errors import InputError
+from .numtheory import factorize, from_digits, is_prime, to_digits
 
-EXTENSION_BASE_CAP = 1 << 16  # largest base field get_extension accepts
 NORM_CHUNK = 2048  # rows per step of the chunked routes; their arrays hold O(NORM_CHUNK * k) ints
 
 
@@ -164,7 +163,10 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     base-p integer (constant term least significant). They are tested in
     blocks by _first_irreducible: k rows first (about one in k is
     irreducible), then twice as many each time, up to NORM_CHUNK // k rows,
-    whose k x k matrices hold at most NORM_CHUNK k ints.
+    whose k x k matrices hold at most NORM_CHUNK k ints. The first p
+    candidates, the binomials x^k + c, are skipped where none is irreducible:
+    x^k - a is irreducible only if every prime factor of k divides p - 1, and
+    p = 1 (mod 4) if 4 | k (Lidl and Niederreiter, Theorem 3.75).
     """
     if k < 1:
         raise InputError("degree must be >= 1")
@@ -172,7 +174,8 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
         return (0, 1)
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
-    start, size, end, dtype = 0, k, p**k, _sum_dtype(p, k)
+    binomials = all((p - 1) % r == 0 for r in factorize(k)) and (k % 4 or p % 4 == 1)
+    start, size, end, dtype = 0 if binomials else p, k, p**k, _sum_dtype(p, k)
     while start < end:
         size = min(size, max(1, NORM_CHUNK // k))
         tails = to_digits(np.arange(start, min(start + size, end)), p, k).astype(dtype)
@@ -241,9 +244,6 @@ def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
     if degree < 1:
         raise InputError("extension degree must be >= 1")
     q = base.order
-    if q > EXTENSION_BASE_CAP:
-        raise BudgetError(f"base field of order {q} exceeds the extension cap "
-                          f"{EXTENSION_BASE_CAP}")
     e = (q**degree - 1) // (q - 1) if q > 1 else 1
     ext = FieldSpec.make(base.p, base.k * degree) if degree > 1 else base
     if degree == 1:
@@ -430,7 +430,8 @@ def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The F_p-linear maps of norms_many, as int64 matrices over F_p digits:
+    """The F_p-linear maps of norms_many, as matrices over F_p digits in
+    _sum_dtype(p, K), so that their products stay exact:
 
     * embed (k, K): base digits c_0..c_(k-1) to the E digits of the image
       sum c_j beta^j; row j is beta^j, 1 times the matrix of x -> x beta j times;
@@ -442,17 +443,18 @@ def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """
     base, E = ext.base, ext.ext
     p, k, K = base.p, base.k, E.k
-    eye = np.eye(K, dtype=np.int64)
-    beta = to_digits(ext.beta, p, K).astype(np.int64)  # Python ints where p^K > 2^63
+    dtype = _sum_dtype(p, K)
+    eye = np.eye(K, dtype=dtype)
+    beta = to_digits(ext.beta, p, K).astype(dtype)
     embed = _orbit(eye[0], mul_many(E, eye, np.broadcast_to(beta, eye.shape)), k, p)
-    times_theta = _companion(np.array(E.tail, dtype=np.int64), p)  # theta is x in E
+    times_theta = _companion(np.array(E.tail, dtype=dtype), p)  # theta is x in E
     lift = _orbit(embed, times_theta, ext.degree, p).reshape(-1, K)
     # row reducing [embed | I] gives [R | T] with T embed = R, R = I on the pivots
     rows, pivots = _row_reduce([e + [int(i == j) for j in range(k)]
                                 for i, e in enumerate(embed.tolist())], p)
     if len(rows) != k or max(pivots) >= K:
         raise AssertionError("the embedding is not injective")
-    maps = (lift, embed, np.array(pivots), np.array([r[K:] for r in rows], dtype=np.int64))
+    maps = (lift, embed, np.array(pivots), np.array([r[K:] for r in rows], dtype=dtype))
     for m in maps:
         m.flags.writeable = False  # cached: shared by every caller
     return maps

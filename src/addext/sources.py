@@ -27,7 +27,6 @@ from .errors import BudgetError, InputError
 from .numtheory import MODULUS_CAP, CrtSystem, dot_mod, from_digits, is_prime, to_digits
 
 DEFAULT_ELEMENT_BUDGET = 1 << 26
-DEFAULT_PAIR_BUDGET = 1 << 26
 # Work counts array-entry steps (a numpy pass over one entry, ~0.5 ns on a 2-vCPU
 # Xeon), a Python loop step as PY_STEP of them and a product of Python ints (dot_mod
 # where (m - 1)^2 >= 2^63) as PY_INT; a run may do WORK_FACTOR x the budget (check_cost).
@@ -402,16 +401,16 @@ def _bohr_set(group: Group, freqs: Sequence, rho) -> set:
     """Bohr(freqs, rho): the x with min(v, m - v) <= bohr_vmax(m, rho) for
     every residue v = <xi, x> mod m, tested over chunks of the group's index
     range, each a dot_mod matrix of at most BOHR_CHUNK entries (at least one
-    index), after the group's order is checked as held entries (check_cost).
+    index), after the group's order is checked as held entries and the
+    dot_mod work, |freqs| N order product_steps(m), as work (check_cost).
     Frequencies are reduced below m, and one that is zero mod m is an input
-    error; a modulus whose square reaches 2^63 is a BudgetError."""
+    error."""
     if group.field:
         raise InputError("Bohr sets are supported over Z_p, Z_p^n and Z_N")
     m, n = group.zmn
     vmax = bohr_vmax(m, rho)
-    check_cost(f"a Bohr set over the {group.kind} group", held=group.order)
-    if m * m >= 1 << 63:
-        raise BudgetError(f"Bohr modulus {m} has a square of at least 2^63")
+    check_cost(f"a Bohr set of {len(freqs)} frequencies over the {group.kind} group",
+               held=group.order, work=len(freqs) * n * group.order * product_steps(m))
     vec = group.kind == "zp_vec"
     coeffs = []
     for xi in freqs:
@@ -455,7 +454,7 @@ def _span(group: Group, base, gens: Sequence, count: int, scalars: bool = False)
     (_multiples: the integer multiples 0, g, 2g, ..., or with ``scalars`` the
     base-field multiples t g, t < count = |F|), as digit rows: the box grows
     one generator at a time by the pair sums of its rows so far and that
-    generator's multiples, only the distinct ones (_distinct_sums) once
+    generator's multiples, only the distinct ones (_pairs_route) once
     there are more pairs than group elements.
 
     The box volume count^r is checked as held entries (check_cost) before
@@ -469,7 +468,7 @@ def _span(group: Group, base, gens: Sequence, count: int, scalars: bool = False)
     multiples = _multiples(group, rows[1:], count, scalars) if gens else None
     for i in range(len(gens)):
         if len(out) * count > m**N:
-            out = _distinct_sums(out, multiples[:, i], m)[0]
+            out = _pairs_route(out, multiples[:, i], m)[0]
         else:
             out = np.array([_digit_sums(out, multiples[:, i], m, j) for j in range(N)]).T
     return set(group.from_digits(out))
@@ -567,44 +566,24 @@ def cyclic_convolve(va, vb, m: int) -> tuple[np.ndarray, np.ndarray]:
     ``va``, ``vb`` are (count,) residues (N = 1) or (count, N) digit rows
     (Group.digits); an entry repeated r times counts r times. Returns the
     distinct sums in the layout of ``va`` and in increasing index (the
-    base-m number of the digits), and the number of pairs giving each. The
-    route follows from the sizes:
-
-    * pairs, when |a||b| <= min(m^N, 2^26): the |a||b| digitwise sums,
-      sorted and counted by runs (_distinct_sums);
-    * FFT otherwise, its m^N entries checked as held (check_cost): for N = 1
-      zero-padded to a power of two >= 2m - 1 (a large prime length through
-      Bluestein costs several times more) and folded mod m, for N > 1 one
-      cyclic rfftn on shape (m,)*N; then rounded.
+    base-m number of the digits), and the number of pairs giving each: by
+    _pairs_route when |a||b| <= m^N, by _fft_route otherwise.
     """
     va, vb = np.asarray(va, dtype=np.int64), np.asarray(vb, dtype=np.int64)
     N = va.shape[1] if va.ndim == 2 else 1
     a, b = va.reshape(len(va), N), vb.reshape(len(vb), N)
-    order = m**N
-    if len(a) * len(b) <= min(order, DEFAULT_PAIR_BUDGET):
-        keys, counts = _distinct_sums(a, b, m)
-    else:
-        check_cost(f"the FFT route for {len(a)} x {len(b)} pair sums", held=order)
-        if N == 1:
-            counts = convolve_rows(np.bincount(a[:, 0], minlength=m)[None],
-                                   np.bincount(b[:, 0], minlength=m)[None], m)[0]
-        else:
-            shape = (m,) * N  # axis j is digit j
-            fa, fb = (np.fft.rfftn(np.bincount(from_digits(x, m), minlength=order)
-                                   .reshape(shape, order="F")) for x in (a, b))
-            counts = _rounded(np.fft.irfftn(fa * fb, shape, range(N))).ravel(order="F")
-        index = np.flatnonzero(counts)
-        counts = counts[index].astype(np.int64, copy=False)
-        keys = to_digits(index, m, N)
+    route = _pairs_route if len(a) * len(b) <= m**N else _fft_route
+    keys, counts = route(a, b, m)
     return (keys[:, 0] if va.ndim == 1 else keys), counts
 
 
-def _distinct_sums(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _pairs_route(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct digitwise sums (a_i + b_k) mod m over all pairs of two
     (count, N) int64 digit arrays, as digit rows in increasing index, and
-    the number of pairs giving each: the sums sorted and counted by runs.
-    The sums are told apart by their index while m^N < 2^63, by their
-    digits above that."""
+    the number of pairs giving each: the |a||b| sums, checked as held
+    entries (check_cost), sorted and counted by runs. The sums are told
+    apart by their index while m^N < 2^63, by their digits above that."""
+    check_cost(f"the pairs route for {len(a)} x {len(b)} pair sums", held=len(a) * len(b))
     N = a.shape[1]
     if m**N < 1 << 63:
         index = _digit_sums(a, b, m, 0)
@@ -616,6 +595,27 @@ def _distinct_sums(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np
     sums = np.stack([_digit_sums(a, b, m, j) for j in reversed(range(N))], axis=1)
     keys, counts = np.unique(sums, axis=0, return_counts=True)
     return keys[:, ::-1], counts
+
+
+def _fft_route(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_pairs_route's result from the histograms of two (count, N) digit
+    arrays, its m^N entries checked as held (check_cost): for N = 1
+    zero-padded to a power of two >= 2m - 1 (a large prime length through
+    Bluestein costs several times more) and folded mod m, for N > 1 one
+    cyclic rfftn on shape (m,)*N; then rounded."""
+    N = a.shape[1]
+    order = m**N
+    check_cost(f"the FFT route for {len(a)} x {len(b)} pair sums", held=order)
+    if N == 1:
+        counts = convolve_rows(np.bincount(a[:, 0], minlength=m)[None],
+                               np.bincount(b[:, 0], minlength=m)[None], m)[0]
+    else:
+        shape = (m,) * N  # axis j is digit j
+        fa, fb = (np.fft.rfftn(np.bincount(from_digits(x, m), minlength=order)
+                               .reshape(shape, order="F")) for x in (a, b))
+        counts = _rounded(np.fft.irfftn(fa * fb, shape, range(N))).ravel(order="F")
+    index = np.flatnonzero(counts)
+    return to_digits(index, m, N), counts[index].astype(np.int64, copy=False)
 
 
 def _digit_sums(a: np.ndarray, b: np.ndarray, m: int, j: int) -> np.ndarray:

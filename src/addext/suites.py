@@ -748,8 +748,17 @@ def _sweep_bound(alpha: float | None, cfg, spec) -> tuple[float | None, bool]:
     return None, False
 
 
+def _line_scan_n(value, name: str) -> int:
+    """The all_lines family's n, read as a JSON integer: 2, since
+    scan_all_lines runs over F_q^2 alone."""
+    if src.json_int(value, name) != 2:
+        raise InputError(f"{name} must be 2 (the line scan runs over F_q^2), not {value!r}")
+    return 2
+
+
 # the keys of each family kind besides "kind"; all_lines' n is optional
-_FAMILY_KEYS = {"all_aps": {"p": _PRIME, "s": _Int(1)}, "all_lines": {"q": _Int(4), "n": _Int(1)}}
+_FAMILY_KEYS = {"all_aps": {"p": _PRIME, "s": _Int(1)},
+                "all_lines": {"q": _Int(4), "n": _line_scan_n}}
 
 
 def _sweep_family(family, extractor) -> EvalReport:
@@ -774,7 +783,7 @@ def _sweep_family(family, extractor) -> EvalReport:
             extra={"median_distance": _median_distance_from_hist(hist, s),
                    "family": fam})
     suite_lines.check(qs=[fam["q"]])
-    group = src.Group.fq_vec(ex.prime_power_field(fam["q"]), fam.get("n", 2))
+    group = src.Group.fq_vec(ex.prime_power_field(fam["q"]), 2)
     cfg = _row_config(extractor, group)
     row_scan = scan_all_lines(cfg)
     bound = row_scan["charsum_bound"]

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -1074,3 +1078,58 @@ def test_written_configs_are_valid_under_the_extractor_schema(tmp_path):
         validator.validate(config)
         # the schema allows other keys: every written key must be one it types
         assert set(config) <= set(schema["properties"]), config
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+TIMING_KEYS = {"started_utc", "elapsed_seconds", "seconds"}
+
+
+def _without_timing(obj):
+    if isinstance(obj, dict):
+        return {k: _without_timing(v) for k, v in obj.items() if k not in TIMING_KEYS}
+    return [_without_timing(v) for v in obj] if isinstance(obj, list) else obj
+
+
+def _outputs(directory):
+    return {path.name: (_without_timing(json.loads(path.read_text())) if path.suffix == ".json"
+                        else path.read_bytes())
+            for path in sorted(directory.iterdir()) if path.name != "src.json"}
+
+
+def test_the_parser_is_built_once_and_main_runs_as_in_fresh_processes(tmp_path, monkeypatch):
+    from addext import cli
+    assert cli.build_parser() is cli.build_parser()
+    commands = [["extract", "--source", "src.json", "--extractor", "zpn", "--m", "2",
+                 "--out", "ext.csv", "--threads", "1"],
+                ["charsum", "--source", "src.json", "--characters", "all", "--out", "c.csv",
+                 "--threads", "1"]]
+    dirs = [tmp_path / "in-process", tmp_path / "fresh"]
+    for d in dirs:
+        d.mkdir()
+        _source(d, GROUPS["zp_vec"], ELEMENTS["zp_vec"])
+    monkeypatch.chdir(dirs[0])
+    for argv in commands:
+        assert main(argv) == 0
+    pkg_root = str(Path(src.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [pkg_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for argv in commands:
+        assert subprocess.run([sys.executable, "-m", "addext.cli", *argv], cwd=dirs[1],
+                              env=env, timeout=60).returncode == 0
+    assert _outputs(dirs[0]) == _outputs(dirs[1])
+    assert len(_outputs(dirs[0])) == 5  # two CSVs, a report and two manifests
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_all_lines_rows_take_only_n_2(tmp_path, capsys, monkeypatch, n):
+    # the line scan runs over F_q^2: any other n is refused before F_q is built
+    monkeypatch.setattr(ex, "prime_power_field", lambda q: pytest.fail("F_q was built"))
+    grid = write(tmp_path / "grid.json", {"rows": [
+        {"family": {"kind": "all_lines", "q": 9, "n": n}, "extractor": {"build": "line"}}]})
+    assert main(["verify", "--suite", "sweep", "--grid", grid,
+                 "--out", str(tmp_path / "sw.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f'FAIL sweep: {{"error":"InputError: the family\'s n must be 2 ')

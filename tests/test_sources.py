@@ -234,10 +234,16 @@ def test_bohr_rejects_frequencies_of_the_wrong_shape_and_huge_moduli(monkeypatch
                          (((1, 2, 3),), Group.zp_vec(5, 2)), (((1,),), Group.zp_vec(5, 2))]:
         with pytest.raises(InputError, match="Bohr frequency"):
             build_source(BohrSpec(freqs, 0.2), group)
-    # the smallest prime whose square reaches 2^63: refused before any array is built
-    monkeypatch.setenv("ADDEXT_BUDGET", str(1 << 40))
-    with pytest.raises(BudgetError, match="2\\^63"):
+    # the smallest prime whose square reaches 2^63: its order is past the default
+    # budget, refused before any array is built
+    with pytest.raises(BudgetError, match="entries: past the element budget"):
         build_source(BohrSpec((1,), 0.2), Group.zp(3037000507))
+    # the dot_mod work, |freqs| N order, is declared too: 1025 frequencies over Z_101
+    # are past 1024 x a budget of 101 entries
+    monkeypatch.setenv("ADDEXT_BUDGET", "101")
+    assert len(build_source(BohrSpec((1,) * 1024, 0.2), Group.zp(101))) == 41
+    with pytest.raises(BudgetError, match="103525 steps: past 1024 x"):
+        build_source(BohrSpec((1,) * 1025, 0.2), Group.zp(101))
 
 
 @pytest.mark.parametrize("group, freqs", [

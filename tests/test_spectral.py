@@ -81,7 +81,16 @@ def repeated(rng, values, most):
     return out
 
 
-def test_cyclic_convolve_repeated_entries_both_routes(monkeypatch):
+ROUTES = (sources._pairs_route, sources._fft_route)
+
+
+def by_route(route, va, vb, m):
+    """cyclic_convolve's result by one route, on (count,) residues."""
+    keys, counts = route(*(np.array(v, dtype=np.int64).reshape(-1, 1) for v in (va, vb)), m)
+    return [(int(v), int(c)) for v, c in zip(keys[:, 0], counts)]
+
+
+def test_cyclic_convolve_repeated_entries_both_routes():
     rng = random.Random(5)
     m = 211
     for na, nb, most in ((3, 7, 1), (3, 7, 4), (14, 15, 1), (6, 5, 3), (40, 90, 5),
@@ -90,28 +99,24 @@ def test_cyclic_convolve_repeated_entries_both_routes(monkeypatch):
         vb = repeated(rng, rng.sample(range(m), nb), most)
         want = naive_convolve(va, vb, m)
         assert as_pairs(cyclic_convolve(va, vb, m)) == want
-        # with no element budget only the pairs route is left
-        monkeypatch.setenv("ADDEXT_BUDGET", "0")
-        if len(va) * len(vb) <= m:
-            assert as_pairs(cyclic_convolve(va, vb, m)) == want
-        else:
-            with pytest.raises(BudgetError):
-                cyclic_convolve(va, vb, m)
-        monkeypatch.delenv("ADDEXT_BUDGET")
+        for route in ROUTES:
+            assert by_route(route, va, vb, m) == want, route
 
 
 # at most 18 x 12 pairs: the FFT route in Z_7^2, the pairs route in Z_11^3 (and the
-# forced FFT), the pairs route on digit rows in Z_(2^31-1)^3, of order >= 2^63
+# forced FFT), the pairs route on digit rows in Z_(2^31-1)^3, of order >= 2^63; in
+# Z_7^2 the pairs route is forced too
 @pytest.mark.parametrize("m, N", [(7, 2), (11, 3), (2**31 - 1, 3)])
-def test_cyclic_convolve_repeated_digit_rows(monkeypatch, m, N):
+def test_cyclic_convolve_repeated_digit_rows(m, N):
     rng = random.Random(m)
     rows = [tuple(rng.randrange(m) for _ in range(N)) for _ in range(6)]
     va, vb = repeated(rng, rows, 3), repeated(rng, rows[:4], 3)
     want = Counter(tuple((x + y) % m for x, y in zip(a, b)) for a in va for b in vb)
-    for pair_budget in [sources.DEFAULT_PAIR_BUDGET] + ([0] if m**N <= 1 << 16 else []):
-        monkeypatch.setattr(sources, "DEFAULT_PAIR_BUDGET", pair_budget)
-        keys, counts = cyclic_convolve(np.array(va), np.array(vb), m)
-        assert dict(zip(map(tuple, keys.tolist()), counts.tolist())) == want
+    routes = [cyclic_convolve, sources._pairs_route] + (
+        [sources._fft_route] if m**N <= 1 << 16 else [])
+    for route in routes:
+        keys, counts = route(np.array(va), np.array(vb), m)
+        assert dict(zip(map(tuple, keys.tolist()), counts.tolist())) == want, route
 
 
 def test_cyclic_convolve_duplicates_and_trivial_moduli():
@@ -262,31 +267,26 @@ def element_index(grp, x) -> int:
 
 def check_against_pairwise_routes(X, alphas) -> None:
     """difference_histogram, sym_set and doubling against the pairwise
-    routes, on the default route, the forced FFT route (when the order is
-    at most FFT_ORDER_CAP) and the pairs route (BudgetError when |X|^2
-    exceeds the order, since then only the FFT route applies)."""
+    routes; and the histograms of X - X and X + X by the pairs route and,
+    when the order is at most FFT_ORDER_CAP, the FFT route, each called on
+    the digits that difference_histogram and doubling convolve."""
     grp = X.group
+    m = grp.zmn[0]
     diffs = differences_by_pairs(X)
-    syms = [sym_set_by_pairs(X, alpha) for alpha in alphas]
     dbl = doubling_by_pairs(X)
-    routes = ["default", "pairs"] + (["fft"] if grp.order <= FFT_ORDER_CAP else [])
-    for route in routes:
-        with pytest.MonkeyPatch.context() as mp:
-            if route == "fft":
-                mp.setattr(sources, "DEFAULT_PAIR_BUDGET", 0)
-            if route == "pairs":
-                mp.setenv("ADDEXT_BUDGET", "0")
-                if len(X) ** 2 > grp.order:
-                    with pytest.raises(BudgetError):
-                        doubling(X)
-                    continue
-            values, counts = difference_histogram(X)
-            elements = grp.from_digits(values)
-            assert dict(zip(elements, counts.tolist())) == diffs, route
-            indices = [element_index(grp, g) for g in elements]
-            assert indices == sorted(set(indices)), route
-            assert [sym_set(X, alpha) for alpha in alphas] == syms, route
-            assert doubling(X) == dbl, route
+    digits = grp.digits(X.elements).reshape(len(X), -1)
+    routes = [sources._pairs_route] + ([sources._fft_route] if grp.order <= FFT_ORDER_CAP else [])
+    for route in [cyclic_convolve] + routes:
+        values, counts = (difference_histogram(X) if route is cyclic_convolve
+                          else route(digits, (m - digits) % m, m))
+        elements = grp.from_digits(values)
+        assert dict(zip(elements, counts.tolist())) == diffs, route
+        indices = [element_index(grp, g) for g in elements]
+        assert indices == sorted(set(indices)), route
+        assert (doubling(X) if route is cyclic_convolve
+                else len(route(digits, digits, m)[0])) == dbl, route
+    assert [sym_set(X, alpha) for alpha in alphas] == [sym_set_by_pairs(X, alpha)
+                                                        for alpha in alphas]
 
 
 @functools.cache

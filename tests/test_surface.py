@@ -103,9 +103,10 @@ def test_work_factor_is_read_only_by_check_cost():
 
 
 # The BudgetErrors that are not the element budget's: the exactness guards
-# (2^62, 2^63, the FFT's rounding) and gf.EXTENSION_BASE_CAP.
-NOT_THE_ELEMENT_BUDGET = {"sources._bohr_set", "sources._rounded", "analysis.poly_eval_all",
-                          "analysis.moment_sum", "suites._moment_cases", "gf.get_extension"}
+# (2^62, 2^63, the FFT's rounding), which refuse a run for its exactness, not
+# for its size.
+NOT_THE_ELEMENT_BUDGET = {"sources._rounded", "analysis.poly_eval_all", "analysis.moment_sum",
+                          "suites._moment_cases"}
 
 
 def test_every_budget_refusal_goes_through_check_cost():
@@ -114,6 +115,24 @@ def test_every_budget_refusal_goes_through_check_cost():
                for n in ast.walk(fn) if isinstance(n, ast.Raise)
                and isinstance(n.exc, ast.Call) and _reads(n.exc.func, "BudgetError")}
     assert raisers == {"sources.check_cost"} | NOT_THE_ELEMENT_BUDGET
+    assert not _reads(_trees()["gf"], "BudgetError")
+
+
+# The module-level limits that are not sizes refused beside check_cost: the
+# default budget itself, the 2^63 exactness cap, and the sweep's rule for
+# scanning or sampling the frequencies of a zp or zpn row.
+LIMITS = {"sources.DEFAULT_ELEMENT_BUDGET", "numtheory.MODULUS_CAP", "suites.CHARSUM_SCAN_CAP"}
+
+
+def test_one_gate_refuses_a_run_for_its_size():
+    trees = _trees()
+    limits = {f"{module}.{target.id}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              for target in (target.elts if isinstance(target, ast.Tuple) else [target])
+              if isinstance(target, ast.Name) and target.id.endswith(("_BUDGET", "_CAP"))}
+    assert limits == LIMITS
+    assert not _reads(trees["cli"], "CHARSUM_SCAN_CAP")
 
 
 # suite_sweep takes a thread count that it does not use: the benchmark's tracer
