@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: build-source, profile, extract, verify, charsum. Inputs are JSON
-files validated against the packaged schemas; outputs are CSV/JSON plus a run
+files read key by key by sources.read_object and its typed readers, which
+refuse what the packaged schemas refuse; outputs are CSV/JSON plus a run
 manifest recording input digests, seed, version and timing.
 
 Exit codes: 0 = all checked bounds satisfied, 1 = a checked bound failed (the
@@ -20,7 +21,6 @@ import json
 import os
 import sys
 import time
-from importlib import resources
 from typing import Iterable
 
 from . import __version__, analysis, extractors as ex, sources as src, suites
@@ -29,86 +29,19 @@ from .errors import AddextError, InputError
 from .numtheory import to_digits
 
 
-def _schema(name: str) -> dict:
-    text = resources.files("addext.schemas").joinpath(name).read_text()
-    return json.loads(text)
-
-
-def _is_type(x, name: str) -> bool:
-    """Draft-7's type test as jsonschema reads it: a bool is not a number,
-    and an integral float (1.0, not NaN or inf) is an integer."""
-    if name in ("integer", "number"):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            return False
-        return name == "number" or isinstance(x, int) or x.is_integer()
-    return isinstance(x, {"object": dict, "array": list, "string": str, "boolean": bool}[name])
-
-
-def _plain_element(x) -> bool:
-    """A JSON int >= 0 or a list of them: accepted by the element schema."""
-    if type(x) is int:
-        return x >= 0
-    return type(x) is list and all(type(a) is int and a >= 0 for a in x)
-
-
-def _valid(schema: dict, x, root: dict) -> bool:
-    """Whether ``x`` is valid under ``schema`` (a part of ``root``) as Draft 7
-    reads it, for the keywords of the packaged schemas: ``$ref`` into
-    ``#/definitions``, ``type``, ``enum`` of scalars, ``minimum``,
-    ``exclusiveMinimum``, ``exclusiveMaximum``, ``required``, ``properties``,
-    ``items`` (one schema) and ``oneOf``. It descends only where the schema
-    does, so it recurses as deep as the schema, however deep ``x`` is."""
-    if "$ref" in schema:  # Draft 7 ignores the siblings of a $ref
-        return _valid(root["definitions"][schema["$ref"].removeprefix("#/definitions/")],
-                      x, root)
-    if "type" in schema and not _is_type(x, schema["type"]):
-        return False
-    if "enum" in schema and not any(x == e and isinstance(x, bool) == isinstance(e, bool)
-                                    for e in schema["enum"]):
-        return False
-    if _is_type(x, "number") and ("minimum" in schema and x < schema["minimum"]
-                                  or "exclusiveMinimum" in schema
-                                  and x <= schema["exclusiveMinimum"]
-                                  or "exclusiveMaximum" in schema
-                                  and x >= schema["exclusiveMaximum"]):
-        return False
-    if isinstance(x, dict) and not (
-            all(k in x for k in schema.get("required", ()))
-            and all(_valid(s, x[k], root) for k, s in schema.get("properties", {}).items()
-                    if k in x)):
-        return False
-    if isinstance(x, list) and "items" in schema:
-        items = schema["items"]
-        # a list of plain elements passes without a descent per entry
-        plain = items == {"$ref": "#/definitions/element"} and all(map(_plain_element, x))
-        if not plain and not all(_valid(items, a, root) for a in x):
-            return False
-    return "oneOf" not in schema or sum(_valid(s, x, root) for s in schema["oneOf"]) == 1
-
-
 _INPUT_DIGESTS: dict[str, str] = {}
 
 
-def _load_validated(path: str, schema_name: str) -> dict:
-    """The JSON document at ``path``, valid under the packaged schema
-    ``schema_name``. A valid document is checked by ``_valid`` alone; only a
-    rejected one imports jsonschema, whose best-matching Draft-7
-    ``ValidationError`` is raised. A document nested too deeply to load, digest
-    or word a rejection of is an ``InputError``."""
-    schema = _schema(schema_name)
+def _load_validated(path: str) -> dict:
+    """The JSON document at ``path``, its digest recorded for the run manifest.
+    A document nested too deeply to load or digest is an ``InputError``; what
+    it holds is checked by the readers of sources and suites."""
     try:
         with open(path) as fh:
             try:
                 obj = json.load(fh)
             except ValueError as exc:  # malformed JSON, or an int past 4,300 digits
                 raise InputError(f"{path}: {exc}") from None
-        if not _valid(schema, obj, schema):
-            from jsonschema import Draft7Validator
-            from jsonschema.exceptions import best_match
-            error = best_match(Draft7Validator(schema).iter_errors(obj))
-            if error is not None:
-                str(error)  # worded here, where a RecursionError is caught
-                raise error
         _INPUT_DIGESTS[path] = digest(obj)
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply") from None
@@ -143,19 +76,20 @@ def _manifest(args, argv: list[str], inputs: list[str], outputs: list[str], star
 
 
 def _load_source(path: str) -> src.Source:
-    """The source a source file describes: built from its spec, or from its
-    elements with the spec as declared. A ``size`` or ``digest`` in the file
-    must be that of the source built (InputError otherwise)."""
-    obj = src.read_object(_load_validated(path, "source.v1.json"), f"source file {path}", {
+    """The source a source file describes, built from its spec. An
+    ``elements`` list must be the elements built, and a ``size`` or
+    ``digest`` that of the source built (InputError otherwise); with a list,
+    the file's notes are kept."""
+    obj = src.read_object(_load_validated(path), f"source file {path}", {
         "group": lambda v, _: src.Group.from_json(v), "spec": lambda v, _: src.spec_from_json(v),
         "elements": src._elements, "size": src.json_int, "digest": None,
-        "notes": None}, ("elements", "size", "digest", "notes"))
-    group = obj["group"]
+        "notes": src.json_object}, ("elements", "size", "digest", "notes"))
+    X = src.build_source(obj["spec"], obj["group"])
     if "elements" in obj:
-        built = src.build_source(src.ExplicitSpec(obj["elements"]), group)
-        X = src.Source(group, obj["spec"], built.elements, dict(obj.get("notes", {})))
-    else:
-        X = src.build_source(obj["spec"], group)
+        if frozenset(obj["elements"]) != X.elements:
+            raise InputError(f"{path}: the elements are not the {len(X)} elements that its "
+                             f"{X.spec.variant} spec builds")
+        X = src.Source(X.group, X.spec, X.elements, dict(obj.get("notes", {})))
     if "size" in obj and obj["size"] != len(X):
         raise InputError(f"{path}: size {obj['size']} is not the {len(X)} elements built")
     if "digest" in obj and obj["digest"] != X.digest:
@@ -226,16 +160,18 @@ def cmd_charsum(args) -> Outcome:
 
 
 def cmd_verify(args) -> Outcome:
-    grid = _load_validated(args.grid, "grid.v1.json") if args.grid else {}
+    grid = _load_validated(args.grid) if args.grid else {}
     if args.suite == "sweep":  # a sweep's grid has rows, a named suite's its kwargs
-        rows = src.read_object(grid, "grid", {"rows": None})["rows"]
+        # each row is read by the sweep, so that a faulty row is that row's error
+        rows = src.read_object(grid, "grid", {"rows": src._list_of(lambda row, _: row)})["rows"]
         result = suites.suite_sweep(rows, threads=args.threads)
         header, records = analysis.CSV_COLUMNS, [r.to_json() for r in result.rows]
         summary = {"suite": "sweep", "ok": result.ok, "failures": result.failures,
                    "rows": records}
     else:
         fn = suites.SUITES[args.suite]
-        kwargs = src.read_object(grid, "grid", {"kwargs": None}, ("kwargs",)).get("kwargs", {})
+        kwargs = src.read_object(grid, "grid", {"kwargs": src.json_object},
+                                 ("kwargs",)).get("kwargs", {})
         if "seed" in fn.checks:
             kwargs = {"seed": args.seed, **kwargs}
         result = fn(**kwargs)
@@ -352,13 +288,7 @@ def main(argv=None) -> int:
         if outputs:
             _manifest(args, argv, inputs, outputs, started, time.perf_counter() - t0)
         return code
-    except Exception as exc:
-        # a rejected input raises jsonschema's ValidationError, and jsonschema
-        # is imported only then: look it up, do not import it here
-        jsonschema = sys.modules.get("jsonschema")
-        if not (isinstance(exc, (AddextError, OSError))
-                or jsonschema is not None and isinstance(exc, jsonschema.ValidationError)):
-            raise
+    except (AddextError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -81,14 +81,27 @@ def json_number(v, what: str) -> float:
     return float(v)
 
 
+def json_bool(v, what: str) -> bool:
+    """v if it is a JSON true or false, else InputError."""
+    if type(v) is not bool:
+        raise InputError(f"{what} must be true or false, not {v!r}")
+    return v
+
+
+def json_object(v, what: str) -> dict:
+    """v if it is a JSON object, else InputError."""
+    if not isinstance(v, dict):
+        raise InputError(f"{what} must be a JSON object, not {v!r}")
+    return v
+
+
 def read_object(obj, what: str, keys: dict, optional=(), tag: str | None = None) -> dict:
     """The values of a JSON object's keys, each by its reader in ``keys``, called
     as read(value, "the <what>'s <key>"), or as given if None; a key in
     ``optional`` may be absent. With a ``tag``, ``keys`` maps each kind the tag
     names to its keys. InputError, naming the key, for a non-object, a missing
     key or an unknown one."""
-    if not isinstance(obj, dict):
-        raise InputError(f"the {what} must be a JSON object, not {obj!r}")
+    json_object(obj, f"the {what}")
     if tag is not None:
         kind = obj.get(tag)
         if not (isinstance(kind, str) and kind in keys):
@@ -103,6 +116,19 @@ def read_object(obj, what: str, keys: dict, optional=(), tag: str | None = None)
                          f"(it takes {', '.join(map(repr, keys))})")
     return {key: obj[key] if read is None else read(obj[key], f"the {what}'s {key}")
             for key, read in keys.items() if key in obj}
+
+
+def _at_least(lo: int):
+    """The reader of a JSON integer >= lo, as the schemas' minimum reads it."""
+    def read_int(v, what: str) -> int:
+        n = json_int(v, what)
+        if n < lo:
+            raise InputError(f"{what} must be an integer >= {lo}, not {v!r}")
+        return n
+    return read_int
+
+
+_coordinate, _count = _at_least(0), _at_least(1)
 
 
 def _list_of(read):
@@ -134,6 +160,8 @@ class Group:
         if self.kind != "zn" and not is_prime(self.p):
             raise InputError(f"p = {self.p} is not prime; composite moduli "
                              f"belong to a zn group")
+        m, N = self.zmn  # the order m^N: N log2(m) bits, made in about its 64-bit words squared
+        check_cost(f"the order of a group of {N} coordinates", work=(N * m.bit_length() // 64) ** 2)
 
     @classmethod
     def zp(cls, p: int) -> "Group":
@@ -234,8 +262,8 @@ class Group:
 
 _ints = _list_of(json_int)
 # the keys of each group kind besides "kind"; fq_vec's modulus is optional
-_GROUP_KEYS = {"zp": {"p": json_int}, "zp_vec": {"p": json_int, "n": json_int},
-               "fq_vec": {"p": json_int, "k": json_int, "n": json_int, "modulus": _ints},
+_GROUP_KEYS = {"zp": {"p": json_int}, "zp_vec": {"p": json_int, "n": _count},
+               "fq_vec": {"p": json_int, "k": _count, "n": _count, "modulus": _ints},
                "zn": {"moduli": _ints}}
 
 
@@ -317,8 +345,11 @@ def _elem_text(x) -> str:
     return "[" + ",".join(map(str, x)) + "]" if isinstance(x, tuple) else str(x)
 
 
+_coordinates = _list_of(_coordinate)
+
+
 def _elem_from_json(v, what: str):
-    return _ints(v, what) if isinstance(v, list) else json_int(v, what)
+    return _coordinates(v, what) if isinstance(v, list) else _coordinate(v, what)
 
 
 def spec_to_json(spec: SourceSpec) -> dict:
@@ -341,7 +372,7 @@ _SPEC_FIELDS = {"object": _elem_from_json, "int": json_int, "float": json_number
 # the keys of each variant besides "variant": its fields, and a GAP's optional r
 _SPEC_KEYS = {variant: {f.name: _SPEC_FIELDS[f.type] for f in fields(cls)}
               for variant, cls in _SPECS.items()}
-_SPEC_KEYS["gap"]["r"] = json_int
+_SPEC_KEYS["gap"]["r"] = _count
 
 
 def spec_from_json(obj) -> SourceSpec:

@@ -52,9 +52,7 @@ class _Int(_Check):
     prime: bool = False
 
     def __call__(self, value, name: str) -> int:
-        n = src.json_int(value, name)
-        if n < self.lo:
-            raise InputError(f"{name} must be an integer >= {self.lo}, not {value!r}")
+        n = src._at_least(self.lo)(value, name)
         if self.prime:
             src.Group.zp(n)
         return n
@@ -691,7 +689,8 @@ CHARSUM_SCAN_CAP = 1 << 16
 # the keys of a sweep row that is not a family scan
 _SOURCE_ROW = {"group": lambda v, _: src.Group.from_json(v),
                "source": lambda v, _: src.spec_from_json(v), "extractor": None,
-               "alpha": src.json_number, "per_character": None, "charsum_seed": src.json_int}
+               "alpha": src.json_number, "per_character": src.json_bool,
+               "charsum_seed": src.json_int}
 
 
 def _row_config(e, group: src.Group):

@@ -986,13 +986,13 @@ def test_a_full_config_that_is_not_the_rebuild_exits_two(tmp_path, capsys, row, 
 @pytest.mark.parametrize("suite, template, name", [
     ("l1", '{"kwargs": {"pmax": %s}}', "pmax must be an integer"),
     ("sweep", '{"rows": [{"family": {"kind": "all_aps", "p": %s, "s": 5}, '
-              '"extractor": {"build": "zp", "m": 1}}]}', "['family']['p']"),
+              '"extractor": {"build": "zp", "m": 1}}]}', "the family's p must be an integer"),
     ("sweep", '{"rows": [{"group": {"kind": "zp", "p": 11}, "source": {"variant": "explicit", '
               '"elements": [1, 2]}, "extractor": {"build": "zp", "m": %s}}]}',
      "the extractor's m must be an integer"),
     ("sweep", '{"rows": [{"group": {"kind": "zp", "p": 11}, "source": {"variant": "explicit", '
               '"elements": [1, 2]}, "extractor": {"build": "zp"}, "charsum_seed": %s}]}',
-     "['charsum_seed']"),
+     "the row's charsum_seed must be an integer"),
 ])
 def test_numbers_that_are_not_integers_exit_two_and_name_their_key(tmp_path, capsys, value,
                                                                    suite, template, name):
@@ -1062,9 +1062,10 @@ def test_a_source_file_size_and_digest_must_be_those_built(tmp_path, capsys, key
 # ---------------------------------------------------------------------------
 
 def test_written_configs_are_valid_under_the_extractor_schema(tmp_path):
+    from importlib import resources
     from jsonschema import Draft7Validator
-    from addext.cli import _schema
-    schema = _schema("extractor.v1.json")
+    schema = json.loads(resources.files("addext.schemas").joinpath("extractor.v1.json")
+                        .read_text())
     validator = Draft7Validator(schema)
     written = []
     for kind, family in sorted(FITS):

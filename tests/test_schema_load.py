@@ -1,30 +1,28 @@
-"""The load stage: packaged schemas and the small Draft-7 checker ``cli._valid``
-with its element fast path, against plain ``jsonschema`` as the oracle."""
+"""The load stage: the packaged schemas are the published contract of the
+input files, and the readers of ``sources`` and ``suites`` are the one check
+that enforces it. jsonschema, imported here only, is the oracle: every
+document it judges invalid must exit 2 through the readers alone."""
 
 import contextlib
 import copy
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
-import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
-from addext import cli
+from addext import cli, sources as src
 from addext.canonical import canonical_json
 from addext.cli import main
-
-_PLAIN_ELEMENT = {"oneOf": [{"type": "integer", "minimum": 0},
-                            {"type": "array", "items": {"type": "integer", "minimum": 0}}]}
 
 
 def _packaged():
@@ -38,149 +36,9 @@ def test_packaged_schemas_are_valid_draft7():
     assert names == ["extractor.v1.json", "grid.v1.json", "source.v1.json"]
     for name, schema in _packaged():
         Draft7Validator.check_schema(schema)
-        # the fast path of cli._items reads #/definitions/element as this schema
-        assert schema.get("definitions", {}).get("element", _PLAIN_ELEMENT) == _PLAIN_ELEMENT, name
 
 
-def _oracle(obj) -> str | None:
-    try:
-        jsonschema.validate(obj, cli._schema("source.v1.json"))
-    except jsonschema.ValidationError as exc:
-        return str(exc)
-    return None
-
-
-def _loaded(path: str) -> str | None:
-    try:
-        cli._load_validated(path, "source.v1.json")
-    except jsonschema.ValidationError as exc:
-        return str(exc)
-    return None
-
-
-_good = st.one_of(st.integers(0, 1 << 70),
-                  st.lists(st.integers(0, 1 << 70), max_size=3))
-_bad_scalar = st.one_of(st.integers(max_value=-1), st.booleans(),
-                        st.sampled_from([1.0, 1.5, -2.0, 0.0]), st.text(max_size=3),
-                        st.none(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
-
-
-@st.composite
-def _bad_vector(draw):
-    coords = draw(st.lists(st.integers(0, 100), max_size=3))
-    i = draw(st.integers(0, len(coords)))
-    return coords[:i] + [draw(_bad_scalar)] + coords[i:]
-
-
-_entry = st.one_of(_good, _good, _good, _bad_scalar, _bad_vector())
-
-
-@st.composite
-def _lists(draw):
-    """Element lists: all plain, plain but for one bad entry, or a free mix."""
-    good = draw(st.lists(_good, max_size=8))
-    how = draw(st.sampled_from(["plain", "one bad", "one bad", "mixed"]))
-    if how == "plain":
-        return good
-    if how == "one bad":
-        i = draw(st.integers(0, len(good)))
-        return good[:i] + [draw(st.one_of(_bad_scalar, _bad_vector()))] + good[i:]
-    return draw(st.lists(_entry, max_size=12))
-
-
-@st.composite
-def _documents(draw):
-    spec = {"variant": draw(st.sampled_from(["explicit", "gap", "bohr"] * 3 + ["story"]))}
-    for key in draw(st.sets(st.sampled_from(["elements", "steps", "freqs", "basis", "b0"]))):
-        spec[key] = draw(_entry if key == "b0" else _lists())
-    # mostly a valid variant and group: an error elsewhere at a shallower path
-    # would decide the message. moduli and modulus are integer lists under
-    # other items schemas
-    group = draw(st.sampled_from([{"kind": "zp", "p": 11}] * 6 + [
-        {"kind": "zp", "p": "x"}, {"kind": "zn"}, {"kind": "fq_vec", "p": 2, "k": 2}]))
-    if group["kind"] == "zn":
-        group["moduli"] = draw(st.lists(st.one_of(st.integers(0, 40), _bad_scalar), max_size=4))
-    if group["kind"] == "fq_vec":
-        group["modulus"] = draw(st.lists(st.one_of(st.integers(-3, 3), _bad_scalar), max_size=4))
-    obj = {"group": group, "spec": spec}
-    if draw(st.booleans()):
-        obj["elements"] = draw(st.one_of(_lists(), st.just("x")))
-    if draw(st.integers(0, 9)) == 0:
-        obj["size"] = "3"
-    return obj
-
-
-def _agree(obj):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "doc.json")
-        Path(path).write_text(json.dumps(obj))
-        # the oracle sees what the loader parses: 1.0 stays a float, 2^70 an int
-        want = _oracle(json.loads(Path(path).read_text()))
-        assert _loaded(path) == want
-
-
-@settings(max_examples=300, deadline=None)
-@given(_documents())
-def test_load_agrees_with_jsonschema_validate(obj):
-    _agree(obj)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.sampled_from(["elements", "steps", "freqs", "basis", "top", "moduli"]), _lists())
-def test_load_agrees_on_one_element_list(key, entries):
-    # a valid document but for the one list, whose entries alone decide; the
-    # moduli are under another items schema, which the fast path must not take
-    if key == "top":
-        obj = {"group": {"kind": "zp", "p": 11}, "spec": {"variant": "explicit",
-                                                          "elements": [1]},
-               "elements": entries}
-    elif key == "moduli":
-        obj = {"group": {"kind": "zn", "moduli": entries}, "spec": {"variant": "gap"}}
-    else:
-        obj = {"group": {"kind": "zp", "p": 11}, "spec": {"variant": "gap", key: entries}}
-    _agree(obj)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_documents())
-def test_rejected_documents_exit_two_with_jsonschemas_message(obj):
-    want = _oracle(json.loads(json.dumps(obj)))
-    if want is None:
-        return
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "doc.json", Path(tmp) / "out.json"
-        path.write_text(json.dumps(obj))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            assert main(["build-source", "--spec", str(path), "--out", str(out)]) == 2
-        assert err.getvalue() == f"error: {want}\n" and not out.exists()
-
-
-def test_plain_element_lists_pass_without_a_descent_per_entry(tmp_path, monkeypatch):
-    calls = []
-    valid = cli._valid
-
-    def counting(schema, x, root):
-        calls.append(x)
-        return valid(schema, x, root)
-
-    monkeypatch.setattr(cli, "_valid", counting)
-    ints = list(range(5000))
-    vecs = [[i % 7, i % 11, i] for i in range(5000)]
-    path = tmp_path / "plain.json"
-    for spec, top in [(ints, ints), (vecs, vecs)]:
-        path.write_text(canonical_json({"group": {"kind": "zp", "p": 10007},
-                                        "spec": {"variant": "explicit", "elements": spec},
-                                        "elements": top}))
-        calls.clear()
-        cli._load_validated(str(path), "source.v1.json")
-        assert len(calls) < 20
-    # one float entry sends its list through the per-entry descent, which accepts 1.0
-    path.write_text(canonical_json({"group": {"kind": "zp", "p": 10007},
-                                    "spec": {"variant": "explicit", "elements": ints + [1.0]}}))
-    calls.clear()
-    cli._load_validated(str(path), "source.v1.json")
-    assert len(calls) > len(ints)
+_SCHEMAS = {name: Draft7Validator(schema) for name, schema in _packaged()}
 
 
 @pytest.mark.parametrize("elements", [["x"], [1.5, True], [[1, -1]], [None]])
@@ -216,44 +74,105 @@ def test_every_built_source_loads_again(tmp_path, doc):
     assert json.loads(out1.read_text()) == json.loads(out2.read_text())
 
 
+_GAP = {"variant": "gap", "b0": 1, "steps": [1], "s": 3}  # {1, 2, 3} in Z_11
+_EXPLICIT = {"variant": "explicit", "elements": [3, 1]}
+_RANDOM = {"variant": "random", "size": 3, "seed": 5}
+_DRAWN = sorted(src.build_source(src.spec_from_json(_RANDOM), src.Group.zp(11)).elements)
+
+
+@pytest.mark.parametrize("spec, elements, code", [
+    (_GAP, [5, 7], 2), (_GAP, [1, 2], 2), (_GAP, [1, 2, 3, 4], 2), (_GAP, [3, 1, 2, 2], 0),
+    (_EXPLICIT, [1, 3, 3], 0), (_EXPLICIT, [1], 2), (_EXPLICIT, [1, 3, 5], 2),
+    (_RANDOM, _DRAWN[::-1], 0), (_RANDOM, _DRAWN[1:] + [min(set(range(11)) - set(_DRAWN))], 2)])
+def test_a_spec_beside_an_elements_list_must_describe_them(tmp_path, capsys, spec, elements,
+                                                           code):
+    doc = tmp_path / "doc.json"
+    doc.write_text(canonical_json({"group": {"kind": "zp", "p": 11}, "spec": spec,
+                                   "elements": elements}))
+    built = src.build_source(src.spec_from_json(spec), src.Group.zp(11))
+    out = tmp_path / "out.json"
+    for argv in (["build-source", "--spec", str(doc), "--out", str(out)],
+                 ["profile", "--source", str(doc), "--alpha", "0.5"]):
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == 2 * f"error: {doc}: the elements are not the {len(built)} elements that " \
+                          f"its {spec['variant']} spec builds\n"
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["elements"] == sorted(built.elements)
+
+
 # ---------------------------------------------------------------------------
-# the checker against Draft7Validator(schema).is_valid
+# the contract: every document the schemas refuse, the readers refuse
 # ---------------------------------------------------------------------------
 
-def _draft7_agrees(schema, x):
-    assert cli._valid(schema, x, schema) == Draft7Validator(schema).is_valid(x)
-
-
+BUDGET = 1 << 16
 _NAN, _INF = float("nan"), float("inf")
-_ODD = [1.0, 0.0, -1.0, 0.5, 2.5, True, False, _NAN, _INF, -_INF, json.loads("1e400"),
-        1 << 64, (1 << 64) + 1, -(1 << 64), 1 << 70, "1", "", None, [], {}, [-1], [1.0],
-        [True], [[0]], {"kind": "zp"}]
-_odd = st.sampled_from(_ODD).map(copy.deepcopy)  # a drawn [] or {} may be edited later
-_scalar = st.one_of(_odd, st.integers(-3, 12), st.floats(),
-                    st.text(max_size=3))
-_json = st.recursive(_scalar, lambda inner: st.one_of(
-    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
-    max_leaves=8)
-_object = st.dictionaries(st.text(max_size=3), _json, max_size=2)
+# one field's wrong value: another type, negative, zero, out of range, not finite
+_WRONG = [-1, 0, 1, 1.5, -2.0, 1 << 70, _NAN, _INF, -_INF, True, False, "x", "1", None, [],
+          [-1], [1.0], {}, {"kind": "zp"}]
 
-_whole = st.one_of(st.integers(2, 1 << 66), st.integers(2, 99).map(float))  # >= 2
-_elem = st.one_of(st.integers(0, 1 << 66), st.lists(st.integers(0, 1 << 66), max_size=3))
-_elems = st.lists(_elem, max_size=4)
-# schema-valid sources, each field drawn or left out
-_valid_sources = st.fixed_dictionaries({
-    "group": st.fixed_dictionaries(
-        {"kind": st.sampled_from(["zp", "zp_vec", "fq_vec", "zn"])},
-        optional={"p": _whole, "n": _whole, "k": _whole, "moduli": st.lists(_whole, max_size=3),
-                  "modulus": st.lists(st.integers(-3, 3), max_size=4)}),
-    "spec": st.fixed_dictionaries(
-        {"variant": st.sampled_from(["gap", "ap", "hap", "bohr", "affine", "line", "explicit",
-                                     "random"])},
-        optional={"b0": _elem, "steps": _elems, "r": _whole, "s": _whole, "step": _elem,
-                  "k": _whole, "freqs": _elems, "base": _elem, "basis": _elems, "a": _elem,
-                  "d": _elem, "elements": _elems, "size": _whole, "seed": st.integers(),
-                  "rho": st.floats(0, 1, exclude_min=True, exclude_max=True)})},
-    optional={"elements": _elems, "size": st.integers(), "digest": st.text(max_size=3),
-              "notes": _object})
+_SPECS = [  # (group, spec): every group kind and spec variant
+    ({"kind": "zp", "p": 11}, {"variant": "gap", "b0": 1, "steps": [1, 3], "s": 2, "r": 2}),
+    ({"kind": "zp", "p": 11}, {"variant": "ap", "b0": 0, "step": 3, "k": 4}),
+    ({"kind": "zp", "p": 11}, {"variant": "hap", "step": 2, "k": 3}),
+    ({"kind": "zp", "p": 11}, {"variant": "bohr", "freqs": [1, 3], "rho": 0.3}),
+    ({"kind": "zp", "p": 11}, {"variant": "explicit", "elements": [1, 5]}),
+    ({"kind": "zp", "p": 11}, {"variant": "random", "size": 4, "seed": 1}),
+    ({"kind": "zp_vec", "p": 5, "n": 2}, {"variant": "gap", "b0": [0, 1], "steps": [[1, 2]],
+                                          "s": 3}),
+    ({"kind": "zp_vec", "p": 5, "n": 2}, {"variant": "bohr", "freqs": [[1, 2]], "rho": 0.2}),
+    ({"kind": "zp_vec", "p": 5, "n": 2}, {"variant": "line", "a": [1, 2], "d": [0, 1]}),
+    ({"kind": "zp_vec", "p": 5, "n": 2}, {"variant": "affine", "base": [0, 1],
+                                          "basis": [[1, 1]]}),
+    ({"kind": "fq_vec", "p": 2, "k": 2, "modulus": [1, 1, 1], "n": 2},
+     {"variant": "line", "a": [1, 2], "d": [3, 1]}),
+    ({"kind": "fq_vec", "p": 2, "k": 2, "n": 2}, {"variant": "explicit",
+                                                  "elements": [[0, 1], [3, 2]]}),
+    ({"kind": "zn", "moduli": [3, 5]}, {"variant": "ap", "b0": 2, "step": 4, "k": 5}),
+    ({"kind": "zn", "moduli": [3, 5]}, {"variant": "random", "size": 6, "seed": 3}),
+]
+
+
+def _file(group, spec, built):
+    """A source file: the spec alone, or (``built``) what build-source writes
+    for it, with its elements, size, digest and notes."""
+    if not built:
+        return {"group": group, "spec": spec}
+    X = src.build_source(src.spec_from_json(spec), src.Group.from_json(group))
+    return X.to_json()
+
+
+_ZP = {"group": {"kind": "zp", "p": 11}, "source": {"variant": "explicit", "elements": [1, 2]}}
+_ROWS = [  # sweep rows of each kind: a source row by build or by full config, both families
+    dict(_ZP, extractor={"build": "zp", "m": 1}, alpha=0.25, per_character=True,
+         charsum_seed=7),
+    dict(_ZP, extractor={"variant": "zp", "p": 11, "q": 23, "g": 2, "m": 1}),
+    {"group": {"kind": "zp_vec", "p": 5, "n": 2}, "source": {"variant": "line", "a": [1, 2],
+                                                             "d": [0, 1]},
+     "extractor": {"build": "zpn"}, "per_character": False},
+    {"group": {"kind": "zp_vec", "p": 5, "n": 2}, "source": {"variant": "line", "a": [1, 2],
+                                                             "d": [0, 1]},
+     "extractor": {"build": "line"}},
+    {"family": {"kind": "all_aps", "p": 11, "s": 3}, "extractor": {"build": "zp", "m": 1}},
+    {"family": {"kind": "all_lines", "q": 4, "n": 2}, "extractor": {"build": "line"}},
+]
+_KWARGS = [  # suite kwargs that run in milliseconds
+    ("weil", {"primes": [11], "polys_per_p": 3, "dmax": 3, "seed": 1}),
+    ("l1", {"pmax": 13}),
+    ("xor", {"moduli": [15]}),
+    ("bohr", {"pmax": 7, "rhos": [0.2], "literal_pmax": 5}),
+    ("zp-trend", {"primes": [11, 13], "threshold": 0.5}),
+    ("moments", {"qs": [11], "ts": [1], "parseval_sets": 2}),
+]
+
+_cases = st.one_of(
+    st.builds(lambda gs, built: ("build-source", _file(*gs, built)),
+              st.sampled_from(_SPECS), st.booleans()),
+    st.builds(lambda rows: ("sweep", {"rows": rows}),
+              st.lists(st.sampled_from(_ROWS), min_size=1, max_size=2)),
+    st.sampled_from(_KWARGS).map(lambda sk: (sk[0], {"kwargs": sk[1]})))
 
 
 def _paths(x, path=()):
@@ -264,166 +183,150 @@ def _paths(x, path=()):
 
 
 @st.composite
-def _mutated(draw, base):
-    """A document from ``base`` with up to three edits anywhere in it: a value
-    replaced by an odd one, a key dropped, a key added or an entry appended."""
-    doc = copy.deepcopy(draw(base))
-    for _ in range(draw(st.integers(0, 3))):
-        path = draw(st.sampled_from(list(_paths(doc))))
-        if not path:
-            continue
-        parent = doc
-        for k in path[:-1]:
-            parent = parent[k]
-        how = draw(st.sampled_from(["odd", "odd", "json", "drop", "add"]))
-        if how == "drop" and isinstance(parent, dict):
-            del parent[path[-1]]
-        elif how == "add" and isinstance(parent, dict):
-            parent[draw(st.sampled_from(["extra", "p", "kind", "variant", "rho", "elements"]))] = \
-                draw(_json)
-        elif how == "add":
-            parent.append(draw(_json))
+def _mutated(draw):
+    """A valid document with one field changed at any depth: a wrong value, or
+    a key dropped, misspelt or added."""
+    command, doc = draw(_cases)
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    how = draw(st.sampled_from(["wrong", "wrong", "wrong", "drop", "misspell", "add"]))
+    if not path:  # the document itself
+        return command, draw(st.sampled_from(_WRONG)) if how == "wrong" else doc
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if how == "wrong" or not isinstance(parent, dict):
+        parent[key] = copy.deepcopy(draw(st.sampled_from(_WRONG)))
+    elif how == "drop":
+        del parent[key]
+    elif how == "misspell":
+        parent[draw(st.sampled_from([key[:-1], key + "s", key.upper()]))] = parent.pop(key)
+    else:
+        parent[draw(st.sampled_from(["extra", "p", "kind", "variant", "r", "notes", "kwargs",
+                                     "rows", "per_character"]))] = \
+            copy.deepcopy(draw(st.sampled_from(_WRONG)))
+    return command, doc
+
+
+def _run(command, doc):
+    """(exit code, stderr, whether the output was written, the summary or
+    None) of the command on ``doc``, in-process under ADDEXT_BUDGET = BUDGET."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ,
+                                                               ADDEXT_BUDGET=str(BUDGET)):
+        path, out = Path(tmp) / "in.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))  # NaN and inf as json.load reads them back
+        if command == "build-source":
+            argv = ["build-source", "--spec", str(path), "--out", str(out)]
         else:
-            parent[path[-1]] = draw(_odd if how == "odd" else _json)
-    return doc
-
-
-# schema-valid grids, each field drawn or left out
-_grids = st.fixed_dictionaries({}, optional={"kwargs": _object, "rows": st.lists(
-    st.fixed_dictionaries({}, optional={
-        "group": _object, "source": _object, "extractor": _object,
-        "family": st.fixed_dictionaries({"kind": st.sampled_from(["all_aps", "all_lines"])},
-                                        optional={k: st.integers() for k in "psqn"}),
-        "alpha": st.floats(), "per_character": st.booleans(), "charsum_seed": st.integers()}),
-    max_size=2)})
-
-
-_cases = st.one_of(
-    st.tuples(st.just("source.v1.json"), _mutated(st.one_of(_documents(), _valid_sources))),
-    st.tuples(st.just("grid.v1.json"), _mutated(_grids)))
+            argv = ["verify", "--suite", command, "--grid", str(path), "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        summary = Path(f"{out}.summary.json")
+        return (code, err.getvalue(), out.exists(),
+                json.loads(summary.read_text()) if summary.exists() else None)
 
 
 def _source(group=None, **spec):
     return {"group": group or {"kind": "zp", "p": 11}, "spec": {"variant": "gap", **spec}}
 
 
-@settings(max_examples=600, deadline=None)
-@given(_cases)
-@example(("source.v1.json", _source({"kind": "zp", "p": 11.0})))     # integral float
-@example(("source.v1.json", _source({"kind": "zp", "p": True})))     # a bool is no integer
-@example(("source.v1.json", _source({"kind": "zp", "p": _NAN})))
-@example(("source.v1.json", _source({"kind": "zp", "p": _INF})))
-@example(("source.v1.json", _source({"kind": "zp", "p": 1 << 70})))
-@example(("source.v1.json", _source({"kind": "zp", "p": 1.5})))
-@example(("source.v1.json", _source(rho=_NAN)))                      # NaN passes the bounds
-@example(("source.v1.json", _source(rho=json.loads("1e400"))))
-@example(("source.v1.json", _source(rho=-_INF)))
-@example(("source.v1.json", _source(rho=0)))
-@example(("source.v1.json", _source(rho=1)))
-@example(("source.v1.json", _source(rho=True)))
-@example(("source.v1.json", _source(r=1, s=0)))
-@example(("source.v1.json", _source(steps=[1 << 64, 0, [1.0, 2]])))
-@example(("source.v1.json", _source(steps=[[True]])))
-@example(("source.v1.json", _source(steps=[-1])))                    # oneOf: neither branch
-@example(("source.v1.json", _source(steps=["x"])))
-@example(("source.v1.json", _source(steps={"a": -1})))               # items: lists only
-@example(("source.v1.json", {"group": {"kind": "zp", "p": 11}}))     # a required key missing
-@example(("source.v1.json", {**_source(), "extra": [-1]}))           # extra keys pass
-@example(("source.v1.json", {**_source(), "notes": [1]}))
-@example(("source.v1.json", [_source()]))                            # required: dicts only
-@example(("grid.v1.json", {"rows": [{"alpha": _NAN, "charsum_seed": 1.0}]}))
-@example(("grid.v1.json", {"rows": [{"alpha": True}]}))
-@example(("grid.v1.json", {"rows": [{"per_character": 1}]}))
-@example(("grid.v1.json", {"rows": [{"family": {"kind": "all_aps", "p": 11.5}}]}))
-@example(("grid.v1.json", {"rows": [{"family": {"p": 11}}]}))
-@example(("grid.v1.json", {"rows": {"family": 1}}))
-def test_checker_agrees_with_draft7_on_the_packaged_schemas(case):
-    name, doc = case
-    _draft7_agrees(cli._schema(name), doc)
+def _gap(**fields):
+    return {"group": {"kind": "zp", "p": 11},
+            "spec": {"variant": "gap", "b0": 1, "steps": [1], "s": 2, **fields}}
 
 
-_ELEMENT = {"definitions": {"element": _PLAIN_ELEMENT}}
-_KEYWORD_SCHEMAS = [
-    {"type": "integer"}, {"type": "number"}, {"type": "string"}, {"type": "boolean"},
-    {"type": "array"}, {"type": "object"}, {"enum": [1]}, {"enum": [0, "a"]},
-    {"minimum": 2}, {"exclusiveMinimum": 0, "exclusiveMaximum": 1},
-    {"required": ["a"]}, {"properties": {"a": {"type": "integer"}}},
-    {"items": {"type": "integer", "minimum": 0}},
-    {"oneOf": [{"type": "number"}, {"type": "integer"}]},        # 1 matches both
-    {"oneOf": [{"minimum": 0}, {"type": "array"}]},
-    {**_ELEMENT, "$ref": "#/definitions/element", "type": "string"},  # siblings ignored
-    {**_ELEMENT, "items": {"$ref": "#/definitions/element"}},
-]
+@settings(max_examples=400, deadline=None)
+@given(_mutated())
+# the examples of the Draft-7 checker these readers replace
+@example(("build-source", _source({"kind": "zp", "p": 11.0})))     # integral float
+@example(("build-source", _source({"kind": "zp", "p": True})))     # a bool is no integer
+@example(("build-source", _source({"kind": "zp", "p": _NAN})))
+@example(("build-source", _source({"kind": "zp", "p": _INF})))
+@example(("build-source", _source({"kind": "zp", "p": 1 << 70})))
+@example(("build-source", _source({"kind": "zp", "p": 1.5})))
+@example(("build-source", _source(rho=_NAN)))                      # NaN passes the bounds
+@example(("build-source", _source(rho=json.loads("1e400"))))
+@example(("build-source", _source(rho=-_INF)))
+@example(("build-source", _source(rho=0)))
+@example(("build-source", _source(rho=1)))
+@example(("build-source", _source(rho=True)))
+@example(("build-source", _source(r=1, s=0)))
+@example(("build-source", _source(steps=[1 << 64, 0, [1.0, 2]])))
+@example(("build-source", _source(steps=[[True]])))
+@example(("build-source", _source(steps=[-1])))
+@example(("build-source", _source(steps=["x"])))
+@example(("build-source", _source(steps={"a": -1})))
+@example(("build-source", {"group": {"kind": "zp", "p": 11}}))     # a required key missing
+@example(("build-source", {**_source(), "extra": [-1]}))
+@example(("build-source", {**_source(), "notes": [1]}))
+@example(("build-source", [_source()]))
+@example(("sweep", {"rows": [{"alpha": _NAN, "charsum_seed": 1.0}]}))
+@example(("sweep", {"rows": [{"alpha": True}]}))
+@example(("sweep", {"rows": [{"per_character": 1}]}))
+@example(("sweep", {"rows": [{"family": {"kind": "all_aps", "p": 11.5}}]}))
+@example(("sweep", {"rows": [{"family": {"p": 11}}]}))
+@example(("sweep", {"rows": {"family": 1}}))
+# each gap the readers had beside the checker: a notes, rows, per_character or
+# kwargs of the wrong type, and an element entry below 0
+@example(("build-source", {**_gap(), "notes": []}))
+@example(("build-source", {**_file(*_SPECS[4], True), "notes": 5}))
+@example(("build-source", {"group": {"kind": "zp", "p": 11},
+                           "spec": {"variant": "bohr", "freqs": [-1], "rho": 0.3}}))
+@example(("build-source", {"group": {"kind": "zp_vec", "p": 5, "n": 2},
+                           "spec": {"variant": "bohr", "freqs": [[1, -2]], "rho": 0.3}}))
+@example(("build-source", {**_file(*_SPECS[4], True),
+                           "spec": {"variant": "explicit", "elements": [1, -1]}}))
+@example(("sweep", {"rows": {}}))
+@example(("sweep", {"rows": 5}))
+@example(("sweep", {"rows": [dict(_ROWS[0], per_character=1), _ROWS[1]]}))
+@example(("sweep", {"rows": [dict(_ROWS[0], per_character="x")]}))
+@example(("sweep", {"rows": [dict(_ROWS[0], per_character=[])]}))
+@example(("weil", {"kwargs": []}))
+@example(("l1", {"kwargs": 5}))
+@example(("xor", {"kwargs": "x"}))
+# and a group's n or k, or a GAP's r, below the schemas' minimum of 1
+@example(("build-source", {"group": {"kind": "zp_vec", "p": 5, "n": 0},
+                           "spec": {"variant": "gap", "b0": [], "steps": [], "s": 1}}))
+@example(("build-source", {"group": {"kind": "fq_vec", "p": 2, "k": -1, "modulus": [], "n": 1},
+                           "spec": {"variant": "explicit", "elements": [[0]]}}))
+@example(("build-source", _gap(steps=[], r=0)))
+# a valid n whose order m^N would take hours to compute: refused by its cost
+@example(("build-source", {"group": {"kind": "zp_vec", "p": 5, "n": 1 << 70},
+                           "spec": {"variant": "bohr", "freqs": [[1, 2]], "rho": 0.2}}))
+def test_schema_invalid_inputs_exit_two_through_the_readers(case):
+    command, doc = case
+    schema = _SCHEMAS["source.v1.json" if command == "build-source" else "grid.v1.json"]
+    code, err, wrote, summary = _run(command, doc)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if schema.is_valid(doc):
+        return
+    assert code == 2, (doc, err)
+    if summary is None:
+        # the file as a whole is refused: one error line, no output; a sweep's
+        # grid so only for a fault outside its rows
+        assert err.startswith("error: ") and err.count("\n") == 1 and not wrote, err
+        if command == "sweep" and isinstance(doc, dict) and isinstance(doc.get("rows"), list):
+            assert _run(command, {**doc, "rows": []})[0] == 2, doc
+        return
+    # a sweep that ran: the grid is valid but for its rows, each faulty row is
+    # that row's error, and the other rows are written
+    assert command == "sweep" and schema.is_valid({**doc, "rows": []}), doc
+    row_schema = Draft7Validator(schema.schema["properties"]["rows"]["items"])
+    failed = {f["grid_index"] for f in summary["failures"]}
+    assert {i for i, row in enumerate(doc["rows"]) if not row_schema.is_valid(row)} <= failed
+    assert wrote and len(summary["rows"]) == len(doc["rows"]) - len(failed)
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.sampled_from(_KEYWORD_SCHEMAS), _json)
-@example({"enum": [1]}, 1.0)
-@example({"enum": [1]}, True)
-@example({"enum": [0, "a"]}, False)
-@example({"type": "integer"}, 1.0)
-@example({"type": "integer"}, True)
-@example({"type": "integer"}, _NAN)
-@example({"type": "integer"}, _INF)
-@example({"type": "number"}, _NAN)
-@example({"type": "number"}, False)
-@example({"minimum": 2}, _NAN)
-@example({"minimum": 2}, "1")
-@example({"minimum": 2}, True)
-@example({"exclusiveMinimum": 0, "exclusiveMaximum": 1}, _NAN)
-@example({"exclusiveMinimum": 0, "exclusiveMaximum": 1}, _INF)
-@example({"exclusiveMinimum": 0, "exclusiveMaximum": 1}, 0)
-@example({"required": ["a"]}, [])
-@example({"properties": {"a": {"type": "integer"}}}, "a")
-@example({"items": {"type": "integer", "minimum": 0}}, {"a": -1})
-@example({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1)
-@example({"oneOf": [{"type": "number"}, {"type": "integer"}]}, "x")
-def test_checker_agrees_with_draft7_on_each_keyword(schema, x):
-    _draft7_agrees(schema, x)
-
-
-# ---------------------------------------------------------------------------
-# the checker's keywords, and what importing jsonschema is left for
-# ---------------------------------------------------------------------------
-
-_CHECKED = {"$ref", "type", "enum", "minimum", "exclusiveMinimum", "exclusiveMaximum",
-            "required", "properties", "items", "oneOf"}
-_ANNOTATIONS = {"$schema", "$id", "title", "description", "definitions"}
-
-
-def _validated_schemas():
-    """The packaged schemas a command validates against, read from cli.py."""
-    text = Path(cli.__file__).read_text()
-    return sorted(set(re.findall(r'_load_validated\([^()]*"([\w.]+\.json)"\)', text)))
-
-
-def _subschemas(schema):
-    yield schema
-    for key in ("properties", "definitions"):
-        for sub in schema.get(key, {}).values():
-            yield from _subschemas(sub)
-    for sub in [schema["items"]] if "items" in schema else schema.get("oneOf", []):
-        yield from _subschemas(sub)
-
-
-def test_validated_schemas_use_only_the_checkers_keywords():
-    names = _validated_schemas()
-    assert names == ["grid.v1.json", "source.v1.json"]
-    for name in names:
-        root = cli._schema(name)
-        for schema in _subschemas(root):
-            assert isinstance(schema, dict), (name, schema)
-            assert schema.keys() <= _CHECKED | _ANNOTATIONS, (name, schema.keys() - _CHECKED)
-            # the forms _valid reads: one type name, scalar enums, one items
-            # schema, refs into #/definitions
-            assert schema.get("type", "integer") in {"integer", "number", "string", "boolean",
-                                                     "array", "object"}, name
-            assert not any(isinstance(e, (list, dict)) for e in schema.get("enum", [])), name
-            assert isinstance(schema.get("items", {}), dict), name
-            if "$ref" in schema:
-                ref = schema["$ref"]
-                assert ref.startswith("#/definitions/"), ref
-                assert ref.removeprefix("#/definitions/") in root["definitions"], ref
+def test_the_valid_documents_run():
+    # the mutations start from documents that run: a refusal is the mutation's
+    for group, spec in _SPECS:
+        for built in (False, True):
+            assert _run("build-source", _file(group, spec, built))[0] == 0, spec
+    assert _run("sweep", {"rows": _ROWS})[:3] == (0, "", True)
+    for name, kwargs in _KWARGS:
+        assert _run(name, {"kwargs": kwargs})[0] in (0, 1), name
 
 
 _CHILD = """\
@@ -447,24 +350,20 @@ def _in_one_interpreter(tmp_path, argvs):
 
 
 def test_valid_inputs_never_import_jsonschema(tmp_path):
+    # nor does a rejected one: the readers word every refusal
     (tmp_path / "spec.json").write_text(canonical_json(_source(b0=5, steps=[1, 9], r=2,
                                                                s=8)))
     (tmp_path / "grid.json").write_text(canonical_json({"kwargs": {"primes": [11],
                                                                    "polys_per_p": 5}}))
+    (tmp_path / "bad.json").write_text(canonical_json(_source({"kind": "zp", "p": "x"})))
     codes, imported, err = _in_one_interpreter(tmp_path, [
         ["build-source", "--spec", "spec.json", "--out", "src.json"],
         ["extract", "--source", "src.json", "--extractor", "zp", "--out", "x.csv"],
-        ["verify", "--suite", "weil", "--grid", "grid.json", "--out", "v.csv"]])
-    assert (codes, imported, err) == ([0, 0, 0], False, "")
-
-
-def test_a_rejected_input_imports_jsonschema_for_its_message(tmp_path):
-    bad = _source({"kind": "zp", "p": "x"})
-    (tmp_path / "spec.json").write_text(canonical_json(bad))
-    codes, imported, err = _in_one_interpreter(tmp_path, [
-        ["build-source", "--spec", "spec.json", "--out", "src.json"]])
-    assert (codes, imported, err) == ([2], True, f"error: {_oracle(bad)}\n")
-    assert not (tmp_path / "src.json").exists()
+        ["verify", "--suite", "weil", "--grid", "grid.json", "--out", "v.csv"],
+        ["build-source", "--spec", "bad.json", "--out", "bad.src.json"]])
+    assert (codes, imported, err) == ([0, 0, 0, 2], False,
+                                      "error: the group's p must be an integer, not 'x'\n")
+    assert not (tmp_path / "bad.src.json").exists()
 
 
 _LIMIT = sys.getrecursionlimit()
@@ -488,7 +387,7 @@ def test_nested_inputs_exit_zero_or_two(tmp_path, capsys, depth, where):
             notes = '{"x": %s}' % _nested(depth)
         else:
             spec = "[%s]" % _nested(depth)
-        path.write_text('{"group": {"kind": "zp", "p": 11}, "elements": [1, 2], "notes": %s, '
+        path.write_text('{"group": {"kind": "zp", "p": 11}, "elements": [1], "notes": %s, '
                         '"spec": {"variant": "explicit", "elements": %s}}' % (notes, spec))
         argv = ["build-source", "--spec", str(path), "--out", str(out)]
     code = main(argv)

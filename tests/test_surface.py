@@ -226,3 +226,16 @@ def test_input_objects_have_one_reader():
     assert _key_set_tests(ast.parse(
         "set(e) - {'a'}\ntry:\n    x\nexcept (KeyError, TypeError):\n    pass\n"
         "e.keys() - k.keys()\n{1} - set(e)\nset(e).issubset(k)")) == [1, 4, 6, 7, 8]
+
+
+def test_the_readers_are_the_one_input_check():
+    # sources.read_object and its typed readers refuse what the packaged
+    # schemas refuse; the schemas are published, and no module runs them
+    from addext import cli
+    imports = [f"{module}:{n.lineno}" for module, tree in _trees().items() for n in ast.walk(tree)
+               if isinstance(n, ast.Import) and any(a.name.split(".")[0] == "jsonschema"
+                                                    for a in n.names)
+               or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "jsonschema"]
+    assert imports == []
+    for name in ("_schema", "_valid", "_is_type", "_plain_element"):
+        assert not hasattr(cli, name), name
