@@ -129,6 +129,7 @@ def _at_least(lo: int):
 
 
 _coordinate, _count = _at_least(0), _at_least(1)
+_char = _at_least(2)  # a group's p, before Group checks that it is prime
 
 
 def _list_of(read):
@@ -262,8 +263,8 @@ class Group:
 
 _ints = _list_of(json_int)
 # the keys of each group kind besides "kind"; fq_vec's modulus is optional
-_GROUP_KEYS = {"zp": {"p": json_int}, "zp_vec": {"p": json_int, "n": _count},
-               "fq_vec": {"p": json_int, "k": _count, "n": _count, "modulus": _ints},
+_GROUP_KEYS = {"zp": {"p": _char}, "zp_vec": {"p": _char, "n": _count},
+               "fq_vec": {"p": _char, "k": _count, "n": _count, "modulus": _ints},
                "zn": {"moduli": _ints}}
 
 
@@ -531,7 +532,7 @@ def build_source(spec: SourceSpec, group: Group) -> Source:
 
     elif isinstance(spec, BohrSpec):
         if not 0 < spec.rho < 1:
-            raise InputError("Bohr radius must lie in (0, 1)")
+            raise InputError(f"the Bohr radius rho must lie in (0, 1), not {spec.rho}")
         els = _bohr_set(group, spec.freqs, spec.rho)
         # 0 is always a member, so a Bohr set is never empty
         notes["rank"] = len(spec.freqs)

@@ -183,13 +183,13 @@ def _paths(x, path=()):
 
 
 @st.composite
-def _mutated(draw):
+def _mutated(draw, hows=("wrong", "wrong", "wrong", "drop", "misspell", "add")):
     """A valid document with one field changed at any depth: a wrong value, or
     a key dropped, misspelt or added."""
     command, doc = draw(_cases)
     doc = copy.deepcopy(doc)
     path = draw(st.sampled_from(list(_paths(doc))))
-    how = draw(st.sampled_from(["wrong", "wrong", "wrong", "drop", "misspell", "add"]))
+    how = draw(st.sampled_from(hows))
     if not path:  # the document itself
         return command, draw(st.sampled_from(_WRONG)) if how == "wrong" else doc
     parent = doc
@@ -237,37 +237,37 @@ def _gap(**fields):
             "spec": {"variant": "gap", "b0": 1, "steps": [1], "s": 2, **fields}}
 
 
+def _schema_of(command):
+    return _SCHEMAS["source.v1.json" if command == "build-source" else "grid.v1.json"]
+
+
+def _refused_as_the_schema_says(command, doc):
+    """Run ``doc``: no traceback, and if its schema refuses it, exit 2 through
+    the readers, worded as the file's fault or as its faulty rows'."""
+    schema = _schema_of(command)
+    code, err, wrote, summary = _run(command, doc)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if schema.is_valid(doc):
+        return
+    assert code == 2, (doc, err)
+    if summary is None:
+        # the file as a whole is refused: one error line, no output; a sweep's
+        # grid so only for a fault outside its rows
+        assert err.startswith("error: ") and err.count("\n") == 1 and not wrote, err
+        if command == "sweep" and isinstance(doc, dict) and isinstance(doc.get("rows"), list):
+            assert _run(command, {**doc, "rows": []})[0] == 2, doc
+        return
+    # a sweep that ran: the grid is valid but for its rows, each faulty row is
+    # that row's error, and the other rows are written
+    assert command == "sweep" and schema.is_valid({**doc, "rows": []}), doc
+    row_schema = Draft7Validator(schema.schema["properties"]["rows"]["items"])
+    failed = {f["grid_index"] for f in summary["failures"]}
+    assert {i for i, row in enumerate(doc["rows"]) if not row_schema.is_valid(row)} <= failed
+    assert wrote and len(summary["rows"]) == len(doc["rows"]) - len(failed)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_mutated())
-# the examples of the Draft-7 checker these readers replace
-@example(("build-source", _source({"kind": "zp", "p": 11.0})))     # integral float
-@example(("build-source", _source({"kind": "zp", "p": True})))     # a bool is no integer
-@example(("build-source", _source({"kind": "zp", "p": _NAN})))
-@example(("build-source", _source({"kind": "zp", "p": _INF})))
-@example(("build-source", _source({"kind": "zp", "p": 1 << 70})))
-@example(("build-source", _source({"kind": "zp", "p": 1.5})))
-@example(("build-source", _source(rho=_NAN)))                      # NaN passes the bounds
-@example(("build-source", _source(rho=json.loads("1e400"))))
-@example(("build-source", _source(rho=-_INF)))
-@example(("build-source", _source(rho=0)))
-@example(("build-source", _source(rho=1)))
-@example(("build-source", _source(rho=True)))
-@example(("build-source", _source(r=1, s=0)))
-@example(("build-source", _source(steps=[1 << 64, 0, [1.0, 2]])))
-@example(("build-source", _source(steps=[[True]])))
-@example(("build-source", _source(steps=[-1])))
-@example(("build-source", _source(steps=["x"])))
-@example(("build-source", _source(steps={"a": -1})))
-@example(("build-source", {"group": {"kind": "zp", "p": 11}}))     # a required key missing
-@example(("build-source", {**_source(), "extra": [-1]}))
-@example(("build-source", {**_source(), "notes": [1]}))
-@example(("build-source", [_source()]))
-@example(("sweep", {"rows": [{"alpha": _NAN, "charsum_seed": 1.0}]}))
-@example(("sweep", {"rows": [{"alpha": True}]}))
-@example(("sweep", {"rows": [{"per_character": 1}]}))
-@example(("sweep", {"rows": [{"family": {"kind": "all_aps", "p": 11.5}}]}))
-@example(("sweep", {"rows": [{"family": {"p": 11}}]}))
-@example(("sweep", {"rows": {"family": 1}}))
 # each gap the readers had beside the checker: a notes, rows, per_character or
 # kwargs of the wrong type, and an element entry below 0
 @example(("build-source", {**_gap(), "notes": []}))
@@ -296,27 +296,77 @@ def _gap(**fields):
 @example(("build-source", {"group": {"kind": "zp_vec", "p": 5, "n": 1 << 70},
                            "spec": {"variant": "bohr", "freqs": [[1, 2]], "rho": 0.2}}))
 def test_schema_invalid_inputs_exit_two_through_the_readers(case):
+    _refused_as_the_schema_says(*case)
+
+
+_CHECKER_CASES = [  # the examples of the Draft-7 checker these readers replace
+    ("build-source", _source({"kind": "zp", "p": 11.0})),  # integral float
+    ("build-source", _source({"kind": "zp", "p": True})),  # a bool is no integer
+    ("build-source", _source({"kind": "zp", "p": _NAN})),
+    ("build-source", _source({"kind": "zp", "p": _INF})),
+    ("build-source", _source({"kind": "zp", "p": 1 << 70})),
+    ("build-source", _source({"kind": "zp", "p": 1.5})),
+    ("build-source", _source(rho=_NAN)),  # NaN passes the bounds
+    ("build-source", _source(rho=json.loads("1e400"))),
+    ("build-source", _source(rho=-_INF)),
+    ("build-source", _source(rho=0)),
+    ("build-source", _source(rho=1)),
+    ("build-source", _source(rho=True)),
+    ("build-source", _source(r=1, s=0)),
+    ("build-source", _source(steps=[1 << 64, 0, [1.0, 2]])),
+    ("build-source", _source(steps=[[True]])),
+    ("build-source", _source(steps=[-1])),
+    ("build-source", _source(steps=["x"])),
+    ("build-source", _source(steps={"a": -1})),
+    ("build-source", {"group": {"kind": "zp", "p": 11}}),  # a required key missing
+    ("build-source", {**_source(), "extra": [-1]}),
+    ("build-source", {**_source(), "notes": [1]}),
+    ("build-source", [_source()]),
+    ("sweep", {"rows": [{"alpha": _NAN, "charsum_seed": 1.0}]}),
+    ("sweep", {"rows": [{"alpha": True}]}),
+    ("sweep", {"rows": [{"per_character": 1}]}),
+    ("sweep", {"rows": [{"family": {"kind": "all_aps", "p": 11.5}}]}),
+    ("sweep", {"rows": [{"family": {"p": 11}}]}),
+    ("sweep", {"rows": {"family": 1}}),
+]
+
+
+def test_checker_agrees_with_draft7_on_the_packaged_schemas():
+    # the readers are the one checker: on each document that once told the
+    # Draft-7 checker's keywords apart, they refuse what Draft7Validator refuses
+    for command, doc in _CHECKER_CASES:
+        _refused_as_the_schema_says(command, doc)
+
+
+def _named_key(error):
+    """The key a jsonschema error is about: the property a ``required`` misses,
+    else the innermost key of its path (None for the document itself)."""
+    if error.validator == "required":
+        return min(set(error.validator_value) - set(error.instance))
+    return next((k for k in reversed(error.path) if isinstance(k, str)), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated(hows=("wrong", "drop")))  # a misspelt or added key may be a second fault
+@example(("build-source", {"group": {"kind": "zp", "p": 11},
+                           "spec": {"variant": "bohr", "freqs": [1, 3], "rho": 0}}))
+@example(("build-source", _source({"kind": "zp", "p": "x"})))
+@example(("build-source", {"spec": _EXPLICIT}))
+@example(("build-source", {"group": {"kind": "fq_vec", "p": -1, "k": 2, "modulus": [1, 1, 1],
+                                     "n": 2}, "spec": {"variant": "line", "a": [1], "d": [1]}}))
+def test_rejected_documents_exit_two_with_jsonschemas_message(case):
+    # the reader words the refusal, and names the key that jsonschema's one
+    # error names
     command, doc = case
-    schema = _SCHEMAS["source.v1.json" if command == "build-source" else "grid.v1.json"]
+    errors = list(_schema_of(command).iter_errors(doc))
+    if len(errors) != 1:
+        return
     code, err, wrote, summary = _run(command, doc)
-    assert code in (0, 1, 2) and "Traceback" not in err
-    if schema.is_valid(doc):
+    if summary is not None:  # a sweep's faulty row is worded in its summary
         return
-    assert code == 2, (doc, err)
-    if summary is None:
-        # the file as a whole is refused: one error line, no output; a sweep's
-        # grid so only for a fault outside its rows
-        assert err.startswith("error: ") and err.count("\n") == 1 and not wrote, err
-        if command == "sweep" and isinstance(doc, dict) and isinstance(doc.get("rows"), list):
-            assert _run(command, {**doc, "rows": []})[0] == 2, doc
-        return
-    # a sweep that ran: the grid is valid but for its rows, each faulty row is
-    # that row's error, and the other rows are written
-    assert command == "sweep" and schema.is_valid({**doc, "rows": []}), doc
-    row_schema = Draft7Validator(schema.schema["properties"]["rows"]["items"])
-    failed = {f["grid_index"] for f in summary["failures"]}
-    assert {i for i, row in enumerate(doc["rows"]) if not row_schema.is_valid(row)} <= failed
-    assert wrote and len(summary["rows"]) == len(doc["rows"]) - len(failed)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and not wrote
+    key = _named_key(errors[0])
+    assert key is None or key in err, (doc, errors[0].message, err)
 
 
 def test_the_valid_documents_run():
@@ -364,6 +414,24 @@ def test_valid_inputs_never_import_jsonschema(tmp_path):
     assert (codes, imported, err) == ([0, 0, 0, 2], False,
                                       "error: the group's p must be an integer, not 'x'\n")
     assert not (tmp_path / "bad.src.json").exists()
+
+
+def test_a_rejected_input_imports_jsonschema_for_its_message(tmp_path):
+    # named for when a refusal imported jsonschema to word it: now the reader
+    # of each command words its own and nothing imports jsonschema
+    (tmp_path / "src.json").write_text(canonical_json({**_file(*_SPECS[4], False),
+                                                       "elements": [1, -1]}))
+    (tmp_path / "grid.json").write_text(canonical_json({"kwargs": []}))
+    (tmp_path / "rows.json").write_text(canonical_json({"rows": 5}))
+    codes, imported, err = _in_one_interpreter(tmp_path, [
+        ["extract", "--source", "src.json", "--extractor", "zp", "--out", "x.csv"],
+        ["verify", "--suite", "weil", "--grid", "grid.json", "--out", "v.csv"],
+        ["verify", "--suite", "sweep", "--grid", "rows.json", "--out", "s.csv"]])
+    assert (codes, imported, err.splitlines()) == ([2, 2, 2], False, [
+        "error: each of the source file src.json's elements must be an integer >= 0, not -1",
+        "error: the grid's kwargs must be a JSON object, not []",
+        "error: the grid's rows must be a list, not 5"])
+    assert not any((tmp_path / f).exists() for f in ("x.csv", "v.csv", "s.csv"))
 
 
 _LIMIT = sys.getrecursionlimit()
