@@ -2,6 +2,11 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# before numpy loads: its OpenBLAS pool spins an idle thread for the few small float matmuls here
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import additive_charsum
 from .errors import AddextError, BudgetError, CapacityError, InputError, SearchBudgetError
 from .extractors import (build_ap_extractor, build_line_extractor,

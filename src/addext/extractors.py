@@ -315,30 +315,34 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
 
     With q = p^k and K = k b, one product of two elements of F_(p^K) costs
     48 K steps on F_2 bitmasks (2K - 1 <= 64), 10 K^2 + 256 on int64 digits
-    and 5 PY_INT K^2 + 256 on Python-int digits (gf._sum_dtype). Building:
-    gf.find_irreducible tests about 2K candidates of degree K (one in K is
-    irreducible; a third of them pass the root sieve where p <= K^2), each by
-    bitlen(p) + popcount(p) batched K x K matrix products of 3 K^3 + 256
-    steps (PY_INT K^3 + 256 on Python ints), and certifies about two by a
-    Python row reduction of K^2 PY_STEP + 64 K^3; for k > 1 the root beta of
-    F_q's modulus costs the trace images' Frobenius orbits, (2 (bitlen(p) +
-    popcount(p) + k + b) + 64) K^3, and k Horner products at each of the q
-    subfield elements. A point's norm is one power ladder of bitlen(e) +
-    popcount(e) products, e = (q^b - 1) / (q - 1)."""
+    and 5 PY_INT K^2 + 256 on Python-int digits (gf._sum_dtype), and a K x K
+    matrix product mat K^3 steps, mat = 3 on int64 and PY_INT on Python ints.
+    Building: gf.find_irreducible tests about 2K candidates of degree K (one
+    in K is irreducible; a third of them pass the root sieve where p <= K^2),
+    each by bitlen(p) + popcount(p) batched K x K matrix products of
+    mat K^3 + 256 steps, and certifies about two by a Python row reduction of
+    K^2 PY_STEP + 64 K^3; the Frobenius matrix of h -> h^q (gf._frobenius)
+    costs bitlen(p) + popcount(p) products of K rows and k matrix products;
+    for k > 1 the root beta of F_q's modulus costs the trace images,
+    (2 b + 64) K^3, and k Horner products at each of the q subfield
+    elements. A point's norm is b - 1 conjugates, each one product and one
+    row times the Frobenius matrix, mat K^2 steps."""
     f = cfg.field
     p, k, q = f.p, f.k, f.order
     ladder, steps = p.bit_length() + p.bit_count(), 0
     for b in {block.size for block in cfg.blocks if 1 < block.size and block.start + 1 < cfg.n}:
-        K, e = k * b, (q**b - 1) // (q - 1)
+        K = k * b
         int64 = gf._sum_dtype(p, K) is np.int64
+        mat = 3 if int64 else PY_INT
         product = 48 * K if p == 2 and 2 * K - 1 <= 64 else \
             (10 if int64 else 5 * PY_INT) * K * K + 256
         candidates = 2 * K // (3 if p <= K * K else 1)
-        steps += (candidates * ladder * ((3 if int64 else PY_INT) * K**3 + 256)
+        steps += (candidates * ladder * (mat * K**3 + 256)
                   + 2 * K * K * (PY_STEP + 64 * K)
-                  + points * (e.bit_length() + e.bit_count()) * product)
+                  + ladder * K * product + k * mat * K**3
+                  + points * (b - 1) * (product + mat * K * K))
         if k > 1:
-            steps += (2 * (ladder + k + b) + 64) * K**3 + q * k * product
+            steps += (2 * b + 64) * K**3 + q * k * product
     return steps
 
 

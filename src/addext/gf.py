@@ -20,7 +20,11 @@ and their powers, no polynomial arithmetic). find_irreducible tests blocks
 of candidate moduli at once, each by its own Frobenius matrix h -> h^p mod f
 (Berlekamp's rank test); get_extension finds the subfield F_q of F_{q^b}
 from the Frobenius matrix of the extension, and its embedding and lift are
-matrix powers of x -> x beta and x -> x theta.
+matrix powers of x -> x beta and x -> x theta. The matrix of h -> h^q on
+F_{q^b} (_frobenius) is built once per extension: it gives the trace images
+of that subfield search and every conjugate of norms_many, whose norm
+u u^q ... u^(q^(b-1)) is b - 1 steps through that matrix and b - 1
+products, on digits or, in characteristic 2, on bitmasks (_native).
 """
 
 from __future__ import annotations
@@ -326,14 +330,40 @@ def _ladder(mul: Callable, a: np.ndarray, e: int) -> np.ndarray:
         a = mul(a, a)
 
 
+def _native(spec: FieldSpec) -> tuple[Callable, Callable, Callable]:
+    """The field's working form for runs of products, as (mul, to, back): its
+    product, and the maps to it from (N, k) digit arrays and back. uint64
+    bitmasks (_mul_bits) where _uses_bitmasks, whose codes below 2^k <= 2^32
+    pass through int64; else the digits themselves (_mul_digits)."""
+    if _uses_bitmasks(spec):
+        return (functools.partial(_mul_bits, spec),
+                lambda a: from_digits(a, 2).astype(np.uint64),
+                lambda x: to_digits(x.astype(np.int64), 2, spec.k))
+    return functools.partial(_mul_digits, spec), lambda a: a, lambda x: x
+
+
+def _linear_map(spec: FieldSpec, m: np.ndarray) -> Callable:
+    """x -> x m on the working form of _native, for the (k, k) matrix m of an
+    F_p-linear map (row i the digits of the image of theta^i): the XOR of the
+    rows' bitmasks that the bits of x select, or x @ m mod p on digits."""
+    if not _uses_bitmasks(spec):
+        return lambda x: x @ m % spec.p
+    masks = from_digits(m, 2).astype(np.uint64)
+
+    def apply(x):
+        out = np.zeros_like(x)
+        for i, mask in enumerate(masks):
+            out ^= mask * ((x >> np.uint64(i)) & np.uint64(1))
+        return out
+    return apply
+
+
 def mul_many(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The field product of each row pair of two (N, k) digit arrays, in the
     dtype that digit_dtype gives for the field (int64 digits are exact only
     where it gives int64)."""
-    if _uses_bitmasks(spec):  # bitmasks below 2^k <= 2^32: int64 codes
-        bits = _mul_bits(spec, *(from_digits(x, 2).astype(np.uint64) for x in (a, b)))
-        return to_digits(bits.astype(np.int64), 2, spec.k)
-    return _mul_digits(spec, a, b)
+    mul, to, back = _native(spec)
+    return back(mul(to(a), to(b)))
 
 
 def pow_many(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
@@ -341,10 +371,8 @@ def pow_many(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
     digit_dtype, as for mul_many)."""
     if e < 1:
         raise InputError("pow_many takes exponents >= 1")
-    if _uses_bitmasks(spec):
-        bits = _ladder(functools.partial(_mul_bits, spec), from_digits(a, 2).astype(np.uint64), e)
-        return to_digits(bits.astype(np.int64), 2, spec.k)
-    return _ladder(functools.partial(_mul_digits, spec), a, e)
+    mul, to, back = _native(spec)
+    return back(_ladder(mul, to(a), e))
 
 
 def mul_table(spec: FieldSpec) -> np.ndarray:
@@ -391,15 +419,26 @@ def quadratic_character_many(spec: FieldSpec, a: np.ndarray) -> np.ndarray:
     return chi
 
 
+@functools.lru_cache(maxsize=None)
+def _frobenius(ext: FieldSpec, k: int) -> np.ndarray:
+    """The (K, K) matrix of h -> h^q, q = p^k, on the digits of ext = F_(p^K),
+    in _sum_dtype(p, K), so that products with it stay exact: h -> h^p is
+    F_p-linear, with the matrix phi whose row i is theta^(i p) (one pow_many
+    on the identity), and h -> h^q is phi^k (_orbit)."""
+    p = ext.p
+    eye = np.eye(ext.k, dtype=_sum_dtype(p, ext.k))
+    out = _orbit(eye, pow_many(ext, eye, p), k + 1, p)[-1]
+    out.flags.writeable = False  # cached: shared by every caller
+    return out
+
+
 def _trace_images(ext: FieldSpec, base: FieldSpec) -> np.ndarray:
     """T(theta^i) = sum_{j<b} theta^(i q^j) for the K monomials theta^i of ext,
-    as a (K, K) int64 digit array. h -> h^p is F_p-linear, with the matrix phi
-    whose row i is theta^(i p) (one pow_many on the identity); h -> h^q is
-    phi^k, and the images are the sum of its first b powers (_orbit)."""
-    p = ext.p
-    eye = np.eye(ext.k, dtype=np.int64)
-    frob_q = _orbit(eye, pow_many(ext, eye, p), base.k + 1, p)[-1]
-    return _orbit(eye, frob_q, ext.k // base.k, p).sum(axis=0) % p
+    as a (K, K) digit array: the sum of the first b powers of the Frobenius
+    matrix of h -> h^q (_frobenius, _orbit)."""
+    frob_q = _frobenius(ext, base.k)
+    eye = np.eye(ext.k, dtype=frob_q.dtype)
+    return _orbit(eye, frob_q, ext.k // base.k, ext.p).sum(axis=0) % ext.p
 
 
 def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
@@ -472,45 +511,47 @@ def _to_base(ext: ExtensionField, u: np.ndarray) -> np.ndarray:
     return v
 
 
-def _norms_by(ext: ExtensionField, coords, power: Callable) -> np.ndarray:
-    """power(u) in F_q, as int64 base-field encodings, for the lift u of each
-    row of an (N, <= b) array of base-field coordinates into E.
+def _norms_by(ext: ExtensionField, coords, conjugate: Callable) -> np.ndarray:
+    """The norm u conjugate(u) ... conjugate^(b-1)(u) in F_q, as int64
+    base-field encodings, for the lift u of each row of an (N, <= b) array of
+    base-field coordinates into E, conjugate(v) being v^q on E's working form
+    (_native).
 
-    Per chunk of NORM_CHUNK rows: the lift as one matmul mod p, power on all
-    rows at once, and the way back to F_q through the linear inverse of the
-    embedding, checked by re-embedding.
+    Per chunk of NORM_CHUNK rows: the lift as one matmul mod p, b - 1
+    conjugates and products on all rows at once, and the way back to F_q
+    through the linear inverse of the embedding, checked by re-embedding.
     """
     c = np.asarray(coords, dtype=np.int64)
     if c.ndim != 2 or c.shape[1] > ext.degree:
         raise InputError("expected an (N, b) array of at most b coordinates")
     p = ext.base.p
     lift = _norm_maps(ext)[0][:c.shape[1] * ext.base.k]
+    mul, to, back = _native(ext.ext)
     out = np.empty(len(c), dtype=np.int64)
     for s in range(0, len(c), NORM_CHUNK):
         chunk = to_digits(c[s:s + NORM_CHUNK], p, ext.base.k)
-        u = power(chunk.reshape(len(chunk), -1) @ lift % p)
-        out[s:s + NORM_CHUNK] = from_digits(_to_base(ext, u), p)
+        u = acc = to(chunk.reshape(len(chunk), -1) @ lift % p)
+        for _ in range(ext.degree - 1):
+            u = conjugate(u)
+            acc = mul(acc, u)
+        out[s:s + NORM_CHUNK] = from_digits(_to_base(ext, back(acc)), p)
     return out
 
 
 def norms_many(ext: ExtensionField, coords) -> np.ndarray:
     """Norm form of F_{q^b}/F_q at each row c_1..c_b of an (N, <= b) array of
-    base-field coordinates (missing ones are 0): u^((q^b-1)/(q-1)) for
-    u = sum c_i alpha_i, by one power ladder on all rows at once.
+    base-field coordinates (missing ones are 0): the product u u^q ...
+    u^(q^(b-1)) of the conjugates of u = sum c_i alpha_i, each conjugate the
+    last one times the Frobenius matrix of h -> h^q (_frobenius,
+    _linear_map), so b - 1 matrix steps and b - 1 products on all rows at once.
 
     Zero iff all coordinates are zero; homogeneous of degree b.
     """
-    return _norms_by(ext, coords,
-                     lambda u: pow_many(ext.ext, u, ext.norm_exponent))
+    return _norms_by(ext, coords, _linear_map(ext.ext, _frobenius(ext.ext, ext.base.k)))
 
 
 def conjugate_norms_many(ext: ExtensionField, coords) -> np.ndarray:
-    """norms_many by another route, the product u u^q ... u^(q^(b-1)) of the
-    b conjugates of u: the oracle of the norms suite."""
-    def product(u):
-        acc = u
-        for _ in range(ext.degree - 1):
-            u = pow_many(ext.ext, u, ext.base.order)
-            acc = mul_many(ext.ext, acc, u)
-        return acc
-    return _norms_by(ext, coords, product)
+    """norms_many by another route, each conjugate u^q by a power ladder
+    instead of the Frobenius matrix: the oracle of the norms suite."""
+    mul = _native(ext.ext)[0]
+    return _norms_by(ext, coords, lambda u: _ladder(mul, u, ext.base.order))

@@ -559,19 +559,25 @@ def build_source(spec: SourceSpec, group: Group) -> Source:
         els = set(spec.elements)
 
     elif isinstance(spec, RandomSpec):
-        if not 1 <= spec.size <= group.order:
+        m, N = group.zmn
+        order = m**N
+        if not 1 <= spec.size <= order:
             raise InputError("random source size out of range")
-        check_cost("a random source", held=spec.size)
+        # past 2^63 the indices are Python ints of L = N log2(m) / 64 words,
+        # which to_digits divides N times: about 4 PY_INT + 3 L^2 steps a digit
+        big = order > sys.maxsize
+        check_cost("a random source", held=spec.size,
+                   work=big * spec.size * N * (4 * PY_INT + 3 * (N * m.bit_length() // 64) ** 2))
         rng = random.Random(spec.seed)
-        if group.order > sys.maxsize:
+        if big:
             # rng.sample needs len(range(order)), which overflows here
             idx = set()
             while len(idx) < spec.size:
-                idx.add(rng.randrange(group.order))
+                idx.add(rng.randrange(order))
             idx = list(idx)
         else:
-            idx = rng.sample(range(group.order), spec.size)
-        els = set(group.from_digits(to_digits(idx, *group.zmn)))
+            idx = rng.sample(range(order), spec.size)
+        els = set(group.from_digits(to_digits(idx, m, N)))
 
     else:
         raise InputError(f"unknown source spec {spec!r}")

@@ -2,8 +2,11 @@
 ``gf`` and ``numtheory.discrete_logs``.
 
 ``line`` and ``ap`` evaluate their block norms on all points at once through
-``gf.norms_many`` (a power ladder over (N, K) arrays of F_p digits, or uint64
-bitmasks in characteristic 2), ``line`` takes its output bits from
+``gf.norms_many`` (the product of the conjugates of each lifted point, each
+conjugate one step through the Frobenius matrix of h -> h^q, over (N, K)
+arrays of F_p digits, or uint64 bitmasks in characteristic 2), whose second
+route ``gf.conjugate_norms_many`` takes each conjugate by a power ladder
+instead; ``line`` takes its output bits from
 ``gf.trace_many`` or ``gf.quadratic_character_many``, and ``pgc`` takes the
 discrete logs of all points at once by ``numtheory.discrete_logs``. Their
 oracles are the one-point routes of ``tests/oracles.py`` (``line_extract``,
@@ -28,6 +31,8 @@ import oracles
 from addext import extractors as ex, gf, numtheory as nt
 from addext.cli import main
 from addext.errors import BudgetError, InputError
+
+P61 = 2**61 - 1
 
 # n is chosen so that the last block is padded
 LINE_CASES = [(4, 7), (9, 5), (25, 4), (32, 3), (49, 6)]
@@ -192,6 +197,43 @@ def test_norms_many_across_chunk_boundaries(monkeypatch):
     assert ex.extract_many(cfg, points) == [oracles.line_extract(x, cfg) for x in points]
 
 
+# (q, b) on each digit route of the norms: F_2 bitmasks (K = k b <= 32), F_2
+# digits (K > 32), odd p on int64 digits, and Python-int digits, where
+# K (p - 1)^2 >= 2^63
+NORM_ROUTES = {
+    "bitmasks": [(2, 7), (4, 5), (8, 4), (32, 5)],
+    "f2 digits": [(2, 33), (4, 17)],
+    "int64": [(3, 7), (27, 3), (49, 5), (101, 7)],
+    "python ints": [(3037000493, 2), (3037000493, 3), (P61, 3), (P61, 4)],
+}
+
+
+def _route(ext):
+    E = ext.ext
+    if gf._uses_bitmasks(E):
+        return "bitmasks"
+    if E.p == 2:
+        return "f2 digits"
+    return "int64" if gf._sum_dtype(E.p, E.k) is np.int64 else "python ints"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(NORM_ROUTES)), st.data())
+def test_norms_by_the_frobenius_matrix_match_the_ladder_and_the_conjugates(route, data):
+    q, b = data.draw(st.sampled_from(NORM_ROUTES[route]))
+    ext = gf.get_extension(ex.prime_power_field(q), b)
+    assert _route(ext) == route
+    width = data.draw(st.integers(1, b))            # fewer than b coordinates: the rest are 0
+    coordinate = st.integers(0, q - 1) | st.sampled_from([0, 1, q - 1])
+    rows = data.draw(st.lists(st.lists(coordinate, min_size=width, max_size=width),
+                              min_size=1, max_size=12))
+    with pytest.MonkeyPatch.context() as mp:        # chunks of 1 row up to one chunk
+        mp.setattr(gf, "NORM_CHUNK", data.draw(st.sampled_from([1, 2, 5, gf.NORM_CHUNK])))
+        norms = gf.norms_many(ext, rows).tolist()
+        assert gf.conjugate_norms_many(ext, rows).tolist() == norms
+    assert norms == [oracles.norm_poly_eval(ext, r) for r in rows]
+
+
 def test_norms_many_matches_conjugate_product():
     rng = random.Random(6)
     for q, b in ((2, 7), (8, 3), (27, 3), (16, 5)):
@@ -289,9 +331,6 @@ def test_one_point_route_where_the_batch_does_not_apply():
     points = [(5, 0, 0), (0, 0, 0), (1, 2, 3)]
     assert ex.extract_many(big, points) == [oracles.ap_extract(x, big) for x in points]
     assert ex.extract_many(cfg, []) == []
-
-
-P61 = 2**61 - 1
 
 
 @pytest.mark.parametrize("p, dtype", [(3037000493, np.int64), (3037000507, object),

@@ -1134,3 +1134,30 @@ def test_all_lines_rows_take_only_n_2(tmp_path, capsys, monkeypatch, n):
                  "--out", str(tmp_path / "sw.csv")]) == 2
     assert capsys.readouterr().err.startswith(
         f'FAIL sweep: {{"error":"InputError: the family\'s n must be 2 ')
+
+
+_THREADS_CHILD = """\
+import json, os
+import addext.cli
+print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
+                  "setting": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+@pytest.mark.parametrize("outside, threads, setting", [(None, 1, "1"), ("2", None, "2")])
+def test_importing_the_cli_leaves_one_thread_unless_blas_threads_are_asked_for(
+        outside, threads, setting):
+    # the package sets OPENBLAS_NUM_THREADS=1 before numpy loads, so no idle
+    # BLAS worker spins beside the one thread that does the work; a user's own
+    # setting is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if outside is not None:
+        env["OPENBLAS_NUM_THREADS"] = outside
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(src.__file__).parent.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["setting"] == setting
+    assert threads is None or out["threads"] == threads

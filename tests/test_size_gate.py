@@ -109,8 +109,8 @@ def test_block_norms_past_the_budget_are_refused_before_any_norm(monkeypatch):
     monkeypatch.setenv("ADDEXT_BUDGET", SMALL_BUDGET)
     assert len(ex.extract_many(cfg, _points(P61, 4, 40, 5))) == 40  # within the budget
     monkeypatch.setattr(gf, "norms_many", refuse)
-    with pytest.raises(BudgetError, match="block norms of 300 points"):
-        ex.extract_many(cfg, _points(P61, 4, 300, 6))
+    with pytest.raises(BudgetError, match="block norms of 5000 points"):
+        ex.extract_many(cfg, _points(P61, 4, 5000, 6))
 
 
 def test_extension_work_counts_only_blocks_with_a_norm_form():
@@ -152,3 +152,16 @@ def test_charsum_all_is_the_range_1_to_order(tmp_path):
         assert main(["charsum", "--source", spec, "--characters", chars, "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert len(outs[0].read_text().splitlines()) == 65537
+
+
+def test_a_random_source_declares_its_digit_work(tmp_path, run_cli_capped):
+    # 3 indices of Z_5^(2^20), of 2.4 M bits each, which to_digits divides
+    # 2^20 times: declared with only its 3 held entries, the draw ran past 20 s
+    spec = write(tmp_path / "random.json", {"group": {"kind": "zp_vec", "p": 5, "n": 1 << 20},
+                                            "spec": {"variant": "random", "size": 3, "seed": 1}})
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    code, err = run_cli_capped(["build-source", "--spec", spec, "--out", str(out)], timeout=60)
+    assert (code, time.perf_counter() - t0 < 5) == (2, True)
+    assert err.startswith("error: a random source, ") and "Traceback" not in err
+    assert not out.exists()
