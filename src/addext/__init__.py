@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 import os
 
-# before numpy loads: its OpenBLAS pool spins an idle thread for the few small float matmuls here
+# before numpy loads: its OpenBLAS pool spins idle threads; only even-q lines scans gain (README)
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import additive_charsum

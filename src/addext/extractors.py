@@ -314,9 +314,8 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
     calibrated on in-process timings on a shared 2-vCPU Xeon.
 
     With q = p^k and K = k b, one product of two elements of F_(p^K) costs
-    48 K steps on F_2 bitmasks (2K - 1 <= 64), 10 K^2 + 256 on int64 digits
-    and 5 PY_INT K^2 + 256 on Python-int digits (gf._sum_dtype), and a K x K
-    matrix product mat K^3 steps, mat = 3 on int64 and PY_INT on Python ints.
+    _product_steps(p, K), and a K x K matrix product mat K^3 steps, mat = 3
+    on int64 and PY_INT on Python ints.
     Building: gf.find_irreducible tests about 2K candidates of degree K (one
     in K is irreducible; a third of them pass the root sieve where p <= K^2),
     each by bitlen(p) + popcount(p) batched K x K matrix products of
@@ -334,8 +333,7 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
         K = k * b
         int64 = gf._sum_dtype(p, K) is np.int64
         mat = 3 if int64 else PY_INT
-        product = 48 * K if p == 2 and 2 * K - 1 <= 64 else \
-            (10 if int64 else 5 * PY_INT) * K * K + 256
+        product = _product_steps(p, K)
         candidates = 2 * K // (3 if p <= K * K else 1)
         steps += (candidates * ladder * (mat * K**3 + 256)
                   + 2 * K * K * (PY_STEP + 64 * K)
@@ -344,6 +342,31 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
         if k > 1:
             steps += (2 * b + 64) * K**3 + q * k * product
     return steps
+
+
+def _product_steps(p: int, K: int) -> int:
+    """The work of one product of two elements of F_(p^K) at one point, in
+    check_cost's steps: 48 K on F_2 bitmasks (2K - 1 <= 64), 10 K^2 + 256 on
+    int64 digits and 5 PY_INT K^2 + 256 on Python-int digits (gf._sum_dtype)."""
+    if p == 2 and 2 * K - 1 <= 64:
+        return 48 * K
+    return (10 if gf._sum_dtype(p, K) is np.int64 else 5 * PY_INT) * K * K + 256
+
+
+def base_field_steps(cfg: LineExtractorConfig | ApExtractorConfig) -> int:
+    """The work, in check_cost's steps, that a config does in F_q itself at
+    one point, by ladders of at most bitlen(e) + popcount(e) products for
+    x^e: c_1^b for the first coordinate of every block of size b
+    (_block_poly_many), and the output bit of ``line``, its k - 1 squarings
+    for the trace (even q) or a^((q - 1)/2) for the quadratic character (odd
+    q). Without the norms (extension_steps), this is all a point costs where
+    no block holds two coordinates, as for ``line`` over Z_p^2."""
+    f = cfg.field
+    products = sum(b.size.bit_length() + b.size.bit_count() for b in cfg.blocks)
+    if isinstance(cfg, LineExtractorConfig):
+        e = (f.order - 1) // 2
+        products += f.k - 1 if f.p == 2 else e.bit_length() + e.bit_count()
+    return products * _product_steps(f.p, f.k)
 
 
 def config_for_group(obj: dict, group: Group) -> ExtractorConfig:
@@ -398,10 +421,11 @@ def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
     Along any line a + t d with d != 0, f restricts to a polynomial in t of
     degree equal to the largest block size on which d is nonzero, with
     leading coefficient the norm of that block slice of d. The work of the
-    extension fields and norms (extension_steps) is checked first.
+    extension fields and norms (extension_steps) and of the points in F_q,
+    output bits included (base_field_steps), is checked first.
     """
-    check_cost(f"the extension fields and block norms of {len(X)} points",
-               work=extension_steps(cfg, len(X)))
+    check_cost(f"the extension fields and block norms of {len(X)} points and their outputs",
+               work=extension_steps(cfg, len(X)) + len(X) * base_field_steps(cfg))
     f = cfg.field
     coords = np.zeros((len(X), cfg.padded_n), dtype=X.dtype)
     coords[:, :cfg.n] = X

@@ -113,6 +113,26 @@ def test_block_norms_past_the_budget_are_refused_before_any_norm(monkeypatch):
         ex.extract_many(cfg, _points(P61, 4, 5000, 6))
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_line_output_bits_past_the_budget_exit_two(tmp_path, run_cli_capped, monkeypatch, n):
+    # the quadratic character at p = 2^61 - 1 is a ladder of about 120
+    # Python-int products a point; declared with the norms alone, 2,000 points
+    # ran under this budget, over Z_p^2 (no norm form) at any count
+    points = _points(P61, n, 2000, 7)
+    spec = write(tmp_path / "src.json", {"group": {"kind": "zp_vec", "p": P61, "n": n},
+                                         "spec": {"variant": "explicit", "elements": points}})
+    out = tmp_path / "line.csv"
+    monkeypatch.setenv("ADDEXT_BUDGET", SMALL_BUDGET)
+    code, err = run_cli_capped(["extract", "--source", spec, "--extractor", "line",
+                                "--out", str(out)], timeout=60)
+    assert code == 2 and not out.exists()
+    assert "block norms of 2000 points and their outputs" in err and "Traceback" not in err
+    monkeypatch.setattr(gf, "quadratic_character_many", refuse)
+    cfg = ex.build_for_group("line", Group.zp_vec(P61, n))
+    with pytest.raises(BudgetError):
+        ex.extract_many(cfg, points)
+
+
 def test_extension_work_counts_only_blocks_with_a_norm_form():
     # over Z_p^2 the line blocks are {x0} and {x1} padded to size 3, and the
     # ap block {x0} padded to size 2: no extension field is ever built
