@@ -20,9 +20,8 @@ import numpy as np
 from . import extractors
 from .canonical import digest
 from .errors import BudgetError, InputError
-from .numtheory import dot_mod, from_digits, to_digits
-from .sources import (BOHR_CHUNK, Source, check_cost, convolve_rows, element_budget,
-                      product_steps)
+from .numtheory import from_digits, matmul_mod, product_steps, to_digits
+from .sources import BOHR_CHUNK, Source, check_cost, convolve_rows, element_budget
 
 TOL = 1e-6
 
@@ -95,9 +94,9 @@ def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarra
     When m^N <= min(|frequencies| |values|, element_budget()) one fftn of
     the multiset's histogram on shape (m,)*N gives every frequency at once.
     Otherwise the sums are taken directly over the exact residues <a, y> mod
-    m (numtheory.dot_mod), in chunks of frequencies of at most BOHR_CHUNK / 4
-    residues (at least one frequency), after their work |frequencies|
-    |values| N product_steps(m) is checked by check_cost, the one place a
+    m (numtheory.matmul_mod), in chunks of frequencies of at most BOHR_CHUNK
+    / 4 residues (at least one frequency), after their work |frequencies|
+    |values| N product_steps(m, N) is checked by check_cost, the one place a
     budget refusal happens.
     """
     if len(values) == 0:
@@ -110,13 +109,13 @@ def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarra
         hist = np.bincount(from_digits(rows, modulus), minlength=order).reshape(shape, order="F")
         spectrum = np.abs(np.fft.fftn(hist)).ravel(order="F")
         return spectrum[[int(xi) % order for xi in frequencies]] / len(rows)
-    check_cost(f"{len(frequencies)} character sums over {len(rows)} elements of "
-               f"Z_{modulus}^{N}", work=len(frequencies) * len(rows) * N * product_steps(modulus))
+    check_cost(f"{len(frequencies)} character sums over {len(rows)} elements of Z_{modulus}^{N}",
+               work=len(frequencies) * len(rows) * N * product_steps(modulus, N))
     out = np.empty(len(frequencies))
     step = max(1, BOHR_CHUNK // 4 // len(rows))  # 256 KiB of complex128 per chunk
     for lo in range(0, len(frequencies), step):
         chunk = to_digits([int(xi) % order for xi in frequencies[lo:lo + step]], modulus, N)
-        sums = np.exp(2j * np.pi * dot_mod(chunk, rows, modulus) / modulus).sum(axis=1)
+        sums = np.exp(2j * np.pi * matmul_mod(chunk, rows.T, modulus) / modulus).sum(axis=1)
         out[lo:lo + step] = np.hypot(sums.real, sums.imag)  # abs() of each sum, to the bit
     return out / len(rows)
 

@@ -29,8 +29,7 @@ from . import gf, numtheory as nt
 from .canonical import canonical_json
 from .errors import CapacityError, InputError
 from .numtheory import MODULUS_CAP, CrtSystem
-from .sources import (PY_INT, PY_STEP, Group, check_cost, element_budget, json_int,
-                      product_steps, read_object)
+from .sources import PY_STEP, Group, check_cost, element_budget, json_int, read_object
 
 # ---------------------------------------------------------------------------
 # Z_p
@@ -251,10 +250,10 @@ def build_pgc_extractor(p: int, m: int) -> PgcExtractorConfig:
 def _pgc_baby_steps(p: int, N: int) -> int:
     """The B baby steps of N discrete logs mod p, after their cost is checked
     (check_cost): B baby and G = ceil((p - 1) / B) giant steps cost
-    u (B + G N) + G PY_STEP, u = product_steps(p), the work of one product;
-    B = sqrt((p - 1) (N + PY_STEP / u)) minimises it, held to the element
-    budget."""
-    u = product_steps(p)
+    u (B + G N) + G PY_STEP, u = numtheory.product_steps(p, 1), the work of
+    one product; B = sqrt((p - 1) (N + PY_STEP / u)) minimises it, held to
+    the element budget."""
+    u = nt.product_steps(p, 1)
     B = max(1, min(p - 1, element_budget(), math.isqrt((p - 1) * (N + PY_STEP // u) - 1) + 1))
     G = -(-(p - 1) // B)
     check_cost(f"pgc discrete logs of {N} points at p = {p} take {B} baby and {G} giant steps",
@@ -315,7 +314,7 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
 
     With q = p^k and K = k b, one product of two elements of F_(p^K) costs
     _product_steps(p, K), and a K x K matrix product mat K^3 steps, mat = 3
-    on int64 and PY_INT on Python ints.
+    numtheory.product_steps(p, K).
     Building: gf.find_irreducible tests about 2K candidates of degree K (one
     in K is irreducible; a third of them pass the root sieve where p <= K^2),
     each by bitlen(p) + popcount(p) batched K x K matrix products of
@@ -331,8 +330,7 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
     ladder, steps = p.bit_length() + p.bit_count(), 0
     for b in {block.size for block in cfg.blocks if 1 < block.size and block.start + 1 < cfg.n}:
         K = k * b
-        int64 = gf._sum_dtype(p, K) is np.int64
-        mat = 3 if int64 else PY_INT
+        mat = 3 * nt.product_steps(p, K)
         product = _product_steps(p, K)
         candidates = 2 * K // (3 if p <= K * K else 1)
         steps += (candidates * ladder * (mat * K**3 + 256)
@@ -346,11 +344,11 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
 
 def _product_steps(p: int, K: int) -> int:
     """The work of one product of two elements of F_(p^K) at one point, in
-    check_cost's steps: 48 K on F_2 bitmasks (2K - 1 <= 64), 10 K^2 + 256 on
-    int64 digits and 5 PY_INT K^2 + 256 on Python-int digits (gf._sum_dtype)."""
+    check_cost's steps: 48 K on F_2 bitmasks (2K - 1 <= 64), else 10 u K^2 +
+    256 on digits, u = numtheory.product_steps(p, K) (gf._mul_digits)."""
     if p == 2 and 2 * K - 1 <= 64:
         return 48 * K
-    return (10 if gf._sum_dtype(p, K) is np.int64 else 5 * PY_INT) * K * K + 256
+    return 10 * nt.product_steps(p, K) * K * K + 256
 
 
 def base_field_steps(cfg: LineExtractorConfig | ApExtractorConfig) -> int:
@@ -392,23 +390,20 @@ def _json_ints(v, what: str):
 
 def _coordinates(cfg: LineExtractorConfig | ApExtractorConfig,
                  points: list) -> np.ndarray:
-    """The points as an (N, n) array in the field's gf.digit_dtype; InputError
-    unless each point is n integers in [0, q)."""
+    """The points as an (N, n) int64 array; InputError unless each point is n
+    integers in [0, q), q < 2^63 (Group's bound on F_q)."""
     f = cfg.field
-    dtype = gf.digit_dtype(f)
     if not points:
-        return np.zeros((0, cfg.n), dtype=dtype)
+        return np.zeros((0, cfg.n), dtype=np.int64)
     try:
-        X = np.array(points, dtype=object if dtype is object else None)
+        X = np.array(points)
     except ValueError:  # points of different lengths
         X = None
-    if (X is None or X.shape != (len(points), cfg.n)
-            or not (X.dtype.kind in "iu" or X.dtype == object and all(
-                isinstance(c, (int, np.integer)) for c in X.flat))
-            or not 0 <= X.min() <= X.max() < f.order):
+    if (X is None or X.shape != (len(points), cfg.n) or X.dtype.kind not in "iu"
+            or not 0 <= X.min() <= X.max() < min(f.order, MODULUS_CAP)):
         raise InputError(f"expected points of F_q^{cfg.n}, q = {f.order}: "
                          f"{cfg.n} integers in [0, q) each")
-    return X.astype(dtype, copy=False)
+    return X.astype(np.int64, copy=False)
 
 
 def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
@@ -437,7 +432,7 @@ def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
         if general.any():
             ext = gf.get_extension(f, block.size)
             norm[general] = nt.to_digits(gf.norms_many(ext, c[general]), f.p, f.k)
-        acc = (acc + norm) % f.p
+        acc = nt.add_mod(acc, norm, f.p)
     return acc
 
 

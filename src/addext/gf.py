@@ -7,13 +7,13 @@ mod p (FieldSpec.tail). Field elements are encoded as integers in [0, p^k):
 value = sum c_i p^i over the polynomial basis 1, theta, ..., theta^(k-1),
 theta the residue of x mod f.
 
-All field arithmetic is on arrays: N elements are an (N, k) array of those
-F_p digits c_i, so that p^k never has to fit in a machine word: int64 where
-its sums stay exact, Python ints (dtype object) above that (digit_dtype).
-FieldSpec itself only names a field; encodings and digits convert by
-numtheory's to_digits / from_digits (base p, k digits), and products, powers
-and the embedding of F_q in F_{q^b} are mul_many, pow_many and the matrices
-of _norm_maps.
+All field arithmetic is on arrays: N elements are an (N, k) int64 array of
+those F_p digits c_i, so that p^k never has to fit in a machine word, and
+every product of digits mod p is numtheory's: mul_mod, and matmul_mod for
+every matrix, exact for any p < 2^63. FieldSpec itself only names a field;
+encodings and digits convert by numtheory's to_digits / from_digits (base p,
+k digits), and products, powers and the embedding of F_q in F_{q^b} are
+mul_many, pow_many and the matrices of _norm_maps.
 
 Building a field is F_p linear algebra on arrays too (companion matrices
 and their powers, no polynomial arithmetic). find_irreducible tests blocks
@@ -21,7 +21,8 @@ of candidate moduli at once, each by its own Frobenius matrix h -> h^p mod f
 (Berlekamp's rank test); get_extension finds the subfield F_q of F_{q^b}
 from the Frobenius matrix of the extension, and its embedding and lift are
 matrix powers of x -> x beta and x -> x theta. The matrix of h -> h^q on
-F_{q^b} (_frobenius) is built once per extension: it gives the trace images
+F_{q^b} (_frobenius) is built once per extension, as a power of the
+Frobenius matrix that certified its modulus: it gives the trace images
 of that subfield search and every conjugate of norms_many, whose norm
 u u^q ... u^(q^(b-1)) is b - 1 steps through that matrix and b - 1
 products, on digits or, in characteristic 2, on bitmasks (_native).
@@ -36,7 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .numtheory import factorize, from_digits, is_prime, to_digits
+from .numtheory import (PRODUCT_CHUNK, add_mod, factorize, from_digits, int64_sums, is_prime,
+                        matmul_mod, mul_mod, to_digits)
 
 NORM_CHUNK = 2048  # rows per step of the chunked routes; their arrays hold O(NORM_CHUNK * k) ints
 
@@ -47,9 +49,9 @@ NORM_CHUNK = 2048  # rows per step of the chunked routes; their arrays hold O(NO
 
 def _companion(tails: np.ndarray, p: int) -> np.ndarray:
     """The matrix of h -> h x mod f = x^k + sum_j tail[j] x^j for each tail on
-    the last axis of ``tails``, in its dtype: row i is x^(i+1) mod f."""
+    the last axis of ``tails``: row i is x^(i+1) mod f."""
     k = tails.shape[-1]
-    out = np.zeros(tails.shape + (k,), dtype=tails.dtype)
+    out = np.zeros(tails.shape + (k,), dtype=np.int64)
     out[..., np.arange(k - 1), np.arange(1, k)] = 1
     out[..., -1, :] = -tails % p
     return out
@@ -58,9 +60,9 @@ def _companion(tails: np.ndarray, p: int) -> np.ndarray:
 def _orbit(v: np.ndarray, m: np.ndarray, c: int, p: int) -> np.ndarray:
     """v, v m, ..., v m^(c-1) mod p on a new first axis, (c, ..., n), for row
     vectors v (..., n) and matrices m (..., n, n) that broadcast to v."""
-    out = np.empty((c,) + v.shape, dtype=np.result_type(v, m))
+    out = np.empty((c,) + v.shape, dtype=np.int64)
     for j in range(c):
-        out[j] = v if j == 0 else (out[j - 1][..., None, :] @ m)[..., 0, :] % p
+        out[j] = v if j == 0 else matmul_mod(out[j - 1][..., None, :], m, p)[..., 0, :]
     return out
 
 
@@ -95,13 +97,7 @@ def _row_reduce(rows: Sequence[Sequence[int]],
 # the tail of the monic f_i = x^k + sum_j tails[i, j] x^j
 # ---------------------------------------------------------------------------
 
-_CERTIFIED: set = set()  # (modulus, p) that _first_irreducible proved irreducible
-
-
-def _sum_dtype(p: int, k: int) -> type:
-    """int64 where a sum of k products of F_p digits (at most k (p-1)^2) fits
-    it, as in a product of k x k matrices mod p, else object: Python ints."""
-    return np.int64 if k * (p - 1) ** 2 < 1 << 63 else object
+_CERTIFIED: dict = {}  # (modulus, p) that _first_irreducible proved irreducible -> its frob
 
 
 def _root_free(tails: np.ndarray, p: int) -> np.ndarray:
@@ -131,19 +127,22 @@ def _first_irreducible(tails: np.ndarray, p: int) -> int | None:
     h -> h^p (row i is x^(i p)), and x^(p^k) = x by k steps through frob, so
     that f | x^(p^k) - x is squarefree and (Berlekamp) has dim ker(frob - I)
     irreducible factors. The survivors, in order, are certified by
-    rank(frob - I) = k - 1; the first that passes is recorded in _CERTIFIED.
+    rank(frob - I) = k - 1; the first that passes is recorded in _CERTIFIED,
+    with its frob, the matrix of h -> h^p in F_p[x]/(f) (_frobenius).
     """
     k = tails.shape[1]
     keep = np.flatnonzero(_root_free(tails, p))
     times_x = _companion(tails[keep], p)
     x = times_x[:, 0]  # row 0 of times_x: x itself
-    times_xp = _ladder(lambda a, b: a @ b % p, times_x, p)
-    eye = np.eye(k, dtype=tails.dtype)
+    times_xp = _ladder(lambda a, b: matmul_mod(a, b, p), times_x, p)
+    eye = np.eye(k, dtype=np.int64)
     frob = _orbit(np.broadcast_to(eye[0], x.shape), times_xp, k, p).swapaxes(0, 1)
     h = _orbit(x, frob, k + 1, p)[-1]  # x^(p^k)
     for i in np.flatnonzero((h == x).all(axis=1)).tolist():
         if len(_row_reduce((frob[i] - eye).tolist(), p)[0]) == k - 1:
-            _CERTIFIED.add((tuple(tails[keep[i]].tolist()) + (1,), p))
+            phi = frob[i].copy()
+            phi.flags.writeable = False  # shared by every caller of _frobenius
+            _CERTIFIED[tuple(tails[keep[i]].tolist()) + (1,), p] = phi
             return int(keep[i])
     return None
 
@@ -157,7 +156,7 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
         return False
     if k == 1 or (f, p) in _CERTIFIED:
         return True
-    return is_prime(p) and _first_irreducible(np.array([f[:-1]], dtype=_sum_dtype(p, k)), p) == 0
+    return is_prime(p) and _first_irreducible(np.array([f[:-1]], dtype=np.int64), p) == 0
 
 
 def find_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -179,10 +178,10 @@ def find_irreducible(p: int, k: int) -> tuple[int, ...]:
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
     binomials = all((p - 1) % r == 0 for r in factorize(k)) and (k % 4 or p % 4 == 1)
-    start, size, end, dtype = 0 if binomials else p, k, p**k, _sum_dtype(p, k)
+    start, size, end = 0 if binomials else p, k, p**k
     while start < end:
         size = min(size, max(1, NORM_CHUNK // k))
-        tails = to_digits(np.arange(start, min(start + size, end)), p, k).astype(dtype)
+        tails = to_digits(np.arange(start, min(start + size, end)), p, k)
         i = _first_irreducible(tails, p)
         if i is not None:
             return tuple(tails[i].tolist()) + (1,)
@@ -265,33 +264,37 @@ def get_extension(base: FieldSpec, degree: int) -> ExtensionField:
 # batch arithmetic on digit arrays
 # ---------------------------------------------------------------------------
 
-def digit_dtype(spec: FieldSpec) -> type:
-    """int64 where it holds every encoding and every sum of _mul_digits
-    (_sum_dtype), else object: Python ints, exact at any size."""
-    return _sum_dtype(spec.p, spec.k) if spec.order - 1 < 1 << 63 else object
-
-
 @functools.lru_cache(maxsize=None)
 def _reduction_matrix(spec: FieldSpec) -> np.ndarray:
     """Row j holds the digits of x^(k+j) mod the modulus, j < k - 1: x^k, the
     last row of the companion matrix, times that matrix j times."""
     p, k = spec.p, spec.k
-    times_x = _companion(np.array(spec.tail, dtype=_sum_dtype(p, k)), p)
-    out = _orbit(times_x[-1], times_x, k - 1, p).astype(np.int64)
+    times_x = _companion(np.array(spec.tail, dtype=np.int64), p)
+    out = _orbit(times_x[-1], times_x, k - 1, p)
     out.flags.writeable = False  # cached: shared by every caller
     return out
 
 
 def _mul_digits(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise products of (N, k) digit arrays: the 2k-1 product coefficients
-    mod p, then the top k-1 folded down by the modulus. No sum exceeds
-    k (p-1)^2, so int64 digits stay exact where digit_dtype gives int64."""
+    mod p, then the top k-1 folded down by the modulus (_reduction_matrix).
+    Each output digit sums at most k products of digits: in int64, with one
+    % for the fold and the low coefficients, while k (p-1)^2 < 2^63
+    (int64_sums), else by mul_mod, PRODUCT_CHUNK products at a time, and
+    add_mod."""
     p, k = spec.p, spec.k
-    c = np.zeros((a.shape[0], 2 * k - 1), dtype=a.dtype)
-    for i in range(k):
-        c[:, i:i + k] += a[:, i, None] * b
-    c %= p
-    return (c[:, :k] + c[:, k:] @ _reduction_matrix(spec)) % p
+    c = np.zeros((len(a), 2 * k - 1), dtype=np.int64)
+    if int64_sums(p, k):
+        for i in range(k):
+            c[:, i:i + k] += a[:, i, None] * b
+        c %= p
+        return (c[:, :k] + c[:, k:] @ _reduction_matrix(spec)) % p
+    step = max(1, PRODUCT_CHUNK // b.size)
+    for s in range(0, k, step):
+        products = mul_mod(a[:, s:s + step, None], b[:, None, :], p)  # row i - s: a_i b
+        for i, row in enumerate(products.swapaxes(0, 1), s):
+            c[:, i:i + k] = add_mod(c[:, i:i + k], row, p)
+    return add_mod(c[:, :k], matmul_mod(c[:, k:], _reduction_matrix(spec), p), p)
 
 
 def _uses_bitmasks(spec: FieldSpec) -> bool:
@@ -319,15 +322,21 @@ def _mul_bits(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ladder(mul: Callable, a: np.ndarray, e: int) -> np.ndarray:
-    """a^e for e >= 1 by right-to-left square-and-multiply."""
+    """a^e for e >= 1 by right-to-left square-and-multiply, each multiply but
+    the last in one call with the squaring beside it, on their rows stacked:
+    half the calls, for operands small enough that a call costs more than
+    its arithmetic (numtheory's limb products of K x K matrices)."""
     result = None
-    while True:
-        if e & 1:
-            result = a.copy() if result is None else mul(result, a)
+    while e > 1:
+        if e & 1 and result is not None:
+            both = mul(np.concatenate([result, a]), np.concatenate([a, a]))
+            result, a = both[:len(a)], both[len(a):]
+        else:
+            if e & 1:
+                result = a
+            a = mul(a, a)
         e >>= 1
-        if not e:
-            return result
-        a = mul(a, a)
+    return a.copy() if result is None else mul(result, a)
 
 
 def _native(spec: FieldSpec) -> tuple[Callable, Callable, Callable]:
@@ -347,7 +356,7 @@ def _linear_map(spec: FieldSpec, m: np.ndarray) -> Callable:
     F_p-linear map (row i the digits of the image of theta^i): the XOR of the
     rows' bitmasks that the bits of x select, or x @ m mod p on digits."""
     if not _uses_bitmasks(spec):
-        return lambda x: x @ m % spec.p
+        return lambda x: matmul_mod(x, m, spec.p)
     masks = from_digits(m, 2).astype(np.uint64)
 
     def apply(x):
@@ -359,16 +368,13 @@ def _linear_map(spec: FieldSpec, m: np.ndarray) -> Callable:
 
 
 def mul_many(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The field product of each row pair of two (N, k) digit arrays, in the
-    dtype that digit_dtype gives for the field (int64 digits are exact only
-    where it gives int64)."""
+    """The field product of each row pair of two (N, k) digit arrays."""
     mul, to, back = _native(spec)
     return back(mul(to(a), to(b)))
 
 
 def pow_many(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
-    """x^e, e >= 1, for each row x of an (N, k) digit array (in the dtype of
-    digit_dtype, as for mul_many)."""
+    """x^e, e >= 1, for each row x of an (N, k) digit array."""
     if e < 1:
         raise InputError("pow_many takes exponents >= 1")
     mul, to, back = _native(spec)
@@ -421,13 +427,14 @@ def quadratic_character_many(spec: FieldSpec, a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _frobenius(ext: FieldSpec, k: int) -> np.ndarray:
-    """The (K, K) matrix of h -> h^q, q = p^k, on the digits of ext = F_(p^K),
-    in _sum_dtype(p, K), so that products with it stay exact: h -> h^p is
-    F_p-linear, with the matrix phi whose row i is theta^(i p) (one pow_many
-    on the identity), and h -> h^q is phi^k (_orbit)."""
+    """The (K, K) matrix of h -> h^q, q = p^k, on the digits of ext = F_(p^K):
+    h -> h^p is F_p-linear, with the matrix phi whose row i is theta^(i p),
+    the one that certified ext's modulus (_CERTIFIED; the identity at K = 1),
+    and h -> h^q is phi^k (_orbit)."""
     p = ext.p
-    eye = np.eye(ext.k, dtype=_sum_dtype(p, ext.k))
-    out = _orbit(eye, pow_many(ext, eye, p), k + 1, p)[-1]
+    eye = np.eye(ext.k, dtype=np.int64)
+    is_irreducible(ext.modulus, p)  # certified afresh if _CERTIFIED lost it
+    out = _orbit(eye, _CERTIFIED.get((ext.tail + (1,), p), eye), k + 1, p)[-1]
     out.flags.writeable = False  # cached: shared by every caller
     return out
 
@@ -437,7 +444,7 @@ def _trace_images(ext: FieldSpec, base: FieldSpec) -> np.ndarray:
     as a (K, K) digit array: the sum of the first b powers of the Frobenius
     matrix of h -> h^q (_frobenius, _orbit)."""
     frob_q = _frobenius(ext, base.k)
-    eye = np.eye(ext.k, dtype=frob_q.dtype)
+    eye = np.eye(ext.k, dtype=np.int64)
     return _orbit(eye, frob_q, ext.k // base.k, ext.p).sum(axis=0) % ext.p
 
 
@@ -455,7 +462,7 @@ def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
     basis = np.array(rows, dtype=np.int64)
     roots = []
     for s in range(0, q, NORM_CHUNK):
-        u = to_digits(np.arange(s, min(s + NORM_CHUNK, q)), p, k) @ basis % p
+        u = matmul_mod(to_digits(np.arange(s, min(s + NORM_CHUNK, q)), p, k), basis, p)
         acc = np.zeros_like(u)
         acc[:, 0] = 1  # the modulus is monic
         for coef in reversed(base.tail):
@@ -469,8 +476,7 @@ def _subfield_root(ext: FieldSpec, base: FieldSpec) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The F_p-linear maps of norms_many, as matrices over F_p digits in
-    _sum_dtype(p, K), so that their products stay exact:
+    """The F_p-linear maps of norms_many, as matrices over F_p digits:
 
     * embed (k, K): base digits c_0..c_(k-1) to the E digits of the image
       sum c_j beta^j; row j is beta^j, 1 times the matrix of x -> x beta j times;
@@ -482,18 +488,17 @@ def _norm_maps(ext: ExtensionField) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """
     base, E = ext.base, ext.ext
     p, k, K = base.p, base.k, E.k
-    dtype = _sum_dtype(p, K)
-    eye = np.eye(K, dtype=dtype)
-    beta = to_digits(ext.beta, p, K).astype(dtype)
+    eye = np.eye(K, dtype=np.int64)
+    beta = to_digits(ext.beta, p, K)
     embed = _orbit(eye[0], mul_many(E, eye, np.broadcast_to(beta, eye.shape)), k, p)
-    times_theta = _companion(np.array(E.tail, dtype=dtype), p)  # theta is x in E
+    times_theta = _companion(np.array(E.tail, dtype=np.int64), p)  # theta is x in E
     lift = _orbit(embed, times_theta, ext.degree, p).reshape(-1, K)
     # row reducing [embed | I] gives [R | T] with T embed = R, R = I on the pivots
     rows, pivots = _row_reduce([e + [int(i == j) for j in range(k)]
                                 for i, e in enumerate(embed.tolist())], p)
     if len(rows) != k or max(pivots) >= K:
         raise AssertionError("the embedding is not injective")
-    maps = (lift, embed, np.array(pivots), np.array([r[K:] for r in rows], dtype=dtype))
+    maps = (lift, embed, np.array(pivots), np.array([r[K:] for r in rows], dtype=np.int64))
     for m in maps:
         m.flags.writeable = False  # cached: shared by every caller
     return maps
@@ -505,8 +510,8 @@ def _to_base(ext: ExtensionField, u: np.ndarray) -> np.ndarray:
     checked by re-embedding."""
     p = ext.base.p
     _, embed, pivots, back = _norm_maps(ext)
-    v = u[:, pivots] @ back % p
-    if not (v @ embed % p == u).all():
+    v = matmul_mod(u[:, pivots], back, p)
+    if not (matmul_mod(v, embed, p) == u).all():
         raise AssertionError("norm value escaped the base field")
     return v
 
@@ -530,7 +535,7 @@ def _norms_by(ext: ExtensionField, coords, conjugate: Callable) -> np.ndarray:
     out = np.empty(len(c), dtype=np.int64)
     for s in range(0, len(c), NORM_CHUNK):
         chunk = to_digits(c[s:s + NORM_CHUNK], p, ext.base.k)
-        u = acc = to(chunk.reshape(len(chunk), -1) @ lift % p)
+        u = acc = to(matmul_mod(chunk.reshape(len(chunk), -1), lift, p))
         for _ in range(ext.degree - 1):
             u = conjugate(u)
             acc = mul(acc, u)

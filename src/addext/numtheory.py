@@ -1,8 +1,10 @@
 """Exact modular arithmetic: primes in arithmetic progressions, subgroup
 generators, Chinese-remainder moduli systems, the one subgroup walk (powers)
-and the batched discrete logs read from it, the one kernel of inner products
-mod m (dot_mod), and the one base-m digit codec (to_digits / from_digits) of
-group indices and field encodings.
+and the batched discrete logs read from it, the one exact product of int64
+residues mod m < 2^63 (mul_mod, matmul_mod and add_mod, priced by
+product_steps), and the one base-m digit codec (to_digits / from_digits) of
+group indices and field encodings, the only arrays of Python ints: an index
+or an encoding of 2^63 or more.
 
 All functions are pure and deterministic; "smallest" is the canonical choice
 wherever a prime or generator has to be picked, so every derived constant is
@@ -20,6 +22,10 @@ import numpy as np
 from .errors import CapacityError, InputError, SearchBudgetError
 
 MODULUS_CAP = 1 << 63
+# product_steps past int64_sums: mul_mod takes about 20 ns an entry on 2^14 entries
+# of a shared 2-vCPU Xeon, 40 of check_cost's 0.5 ns steps and 4 x its int64 product
+LIMB_STEPS = 32
+PRODUCT_CHUNK = 1 << 16  # products per mul_mod call of matmul_mod and gf._mul_digits
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24 > 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -165,33 +171,83 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
-def dot_mod(A, X, m: int) -> np.ndarray:
-    """The (c, n) int64 matrix of <a, x> mod m over the rows a of A and x of
-    X, (c, N) and (n, N) digits in [0, m); (c,) and (n,) residues are N = 1,
-    their products. Summed a digit at a time: int64 while (m - 1)^2 < 2^63
-    (a sum below m plus one product then stays below 2^63), exact Python
-    ints above that."""
-    dtype = np.int64 if (m - 1) ** 2 < 1 << 63 else object
-    A, X = (np.asarray(Y).astype(dtype, copy=False) for Y in (A, X))
-    A, X = (Y[:, None] if Y.ndim == 1 else Y for Y in (A, X))
-    out = A[:, 0, None] * X[None, :, 0]
-    out %= m
-    for j in range(1, A.shape[1]):
-        out += A[:, j, None] * X[None, :, j]
-        out %= m
-    return out.astype(np.int64, copy=False)
+def int64_sums(m: int, K: int) -> bool:
+    """Whether a sum of K products of residues mod m stays below 2^63."""
+    return K * (m - 1) ** 2 < MODULUS_CAP
+
+
+def product_steps(m: int, K: int) -> int:
+    """The price of one product of a sum of K mod m, in the steps of
+    sources.check_cost: 1 in int64, LIMB_STEPS by mul_mod's limbs."""
+    return 1 if int64_sums(m, K) else LIMB_STEPS
+
+
+def _fold(m: int, r: np.ndarray, estimate: np.ndarray) -> np.ndarray:
+    """v mod m, or that plus m, as uint64, for values v in [0, 2^34 m) given
+    as r = v mod 2^64 (uint64) and their quotient by m estimated in float64,
+    which is far better than 1/2 there: lowered by 1/2, the quotient is never
+    too large and at most one short, so that the remainder is below 2m <
+    2^64 and wrapping uint64 takes it exactly."""
+    return r - (estimate - 0.5).astype(np.int64).view(np.uint64) * np.uint64(m)
+
+
+def mul_mod(a, b, m: int) -> np.ndarray:
+    """a b mod m, elementwise and broadcasting, for int64 residues in [0, m),
+    m < 2^63, exact: one int64 product where int64_sums(m, 1), else by the
+    32-bit limbs b = h 2^32 + l, as t 2^32 + a l, t = a h mod m (or that plus
+    m), each reduced by _fold, less m where that leaves m or more."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if int64_sums(m, 1):
+        return a * b % m
+    if a.ndim == b.ndim == 0:  # numpy scalars would warn where uint64 wraps
+        return mul_mod(a[None], b, m)[0]
+    high, low = (b >> 32).view(np.uint64), (b & 0xFFFFFFFF).view(np.uint64)
+    af, au = a.astype(np.float64), a.view(np.uint64)
+    t = _fold(m, au * high, af * (high / m))
+    r = _fold(m, (t << np.uint64(32)) + au * low, t * (2.0**32 / m) + af * (low / m))
+    return np.minimum(r, r - np.uint64(m)).view(np.int64)
+
+
+def add_mod(a, b, m: int) -> np.ndarray:
+    """a + b mod m, elementwise and broadcasting, for int64 residues in [0,
+    m), m < 2^63: the sum is taken in uint64, where it cannot overflow."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    s = a.view(np.uint64) + b.view(np.uint64)
+    return (s - np.uint64(m) * (s >= np.uint64(m))).view(np.int64)
+
+
+def matmul_mod(A, B, m: int) -> np.ndarray:
+    """A @ B mod m with the broadcasting of @, for int64 residues A (..., n, K)
+    and B (..., K, n'), m < 2^63, exact: one int64 @ where int64_sums(m, K),
+    but an outer product (K = 1) is mul_mod's; else the products by mul_mod,
+    PRODUCT_CHUNK at a time, their high and low 32 bits summed apart in
+    uint64 (K < 2^31) and the sums reduced by _fold."""
+    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
+    K = A.shape[-1]
+    if K == 1:
+        return mul_mod(A, B, m)
+    if int64_sums(m, K):
+        return A @ B % m
+    out = np.broadcast_shapes(A.shape[:-1] + (1,), B.shape[:-2] + (1, B.shape[-1]))
+    step = max(1, PRODUCT_CHUNK // max(1, math.prod(out)))
+    high = low = np.zeros(out, dtype=np.uint64)
+    for j in range(0, K, step):
+        u = mul_mod(A[..., j:j + step, None], B[..., None, j:j + step, :], m).view(np.uint64)
+        high = high + np.add.reduce(u >> np.uint64(32), axis=-2)
+        low = low + np.add.reduce(u & np.uint64(0xFFFFFFFF), axis=-2)
+    high %= np.uint64(m)
+    r = _fold(m, (high << np.uint64(32)) + low, high * (2.0**32 / m) + low / m)
+    return np.minimum(r, r - np.uint64(m)).view(np.int64)
 
 
 def powers(g: int, count: int, q: int) -> np.ndarray:
     """g^0, g^1, ..., g^(count-1) mod q as int64: one subgroup walk by
-    doubling, the powers so far times g^(their number) by dot_mod. Where
-    (q - 1)^2 >= 2^63 a step takes at most isqrt(count) + 1 of them, which
-    bounds the Python ints that dot_mod holds at once."""
+    doubling, the powers so far times g^(their number) by mul_mod."""
     out = np.ones(count, dtype=np.int64)
-    done, width = 1, count if (q - 1) ** 2 < 1 << 63 else math.isqrt(count) + 1
+    done = 1
     while done < count:
-        step = min(done, count - done, width)
-        out[done:done + step] = dot_mod(out[:step], [pow(g, done, q)], q)[:, 0]
+        step = min(done, count - done)
+        out[done:done + step] = mul_mod(out[:step], pow(g, done, q), q)
         done += step
     return out
 
@@ -218,7 +274,7 @@ def discrete_logs(g: int, ys, p: int, baby: int) -> np.ndarray:
         todo, cur = todo[~hit], cur[~hit]
         if not len(todo):
             break
-        cur = dot_mod(cur, [giant], p)[:, 0]
+        cur = mul_mod(cur, giant, p)
     return out
 
 
@@ -232,16 +288,15 @@ def _weights(m: int, N: int) -> np.ndarray:
 
 def to_digits(codes, m: int, N: int) -> np.ndarray:
     """The N little-endian base-m digits of each code in [0, m^N), shape
-    (..., N): int64 for int64 codes, Python ints (dtype object) for object
-    codes and for Python ints of 2^63 or more, which numpy would read as
-    uint64 or float64."""
+    (..., N), int64: codes of 2^63 or more (Python ints, which numpy would
+    read as uint64 or float64, or object arrays of them) are divided as
+    Python ints, and only their digits, each below m, leave the codec."""
     array = np.asarray(codes)
     if array.dtype.kind not in "iO":
         array = np.array(codes, dtype=object)
-    dtype = array.dtype if array.dtype == object else np.int64
     w = _weights(m, N)
-    return (array.astype(np.result_type(dtype, w.dtype), copy=False)[..., None] // w % m
-            ).astype(dtype, copy=False)
+    return (array.astype(np.result_type(array.dtype, w.dtype), copy=False)[..., None] // w % m
+            ).astype(np.int64, copy=False)
 
 
 def from_digits(digits, m: int) -> np.ndarray:

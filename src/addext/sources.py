@@ -24,18 +24,14 @@ import numpy as np
 from . import gf
 from .canonical import digest
 from .errors import BudgetError, InputError
-from .numtheory import MODULUS_CAP, CrtSystem, dot_mod, from_digits, is_prime, to_digits
+from .numtheory import (MODULUS_CAP, CrtSystem, from_digits, is_prime, matmul_mod, mul_mod,
+                        product_steps, to_digits)
 
 DEFAULT_ELEMENT_BUDGET = 1 << 26
 # Work counts array-entry steps (a numpy pass over one entry, ~0.5 ns on a 2-vCPU
-# Xeon), a Python loop step as PY_STEP of them and a product of Python ints (dot_mod
-# where (m - 1)^2 >= 2^63) as PY_INT; a run may do WORK_FACTOR x the budget (check_cost).
-PY_STEP, PY_INT, WORK_FACTOR = 1 << 11, 1 << 7, 1 << 10
-
-
-def product_steps(m: int) -> int:
-    """The work of one entry of dot_mod mod m: 1 step in int64, PY_INT above."""
-    return 1 if (m - 1) ** 2 < 1 << 63 else PY_INT
+# Xeon), a Python loop step as PY_STEP of them and a product mod m as
+# numtheory.product_steps; a run may do WORK_FACTOR x the budget (check_cost).
+PY_STEP, WORK_FACTOR = 1 << 11, 1 << 10
 
 
 def element_budget() -> int:
@@ -55,7 +51,7 @@ def _figure(n: int) -> str:
 def check_cost(what: str, held: int = 0, work: int = 0) -> None:
     """The one budget refusal, made before anything is built: BudgetError
     when ``what`` holds more than element_budget() array entries at once, or
-    works more than WORK_FACTOR times it in steps (PY_STEP, PY_INT)."""
+    works more than WORK_FACTOR times it in steps (PY_STEP, numtheory.product_steps)."""
     budget = element_budget()
     if held > budget:
         raise BudgetError(f"{what}, {_figure(held)} entries: past the element budget {budget}")
@@ -426,15 +422,16 @@ def bohr_vmax(m: int, rho) -> int:
     return min((rho.numerator * m - 1) // rho.denominator, m - 1)
 
 
-BOHR_CHUNK = 1 << 16  # entries per dot_mod matrix of _bohr_set (512 KiB); charsum_table takes 1/4
+BOHR_CHUNK = 1 << 16  # entries per residue matrix of _bohr_set (512 KiB); charsum_table takes 1/4
 
 
 def _bohr_set(group: Group, freqs: Sequence, rho) -> set:
     """Bohr(freqs, rho): the x with min(v, m - v) <= bohr_vmax(m, rho) for
     every residue v = <xi, x> mod m, tested over chunks of the group's index
-    range, each a dot_mod matrix of at most BOHR_CHUNK entries (at least one
-    index), after the group's order is checked as held entries and the
-    dot_mod work, |freqs| N order product_steps(m), as work (check_cost).
+    range, each a numtheory.matmul_mod matrix of at most BOHR_CHUNK entries
+    (at least one index), after the group's order is checked as held entries
+    and the matmul_mod work, |freqs| N order product_steps(m, N), as work
+    (check_cost).
     Frequencies are reduced below m, and one that is zero mod m is an input
     error."""
     if group.field:
@@ -442,7 +439,7 @@ def _bohr_set(group: Group, freqs: Sequence, rho) -> set:
     m, n = group.zmn
     vmax = bohr_vmax(m, rho)
     check_cost(f"a Bohr set of {len(freqs)} frequencies over the {group.kind} group",
-               held=group.order, work=len(freqs) * n * group.order * product_steps(m))
+               held=group.order, work=len(freqs) * n * group.order * product_steps(m, n))
     vec = group.kind == "zp_vec"
     coeffs = []
     for xi in freqs:
@@ -458,7 +455,7 @@ def _bohr_set(group: Group, freqs: Sequence, rho) -> set:
     for lo in range(0, group.order, step):
         rest = np.arange(lo, min(lo + step, group.order), dtype=np.int64)
         digits = to_digits(rest, m, n)
-        v = dot_mod(coeffs, digits, m)
+        v = matmul_mod(coeffs, digits.T, m)
         keep = (np.minimum(v, m - v) <= vmax).all(axis=0)
         out.update(group.from_digits(digits[keep] if vec else rest[keep]))
     return out
@@ -467,18 +464,17 @@ def _bohr_set(group: Group, freqs: Sequence, rho) -> set:
 def _multiples(group: Group, gens: np.ndarray, count: int, scalars: bool) -> np.ndarray:
     """(count, r, N) digit rows of count multiples of each of r generators,
     given as (r, N) digit rows: the integer multiples t g, digitwise
-    (t mod m) g mod m by one numtheory.dot_mod, or with ``scalars`` the
+    (t mod m) g mod m by one numtheory.mul_mod, or with ``scalars`` the
     base-field multiples, t running over the encodings of the coordinate
     field (Z_p as F_p), by one gf.mul_many."""
     m = group.zmn[0]
     if not scalars:
-        return dot_mod(np.arange(count) % m, gens.ravel(), m).reshape(count, *gens.shape)
+        return mul_mod(np.arange(count)[:, None] % m, gens.ravel(), m).reshape(count, *gens.shape)
     F = group.field or gf.FieldSpec.make(group.p, 1)
-    dtype = gf.digit_dtype(F)
-    t = to_digits(np.arange(count), F.p, F.k).astype(dtype)
-    coords = gens.reshape(-1, F.k).astype(dtype)   # one row per coordinate of each generator
+    t = to_digits(np.arange(count), F.p, F.k)
+    coords = gens.reshape(-1, F.k)   # one row per coordinate of each generator
     prods = gf.mul_many(F, np.repeat(t, len(coords), axis=0), np.tile(coords, (count, 1)))
-    return prods.reshape(count, *gens.shape).astype(np.int64)
+    return prods.reshape(count, *gens.shape)
 
 
 def _span(group: Group, base, gens: Sequence, count: int, scalars: bool = False) -> set:
@@ -564,10 +560,10 @@ def build_source(spec: SourceSpec, group: Group) -> Source:
         if not 1 <= spec.size <= order:
             raise InputError("random source size out of range")
         # past 2^63 the indices are Python ints of L = N log2(m) / 64 words,
-        # which to_digits divides N times: about 4 PY_INT + 3 L^2 steps a digit
+        # which to_digits divides N times: about PY_STEP / 4 + 3 L^2 steps a digit
         big = order > sys.maxsize
         check_cost("a random source", held=spec.size,
-                   work=big * spec.size * N * (4 * PY_INT + 3 * (N * m.bit_length() // 64) ** 2))
+                   work=big * spec.size * N * (PY_STEP // 4 + 3 * (N * m.bit_length() // 64) ** 2))
         rng = random.Random(spec.seed)
         if big:
             # rng.sample needs len(range(order)), which overflows here

@@ -577,3 +577,15 @@ def charsum_per_frequency(values, m, freqs):
     v = np.asarray(values, dtype=np.int64)
     return np.array([abs(np.exp(2j * np.pi * (int(xi) % m * v % m) / m).sum())
                      for xi in freqs]) / len(values)
+
+
+# ---------------------------------------------------------------------------
+# products mod m in Python ints: the oracle of numtheory.mul_mod / matmul_mod
+# ---------------------------------------------------------------------------
+
+def matmul_mod_by_python_ints(A, B, m: int) -> np.ndarray:
+    """A @ B mod m with the broadcasting of @, exact at any size: the entries
+    as Python ints (dtype object), as numtheory.dot_mod took them where
+    (m - 1)^2 >= 2^63. Elementwise products are the matmul of (..., 1) by
+    (1, ...) columns."""
+    return (np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)) % m

@@ -120,7 +120,7 @@ def test_a_zpn_point_of_the_wrong_length_is_an_input_error():
 # baby-step counts B = p - 1 (one table of every index), about sqrt(p) and 1
 # (p - 1 giant steps); B = p - 1 is left out where its table would hold more
 # than 2^24 entries, and B = 1 where p - 1 giant steps would take seconds. At
-# p ~ 2^32, where products are Python ints, B = 4 sqrt(p) keeps the 2^14
+# p ~ 2^32, where products take 32-bit limbs, B = 4 sqrt(p) keeps the 2^14
 # giant steps under a second.
 DLOG_CASES = [(p, b) for p in (3, 11, 10007, 1000003)
               for b in sorted({p - 1, math.isqrt(p), 1})
@@ -143,7 +143,7 @@ def test_discrete_logs_match_the_one_point_oracle(case, data):
 
 @pytest.mark.parametrize("p, N, budget, baby", [
     (10007, 20, 1000, 1000),            # B = 4549 held to the budget: 11 giant steps
-    (4294967291, 5, 1 << 18, 1 << 18),  # Python-int products: B = 300,324 held to 2^18
+    (4294967291, 5, 1 << 18, 1 << 18),  # limb products: B = 544,383 held to 2^18
 ])
 def test_pgc_table_is_held_to_the_element_budget(monkeypatch, p, N, budget, baby):
     monkeypatch.setenv("ADDEXT_BUDGET", str(budget))
@@ -168,11 +168,11 @@ def test_pgc_past_its_declared_cost_is_refused_before_the_table(monkeypatch):
 
 
 def test_pgc_build_is_refused_before_its_primitive_root_search(monkeypatch):
-    # one point at this safe prime near 2^54 costs 5.9e11 steps, past
+    # one point at this safe prime near 2^54 costs 5.6e11 steps, past
     # WORK_FACTOR x 2^26: refused before p - 1 is factored by trial division
     monkeypatch.setattr(nt, "factorize", lambda n: pytest.fail("p - 1 factored"))
     with pytest.raises(BudgetError, match="pgc discrete logs of 1 points at "
-                                          "p = 18014398509483863 .* 592705489024 steps"):
+                                          "p = 18014398509483863 .* 560493234208 steps"):
         ex.build_pgc_extractor(18014398509483863, 3)
 
 
@@ -198,13 +198,13 @@ def test_norms_many_across_chunk_boundaries(monkeypatch):
 
 
 # (q, b) on each digit route of the norms: F_2 bitmasks (K = k b <= 32), F_2
-# digits (K > 32), odd p on int64 digits, and Python-int digits, where
-# K (p - 1)^2 >= 2^63
+# digits (K > 32), odd p on int64 products, and the 32-bit limbs of
+# numtheory.mul_mod, where K (p - 1)^2 >= 2^63
 NORM_ROUTES = {
     "bitmasks": [(2, 7), (4, 5), (8, 4), (32, 5)],
     "f2 digits": [(2, 33), (4, 17)],
     "int64": [(3, 7), (27, 3), (49, 5), (101, 7)],
-    "python ints": [(3037000493, 2), (3037000493, 3), (P61, 3), (P61, 4)],
+    "limbs": [(3037000493, 2), (3037000493, 3), (P61, 3), (P61, 4)],
 }
 
 
@@ -214,7 +214,7 @@ def _route(ext):
         return "bitmasks"
     if E.p == 2:
         return "f2 digits"
-    return "int64" if gf._sum_dtype(E.p, E.k) is np.int64 else "python ints"
+    return "int64" if nt.int64_sums(E.p, E.k) else "limbs"
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,6 +229,8 @@ def test_norms_by_the_frobenius_matrix_match_the_ladder_and_the_conjugates(route
                               min_size=1, max_size=12))
     with pytest.MonkeyPatch.context() as mp:        # chunks of 1 row up to one chunk
         mp.setattr(gf, "NORM_CHUNK", data.draw(st.sampled_from([1, 2, 5, gf.NORM_CHUNK])))
+        # the limbs' products of digits, 1 or 7 at a time or all at once
+        mp.setattr(gf, "PRODUCT_CHUNK", data.draw(st.sampled_from([1, 7, gf.PRODUCT_CHUNK])))
         norms = gf.norms_many(ext, rows).tolist()
         assert gf.conjugate_norms_many(ext, rows).tolist() == norms
     assert norms == [oracles.norm_poly_eval(ext, r) for r in rows]
@@ -333,18 +335,20 @@ def test_one_point_route_where_the_batch_does_not_apply():
     assert ex.extract_many(cfg, []) == []
 
 
-@pytest.mark.parametrize("p, dtype", [(3037000493, np.int64), (3037000507, object),
-                                      (P61, object)])
-def test_line_and_ap_where_int64_digit_products_overflow(tmp_path, p, dtype):
+@pytest.mark.parametrize("p, products", [(3037000493, "int64"), (3037000507, "limbs"),
+                                         (P61, "limbs")])
+def test_line_and_ap_where_int64_digit_products_overflow(tmp_path, p, products):
     # (p - 1)^2 < 2^63 for the first prime only, the largest such: above it
-    # the digits are Python ints. Over Z_p^2 the line polynomial is x0 + x1^3
-    # (blocks of sizes 1 and 3), its bit the Legendre symbol; the ap
-    # polynomial over Z_p^1 is x0^2.
+    # numtheory.mul_mod takes products by 32-bit limbs, and the digits stay
+    # int64. Over Z_p^2 the line polynomial is x0 + x1^3 (blocks of sizes 1
+    # and 3), its bit the Legendre symbol; the ap polynomial over Z_p^1 is x0^2.
     cfg = ex.build_line_extractor(p, 2)
-    assert gf.digit_dtype(cfg.field) is dtype
+    assert nt.int64_sums(p, 1) == (products == "int64")
     rng = random.Random(p)
     points = [(0, 0), (0, 1), (5, p - 1), (p - 1, p - 1)]
     points += [(rng.randrange(p), rng.randrange(p)) for _ in range(30)]
+    X = ex._coordinates(cfg, points)
+    assert X.dtype == ex._block_poly_many(cfg, X).dtype == np.int64
     want = [int(pow((x0 + pow(x1, 3, p)) % p, (p - 1) // 2, p) == p - 1)
             for x0, x1 in points]
     assert ex.extract_many(cfg, points) == want

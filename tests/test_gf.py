@@ -86,7 +86,7 @@ def test_rank_test_rejects_every_squarefree_reducible(monkeypatch):
     # x(x + 1)(x^2 + x + 1) = x^4 + x over F_2 among them; so do the
     # irreducibles, each certified afresh.
     monkeypatch.setattr(gf, "_root_free", lambda tails, p: np.ones(len(tails), dtype=bool))
-    monkeypatch.setattr(gf, "_CERTIFIED", set())
+    monkeypatch.setattr(gf, "_CERTIFIED", {})
     reached = 0
     for p, kmax in IRREDUCIBILITY_GRID:
         for k in range(2, kmax + 1):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from addext import gf, numtheory as nt
 from addext.errors import CapacityError, InputError
@@ -140,26 +141,56 @@ def test_discrete_log_roundtrip_exhaustive():
         assert oracles.discrete_log(g5, oracles.Residue(pow(3, e, 11), 11), 5) == e
 
 
-# the last modulus with int64 products, the first with Python-int products,
-# and moduli far on either side
-DOT_MODULI = [2, 7, 1000003, 3037000500, 3037000501, (1 << 61) - 1, (1 << 63) - 25]
+# the kernel's int64 moduli, and the limbs' on either side of (m - 1)^2 = 2^63
+# (3037000493 and 3037000507, the primes nearest it), past 2^52, 2^61, 2^62
+# and up to 2^63 - 25, the largest prime below MODULUS_CAP
+INT64_MODULI = [2, 7, 1000003, 2**31 - 1]
+LIMB_MODULI = [3037000493, 3037000507, 2**52 - 59, 2**61 - 1, 2**62 + 135, 2**63 - 25]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(DOT_MODULI), st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
-       st.data())
-def test_dot_mod_matches_python_integers(m, N, c, n, data):
-    digit = st.integers(0, m - 1) | st.sampled_from([0, m - 1])
-    A = data.draw(st.lists(st.lists(digit, min_size=N, max_size=N), min_size=c, max_size=c))
-    X = data.draw(st.lists(st.lists(digit, min_size=N, max_size=N), min_size=n, max_size=n))
-    want = [[sum(a * x for a, x in zip(ra, rx)) % m for rx in X] for ra in A]
-    got = nt.dot_mod(np.array(A, dtype=np.int64).reshape(c, N),
-                     np.array(X, dtype=np.int64).reshape(n, N), m)
-    assert got.dtype == np.int64 and got.shape == (c, n) and got.tolist() == want
-    # residues are one-digit rows: their products
-    ys = [r[0] for r in A]
-    assert nt.dot_mod(ys, [x[0] for x in X], m).tolist() == [
-        [y * r[0] % m for r in X] for y in ys]
+def _residues(m, shape):
+    """int64 arrays of residues mod m, 0, 1 and m - 1 among the draws."""
+    return hnp.arrays(np.int64, shape,
+                      elements=st.integers(0, m - 1) | st.sampled_from([0, 1, m - 1]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(INT64_MODULI + LIMB_MODULI),
+       hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_side=5), st.data())
+def test_mul_mod_matches_python_integers(m, shapes, data):
+    a, b = (data.draw(_residues(m, shape)) for shape in shapes.input_shapes)
+    got = nt.mul_mod(a, b, m)
+    assert got.dtype == np.int64 and got.shape == shapes.result_shape
+    want = oracles.matmul_mod_by_python_ints(a[..., None, None], b[..., None, None], m)
+    assert got.tolist() == np.asarray(want[..., 0, 0]).tolist()
+    want = (a.astype(object) + b.astype(object)) % m
+    assert nt.add_mod(a, b, m).tolist() == np.asarray(want).tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(INT64_MODULI + LIMB_MODULI), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 80), st.integers(1, 4), st.sampled_from(["both", "left", "right"]),
+       st.sampled_from([1, 7, nt.PRODUCT_CHUNK]), st.data())
+def test_matmul_mod_matches_python_integers(m, B, n, K, K2, batched, chunk, data):
+    # (B, n, K) @ (B, K, K'), or one side unbatched and broadcast, with the
+    # products of the limbs taken 1, 7 or PRODUCT_CHUNK at a time
+    A = data.draw(_residues(m, (B, n, K) if batched != "right" else (n, K)))
+    X = data.draw(_residues(m, (B, K, K2) if batched != "left" else (K, K2)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nt, "PRODUCT_CHUNK", chunk)
+        got = nt.matmul_mod(A, X, m)
+    assert got.dtype == np.int64 and got.shape == (B, n, K2)
+    assert got.tolist() == oracles.matmul_mod_by_python_ints(A, X, m).tolist()
+
+
+def test_the_kernel_takes_int64_products_exactly_where_they_fit():
+    # (m - 1)^2 < 2^63 up to 3037000493; K products up to m - 1 < 2^63 / K
+    assert nt.int64_sums(3037000493, 1) and not nt.int64_sums(3037000507, 1)
+    assert [nt.product_steps(3037000493, K) for K in (1, 2)] == [1, nt.LIMB_STEPS]
+    m = 3037000507
+    a = np.array([m - 1, m - 2, 1 << 32, 0])
+    assert nt.mul_mod(a, a, m).tolist() == [int(x) ** 2 % m for x in a]
+    assert nt.mul_mod(m - 1, m - 1, m) == 1   # 0-d operands
 
 
 @pytest.mark.parametrize("g, q", [(1, 2), (2, 11), (5, 10007), (2, 4294967291),
@@ -251,11 +282,10 @@ def _codec_cases(draw):
 @given(_codec_cases())
 def test_digit_codec_round_trips_and_agrees_with_divmod(case):
     m, N, codes, form = case
-    fits = max(codes) < 1 << 63
     array = codes if form == "list" else np.array(codes, dtype=object if form == "object" else np.int64)
     digits = nt.to_digits(array, m, N)
     assert digits.shape == (len(codes), N)
-    assert digits.dtype == (object if form == "object" or not fits else np.int64)
+    assert digits.dtype == np.int64                 # each digit is below m < 2^63
     assert digits.tolist() == [_digits_by_divmod(c, m, N) for c in codes]
     back = nt.from_digits(digits, m)
     assert back.dtype == (np.int64 if m**N <= 1 << 63 else object)

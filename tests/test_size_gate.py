@@ -94,7 +94,7 @@ def test_ap_and_line_past_2_16_match_the_oracles(tmp_path, family, m):
 @pytest.mark.parametrize("p", [3037000493, P61])
 def test_norms_past_int64_digit_products_match_the_oracles(p):
     # K (p - 1)^2 >= 2^63 for K >= 2 at both primes: the lift, the norm ladder
-    # and the way back to F_p run on Python-int digits, and 3037000493 - 1 has
+    # and the way back to F_p take products by 32-bit limbs, and 3037000493 - 1 has
     # no factor 3, so no binomial x^3 + c is irreducible and the search skips them
     points = _points(p, 4, 12, p % 1000)
     for cfg in (ex.build_line_extractor(p, 4), ex.build_ap_extractor(p, 3, 3)):
@@ -116,7 +116,7 @@ def test_block_norms_past_the_budget_are_refused_before_any_norm(monkeypatch):
 @pytest.mark.parametrize("n", [2, 4])
 def test_line_output_bits_past_the_budget_exit_two(tmp_path, run_cli_capped, monkeypatch, n):
     # the quadratic character at p = 2^61 - 1 is a ladder of about 120
-    # Python-int products a point; declared with the norms alone, 2,000 points
+    # products by 32-bit limbs a point; declared with the norms alone, 2,000 points
     # ran under this budget, over Z_p^2 (no norm form) at any count
     points = _points(P61, n, 2000, 7)
     spec = write(tmp_path / "src.json", {"group": {"kind": "zp_vec", "p": P61, "n": n},

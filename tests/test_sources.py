@@ -238,7 +238,7 @@ def test_bohr_rejects_frequencies_of_the_wrong_shape_and_huge_moduli(monkeypatch
     # budget, refused before any array is built
     with pytest.raises(BudgetError, match="entries: past the element budget"):
         build_source(BohrSpec((1,), 0.2), Group.zp(3037000507))
-    # the dot_mod work, |freqs| N order, is declared too: 1025 frequencies over Z_101
+    # the matmul_mod work, |freqs| N order, is declared too: 1025 frequencies over Z_101
     # are past 1024 x a budget of 101 entries
     monkeypatch.setenv("ADDEXT_BUDGET", "101")
     assert len(build_source(BohrSpec((1,) * 1024, 0.2), Group.zp(101))) == 41

@@ -9,7 +9,7 @@ The routes these primitives replaced are kept here as oracles: the pair
 ``sym_set``, the ``np.convolve`` fold of ``moment_sum``, the pair matrices of
 ``suite_transport`` and, in ``tests/oracles.py``, the
 one-frequency-at-a-time character sum, which is the oracle of both routes of
-``charsum_table`` (its direct route's chunks of ``numtheory.dot_mod`` and its
+``charsum_table`` (its direct route's chunks of ``numtheory.matmul_mod`` and its
 one ``fftn`` over Z_p^n). The weighted ``np.unique`` route that
 ``cyclic_convolve`` had before it took unit weights only is the oracle of
 ``convolve_rows`` (``tests/oracles.py``).
@@ -32,7 +32,7 @@ from addext.canonical import canonical_json
 from addext.cli import main
 from addext.errors import BudgetError
 from addext.gf import FieldSpec
-from addext.numtheory import CrtSystem, to_digits
+from addext.numtheory import LIMB_STEPS, CrtSystem, product_steps, to_digits
 from addext import sources
 from addext.sources import (ExplicitSpec, GapSpec, Group, build_source, convolve_rows,
                             cyclic_convolve, difference_histogram, doubling, sym_set)
@@ -413,7 +413,7 @@ def test_charsum_table_fftn_matches_per_frequency():
 
 
 def test_charsum_table_over_vectors_exact_above_int64_products():
-    # (p - 1)^2 >= 2^63, so <a, y> mod p is summed in Python integers
+    # (p - 1)^2 >= 2^63, so <a, y> mod p is summed by 32-bit limbs
     p = (1 << 61) - 1
     rng = random.Random(16)
     rows = [(rng.randrange(p), rng.randrange(p)) for _ in range(40)]
@@ -438,7 +438,7 @@ def test_charsum_table_direct_route_matches_the_oracle_across_chunk_edges(monkey
     freqs = [rng.randrange(p) for _ in range(7)] + [0, 1, p - 1]
     assert an.charsum_table(values, p, freqs).tolist() == \
         charsum_per_frequency(values, p, freqs).tolist()
-    # (p - 1)^2 >= 2^63: <a, y> mod p over Z_p^2 in Python integers
+    # (p - 1)^2 >= 2^63: <a, y> mod p over Z_p^2 by 32-bit limbs
     p = (1 << 61) - 1
     rows = [(rng.randrange(p), rng.randrange(p)) for _ in range(40)]
     indices = [rng.randrange(p * p) for _ in range(5)] + [0, p * p - 1]
@@ -455,12 +455,12 @@ def test_charsum_table_refuses_a_direct_route_past_its_cost(monkeypatch):
     with pytest.raises(BudgetError, match="past 1000 x the element budget 100"):
         an.charsum_table(values, 1009, freqs)
     assert len(an.charsum_table(values, 1009, freqs[:2500])) == 2500
-    # where (m - 1)^2 >= 2^63 each entry is a product of Python ints, PY_INT steps
+    # where (m - 1)^2 >= 2^63 each entry is a product by 32-bit limbs, LIMB_STEPS steps
     big = (1 << 61) - 1
-    assert sources.PY_INT == 128
+    assert product_steps(big, 1) == LIMB_STEPS == 32
     with pytest.raises(BudgetError, match="past 1000 x the element budget 100"):
-        an.charsum_table(values, big, range(20))  # 20 x 40 x 128 = 102,400 steps
-    assert len(an.charsum_table(values, big, range(19))) == 19
+        an.charsum_table(values, big, range(79))  # 79 x 40 x 32 = 101,120 steps
+    assert len(an.charsum_table(values, big, range(78))) == 78
 
 
 def test_cli_charsum_over_vectors_matches_per_frequency_sum(tmp_path):

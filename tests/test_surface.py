@@ -239,3 +239,48 @@ def test_the_readers_are_the_one_input_check():
     assert imports == []
     for name in ("_schema", "_valid", "_is_type", "_plain_element"):
         assert not hasattr(cli, name), name
+
+
+def _object_dtypes(tree: ast.AST, module: str) -> dict[str, list[int]]:
+    """The lines, by innermost enclosing function, that name numpy's object
+    dtype (Python ints in an array): the name object outside annotations,
+    np.object_, or "O" or "object" as a dtype= value or an astype argument."""
+    annotations = {id(n) for node in ast.walk(tree)
+                   for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+                   if ann is not None for n in ast.walk(ann)}
+    found: dict[str, list[int]] = {}
+
+    def dtype_string(n):
+        return isinstance(n, ast.Constant) and n.value in ("O", "object")
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{module}.{node.name}"
+        if id(node) not in annotations and (
+                isinstance(node, ast.Name) and node.id == "object"
+                or isinstance(node, ast.Attribute) and node.attr == "object_"
+                or isinstance(node, ast.keyword) and node.arg == "dtype"
+                and dtype_string(node.value)
+                or isinstance(node, ast.Call) and _reads(node.func, "astype")
+                and any(dtype_string(a) for a in node.args)):
+            found.setdefault(owner, []).append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+    visit(tree, module)
+    return found
+
+
+def test_python_ints_only_in_the_digit_codec():
+    # every residue and F_p digit is int64, and every product mod m is
+    # numtheory's (mul_mod, matmul_mod, exact below 2^63); arrays of Python
+    # ints hold only indices and encodings of 2^63 or more, in the codec
+    codec = {"numtheory._weights", "numtheory.to_digits", "numtheory.from_digits"}
+    found = {}
+    for module, tree in _trees().items():
+        found.update(_object_dtypes(tree, module))
+    assert set(found) <= codec, found
+    # the check sees the uses it is meant to find, and not annotations
+    assert _object_dtypes(ast.parse(
+        "def f(x: object) -> object:\n    return np.array(x, dtype=object)\n"
+        "b0: object\nx.astype('O')\nnp.object_\ny = int if z else object"), "m") == {
+        "m.f": [2], "m": [4, 5, 6]}
