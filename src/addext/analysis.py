@@ -20,7 +20,7 @@ import numpy as np
 from . import extractors
 from .canonical import digest
 from .errors import BudgetError, InputError
-from .numtheory import from_digits, matmul_mod, product_steps, to_digits
+from .numtheory import from_digits, matmul_mod, mul_mod, product_steps, to_digits
 from .sources import BOHR_CHUNK, Source, check_cost, convolve_rows, element_budget
 
 TOL = 1e-6
@@ -49,10 +49,13 @@ def distance_to_uniform(counts: np.ndarray) -> float:
     return float(Fraction(M * int(above.sum()) - N * len(above), N * M))
 
 
-def evaluate(X: Source, cfg) -> tuple[list[int], EvalReport]:
-    """The outputs of cfg at X's sorted elements, and the report of their exact
-    distance from uniform on cfg.M outputs, with their histogram as extra["outputs"]."""
-    outputs = extractors.extract_many(cfg, X.sorted_elements)
+def evaluate(X: Source, cfg, encodings: np.ndarray | None = None
+             ) -> tuple[np.ndarray, EvalReport]:
+    """The outputs of cfg at X's elements (from ``encodings`` where a zp or
+    zpn caller took them, extractors.extract_many), and the report of their
+    exact distance from uniform on cfg.M outputs, with their histogram as
+    extra["outputs"]."""
+    outputs = extractors.extract_many(cfg, X.elements, encodings)
     counts = extractor_distribution(outputs, cfg.M)
     return outputs, EvalReport(config_digest=digest(cfg.to_json()), source_digest=X.digest,
                                size=len(X), distance=distance_to_uniform(counts),
@@ -89,10 +92,12 @@ def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarra
     """|sum_y e(<a, y> / modulus)| / |values| for each requested frequency
     a, over a multiset of elements y of Z_m^N, m = modulus: (count,)
     residues when N = 1, or (count, N) digit rows (Group.digits). Each
-    frequency is given by its index, the base-m number of its digits.
+    frequency is given by its index, the base-m number of its digits: a
+    range, an int64 array, or a sequence of ints.
 
     When m^N <= min(|frequencies| |values|, element_budget()) one fftn of
-    the multiset's histogram on shape (m,)*N gives every frequency at once.
+    the multiset's histogram on shape (m,)*N gives every frequency at once,
+    read at the indices as one int64 array (every index is below m^N there).
     Otherwise the sums are taken directly over the exact residues <a, y> mod
     m (numtheory.matmul_mod), in chunks of frequencies of at most BOHR_CHUNK
     / 4 residues (at least one frequency), after their work |frequencies|
@@ -108,7 +113,9 @@ def charsum_table(values, modulus: int, frequencies: Sequence[int]) -> np.ndarra
         shape = (modulus,) * N  # axis j is digit j
         hist = np.bincount(from_digits(rows, modulus), minlength=order).reshape(shape, order="F")
         spectrum = np.abs(np.fft.fftn(hist)).ravel(order="F")
-        return spectrum[[int(xi) % order for xi in frequencies]] / len(rows)
+        index = (np.arange(frequencies.start, frequencies.stop, frequencies.step)
+                 if isinstance(frequencies, range) else np.asarray(frequencies, dtype=np.int64))
+        return spectrum[index % order] / len(rows)
     check_cost(f"{len(frequencies)} character sums over {len(rows)} elements of Z_{modulus}^{N}",
                work=len(frequencies) * len(rows) * N * product_steps(modulus, N))
     out = np.empty(len(frequencies))
@@ -129,23 +136,21 @@ def poly_eval_all(coeffs, p: int) -> np.ndarray:
 
     A coefficient vector gives the p values of one polynomial; a (rows, d+1)
     coefficient matrix gives a (rows, p) matrix, one polynomial per row. One
-    int64 product with the (d+1) x p table of t^j mod p: its d+1 terms of at
-    most (p-1)^2 each must sum below 2^63, and the table and the result must
-    each fit the element budget (check_cost); both are checked before
-    anything is built.
+    numtheory.matmul_mod with the (d+1) x p table of t^j mod p (mul_mod),
+    after the table and the result are checked against the element budget
+    (check_cost).
     """
     c = np.asarray(coeffs)
     terms = c.shape[-1]
     rows = math.prod(c.shape[:-1])
     check_cost(f"evaluating {rows} polynomials of {terms} terms at p = {p} points",
                held=p * max(rows, terms))
-    if terms * (p - 1) ** 2 >= 1 << 63:
-        raise BudgetError(f"{terms} products mod p = {p} can reach 2^63")
     powers = np.ones((terms, p), dtype=np.int64)
     t = np.arange(p, dtype=np.int64)
     for j in range(1, terms):
-        powers[j] = powers[j - 1] * t % p
-    return (c % p).astype(np.int64) @ powers % p
+        powers[j] = mul_mod(powers[j - 1], t, p)
+    values = matmul_mod((c % p).astype(np.int64).reshape(rows, terms), powers, p)
+    return values.reshape(*c.shape[:-1], p)
 
 
 L1_BLOCK_ENTRIES = 1 << 20

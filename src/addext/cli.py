@@ -23,6 +23,8 @@ import sys
 import time
 from typing import Iterable
 
+import numpy as np
+
 from . import __version__, analysis, extractors as ex, sources as src, suites
 from .canonical import canonical_json, digest
 from .errors import AddextError, InputError
@@ -82,11 +84,13 @@ def _load_source(path: str) -> src.Source:
     the file's notes are kept."""
     obj = src.read_object(_load_validated(path), f"source file {path}", {
         "group": lambda v, _: src.Group.from_json(v), "spec": lambda v, _: src.spec_from_json(v),
-        "elements": src._elements, "size": src.json_int, "digest": None,
+        "elements": src._element_array, "size": src.json_int, "digest": None,
         "notes": src.json_object}, ("elements", "size", "digest", "notes"))
     X = src.build_source(obj["spec"], obj["group"])
     if "elements" in obj:
-        if frozenset(obj["elements"]) != X.elements:
+        listed = obj["elements"]
+        if not (isinstance(listed, np.ndarray) and listed.shape[1:] == X.elements.shape[1:]
+                and np.array_equal(src._sorted_unique(listed), X.elements)):
             raise InputError(f"{path}: the elements are not the {len(X)} elements that its "
                              f"{X.spec.variant} spec builds")
         X = src.Source(X.group, X.spec, X.elements, dict(obj.get("notes", {})))
@@ -129,10 +133,10 @@ def cmd_extract(args) -> Outcome:
     X = _load_source(args.source)
     cfg = ex.build_for_group(args.extractor, X.group, args.m)
     outputs, report = analysis.evaluate(X, cfg)
-    rows = [[src._elem_text(x), y] for x, y in zip(X.sorted_elements, outputs)]
     report.extra["config"] = cfg.to_json()
     report.seconds = time.perf_counter() - t0
-    _write_csv(args.out, ["element", "output"], rows)
+    with open(args.out, "w", newline="") as fh:
+        fh.write("element,output\r\n" + _element_rows(X.group, X.elements, outputs, "%d"))
     _write_json(args.out + ".report.json", report.to_json())
     return 0, [args.source], [args.out, args.out + ".report.json"]
 
@@ -152,11 +156,29 @@ def cmd_charsum(args) -> Outcome:
     freq_idx = range(lo, hi)
     mags = analysis.charsum_table(analysis.character_digits(X), grp.zmn[0], freq_idx)
     step = analysis.CHARSUM_CHUNK  # rows are made and written this many at a time
-    rows = ([src._elem_text(x), _cell(v)] for lo in range(0, len(freq_idx), step)
-            for x, v in zip(grp.from_digits(to_digits(freq_idx[lo:lo + step], *grp.zmn)),
-                            mags[lo:lo + step]))
-    _write_csv(args.out, ["frequency", "magnitude"], rows)
+    with open(args.out, "w", newline="") as fh:
+        fh.write("frequency,magnitude\r\n")
+        for lo in range(0, len(freq_idx), step):
+            freqs = grp.from_digits(to_digits(freq_idx[lo:lo + step], *grp.zmn))
+            fh.write(_element_rows(grp, freqs, mags[lo:lo + step], "%.17g"))
     return 0, [args.source], [args.out]
+
+
+def _element_rows(group: src.Group, elements: np.ndarray, values: np.ndarray, cell: str) -> str:
+    """The CSV rows (as the csv module writes them) of an element array and
+    a value per element: each element's canonical JSON, quoted where it
+    holds a comma, and its value formatted by ``cell`` (a %-format, as
+    _cell formats a float for "%.17g"). One %-format of all rows, its
+    arguments the columns interleaved by slice assignments."""
+    count = len(elements)
+    columns = [*elements.reshape(count, -1).T, values]
+    args = [None] * (count * len(columns))
+    for j, column in enumerate(columns):
+        args[j::len(columns)] = column.tolist()
+    element = "%d" if group.kind in ("zp", "zn") else "[" + ",".join(["%d"] * group.n) + "]"
+    if "," in element:
+        element = f'"{element}"'
+    return f"{element},{cell}\r\n" * count % tuple(args)
 
 
 def cmd_verify(args) -> Outcome:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -91,21 +90,21 @@ def build_zpn_extractor(p: int, n: int, m: int) -> ZpnExtractorConfig:
     return ZpnExtractorConfig(p, n, qs, gs, crt.combined_modulus, m)
 
 
-def encode_many(cfg: ZpExtractorConfig | ZpnExtractorConfig, points: Iterable) -> list[int]:
-    """The injective encoding of each point into Z_q: x -> g^x in the order-p
-    subgroup of Z_q* for zp; for zpn, CRT(g_1^{x_1}, ..., g_n^{x_n}), inside
-    Z_q*, as sum_i g_i^{x_i} w_i mod q with the weights w_i = (q/q_i)
-    ((q/q_i)^-1 mod q_i) taken once. A zpn point not of length n is an
-    InputError."""
+def encode_many(cfg: ZpExtractorConfig | ZpnExtractorConfig, points) -> np.ndarray:
+    """The injective encoding into Z_q of each point of an int64 array, as
+    int64: x -> g^x in the order-p subgroup of Z_q* for zp; for zpn,
+    CRT(g_1^{x_1}, ..., g_n^{x_n}), inside Z_q*, as sum_i g_i^{x_i} w_i mod q
+    with the weights w_i = (q/q_i) ((q/q_i)^-1 mod q_i); every power by
+    numtheory.pow_mod, every product and sum by mul_mod and add_mod. A zpn
+    point not of length n is an InputError."""
     p, q = cfg.p, cfg.q
     if isinstance(cfg, ZpExtractorConfig):
-        return [pow(cfg.g, x % p, q) for x in points]
-    terms = [(g, qi, q // qi * pow(q // qi, -1, qi)) for g, qi in zip(cfg.gs, cfg.qs)]
-    out = []
-    for x in points:
-        if len(x) != cfg.n:
-            raise InputError(f"expected a vector of length {cfg.n}")
-        out.append(sum(pow(g, xi % p, qi) * w for (g, qi, w), xi in zip(terms, x)) % q)
+        return nt.pow_mod(cfg.g, _points(points, (), "integers below 2^63") % p, q)
+    x = _points(points, (cfg.n,), f"length {cfg.n}, integers below 2^63") % p
+    out = np.zeros(len(x), dtype=np.int64)
+    for i, (g, qi) in enumerate(zip(cfg.gs, cfg.qs)):
+        w = q // qi * pow(q // qi, -1, qi)
+        out = nt.add_mod(out, nt.mul_mod(nt.pow_mod(g, x[:, i], qi), w, q), q)
     return out
 
 
@@ -323,8 +322,11 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
     costs bitlen(p) + popcount(p) products of K rows and k matrix products;
     for k > 1 the root beta of F_q's modulus costs the trace images,
     (2 b + 64) K^3, and k Horner products at each of the q subfield
-    elements. A point's norm is b - 1 conjugates, each one product and one
-    row times the Frobenius matrix, mat K^2 steps."""
+    elements. A point's norm is its lift into F_(p^K), one row times the
+    (b k) x K lift matrix, b - 1 conjugates, each one product and one row
+    times the Frobenius matrix, and the way back to F_q (gf._to_base), one
+    row times the k x k inverse and one times the k x K re-embedding; each
+    entry of a row times a matrix costs mat steps."""
     f = cfg.field
     p, k, q = f.p, f.k, f.order
     ladder, steps = p.bit_length() + p.bit_count(), 0
@@ -336,7 +338,7 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
         steps += (candidates * ladder * (mat * K**3 + 256)
                   + 2 * K * K * (PY_STEP + 64 * K)
                   + ladder * K * product + k * mat * K**3
-                  + points * (b - 1) * (product + mat * K * K))
+                  + points * ((b - 1) * (product + mat * K * K) + mat * (K + k) * K + mat * k * k))
         if k > 1:
             steps += (2 * b + 64) * K**3 + q * k * product
     return steps
@@ -388,22 +390,31 @@ def _json_ints(v, what: str):
     return json_int(v, what) if isinstance(v, float) else v
 
 
-def _coordinates(cfg: LineExtractorConfig | ApExtractorConfig,
-                 points: list) -> np.ndarray:
-    """The points as an (N, n) int64 array; InputError unless each point is n
-    integers in [0, q), q < 2^63 (Group's bound on F_q)."""
-    f = cfg.field
-    if not points:
-        return np.zeros((0, cfg.n), dtype=np.int64)
+def _points(points, shape: tuple, what: str) -> np.ndarray:
+    """points, an int64 array or a sequence of integers (or of n of them),
+    as a (count, *shape) int64 array; InputError, ``what`` each point must
+    be, unless each is an int or a numpy integer of that shape below 2^63."""
     try:
-        X = np.array(points)
+        X = np.asarray(points)
     except ValueError:  # points of different lengths
         X = None
-    if (X is None or X.shape != (len(points), cfg.n) or X.dtype.kind not in "iu"
-            or not 0 <= X.min() <= X.max() < min(f.order, MODULUS_CAP)):
-        raise InputError(f"expected points of F_q^{cfg.n}, q = {f.order}: "
-                         f"{cfg.n} integers in [0, q) each")
+    if X is not None and X.shape == (0,):
+        return np.zeros((0, *shape), dtype=np.int64)
+    if (X is None or X.shape[1:] != shape or X.dtype.kind not in "biu"
+            or X.dtype == np.uint64 and X.max(initial=0) >= MODULUS_CAP):
+        raise InputError(f"expected points of {what} each")
     return X.astype(np.int64, copy=False)
+
+
+def _coordinates(cfg: LineExtractorConfig | ApExtractorConfig, points) -> np.ndarray:
+    """The points as an (N, n) int64 array (_points); InputError unless each
+    point is n integers in [0, q), q < 2^63 (Group's bound on F_q)."""
+    f = cfg.field
+    what = f"F_q^{cfg.n}, q = {f.order}: {cfg.n} integers in [0, q)"
+    X = _points(points, (cfg.n,), what)
+    if len(X) and not 0 <= X.min() <= X.max() < f.order:
+        raise InputError(f"expected points of {what} each")
+    return X
 
 
 def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
@@ -436,8 +447,10 @@ def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
     return acc
 
 
-def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
-    """The extractor's output at each point, in order.
+def extract_many(cfg: ExtractorConfig, points, encodings: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """The extractor's output at each point of an int64 array (_points), in
+    order, as int64.
 
     ``line`` and ``ap`` evaluate each block on all points at once
     (``_block_poly_many``) and ``line`` takes its output bits by
@@ -446,21 +459,20 @@ def extract_many(cfg: ExtractorConfig, points: Iterable) -> list[int]:
     discrete log at once by ``numtheory.discrete_logs``, B baby steps and G
     giant steps, B held to the element budget; its cost is checked first by
     check_cost, the one place a budget refusal happens (_pgc_baby_steps).
-    ``zp`` and ``zpn`` reduce their encodings (encode_many) mod 2^m.
+    ``zp`` and ``zpn`` reduce their encodings mod 2^m: encode_many's, or
+    ``encodings`` where the caller took them of these points.
     """
-    points = list(points)
     if isinstance(cfg, (ZpExtractorConfig, ZpnExtractorConfig)):
-        M = cfg.M
-        return [y % M for y in encode_many(cfg, points)]
+        return (encode_many(cfg, points) if encodings is None else encodings) % cfg.M
     if isinstance(cfg, LineExtractorConfig):
         values = _block_poly_many(cfg, _coordinates(cfg, points))
         if cfg.variant == "additive_trace":
-            return gf.trace_many(cfg.field, values).tolist()
-        return (gf.quadratic_character_many(cfg.field, values) == -1).astype(int).tolist()
+            return gf.trace_many(cfg.field, values)
+        return (gf.quadratic_character_many(cfg.field, values) == -1).astype(np.int64)
     if isinstance(cfg, ApExtractorConfig):
-        return (_block_poly_many(cfg, _coordinates(cfg, points))[:, 0] % cfg.M).tolist()
+        return _block_poly_many(cfg, _coordinates(cfg, points))[:, 0] % cfg.M
     if isinstance(cfg, PgcExtractorConfig):
-        B = _pgc_baby_steps(cfg.p, len(points))
-        logs = nt.discrete_logs(cfg.g, [x % cfg.p for x in points], cfg.p, B)
-        return (np.maximum(logs, 0) % cfg.M).tolist()  # pgc maps 0 to 0
+        x = _points(points, (), "integers below 2^63") % cfg.p
+        logs = nt.discrete_logs(cfg.g, x, cfg.p, _pgc_baby_steps(cfg.p, len(x)))
+        return np.maximum(logs, 0) % cfg.M  # pgc maps 0 to 0
     raise InputError(f"unknown config {cfg!r}")

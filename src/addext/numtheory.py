@@ -1,10 +1,10 @@
 """Exact modular arithmetic: primes in arithmetic progressions, subgroup
 generators, Chinese-remainder moduli systems, the one subgroup walk (powers)
-and the batched discrete logs read from it, the one exact product of int64
-residues mod m < 2^63 (mul_mod, matmul_mod and add_mod, priced by
-product_steps), and the one base-m digit codec (to_digits / from_digits) of
-group indices and field encodings, the only arrays of Python ints: an index
-or an encoding of 2^63 or more.
+and the batched discrete logs read from it, one base to many exponents
+(pow_mod), the one exact product of int64 residues mod m < 2^63 (mul_mod,
+matmul_mod and add_mod, priced by product_steps), and the one base-m digit
+codec (to_digits / from_digits) of group indices and field encodings, the
+only arrays of Python ints: an index or an encoding of 2^63 or more.
 
 All functions are pure and deterministic; "smallest" is the canonical choice
 wherever a prime or generator has to be picked, so every derived constant is
@@ -249,6 +249,18 @@ def powers(g: int, count: int, q: int) -> np.ndarray:
         step = min(done, count - done)
         out[done:done + step] = mul_mod(out[:step], pow(g, done, q), q)
         done += step
+    return out
+
+
+def pow_mod(g: int, e: np.ndarray, q: int) -> np.ndarray:
+    """g^e mod q at each exponent e >= 0 of an int64 array, as int64, by
+    square and multiply: the squares g^(2^i) mod q as Python ints, and one
+    mul_mod of the powers so far per bit of the largest exponent."""
+    out = np.ones(e.shape, dtype=np.int64)
+    square = g % q
+    for i in range(int(e.max(initial=0)).bit_length()):
+        out = mul_mod(out, np.where(e >> i & 1, square, 1), q)
+        square = square * square % q
     return out
 
 

@@ -2,13 +2,16 @@
 enumeration, and structural diagnostics (symmetry sets, doubling, additive
 profiles).
 
-A source is the uniform distribution on a finite, deduplicated element set.
-Elements are ints for Z_p and Z_N, tuples of ints for vector groups (each
-coordinate an encoded field element for F_q^n).
+A source is the uniform distribution on a finite, deduplicated element set,
+held as one sorted int64 array: (count,) for Z_p and Z_N, (count, n)
+coordinates for Z_p^n and F_q^n (each F_q coordinate its encoding below
+q < 2^63). Single elements of specs (bases, steps, frequencies) are ints and
+tuples of ints.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -200,26 +203,28 @@ class Group:
             return 0
         return (0,) * self.n
 
-    def digits(self, elements) -> np.ndarray:
-        """The base-m digits of a collection of elements as one int64 array:
-        (count,) for the ints of Z_p and Z_N, (count, N) for vectors. Digit
-        j has weight m^j in the element's index: the element of index i is
-        Group.from_digits(numtheory.to_digits(i, m, N)). An F_q coordinate
-        (q < 2^63) is its k base-p digits."""
-        if self.kind in ("zp", "zn"):
-            return np.fromiter(elements, dtype=np.int64, count=len(elements))
-        coords = np.array(list(elements), dtype=np.int64).reshape(-1, self.n)
-        return to_digits(coords, self.p, self.field.k).reshape(-1, self.zmn[1]) \
-            if self.field else coords
+    @property
+    def shape(self) -> tuple:
+        """The shape of one element in an element array: () or (n,)."""
+        return () if self.kind in ("zp", "zn") else (self.n,)
 
-    def from_digits(self, digits: np.ndarray) -> list:
-        """The elements of (count, N) digits, int64 or object (the inverse of
-        Group.digits; a scalar group also takes (count,) digits)."""
-        if self.kind in ("zp", "zn"):
-            return digits.reshape(-1).tolist()
+    def digits(self, elements) -> np.ndarray:
+        """The base-m digits of an element array (or a sequence of elements)
+        as one int64 array: (count,) for the ints of Z_p and Z_N, (count, N)
+        for vectors. Digit j has weight m^j in the element's index: the
+        element of index i is Group.from_digits(numtheory.to_digits(i, m, N)).
+        An F_q coordinate (q < 2^63) is its k base-p digits."""
+        coords = np.asarray(elements, dtype=np.int64)
         if self.field:
-            digits = from_digits(digits.reshape(len(digits), self.n, self.field.k), self.p)
-        return list(map(tuple, digits.tolist()))
+            return to_digits(coords, self.p, self.field.k).reshape(len(coords), self.zmn[1])
+        return coords
+
+    def from_digits(self, digits: np.ndarray) -> np.ndarray:
+        """The element array of (count, N) int64 digits (the inverse of
+        Group.digits; a scalar group also takes (count,) digits)."""
+        if self.field:
+            return from_digits(digits.reshape(len(digits), self.n, self.field.k), self.p)
+        return digits.reshape(-1, *self.shape)
 
     def validate_element(self, *xs) -> None:
         """InputError unless every argument is an element of the group."""
@@ -230,6 +235,26 @@ class Group:
                     else (isinstance(x, tuple) and len(x) == self.n
                           and all(isinstance(a, int) and 0 <= a < bound for a in x))):
                 raise InputError(f"{x!r} is not an element of {self.kind} group")
+
+    def as_elements(self, xs) -> np.ndarray:
+        """xs as the group's element array, (count, *shape) int64: an int64
+        array (the elements reader's) by one range check, any other sequence
+        by validate_element. InputError, worded as validate_element words it,
+        for the first entry in order that is not an element."""
+        if not isinstance(xs, np.ndarray):
+            self.validate_element(*xs)
+            return np.array(xs, dtype=np.int64).reshape(-1, *self.shape)
+        bound = self.order if self.kind in ("zp", "zn") else self.base_order
+        if xs.shape[1:] == self.shape:
+            out = (xs < 0) | (xs >= bound)
+            bad = np.flatnonzero(out if out.ndim == 1 else out.any(axis=1))
+        else:  # entries of another shape, none of them an element
+            bad = range(len(xs))
+        if len(bad):
+            x = xs[bad[0]].tolist()
+            raise InputError(f"{tuple(x) if isinstance(x, list) else x!r} is not an element "
+                             f"of {self.kind} group")
+        return xs
 
     def to_json(self) -> dict:
         if self.kind == "zp":
@@ -316,10 +341,15 @@ class LineSpec:
     d: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitSpec:
+    """Its elements as read (_element_array), in the document's order, or any
+    sequence of elements; specs of equal JSON are equal."""
     variant = "explicit"
-    elements: tuple
+    elements: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, ExplicitSpec) and spec_to_json(self) == spec_to_json(other)
 
 
 @dataclass(frozen=True)
@@ -337,9 +367,9 @@ def _elem_json(x):
     return list(x) if isinstance(x, tuple) else x
 
 
-def _elem_text(x) -> str:
-    """canonical_json(_elem_json(x)) without json: the CSV cell of an element."""
-    return "[" + ",".join(map(str, x)) + "]" if isinstance(x, tuple) else str(x)
+def _elements_json(xs) -> list:
+    """An element array, or a sequence of elements, as a JSON list."""
+    return xs.tolist() if isinstance(xs, np.ndarray) else [_elem_json(x) for x in xs]
 
 
 _coordinates = _list_of(_coordinate)
@@ -355,17 +385,45 @@ def spec_to_json(spec: SourceSpec) -> dict:
     out = {"variant": spec.variant}
     for f in fields(spec):
         value = getattr(spec, f.name)
-        out[f.name] = [_elem_json(x) for x in value] if f.type == "tuple" else _elem_json(value)
+        out[f.name] = _elem_json(value) if f.type in _ONE_VALUE else _elements_json(value)
     if isinstance(spec, GapSpec):
         out["r"] = spec.r
     return out
 
 
 _elements = _list_of(_elem_from_json)
+
+
+def _element_array(v, what: str) -> np.ndarray | tuple:
+    """A JSON list of elements, each an integer >= 0 or a list of them, as
+    one int64 array: (count,) of integers, (count, L) of lists of L. A list
+    of plain ints, or of lists of plain ints, takes one type scan, one
+    np.array and one range check; any other list is read entry by entry
+    (_elements), which words every refusal, and kept as read, a tuple, where
+    no int64 array holds it (entries of mixed kinds or lengths, or past
+    2^63: no group's elements)."""
+    types = set(map(type, v)) if isinstance(v, list) else {None}
+    if types == {list}:
+        types = set(map(type, itertools.chain.from_iterable(v)))
+    if types <= {int}:
+        try:
+            a = np.array(v, dtype=np.int64)
+        except (ValueError, OverflowError):  # lists of different lengths, or past 2^63
+            a = None
+        if a is not None and (not a.size or a.min() >= 0):
+            return a
+    read = _elements(v, what)
+    try:
+        return np.array(read, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return read
+
+
 _SPECS = {cls.variant: cls for cls in SourceSpec.__args__}
 # field annotation -> reader of its JSON value
 _SPEC_FIELDS = {"object": _elem_from_json, "int": json_int, "float": json_number,
-                "tuple": _elements}
+                "tuple": _elements, "np.ndarray": _element_array}
+_ONE_VALUE = ("object", "int", "float")  # the annotations of one value, not a list
 # the keys of each variant besides "variant": its fields, and a GAP's optional r
 _SPEC_KEYS = {variant: {f.name: _SPEC_FIELDS[f.type] for f in fields(cls)}
               for variant, cls in _SPECS.items()}
@@ -385,33 +443,51 @@ def spec_from_json(obj) -> SourceSpec:
 # sources
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Source:
-    """A deduplicated element set carrying the uniform distribution. Its
-    sorted elements and digest are computed once, on first read."""
+    """The uniform distribution on a finite element set, held as one sorted,
+    deduplicated, read-only element array (module docstring): rows in
+    increasing order, lexicographic for vectors. Its digest is computed
+    once, on first read; sources of equal group, spec and elements are equal."""
 
     group: Group
     spec: SourceSpec
-    elements: frozenset
-    notes: dict = field(default_factory=dict, compare=False)
+    elements: np.ndarray
+    notes: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.elements.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def sorted_elements(self) -> list:
-        return sorted(self.elements)
+    def __eq__(self, other):
+        return (isinstance(other, Source) and (self.group, self.spec) == (other.group, other.spec)
+                and np.array_equal(self.elements, other.elements))
+
+    def __hash__(self):
+        return hash((self.group, self.digest))
 
     @cached_property
     def digest(self) -> str:
-        return digest({"group": self.group.to_json(),
-                       "elements": [_elem_json(x) for x in self.sorted_elements]})
+        return digest({"group": self.group.to_json(), "elements": self.elements.tolist()})
 
     def to_json(self) -> dict:
         return {"group": self.group.to_json(), "spec": spec_to_json(self.spec),
                 "size": len(self), "digest": self.digest,
-                "elements": [_elem_json(x) for x in self.sorted_elements],
-                "notes": dict(self.notes)}
+                "elements": self.elements.tolist(), "notes": dict(self.notes)}
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a (count,) array, or rows of a (count, n) one,
+    in increasing order, lexicographic for rows (tuple order): sorted, then
+    each kept where it differs from the one before (np.unique would first
+    import numpy.ma, 10 ms)."""
+    a = np.sort(a) if a.ndim == 1 else a[np.lexsort(a.T[::-1])]
+    differs = a[1:] != a[:-1]
+    fresh = np.ones(len(a), dtype=bool)
+    fresh[1:] = differs if a.ndim == 1 else differs.any(axis=1)
+    return a[fresh]
 
 
 def bohr_vmax(m: int, rho) -> int:
@@ -425,13 +501,13 @@ def bohr_vmax(m: int, rho) -> int:
 BOHR_CHUNK = 1 << 16  # entries per residue matrix of _bohr_set (512 KiB); charsum_table takes 1/4
 
 
-def _bohr_set(group: Group, freqs: Sequence, rho) -> set:
-    """Bohr(freqs, rho): the x with min(v, m - v) <= bohr_vmax(m, rho) for
-    every residue v = <xi, x> mod m, tested over chunks of the group's index
-    range, each a numtheory.matmul_mod matrix of at most BOHR_CHUNK entries
-    (at least one index), after the group's order is checked as held entries
-    and the matmul_mod work, |freqs| N order product_steps(m, N), as work
-    (check_cost).
+def _bohr_set(group: Group, freqs: Sequence, rho) -> np.ndarray:
+    """Bohr(freqs, rho) as a sorted element array: the x with min(v, m - v)
+    <= bohr_vmax(m, rho) for every residue v = <xi, x> mod m, tested over
+    chunks of the group's index range, each a numtheory.matmul_mod matrix of
+    at most BOHR_CHUNK entries (at least one index), after the group's order
+    is checked as held entries and the matmul_mod work, |freqs| N order
+    product_steps(m, N), as work (check_cost).
     Frequencies are reduced below m, and one that is zero mod m is an input
     error."""
     if group.field:
@@ -451,14 +527,12 @@ def _bohr_set(group: Group, freqs: Sequence, rho) -> set:
             raise InputError("Bohr frequencies must be nonzero")
     coeffs = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), n)
     step = max(1, BOHR_CHUNK // max(1, len(coeffs)))
-    out: set = set()
+    out = []
     for lo in range(0, group.order, step):
-        rest = np.arange(lo, min(lo + step, group.order), dtype=np.int64)
-        digits = to_digits(rest, m, n)
+        digits = to_digits(np.arange(lo, min(lo + step, group.order), dtype=np.int64), m, n)
         v = matmul_mod(coeffs, digits.T, m)
-        keep = (np.minimum(v, m - v) <= vmax).all(axis=0)
-        out.update(group.from_digits(digits[keep] if vec else rest[keep]))
-    return out
+        out.append(digits[(np.minimum(v, m - v) <= vmax).all(axis=0)])
+    return _sorted_unique(group.from_digits(np.concatenate(out)))
 
 
 def _multiples(group: Group, gens: np.ndarray, count: int, scalars: bool) -> np.ndarray:
@@ -477,13 +551,14 @@ def _multiples(group: Group, gens: np.ndarray, count: int, scalars: bool) -> np.
     return prods.reshape(count, *gens.shape)
 
 
-def _span(group: Group, base, gens: Sequence, count: int, scalars: bool = False) -> set:
-    """{base + m_1 + ... + m_r}, m_i running over count multiples of gens[i]
-    (_multiples: the integer multiples 0, g, 2g, ..., or with ``scalars`` the
-    base-field multiples t g, t < count = |F|), as digit rows: the box grows
-    one generator at a time by the pair sums of its rows so far and that
-    generator's multiples, only the distinct ones (_pairs_route) once
-    there are more pairs than group elements.
+def _span(group: Group, base, gens: Sequence, count: int, scalars: bool = False) -> np.ndarray:
+    """{base + m_1 + ... + m_r} as a sorted element array, m_i running over
+    count multiples of gens[i] (_multiples: the integer multiples 0, g, 2g,
+    ..., or with ``scalars`` the base-field multiples t g, t < count = |F|),
+    built as digit rows: the box grows one generator at a time by the pair
+    sums of its rows so far and that generator's multiples, only the
+    distinct ones (_pairs_route) once there are more pairs than group
+    elements.
 
     The box volume count^r is checked as held entries (check_cost) before
     anything is built, and no step holds more rows than that volume; with no
@@ -499,7 +574,7 @@ def _span(group: Group, base, gens: Sequence, count: int, scalars: bool = False)
             out = _pairs_route(out, multiples[:, i], m)[0]
         else:
             out = np.array([_digit_sums(out, multiples[:, i], m, j) for j in range(N)]).T
-    return set(group.from_digits(out))
+    return _sorted_unique(group.from_digits(out))
 
 
 def build_source(spec: SourceSpec, group: Group) -> Source:
@@ -549,10 +624,10 @@ def build_source(spec: SourceSpec, group: Group) -> Source:
         els = _span(group, spec.a, (spec.d,), group.base_order, scalars=True)
 
     elif isinstance(spec, ExplicitSpec):
-        group.validate_element(*spec.elements)
-        if not spec.elements:
+        els = group.as_elements(spec.elements)
+        if not len(els):
             raise InputError("explicit source must be nonempty")
-        els = set(spec.elements)
+        els = _sorted_unique(els)
 
     elif isinstance(spec, RandomSpec):
         m, N = group.zmn
@@ -566,22 +641,23 @@ def build_source(spec: SourceSpec, group: Group) -> Source:
                    work=big * spec.size * N * (PY_STEP // 4 + 3 * (N * m.bit_length() // 64) ** 2))
         rng = random.Random(spec.seed)
         if big:
-            # rng.sample needs len(range(order)), which overflows here
-            idx = set()
-            while len(idx) < spec.size:
-                idx.add(rng.randrange(order))
-            idx = list(idx)
+            # rng.sample needs len(range(order)), which overflows here; as
+            # many draws as one at a time until size are distinct
+            idx, els = [], ()
+            while len(els) < spec.size:
+                idx += [rng.randrange(order) for _ in range(spec.size - len(els))]
+                els = _sorted_unique(group.from_digits(to_digits(idx, m, N)))
         else:
-            idx = rng.sample(range(order), spec.size)
-        els = set(group.from_digits(to_digits(idx, m, N)))
+            els = _sorted_unique(group.from_digits(
+                to_digits(rng.sample(range(order), spec.size), m, N)))
 
     else:
         raise InputError(f"unknown source spec {spec!r}")
 
-    return Source(group, spec, frozenset(els), notes)
+    return Source(group, spec, els, notes)
 
 
-def sub_gap(spec: GapSpec, group: Group, side: int) -> set:
+def sub_gap(spec: GapSpec, group: Group, side: int) -> np.ndarray:
     """Homogeneous small-coefficient sub-GAP {sum a_i b_i : 0 <= a_i < side}.
 
     These are the canonical symmetry-set witnesses of a proper GAP.
@@ -710,8 +786,9 @@ def difference_histogram(X: Source) -> tuple[np.ndarray, np.ndarray]:
     return cyclic_convolve(digits, (m - digits) % m, m)
 
 
-def sym_set(X: Source, alpha: float) -> set:
-    """{g : |X cap (X+g)| >= (1-alpha)|X|}, threshold inclusive.
+def sym_set(X: Source, alpha: float) -> np.ndarray:
+    """{g : |X cap (X+g)| >= (1-alpha)|X|}, threshold inclusive, as an
+    element array in increasing index (Group.digits).
 
     Only g in X - X can have a nonzero representation count, and the counts
     are the difference histogram.
@@ -721,7 +798,7 @@ def sym_set(X: Source, alpha: float) -> set:
     # counts are integers: compare with the ceiling, not elementwise with a Fraction
     thresh = math.ceil((1 - Fraction(alpha)) * len(X))
     values, counts = difference_histogram(X)
-    return set(X.group.from_digits(values[counts >= thresh]))
+    return X.group.from_digits(values[counts >= thresh])
 
 
 def doubling(X: Source) -> int:

@@ -387,8 +387,10 @@ def suite_gap_profile(primes: _PRIMES = (101, 499, 1009), dims: _List(_Int(1)) =
             dbl = src.doubling(X)
             side = math.ceil(s**0.1)
             sub = src.sub_gap(spec, grp, side)
-            reps = dict(zip(*(a.tolist() for a in src.difference_histogram(X))))
-            rep_min = min(reps.get(x, 0) for x in sub)
+            # each sub-GAP element's count among the differences, 0 if none
+            values, counts = src.difference_histogram(X)
+            at = np.minimum(np.searchsorted(values, sub), len(values) - 1)
+            rep_min = int(np.where(values[at] == sub, counts[at], 0).min())
             rep_bound = size * (1 - r / s**0.9)
             checks = {
                 "doubling": dbl <= 2**r * size,
@@ -531,7 +533,7 @@ def suite_transport(primes: _PRIMES = (101, 499), sources_per_p: _Int(1) = 200,
         cfg = ex.build_zp_extractor(p, 1)
         q = cfg.q
         gx = nt.powers(cfg.g, p, q)
-        if len(set(gx.tolist())) != p:
+        if len(src._sorted_unique(gx)) != p:
             res.failures.append({"p": p, "error": "encoding not injective"})
             continue
         rng = random.Random(seed * 1_000_003 + p)
@@ -708,17 +710,19 @@ def _sweep_point(row) -> EvalReport:
     row = src.read_object(row, "row", _SOURCE_ROW, ("alpha", "per_character", "charsum_seed"))
     X = src.build_source(row["source"], row["group"])
     cfg = _row_config(row["extractor"], X.group)
-    report = analysis.evaluate(X, cfg)[1]  # the outputs are not held through the sums
+    encoded = isinstance(cfg, (ex.ZpExtractorConfig, ex.ZpnExtractorConfig))
+    values = ex.encode_many(cfg, X.elements) if encoded else None  # taken once
+    report = analysis.evaluate(X, cfg, values)[1]  # the outputs are not held through the sums
     report.extra["charsum_sampled"] = False
-    if isinstance(cfg, (ex.ZpExtractorConfig, ex.ZpnExtractorConfig)):
-        values, modulus = ex.encode_many(cfg, X.sorted_elements), cfg.q
+    if encoded:
+        modulus = cfg.q
         if modulus <= CHARSUM_SCAN_CAP:
             freqs = range(1, modulus)
         else:
             rng = random.Random(row.get("charsum_seed", 113))
             freqs = sorted(rng.sample(range(1, modulus), 256))
             report.extra["charsum_sampled"] = True
-        table = analysis.charsum_table(values, modulus, list(freqs))
+        table = analysis.charsum_table(values, modulus, freqs)
         report.max_charsum = float(table.max())
         if row.get("per_character", False):
             report.per_character = [{"xi": int(xi), "value": float(v)}

@@ -1,6 +1,8 @@
 """Slow, direct routes of shipped computations, kept as differential oracles
 for the tests. Nothing in ``src/addext`` imports this module."""
 
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -9,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from addext import analysis, gf, numtheory as nt
+from addext import analysis, gf, numtheory as nt, sources as src
+from addext.canonical import digest
 from addext.errors import AddextError, InputError
 
 
@@ -314,7 +317,9 @@ def group_scale(group, t: int, x):
 
 def rep_count(X, g) -> int:
     """|X cap (X + g)|: the number of ways to represent g as a difference."""
-    return sum(1 for y in X.elements if group_sub(X.group, y, g) in X.elements)
+    els = element_list(X.elements)
+    members = set(els)
+    return sum(1 for y in els if group_sub(X.group, y, g) in members)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +342,8 @@ def differences_by_pairs(X) -> Counter:
     """rep_count(X, g) for every g in X - X, from all |X|^2 differences by
     group_sub (the vector-group route that sources.difference_histogram
     replaced)."""
-    return Counter(group_sub(X.group, x, y) for x in X.elements for y in X.elements)
+    els = element_list(X.elements)
+    return Counter(group_sub(X.group, x, y) for x in els for y in els)
 
 
 def sym_set_by_pairs(X, alpha: float) -> set:
@@ -348,7 +354,8 @@ def sym_set_by_pairs(X, alpha: float) -> set:
 
 def doubling_by_pairs(X) -> int:
     """|X + X| as the set of all |X|^2 sums by group_add."""
-    return len({group_add(X.group, x, y) for x in X.elements for y in X.elements})
+    els = element_list(X.elements)
+    return len({group_add(X.group, x, y) for x in els for y in els})
 
 
 # ---------------------------------------------------------------------------
@@ -589,3 +596,61 @@ def matmul_mod_by_python_ints(A, B, m: int) -> np.ndarray:
     (m - 1)^2 >= 2^63. Elementwise products are the matmul of (..., 1) by
     (1, ...) columns."""
     return (np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)) % m
+
+
+# ---------------------------------------------------------------------------
+# sources as sets of ints and tuples: the oracles of the element arrays of
+# sources (the elements reader, Group.as_elements, Source.digest), of
+# extractors.encode_many and of the CSV rows of extract and charsum
+# ---------------------------------------------------------------------------
+
+def element_list(elements: np.ndarray) -> list:
+    """An element array (a source's elements, a span, a symmetry set) in
+    order, as ints (Z_p, Z_N) or tuples of ints (vectors)."""
+    rows = elements.tolist()
+    return rows if elements.ndim == 1 else list(map(tuple, rows))
+
+
+def explicit_elements(group, v, what: str = "the source spec's elements") -> list:
+    """An explicit spec's JSON list read entry by entry into ints and tuples
+    (sources._elements), each checked by Group.validate_element, then
+    deduplicated as a frozenset and sorted: the route before sources held
+    one int64 array."""
+    xs = src._elements(v, what)
+    group.validate_element(*xs)
+    if not xs:
+        raise InputError("explicit source must be nonempty")
+    return sorted(frozenset(xs))
+
+
+def element_json(x):
+    return list(x) if isinstance(x, tuple) else x
+
+
+def source_digest(group, elements: list) -> str:
+    """Source.digest of sorted ints or tuples."""
+    return digest({"group": group.to_json(), "elements": [element_json(x) for x in elements]})
+
+
+def encode_many_by_pow(cfg, points) -> list[int]:
+    """extractors.encode_many one point at a time by Python's pow: g^(x mod
+    p) mod q for zp, and sum_i g_i^(x_i mod p) w_i mod q for zpn."""
+    p, q = cfg.p, cfg.q
+    if not hasattr(cfg, "gs"):
+        return [pow(cfg.g, x % p, q) for x in points]
+    terms = [(g, qi, q // qi * pow(q // qi, -1, qi)) for g, qi in zip(cfg.gs, cfg.qs)]
+    return [sum(pow(g, xi % p, qi) * w for (g, qi, w), xi in zip(terms, x)) % q for x in points]
+
+
+def element_text(x) -> str:
+    """The CSV cell of an element, one at a time: its canonical JSON."""
+    return "[" + ",".join(map(str, x)) + "]" if isinstance(x, tuple) else str(x)
+
+
+def csv_text(header: list, rows) -> str:
+    """The text the csv module writes for a header and rows, one row at a time."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()

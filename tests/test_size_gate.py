@@ -101,7 +101,7 @@ def test_norms_past_int64_digit_products_match_the_oracles(p):
         one_point = oracles.ap_extract if isinstance(cfg, ex.ApExtractorConfig) \
             else oracles.line_extract
         xs = [x[:cfg.n] for x in points]
-        assert ex.extract_many(cfg, xs) == [one_point(x, cfg) for x in xs]
+        assert ex.extract_many(cfg, xs).tolist() == [one_point(x, cfg) for x in xs]
 
 
 def test_block_norms_past_the_budget_are_refused_before_any_norm(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from addext import gf
 from addext.canonical import canonical_json
+from addext.cli import _element_rows
 from addext.errors import BudgetError, InputError
 from addext.numtheory import CrtSystem, from_digits, to_digits
 from addext.sources import (AffineSpec, ApSpec, BohrSpec,
@@ -18,15 +19,21 @@ from addext.sources import (AffineSpec, ApSpec, BohrSpec,
                             RandomSpec, Source, additive_profile, bohr_vmax, build_source,
                             difference_histogram, doubling, json_int, json_number,
                             spec_from_json, spec_to_json, sub_gap, sym_set)
-from addext.sources import _elem_json, _elem_text
 
 
 def naive_sumset(els, group):
+    els = oracles.element_list(els)
     return {oracles.group_add(group, x, y) for x in els for y in els}
 
 
 def naive_rep(els, group, g):
+    els = oracles.element_list(els)
     return sum(1 for x in els for y in els if oracles.group_sub(group, x, y) == g)
+
+
+def _set(elements) -> set:
+    """An element array as a set of ints or tuples."""
+    return set(oracles.element_list(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -35,19 +42,19 @@ def naive_rep(els, group, g):
 
 def test_gap_example():
     X = build_source(GapSpec(0, (1,), 5), Group.zp(11))
-    assert X.sorted_elements == [0, 1, 2, 3, 4]
+    assert X.elements.tolist() == [0, 1, 2, 3, 4]
     assert X.notes["proper"]
 
 
 def test_bohr_example():
     X = build_source(BohrSpec((1,), 0.25), Group.zp(13))
-    assert X.sorted_elements == [0, 1, 2, 3, 10, 11, 12]
+    assert X.elements.tolist() == [0, 1, 2, 3, 10, 11, 12]
 
 
 def test_line_example():
     F3 = gf.FieldSpec.make(3, 1)
     X = build_source(LineSpec((0, 0), (1, 1)), Group.fq_vec(F3, 2))
-    assert X.elements == {(0, 0), (1, 1), (2, 2)}
+    assert X.elements.tolist() == [[0, 0], [1, 1], [2, 2]]
 
 
 def test_line_in_nonprime_field():
@@ -59,9 +66,9 @@ def test_line_in_nonprime_field():
 
 def test_ap_and_hap():
     X = build_source(ApSpec(3, 2, 4), Group.zp(11))
-    assert X.sorted_elements == [3, 5, 7, 9]
+    assert X.elements.tolist() == [3, 5, 7, 9]
     H = build_source(HapSpec(5, 3), Group.zp(11))
-    assert H.sorted_elements == [0, 5, 10]
+    assert H.elements.tolist() == [0, 5, 10]
     with pytest.raises(InputError):
         build_source(ApSpec(0, 0, 3), Group.zp(11))
 
@@ -79,8 +86,8 @@ def test_explicit_and_random():
     r1 = build_source(RandomSpec(10, 42), g)
     r2 = build_source(RandomSpec(10, 42), g)
     r3 = build_source(RandomSpec(10, 43), g)
-    assert r1.elements == r2.elements and len(r1) == 10
-    assert r1.elements != r3.elements
+    assert np.array_equal(r1.elements, r2.elements) and len(r1) == 10
+    assert not np.array_equal(r1.elements, r3.elements)
     e = build_source(ExplicitSpec(((1, 2, 3),)), g)
     assert len(e) == 1
     with pytest.raises(InputError):
@@ -103,9 +110,9 @@ def test_random_source_digests_golden():
 def test_random_source_in_a_group_of_order_at_least_2_63():
     g = Group.zp_vec(101, 10)                 # order 101^10 > 2^63
     X = build_source(RandomSpec(5, 1), g)
-    assert len(X) == 5 and X.elements == build_source(RandomSpec(5, 1), g).elements
-    assert X.elements != build_source(RandomSpec(5, 2), g).elements
-    for x in X.elements:
+    assert len(X) == 5 and np.array_equal(X.elements, build_source(RandomSpec(5, 1), g).elements)
+    assert not np.array_equal(X.elements, build_source(RandomSpec(5, 2), g).elements)
+    for x in oracles.element_list(X.elements):
         g.validate_element(x)
 
 
@@ -128,9 +135,9 @@ def test_group_digits_round_trip_for_every_kind(group):
     m, N = group.zmn
     index = [0, group.order - 1] + [rng.randrange(group.order) for _ in range(40)]
     X = group.from_digits(to_digits(index, m, N))
-    assert X == [_element_of_index(group, i) for i in index]
+    assert oracles.element_list(X) == [_element_of_index(group, i) for i in index]
     digits = group.digits(X)
-    assert digits.dtype == np.int64 and group.from_digits(digits) == X
+    assert digits.dtype == np.int64 and np.array_equal(group.from_digits(digits), X)
     assert from_digits(digits.reshape(len(X), N), m).tolist() == index
 
 
@@ -141,7 +148,7 @@ def test_random_source_above_sys_maxsize_matches_the_index_map():
         while len(index) < 40:
             index.add(rng.randrange(group.order))
         X = build_source(RandomSpec(40, 9), group)
-        assert X.elements == {_element_of_index(group, i) for i in index}
+        assert _set(X.elements) == {_element_of_index(group, i) for i in index}
 
 
 def test_budget_errors(monkeypatch):
@@ -161,7 +168,7 @@ def test_budget_errors(monkeypatch):
 def test_bohr_membership_boundary_is_exact():
     # rho = 0.2 as a float is slightly above 1/5, so v/p = 1/5 stays inside
     X = build_source(BohrSpec((1,), 0.2), Group.zp(5))
-    assert X.sorted_elements == [0, 1, 4]
+    assert X.elements.tolist() == [0, 1, 4]
     # and exactly at a clean fraction: 3/13 < 0.25 but 4/13 > 0.25
     Y = build_source(BohrSpec((1,), 0.25), Group.zp(13))
     assert max(min(v, 13 - v) for v in Y.elements) == 3
@@ -186,7 +193,7 @@ def test_bohr_vector_group_dot_product():
     X = build_source(BohrSpec(((1, 0), (0, 1)), 0.3), g)
     want = {(a, b) for a in range(7) for b in range(7)
             if min(a, 7 - a) < 0.3 * 7 and min(b, 7 - b) < 0.3 * 7}
-    assert X.elements == want
+    assert _set(X.elements) == want
 
 
 def _in_bohr(group, freqs, vmax, x) -> bool:
@@ -226,7 +233,7 @@ def test_bohr_set_matches_the_per_element_predicate(group, data, rho, chunk):
     everything = (range(group.order) if group.kind in ("zp", "zn") else
                   [tuple((i // group.p**j) % group.p for j in range(group.n))
                    for i in range(group.order)])
-    assert X.elements == {x for x in everything if _in_bohr(group, freqs, vmax, x)}
+    assert _set(X.elements) == {x for x in everything if _in_bohr(group, freqs, vmax, x)}
 
 
 def test_bohr_rejects_frequencies_of_the_wrong_shape_and_huge_moduli(monkeypatch):
@@ -278,12 +285,12 @@ def test_rep_count_examples():
 
 def test_sym_set_examples():
     X = build_source(GapSpec(0, (1,), 5), Group.zp(11))
-    assert sym_set(X, 0.2) == {0, 1, 10}
-    assert sym_set(X, 1.0) == {(a - b) % 11 for a in range(5) for b in range(5)}
+    assert _set(sym_set(X, 0.2)) == {0, 1, 10}
+    assert _set(sym_set(X, 1.0)) == {(a - b) % 11 for a in range(5) for b in range(5)}
     # subgroup: Sym_1 = X (alpha -> 0 keeps only full-count shifts)
     zn = Group.zn(CrtSystem.make([3, 5]))
     sub = build_source(ExplicitSpec((0, 5, 10)), zn)
-    assert sym_set(sub, 1e-9) == {0, 5, 10}
+    assert _set(sym_set(sub, 1e-9)) == {0, 5, 10}
 
 
 def test_sym_set_symmetry_and_zero():
@@ -293,7 +300,7 @@ def test_sym_set_symmetry_and_zero():
         for _ in range(10):
             X = build_source(ExplicitSpec(tuple(rng.sample(range(p),
                                                            rng.randint(2, p)))), grp)
-            S = sym_set(X, 0.4)
+            S = _set(sym_set(X, 0.4))
             assert 0 in S
             assert S == {(-g) % p for g in S}
 
@@ -304,13 +311,13 @@ def test_sym_set_symmetry_and_zero():
 def test_sym_nesting_property(els, a1, a2):
     X = build_source(ExplicitSpec(tuple(els)), Group.zp(29))
     lo, hi = min(a1, a2), max(a1, a2)
-    assert sym_set(X, lo) <= sym_set(X, hi)
+    assert _set(sym_set(X, lo)) <= _set(sym_set(X, hi))
 
 
 def test_sym_set_vector_group_matches_naive():
     g = Group.zp_vec(5, 2)
     X = build_source(ExplicitSpec(((0, 0), (1, 1), (2, 2), (0, 1))), g)
-    S = sym_set(X, 0.8)
+    S = _set(sym_set(X, 0.8))
     thresh = 0.2 * len(X)
     for el in [(0, 0), (1, 1), (1, 0), (4, 4)]:
         assert (el in S) == (naive_rep(X.elements, g, el) >= thresh)
@@ -381,7 +388,7 @@ def test_sub_gap_is_homogeneous_witness_set():
     X = build_source(spec, grp)
     assert X.notes["proper"]
     S = sub_gap(spec, grp, 2)
-    assert S == {0, 1, 9, 10}
+    assert S.tolist() == [0, 1, 9, 10]
     for x in S:
         assert oracles.rep_count(X, x) >= len(X) * (1 - 2 / 8**0.9)
 
@@ -435,24 +442,34 @@ def test_source_sorts_and_digests_once_and_compares_by_content():
     g = Group.zp_vec(5, 2)
     a = build_source(ExplicitSpec(((3, 1), (0, 4), (2, 2))), g)
     fresh = build_source(ExplicitSpec(((3, 1), (0, 4), (2, 2))), g)
-    assert a.sorted_elements is a.sorted_elements == [(0, 4), (2, 2), (3, 1)]
-    assert a.to_json()["digest"] == a.digest
-    # the cached values are no fields: equality and hashing see the content only
+    assert a.elements.tolist() == [[0, 4], [2, 2], [3, 1]] and not a.elements.flags.writeable
+    assert a.digest is a.digest and a.to_json()["digest"] == a.digest
+    # the cached digest is no field: equality and hashing see the content only
     assert a == fresh and hash(a) == hash(fresh)
     assert fresh.digest == a.digest
 
 
-_elements = st.one_of(st.integers(0, 2**80),
-                      st.lists(st.integers(0, 2**80), min_size=1, max_size=10).map(tuple))
+_elements = st.one_of(st.integers(0, 2**63 - 1),
+                      st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=10).map(tuple))
 
 
 @settings(max_examples=200)
-@given(_elements)
-@example(0)
-@example((0,))
-@example(2**63)
-def test_elem_text_is_the_canonical_json_of_the_element(x):
-    assert _elem_text(x) == canonical_json(_elem_json(x))
+@given(st.lists(_elements, min_size=1, max_size=5), st.integers(0, 2**63 - 1))
+@example([0], 0)
+@example([(0,)], 1)
+@example([2**63 - 1, 5], 2)
+def test_elem_text_is_the_canonical_json_of_the_element(xs, value):
+    # the extract command's bulk CSV rows of an element array are the csv
+    # module's rows of each element's canonical JSON, one row at a time
+    length = len(xs[0]) if isinstance(xs[0], tuple) else None
+    xs = [x for x in xs if (len(x) if isinstance(x, tuple) else None) == length]
+    group = Group.zp(11) if length is None else Group.zp_vec(11, length)
+    for x in xs:
+        assert oracles.element_text(x) == canonical_json(oracles.element_json(x))
+    want = oracles.csv_text(["element", "output"],
+                            [[oracles.element_text(x), value] for x in xs])
+    got = _element_rows(group, np.array(xs, dtype=np.int64), np.full(len(xs), value), "%d")
+    assert "element,output\r\n" + got == want
 
 
 @pytest.mark.parametrize("group, spec", [
@@ -463,8 +480,8 @@ def test_elem_text_is_the_canonical_json_of_the_element(x):
 def test_difference_histogram_matches_rep_count(group, spec):
     X = build_source(spec, group)
     values, counts = difference_histogram(X)
-    assert sorted({oracles.group_sub(group, x, y) for x in X.elements for y in X.elements}) \
-        == values.tolist()
+    els = oracles.element_list(X.elements)
+    assert sorted({oracles.group_sub(group, x, y) for x in els for y in els}) == values.tolist()
     assert counts.tolist() == [oracles.rep_count(X, g) for g in values.tolist()]
 
 

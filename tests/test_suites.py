@@ -404,7 +404,7 @@ def test_cauchy_davenport_matches_per_trial_doubling(monkeypatch):
     p, trials, seed = 101, 300, 3
     grp = src.Group.zp(p)
     drawn = cauchy_davenport_sets(p, trials, seed)
-    sizes = [src.doubling(src.Source(grp, src.ExplicitSpec(tuple(A)), frozenset(A)))
+    sizes = [src.doubling(src.Source(grp, src.ExplicitSpec(tuple(A)), np.array(A, dtype=np.int64)))
              for A in drawn]
     rows = np.zeros((trials, p), dtype=np.int8)
     for i, A in enumerate(drawn):

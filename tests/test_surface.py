@@ -11,7 +11,7 @@ from pathlib import Path
 
 import addext
 from addext import gf, numtheory as nt
-from addext.sources import Group
+from addext.sources import Group, Source
 
 PACKAGE = Path(addext.__file__).parent
 
@@ -103,10 +103,9 @@ def test_work_factor_is_read_only_by_check_cost():
 
 
 # The BudgetErrors that are not the element budget's: the exactness guards
-# (2^62, 2^63, the FFT's rounding), which refuse a run for its exactness, not
-# for its size.
-NOT_THE_ELEMENT_BUDGET = {"sources._rounded", "analysis.poly_eval_all", "analysis.moment_sum",
-                          "suites._moment_cases"}
+# (2^62, the FFT's rounding), which refuse a run for its exactness, not for
+# its size.
+NOT_THE_ELEMENT_BUDGET = {"sources._rounded", "analysis.moment_sum", "suites._moment_cases"}
 
 
 def test_every_budget_refusal_goes_through_check_cost():
@@ -284,3 +283,41 @@ def test_python_ints_only_in_the_digit_codec():
         "def f(x: object) -> object:\n    return np.array(x, dtype=object)\n"
         "b0: object\nx.astype('O')\nnp.object_\ny = int if z else object"), "m") == {
         "m.f": [2], "m": [4, 5, 6]}
+
+
+def _set_builders(tree: ast.AST, module: str) -> dict[str, list[int]]:
+    """The lines, by innermost enclosing function, that build a set or a
+    frozenset: a call of set or frozenset, a set display or a set comprehension."""
+    found: dict[str, list[int]] = {}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{module}.{node.name}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("set", "frozenset")
+                or isinstance(node, (ast.Set, ast.SetComp))):
+            found.setdefault(owner, []).append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+    visit(tree, module)
+    return found
+
+
+# The sets that src builds, none of elements: the CSV columns and the failed
+# grid indices of a verify run, a config's block sizes, and the types of the
+# entries of a JSON list of elements.
+NOT_SETS_OF_ELEMENTS = {"cli.cmd_verify", "extractors.extension_steps", "sources._element_array"}
+
+
+def test_no_module_builds_a_set_of_elements():
+    # a source is one sorted int64 array (sources.Source) from the reader to
+    # the CSV; the frozenset of ints and tuples, its reader, the pow encodings
+    # and the per-row CSV writer are oracles in tests/oracles.py
+    found = {}
+    for module, tree in _trees().items():
+        found.update(_set_builders(tree, module))
+    assert set(found) == NOT_SETS_OF_ELEMENTS, found
+    assert not hasattr(Source, "sorted_elements")
+    # the check sees the sets it is meant to find
+    assert _set_builders(ast.parse("def f(x):\n    return set(x) | frozenset(x)\n"
+                                   "{1}\n{a for a in b}"), "m") == {"m.f": [2, 2], "m": [3, 4]}
