@@ -49,13 +49,11 @@ def distance_to_uniform(counts: np.ndarray) -> float:
     return float(Fraction(M * int(above.sum()) - N * len(above), N * M))
 
 
-def evaluate(X: Source, cfg, encodings: np.ndarray | None = None
-             ) -> tuple[np.ndarray, EvalReport]:
-    """The outputs of cfg at X's elements (from ``encodings`` where a zp or
-    zpn caller took them, extractors.extract_many), and the report of their
-    exact distance from uniform on cfg.M outputs, with their histogram as
-    extra["outputs"]."""
-    outputs = extractors.extract_many(cfg, X.elements, encodings)
+def evaluate(X: Source, cfg) -> tuple[np.ndarray, EvalReport]:
+    """The outputs of cfg at X's elements (extractors.extract_many), and the
+    report of their exact distance from uniform on cfg.M outputs, with their
+    histogram as extra["outputs"]."""
+    outputs = extractors.extract_many(cfg, X.elements)
     counts = extractor_distribution(outputs, cfg.M)
     return outputs, EvalReport(config_digest=digest(cfg.to_json()), source_digest=X.digest,
                                size=len(X), distance=distance_to_uniform(counts),

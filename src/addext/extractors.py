@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,23 +30,32 @@ from .errors import CapacityError, InputError
 from .numtheory import MODULUS_CAP, CrtSystem
 from .sources import PY_STEP, Group, check_cost, element_budget, json_int, read_object
 
-# ---------------------------------------------------------------------------
-# Z_p
-# ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZpExtractorConfig:
-    p: int
-    q: int
-    g: int
-    m: int
+class _Config:
+    """What the five configs share: M = 2^m outputs, and a JSON object of
+    the family's ``variant`` and every field, tuples as lists (``line`` and
+    ``ap`` write their own)."""
 
     @property
     def M(self) -> int:
         return 1 << self.m
 
     def to_json(self) -> dict:
-        return {"variant": "zp", "p": self.p, "q": self.q, "g": self.g, "m": self.m}
+        values = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return {"variant": self.variant, **values}
+
+
+# ---------------------------------------------------------------------------
+# Z_p
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ZpExtractorConfig(_Config):
+    variant = "zp"
+    p: int
+    q: int
+    g: int
+    m: int
 
 
 def build_zp_extractor(p: int, m: int) -> ZpExtractorConfig:
@@ -61,21 +70,14 @@ def build_zp_extractor(p: int, m: int) -> ZpExtractorConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ZpnExtractorConfig:
+class ZpnExtractorConfig(_Config):
+    variant = "zpn"
     p: int
     n: int
     qs: tuple[int, ...]
     gs: tuple[int, ...]
     q: int
     m: int
-
-    @property
-    def M(self) -> int:
-        return 1 << self.m
-
-    def to_json(self) -> dict:
-        return {"variant": "zpn", "p": self.p, "n": self.n, "qs": list(self.qs),
-                "gs": list(self.gs), "q": self.q, "m": self.m}
 
 
 def build_zpn_extractor(p: int, n: int, m: int) -> ZpnExtractorConfig:
@@ -132,13 +134,13 @@ def ascending_blocks(n: int, allowed_sizes) -> tuple[tuple[Block, ...], int]:
 
 
 @dataclass(frozen=True)
-class LineExtractorConfig:
+class LineExtractorConfig(_Config):
     field: gf.FieldSpec       # F_q, the coordinate field
     n: int
     padded_n: int
     blocks: tuple[Block, ...]
     variant: str              # "additive_trace" (even q) | "quadratic_char" (odd q)
-    M = 2                     # a 1-bit extractor
+    m = 1                     # a 1-bit extractor
 
     def to_json(self) -> dict:
         return {"variant": "line", "p": self.field.p, "k": self.field.k,
@@ -173,7 +175,7 @@ def build_line_extractor(q: int | gf.FieldSpec, n: int) -> LineExtractorConfig:
 
 
 @dataclass(frozen=True)
-class ApExtractorConfig:
+class ApExtractorConfig(_Config):
     """Block-polynomial extractor for APs and GAPs in F_p^n.
 
     Block sizes lie in (1, p), so the restriction to any line with nonzero
@@ -185,10 +187,6 @@ class ApExtractorConfig:
     padded_n: int
     blocks: tuple[Block, ...]
     m: int
-
-    @property
-    def M(self) -> int:
-        return 1 << self.m
 
     @property
     def p(self) -> int:
@@ -220,17 +218,11 @@ def build_ap_extractor(p: int, n: int, m: int) -> ApExtractorConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PgcExtractorConfig:
+class PgcExtractorConfig(_Config):
+    variant = "pgc"
     p: int
     g: int
     m: int
-
-    @property
-    def M(self) -> int:
-        return 1 << self.m
-
-    def to_json(self) -> dict:
-        return {"variant": "pgc", "p": self.p, "g": self.g, "m": self.m}
 
 
 def build_pgc_extractor(p: int, m: int) -> PgcExtractorConfig:
@@ -447,8 +439,7 @@ def _block_poly_many(cfg: LineExtractorConfig | ApExtractorConfig,
     return acc
 
 
-def extract_many(cfg: ExtractorConfig, points, encodings: np.ndarray | None = None
-                 ) -> np.ndarray:
+def extract_many(cfg: ExtractorConfig, points) -> np.ndarray:
     """The extractor's output at each point of an int64 array (_points), in
     order, as int64.
 
@@ -459,11 +450,10 @@ def extract_many(cfg: ExtractorConfig, points, encodings: np.ndarray | None = No
     discrete log at once by ``numtheory.discrete_logs``, B baby steps and G
     giant steps, B held to the element budget; its cost is checked first by
     check_cost, the one place a budget refusal happens (_pgc_baby_steps).
-    ``zp`` and ``zpn`` reduce their encodings mod 2^m: encode_many's, or
-    ``encodings`` where the caller took them of these points.
+    ``zp`` and ``zpn`` reduce encode_many's encodings mod 2^m.
     """
     if isinstance(cfg, (ZpExtractorConfig, ZpnExtractorConfig)):
-        return (encode_many(cfg, points) if encodings is None else encodings) % cfg.M
+        return encode_many(cfg, points) % cfg.M
     if isinstance(cfg, LineExtractorConfig):
         values = _block_poly_many(cfg, _coordinates(cfg, points))
         if cfg.variant == "additive_trace":

@@ -16,7 +16,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
@@ -822,10 +822,7 @@ class AdditiveProfile:
     group_order: int
 
     def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "tau": self.tau,
-                "entropy_rate": self.entropy_rate, "size": self.size,
-                "sym_size": self.sym_size, "sumset_size": self.sumset_size,
-                "group_order": self.group_order}
+        return asdict(self)
 
 
 def additive_profile(X: Source, alpha: float) -> AdditiveProfile:

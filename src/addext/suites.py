@@ -28,8 +28,8 @@ from .sources import PY_STEP
 
 @dataclass
 class SuiteResult:
-    name: str
-    ok: bool
+    name: str = ""  # a suite's run sets it (_suite)
+    ok: bool = True
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
@@ -91,8 +91,8 @@ def _suite(*, cost):
     total work. ``check`` reads the keyword arguments over the defaults by
     sources.read_object, each parameter by its check (an unknown one is an
     InputError), then the cost by sources.check_cost, the one place a budget
-    refusal happens. A run checks first, runs on the values read, is timed into
-    ``seconds``, and is not ok with a failure."""
+    refusal happens. A run checks first, runs on the values read, is named,
+    is timed into ``seconds``, and is not ok with a failure."""
     def declare(fn):
         name = fn.__name__.removeprefix("suite_").replace("_", "-")
         params = inspect.signature(fn).parameters
@@ -112,7 +112,7 @@ def _suite(*, cost):
         def run(**kwargs) -> SuiteResult:
             t0 = time.perf_counter()
             res = fn(**check(**kwargs))
-            res.ok = not res.failures
+            res.name, res.ok = name, not res.failures
             res.seconds = time.perf_counter() - t0
             return res
         run.name, run.checks, run.check = name, checks, check
@@ -168,7 +168,7 @@ def suite_weil(primes: _PRIMES = tuple(p for p in nt.primes_upto(199) if p >= 11
     """|sum_t e_p(f(t))| <= deg(f) sqrt(p) for seeded random polynomials,
     1 <= dmin <= deg f <= dmax < p."""
     rng = np.random.default_rng(seed)
-    res = SuiteResult("weil", True)
+    res = SuiteResult()
     for p in primes:
         coeffs, degs = _random_poly_batch(rng, polys_per_p, p, dmin, dmax)
         e_p = _unit_roots(p)
@@ -193,7 +193,7 @@ def suite_partial_ap(primes: _PRIMES = (101, 199, 499), polys_per_p: _Int(1) = 1
     """Prefix sums of e_p(a f(t)) over every 1 <= s <= p against
     4 log2(p) sqrt(p) deg(f), 2 <= dmin <= deg f <= dmax < p."""
     rng = np.random.default_rng(seed)
-    res = SuiteResult("partial-ap", True)
+    res = SuiteResult()
     for p in primes:
         coeffs, degs = _random_poly_batch(rng, polys_per_p, p, dmin, dmax)
         e_p = _unit_roots(p)
@@ -218,7 +218,7 @@ def suite_partial_ap(primes: _PRIMES = (101, 199, 499), polys_per_p: _Int(1) = 1
 def suite_l1(pmax: _Int(2) = 499) -> SuiteResult:
     """L1 Fourier norm of every interval {0..s-1} in Z_p against 4 log2 p,
     for every prime 2 <= p <= pmax."""
-    res = SuiteResult("l1", True)
+    res = SuiteResult()
     for p in nt.primes_upto(pmax):
         vals = analysis.fourier_l1_interval(p, np.arange(1, p + 1))
         bound = 4 * math.log2(p)
@@ -232,7 +232,7 @@ def suite_l1(pmax: _Int(2) = 499) -> SuiteResult:
 @_suite(cost=lambda moduli: (0, 16 * PY_STEP * sum(moduli)))
 def suite_xor(moduli: _List(_Int(2)) = (15, 21, 33, 35, 105, 231, 1155)) -> SuiteResult:
     """|sigma(U_N) - U_M| <= 2M/N for every M < N coprime to N, exactly."""
-    res = SuiteResult("xor", True)
+    res = SuiteResult()
     for N in moduli:
         worst = Fraction(0)
         coprime = [M for M in range(1, N) if math.gcd(M, N) == 1]
@@ -338,7 +338,7 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
 def suite_lines(qs: _List(_Int(4)) = (9, 16, 25, 49, 64)) -> SuiteResult:
     """Exhaustive line-extractor bounds over F_q^2, q >= 4 (below, x^3 = x):
     normalized line sums and 1-bit distances against 4 sqrt(n/q), n = 2."""
-    res = SuiteResult("lines", True)
+    res = SuiteResult()
     for q in qs:
         cfg = ex.build_line_extractor(q, 2)
         row = scan_all_lines(cfg)
@@ -370,7 +370,7 @@ def suite_gap_profile(primes: _PRIMES = (101, 499, 1009), dims: _List(_Int(1)) =
     """Proper GAPs: |X+X| <= 2^r |X|; the homogeneous sub-GAP of side
     ceil(s^0.1) has >= |X|^0.1 elements, each with rep >= |X| (1 - r/s^0.9)."""
     rng = random.Random(seed)
-    res = SuiteResult("gap-profile", True)
+    res = SuiteResult()
     for p, r, s in _gap_cases(primes, dims, sides):
         grp = src.Group.zp(p)
         built = 0
@@ -450,7 +450,7 @@ def suite_bohr(pmax: _Int(2) = 499, rhos: _List(_Number(0, 1)) = (0.1, 0.2, 0.3)
     Each (p, rho, rank) is one batch: a row of masks per ratio, sizes as row
     sums, and the overlaps |B cap (B + y)| = sum_x B(x) B(x - y) of each row,
     counted exactly for the y of the window that holds the witnesses Y."""
-    res = SuiteResult("bohr", True)
+    res = SuiteResult()
     for p in nt.primes_upto(pmax):
         ratios = np.arange(2, p)
         dilations = (ratios[:, None] * np.arange(p)) % p
@@ -500,7 +500,7 @@ def suite_cauchy_davenport(primes: _PRIMES = (101, 499), trials: _Int(1) = 10_00
     trials. A trial's set is the x whose key is at most the size-th smallest
     key of its row, so the sets do not depend on the chunk size. Every |A + A|
     of a chunk comes from one row-batched convolution."""
-    res = SuiteResult("cauchy-davenport", True)
+    res = SuiteResult()
     for p in primes:
         rng = np.random.default_rng([seed, p])
         sizes = rng.integers(1, p + 1, size=trials)
@@ -528,7 +528,7 @@ def suite_transport(primes: _PRIMES = (101, 499), sources_per_p: _Int(1) = 200,
                     alpha: _Number(0, 1) = 0.25, seed: _Int(0) = 109) -> SuiteResult:
     """The subgroup encoding x -> g^x: injectivity, |Y Y| = |X+X|, and exact
     transport of representation counts (hence of every symmetry set)."""
-    res = SuiteResult("transport", True)
+    res = SuiteResult()
     for p in primes:
         cfg = ex.build_zp_extractor(p, 1)
         q = cfg.q
@@ -595,7 +595,7 @@ def suite_zp_trend(primes: _PRIMES = (101, 499, 1009, 4999),
     """Exhaustive 1-bit distances across all s-APs, s = ceil(p^0.7): the median
     must be non-increasing in p (hard); the final median is compared with the
     threshold (soft; a miss downgrades to a warning with the curve attached)."""
-    res = SuiteResult("zp-trend", True)
+    res = SuiteResult()
     medians = []
     for p in primes:
         s = math.ceil(p**0.7)
@@ -630,7 +630,7 @@ def suite_moments(qs: _List(_Int(2)) = (11, 101), ts: _List(_Int(1)) = (1, 2, 3)
     """Exact moment-sum identities: full multiplicative group value
     ((q-1)^2t + (q-1))/q for each q >= 2, and the Parseval case 2t = 2
     equals |Y|."""
-    res = SuiteResult("moments", True)
+    res = SuiteResult()
     for q, t in itertools.product(qs, ts):
         got = analysis.moment_sum(np.arange(1, q), q, t)
         want = ((q - 1)**(2 * t) + (q - 1)) // q
@@ -658,7 +658,7 @@ def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteRe
     Every norm comes from gf.norms_many, and at every point it must equal
     gf.conjugate_norms_many; homogeneity is checked for every point and every
     lambda at once."""
-    res = SuiteResult("norms", True)
+    res = SuiteResult()
     for q in qs:
         base = ex.prime_power_field(q)
         mul = gf.mul_table(base)
@@ -710,11 +710,9 @@ def _sweep_point(row) -> EvalReport:
     row = src.read_object(row, "row", _SOURCE_ROW, ("alpha", "per_character", "charsum_seed"))
     X = src.build_source(row["source"], row["group"])
     cfg = _row_config(row["extractor"], X.group)
-    encoded = isinstance(cfg, (ex.ZpExtractorConfig, ex.ZpnExtractorConfig))
-    values = ex.encode_many(cfg, X.elements) if encoded else None  # taken once
-    report = analysis.evaluate(X, cfg, values)[1]  # the outputs are not held through the sums
+    report = analysis.evaluate(X, cfg)[1]  # the outputs are not held through the sums
     report.extra["charsum_sampled"] = False
-    if encoded:
+    if isinstance(cfg, (ex.ZpExtractorConfig, ex.ZpnExtractorConfig)):
         modulus = cfg.q
         if modulus <= CHARSUM_SCAN_CAP:
             freqs = range(1, modulus)
@@ -722,7 +720,7 @@ def _sweep_point(row) -> EvalReport:
             rng = random.Random(row.get("charsum_seed", 113))
             freqs = sorted(rng.sample(range(1, modulus), 256))
             report.extra["charsum_sampled"] = True
-        table = analysis.charsum_table(values, modulus, freqs)
+        table = analysis.charsum_table(ex.encode_many(cfg, X.elements), modulus, freqs)
         report.max_charsum = float(table.max())
         if row.get("per_character", False):
             report.per_character = [{"xi": int(xi), "value": float(v)}
@@ -807,7 +805,7 @@ def suite_sweep(grid_rows: list[dict], threads: int | None = None) -> SuiteResul
     would not evaluate them in parallel.
     """
     t0 = time.perf_counter()
-    res = SuiteResult("sweep", True)
+    res = SuiteResult("sweep")
     for i, row in enumerate(grid_rows):
         try:
             t_row = time.perf_counter()

@@ -367,9 +367,9 @@ def test_extract_evaluates_each_point_once(tmp_path, monkeypatch):
             encoded.append(len(points))
             return real_encode(cfg, points)
 
-        def counted_many(cfg, points, encodings=None, batches=batches):
+        def counted_many(cfg, points, batches=batches):
             batches.append(len(points))
-            return real_many(cfg, points, encodings)
+            return real_many(cfg, points)
 
         monkeypatch.setattr(ex, "encode_many", counted_encode)
         monkeypatch.setattr(ex, "extract_many", counted_many)

@@ -383,35 +383,46 @@ _CHILD = """\
 import json, sys
 from addext.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "jsonschema": "jsonschema" in sys.modules}))
+print(json.dumps({"codes": codes,
+                  "imported": [m for m in ("jsonschema", "numpy.ma") if m in sys.modules]}))
 """
 
 
 def _in_one_interpreter(tmp_path, argvs):
     """Run each argv through ``addext.cli.main`` in one fresh interpreter:
-    (exit codes, whether jsonschema was imported, stderr)."""
+    (exit codes, which of jsonschema and numpy.ma were imported, stderr)."""
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [pkg_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     out = json.loads(proc.stdout.splitlines()[-1])
-    return out["codes"], out["jsonschema"], proc.stderr
+    return out["codes"], out["imported"], proc.stderr
 
 
 def test_valid_inputs_never_import_jsonschema(tmp_path):
-    # nor does a rejected one: the readers word every refusal
+    # nor does a rejected one: the readers word every refusal. No command
+    # imports numpy.ma either, as a plain np.unique(x) would on its first
+    # call in a process, for 10 ms or more
     (tmp_path / "spec.json").write_text(canonical_json(_source(b0=5, steps=[1, 9], r=2,
                                                                s=8)))
+    (tmp_path / "vec.json").write_text(canonical_json(_file(*_SPECS[6], False)))
     (tmp_path / "grid.json").write_text(canonical_json({"kwargs": {"primes": [11],
                                                                    "polys_per_p": 5}}))
     (tmp_path / "bad.json").write_text(canonical_json(_source({"kind": "zp", "p": "x"})))
+    extract = [["extract", "--source", source, "--extractor", family, "--out", family + ".csv"]
+               for source, families in (("src.json", ("zp", "pgc")),
+                                        ("vec.src.json", ("zpn", "ap", "line")))
+               for family in families]
     codes, imported, err = _in_one_interpreter(tmp_path, [
         ["build-source", "--spec", "spec.json", "--out", "src.json"],
-        ["extract", "--source", "src.json", "--extractor", "zp", "--out", "x.csv"],
+        ["build-source", "--spec", "vec.json", "--out", "vec.src.json"],
+        *extract,
+        ["profile", "--source", "src.json", "--alpha", "0.5", "--out", "p.json"],
+        ["charsum", "--source", "src.json", "--out", "c.csv"],
         ["verify", "--suite", "weil", "--grid", "grid.json", "--out", "v.csv"],
         ["build-source", "--spec", "bad.json", "--out", "bad.src.json"]])
-    assert (codes, imported, err) == ([0, 0, 0, 2], False,
+    assert (codes, imported, err) == ([0] * 10 + [2], [],
                                       "error: the group's p must be an integer, not 'x'\n")
     assert not (tmp_path / "bad.src.json").exists()
 
@@ -427,7 +438,7 @@ def test_a_rejected_input_imports_jsonschema_for_its_message(tmp_path):
         ["extract", "--source", "src.json", "--extractor", "zp", "--out", "x.csv"],
         ["verify", "--suite", "weil", "--grid", "grid.json", "--out", "v.csv"],
         ["verify", "--suite", "sweep", "--grid", "rows.json", "--out", "s.csv"]])
-    assert (codes, imported, err.splitlines()) == ([2, 2, 2], False, [
+    assert (codes, "jsonschema" in imported, err.splitlines()) == ([2, 2, 2], False, [
         "error: each of the source file src.json's elements must be an integer >= 0, not -1",
         "error: the grid's kwargs must be a JSON object, not []",
         "error: the grid's rows must be a list, not 5"])

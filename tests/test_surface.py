@@ -156,6 +156,60 @@ def test_every_parameter_in_src_is_read():
     assert unread == UNREAD_PARAMETERS
 
 
+def _idle_defaults(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """The parameters with a default, by function, that no call in trees
+    passes, or that every call passes. A call by the function's name passes
+    a parameter by its keyword, by its position (a method's self not
+    counted), or by any * or ** argument."""
+    defs = {}
+    for module, tree in trees.items():
+        for owner in ast.walk(tree):
+            bodies = isinstance(owner, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            for fn in owner.body if bodies else ():
+                if isinstance(fn, ast.FunctionDef):
+                    a = fn.args
+                    pos = [x.arg for x in (*a.posonlyargs, *a.args)][isinstance(owner, ast.ClassDef):]
+                    kw = [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                    defaulted = pos[len(pos) - len(a.defaults):] + kw
+                    if defaulted:
+                        defs[f"{module}.{fn.name}"] = (fn.name, pos, defaulted)
+    idle = {}
+    for key, (name, pos, defaulted) in defs.items():
+        passed = []
+        for call in (n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)
+                     and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))):
+            star = any(isinstance(x, ast.Starred) for x in call.args) or any(
+                k.arg is None for k in call.keywords)
+            passed.append(set(defaulted) if star else
+                          set(pos[:len(call.args)]) | {k.arg for k in call.keywords})
+        bad = {p for p in defaulted
+               if not any(p in s for s in passed) or all(p in s for s in passed)}
+        if bad:
+            idle[key] = bad
+    return idle
+
+
+# The defaults that no call in src passes besides cli.main's argv and the
+# suites' parameters, which the command line and a grid's JSON kwargs set:
+# the prime search's bound, which is to become check_cost's metered refusal
+# (ROADMAP item 13).
+UNPASSED_DEFAULTS = {"numtheory.smallest_prime_congruent_one": {"budget"}}
+
+
+def test_every_default_is_passed_in_src():
+    # a default that no call passes is a constant, and one that every call
+    # passes is no default: either is surface that no caller in src uses
+    idle = {fn: params for fn, params in _idle_defaults(_trees()).items()
+            if fn != "cli.main" and not fn.startswith("suites.suite_")}
+    assert idle == UNPASSED_DEFAULTS
+    # the check sees the defaults it is meant to find
+    assert _idle_defaults({"m": ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    f(a)\n    f(a, 2, d=4).h()\n"
+        "def g(x=0):\n    g(1)\n    g(*y)\n"
+        "class C:\n    def h(self, e=0, k=1):\n        self.h(1)\n        C().h()")}) == {
+        "m.f": {"c"}, "m.g": {"x"}, "m.h": {"k"}}
+
+
 def _calls(tree: ast.AST, name: str) -> int:
     """How many calls under tree call name, as a name or an attribute."""
     return sum(isinstance(n, ast.Call) and _reads(n.func, name) > 0 for n in ast.walk(tree))
