@@ -11,7 +11,7 @@ that the checks require exactly are computed in integer/rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -231,15 +231,8 @@ class EvalReport:
     ok: bool = True
     seconds: float = 0.0
     asserted: bool = True
-    extra: dict = field(default_factory=dict)
-    per_character: list | None = None
+    extra: dict = field(default_factory=dict)  # its other keys, as a sweep row's per_character
 
     def to_json(self) -> dict:
-        out = {"config_digest": self.config_digest, "source_digest": self.source_digest,
-               "size": self.size, "distance": self.distance,
-               "max_charsum": self.max_charsum, "bound": self.bound, "ok": self.ok,
-               "seconds": self.seconds, "asserted": self.asserted}
-        out.update(self.extra)
-        if self.per_character is not None:
-            out["per_character"] = self.per_character
-        return out
+        return {**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"},
+                **self.extra}

@@ -185,7 +185,7 @@ def cmd_verify(args) -> Outcome:
     grid = _load_validated(args.grid) if args.grid else {}
     if args.suite == "sweep":  # a sweep's grid has rows, a named suite's its kwargs
         # each row is read by the sweep, so that a faulty row is that row's error
-        rows = src.read_object(grid, "grid", {"rows": src._list_of(lambda row, _: row)})["rows"]
+        rows = src.read_object(grid, "grid", {"rows": src._List(lambda row, _: row, 0)})["rows"]
         result = suites.suite_sweep(rows, threads=args.threads)
         header, records = analysis.CSV_COLUMNS, [r.to_json() for r in result.rows]
         summary = {"suite": "sweep", "ok": result.ok, "failures": result.failures,

@@ -307,7 +307,7 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
     _product_steps(p, K), and a K x K matrix product mat K^3 steps, mat = 3
     numtheory.product_steps(p, K).
     Building: gf.find_irreducible tests about 2K candidates of degree K (one
-    in K is irreducible; a third of them pass the root sieve where p <= K^2),
+    in K is irreducible; a third of them pass the root sieve where gf._sieves_roots),
     each by bitlen(p) + popcount(p) batched K x K matrix products of
     mat K^3 + 256 steps, and certifies about two by a Python row reduction of
     K^2 PY_STEP + 64 K^3; the Frobenius matrix of h -> h^q (gf._frobenius)
@@ -326,7 +326,7 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
         K = k * b
         mat = 3 * nt.product_steps(p, K)
         product = _product_steps(p, K)
-        candidates = 2 * K // (3 if p <= K * K else 1)
+        candidates = 2 * K // (3 if gf._sieves_roots(p, K) else 1)
         steps += (candidates * ladder * (mat * K**3 + 256)
                   + 2 * K * K * (PY_STEP + 64 * K)
                   + ladder * K * product + k * mat * K**3
@@ -338,9 +338,9 @@ def extension_steps(cfg: LineExtractorConfig | ApExtractorConfig, points: int) -
 
 def _product_steps(p: int, K: int) -> int:
     """The work of one product of two elements of F_(p^K) at one point, in
-    check_cost's steps: 48 K on F_2 bitmasks (2K - 1 <= 64), else 10 u K^2 +
-    256 on digits, u = numtheory.product_steps(p, K) (gf._mul_digits)."""
-    if p == 2 and 2 * K - 1 <= 64:
+    check_cost's steps: 48 K on F_2 bitmasks (gf._uses_bitmasks), else 10 u
+    K^2 + 256 on digits, u = numtheory.product_steps(p, K) (gf._mul_digits)."""
+    if gf._uses_bitmasks(p, K):
         return 48 * K
     return 10 * nt.product_steps(p, K) * K * K + 256
 

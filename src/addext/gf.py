@@ -100,14 +100,20 @@ def _row_reduce(rows: Sequence[Sequence[int]],
 _CERTIFIED: dict = {}  # (modulus, p) that _first_irreducible proved irreducible -> its frob
 
 
+def _sieves_roots(p: int, k: int) -> bool:
+    """Whether _root_free sieves the candidates of degree k over F_p: where
+    p <= k^2, since there it costs less than the Frobenius steps of
+    _first_irreducible that it spares."""
+    return p <= k * k
+
+
 def _root_free(tails: np.ndarray, p: int) -> np.ndarray:
     """The rows whose f has no root in F_p (gcd(f, x^p - x) = 1), by f at
-    every a in F_p, k values of a per matmul by the columns a^j; only where
-    p <= k^2, since there this costs less than the Frobenius steps of
-    _first_irreducible that it spares. All True where p > k^2."""
+    every a in F_p, k values of a per matmul by the columns a^j, where
+    _sieves_roots; all True elsewhere."""
     k = tails.shape[1]
     free = np.ones(len(tails), dtype=bool)
-    if p > k * k:
+    if not _sieves_roots(p, k):
         return free
     for s in range(0, p, k):
         a = np.arange(s, min(s + k, p), dtype=np.int64)
@@ -297,9 +303,10 @@ def _mul_digits(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return add_mod(c[:, :k], matmul_mod(c[:, k:], _reduction_matrix(spec), p), p)
 
 
-def _uses_bitmasks(spec: FieldSpec) -> bool:
-    """Whether an F_{2^k} product fits a uint64 bitmask before reduction."""
-    return spec.p == 2 and 2 * spec.k - 1 <= 64
+def _uses_bitmasks(p: int, k: int) -> bool:
+    """Whether F_(p^k) multiplies on uint64 bitmasks: p = 2, and a product
+    fits one before reduction."""
+    return p == 2 and 2 * k - 1 <= 64
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,7 +351,7 @@ def _native(spec: FieldSpec) -> tuple[Callable, Callable, Callable]:
     product, and the maps to it from (N, k) digit arrays and back. uint64
     bitmasks (_mul_bits) where _uses_bitmasks, whose codes below 2^k <= 2^32
     pass through int64; else the digits themselves (_mul_digits)."""
-    if _uses_bitmasks(spec):
+    if _uses_bitmasks(spec.p, spec.k):
         return (functools.partial(_mul_bits, spec),
                 lambda a: from_digits(a, 2).astype(np.uint64),
                 lambda x: to_digits(x.astype(np.int64), 2, spec.k))
@@ -355,7 +362,7 @@ def _linear_map(spec: FieldSpec, m: np.ndarray) -> Callable:
     """x -> x m on the working form of _native, for the (k, k) matrix m of an
     F_p-linear map (row i the digits of the image of theta^i): the XOR of the
     rows' bitmasks that the bits of x select, or x @ m mod p on digits."""
-    if not _uses_bitmasks(spec):
+    if not _uses_bitmasks(spec.p, spec.k):
         return lambda x: matmul_mod(x, m, spec.p)
     masks = from_digits(m, 2).astype(np.uint64)
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -117,27 +117,50 @@ def read_object(obj, what: str, keys: dict, optional=(), tag: str | None = None)
             for key, read in keys.items() if key in obj}
 
 
-def _at_least(lo: int):
-    """The reader of a JSON integer >= lo, as the schemas' minimum reads it."""
-    def read_int(v, what: str) -> int:
+@dataclass(frozen=True)
+class _Int:
+    """The reader of a JSON integer >= lo, as the schemas' minimum reads it;
+    of a zp prime if ``prime``."""
+    lo: int
+    prime: bool = False
+
+    def __call__(self, v, what: str) -> int:
         n = json_int(v, what)
-        if n < lo:
-            raise InputError(f"{what} must be an integer >= {lo}, not {v!r}")
+        if n < self.lo:
+            raise InputError(f"{what} must be an integer >= {self.lo}, not {v!r}")
+        if self.prime:
+            Group.zp(n)
         return n
-    return read_int
 
 
-_coordinate, _count = _at_least(0), _at_least(1)
-_char = _at_least(2)  # a group's p, before Group checks that it is prime
+@dataclass(frozen=True)
+class _Number:
+    """The reader of a JSON number strictly between lo and hi, returned as given."""
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    def __call__(self, v, what: str):
+        if not self.lo < json_number(v, what) < self.hi:
+            raise InputError(f"{what} must be a number in ({self.lo}, {self.hi}), not {v!r}")
+        return v
 
 
-def _list_of(read):
-    """The reader of a JSON list whose every entry ``read`` reads, as a tuple."""
-    def read_list(v, what: str) -> tuple:
-        if not isinstance(v, list):
-            raise InputError(f"{what} must be a list, not {v!r}")
-        return tuple(map(read, v, [f"each of {what}"] * len(v)))
-    return read_list
+@dataclass(frozen=True)
+class _List:
+    """The reader of a JSON list (or a tuple) of at least ``least`` entries,
+    0 or 1, whose every entry ``item`` reads, as a tuple."""
+    item: Callable
+    least: int = 1
+
+    def __call__(self, v, what: str) -> tuple:
+        if not isinstance(v, (list, tuple)) or len(v) < self.least:
+            raise InputError(f"{what} must be a {'non-empty ' if self.least else ''}list, "
+                             f"not {v!r}")
+        return tuple(map(self.item, v, itertools.repeat(f"each of {what}")))
+
+
+_coordinate, _count = _Int(0), _Int(1)
+_char = _Int(2)  # a group's p, before Group checks that it is prime
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +305,7 @@ class Group:
         return cls.zn(CrtSystem.make(g["moduli"]))
 
 
-_ints = _list_of(json_int)
+_ints = _List(json_int, 0)
 # the keys of each group kind besides "kind"; fq_vec's modulus is optional
 _GROUP_KEYS = {"zp": {"p": _char}, "zp_vec": {"p": _char, "n": _count},
                "fq_vec": {"p": _char, "k": _count, "n": _count, "modulus": _ints},
@@ -372,11 +395,11 @@ def _elements_json(xs) -> list:
     return xs.tolist() if isinstance(xs, np.ndarray) else [_elem_json(x) for x in xs]
 
 
-_coordinates = _list_of(_coordinate)
+_coordinates = _List(_coordinate, 0)
 
 
 def _elem_from_json(v, what: str):
-    return _coordinates(v, what) if isinstance(v, list) else _coordinate(v, what)
+    return _coordinates(v, what) if isinstance(v, (list, tuple)) else _coordinate(v, what)
 
 
 def spec_to_json(spec: SourceSpec) -> dict:
@@ -391,7 +414,7 @@ def spec_to_json(spec: SourceSpec) -> dict:
     return out
 
 
-_elements = _list_of(_elem_from_json)
+_elements = _List(_elem_from_json, 0)
 
 
 def _element_array(v, what: str) -> np.ndarray | tuple:

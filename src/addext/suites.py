@@ -23,7 +23,7 @@ from . import analysis, extractors as ex, gf, numtheory as nt, sources as src
 from .analysis import TOL, EvalReport
 from .canonical import digest
 from .errors import BudgetError, InputError
-from .sources import PY_STEP
+from .sources import PY_STEP, _Int, _List, _Number
 
 
 @dataclass
@@ -40,66 +40,26 @@ class SuiteResult:
                 "notes": self.notes, "failures": self.failures, "rows": self.rows}
 
 
-class _Check:
-    """A suite parameter's declared range: check(value, name) returns the value
-    as read (sources.json_int, json_number), or raises InputError outside it."""
-
-
-@dataclass(frozen=True)
-class _Int(_Check):
-    """An integer >= lo; a zp prime if ``prime``."""
-    lo: int
-    prime: bool = False
-
-    def __call__(self, value, name: str) -> int:
-        n = src._at_least(self.lo)(value, name)
-        if self.prime:
-            src.Group.zp(n)
-        return n
-
-
-@dataclass(frozen=True)
-class _Number(_Check):
-    """A real number strictly between lo and hi, returned as given."""
-    lo: float = -math.inf
-    hi: float = math.inf
-
-    def __call__(self, value, name: str):
-        if not self.lo < src.json_number(value, name) < self.hi:
-            raise InputError(f"{name} must be a number in ({self.lo}, {self.hi}), not {value!r}")
-        return value
-
-
-@dataclass(frozen=True)
-class _List(_Check):
-    """A non-empty list (or tuple) whose every entry passes ``item``."""
-    item: _Check
-
-    def __call__(self, value, name: str) -> list:
-        if not isinstance(value, (list, tuple)) or not value:
-            raise InputError(f"{name} must be a non-empty list, not {value!r}")
-        return [self.item(v, f"each of {name}") for v in value]
-
-
 _PRIME = _Int(2, prime=True)
 _PRIMES = _List(_PRIME)
 
 
 def _suite(*, cost):
-    """A suite run. Each parameter is annotated with its _Check; ``cost`` maps
-    the arguments to (held, work), the most array entries held at once and the
-    total work. ``check`` reads the keyword arguments over the defaults by
-    sources.read_object, each parameter by its check (an unknown one is an
-    InputError), then the cost by sources.check_cost, the one place a budget
-    refusal happens. A run checks first, runs on the values read, is named,
-    is timed into ``seconds``, and is not ok with a failure."""
+    """A suite run. Each parameter is annotated with its check, a reader of
+    sources (_Int, _Number or _List); ``cost`` maps the arguments to (held,
+    work), the most array entries held at once and the total work. ``check``
+    reads the keyword arguments over the defaults by sources.read_object, each
+    parameter by its check (an unknown one is an InputError), then the cost by
+    sources.check_cost, the one place a budget refusal happens. A run checks
+    first, runs on the values read, is named, is timed into ``seconds``, and
+    is not ok with a failure."""
     def declare(fn):
         name = fn.__name__.removeprefix("suite_").replace("_", "-")
         params = inspect.signature(fn).parameters
         annotations = inspect.get_annotations(fn, eval_str=True)
         checks = {param: annotations.get(param) for param in params}
         for param, check in checks.items():
-            if not isinstance(check, _Check):
+            if not isinstance(check, (_Int, _Number, _List)):
                 raise TypeError(f"suite {name!r}: parameter {param!r} declares no check")
         defaults = {param: p.default for param, p in params.items() if p.default is not p.empty}
 
@@ -278,11 +238,12 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
     t = np.arange(q, dtype=np.int64)
     even = cfg.variant == "additive_trace"
     if even:
-        tr = gf.trace_many(f, d)
+        bit = gf.trace_many(f, d)  # the output bit, Tr(u)
         # psi_beta(u) = (-1)^Tr(beta u) for every nontrivial beta
-        psi = (-1.0) ** tr[mul[1:, :]]
+        psi = (-1.0) ** bit[mul[1:, :]]
     else:
         chi = gf.quadratic_character_many(f, d)
+        bit = chi == -1  # the output bit, chi(u) = -1
     max_charsum = 0.0
     max_distance = 0.0
     lines = 0
@@ -299,18 +260,15 @@ def scan_all_lines(cfg: ex.LineExtractorConfig) -> dict:
         counts = np.bincount((t[:, None] * q + fvals).ravel(), minlength=q * q).reshape(q, q)
         # the block polynomial is non-constant on every line
         assert int(counts.max()) < q
+        dist = np.abs(counts @ bit / q - 0.5)
         if even:
             sums = np.abs(counts @ psi.T)               # (lines, q-1)
             line_max = sums.max(axis=1)
-            ones = counts @ tr
-            dist = np.abs(ones / q - 0.5)
             # exact identity: 1-bit distance = |sum psi_1(f)| / (2q)
-            canonical = np.abs(counts @ ((-1.0) ** tr))
+            canonical = np.abs(counts @ ((-1.0) ** bit))
             assert np.allclose(dist, canonical / (2 * q), atol=1e-12)
         else:
             line_max = np.abs(counts @ chi.astype(float))
-            neg = counts @ (chi == -1)
-            dist = np.abs(neg / q - 0.5)
         max_charsum = max(max_charsum, float(line_max.max()) / q)
         max_distance = max(max_distance, float(dist.max()))
         lines += q
@@ -723,8 +681,8 @@ def _sweep_point(row) -> EvalReport:
         table = analysis.charsum_table(ex.encode_many(cfg, X.elements), modulus, freqs)
         report.max_charsum = float(table.max())
         if row.get("per_character", False):
-            report.per_character = [{"xi": int(xi), "value": float(v)}
-                                    for xi, v in zip(freqs, table)]
+            report.extra["per_character"] = [{"xi": int(xi), "value": float(v)}
+                                             for xi, v in zip(freqs, table)]
     report.bound, asserted = _sweep_bound(row.get("alpha"), cfg, X.spec)
     report.ok = report.bound is None or report.distance <= report.bound + TOL
     report.asserted = asserted and report.bound is not None

@@ -202,7 +202,7 @@ def test_sweep_single_sources_and_families():
     assert r.ok and len(r.rows) == 4
     assert abs(r.rows[0].distance - 0.5) < 1e-12   # singleton: 1 - 1/M
     assert abs(r.rows[1].distance - 0.3) < 1e-12
-    assert r.rows[1].per_character is not None
+    assert r.rows[1].extra["per_character"] is not None
     assert not r.rows[1].asserted                   # advisory bound
     assert r.rows[2].size == 101 * 100
     assert "median_distance" in r.rows[2].extra

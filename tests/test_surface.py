@@ -294,6 +294,42 @@ def test_the_readers_are_the_one_input_check():
         assert not hasattr(cli, name), name
 
 
+def test_the_typed_readers_are_one_family():
+    # sources._Int, _Number and _List read every bounded integer, number and
+    # list of a source file, a group and a suite's kwargs: the suites' checks
+    # are these classes, and no module makes a reader of its own
+    from addext import sources, suites
+    family = (sources._Int, sources._Number, sources._List)
+    for cls in family:
+        assert getattr(suites, cls.__name__) is cls
+    for name in ("_at_least", "_list_of"):
+        assert not hasattr(sources, name), name
+    assert not hasattr(suites, "_Check")
+
+    def typed(read) -> bool:
+        if isinstance(read, sources._List):
+            return typed(read.item)
+        return (isinstance(read, family) or read in (sources._elem_from_json, sources._element_array)
+                or read.__name__.startswith("json_") and getattr(sources, read.__name__) is read)
+    declared = [read for keys in (*sources._GROUP_KEYS.values(), *sources._SPEC_KEYS.values())
+                for read in keys.values()]
+    declared += [check for fn in suites.SUITES.values() for check in fn.checks.values()]
+    assert [read for read in declared if not typed(read)] == []
+    # the reader classes are the package's only callable classes, and no
+    # function builds a reader read(v, what) inside it
+    trees = _trees()
+    callable_classes = {f"{module}.{cls.name}" for module, tree in trees.items()
+                        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                        and any(getattr(n, "name", None) == "__call__" for n in cls.body)}
+    assert callable_classes == {f"sources.{cls.__name__}" for cls in family}
+    closures = [f"{module}.{inner.name}" for module, tree in trees.items()
+                for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+                for inner in ast.walk(outer) if inner is not outer
+                and isinstance(inner, ast.FunctionDef) and len(inner.args.args) == 2
+                and inner.args.args[1].arg == "what"]
+    assert closures == []
+
+
 def _object_dtypes(tree: ast.AST, module: str) -> dict[str, list[int]]:
     """The lines, by innermost enclosing function, that name numpy's object
     dtype (Python ints in an array): the name object outside annotations,
