@@ -20,7 +20,7 @@ import numpy as np
 from . import extractors
 from .canonical import digest
 from .errors import BudgetError, InputError
-from .numtheory import from_digits, matmul_mod, mul_mod, product_steps, to_digits
+from .numtheory import MulGather, from_digits, matmul_mod, mul_mod, product_steps, to_digits
 from .sources import BOHR_CHUNK, Source, check_cost, convolve_rows, element_budget
 
 TOL = 1e-6
@@ -161,7 +161,8 @@ def fourier_l1_interval(p: int, s):
     |A^(j)| = sin(pi (j s mod p) / p) / (p sin(pi j / p)), an exact identity.
     An int s gives a float; an array of s gives an array of norms, computed
     in blocks of at most L1_BLOCK_ENTRIES (s, j) terms, or one s at a time
-    once p - 1 exceeds that.
+    once p - 1 exceeds that, the numerators of a block one take of
+    numtheory.MulGather from the p sines.
     """
     s_arr = np.asarray(s, dtype=np.int64)
     if ((s_arr < 1) | (s_arr > p)).any():
@@ -170,13 +171,15 @@ def fourier_l1_interval(p: int, s):
     out = np.empty(flat.size)
     # sin(pi r / p) for every residue r: the same bits as sin() of each entry
     sines = np.sin(np.pi * np.arange(p, dtype=np.int64) / p)
+    at_products = MulGather(sines, p)
     j = np.arange(1, p, dtype=np.int64)
     den = p * sines[1:]
     rows = max(1, L1_BLOCK_ENTRIES // max(1, p - 1))
     for lo in range(0, flat.size, rows):
         blk = flat[lo:lo + rows]
-        num = sines[(blk[:, None] * j) % p]
-        out[lo:lo + rows] = np.where(blk == p, 1.0, blk / p + (num / den).sum(axis=1))
+        terms = at_products.at(blk % p, j)  # sin(pi (j s mod p) / p)
+        terms /= den
+        out[lo:lo + rows] = np.where(blk == p, 1.0, blk / p + terms.sum(axis=1))
     return float(out[0]) if s_arr.ndim == 0 else out.reshape(s_arr.shape)
 
 

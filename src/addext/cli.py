@@ -83,9 +83,9 @@ def _load_source(path: str) -> src.Source:
     ``digest`` that of the source built (InputError otherwise); with a list,
     the file's notes are kept."""
     obj = src.read_object(_load_validated(path), f"source file {path}", {
-        "group": lambda v, _: src.Group.from_json(v), "spec": lambda v, _: src.spec_from_json(v),
-        "elements": src._element_array, "size": src.json_int, "digest": None,
-        "notes": src.json_object}, ("elements", "size", "digest", "notes"))
+        "group": src.Group.from_json, "spec": src.spec_from_json, "elements": src._element_array,
+        "size": src.json_int, "digest": None, "notes": src.json_object},
+        ("elements", "size", "digest", "notes"))
     X = src.build_source(obj["spec"], obj["group"])
     if "elements" in obj:
         listed = obj["elements"]

@@ -28,7 +28,7 @@ from . import gf, numtheory as nt
 from .canonical import canonical_json
 from .errors import CapacityError, InputError
 from .numtheory import MODULUS_CAP, CrtSystem
-from .sources import PY_STEP, Group, check_cost, element_budget, json_int, read_object
+from .sources import PY_STEP, Group, _List, check_cost, element_budget, json_int, read_object
 
 
 class _Config:
@@ -365,21 +365,26 @@ def config_for_group(obj: dict, group: Group) -> ExtractorConfig:
     """The serialized config ``obj``, rebuilt for ``group``.
 
     Every construction is canonical, so ``obj`` is valid exactly when its keys
-    and values, numbers read by json_int, are the rebuild's; else InputError.
+    and values are the rebuild's, each read by the typed reader of the
+    rebuilt value's shape (_reader); else InputError.
     """
     cfg = build_for_group(obj["variant"], group, obj.get("m", 1))
     want = cfg.to_json()
-    got = read_object(obj, f"{want['variant']} config", dict.fromkeys(want, _json_ints))
+    got = read_object(obj, f"{want['variant']} config",
+                      {key: _reader(value) for key, value in want.items()})
     if canonical_json(got) != canonical_json(want):
         raise InputError(f"not the canonical {want['variant']} config for its group")
     return cfg
 
 
-def _json_ints(v, what: str):
-    """A config value with its numbers read by json_int, lists entry by entry."""
-    if isinstance(v, list):
-        return [_json_ints(x, f"each of {what}") for x in v]
-    return json_int(v, what) if isinstance(v, float) else v
+def _reader(value):
+    """The typed reader of a config value shaped like ``value``: json_int for
+    an integer, a _List of its first entry's reader for a list (each a list
+    of integers or of integer pairs), and None, the value as given, for a
+    string or a bool, which only the rebuild's can equal."""
+    if type(value) is int:
+        return json_int
+    return _List(_reader(value[0]), 0) if isinstance(value, list) else None
 
 
 def _points(points, shape: tuple, what: str) -> np.ndarray:

@@ -2,7 +2,9 @@
 generators, Chinese-remainder moduli systems, the one subgroup walk (powers)
 and the batched discrete logs read from it, one base to many exponents
 (pow_mod), the one exact product of int64 residues mod m < 2^63 (mul_mod,
-matmul_mod and add_mod, priced by product_steps), and the one base-m digit
+matmul_mod and add_mod, priced by product_steps), the one gather of a
+table at every product a_i b_j mod a prime (MulGather, one take at sums of
+discrete logs, with no product and no remainder), and the one base-m digit
 codec (to_digits / from_digits) of group indices and field encodings, the
 only arrays of Python ints: an index or an encoding of 2^63 or more.
 
@@ -250,6 +252,29 @@ def powers(g: int, count: int, q: int) -> np.ndarray:
         out[done:done + step] = mul_mod(out[:step], pow(g, done, q), q)
         done += step
     return out
+
+
+class MulGather:
+    """table[a_i b_j mod p] for every pair of residues a, b in [0, p), p
+    prime, with no product and no remainder: one take from table composed
+    with the antilog table, at log a + log b. The logs are the indices to the
+    base smallest_primitive_root(p), and 0 has 2p - 3, past every sum of two
+    indices, where the composed table holds table[0] and the take clips. The
+    log and composed tables, 3p entries, are built once (powers) for every
+    gather (at)."""
+
+    def __init__(self, table, p: int):
+        antilog = np.append(powers(smallest_primitive_root(p), 2 * p - 3, p), 0)
+        self.log = np.empty(p, dtype=np.int64)
+        self.log[antilog[:p - 1]] = np.arange(p - 1)
+        self.log[0] = 2 * p - 3
+        self.composed = np.asarray(table)[antilog]
+
+    def at(self, a, b=None, out=None) -> np.ndarray:
+        """table[a_i b_j mod p], shape a.shape + b.shape, b None being every
+        residue 0, ..., p - 1 in order, written into ``out`` if given."""
+        index = np.add.outer(self.log[a], self.log if b is None else self.log[b])
+        return self.composed.take(index, mode="clip", out=out)
 
 
 def pow_mod(g: int, e: np.ndarray, q: int) -> np.ndarray:

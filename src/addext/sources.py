@@ -290,8 +290,10 @@ class Group:
         return {"kind": "zn", "moduli": list(self.crt.moduli)}
 
     @classmethod
-    def from_json(cls, obj) -> "Group":
-        g = read_object(obj, "group", _GROUP_KEYS, ("modulus",), tag="kind")
+    def from_json(cls, obj, what: str) -> "Group":
+        """The group a JSON object describes, read like the typed readers: a
+        value that is not an object is named by ``what``, a key by the group."""
+        g = read_object(json_object(obj, what), "group", _GROUP_KEYS, ("modulus",), tag="kind")
         if g["kind"] == "zp":
             return cls.zp(g["p"])
         if g["kind"] == "zp_vec":
@@ -453,8 +455,10 @@ _SPEC_KEYS = {variant: {f.name: _SPEC_FIELDS[f.type] for f in fields(cls)}
 _SPEC_KEYS["gap"]["r"] = _count
 
 
-def spec_from_json(obj) -> SourceSpec:
-    read = read_object(obj, "source spec", _SPEC_KEYS, ("r",), tag="variant")
+def spec_from_json(obj, what: str) -> SourceSpec:
+    """The source spec a JSON object describes, read like the typed readers:
+    a value that is not an object is named by ``what``, a key by the spec."""
+    read = read_object(json_object(obj, what), "source spec", _SPEC_KEYS, ("r",), tag="variant")
     r = read.pop("r", None)
     spec = _SPECS[read.pop("variant")](**read)
     if r is not None and r != spec.r:

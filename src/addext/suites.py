@@ -145,7 +145,7 @@ def suite_weil(primes: _PRIMES = tuple(p for p in nt.primes_upto(199) if p >= 11
 
 
 @_suite(cost=lambda primes, polys_per_p, dmin, dmax, a_per_poly, seed: (
-    max(polys_per_p, a_per_poly) * max(primes), sum(polys_per_p * (40 * PY_STEP + p * (
+    (max(polys_per_p, a_per_poly) + 3) * max(primes), sum(polys_per_p * (40 * PY_STEP + p * (
         2 * dmax + 24 + 64 * min(a_per_poly, p - 1))) for p in _degrees(primes, dmin, dmax))))
 def suite_partial_ap(primes: _PRIMES = (101, 199, 499), polys_per_p: _Int(1) = 100,
                      dmin: _Int(2) = 2, dmax: _Int(2) = 6, a_per_poly: _Int(1) = 20,
@@ -156,13 +156,13 @@ def suite_partial_ap(primes: _PRIMES = (101, 199, 499), polys_per_p: _Int(1) = 1
     res = SuiteResult()
     for p in primes:
         coeffs, degs = _random_poly_batch(rng, polys_per_p, p, dmin, dmax)
-        e_p = _unit_roots(p)
+        e_p = nt.MulGather(_unit_roots(p), p)  # e_p(a f(t)) for every a and t
         step = max(1, analysis.L1_BLOCK_ENTRIES // p)
         worst = 0.0
         for lo, vals in _poly_values(coeffs, p):
             for i, v in enumerate(vals, lo):
                 a_vals = 1 + rng.choice(p - 1, size=min(a_per_poly, p - 1), replace=False)
-                pref = max(np.abs(np.cumsum(e_p[a[:, None] * v % p], axis=1)).max()
+                pref = max(np.abs(np.cumsum(e_p.at(a, v), axis=1)).max()
                            for a in np.split(a_vals, range(step, len(a_vals), step)))
                 bound = 4 * math.log2(p) * math.sqrt(p) * degs[i]
                 worst = max(worst, float(pref / bound))
@@ -173,7 +173,7 @@ def suite_partial_ap(primes: _PRIMES = (101, 199, 499), polys_per_p: _Int(1) = 1
     return res
 
 
-@_suite(cost=lambda pmax: (pmax + min(pmax * pmax, analysis.L1_BLOCK_ENTRIES),
+@_suite(cost=lambda pmax: (4 * pmax + min(pmax * pmax, analysis.L1_BLOCK_ENTRIES),
                           40 * _prime_sum(pmax, 2)))
 def suite_l1(pmax: _Int(2) = 499) -> SuiteResult:
     """L1 Fourier norm of every interval {0..s-1} in Z_p against 4 log2 p,
@@ -319,46 +319,53 @@ def _gap_cases(primes, dims, sides) -> list[tuple[int, int, int]]:
 
 
 @_suite(cost=lambda primes, dims, sides, gaps_per_case, seed: (
-    max((8 * min(p, s**(2 * r)) for p, r, s in _gap_cases(primes, dims, sides)), default=0),
-    gaps_per_case * 256 * PY_STEP * sum(32 + s**r + r for p, r, s in _gap_cases(
-        primes, dims, sides))))
+    max((8 * min(gaps_per_case * p, max(src.CONVOLVE_CHUNK, p)) + gaps_per_case * s**r
+         for p, r, s in _gap_cases(primes, dims, sides)), default=0),
+    gaps_per_case * sum(256 * PY_STEP * (32 + s**r + r) + 32 * (p + 16) * p.bit_length()
+                        for p, r, s in _gap_cases(primes, dims, sides))))
 def suite_gap_profile(primes: _PRIMES = (101, 499, 1009), dims: _List(_Int(1)) = (1, 2),
                       sides: _List(_Int(1)) = (8, 16, 32), gaps_per_case: _Int(1) = 25,
                       seed: _Int(0) = 106) -> SuiteResult:
     """Proper GAPs: |X+X| <= 2^r |X|; the homogeneous sub-GAP of side
-    ceil(s^0.1) has >= |X|^0.1 elements, each with rep >= |X| (1 - r/s^0.9)."""
+    ceil(s^0.1) has >= |X|^0.1 elements, each with rep >= |X| (1 - r/s^0.9).
+
+    Per case (p, r, s), the proper GAPs are drawn first, then checked in
+    chunks of at most CONVOLVE_CHUNK / p (at least one): every |X + X| and
+    every count |X cap (X + g)| of a chunk come from one row-batched
+    convolution each of the GAPs' 0/1 rows (_sums_and_differences)."""
     rng = random.Random(seed)
     res = SuiteResult()
     for p, r, s in _gap_cases(primes, dims, sides):
         grp = src.Group.zp(p)
-        built = 0
+        gaps = []  # (spec, elements) of each proper GAP drawn
         attempts = 0
-        while built < gaps_per_case and attempts < 200 * gaps_per_case:
+        while len(gaps) < gaps_per_case and attempts < 200 * gaps_per_case:
             attempts += 1
             spec = src.GapSpec(rng.randrange(p),
                                tuple(rng.randrange(1, p) for _ in range(r)), s)
             X = src.build_source(spec, grp)
-            if not X.notes["proper"]:
-                continue
-            built += 1
-            size = len(X)
-            dbl = src.doubling(X)
-            side = math.ceil(s**0.1)
-            sub = src.sub_gap(spec, grp, side)
-            # each sub-GAP element's count among the differences, 0 if none
-            values, counts = src.difference_histogram(X)
-            at = np.minimum(np.searchsorted(values, sub), len(values) - 1)
-            rep_min = int(np.where(values[at] == sub, counts[at], 0).min())
-            rep_bound = size * (1 - r / s**0.9)
-            checks = {
-                "doubling": dbl <= 2**r * size,
-                "sub_gap_size": len(sub) >= size**0.1 - TOL,
-                "rep": rep_min + TOL >= rep_bound,
-            }
-            if not all(checks.values()):
-                res.failures.append({"p": p, "r": r, "s": s,
-                                     "spec": src.spec_to_json(spec),
-                                     "checks": checks})
+            if X.notes["proper"]:
+                gaps.append((spec, X.elements))
+        built = len(gaps)
+        sub_side = math.ceil(s**0.1)
+        step = max(1, src.CONVOLVE_CHUNK // p)
+        for lo in range(0, built, step):
+            chunk = gaps[lo:lo + step]
+            sums = _sums_and_differences([els for _, els in chunk], p)
+            for (spec, els), dbl, reps in zip(chunk, *sums):
+                size = len(els)
+                sub = src.sub_gap(spec, grp, sub_side)
+                rep_min = int(reps[sub].min())  # the least count of a sub-GAP element
+                rep_bound = size * (1 - r / s**0.9)
+                checks = {
+                    "doubling": dbl <= 2**r * size,
+                    "sub_gap_size": len(sub) >= size**0.1 - TOL,
+                    "rep": rep_min + TOL >= rep_bound,
+                }
+                if not all(checks.values()):
+                    res.failures.append({"p": p, "r": r, "s": s,
+                                         "spec": src.spec_to_json(spec),
+                                         "checks": checks})
         res.rows.append({"p": p, "r": r, "s": s, "gaps": built,
                          "attempts": attempts})
         if built < gaps_per_case:
@@ -367,23 +374,37 @@ def suite_gap_profile(primes: _PRIMES = (101, 499, 1009), dims: _List(_Int(1)) =
     return res
 
 
+def _sums_and_differences(sets, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """|X + X| of each set X of residues mod p, and its rows of counts
+    |X cap (X + g)|, the ways to write each g as a difference: every X + X
+    and X + (-X) by one row-batched sources.convolve_rows each, on the 0/1
+    rows of the sets."""
+    rows = np.zeros((len(sets), p), dtype=np.int8)
+    for row, X in zip(rows, sets):
+        row[X] = 1
+    return (np.count_nonzero(src.convolve_rows(rows, rows, p), axis=1),
+            src.convolve_rows(rows, np.roll(rows[:, ::-1], 1, axis=1), p))
+
+
 def _shift_overlaps(B: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """|B cap (B + y)| = sum_x B(x) B(x - y) of each 0/1 row of B, one column
     per y in ys (never empty)."""
     return np.stack([np.count_nonzero(B & np.roll(B, y, axis=1), axis=1) for y in ys], axis=1)
 
 
-def _bohr_cases(p: int, rho: Fraction, d: int, dilations: np.ndarray | None) -> dict:
+def _bohr_cases(p: int, rho: Fraction, d: int, dilated: np.ndarray | None) -> dict:
     """Columns of the Bohr checks at rank d, one entry per case: the rank-1
-    set when ``dilations`` is None, else the rank-2 sets {1, c}, one per row
-    c x mod p of ``dilations``. Keys: size, lower, double, sym."""
+    set when ``dilated`` is None, else the rank-2 sets {1, c}, one per row
+    of ``dilated``, which holds the distance min(v, p - v) of v = c x mod p
+    for every x. Keys: size, lower, double, sym."""
     x = np.arange(p)
     dist = np.minimum(x, p - x)
     kappa = Fraction(1, 200 * d)
 
     def masks(r: Fraction) -> np.ndarray:
-        cond = dist <= src.bohr_vmax(p, r)
-        return cond[None, :] if dilations is None else cond & cond[dilations]
+        vmax = src.bohr_vmax(p, r)
+        cond = dist <= vmax
+        return cond[None, :] if dilated is None else cond & (dilated <= vmax)
 
     B, B2, Y, Bm = (masks(r) for r in (rho, 2 * rho, kappa * rho, (1 - kappa) * rho))
     nB, nB2, nBm = B.sum(axis=1), B2.sum(axis=1), Bm.sum(axis=1)
@@ -407,16 +428,19 @@ def suite_bohr(pmax: _Int(2) = 499, rhos: _List(_Number(0, 1)) = (0.1, 0.2, 0.3)
 
     Each (p, rho, rank) is one batch: a row of masks per ratio, sizes as row
     sums, and the overlaps |B cap (B + y)| = sum_x B(x) B(x - y) of each row,
-    counted exactly for the y of the window that holds the witnesses Y."""
+    counted exactly for the y of the window that holds the witnesses Y. The
+    distances of every dilation c x mod p are one numtheory.MulGather per p,
+    and each radius compares them with its bound."""
     res = SuiteResult()
     for p in nt.primes_upto(pmax):
+        x = np.arange(p)
         ratios = np.arange(2, p)
-        dilations = (ratios[:, None] * np.arange(p)) % p
+        dilated = nt.MulGather(np.minimum(x, p - x), p).at(ratios)
         for rho_f in rhos:
             rho = Fraction(rho_f)
             worst = {"p": p, "rho": rho_f, "cases": 0}
             for d in (1, 2):
-                cases = _bohr_cases(p, rho, d, None if d == 1 else dilations)
+                cases = _bohr_cases(p, rho, d, None if d == 1 else dilated)
                 worst["cases"] += len(cases["size"])
                 ok = cases["lower"] & cases["double"] & cases["sym"]
                 for i in np.flatnonzero(~ok):
@@ -432,13 +456,14 @@ def suite_bohr(pmax: _Int(2) = 499, rhos: _List(_Number(0, 1)) = (0.1, 0.2, 0.3)
         x = np.arange(p)
         base = np.minimum(x, p - x) <= src.bohr_vmax(p, Fraction(rhos[0]))
         # row a is the rank-1 Bohr set of frequency a; sizes[a, b] = |Bohr({a, b})|
-        dilated = base[(x[:, None] * x) % p].astype(np.int64)
+        dilated = nt.MulGather(base, p).at(x).astype(np.int64)
         sizes = dilated @ dilated.T
+        rank2 = nt.MulGather(sizes[1], p)  # |Bohr({1, c})| at c = a b mod p
         for xi1 in range(1, p):
             if sizes[xi1, xi1] != sizes[1, 1]:
                 res.failures.append({"p": p, "kind": "dilation-rank1", "xi": xi1})
             xi2 = np.arange(xi1 + 1, p)
-            reduced = sizes[1, xi2 * pow(xi1, -1, p) % p]
+            reduced = rank2.at(pow(xi1, -1, p), xi2)
             for j in np.flatnonzero(sizes[xi1, xi2] != reduced):
                 res.failures.append({"p": p, "kind": "dilation-rank2",
                                      "pair": (xi1, int(xi2[j]))})
@@ -481,11 +506,18 @@ def suite_cauchy_davenport(primes: _PRIMES = (101, 499), trials: _Int(1) = 10_00
 # ---------------------------------------------------------------------------
 
 @_suite(cost=lambda primes, sources_per_p, alpha, seed: (
-    2 * max(primes) ** 2, sources_per_p * sum(512 * PY_STEP + 24 * p * p for p in primes)))
+    max(2 * p * p + 8 * min(sources_per_p * p, max(src.CONVOLVE_CHUNK, p)) for p in primes),
+    sources_per_p * sum(512 * PY_STEP + 24 * p * p for p in primes)))
 def suite_transport(primes: _PRIMES = (101, 499), sources_per_p: _Int(1) = 200,
                     alpha: _Number(0, 1) = 0.25, seed: _Int(0) = 109) -> SuiteResult:
     """The subgroup encoding x -> g^x: injectivity, |Y Y| = |X+X|, and exact
-    transport of representation counts (hence of every symmetry set)."""
+    transport of representation counts (hence of every symmetry set).
+
+    Per p, the sources are drawn and checked in chunks of at most
+    CONVOLVE_CHUNK / p (at least one): every |X + X| and count |X cap (X + g)|
+    of a chunk come from one row-batched convolution each of the sources'
+    0/1 rows (_sums_and_differences), and every product Y_i Y_j mod q from
+    one numtheory.MulGather of Z_q, its tables built once per p."""
     res = SuiteResult()
     for p in primes:
         cfg = ex.build_zp_extractor(p, 1)
@@ -494,27 +526,23 @@ def suite_transport(primes: _PRIMES = (101, 499), sources_per_p: _Int(1) = 200,
         if len(src._sorted_unique(gx)) != p:
             res.failures.append({"p": p, "error": "encoding not injective"})
             continue
+        products = nt.MulGather(np.arange(q), q)
         rng = random.Random(seed * 1_000_003 + p)
-        for _ in range(sources_per_p):
-            size = rng.randint(2, p)
-            X = np.array(sorted(rng.sample(range(p), size)), dtype=np.int64)
-            Y = gx[X]
-            sum_size = src.cyclic_convolve(X, X, p)[0].size
-            prod_size = np.count_nonzero(np.bincount(((Y[:, None] * Y[None, :]) % q).ravel(),
-                                                     minlength=q))
-            diffs, counts = src.cyclic_convolve(X, (p - X) % p, p)
-            rep_add = np.zeros(p, dtype=np.int64)
-            rep_add[diffs] = counts
-            Yinv = gx[(p - X) % p]
-            rep_mult = np.bincount(((Y[:, None] * Yinv[None, :]) % q).ravel(),
-                                   minlength=q)
-            transport_ok = bool((rep_add == rep_mult[gx]).all())
-            thresh = (1 - alpha) * size
-            sym_ok = bool(((rep_mult[gx] >= thresh) | (rep_add < thresh)).all())
-            if not (sum_size == prod_size and transport_ok and sym_ok):
-                res.failures.append({"p": p, "X": X.tolist(),
-                                     "sumset": int(sum_size), "prodset": int(prod_size),
-                                     "transport": transport_ok, "sym": sym_ok})
+        step = max(1, src.CONVOLVE_CHUNK // p)
+        for lo in range(0, sources_per_p, step):
+            sets = [np.array(sorted(rng.sample(range(p), rng.randint(2, p))), dtype=np.int64)
+                    for _ in range(min(step, sources_per_p - lo))]
+            for X, sum_size, rep_add in zip(sets, *_sums_and_differences(sets, p)):
+                Y = gx[X]
+                prod_size = np.count_nonzero(np.bincount(products.at(Y, Y).ravel(), minlength=q))
+                rep_mult = np.bincount(products.at(Y, gx[(p - X) % p]).ravel(), minlength=q)
+                transport_ok = bool((rep_add == rep_mult[gx]).all())
+                thresh = (1 - alpha) * len(X)
+                sym_ok = bool(((rep_mult[gx] >= thresh) | (rep_add < thresh)).all())
+                if not (sum_size == prod_size and transport_ok and sym_ok):
+                    res.failures.append({"p": p, "X": X.tolist(),
+                                         "sumset": int(sum_size), "prodset": int(prod_size),
+                                         "transport": transport_ok, "sym": sym_ok})
         res.rows.append({"p": p, "q": q, "sources": sources_per_p})
     return res
 
@@ -526,16 +554,19 @@ def ap_distance_histogram(p: int, s: int, cfg: ex.ZpExtractorConfig) -> np.ndarr
 
     The AP (b, -d) is the AP (b - (s-1)d, d) traversed backwards, so steps d
     and p - d give the same multiset of window sums: only d <= p/2 is scanned,
-    each histogram counted twice unless 2d = p."""
-    par = nt.powers(cfg.g, p, cfg.q) & 1
-    idx = np.arange(p, dtype=np.int64)
+    each histogram counted twice unless 2d = p. Step d is one row: the bits
+    of g^(d x) for every x, one take of numtheory.MulGather (its tables
+    built once per p), then that row wrapped by s and its prefix sums, each
+    written into the one buffer that every step reuses."""
+    bits = nt.MulGather(nt.powers(cfg.g, p, cfg.q) & 1, p)
+    ext = np.empty(p + s, dtype=np.int64)
+    cs = np.zeros(p + s + 1, dtype=np.int64)
     hist = np.zeros(s + 1, dtype=np.int64)
     for d in range(1, p // 2 + 1):
-        perm = par[(d * idx) % p]
-        ext = np.concatenate([perm, perm[:s]])
-        cs = np.concatenate([[0], np.cumsum(ext)])
-        wins = cs[s:s + p] - cs[:p]
-        hist += np.bincount(wins, minlength=s + 1) * (1 if 2 * d == p else 2)
+        bits.at(d, out=ext[:p])
+        ext[p:] = ext[:s]
+        np.cumsum(ext, out=cs[1:])
+        hist += np.bincount(cs[s:s + p] - cs[:p], minlength=s + 1) * (1 if 2 * d == p else 2)
     return hist
 
 
@@ -647,8 +678,7 @@ def suite_norms(qs: _List(_Int(2)) = (2, 3, 4, 5), kmax: _Int(1) = 4) -> SuiteRe
 CHARSUM_SCAN_CAP = 1 << 16
 
 # the keys of a sweep row that is not a family scan
-_SOURCE_ROW = {"group": lambda v, _: src.Group.from_json(v),
-               "source": lambda v, _: src.spec_from_json(v), "extractor": None,
+_SOURCE_ROW = {"group": src.Group.from_json, "source": src.spec_from_json, "extractor": None,
                "alpha": src.json_number, "per_character": src.json_bool,
                "charsum_seed": src.json_int}
 

@@ -598,6 +598,14 @@ def matmul_mod_by_python_ints(A, B, m: int) -> np.ndarray:
     return (np.asarray(A, dtype=object) @ np.asarray(B, dtype=object)) % m
 
 
+def mul_gather_direct(table, a, b, p: int) -> np.ndarray:
+    """table[a_i b_j mod p] for every pair of two 1-D residue arrays, by the
+    product and its remainder: the route numtheory.MulGather replaced in
+    the suites and in analysis.fourier_l1_interval."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    return np.asarray(table)[(a[:, None] * b[None, :]) % p]
+
+
 # ---------------------------------------------------------------------------
 # sources as sets of ints and tuples: the oracles of the element arrays of
 # sources (the elements reader, Group.as_elements, Source.digest), of

@@ -1073,7 +1073,8 @@ def test_written_configs_are_valid_under_the_extractor_schema(tmp_path):
         out = str(tmp_path / "ext.csv")
         assert main(["extract", "--source", spec, "--extractor", family, "--out", out]) == 0
         written.append(json.load(open(out + ".report.json"))["config"])
-        written.append(ex.build_for_group(family, src.Group.from_json(GROUPS[kind])).to_json())
+        group = src.Group.from_json(GROUPS[kind], "the group")
+        written.append(ex.build_for_group(family, group).to_json())
     assert {c["variant"] for c in written} == set(ex.GROUP_KINDS)
     for config in written:
         validator.validate(config)

@@ -124,7 +124,7 @@ def _charsum_csv(group, elements: list) -> str:
 @example({"group": {"kind": "zp_vec", "p": 11, "n": 3},
           "spec": {"variant": "explicit", "elements": [[]]}}, 1)
 def test_element_arrays_match_the_set_route(doc, m):
-    group = src.Group.from_json(doc["group"])
+    group = src.Group.from_json(doc["group"], "the group")
     try:
         elements = oracles.explicit_elements(group, doc["spec"]["elements"])
         refusal = None

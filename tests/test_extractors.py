@@ -400,11 +400,11 @@ def test_config_from_json_validates():
     ]
     for obj, group in holes:
         with pytest.raises(InputError):
-            config_for_group(obj, Group.from_json(group))
+            config_for_group(obj, Group.from_json(group, "the group"))
     # the numbers of a config are read as JSON integers: 1.0 is the 1 it equals
     assert config_for_group(dict(build_zp_extractor(5, 1).to_json(), m=1.0),
                             Group.zp(5)) == build_zp_extractor(5, 1)
-    assert config_for_group(line, Group.from_json(f9)) == build_line_extractor(9, 4)
+    assert config_for_group(line, Group.from_json(f9, "the group")) == build_line_extractor(9, 4)
 
 
 def test_config_digests_golden():

@@ -45,6 +45,14 @@ CASES = {
     "cauchy-davenport-workload": ("cauchy-davenport", {"trials": 3000}),
     "transport-workload": ("transport", {"sources_per_p": 60}),
     "norms-workload": ("norms", {"qs": [2, 3, 4, 5], "kmax": 3}),
+    # edges of numtheory.MulGather (p = 2, 3) and of the row-batched
+    # convolutions (70 GAPs of Z_1009 are two chunks of CONVOLVE_CHUNK // 1009),
+    # recorded before products mod p were gathered by logs
+    "zp-trend-edge": ("zp-trend", {"primes": [2, 3, 5]}),
+    "l1-edge": ("l1", {"pmax": 3}),
+    "transport-edge": ("transport", {"primes": [3, 5]}),
+    "gap-profile-chunks": ("gap-profile", {"primes": [1009], "dims": [1, 2], "sides": [8],
+                                           "gaps_per_case": 70}),
 }
 
 GOLDEN = {
@@ -90,6 +98,14 @@ GOLDEN = {
         "c902269c0f435fe6b198fcb64269f6f2af1e7a7925aa823e3dff4393fe7e198a",
     "zp-trend-small":
         "ec8b61252bf15cbcf496ebe7f78caebbbfd02d1896be828057f80a7e83dc97b4",
+    "zp-trend-edge":
+        "16e675311b001ea5b05f93511080984c470b7a9a57eab8609622a6cf2cfdf866",
+    "l1-edge":
+        "77bf8f1f38905d684b6133028541d1c5da6e36bd916b5d7d86db652c2dba1af2",
+    "transport-edge":
+        "77e566e1bdd8c83d3c8813b5d35f66da834b95fc599ef00c796c46494787c8fc",
+    "gap-profile-chunks":
+        "c7312e3f77ab003ba88cead65b86c1e36d680d2c97e0d9461394a035379dbd4c",
 }
 
 

@@ -4,10 +4,11 @@ sweep it is that row's error and the other rows are written."""
 
 import csv
 import json
+import re
 
 import pytest
 
-from addext import sources as src
+from addext import extractors as ex, sources as src
 from addext.canonical import canonical_json
 from addext.cli import main
 from addext.errors import InputError
@@ -209,18 +210,18 @@ def test_read_object_reads_each_key_by_its_reader():
 def test_a_value_that_should_be_an_object_is_an_input_error(obj):
     # the schemas type every object of a file; the API reads them by the same reader
     with pytest.raises(InputError, match="^the group must be a JSON object, not "):
-        src.Group.from_json(obj)
+        src.Group.from_json(obj, "the group")
     with pytest.raises(InputError, match="^the source spec must be a JSON object, not "):
-        src.spec_from_json(obj)
+        src.spec_from_json(obj, "the source spec")
 
 
 @pytest.mark.parametrize("kind", ["zq", 3, None])
 def test_a_tag_names_one_of_its_kinds(kind):
     with pytest.raises(InputError, match="^the group's kind must be one of zp, zp_vec, "
                                          f"fq_vec, zn, not {kind!r}$"):
-        src.Group.from_json({"kind": kind, "p": 11})
+        src.Group.from_json({"kind": kind, "p": 11}, "the group")
     with pytest.raises(InputError, match="^the group's kind must be one of "):
-        src.Group.from_json({"p": 11})
+        src.Group.from_json({"p": 11}, "the group")
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +244,49 @@ def test_a_sweep_row_with_an_empty_ap_is_an_input_error(tmp_path, capsys):
     assert err.startswith('FAIL sweep: {"error":"InputError: AP length k must be >= 1, not 0"')
     assert "Traceback" not in err and "ZeroDivisionError" not in err
     assert len(list(csv.reader(open(out)))) == 2
+
+
+# ---------------------------------------------------------------------------
+# a full config reads each key by the typed reader of the rebuilt value
+# ---------------------------------------------------------------------------
+
+ZP_CONFIG = ex.build_zp_extractor(11, 1).to_json()
+ZPN_CONFIG = ex.build_zpn_extractor(5, 2, 1).to_json()
+LINE_CONFIG = ex.build_line_extractor(9, 4).to_json()
+
+
+@pytest.mark.parametrize("config, group, message", [
+    (dict(ZP_CONFIG, p=True), src.Group.zp(11), "the zp config's p must be an integer, not True"),
+    (dict(ZP_CONFIG, g="2"), src.Group.zp(11), "the zp config's g must be an integer, not '2'"),
+    (dict(ZPN_CONFIG, qs=11), src.Group.zp_vec(5, 2), "the zpn config's qs must be a list, not 11"),
+    (dict(ZPN_CONFIG, gs=[3, None]), src.Group.zp_vec(5, 2),
+     "each of the zpn config's gs must be an integer, not None"),
+    (dict(LINE_CONFIG, blocks=[0, 1]), src.Group.fq_vec(ex.prime_power_field(9), 4),
+     "each of the line config's blocks must be a list, not 0"),
+])
+def test_a_config_value_of_the_wrong_type_is_named(config, group, message):
+    # "p": true used to be refused only as "not the canonical zp config"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        ex.config_for_group(config, group)
+
+
+def test_a_config_row_with_a_boolean_p_names_it(tmp_path, capsys):
+    row = dict(ROW, extractor=dict(ZP_CONFIG, p=True))
+    code, out = _verify(tmp_path, "sweep", {"rows": [row, ROW]})
+    err = capsys.readouterr().err
+    assert code == 2 and len(list(csv.reader(open(out)))) == 2
+    assert err.startswith('FAIL sweep: {"error":"InputError: the zp config\'s p must be an '
+                          'integer, not True"')
+
+
+def test_a_group_or_spec_that_is_not_an_object_is_named_by_its_key(tmp_path, capsys):
+    # Group.from_json and spec_from_json are readers (v, what) like the typed
+    # ones: the row and the source file name them directly
+    for key, value in (("group", [11]), ("source", "ap")):
+        code, _ = _verify(tmp_path, "sweep", {"rows": [dict(ROW, **{key: value}), ROW]})
+        err = capsys.readouterr().err
+        assert code == 2 and f"InputError: the row's {key} must be a JSON object, not " in err
+    spec = write(tmp_path / "in.json", {"group": ZP11, "spec": 3})
+    assert main(["build-source", "--spec", spec, "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == f"error: the source file {spec}'s spec must be a JSON " \
+                                      "object, not 3\n"

@@ -291,3 +291,49 @@ def test_digit_codec_round_trips_and_agrees_with_divmod(case):
     assert back.dtype == (np.int64 if m**N <= 1 << 63 else object)
     assert back.tolist() == codes
     assert nt.to_digits(codes[0], m, N).tolist() == _digits_by_divmod(codes[0], m, N)
+
+
+# a prime of transport's size: the q = 1 (mod p) of its largest default p, 499
+TRANSPORT_Q = nt.smallest_prime_congruent_one(499)
+PRIMES_TO_5000 = nt.primes_upto(5000)
+
+
+@st.composite
+def _gather_cases(draw):
+    """A prime (2, 3, one up to about 5,000, or transport's q), a table of
+    int64, float64 or complex128 entries, and two residue arrays that often
+    hold 0 and repeats."""
+    p = draw(st.one_of(st.sampled_from([2, 3, TRANSPORT_Q]), st.sampled_from(PRIMES_TO_5000)))
+    dtype = draw(st.sampled_from([np.int64, np.float64, np.complex128]))
+    table = draw(hnp.arrays(dtype, p, elements={
+        np.int64: st.integers(-2**63, 2**63 - 1),
+        np.float64: st.floats(allow_nan=False),
+        np.complex128: st.complex_numbers(allow_nan=False)}[dtype]))
+    residues = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    a, b = (draw(st.lists(residues, max_size=12)) for _ in range(2))
+    return table, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gather_cases())
+def test_mul_gather_is_the_direct_gather_byte_for_byte(case):
+    table, a, b, p = case
+    gather = nt.MulGather(table, p)
+    want = oracles.mul_gather_direct(table, a, b, p)
+    got = gather.at(a, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # b omitted is every residue in order; out= writes the same bytes in place
+    every = np.arange(p, dtype=np.int64)
+    out = np.empty((len(a), p), dtype=table.dtype)
+    assert gather.at(a, out=out) is out
+    assert out.tobytes() == oracles.mul_gather_direct(table, a, every, p).tobytes()
+
+
+def test_mul_gather_at_every_pair_of_small_primes():
+    for p in nt.primes_upto(60):
+        every = np.arange(p)
+        table = np.arange(p) * 7 + 1
+        assert np.array_equal(nt.MulGather(table, p).at(every),
+                              oracles.mul_gather_direct(table, every, every, p))
+        assert nt.MulGather(table, p).at(p - 1, every).shape == (p,)

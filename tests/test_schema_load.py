@@ -77,7 +77,8 @@ def test_every_built_source_loads_again(tmp_path, doc):
 _GAP = {"variant": "gap", "b0": 1, "steps": [1], "s": 3}  # {1, 2, 3} in Z_11
 _EXPLICIT = {"variant": "explicit", "elements": [3, 1]}
 _RANDOM = {"variant": "random", "size": 3, "seed": 5}
-_DRAWN = src.build_source(src.spec_from_json(_RANDOM), src.Group.zp(11)).elements.tolist()
+_DRAWN = src.build_source(src.spec_from_json(_RANDOM, "the source spec"),
+                          src.Group.zp(11)).elements.tolist()
 
 
 @pytest.mark.parametrize("spec, elements, code", [
@@ -89,7 +90,7 @@ def test_a_spec_beside_an_elements_list_must_describe_them(tmp_path, capsys, spe
     doc = tmp_path / "doc.json"
     doc.write_text(canonical_json({"group": {"kind": "zp", "p": 11}, "spec": spec,
                                    "elements": elements}))
-    built = src.build_source(src.spec_from_json(spec), src.Group.zp(11))
+    built = src.build_source(src.spec_from_json(spec, "the source spec"), src.Group.zp(11))
     out = tmp_path / "out.json"
     for argv in (["build-source", "--spec", str(doc), "--out", str(out)],
                  ["profile", "--source", str(doc), "--alpha", "0.5"]):
@@ -140,7 +141,8 @@ def _file(group, spec, built):
     for it, with its elements, size, digest and notes."""
     if not built:
         return {"group": group, "spec": spec}
-    X = src.build_source(src.spec_from_json(spec), src.Group.from_json(group))
+    X = src.build_source(src.spec_from_json(spec, "the source spec"),
+                         src.Group.from_json(group, "the group"))
     return X.to_json()
 
 

@@ -409,7 +409,7 @@ def test_spec_json_round_trips():
         RandomSpec(10, 42),
     ]
     for s in specs:
-        assert spec_from_json(spec_to_json(s)) == s
+        assert spec_from_json(spec_to_json(s), "the source spec") == s
 
 
 def test_group_json_round_trips():
@@ -417,7 +417,7 @@ def test_group_json_round_trips():
               Group.fq_vec(gf.FieldSpec.make(2, 2), 4),
               Group.zn(CrtSystem.make([3, 5, 7]))]
     for g in groups:
-        g2 = Group.from_json(g.to_json())
+        g2 = Group.from_json(g.to_json(), "the group")
         assert g2.kind == g.kind and g2.order == g.order
 
 
@@ -425,8 +425,8 @@ def test_group_rejects_composite_p():
     for obj in ({"kind": "zp", "p": 4}, {"kind": "zp_vec", "p": 4, "n": 1},
                 {"kind": "fq_vec", "p": 4, "k": 1, "n": 2}):
         with pytest.raises(InputError):
-            Group.from_json(obj)
-    assert Group.from_json({"kind": "zn", "moduli": [4, 9]}).order == 36
+            Group.from_json(obj, "the group")
+    assert Group.from_json({"kind": "zn", "moduli": [4, 9]}, "the group").order == 36
 
 
 def test_source_digest_is_content_addressed():
@@ -508,9 +508,10 @@ def test_json_numbers_are_read_as_draft7_types_them(value):
 
 
 def test_an_integral_float_in_a_spec_still_reads_as_an_int():
-    spec = spec_from_json({"variant": "gap", "b0": 0.0, "steps": [1.0], "s": 10.0})
+    spec = spec_from_json({"variant": "gap", "b0": 0.0, "steps": [1.0], "s": 10.0},
+                          "the source spec")
     assert spec == GapSpec(0, (1,), 10) and type(spec.s) is int
     group = Group.from_json({"kind": "fq_vec", "p": 2.0, "k": 2, "modulus": [1.0, 1, 1],
-                             "n": 1.0})
+                             "n": 1.0}, "the group")
     assert group == Group.from_json({"kind": "fq_vec", "p": 2, "k": 2, "modulus": [1, 1, 1],
-                                     "n": 1})
+                                     "n": 1}, "the group")

@@ -11,6 +11,7 @@ from addext.canonical import digest
 from addext.errors import BudgetError, InputError
 import oracles
 from oracles import partial_ap_sum_prefix_max
+from test_golden import suite_digest as golden_digest
 
 
 def test_suite_registry_names():
@@ -375,7 +376,8 @@ def test_bohr_cases_match_the_per_ratio_roll_loop(p, rho):
     rho = Fraction(rho)
     x = np.arange(p)
     for d in (1, 2):
-        dil = None if d == 1 else (np.arange(2, p)[:, None] * x) % p
+        v = (np.arange(2, p)[:, None] * x) % p
+        dil = None if d == 1 else np.minimum(v, p - v)  # the distances of each dilation
         cases = suites._bohr_cases(p, rho, d, dil)
         got = [(int(n), bool(lo), bool(db), bool(sy)) for n, lo, db, sy in
                zip(cases["size"], cases["lower"], cases["double"], cases["sym"])]
@@ -425,6 +427,51 @@ def test_cauchy_davenport_sets_do_not_depend_on_the_chunk(monkeypatch):
             mp.setattr(src, "CONVOLVE_CHUNK", 3 * p)
             got = suites.suite_cauchy_davenport(primes=(p,), trials=40, seed=9).failures
         assert len(want) == 40 and got == want
+
+
+def test_sums_and_differences_match_doubling_and_the_difference_histogram():
+    # every |X + X| and |X cap (X + g)| of the row-batched route against the
+    # per-set cyclic_convolve of sources.doubling and difference_histogram
+    rng = random.Random(5)
+    for p in (2, 3, 101, 1009):
+        grp = src.Group.zp(p)
+        sets = [np.array(sorted(rng.sample(range(p), rng.randint(1, p))), dtype=np.int64)
+                for _ in range(12)]
+        sums, reps = suites._sums_and_differences(sets, p)
+        for X, size, rep in zip(sets, sums, reps):
+            X = src.Source(grp, src.ExplicitSpec(tuple(X.tolist())), X)
+            assert size == src.doubling(X)
+            values, counts = src.difference_histogram(X)
+            want = np.zeros(p, dtype=np.int64)
+            want[values] = counts
+            assert np.array_equal(rep, want)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("transport", {"primes": [3, 101], "sources_per_p": 12, "seed": 2}),
+    ("gap-profile", {"primes": [101], "dims": [1, 2], "sides": [8], "gaps_per_case": 9}),
+])
+def test_convolution_suites_do_not_depend_on_the_chunk(monkeypatch, name, kwargs):
+    # the sets, in draw order, and their sums and differences are the same
+    # in one chunk per p as in chunks of two sets
+    def batches():
+        calls = []
+
+        def record(sets, p):
+            out = real(sets, p)
+            calls.append((p, [X.tolist() for X in sets], out[0].tolist(), out[1].tolist()))
+            return out
+        with monkeypatch.context() as mp:
+            mp.setattr(suites, "_sums_and_differences", record)
+            digest = golden_digest(suites.SUITES[name](**kwargs))
+        flat = [(p, *entry) for p, *columns in calls for entry in zip(*columns)]
+        return digest, len(calls), flat
+
+    real = suites._sums_and_differences
+    want = batches()
+    monkeypatch.setattr(src, "CONVOLVE_CHUNK", 2 * 101)
+    got = batches()
+    assert got[1] > want[1] and (got[0], got[2]) == (want[0], want[2])
 
 
 def test_cauchy_davenport_draws_sizes_one_and_p(monkeypatch):

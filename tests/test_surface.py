@@ -10,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import addext
+import oracles
 from addext import gf, numtheory as nt
 from addext.sources import Group, Source
 
@@ -411,3 +412,25 @@ def test_no_module_builds_a_set_of_elements():
     # the check sees the sets it is meant to find
     assert _set_builders(ast.parse("def f(x):\n    return set(x) | frozenset(x)\n"
                                    "{1}\n{a for a in b}"), "m") == {"m.f": [2, 2], "m": [3, 4]}
+
+
+def _product_gathers(tree: ast.AST) -> list[int]:
+    """The lines of the subscripts x[(a * b) % m]: an index that holds a
+    remainder of an expression with a product."""
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+                   and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod) and any(
+                       isinstance(m, ast.BinOp) and isinstance(m.op, ast.Mult)
+                       for m in ast.walk(n.left)) for n in ast.walk(node.slice))})
+
+
+def test_products_mod_a_prime_are_gathered_by_one_primitive():
+    # every table[a b mod p] in src is numtheory.MulGather, one take at sums
+    # of discrete logs, with no product and no remainder; the direct route is
+    # the oracle in tests/oracles.py
+    found = {module: _product_gathers(tree) for module, tree in _trees().items()}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    assert len(_product_gathers(ast.parse(inspect.getsource(oracles.mul_gather_direct)))) == 1
+    # the check sees the gathers it is meant to find
+    assert _product_gathers(ast.parse(
+        "t[a * b % p]\nt[1, (a[:, None] * b) % m]\nt[(a * b + c) % m]\nt[a % p]\n"
+        "t[a * b]\nf(a * b % p)\nt[(a + b) % p]")) == [1, 2, 3]
